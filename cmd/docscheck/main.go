@@ -1,20 +1,23 @@
 // Command docscheck validates the repository's documentation: every relative
-// markdown link in README.md and docs/ must point at an existing file, and
-// every fenced ```datalog query example in docs/QUERYLANG.md must compile
-// against the demo catalog. CI runs it in the docs job, so the reference
-// cannot drift from the language it documents.
+// markdown link in README.md and docs/ must point at an existing file, every
+// fenced ```datalog query example in docs/QUERYLANG.md must compile against
+// the demo catalog, and the capability table in docs/OPERATIONS.md must list
+// exactly the bits of wire.Capabilities. CI runs it in the docs job, so the
+// reference cannot drift from the language and the protocol it documents.
 //
 // Usage:
 //
 //	docscheck [-root .]
 //
-// Exits non-zero listing every broken link and every example that fails to
-// parse, resolve or compile.
+// Exits non-zero listing every broken link, every example that fails to
+// parse, resolve or compile, and every capability row that disagrees with the
+// code.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -22,6 +25,7 @@ import (
 
 	"csq/internal/demo"
 	"csq/internal/lang"
+	"csq/internal/wire"
 )
 
 // mdLink matches inline markdown links; images and autolinks are excluded by
@@ -52,6 +56,12 @@ func main() {
 		os.Exit(1)
 	}
 	problems = append(problems, p...)
+	p, err = checkCapabilities(filepath.Join(*root, "docs", "OPERATIONS.md"))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+		os.Exit(1)
+	}
+	problems = append(problems, p...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -60,7 +70,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %d markdown file(s) and the query examples are clean\n", len(docs))
+	fmt.Printf("docscheck: %d markdown file(s), the query examples and the capability table are clean\n", len(docs))
 }
 
 // docFiles returns README.md plus every markdown file under docs/.
@@ -155,4 +165,33 @@ func checkExamples(path string) ([]string, error) {
 		problems = append(problems, fmt.Sprintf("%s: no ```datalog examples found", path))
 	}
 	return problems, nil
+}
+
+// capabilityRow matches a row of the operations guide's capability table:
+// bit number, name in backticks, and "(retired)" where the bit is.
+var capabilityRow = regexp.MustCompile("(?m)^\\| (\\d+) \\| `([a-z-]+)`( \\(retired\\))? \\|")
+
+// checkCapabilities holds the guide's capability table to wire.Capabilities:
+// the same bits under the same names, in the same order, retired ones marked.
+func checkCapabilities(path string) ([]string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var documented []string
+	for _, m := range capabilityRow.FindAllStringSubmatch(string(data), -1) {
+		documented = append(documented, m[1]+" "+m[2]+m[3])
+	}
+	var defined []string
+	for _, c := range wire.Capabilities {
+		row := fmt.Sprintf("%d %s", bits.TrailingZeros32(c.Bit), c.Name)
+		if c.Retired {
+			row += " (retired)"
+		}
+		defined = append(defined, row)
+	}
+	if got, want := strings.Join(documented, ", "), strings.Join(defined, ", "); got != want {
+		return []string{fmt.Sprintf("%s: capability table lists [%s], wire.Capabilities is [%s]", path, got, want)}, nil
+	}
+	return nil, nil
 }

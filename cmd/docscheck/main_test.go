@@ -34,6 +34,42 @@ func TestRepoDocsClean(t *testing.T) {
 	for _, p := range problems {
 		t.Error(p)
 	}
+	problems, err = checkCapabilities(filepath.Join(root, "docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// TestCheckCapabilitiesFindsDrift drops a row from a correct table and
+// renames another: both tables must be reported as disagreeing with the code.
+func TestCheckCapabilitiesFindsDrift(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, edit := range []struct{ old, new string }{
+		{"| 5 | `result-stream` |", "| 5 | `result-streams` |"},
+		{"| 1 | `stats` (retired) |", "| 1 | `stats` |"},
+		{"| 0 | `cancel` |", "0 cancel"},
+	} {
+		if !strings.Contains(string(data), edit.old) {
+			t.Fatalf("the guide has no row %q", edit.old)
+		}
+		doc := filepath.Join(t.TempDir(), "OPERATIONS.md")
+		if err := os.WriteFile(doc, []byte(strings.Replace(string(data), edit.old, edit.new, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		problems, err := checkCapabilities(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(problems) != 1 {
+			t.Errorf("table with %q: problems = %q, want one", edit.new, problems)
+		}
+	}
 }
 
 // TestCheckLinksFindsBreakage builds a small doc tree with one good and one

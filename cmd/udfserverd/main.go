@@ -225,7 +225,7 @@ func main() {
 	maxRedials := flag.Int("max-redials", 0, "reconnection attempts per lost UDF session (0 = default, negative = degrade immediately)")
 	flag.DurationVar(&o.redialBackoff, "redial-backoff", 0, "base backoff between session redial attempts, doubling per attempt (0 = default)")
 	flag.IntVar(&o.planCache, "plan-cache", 0, "version-keyed plan cache capacity in entries (0 = off)")
-	flag.Int64Var(&o.resultCache, "result-cache", 0, "version-keyed result cache budget in bytes (0 = off)")
+	flag.Int64Var(&o.resultCache, "result-cache", 0, "version-keyed result cache budget in bytes of stored, encoded answers (0 = off)")
 	flag.BoolVar(&o.sharedScans, "shared-scans", false, "coalesce concurrent columnar segment decodes across queries")
 	flag.Var(&o.tenants, "tenant", "tenant scheduling policy name:weight[:quota] (repeatable)")
 	flag.Parse()

@@ -88,6 +88,9 @@ func (ps *PreparedStatement) Submit(ctx context.Context, over Request) (*Query, 
 	if over.OnBatch != nil {
 		req.OnBatch = over.OnBatch
 	}
+	if over.Frames != nil {
+		req.Frames = over.Frames
+	}
 	if over.Link != nil {
 		req.Link = over.Link
 		req.LinkKey = over.LinkKey

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 
 	"csq/internal/exec"
-	"csq/internal/types"
+	"csq/internal/wire"
 )
 
 // resultCache is the service's version-keyed result cache: a deterministic
@@ -19,34 +19,46 @@ import (
 // trigger-on-update reasoning of incremental integrity checking (Decker):
 // a cached answer is exactly as fresh as the base facts it was derived from.
 //
-// Memory is governed like a query's: every stored result is charged to a
-// service-level exec.MemTracker and least-recently-used entries are evicted
-// until the cache is back under its byte budget. Single results larger than
-// maxEntryFraction of the budget are not cached at all (they would evict
-// everything else for one query's benefit).
+// What is stored is the answer as it left the server: the encoded frames of
+// its result stream, minus the query ID each payload starts with. A stream
+// starts with empty dictionaries, so the sequence is self-contained, and a
+// hit on the wire path is a write of the stored bytes under the new query's
+// ID — nothing is encoded. Callers that want tuples decode the frames.
+//
+// Memory is governed like a query's: every stored result is charged, at the
+// exact length of its frames, to a service-level exec.MemTracker, and
+// least-recently-used entries are evicted until the cache is back under its
+// byte budget. Single results larger than maxEntryFraction of the budget are
+// not cached at all (they would evict everything else for one query's
+// benefit).
 type resultCache struct {
 	mu      sync.Mutex
 	entries map[string]*list.Element
-	order   *list.List // front = most recently used; values are *resultEntry
+	order   *list.List // front = most recently used; values are *cachedResult
 	tracker *exec.MemTracker
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-type resultEntry struct {
-	key   string
-	rows  []types.Tuple
+// cachedResult is one stored answer. It is immutable once stored and shared
+// by every query it serves.
+type cachedResult struct {
+	key string
+	// frames is the result stream, in order.
+	frames []wire.ResultFrame
+	// stream tells which encoder produced frames: the stream-dictionary one,
+	// or the plain one (the query that filled the entry came from a peer
+	// without wire.CapResultStream).
+	stream bool
+	// rows is the answer's row count, what the stream's End frame reports.
+	rows int64
+	// bytes is the summed length of the frame bodies: the entry's charge.
 	bytes int64
 }
 
 // maxEntryFraction bounds one cached result's share of the cache budget.
 const maxEntryFraction = 8
-
-// tupleOverhead approximates the in-memory bookkeeping of one retained tuple
-// beyond its encoded payload (slice header, value headers), mirroring the
-// execution engine's accounting.
-const tupleOverhead = 48
 
 // newResultCache returns a cache bounded to budget bytes.
 func newResultCache(budget int64) *resultCache {
@@ -57,19 +69,13 @@ func newResultCache(budget int64) *resultCache {
 	}
 }
 
-// resultBytes estimates the retained footprint of a result set.
-func resultBytes(rows []types.Tuple) int64 {
-	var n int64
-	for _, t := range rows {
-		n += int64(t.Size()) + tupleOverhead
-	}
-	return n
+// maxEntryBytes is the largest result the cache stores.
+func (c *resultCache) maxEntryBytes() int64 {
+	return c.tracker.Budget() / maxEntryFraction
 }
 
-// lookup returns the cached rows for key, if any. Callers must not mutate the
-// returned tuples (they are shared across queries; tuples are immutable by
-// engine convention).
-func (c *resultCache) lookup(key string) ([]types.Tuple, bool) {
+// lookup returns the cached result for key, if any.
+func (c *resultCache) lookup(key string) (*cachedResult, bool) {
 	if c == nil || key == "" {
 		return nil, false
 	}
@@ -82,35 +88,31 @@ func (c *resultCache) lookup(key string) ([]types.Tuple, bool) {
 	}
 	c.hits.Add(1)
 	c.order.MoveToFront(el)
-	return el.Value.(*resultEntry).rows, true
+	return el.Value.(*cachedResult), true
 }
 
-// store records a result under key, evicting least-recently-used entries
+// store records a result under its key, evicting least-recently-used entries
 // until the cache is under budget. Oversized results are dropped.
-func (c *resultCache) store(key string, rows []types.Tuple) {
-	if c == nil || key == "" {
-		return
-	}
-	bytes := resultBytes(rows)
-	if budget := c.tracker.Budget(); budget > 0 && bytes > budget/maxEntryFraction {
+func (c *resultCache) store(res *cachedResult) {
+	if c == nil || res.key == "" || res.bytes > c.maxEntryBytes() {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
+	if el, ok := c.entries[res.key]; ok {
 		// Same key means same data versions, hence the same result; keep the
 		// incumbent and just refresh its recency.
 		c.order.MoveToFront(el)
 		return
 	}
-	_ = c.tracker.Grow(bytes) // budget tracker: never a hard limit
-	c.entries[key] = c.order.PushFront(&resultEntry{key: key, rows: rows, bytes: bytes})
+	_ = c.tracker.Grow(res.bytes) // budget tracker: never a hard limit
+	c.entries[res.key] = c.order.PushFront(res)
 	for c.tracker.OverBudget() && c.order.Len() > 1 {
 		back := c.order.Back()
 		if back == nil {
 			break
 		}
-		e := c.order.Remove(back).(*resultEntry)
+		e := c.order.Remove(back).(*cachedResult)
 		delete(c.entries, e.key)
 		c.tracker.Shrink(e.bytes)
 	}

@@ -22,8 +22,10 @@ import (
 
 // Server is the wire front-end of a Service: it listens for requester
 // connections speaking the framed protocol's MsgQuery/MsgCancel extension and
-// streams query results back as MsgResultBatch frames (SessionID = query ID)
-// terminated by MsgEnd, or MsgError on failure.
+// streams query results back as result frames (SessionID = query ID; in the
+// stream-dictionary encoding for requesters that negotiated
+// wire.CapResultStream, as plain MsgResultBatch frames otherwise) terminated
+// by MsgEnd, or MsgError on failure.
 //
 // One connection multiplexes any number of concurrent queries. A requester
 // may also announce client UDF metadata with MsgRegisterUDF frames (upserted
@@ -82,8 +84,9 @@ func (c *stallGuardConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// serverCaps is the capability subset this server supports.
-const serverCaps = wire.CapCancel | wire.CapTextQuery | wire.CapReject | wire.CapPrepared
+// serverCaps is the capability subset this server supports, and what a
+// Requester asks for: every live row of the wire package's table.
+var serverCaps = wire.AllCaps()
 
 // NewServer builds a wire front-end over the service.
 func NewServer(svc *Service) *Server {
@@ -341,7 +344,7 @@ func (s *Server) handleConn(nc net.Conn) {
 				_ = s.sendError(conn, ep.QueryID, fmt.Sprintf("query ID %d is already in flight on this connection", ep.QueryID))
 				continue
 			}
-			over := Request{Tenant: ep.Tenant, MemBudget: ep.MemBudget, OnBatch: s.batchSender(conn, ep.QueryID)}
+			over := Request{Tenant: ep.Tenant, MemBudget: ep.MemBudget, Frames: frameSink(conn, ep.QueryID, st.caps)}
 			if ep.TimeoutMillis > 0 {
 				over.Timeout = time.Duration(ep.TimeoutMillis) * time.Millisecond
 			}
@@ -380,8 +383,8 @@ func (s *Server) handleConn(nc net.Conn) {
 }
 
 // connStatement is a prepared statement owned by one requester connection,
-// along with the capability subset its prepare negotiated (so execution
-// failures degrade the same way the ack promised).
+// along with the capability subset its prepare negotiated (so executions are
+// encoded, and their failures degrade, the way the ack promised).
 type connStatement struct {
 	ps   *PreparedStatement
 	caps uint32
@@ -418,24 +421,17 @@ func (s *Server) buildRequest(conn *wire.Conn, spec *wire.QuerySpec) (Request, e
 		return Request{}, err
 	}
 	// Results are streamed straight onto the control connection as they are
-	// produced; Conn.Send serialises concurrent queries' frames.
-	req.OnBatch = s.batchSender(conn, spec.QueryID)
+	// produced; the connection serialises concurrent queries' frames.
+	req.Frames = frameSink(conn, spec.QueryID, spec.Caps&serverCaps)
 	return req, nil
 }
 
-// batchSender returns an OnBatch sink that frames result batches under id on
-// the shared control connection.
-func (s *Server) batchSender(conn *wire.Conn, id uint64) func([]types.Tuple) error {
-	return func(batch []types.Tuple) error {
-		payload := wire.GetBuffer()
-		defer wire.PutBuffer(payload)
-		b := wire.TupleBatch{SessionID: id, Tuples: batch}
-		data, err := wire.AppendTupleBatch(*payload, &b)
-		if err != nil {
-			return err
-		}
-		*payload = data
-		return conn.Send(wire.MsgResultBatch, data)
+// frameSink returns the sink that sends a query's result frames under id on
+// the shared control connection, in the encoding caps negotiated.
+func frameSink(conn *wire.Conn, id uint64, caps uint32) *FrameSink {
+	return &FrameSink{
+		Stream: caps&wire.CapResultStream != 0,
+		Write:  func(frames []wire.ResultFrame) error { return conn.SendResultFrames(id, frames) },
 	}
 }
 
@@ -599,6 +595,12 @@ type eventQueue struct {
 	cond   *sync.Cond
 	evs    []requesterEvent
 	closed bool
+
+	// Owned by the read loop: the dictionaries of the query's result stream,
+	// and whether the stream has ended (a terminal frame arrived, or one that
+	// would not decode).
+	dec   wire.ResultDecoder
+	ended bool
 }
 
 func newEventQueue() *eventQueue {
@@ -675,67 +677,95 @@ func (r *Requester) RegisterUDFs(regs []*wire.RegisterUDF) error {
 	return r.conn.Send(wire.MsgEnd, wire.EncodeEnd(&wire.End{}))
 }
 
-// readLoop demultiplexes server frames to per-query channels.
+// readLoop demultiplexes server frames to per-query queues. A frame that does
+// not decode ends the query it names with an error — delivering the rest of
+// the stream without it would hand out a short answer, and every later frame
+// would be read against the wrong dictionaries. A frame too short to name a
+// query fails the connection: no stream on it can be known complete.
 func (r *Requester) readLoop() {
 	for {
 		msg, err := r.conn.Receive()
 		if err != nil {
-			// Closing the per-query queues wakes every collector; collectors
-			// read the terminal error from readErr.
-			r.mu.Lock()
-			r.readErr = err
-			pending := r.pending
-			r.pending = make(map[uint64]*eventQueue)
-			r.mu.Unlock()
-			for _, q := range pending {
-				q.close()
-			}
+			r.fail(err)
 			return
 		}
 		switch msg.Type {
-		case wire.MsgQueryAck, wire.MsgPrepareAck:
-			ack, err := wire.DecodeQueryAck(msg.Payload)
-			if err != nil {
-				continue
-			}
-			r.deliver(ack.QueryID, requesterEvent{ack: ack})
-		case wire.MsgResultBatch:
-			batch, err := wire.DecodeTupleBatch(msg.Payload)
-			if err != nil {
-				continue
-			}
-			r.deliver(batch.SessionID, requesterEvent{batch: batch.Tuples})
-		case wire.MsgEnd:
-			end, err := wire.DecodeEnd(msg.Payload)
-			if err != nil {
-				continue
-			}
-			r.deliver(end.SessionID, requesterEvent{rows: end.Rows, done: true})
-		case wire.MsgError:
-			e, err := wire.DecodeError(msg.Payload)
-			if err != nil {
-				continue
-			}
-			r.deliver(e.SessionID, requesterEvent{err: fmt.Errorf("service: %s", e.Message), done: true})
-		case wire.MsgQueryReject:
-			rej, err := wire.DecodeQueryReject(msg.Payload)
-			if err != nil {
-				continue
-			}
-			// The typed error wraps wire.ErrOverloaded / wire.ErrServerDraining,
-			// so wire.Classify sees it as retryable.
-			r.deliver(rej.QueryID, requesterEvent{err: rej.Err(), done: true})
+		case wire.MsgQueryAck, wire.MsgPrepareAck, wire.MsgResultBatch, wire.MsgResultStream,
+			wire.MsgEnd, wire.MsgError, wire.MsgQueryReject:
+		default:
+			continue // not part of any query's stream
 		}
+		id, ok := wire.StreamID(msg.Payload)
+		if !ok {
+			r.fail(fmt.Errorf("service: %s frame of %d bytes names no query", msg.Type, len(msg.Payload)))
+			_ = r.conn.Close()
+			return
+		}
+		r.mu.Lock()
+		q := r.pending[id]
+		r.mu.Unlock()
+		if q == nil || q.ended {
+			continue
+		}
+		ev, err := q.decode(msg)
+		if err != nil {
+			ev = requesterEvent{err: fmt.Errorf("service: query %d: damaged %s frame: %w", id, msg.Type, err), done: true}
+		}
+		if ev.done {
+			// The dictionaries go with the stream, not with whenever the
+			// collector gets round to dropping the query.
+			q.ended, q.dec = true, wire.ResultDecoder{}
+		}
+		r.deliver(q, ev)
 	}
 }
 
-func (r *Requester) deliver(id uint64, ev requesterEvent) {
-	r.mu.Lock()
-	q := r.pending[id]
-	r.mu.Unlock()
-	if q == nil {
-		return
+// decode turns one frame of the query's stream into its event.
+func (q *eventQueue) decode(msg wire.Message) (requesterEvent, error) {
+	switch msg.Type {
+	case wire.MsgResultBatch, wire.MsgResultStream:
+		rows, err := q.dec.DecodeFrame(wire.ResultFrame{Type: msg.Type, Body: msg.Payload[8:]})
+		return requesterEvent{batch: rows}, err
+	case wire.MsgEnd:
+		end, err := wire.DecodeEnd(msg.Payload)
+		if err != nil {
+			return requesterEvent{}, err
+		}
+		return requesterEvent{rows: end.Rows, done: true}, nil
+	case wire.MsgError:
+		e, err := wire.DecodeError(msg.Payload)
+		if err != nil {
+			return requesterEvent{}, err
+		}
+		return requesterEvent{err: fmt.Errorf("service: %s", e.Message), done: true}, nil
+	case wire.MsgQueryReject:
+		rej, err := wire.DecodeQueryReject(msg.Payload)
+		if err != nil {
+			return requesterEvent{}, err
+		}
+		// The typed error wraps wire.ErrOverloaded / wire.ErrServerDraining,
+		// so wire.Classify sees it as retryable.
+		return requesterEvent{err: rej.Err(), done: true}, nil
+	default: // MsgQueryAck, MsgPrepareAck
+		ack, err := wire.DecodeQueryAck(msg.Payload)
+		return requesterEvent{ack: ack}, err
 	}
+}
+
+// fail ends every pending query with err. Closing the per-query queues wakes
+// every collector; collectors read the terminal error from readErr.
+func (r *Requester) fail(err error) {
+	r.mu.Lock()
+	r.readErr = err
+	pending := r.pending
+	r.pending = make(map[uint64]*eventQueue)
+	r.mu.Unlock()
+	for _, q := range pending {
+		q.close()
+	}
+}
+
+func (r *Requester) deliver(q *eventQueue, ev requesterEvent) {
 	depth := int64(q.push(ev))
 	for {
 		hwm := r.queueHWM.Load()
@@ -935,7 +965,8 @@ func (q *RemoteQuery) Cancel() error {
 	return q.r.conn.Send(wire.MsgCancel, wire.EncodeCancel(&wire.Cancel{QueryID: q.id}))
 }
 
-// Collect drains the query's result stream into memory.
+// Collect drains the query's result stream into memory. A stream whose End
+// frame counts other rows than arrived is an error: a frame went missing.
 func (q *RemoteQuery) Collect() ([]types.Tuple, error) {
 	defer q.r.drop(q.id)
 	var rows []types.Tuple
@@ -944,16 +975,14 @@ func (q *RemoteQuery) Collect() ([]types.Tuple, error) {
 		if !ok {
 			break
 		}
-		if ev.batch != nil {
-			rows = append(rows, ev.batch...)
+		rows = append(rows, ev.batch...)
+		if !ev.done {
 			continue
 		}
-		if ev.done {
-			if ev.err != nil {
-				return rows, ev.err
-			}
-			return rows, nil
+		if ev.err == nil && ev.rows != uint64(len(rows)) {
+			return rows, fmt.Errorf("service: query %d: result stream ended after %d rows, the server sent %d", q.id, len(rows), ev.rows)
 		}
+		return rows, ev.err
 	}
 	// The queue was closed by a dying read loop; surface its error.
 	q.r.mu.Lock()

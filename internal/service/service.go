@@ -13,6 +13,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -180,6 +181,10 @@ type Request struct {
 	// instead of accumulating rows in the result. The callback owns the
 	// tuples; returning an error aborts the query.
 	OnBatch func(batch []types.Tuple) error
+	// Frames, when non-nil, receives the result as encoded wire frames — what
+	// the wire front-end sends a requester — instead of accumulating rows in
+	// the result. It is the path on which a result-cache hit encodes nothing.
+	Frames *FrameSink
 	// Tenant names the accounting principal the query runs under; the fair
 	// scheduler queues and meters per tenant. Empty selects DefaultTenant.
 	Tenant string
@@ -187,6 +192,20 @@ type Request struct {
 	// stmt attaches the query to a prepared statement's plan slot; set by
 	// PreparedStatement.Submit.
 	stmt *PreparedStatement
+}
+
+// FrameSink receives a query's result as the frames of a wire result stream
+// (see wire.ResultEncoder), each without the query ID its payload starts
+// with: the sink stamps its own.
+type FrameSink struct {
+	// Stream selects the stream-dictionary encoding. False yields plain
+	// MsgResultBatch frames only: what a peer that did not negotiate
+	// wire.CapResultStream must be sent.
+	Stream bool
+	// Write receives the result's next frames, in order: one at a time as
+	// they are produced, or a cached answer's all at once. The bodies are
+	// only valid during the call. Returning an error aborts the query.
+	Write func(frames []wire.ResultFrame) error
 }
 
 // QueryStats is a point-in-time snapshot of one query's lifecycle.
@@ -234,7 +253,8 @@ type QueryStats struct {
 
 // Result is a finished query's output.
 type Result struct {
-	// Rows holds the accumulated result when no OnBatch sink was set.
+	// Rows holds the accumulated result when neither sink (OnBatch, Frames)
+	// was set.
 	Rows []types.Tuple
 	// RowCount is the number of rows produced (accumulated or streamed).
 	RowCount int64
@@ -318,6 +338,17 @@ type Query struct {
 
 	collect bool
 	onBatch func([]types.Tuple) error
+	frames  *FrameSink
+
+	// Owned by the run goroutine. enc encodes the result for the frame sink
+	// and for the result cache; it is nil when neither wants frames, and
+	// dropped, with its dictionaries, when the query finishes. keep holds the
+	// frames of a cacheable answer until it is stored, and is let go as soon
+	// as they outgrow what the cache would take.
+	enc       *wire.ResultEncoder
+	keep      []wire.ResultFrame
+	keepBytes int64
+	keepLimit int64 // > 0 while the answer is being kept
 
 	tenant string
 
@@ -326,8 +357,6 @@ type Query struct {
 	err             error
 	rows            []types.Tuple
 	rowCount        int64
-	cacheRows       []types.Tuple // result-cache accumulation when not collecting
-	accumForCache   bool
 	submitted       time.Time
 	started         time.Time
 	finished        time.Time
@@ -432,8 +461,9 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Query, error) {
 		cancelTimer: timerCancel,
 		done:        make(chan struct{}),
 		prog:        &exec.Progress{},
-		collect:     req.OnBatch == nil,
+		collect:     req.OnBatch == nil && req.Frames == nil,
 		onBatch:     req.OnBatch,
+		frames:      req.Frames,
 		state:       StateQueued,
 		submitted:   time.Now(),
 	}
@@ -732,12 +762,19 @@ func (q *Query) run(ctx context.Context, req Request) {
 	var resultKey string
 	if rc := q.svc.resultCache; rc != nil {
 		if key, ok := plan.TreeVersionKey(req.Tree, q.svc.cat); ok && plan.PureTree(req.Tree, q.svc.cat) {
-			if rows, hit := rc.lookup(key); hit {
-				err = q.serveCached(ctx, rows)
+			if res, hit := rc.lookup(key); hit {
+				err = q.serveCached(ctx, res)
 				return
 			}
 			resultKey = key
+			q.keepLimit = rc.maxEntryBytes()
 		}
+	}
+	// The answer is encoded once, for whoever wants frames: for the sink in
+	// its peer's encoding and for the cache in the same one — or, when the
+	// query hands out tuples, in the compact one.
+	if q.frames != nil || q.keepLimit > 0 {
+		q.enc = wire.NewResultEncoder(q.frames == nil || q.frames.Stream)
 	}
 
 	// Admission: the scheduler bounds global and per-tenant concurrency and
@@ -833,9 +870,6 @@ func (q *Query) run(ctx context.Context, req Request) {
 		err = lerr
 		return
 	}
-	q.mu.Lock()
-	q.accumForCache = resultKey != "" && !q.collect
-	q.mu.Unlock()
 	ectx := exec.WithScanStats(exec.WithMemTracker(ctx, tracker), scanStats)
 	if q.svc.scanShare != nil {
 		ectx = exec.WithScanShare(ectx, q.svc.scanShare)
@@ -846,48 +880,98 @@ func (q *Query) run(ctx context.Context, req Request) {
 	// that landed anywhere between the key computation and now may or may not
 	// be reflected in what the operators read, so the answer is only known to
 	// correspond to the keyed versions when nothing changed underneath it.
-	if err == nil && resultKey != "" {
+	if err == nil && q.keepLimit > 0 {
 		if key, ok := plan.TreeVersionKey(req.Tree, q.svc.cat); ok && key == resultKey {
-			q.mu.Lock()
-			rows := q.rows
-			if !q.collect {
-				rows = q.cacheRows
-			}
-			q.cacheRows = nil
-			q.mu.Unlock()
-			q.svc.resultCache.store(resultKey, rows)
+			q.svc.resultCache.store(&cachedResult{
+				key: resultKey, frames: q.keep, stream: q.enc.Stream(), rows: q.rowCount, bytes: q.keepBytes,
+			})
 		}
 	}
 }
 
-// serveCached streams a cached result to the query's sink. The cached tuples
-// are shared across queries and immutable; only the slice headers are copied.
-func (q *Query) serveCached(ctx context.Context, rows []types.Tuple) error {
+// serveCached answers the query from a stored result. A frame sink whose
+// peer speaks the encoding the answer was stored in gets the stored bytes as
+// they are; anyone else gets the frames decoded, and from there on what a
+// freshly computed answer gets.
+func (q *Query) serveCached(ctx context.Context, res *cachedResult) error {
 	q.mu.Lock()
 	q.started = time.Now()
 	q.state = StateRunning
 	q.resultFromCache = true
 	q.mu.Unlock()
-	for off := 0; off < len(rows); off += exec.DefaultBatchSize {
+	if q.frames != nil && q.onBatch == nil && q.frames.Stream == res.stream {
+		q.mu.Lock()
+		q.rowCount = res.rows
+		q.mu.Unlock()
+		q.prog.Tick()
+		if err := q.frames.Write(res.frames); err != nil {
+			return fmt.Errorf("service: result sink: %w", err)
+		}
+		return nil
+	}
+	if q.frames != nil {
+		q.enc = wire.NewResultEncoder(q.frames.Stream)
+	}
+	var dec wire.ResultDecoder
+	for _, f := range res.frames {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		end := off + exec.DefaultBatchSize
-		if end > len(rows) {
-			end = len(rows)
+		rows, err := dec.DecodeFrame(f)
+		if err != nil {
+			return fmt.Errorf("service: cached result: %w", err)
 		}
-		batch := rows[off:end]
-		q.mu.Lock()
-		q.rowCount += int64(len(batch))
-		if q.collect {
-			q.rows = append(q.rows, batch...)
-		}
-		q.mu.Unlock()
 		q.prog.Tick()
-		if q.onBatch != nil {
-			if err := q.onBatch(batch); err != nil {
-				return fmt.Errorf("service: result sink: %w", err)
-			}
+		if err := q.emit(rows); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// emit hands the result's next rows to everything that consumes them: the
+// accumulated result, the tuple sink, and — encoded once — the frame sink and
+// the frames kept for the result cache.
+func (q *Query) emit(rows []types.Tuple) error {
+	q.mu.Lock()
+	q.rowCount += int64(len(rows))
+	if q.collect {
+		q.rows = append(q.rows, rows...)
+	}
+	q.mu.Unlock()
+	if q.enc != nil {
+		if err := q.emitFrame(rows); err != nil {
+			return err
+		}
+	}
+	if q.onBatch != nil {
+		if err := q.onBatch(rows); err != nil {
+			return fmt.Errorf("service: result sink: %w", err)
+		}
+	}
+	return nil
+}
+
+// emitFrame encodes rows as the stream's next frame, hands it to the frame
+// sink, and keeps a copy while the answer is still a candidate for the cache.
+func (q *Query) emitFrame(rows []types.Tuple) error {
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	f, err := q.enc.AppendFrame(*buf, rows)
+	if err != nil {
+		return err
+	}
+	*buf = f.Body
+	if q.keepLimit > 0 {
+		if q.keepBytes += int64(len(f.Body)); q.keepBytes <= q.keepLimit {
+			q.keep = append(q.keep, wire.ResultFrame{Type: f.Type, Body: bytes.Clone(f.Body)})
+		} else {
+			q.keep, q.keepLimit = nil, 0 // more than the cache would store
+		}
+	}
+	if q.frames != nil {
+		if err := q.frames.Write([]wire.ResultFrame{f}); err != nil {
+			return fmt.Errorf("service: result sink: %w", err)
 		}
 	}
 	return nil
@@ -924,22 +1008,8 @@ func (q *Query) drive(ctx context.Context, op exec.Operator) error {
 		if n == 0 {
 			break
 		}
-		q.mu.Lock()
-		q.rowCount += int64(n)
-		if q.collect {
-			q.rows = append(q.rows, batch[:n]...)
-		}
-		if q.accumForCache {
-			// Streaming queries eligible for the result cache also retain the
-			// rows (tuples are never recycled by the engine, so retention is
-			// a slice append, not a deep copy).
-			q.cacheRows = append(q.cacheRows, batch[:n]...)
-		}
-		q.mu.Unlock()
-		if q.onBatch != nil {
-			if err := q.onBatch(batch[:n]); err != nil {
-				return fmt.Errorf("service: result sink: %w", err)
-			}
+		if err := q.emit(batch[:n]); err != nil {
+			return err
 		}
 	}
 	return closeOp()
@@ -976,6 +1046,9 @@ func (q *Query) finish(ctx context.Context, err error) {
 	}
 	tracker := q.tracker
 	q.mu.Unlock()
+	// The handle outlives the query in Service.queries; the stream's
+	// dictionaries and any frames not handed to the cache must not.
+	q.enc, q.keep = nil, nil
 	// Whatever retained spill runs the query's namespace still holds (a
 	// failed query's half-written partitions) go with it.
 	tracker.CleanupSpill()

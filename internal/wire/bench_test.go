@@ -131,3 +131,51 @@ func BenchmarkDecodeTupleBatch(b *testing.B) {
 		}
 	})
 }
+
+// The result-stream benchmarks run a whole answer — 8 000 rows of (Id, T)
+// with 800 distinct 64-byte T values, in 64-row frames — through one encoder
+// or decoder, beside the plain encoding of the same frames.
+func BenchmarkResultStreamEncode(b *testing.B) {
+	fx := dupAnswer(8000, 800)
+	for _, mode := range []struct {
+		name   string
+		stream bool
+	}{{"stream", true}, {"plain", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			buf := GetBuffer()
+			defer PutBuffer(buf)
+			for i := 0; i < b.N; i++ {
+				enc := NewResultEncoder(mode.stream)
+				for _, rows := range fx {
+					f, err := enc.AppendFrame((*buf)[:0], rows)
+					if err != nil {
+						b.Fatal(err)
+					}
+					*buf = f.Body
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkResultStreamDecode(b *testing.B) {
+	fx := dupAnswer(8000, 800)
+	for _, mode := range []struct {
+		name   string
+		stream bool
+	}{{"stream", true}, {"plain", false}} {
+		frames := encodeStream(b, mode.stream, fx)
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var dec ResultDecoder
+				for _, f := range frames {
+					if _, err := dec.DecodeFrame(f); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

@@ -205,10 +205,16 @@ func DecodeSetupAck(src []byte) (*SetupAck, error) {
 // frames without allocating.
 func AppendTupleBatch(dst []byte, b *TupleBatch) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint64(dst, b.SessionID)
-	dst = binary.LittleEndian.AppendUint64(dst, b.Seq)
-	dst = binary.AppendUvarint(dst, uint64(len(b.Tuples)))
+	return appendBatchBody(dst, b.Seq, b.Tuples)
+}
+
+// appendBatchBody appends what follows the session ID in a plain tuple batch:
+// the sequence number, the row count and the rows.
+func appendBatchBody(dst []byte, seq uint64, tuples []types.Tuple) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = binary.AppendUvarint(dst, uint64(len(tuples)))
 	var err error
-	for _, t := range b.Tuples {
+	for _, t := range tuples {
 		dst, err = types.EncodeTuple(dst, t)
 		if err != nil {
 			return nil, err
@@ -233,39 +239,48 @@ func DecodeTupleBatchInto(b *TupleBatch, src []byte) error {
 	}
 	b.SessionID = binary.LittleEndian.Uint64(src)
 	b.Seq = binary.LittleEndian.Uint64(src[8:])
-	off := 16
-	n, c := binary.Uvarint(src[off:])
-	if c <= 0 || n > 1<<24 {
-		return fmt.Errorf("wire: tuple batch: bad count")
+	var err error
+	b.Tuples, err = decodeBatchRows(b.Tuples, src[16:])
+	return err
+}
+
+// decodeBatchRows decodes the row count and rows of a plain tuple batch into
+// tuples, reusing its capacity.
+func decodeBatchRows(tuples []types.Tuple, src []byte) ([]types.Tuple, error) {
+	n, off := binary.Uvarint(src)
+	// A row takes at least its column-count byte and a value at least its tag
+	// byte, which bounds what a frame can make the decoder allocate.
+	if off <= 0 || n > 1<<24 || n > uint64(len(src)-off) {
+		return nil, fmt.Errorf("wire: tuple batch: bad count")
 	}
-	off += c
-	if b.Tuples == nil || cap(b.Tuples) < int(n) {
-		b.Tuples = make([]types.Tuple, 0, n)
+	if tuples == nil || cap(tuples) < int(n) {
+		tuples = make([]types.Tuple, 0, n)
 	} else {
-		b.Tuples = b.Tuples[:0]
+		tuples = tuples[:0]
 	}
 	// Decode every value into one shared arena, remembering where each tuple
 	// starts; the arena may move while growing, so tuples are sliced out only
 	// after the whole frame is decoded.
-	arena := make([]types.Value, 0, 4*n)
+	arena := make([]types.Value, 0, min(4*n, uint64(len(src)-off)))
 	starts := make([]int, 0, n+1)
 	for i := uint64(0); i < n; i++ {
 		starts = append(starts, len(arena))
+		var c int
 		var err error
 		arena, _, c, err = types.DecodeTupleAppend(arena, src[off:])
 		if err != nil {
-			return fmt.Errorf("wire: tuple batch row %d: %w", i, err)
+			return nil, fmt.Errorf("wire: tuple batch row %d: %w", i, err)
 		}
 		off += c
 	}
 	starts = append(starts, len(arena))
 	for i := 0; i < int(n); i++ {
-		b.Tuples = append(b.Tuples, types.Tuple(arena[starts[i]:starts[i+1]:starts[i+1]]))
+		tuples = append(tuples, types.Tuple(arena[starts[i]:starts[i+1]:starts[i+1]]))
 	}
 	if off != len(src) {
-		return fmt.Errorf("wire: tuple batch: %d trailing bytes", len(src)-off)
+		return nil, fmt.Errorf("wire: tuple batch: %d trailing bytes", len(src)-off)
 	}
-	return nil
+	return tuples, nil
 }
 
 // DecodeTupleBatch deserialises a TupleBatch.

@@ -14,7 +14,7 @@ import (
 //	requester → server   MsgRegisterUDF*  (optional: announce client UDFs)
 //	requester → server   MsgQuery{QuerySpec}
 //	server → requester   MsgQueryAck{OK, Caps}
-//	server → requester   MsgResultBatch*  (SessionID = QueryID)
+//	server → requester   MsgResultBatch* | MsgResultStream*  (SessionID = QueryID)
 //	server → requester   MsgEnd{Rows}  |  MsgError
 //	requester → server   MsgCancel{QueryID}  (any time after an ack with CapCancel)
 //
@@ -24,13 +24,15 @@ import (
 // Capability bits carried in QuerySpec.Caps and echoed (intersected with what
 // the server supports) in QueryAck.Caps. Like the dict-batch flag, a
 // capability is only used once the peer has echoed it, so old requesters and
-// old servers interoperate on the base protocol.
+// old servers interoperate on the base protocol. Both words are fixed-width,
+// so a new bit adds no bytes to a request or an ack.
 const (
 	// CapCancel: the server accepts MsgCancel for this query.
 	CapCancel uint32 = 1 << 0
-	// CapStats: the server appends a lifecycle-stats line to the final MsgEnd
-	// (reserved; not yet populated).
-	CapStats uint32 = 1 << 1
+	// Bit 1 is retired: it was reserved for a stats trailer on MsgEnd that no
+	// release ever sent or echoed. It stays unassigned so that a peer setting
+	// it is never mistaken for one asking for something newer.
+
 	// CapTextQuery: the server parses, resolves and plans textual queries
 	// carried in QuerySpec.Text. Requesters must not send Text to a server
 	// that has not echoed this bit.
@@ -43,7 +45,44 @@ const (
 	// statement frames. Requesters must not send them to a server that has not
 	// echoed this bit in a MsgQueryAck or MsgPrepareAck.
 	CapPrepared uint32 = 1 << 4
+	// CapResultStream: the requester decodes MsgResultStream frames, so the
+	// server may send the query's result in the stream-dictionary encoding.
+	// Without the echo the result arrives as plain MsgResultBatch frames.
+	CapResultStream uint32 = 1 << 5
 )
+
+// Capability names one bit of the capability words.
+type Capability struct {
+	Bit  uint32
+	Name string
+	// Retired bits are never requested or echoed, and never reassigned.
+	Retired bool
+}
+
+// Capabilities is the one table of every bit ever assigned: what a server
+// echoes and a requester asks for (AllCaps), and what the operations guide's
+// capability table is checked against. A new capability is a constant above
+// and a row here.
+var Capabilities = []Capability{
+	{Bit: CapCancel, Name: "cancel"},
+	{Bit: 1 << 1, Name: "stats", Retired: true},
+	{Bit: CapTextQuery, Name: "text-query"},
+	{Bit: CapReject, Name: "reject"},
+	{Bit: CapPrepared, Name: "prepared"},
+	{Bit: CapResultStream, Name: "result-stream"},
+}
+
+// AllCaps is every capability this build implements, on either side of the
+// conversation: the union of the table's live bits.
+func AllCaps() uint32 {
+	var caps uint32
+	for _, c := range Capabilities {
+		if !c.Retired {
+			caps |= c.Bit
+		}
+	}
+	return caps
+}
 
 // RejectReason explains why the server refused to run a query.
 type RejectReason uint8

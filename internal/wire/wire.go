@@ -76,8 +76,9 @@ const (
 	MsgQuery
 	// MsgQueryAck answers a MsgQuery (server→requester) with admission status
 	// and the supported capability subset. Result rows then stream back as
-	// MsgResultBatch frames whose SessionID is the query ID, terminated by a
-	// MsgEnd carrying the row count (or a MsgError).
+	// MsgResultBatch (or, with CapResultStream, MsgResultStream) frames whose
+	// SessionID is the query ID, terminated by a MsgEnd carrying the row count
+	// (or a MsgError).
 	MsgQueryAck
 	// MsgCancel aborts a running query (requester→server). Only sent when the
 	// server's MsgQueryAck confirmed CapCancel.
@@ -104,6 +105,12 @@ const (
 	// payload names the statement ID plus a fresh per-execution QueryID;
 	// results stream back exactly as for MsgQuery.
 	MsgExecPrepared
+	// MsgResultStream carries query result rows (server→requester) in the
+	// stream-dictionary encoding (see ResultEncoder): cells reference values
+	// earlier frames of the same query's stream introduced. Only sent for
+	// queries whose ack (or whose statement's MsgPrepareAck) confirmed
+	// CapResultStream; it may be interleaved with plain MsgResultBatch frames.
+	MsgResultStream
 )
 
 // String implements fmt.Stringer.
@@ -145,6 +152,8 @@ func (t MsgType) String() string {
 		return "PREPARE_ACK"
 	case MsgExecPrepared:
 		return "EXEC_PREPARED"
+	case MsgResultStream:
+		return "RESULT_STREAM"
 	default:
 		return "INVALID"
 	}
@@ -254,19 +263,31 @@ func (c *Conn) Send(t MsgType, payload []byte) error {
 	defer c.wmu.Unlock()
 	start := time.Now()
 	defer func() { c.sendNs.Add(int64(time.Since(start))) }()
+	if err := c.writeFrame(t, nil, payload); err != nil {
+		return err
+	}
+	if err := c.w.Flush(); err != nil {
+		return c.ioError("flush", err)
+	}
+	return nil
+}
+
+// writeFrame buffers one frame whose payload is lead followed by rest. The
+// caller holds wmu, has checked the payload against MaxFrameSize, and flushes.
+func (c *Conn) writeFrame(t MsgType, lead, rest []byte) error {
 	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(lead)+len(rest)))
 	hdr[4] = byte(t)
 	if _, err := c.w.Write(hdr[:]); err != nil {
 		return c.ioError("write header", err)
 	}
-	if _, err := c.w.Write(payload); err != nil {
+	if _, err := c.w.Write(lead); err != nil {
 		return c.ioError("write payload", err)
 	}
-	c.bytesOut.Add(int64(len(hdr) + len(payload)))
-	if err := c.w.Flush(); err != nil {
-		return c.ioError("flush", err)
+	if _, err := c.w.Write(rest); err != nil {
+		return c.ioError("write payload", err)
 	}
+	c.bytesOut.Add(int64(len(hdr) + len(lead) + len(rest)))
 	return nil
 }
 
