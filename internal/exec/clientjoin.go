@@ -3,7 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 
 	"csq/internal/expr"
 	"csq/internal/types"
@@ -24,13 +24,16 @@ const DefaultShipBatchSize = 8
 // ShipBatchSize records per frame, and the receiver forwards whole decoded
 // result batches instead of one tuple per send.
 //
-// With Sessions > 1 the sender deals frames round-robin across a pool of wire
-// sessions and the receiver re-merges the per-session reply streams in the
-// exact deal order — the client answers every frame with exactly one reply
-// frame (possibly empty after filtering), so per-session FIFO plus the deal
-// order reconstructs the global record order without sequence bookkeeping on
-// the wire. DictBatches additionally negotiates the per-batch value
-// dictionary encoding on every session.
+// What goes down the shipping pool is one frame of ShipBatchSize whole
+// records, with no bound on a lane's unacked frames; a reply (possibly empty
+// after filtering) is dropped in its frame's one-shot box, and the receiver
+// opens the boxes in deal order — so with Sessions > 1 the frames travel in
+// parallel and the global record order is reconstructed without sequence
+// bookkeeping on the wire, even for a frame replayed on a different session.
+// Once every frame is answered the sender runs the pool's End handshake,
+// which is how the FinalDelivery row counts come back. DictBatches
+// additionally negotiates the per-batch value dictionary encoding on every
+// session.
 type ClientJoin struct {
 	baseState
 	input Operator
@@ -64,66 +67,15 @@ type ClientJoin struct {
 	schema    *types.Schema
 	outSchema *types.Schema // extended schema narrowed by ProjectOrdinals
 
-	slots   []*cjSlot
-	factory *sessionFactory
-	faults  faultCounters
-	order   chan *cjFrame // sent frames in deal order; the merge follows it
-	errCh   chan error
-	wg      sync.WaitGroup // sender + readers
-	// readersWg covers readers only; the clean-end path waits for them.
-	readersWg sync.WaitGroup
-	cancel    context.CancelFunc
-	runCtx    context.Context // sender/reader context (query ctx + Close cancel)
-	cur       []types.Tuple   // receiver batch currently being drained
-	curPos    int
-	delivered uint64
-	stats     NetStats
-	finalLive int // pool size when the operator closed
-
-	mu          sync.Mutex
-	ackCond     *sync.Cond // signalled when outstanding reaches zero or on failure
-	outstanding int        // dealt frames not yet answered
-	failed      bool       // an error was reported; the sender must stop waiting
+	pool   *shipPool[replyBox]
+	order  chan replyBox // dealt frames' boxes in deal order; the merge follows it
+	cur    []types.Tuple // receiver batch currently being drained
+	curPos int
 }
 
-// cjFrame is one dealt downlink frame: the shipped records (retained until
-// the reply arrives, which is what makes replay possible) and a one-shot box
-// the slot's reader drops the reply batch into. Because the merge follows
-// the deal order of frames, not sessions, a frame replayed on a different
-// session still delivers its reply to the right merge position.
-type cjFrame struct {
-	tuples []types.Tuple
-	reply  chan []types.Tuple // capacity 1: exactly one reply per frame
-}
-
-// cjSlot is one lane of the session pool: its current session and the FIFO
-// of frames sent but not yet answered on it. Two locks split the lane's
-// concerns: sendMu serializes whole park-frame-then-send sequences (wire
-// order always equals FIFO order, even when the sender, a migration and a
-// replay compete for the lane), while mu guards the fields and is held only
-// for pointer-sized critical sections, never across blocking I/O — the
-// lane's reader takes only mu, so it can always drain replies and a blocked
-// send cannot deadlock against the client blocked writing a reply. Lock
-// order: sendMu before mu.
-type cjSlot struct {
-	sendMu   sync.Mutex
-	mu       sync.Mutex
-	sess     *udfSession
-	unacked  []*cjFrame
-	endSent  bool // End has been sent on this lane
-	finished bool // the lane's End reply arrived; its reader has retired
-	dead     bool // the lane is retired; no replacement could be dialled
-}
-
-// liveSession returns the slot's session if the lane is still active.
-func (slot *cjSlot) liveSession() *udfSession {
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if slot.dead {
-		return nil
-	}
-	return slot.sess
-}
+// replyBox is a frame's one-shot reply slot (capacity 1: exactly one reply
+// per frame).
+type replyBox chan []types.Tuple
 
 // NewClientJoin builds the operator. UDF argument ordinals reference the
 // input schema directly (the whole record is shipped).
@@ -178,14 +130,10 @@ func (c *ClientJoin) Schema() *types.Schema {
 
 // DeliveredRows reports how many rows the client kept when FinalDelivery is
 // in effect. Only meaningful after Close.
-func (c *ClientJoin) DeliveredRows() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.delivered
-}
+func (c *ClientJoin) DeliveredRows() uint64 { return c.pool.delivered() }
 
 // Open implements Operator: it validates the pushable projection, opens the
-// session pool, then starts the sender and the per-session readers.
+// shipping pool and starts the sender.
 func (c *ClientJoin) Open(ctx context.Context) error {
 	if c.link == nil {
 		return fmt.Errorf("exec: client-site join has no client link")
@@ -221,471 +169,89 @@ func (c *ClientJoin) Open(ctx context.Context) error {
 		}
 		req.PushablePredicate = data
 	}
-	nSessions := c.Sessions
-	if nSessions < 1 {
-		nSessions = 1
-	}
-	sessions, err := openSessionPool(ctx, c.link, nSessions, req)
+	c.pool, err = openShipPool(ctx, c.link, shipPolicy[replyBox]{
+		setup:    req,
+		sessions: c.Sessions,
+		retry:    c.Retry,
+		onReply: func(f shipFrame[replyBox], reply []types.Tuple) error {
+			// The box's consumer owns its batch; the pool recycles reply.
+			f.tag <- slices.Clone(reply)
+			return nil
+		},
+	})
 	if err != nil {
 		_ = c.input.Close()
 		return err
 	}
-	c.slots = make([]*cjSlot, len(sessions))
-	for i, sess := range sessions {
-		c.slots[i] = &cjSlot{sess: sess}
-	}
-	c.factory = &sessionFactory{link: c.link, req: req, retry: c.Retry, stats: &c.faults}
 	// Unmerged in-flight frames are bounded by the per-session reply buffers
 	// plus the clients' turnaround, so a modest deal-order buffer suffices; a
 	// full channel just pauses the sender until the merge catches up.
-	c.order = make(chan *cjFrame, 4096)
-	c.errCh = make(chan error, len(sessions)+1)
+	c.order = make(chan replyBox, 4096)
 	c.cur, c.curPos = nil, 0
-	c.delivered = 0
-	c.stats = NetStats{}
-	c.outstanding, c.failed = 0, false
-	c.ackCond = sync.NewCond(&c.mu)
-
-	runCtx, cancel := context.WithCancel(ctx)
-	c.cancel = cancel
-	c.runCtx = runCtx
-	// The sender parks on ackCond while waiting for the last replies before
-	// the End handshake; cancellation must wake it.
-	go func() {
-		<-runCtx.Done()
-		c.ackCond.Broadcast()
-	}()
-	c.wg.Add(1 + len(sessions))
-	c.readersWg.Add(len(sessions))
-	go c.runSender(runCtx)
-	for i := range c.slots {
-		go c.runReader(c.slots[i])
-	}
-
+	c.pool.start(c.send, func() { close(c.order) })
 	c.markOpen(ctx)
 	return nil
 }
 
-// runSender ships the full input stream downlink, dealing one frame per
-// live slot round-robin and recording the deal order for the merging
-// receiver. Once the input is exhausted it waits until every dealt frame has
-// been answered — so no lane ever needs to carry a tuple frame after its End
-// — and only then runs the end-of-stream handshake on every surviving lane.
-func (c *ClientJoin) runSender(ctx context.Context) {
-	defer c.wg.Done()
-	defer close(c.order)
-	defer func() {
-		// A panicking input operator must fail this query, not the process.
-		if rec := recover(); rec != nil {
-			c.reportErr(fmt.Errorf("exec: client-site join sender panicked: %v", rec))
-		}
-	}()
+// send ships the full input stream downlink, one frame per ShipBatchSize
+// records, recording the deal order for the merging receiver, and ends the
+// stream once the input is exhausted.
+func (c *ClientJoin) send(ctx context.Context) error {
 	batch := make([]types.Tuple, c.ShipBatchSize)
-	target := 0
 	for {
-		if ctx.Err() != nil {
-			return
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		n, err := c.input.NextBatch(batch)
 		if err != nil {
-			c.reportErr(err)
-			return
+			return err
 		}
 		if n == 0 {
-			break
-		}
-		// The frame retains its records until acknowledged: that copy is the
-		// replay buffer if its session dies.
-		frame := &cjFrame{
-			tuples: append([]types.Tuple(nil), batch[:n]...),
-			reply:  make(chan []types.Tuple, 1),
+			return c.pool.end()
 		}
 		// The deal order must be on record before the reply can be merged;
 		// the channel is sized far above any sane frame count, but keep the
 		// cancellation escape for when it fills.
+		box := make(replyBox, 1)
 		select {
-		case c.order <- frame:
+		case c.order <- box:
 		case <-ctx.Done():
-			return
+			return ctx.Err()
 		}
-		c.mu.Lock()
-		c.outstanding++
-		c.mu.Unlock()
-		if !c.dealFrame(frame, &target) {
-			c.reportErr(exhausted(fmt.Errorf("exec: client-site join has no live session to send on")))
-			return
-		}
-		c.mu.Lock()
-		c.stats.Messages++
-		c.stats.Invocations += int64(n)
-		c.mu.Unlock()
-	}
-	// Wait for the in-flight tail: End may only go out once nothing is
-	// unacknowledged anywhere, which guarantees recovery never has to replay
-	// a tuple frame onto a lane whose client already tore its session down.
-	c.mu.Lock()
-	for c.outstanding > 0 && !c.failed && ctx.Err() == nil {
-		c.ackCond.Wait()
-	}
-	stop := c.failed || ctx.Err() != nil
-	c.mu.Unlock()
-	if stop {
-		return
-	}
-	// Signal end of the downlink stream on every surviving session; each
-	// client-side session answers with its own End after its results have
-	// been emitted. A send failure wakes the lane's reader, whose recovery
-	// re-runs the handshake on a replacement session.
-	for _, slot := range c.slots {
-		slot.sendMu.Lock()
-		slot.mu.Lock()
-		if slot.dead {
-			slot.mu.Unlock()
-			slot.sendMu.Unlock()
-			continue
-		}
-		slot.endSent = true
-		sess := slot.sess
-		slot.mu.Unlock()
-		if err := sess.conn.Send(wire.MsgEnd, wire.EncodeEnd(&wire.End{SessionID: sess.id})); err != nil {
-			sess.abort()
-		}
-		slot.sendMu.Unlock()
-	}
-}
-
-// dealFrame parks frame on the next live slot and ships it; the send runs
-// outside the slot lock (the reader needs that lock to drain replies, which
-// is what unblocks the send on an unbuffered link) but under the slot's send
-// lock so park+send stays atomic against recovery and migration. A send
-// error does not fail the query: the frame is already parked, so the slot
-// reader's recovery replays it; aborting the captured session (recovery may
-// have swapped slot.sess already) is what kicks that reader out of its
-// blocked receive. Only having no live slot at all fails the deal.
-func (c *ClientJoin) dealFrame(frame *cjFrame, target *int) bool {
-	n := len(c.slots)
-	for i := 0; i < n; i++ {
-		slot := c.slots[(*target+i)%n]
-		slot.sendMu.Lock()
-		slot.mu.Lock()
-		if slot.dead {
-			slot.mu.Unlock()
-			slot.sendMu.Unlock()
-			continue
-		}
-		slot.unacked = append(slot.unacked, frame)
-		sess := slot.sess
-		slot.mu.Unlock()
-		if err := sess.sendBatch(frame.tuples); err != nil {
-			sess.abort()
-		}
-		slot.sendMu.Unlock()
-		*target = (*target + i + 1) % n
-		return true
-	}
-	return false
-}
-
-// runReader consumes one slot's reply stream, answering the slot's oldest
-// unacknowledged frame with every decoded batch — including empty ones,
-// which keep the merge aligned with the deal order — until the lane's End
-// arrives. On session death the reader doubles as the recovery agent,
-// replaying the slot's unacked frames on a replacement or surviving lane.
-func (c *ClientJoin) runReader(slot *cjSlot) {
-	defer c.wg.Done()
-	defer c.readersWg.Done()
-	defer func() {
-		if rec := recover(); rec != nil {
-			c.reportErr(fmt.Errorf("exec: client-site join reader panicked: %v", rec))
-		}
-	}()
-	for {
-		slot.mu.Lock()
-		sess, gone := slot.sess, slot.dead || slot.finished
-		slot.mu.Unlock()
-		if gone || c.runCtx.Err() != nil {
-			return
-		}
-		msg, err := sess.conn.Receive()
-		if err != nil {
-			if !c.recoverSlot(slot, sess, err) {
-				return
-			}
-			continue
-		}
-		switch msg.Type {
-		case wire.MsgResultBatch, wire.MsgResultBatchDict:
-			// Each frame is decoded into its own batch: the tuple slice is
-			// handed through the reply box and owned by the consumer.
-			var batch *wire.TupleBatch
-			if msg.Type == wire.MsgResultBatchDict {
-				batch, err = wire.DecodeDictBatch(msg.Payload)
-			} else {
-				batch, err = wire.DecodeTupleBatch(msg.Payload)
-			}
-			if err != nil {
-				c.reportErr(err)
-				return
-			}
-			slot.mu.Lock()
-			if len(slot.unacked) == 0 {
-				slot.mu.Unlock()
-				c.reportErr(fmt.Errorf("exec: client-site join received more replies than frames sent"))
-				return
-			}
-			frame := slot.unacked[0]
-			slot.unacked = slot.unacked[1:]
-			slot.mu.Unlock()
-			frame.tuples = nil // acknowledged: release the replay copy
-			frame.reply <- batch.Tuples
-			c.mu.Lock()
-			c.outstanding--
-			if c.outstanding == 0 {
-				c.ackCond.Broadcast()
-			}
-			c.mu.Unlock()
-		case wire.MsgEnd:
-			end, err := wire.DecodeEnd(msg.Payload)
-			if err != nil {
-				c.reportErr(err)
-				return
-			}
-			c.mu.Lock()
-			c.delivered += end.Rows
-			c.mu.Unlock()
-			slot.mu.Lock()
-			slot.finished = true
-			slot.mu.Unlock()
-			return
-		case wire.MsgError:
-			e, derr := wire.DecodeError(msg.Payload)
-			if derr != nil {
-				c.reportErr(derr)
-			} else {
-				c.reportErr(fmt.Errorf("exec: client error: %s", e.Message))
-			}
-			return
-		default:
-			c.reportErr(fmt.Errorf("exec: unexpected message %s", msg.Type))
-			return
-		}
-	}
-}
-
-// failoverBudget bounds the total session losses one query may absorb.
-func (c *ClientJoin) failoverBudget() int64 { return int64(4*len(c.slots) + 16) }
-
-// recoverSlot handles a dead session on slot: replay its unacked frames on a
-// redialled replacement (re-running the End handshake if it was already
-// under way), or degrade by re-dealing them to a surviving lane. It returns
-// whether the slot's reader should keep reading.
-func (c *ClientJoin) recoverSlot(slot *cjSlot, failed *udfSession, err error) bool {
-	// First unblock anyone mid-send on the dead connection: recovery below
-	// waits on the slot's send lock, and its holder can only release it once
-	// its blocked write errors out.
-	failed.abort()
-	if c.runCtx.Err() != nil {
-		return false
-	}
-	if c.Retry.Disable || wire.Classify(err) != wire.ClassRetryable {
-		c.reportErr(err)
-		return false
-	}
-	if c.faults.failovers.Load() >= c.failoverBudget() {
-		c.reportErr(fmt.Errorf("exec: client-site join failover budget exhausted: %w", err))
-		return false
-	}
-	slot.mu.Lock()
-	if slot.sess != failed || slot.dead {
-		alive := !slot.dead
-		slot.mu.Unlock()
-		return alive
-	}
-	slot.mu.Unlock()
-	c.faults.failovers.Add(1)
-	if repl, rerr := c.factory.redial(c.runCtx); rerr == nil {
-		slot.sendMu.Lock()
-		slot.mu.Lock()
-		if slot.dead || slot.sess != failed {
-			// Close (or another path) retired the slot while we redialled.
-			alive := !slot.dead
-			slot.mu.Unlock()
-			slot.sendMu.Unlock()
-			repl.close()
-			return alive
-		}
-		old := slot.sess
-		slot.sess = repl
-		frames := append([]*cjFrame(nil), slot.unacked...)
-		endSent := slot.endSent
-		slot.mu.Unlock()
-		// Replay in its own goroutine while this reader resumes draining the
-		// replacement: over an unbuffered link the client blocks writing its
-		// reply to the first replayed frame until someone receives it, so a
-		// synchronous replay here would deadlock. Holding the send lock until
-		// the replay finishes keeps new frames behind the replayed tail in
-		// wire order. FIFO acks guarantee a frame is only acknowledged (and
-		// its replay copy released) after this loop has already re-sent it.
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			defer slot.sendMu.Unlock()
-			if rpErr := c.replayFrames(repl, frames, endSent); rpErr != nil {
-				// The replacement died during replay; the reader's next
-				// receive errors and recovery runs again, bounded by the
-				// budget.
-				repl.abort()
-			}
-		}()
-		c.retireSession(old)
-		c.faults.replayed.Add(int64(len(frames)))
-		return true
-	} else if wire.Classify(rerr) == wire.ClassCanceled {
-		return false
-	}
-	// Degradation: the lane is gone; re-deal its unacked frames to a
-	// survivor. End was sent only after everything everywhere was
-	// acknowledged, so orphaned frames imply no lane is past its End yet and
-	// any survivor can carry them. Losing a lane that was already in its End
-	// handshake orphans nothing — only its FinalDelivery row count is lost.
-	c.faults.lost.Add(1)
-	slot.sendMu.Lock()
-	slot.mu.Lock()
-	if slot.dead {
-		// Close retired the slot while we redialled; nothing left to do.
-		slot.mu.Unlock()
-		slot.sendMu.Unlock()
-		return false
-	}
-	slot.dead = true
-	orphans := slot.unacked
-	slot.unacked = nil
-	old := slot.sess
-	slot.mu.Unlock()
-	slot.sendMu.Unlock()
-	c.retireSession(old)
-	if !c.migrate(orphans) {
-		c.reportErr(exhausted(err))
-	}
-	return false
-}
-
-// replayFrames re-ships unacknowledged frames (and the End marker, when the
-// lane's stream had already ended) on a fresh session.
-func (c *ClientJoin) replayFrames(sess *udfSession, frames []*cjFrame, endSent bool) error {
-	for _, f := range frames {
-		if err := sess.sendBatch(f.tuples); err != nil {
+		// The frame keeps its own copy of the records until it is answered.
+		if err := c.pool.deal(slices.Clone(batch[:n]), box); err != nil {
 			return err
 		}
-	}
-	if endSent {
-		return sess.conn.Send(wire.MsgEnd, wire.EncodeEnd(&wire.End{SessionID: sess.id}))
-	}
-	return nil
-}
-
-// migrate re-deals orphaned frames onto the first surviving slot. A failed
-// replay send is not fatal here: the frames are parked on the survivor
-// before the send, so the survivor's own reader replays them next.
-func (c *ClientJoin) migrate(orphans []*cjFrame) bool {
-	if len(orphans) == 0 {
-		return true
-	}
-	for _, slot := range c.slots {
-		slot.sendMu.Lock()
-		slot.mu.Lock()
-		if slot.dead {
-			slot.mu.Unlock()
-			slot.sendMu.Unlock()
-			continue
-		}
-		slot.unacked = append(slot.unacked, orphans...)
-		sess := slot.sess
-		slot.mu.Unlock()
-		if err := c.replayFrames(sess, orphans, false); err != nil {
-			sess.abort()
-		}
-		slot.sendMu.Unlock()
-		c.faults.replayed.Add(int64(len(orphans)))
-		return true
-	}
-	return false
-}
-
-// retireSession folds a finished session's traffic into the operator stats
-// and closes it.
-func (c *ClientJoin) retireSession(sess *udfSession) {
-	c.mu.Lock()
-	c.stats.BytesDown += sess.conn.BytesSent()
-	c.stats.BytesUp += sess.conn.BytesReceived()
-	c.mu.Unlock()
-	sess.close()
-}
-
-func (c *ClientJoin) reportErr(err error) {
-	select {
-	case c.errCh <- err:
-	default:
-	}
-	// Wake a sender parked on the acknowledgement barrier.
-	c.mu.Lock()
-	c.failed = true
-	c.mu.Unlock()
-	if c.ackCond != nil {
-		c.ackCond.Broadcast()
 	}
 }
 
 // nextResultBatch blocks until the merge delivers the next non-empty result
-// batch: it follows the sender's deal order, popping exactly one reply per
-// sent frame from that frame's session. ok is false when the stream has ended
-// cleanly.
+// batch: it follows the sender's deal order, opening exactly one reply box
+// per sent frame. ok is false when the stream has ended cleanly. Every wait
+// is selected against the pool's failure: a frame can be on record in the
+// deal order but unanswerable (its lane died and no replacement or survivor
+// could carry it), in which case the only wake-up is the recovery error.
 func (c *ClientJoin) nextResultBatch() ([]types.Tuple, bool, error) {
 	for {
+		var box replyBox
 		select {
-		case err := <-c.errCh:
-			return nil, false, err
-		case frame, ok := <-c.order:
+		case <-c.pool.failed:
+			return nil, false, c.pool.failure()
+		case b, ok := <-c.order:
 			if !ok {
-				// All frames merged. A sender error is on errCh before the
-				// order channel closes; otherwise wait for the readers to
-				// consume every session's End (which carries the
-				// FinalDelivery row counts) before reporting a clean end. A
-				// cancelled context also closes the order channel (the sender
-				// bails out), which must surface as the context error rather
-				// than a silently truncated result.
-				select {
-				case err := <-c.errCh:
-					return nil, false, err
-				default:
-				}
-				if err := c.runCtx.Err(); err != nil && !c.closed {
-					return nil, false, err
-				}
-				c.readersWg.Wait()
-				select {
-				case err := <-c.errCh:
-					return nil, false, err
-				default:
-				}
-				return nil, false, nil
+				// All frames merged and the End handshake is over, unless the
+				// sender stopped on an error.
+				return nil, false, c.pool.failure()
 			}
-			// The reply receive stays selected against errCh: a frame can be
-			// on record in the deal order but unanswerable (its lane died
-			// and no replacement or survivor could carry it), in which case
-			// the only wake-up is the recovery error.
-			var batch []types.Tuple
-			select {
-			case err := <-c.errCh:
-				return nil, false, err
-			case batch = <-frame.reply:
-			case <-c.runCtx.Done():
-				return nil, false, c.runCtx.Err()
+			box = b
+		}
+		select {
+		case <-c.pool.failed:
+			return nil, false, c.pool.failure()
+		case batch := <-box:
+			if len(batch) > 0 {
+				return batch, true, nil
 			}
-			if len(batch) == 0 {
-				continue
-			}
-			return batch, true, nil
 		}
 	}
 }
@@ -725,62 +291,23 @@ func (c *ClientJoin) NextBatch(dst []types.Tuple) (int, error) {
 	return n, nil
 }
 
-// Close implements Operator.
+// Close implements Operator. Closing the pool's connections unblocks the
+// sender wherever it is parked, and folds each session's counters into the
+// stats, so the final NetStats reflects the traffic actually put on the wire
+// (early close included).
 func (c *ClientJoin) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
-	if c.cancel != nil {
-		c.cancel()
+	if c.pool != nil {
+		c.pool.close()
 	}
-	if c.slots != nil {
-		c.finalLive = c.liveSlots()
-		// Closing the connections unblocks the sender and every reader
-		// regardless of where they are parked. Counters fold into the stats
-		// as each session retires, so the final NetStats reflects the
-		// traffic actually put on the wire (early close included).
-		for _, slot := range c.slots {
-			slot.mu.Lock()
-			sess, dead := slot.sess, slot.dead
-			slot.dead = true
-			slot.mu.Unlock()
-			if !dead {
-				c.retireSession(sess)
-			}
-		}
-	}
-	c.wg.Wait()
 	return c.input.Close()
 }
 
-// liveSlots counts the lanes still serving sessions.
-func (c *ClientJoin) liveSlots() int {
-	n := 0
-	for _, slot := range c.slots {
-		if slot.liveSession() != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // NetStats implements NetReporter.
-func (c *ClientJoin) NetStats() NetStats {
-	c.mu.Lock()
-	out := c.stats
-	c.mu.Unlock()
-	down, up := liveSlotBytes(c.slots)
-	out.BytesDown += down
-	out.BytesUp += up
-	return out
-}
+func (c *ClientJoin) NetStats() NetStats { return c.pool.netStats() }
 
 // FaultStats implements FaultReporter.
-func (c *ClientJoin) FaultStats() FaultStats {
-	live := c.finalLive
-	if !c.closed {
-		live = c.liveSlots()
-	}
-	return c.faults.snapshot(live)
-}
+func (c *ClientJoin) FaultStats() FaultStats { return c.pool.faultStats() }

@@ -153,13 +153,9 @@ type udfSession struct {
 	// session was opened under a cancellable context).
 	unbind func()
 	// dict is set when the client accepted the per-batch value dictionary
-	// encoding for this session; sendBatch then dictionary-encodes frames it
-	// shrinks and receiveResult accepts dictionary result frames.
+	// encoding for this session; sendBatch then dictionary-encodes the frames
+	// it shrinks.
 	dict bool
-	// recv is the reusable result-batch scratch; its Tuples slice is recycled
-	// across receiveResult calls, while the decoded values themselves are
-	// backed by a fresh per-frame arena and stay valid indefinitely.
-	recv wire.TupleBatch
 }
 
 // openUDFSession opens a connection through the link and performs the setup
@@ -211,27 +207,6 @@ func openUDFSession(ctx context.Context, link ClientLink, req *wire.SetupRequest
 	}, nil
 }
 
-// openSessionPool opens n sessions over the link, each with its own setup
-// handshake and session ID, all bound to the query context. On any failure
-// the already-opened sessions are closed and the error returned.
-func openSessionPool(ctx context.Context, link ClientLink, n int, req *wire.SetupRequest) ([]*udfSession, error) {
-	if n < 1 {
-		n = 1
-	}
-	sessions := make([]*udfSession, 0, n)
-	for i := 0; i < n; i++ {
-		s, err := openUDFSession(ctx, link, req)
-		if err != nil {
-			for _, open := range sessions {
-				open.close()
-			}
-			return nil, err
-		}
-		sessions = append(sessions, s)
-	}
-	return sessions, nil
-}
-
 // sendBatch ships a batch of tuples downlink through the shared pooled
 // encode path; on dictionary sessions the frame uses the per-batch value
 // dictionary whenever that is smaller.
@@ -239,78 +214,6 @@ func (s *udfSession) sendBatch(tuples []types.Tuple) error {
 	batch := wire.TupleBatch{SessionID: s.id, Seq: s.seq, Tuples: tuples}
 	s.seq++
 	return wire.SendBatch(s.conn, &batch, s.dict, wire.MsgTupleBatch, wire.MsgTupleBatchDict)
-}
-
-// receiveResult reads the next result batch, translating client errors. The
-// returned batch is the session's reusable scratch: its Tuples slice is only
-// valid until the next receiveResult call, but the tuples themselves stay
-// valid (each frame decodes into its own arena).
-func (s *udfSession) receiveResult() (*wire.TupleBatch, error) {
-	for {
-		msg, err := s.conn.Receive()
-		if err != nil {
-			return nil, err
-		}
-		switch msg.Type {
-		case wire.MsgResultBatch:
-			if err := wire.DecodeTupleBatchInto(&s.recv, msg.Payload); err != nil {
-				return nil, err
-			}
-			return &s.recv, nil
-		case wire.MsgResultBatchDict:
-			if err := wire.DecodeDictBatchInto(&s.recv, msg.Payload); err != nil {
-				return nil, err
-			}
-			return &s.recv, nil
-		case wire.MsgError:
-			e, derr := wire.DecodeError(msg.Payload)
-			if derr != nil {
-				return nil, derr
-			}
-			return nil, fmt.Errorf("exec: client error: %s", e.Message)
-		case wire.MsgEnd:
-			return nil, errUnexpectedEnd
-		default:
-			return nil, fmt.Errorf("exec: unexpected message %s", msg.Type)
-		}
-	}
-}
-
-// errUnexpectedEnd signals that the client ended the stream; callers that
-// expect it (the client-site join receiver) treat it as a clean stop.
-var errUnexpectedEnd = fmt.Errorf("exec: unexpected END from client")
-
-// end performs the end-of-stream handshake and returns the client-reported
-// row count.
-func (s *udfSession) end() (uint64, error) {
-	if err := s.conn.Send(wire.MsgEnd, wire.EncodeEnd(&wire.End{SessionID: s.id})); err != nil {
-		return 0, err
-	}
-	for {
-		msg, err := s.conn.Receive()
-		if err != nil {
-			return 0, err
-		}
-		switch msg.Type {
-		case wire.MsgEnd:
-			e, err := wire.DecodeEnd(msg.Payload)
-			if err != nil {
-				return 0, err
-			}
-			return e.Rows, nil
-		case wire.MsgResultBatch, wire.MsgResultBatchDict:
-			// Late results that the caller chose not to consume are drained.
-			continue
-		case wire.MsgError:
-			e, derr := wire.DecodeError(msg.Payload)
-			if derr != nil {
-				return 0, derr
-			}
-			return 0, fmt.Errorf("exec: client error: %s", e.Message)
-		default:
-			return 0, fmt.Errorf("exec: unexpected message %s during end", msg.Type)
-		}
-	}
 }
 
 // abort slams the session's transport shut without releasing the context
@@ -332,12 +235,4 @@ func (s *udfSession) close() {
 		s.unbind()
 	}
 	_ = s.conn.Close()
-}
-
-// netStatsFromConn converts connection counters to operator stats.
-func netStatsFromConn(c *wire.Conn) NetStats {
-	if c == nil {
-		return NetStats{}
-	}
-	return NetStats{BytesDown: c.BytesSent(), BytesUp: c.BytesReceived()}
 }

@@ -330,81 +330,6 @@ func TestHashJoin(t *testing.T) {
 	}
 }
 
-func TestMergeJoin(t *testing.T) {
-	left := NewSort(NewValuesScan(stockSchema(), stockRows(7)), []SortKey{{Ordinal: 0}})
-	right := NewSort(NewValuesScan(estimationsSchema(), estimationRows()), []SortKey{{Ordinal: 0}})
-	j, err := NewMergeJoin(left, right, []int{0}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Collect(context.Background(), j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Errorf("merge join = %d rows, want 3", len(rows))
-	}
-	// Many-to-many: duplicate keys on both sides.
-	lrows := []types.Tuple{
-		types.NewTuple(types.NewString("A"), types.NewFloat(1), types.NewTimeSeries(nil)),
-		types.NewTuple(types.NewString("A"), types.NewFloat(2), types.NewTimeSeries(nil)),
-		types.NewTuple(types.NewString("B"), types.NewFloat(3), types.NewTimeSeries(nil)),
-	}
-	rrows := []types.Tuple{
-		types.NewTuple(types.NewString("A"), types.NewString("x"), types.NewInt(1)),
-		types.NewTuple(types.NewString("A"), types.NewString("y"), types.NewInt(2)),
-		types.NewTuple(types.NewString("C"), types.NewString("z"), types.NewInt(3)),
-	}
-	j2, _ := NewMergeJoin(
-		NewSort(NewValuesScan(stockSchema(), lrows), []SortKey{{Ordinal: 0}}),
-		NewSort(NewValuesScan(estimationsSchema(), rrows), []SortKey{{Ordinal: 0}}),
-		[]int{0}, []int{0})
-	rows, err = Collect(context.Background(), j2)
-	if err != nil || len(rows) != 4 {
-		t.Errorf("many-to-many merge join = %d rows, %v; want 4", len(rows), err)
-	}
-	if _, err := NewMergeJoin(left, right, []int{}, []int{}); err == nil {
-		t.Error("merge join without keys should fail")
-	}
-	// Hash join and merge join agree.
-	hj, _ := NewHashJoin(NewValuesScan(stockSchema(), stockRows(7)), NewValuesScan(estimationsSchema(), estimationRows()),
-		[]int{0}, []int{0}, nil)
-	hjRows, _ := Collect(context.Background(), hj)
-	if len(hjRows) != 3 {
-		t.Errorf("hash/merge join disagreement: %d vs 3", len(hjRows))
-	}
-}
-
-func TestNestedLoopJoin(t *testing.T) {
-	left := NewValuesScan(stockSchema(), stockRows(3))
-	right := NewValuesScan(estimationsSchema(), estimationRows())
-	// Cross product.
-	j := NewNestedLoopJoin(left, right, nil)
-	rows, err := Collect(context.Background(), j)
-	if err != nil || len(rows) != 12 {
-		t.Errorf("cross product = %d rows, %v; want 12", len(rows), err)
-	}
-	// Theta join: S.Close > E.Rating.
-	pred := mustBind(t, stockSchema().Concat(estimationsSchema()), nil,
-		expr.NewBinary(expr.OpGt, expr.NewColumnRef("S", "Close"), expr.NewColumnRef("E", "Rating")))
-	j2 := NewNestedLoopJoin(NewValuesScan(stockSchema(), stockRows(3)), NewValuesScan(estimationsSchema(), estimationRows()), pred)
-	rows, err = Collect(context.Background(), j2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 12 {
-		t.Errorf("theta join = %d rows (all Close >= 10 > ratings), want 12", len(rows))
-	}
-	// Client-site predicate is rejected.
-	cat := serverCatalog(t)
-	cpred := mustBind(t, stockSchema().Concat(estimationsSchema()), cat,
-		expr.NewBinary(expr.OpEq, expr.NewFuncCall("ClientAnalysis", expr.NewColumnRef("S", "Quotes")), expr.NewColumnRef("E", "Rating")))
-	bad := NewNestedLoopJoin(NewValuesScan(stockSchema(), stockRows(1)), NewValuesScan(estimationsSchema(), estimationRows()), cpred)
-	if err := bad.Open(context.Background()); err == nil {
-		t.Error("nested-loop join with client-site predicate should fail to open")
-	}
-}
-
 // ---- aggregation ----
 
 func TestHashAggregate(t *testing.T) {

@@ -150,20 +150,6 @@ func TestBatchScalarEquivalence(t *testing.T) {
 			}
 			return j
 		}, false},
-		{"MergeJoin", func(t *testing.T) Operator {
-			left := NewSort(NewValuesScan(stockSchema(), stockRows(20)), []SortKey{{Ordinal: 0}})
-			right := NewSort(NewValuesScan(stockSchema(), stockRows(9)), []SortKey{{Ordinal: 0}})
-			j, err := NewMergeJoin(left, right, []int{0}, []int{0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return j
-		}, false},
-		{"NestedLoopJoin", func(t *testing.T) Operator {
-			return NewNestedLoopJoin(
-				NewValuesScan(stockSchema(), stockRows(8)),
-				NewValuesScan(stockSchema(), stockRows(5)), nil)
-		}, false},
 		{"HashAggregate", func(t *testing.T) Operator {
 			a, err := NewHashAggregate(NewValuesScan(stockSchema(), stockRows(41)), []int{0}, []Aggregate{
 				{Func: AggCount, Ordinal: -1, Name: "cnt"},

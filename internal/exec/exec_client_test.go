@@ -206,11 +206,13 @@ func TestSemiJoinDuplicateElimination(t *testing.T) {
 func TestSemiJoinSortedInput(t *testing.T) {
 	rows := stockRows(20)
 	link := fastLink(t)
-	op, err := NewSemiJoin(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
+	// Sorting on the argument column below the operator makes its receiver a
+	// pure merge join (the assumption the paper makes for it).
+	sorted := NewSort(NewValuesScan(stockSchema(), rows), []SortKey{{Ordinal: analysisBinding().ArgOrdinals[0]}})
+	op, err := NewSemiJoin(sorted, link, []UDFBinding{analysisBinding()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	op.SortInput = true
 	got, err := Collect(context.Background(), op)
 	if err != nil {
 		t.Fatal(err)
@@ -218,8 +220,8 @@ func TestSemiJoinSortedInput(t *testing.T) {
 	if len(got) != 20 {
 		t.Fatalf("rows = %d", len(got))
 	}
-	// With SortInput the output is ordered by the argument column; verify
-	// every output row carries a consistent rating for its series.
+	// The output is ordered by the argument column; verify every output row
+	// carries a consistent rating for its series.
 	for _, r := range got {
 		ts, _ := r[2].Series()
 		if v, _ := r[3].Int(); v != expectedRating(ts) {

@@ -262,285 +262,3 @@ func (j *HashJoin) Close() error {
 	}
 	return err2
 }
-
-// MergeJoin joins two inputs that are already sorted on their key columns.
-// It is the receiver-side join the paper's semi-join uses once the sender has
-// sorted and grouped the argument stream.
-type MergeJoin struct {
-	baseState
-	left, right Operator
-	leftKeys    []int
-	rightKeys   []int
-	schema      *types.Schema
-
-	leftRow    types.Tuple
-	leftOK     bool
-	rightRow   types.Tuple
-	rightOK    bool
-	rightGroup []types.Tuple // current group of right rows with equal keys
-	groupKey   types.Tuple
-	groupPos   int
-	started    bool
-}
-
-// NewMergeJoin builds a merge join over sorted inputs.
-func NewMergeJoin(left, right Operator, leftKeys, rightKeys []int) (*MergeJoin, error) {
-	if len(leftKeys) == 0 || len(leftKeys) != len(rightKeys) {
-		return nil, fmt.Errorf("exec: merge join needs matching, non-empty key lists")
-	}
-	return &MergeJoin{
-		left: left, right: right,
-		leftKeys: leftKeys, rightKeys: rightKeys,
-		schema: left.Schema().Concat(right.Schema()),
-	}, nil
-}
-
-// Schema implements Operator.
-func (j *MergeJoin) Schema() *types.Schema { return j.schema }
-
-// Open implements Operator.
-func (j *MergeJoin) Open(ctx context.Context) error {
-	if err := j.left.Open(ctx); err != nil {
-		return err
-	}
-	if err := j.right.Open(ctx); err != nil {
-		return err
-	}
-	j.started = false
-	j.rightGroup = nil
-	j.markOpen(ctx)
-	return nil
-}
-
-func (j *MergeJoin) advanceLeft() error {
-	t, ok, err := j.left.Next()
-	if err != nil {
-		return err
-	}
-	j.leftRow, j.leftOK = t, ok
-	return nil
-}
-
-func (j *MergeJoin) advanceRight() error {
-	t, ok, err := j.right.Next()
-	if err != nil {
-		return err
-	}
-	j.rightRow, j.rightOK = t, ok
-	return nil
-}
-
-func crossCompare(a types.Tuple, aKeys []int, b types.Tuple, bKeys []int) (int, error) {
-	for i := range aKeys {
-		c, err := types.Compare(a[aKeys[i]], b[bKeys[i]])
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 {
-			return c, nil
-		}
-	}
-	return 0, nil
-}
-
-// Next implements Operator.
-func (j *MergeJoin) Next() (types.Tuple, bool, error) {
-	if err := j.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	if !j.started {
-		if err := j.advanceLeft(); err != nil {
-			return nil, false, err
-		}
-		if err := j.advanceRight(); err != nil {
-			return nil, false, err
-		}
-		j.started = true
-	}
-	for {
-		// Emit from the current group first.
-		if j.groupPos < len(j.rightGroup) {
-			out := j.leftRow.Concat(j.rightGroup[j.groupPos])
-			j.groupPos++
-			return out, true, nil
-		}
-		// Group exhausted for the current left row: advance left and decide
-		// whether the group still applies.
-		if j.rightGroup != nil {
-			if err := j.advanceLeft(); err != nil {
-				return nil, false, err
-			}
-			if j.leftOK {
-				c, err := crossCompare(j.leftRow, j.leftKeys, j.groupKey, j.rightKeys)
-				if err != nil {
-					return nil, false, err
-				}
-				if c == 0 {
-					j.groupPos = 0
-					continue
-				}
-			}
-			j.rightGroup = nil
-		}
-		if !j.leftOK || !j.rightOK {
-			return nil, false, nil
-		}
-		c, err := crossCompare(j.leftRow, j.leftKeys, j.rightRow, j.rightKeys)
-		if err != nil {
-			return nil, false, err
-		}
-		switch {
-		case c < 0:
-			if err := j.advanceLeft(); err != nil {
-				return nil, false, err
-			}
-		case c > 0:
-			if err := j.advanceRight(); err != nil {
-				return nil, false, err
-			}
-		default:
-			// Collect the full group of right rows with this key.
-			j.groupKey = j.rightRow
-			j.rightGroup = []types.Tuple{j.rightRow}
-			for {
-				if err := j.advanceRight(); err != nil {
-					return nil, false, err
-				}
-				if !j.rightOK {
-					break
-				}
-				same, err := crossCompare(j.rightRow, j.rightKeys, j.groupKey, j.rightKeys)
-				if err != nil {
-					return nil, false, err
-				}
-				if same != 0 {
-					break
-				}
-				j.rightGroup = append(j.rightGroup, j.rightRow)
-			}
-			j.groupPos = 0
-		}
-	}
-}
-
-// NextBatch implements Operator via the generic tuple-at-a-time adapter.
-func (j *MergeJoin) NextBatch(dst []types.Tuple) (int, error) {
-	return ScalarNextBatch(j, dst)
-}
-
-// Close implements Operator.
-func (j *MergeJoin) Close() error {
-	j.closed = true
-	err1 := j.left.Close()
-	err2 := j.right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// NestedLoopJoin joins two inputs on an arbitrary bound predicate. The right
-// input is materialised. A nil predicate produces the cross product.
-type NestedLoopJoin struct {
-	baseState
-	left, right Operator
-	pred        expr.Expr
-	eval        *expr.Evaluator
-	schema      *types.Schema
-
-	rightRows []types.Tuple
-	current   types.Tuple
-	rightPos  int
-	haveLeft  bool
-}
-
-// NewNestedLoopJoin builds a nested-loops join with the given predicate bound
-// against the concatenated schema.
-func NewNestedLoopJoin(left, right Operator, pred expr.Expr) *NestedLoopJoin {
-	return &NestedLoopJoin{
-		left: left, right: right, pred: pred,
-		eval:   &expr.Evaluator{},
-		schema: left.Schema().Concat(right.Schema()),
-	}
-}
-
-// Schema implements Operator.
-func (j *NestedLoopJoin) Schema() *types.Schema { return j.schema }
-
-// Open implements Operator.
-func (j *NestedLoopJoin) Open(ctx context.Context) error {
-	if j.pred != nil && expr.HasClientCall(j.pred) {
-		return fmt.Errorf("exec: nested-loop join predicate contains a client-site UDF")
-	}
-	if err := j.right.Open(ctx); err != nil {
-		return err
-	}
-	j.rightRows = j.rightRows[:0]
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		t, ok, err := j.right.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		j.rightRows = append(j.rightRows, t)
-	}
-	if err := j.left.Open(ctx); err != nil {
-		return err
-	}
-	j.haveLeft = false
-	j.rightPos = 0
-	j.markOpen(ctx)
-	return nil
-}
-
-// Next implements Operator.
-func (j *NestedLoopJoin) Next() (types.Tuple, bool, error) {
-	if err := j.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	for {
-		if !j.haveLeft {
-			t, ok, err := j.left.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.current = t
-			j.rightPos = 0
-			j.haveLeft = true
-		}
-		for j.rightPos < len(j.rightRows) {
-			out := j.current.Concat(j.rightRows[j.rightPos])
-			j.rightPos++
-			keep, err := evalBoundPredicate(j.eval, j.pred, out)
-			if err != nil {
-				return nil, false, err
-			}
-			if keep {
-				return out, true, nil
-			}
-		}
-		j.haveLeft = false
-	}
-}
-
-// NextBatch implements Operator via the generic tuple-at-a-time adapter.
-func (j *NestedLoopJoin) NextBatch(dst []types.Tuple) (int, error) {
-	return ScalarNextBatch(j, dst)
-}
-
-// Close implements Operator.
-func (j *NestedLoopJoin) Close() error {
-	j.closed = true
-	j.rightRows = nil
-	err1 := j.left.Close()
-	err2 := j.right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}

@@ -19,11 +19,13 @@ import (
 // An optional result cache eliminates duplicate invocations, following the
 // caching technique of [HN97] that the paper cites for server-site UDFs.
 //
-// With Sessions > 1 the operator keeps one synchronous round trip in flight
-// per session: up to T tuples are shipped on T sessions before the first
-// result is awaited, overlapping their round trips while preserving the
-// defining one-invocation-per-round-trip behaviour of each session (and the
-// exact output order). Sessions <= 1 is the paper's strict ping-pong.
+// What goes down the shipping pool is one frame per argument tuple, with a
+// window of one unacked frame per lane — the defining one invocation per
+// round trip; a reply is handed to its window entry, and the operator blocks
+// on the entry at the head of the window. With Sessions > 1 up to T tuples
+// are in flight on T sessions before the first result is awaited, overlapping
+// their round trips while preserving the exact output order. Sessions <= 1
+// is the paper's strict ping-pong.
 type NaiveUDF struct {
 	baseState
 	input Operator
@@ -44,21 +46,12 @@ type NaiveUDF struct {
 	argOrdinals []int          // union of all argument ordinals, sorted
 	remapped    []wire.UDFSpec // specs with ordinals into the shipped tuple
 
-	sessions []*udfSession // nil entries are lanes lost to degradation
-	// queues[i] holds the window entries with a round trip in flight on
-	// sessions[i], in send order — the per-lane FIFO that matches replies to
-	// entries and is exactly what must be replayed if the lane dies.
-	queues    [][]*naivePending
-	free      []int                    // session indices with no round trip in flight
-	window    []*naivePending          // FIFO of read-ahead input tuples
-	inflight  map[uint64][]types.Tuple // argument tuples with a round trip in flight, by hash
-	inputEOF  bool
-	cache     *argCache
-	mem       memAccount // result-cache memory charge
-	stats     NetStats
-	factory   *sessionFactory
-	faults    faultCounters
-	finalLive int // pool size when the operator closed
+	pool     *shipPool[*naivePending]
+	window   []*naivePending          // FIFO of read-ahead input tuples
+	inflight map[uint64][]types.Tuple // argument tuples with a round trip in flight, by hash
+	inputEOF bool
+	cache    *argCache
+	mem      memAccount // result-cache memory charge
 }
 
 // naivePending is one read-ahead input tuple of the in-flight window.
@@ -66,8 +59,8 @@ type naivePending struct {
 	in   types.Tuple
 	args types.Tuple
 	hash uint64
-	sess int         // session carrying the round trip; -1 when none
-	res  types.Tuple // non-nil once resolved (from the cache at read time)
+	res  types.Tuple      // non-nil once resolved (from the cache at read time)
+	box  chan types.Tuple // the round trip's result (capacity 1); nil when none was launched
 }
 
 // NewNaiveUDF builds the operator. The UDF bindings reference columns of the
@@ -158,26 +151,20 @@ func (n *NaiveUDF) Open(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	nSessions := n.Sessions
-	if nSessions < 1 {
-		nSessions = 1
-	}
-	setup := &wire.SetupRequest{
-		Mode:        wire.ModeNaive,
-		InputSchema: shipped,
-		UDFs:        n.remapped,
-	}
-	sessions, err := openSessionPool(ctx, n.link, nSessions, setup)
+	n.pool, err = openShipPool(ctx, n.link, shipPolicy[*naivePending]{
+		setup: &wire.SetupRequest{
+			Mode:        wire.ModeNaive,
+			InputSchema: shipped,
+			UDFs:        n.remapped,
+		},
+		sessions: n.Sessions,
+		window:   1,
+		retry:    n.Retry,
+		onReply:  n.settle,
+	})
 	if err != nil {
 		_ = n.input.Close()
 		return err
-	}
-	n.sessions = sessions
-	n.factory = &sessionFactory{link: n.link, req: setup, retry: n.Retry, stats: &n.faults}
-	n.queues = make([][]*naivePending, len(sessions))
-	n.free = n.free[:0]
-	for i := range sessions {
-		n.free = append(n.free, i)
 	}
 	n.window = n.window[:0]
 	n.inflight = make(map[uint64][]types.Tuple)
@@ -186,7 +173,6 @@ func (n *NaiveUDF) Open(ctx context.Context) error {
 	if n.EnableCache {
 		n.cache = newArgCache()
 	}
-	n.stats = NetStats{}
 	n.markOpen(ctx)
 	return nil
 }
@@ -195,10 +181,11 @@ func (n *NaiveUDF) Open(ctx context.Context) error {
 // in flight (or the input is exhausted). Cache hits and duplicates of
 // in-flight arguments join the window without consuming a session; the
 // read-ahead itself is bounded so a duplicate-heavy stream cannot buffer the
-// whole input.
+// whole input. An empty window always reads on: deal then waits for a lane,
+// or reports that none is left.
 func (n *NaiveUDF) fillWindow() error {
-	limit := len(n.sessions) + DefaultBatchSize
-	for !n.inputEOF && len(n.free) > 0 && len(n.window) < limit {
+	limit := len(n.pool.lanes) + DefaultBatchSize
+	for !n.inputEOF && len(n.window) < limit && (len(n.window) == 0 || n.pool.hasRoom()) {
 		in, ok, err := n.input.Next()
 		if err != nil {
 			return err
@@ -211,46 +198,39 @@ func (n *NaiveUDF) fillWindow() error {
 		if err != nil {
 			return err
 		}
-		p := &naivePending{in: in, args: args, hash: hashArgs(args), sess: -1}
+		p := &naivePending{in: in, args: args, hash: hashArgs(args)}
+		n.window = append(n.window, p)
 		if n.EnableCache {
 			if cached, hit := n.cache.get(args, p.hash); hit {
 				p.res = cached
-				n.window = append(n.window, p)
 				continue
 			}
 			if tupleInFlight(n.inflight[p.hash], args) {
 				// An equal argument launched by an earlier window entry is
 				// already on its way; entries resolve in FIFO order, so the
 				// cache will hold the result by the time this one is emitted.
-				n.window = append(n.window, p)
 				continue
 			}
 		}
-		if err := n.launch(p); err != nil {
+		p.box = make(chan types.Tuple, 1)
+		if err := n.pool.deal([]types.Tuple{args}, p); err != nil {
 			return err
 		}
-		n.stats.Invocations++
-		n.stats.RoundTrips++
 		n.inflight[p.hash] = append(n.inflight[p.hash], args)
-		n.window = append(n.window, p)
 	}
 	return nil
 }
 
-// launch ships one entry's argument tuple on a free session. The entry is
-// parked in the lane's queue before the send, so a send failure leaves it
-// owned by the lane and recovery (redial-and-replay, or degrade-and-migrate)
-// re-ships it; on success the lane simply carries one more in-flight round
-// trip.
-func (n *NaiveUDF) launch(p *naivePending) error {
-	sess := n.free[len(n.free)-1]
-	n.free = n.free[:len(n.free)-1]
-	p.sess = sess
-	n.queues[sess] = append(n.queues[sess], p)
-	if err := n.sessions[sess].sendBatch([]types.Tuple{p.args}); err != nil {
-		return n.recoverSession(sess, err)
+// settle is the pool's reply policy: the one result of a round trip goes to
+// the window entry that launched it.
+func (n *NaiveUDF) settle(f shipFrame[*naivePending], reply []types.Tuple) error {
+	if len(reply) != 1 {
+		return fmt.Errorf("exec: naive UDF expected one result, got %d", len(reply))
 	}
-	n.stats.Messages++
+	if reply[0].Len() != len(n.udfs) {
+		return fmt.Errorf("exec: naive UDF expected %d result columns, got %d", len(n.udfs), reply[0].Len())
+	}
+	f.tag.box <- reply[0]
 	return nil
 }
 
@@ -264,207 +244,39 @@ func tupleInFlight(chain []types.Tuple, args types.Tuple) bool {
 	return false
 }
 
-// resolve produces the result tuple for the window head, settling replies on
-// its lane until the entry's own round trip has come back. After a failover
-// the entry may sit behind younger entries on its (migrated-to) lane, so a
-// single receive is not necessarily its reply; each settle resolves the
-// lane's oldest in-flight entry and the loop runs until p itself is resolved.
-// Recovery can move p between lanes mid-loop, which is why p.sess is re-read
-// every iteration.
+// resolve produces the result tuple for the window head, blocking until its
+// round trip has come back.
 func (n *NaiveUDF) resolve(p *naivePending) (types.Tuple, error) {
-	for p.res == nil {
-		if p.sess < 0 {
-			// Deferred duplicate of an earlier in-flight argument, which has
-			// resolved (and been cached) by now — entries resolve in FIFO order.
-			cached, hit := n.cache.get(p.args, p.hash)
-			if !hit {
-				return nil, fmt.Errorf("exec: naive UDF window lost a deferred duplicate result")
-			}
-			return cached, nil
+	if p.res != nil {
+		return p.res, nil
+	}
+	if p.box == nil {
+		// Deferred duplicate of an earlier in-flight argument, which has
+		// resolved (and been cached) by now — entries resolve in FIFO order.
+		cached, hit := n.cache.get(p.args, p.hash)
+		if !hit {
+			return nil, fmt.Errorf("exec: naive UDF window lost a deferred duplicate result")
 		}
-		if err := n.settleOne(p.sess); err != nil {
-			return nil, err
-		}
+		return cached, nil
 	}
-	return p.res, nil
-}
-
-// settleOne receives one reply on lane i and settles it on the lane's oldest
-// in-flight entry, recovering the lane if the receive fails.
-func (n *NaiveUDF) settleOne(i int) error {
-	sess := n.sessions[i]
-	if sess == nil {
-		return fmt.Errorf("exec: naive UDF settling a lost session lane")
-	}
-	res, err := sess.receiveResult()
-	if err != nil {
-		return n.recoverSession(i, err)
-	}
-	if len(n.queues[i]) == 0 {
-		return fmt.Errorf("exec: naive UDF received more results than arguments sent")
-	}
-	head := n.queues[i][0]
-	if len(res.Tuples) != 1 {
-		return fmt.Errorf("exec: naive UDF expected one result, got %d", len(res.Tuples))
-	}
-	results := res.Tuples[0]
-	if results.Len() != len(n.udfs) {
-		return fmt.Errorf("exec: naive UDF expected %d result columns, got %d", len(n.udfs), results.Len())
+	var results types.Tuple
+	select {
+	case <-n.pool.failed:
+		return nil, n.pool.failure()
+	case results = <-p.box:
 	}
 	if n.EnableCache {
 		// Clone before caching: the decoded result may share a codec buffer
 		// with the rest of its frame, and cached entries outlive the frame.
 		// The cache retains both tuples for the query's lifetime; charge them.
 		results = results.Clone()
-		if err := n.mem.grow(tupleMemSize(head.args) + tupleMemSize(results)); err != nil {
-			return err
+		if err := n.mem.grow(tupleMemSize(p.args) + tupleMemSize(results)); err != nil {
+			return nil, err
 		}
-		n.cache.put(head.args, head.hash, results)
+		n.cache.put(p.args, p.hash, results)
 	}
-	head.res = results
-	n.queues[i] = n.queues[i][1:]
-	n.removeInFlight(head.hash, head.args)
-	if len(n.queues[i]) == 0 {
-		n.free = append(n.free, i)
-	}
-	return nil
-}
-
-// failoverBudget bounds the total session losses one query may absorb, so a
-// link that keeps flapping cannot make recovery loop forever.
-func (n *NaiveUDF) failoverBudget() int64 { return int64(4*len(n.sessions) + 16) }
-
-// recoverSession handles a dead session on lane i: replay the lane's
-// in-flight queue on a redialled replacement, or degrade by migrating it to a
-// surviving lane. The operator is single-threaded, so unlike the pipelined
-// strategies no locking is needed — recovery simply runs inline wherever the
-// failure surfaced.
-func (n *NaiveUDF) recoverSession(i int, cause error) error {
-	// A session that surfaced an error is never reused, so close its
-	// connection up front: when recovery declines (fatal error, cancellation,
-	// budget), teardown would otherwise block draining lane replies that are
-	// never going to arrive.
-	failed := n.sessions[i]
-	failed.abort()
-	if err := n.ctx.Err(); err != nil {
-		return err
-	}
-	if n.Retry.Disable || wire.Classify(cause) != wire.ClassRetryable {
-		return cause
-	}
-	if n.faults.failovers.Load() >= n.failoverBudget() {
-		return fmt.Errorf("exec: naive UDF failover budget exhausted: %w", cause)
-	}
-	n.faults.failovers.Add(1)
-	if repl, rerr := n.factory.redial(n.ctx); rerr == nil {
-		n.sessions[i] = repl
-		n.retireSession(failed)
-		// A lane carries at most one in-flight invocation (launch only targets
-		// free lanes and migrate settles a survivor before adopting an
-		// orphan), so the replay is a single frame the fresh client reads
-		// immediately — it can never block behind an undrained reply.
-		for _, e := range n.queues[i] {
-			n.faults.replayed.Add(1)
-			if err := repl.sendBatch([]types.Tuple{e.args}); err != nil {
-				// The replacement died during replay; recover it in turn,
-				// bounded by the failover budget.
-				return n.recoverSession(i, err)
-			}
-			n.stats.Messages++
-		}
-		return nil
-	} else if wire.Classify(rerr) == wire.ClassCanceled {
-		return rerr
-	}
-	// Degradation: the lane is gone; migrate its in-flight entries to any
-	// surviving lane. The pool shrinks — possibly down to one session — and
-	// only when no survivor is left does the query fail.
-	n.faults.lost.Add(1)
-	orphans := n.queues[i]
-	n.queues[i] = nil
-	n.sessions[i] = nil
-	n.dropFree(i)
-	n.retireSession(failed)
-	return n.migrate(orphans, cause)
-}
-
-// migrate re-ships orphaned in-flight entries one at a time onto a surviving
-// lane, reassigning each entry's lane as it goes. A survivor with its own
-// invocation still in flight is first settled — over an unbuffered link its
-// client may be blocked mid-reply, so sending before draining would deadlock,
-// and settling also preserves the one-in-flight-per-lane invariant that keeps
-// every replay to a single frame. A survivor that dies mid-migration (or
-// mid-settle) is recovered in turn, budget-bounded; only when no live lane
-// remains does the query fail with ErrSessionsExhausted.
-func (n *NaiveUDF) migrate(orphans []*naivePending, cause error) error {
-	for len(orphans) > 0 {
-		j := -1
-		for k, s := range n.sessions {
-			if s != nil {
-				j = k
-				break
-			}
-		}
-		if j < 0 {
-			return exhausted(cause)
-		}
-		if len(n.queues[j]) > 0 {
-			// Drain the survivor's round trip before adopting an orphan;
-			// settling can itself trigger recovery and reshape the pool, so
-			// re-scan the lanes afterwards.
-			if err := n.settleOne(j); err != nil {
-				return err
-			}
-			continue
-		}
-		n.dropFree(j)
-		e := orphans[0]
-		orphans = orphans[1:]
-		e.sess = j
-		n.queues[j] = append(n.queues[j], e)
-		n.faults.replayed.Add(1)
-		if err := n.sessions[j].sendBatch([]types.Tuple{e.args}); err != nil {
-			// e is already parked on lane j, so recovering j replays it.
-			if rerr := n.recoverSession(j, err); rerr != nil {
-				return rerr
-			}
-			continue
-		}
-		n.stats.Messages++
-	}
-	return nil
-}
-
-// dropFree removes lane i from the free list, if present.
-func (n *NaiveUDF) dropFree(i int) {
-	for k, f := range n.free {
-		if f == i {
-			n.free = append(n.free[:k], n.free[k+1:]...)
-			return
-		}
-	}
-}
-
-// retireSession folds a finished session's traffic into the operator stats
-// and closes it.
-func (n *NaiveUDF) retireSession(sess *udfSession) {
-	if sess == nil {
-		return
-	}
-	n.stats.BytesDown += sess.conn.BytesSent()
-	n.stats.BytesUp += sess.conn.BytesReceived()
-	sess.close()
-}
-
-// liveSessions counts the lanes still serving sessions.
-func (n *NaiveUDF) liveSessions() int {
-	c := 0
-	for _, s := range n.sessions {
-		if s != nil {
-			c++
-		}
-	}
-	return c
+	n.removeInFlight(p.hash, p.args)
+	return results, nil
 }
 
 // removeInFlight drops one entry equal to args from the in-flight chain.
@@ -507,40 +319,17 @@ func (n *NaiveUDF) NextBatch(dst []types.Tuple) (int, error) {
 	return ScalarNextBatch(n, dst)
 }
 
-// Close implements Operator.
+// Close implements Operator. The lane readers are always draining, so round
+// trips abandoned by an early close just finish; the End handshake follows
+// them unless the pool has already failed.
 func (n *NaiveUDF) Close() error {
 	if n.closed {
 		return nil
 	}
 	n.closed = true
-	if n.sessions != nil {
-		n.finalLive = n.liveSessions()
-		// Abandoned in-flight round trips (early close) must be received
-		// before the end handshake writes anything: over a synchronous
-		// transport the client may itself be blocked writing one of those
-		// replies, and a server blocked writing End against a client blocked
-		// writing a result deadlocks both sides. Draining each lane's queue
-		// first leaves every session quiescent, after which the End exchange
-		// is safe. Receive errors here are teardown noise, not faults: the
-		// session is being retired either way, so no recovery runs.
-		for i, sess := range n.sessions {
-			if sess == nil {
-				continue
-			}
-			clean := true
-			for range n.queues[i] {
-				if _, err := sess.receiveResult(); err != nil {
-					clean = false
-					break
-				}
-			}
-			n.queues[i] = nil
-			if clean {
-				_, _ = sess.end()
-			}
-			n.retireSession(sess)
-			n.sessions[i] = nil
-		}
+	if n.pool != nil {
+		_ = n.pool.end()
+		n.pool.close()
 		n.window = n.window[:0]
 	}
 	n.cache = nil
@@ -548,24 +337,13 @@ func (n *NaiveUDF) Close() error {
 	return n.input.Close()
 }
 
-// NetStats implements NetReporter. Retired sessions' traffic is already
-// folded into the stats; live sessions contribute their running counters.
+// NetStats implements NetReporter. Every shipped tuple is its own
+// synchronous round trip.
 func (n *NaiveUDF) NetStats() NetStats {
-	out := n.stats
-	for _, sess := range n.sessions {
-		if sess != nil {
-			out.BytesDown += sess.conn.BytesSent()
-			out.BytesUp += sess.conn.BytesReceived()
-		}
-	}
+	out := n.pool.netStats()
+	out.RoundTrips = out.Invocations
 	return out
 }
 
 // FaultStats implements FaultReporter.
-func (n *NaiveUDF) FaultStats() FaultStats {
-	live := n.finalLive
-	if !n.closed {
-		live = n.liveSessions()
-	}
-	return n.faults.snapshot(live)
-}
+func (n *NaiveUDF) FaultStats() FaultStats { return n.pool.faultStats() }

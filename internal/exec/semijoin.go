@@ -33,13 +33,17 @@ const DefaultSendBatchSize = 32
 // Duplicate elimination and the result table are hash-keyed (collision chains
 // resolved by value comparison), so the steady state allocates no key strings.
 //
-// With Sessions > 1 the operator opens a pool of wire sessions and fans
-// argument frames out across them round-robin; one reader goroutine per
-// session matches returned results with that session's send order and
-// publishes them in a shared result table the receiver waits on, so output
-// order stays exactly the input order while the frames themselves travel in
-// parallel. DictBatches additionally negotiates the per-batch value
-// dictionary encoding for both directions of every session.
+// What goes down the shipping pool is one frame of duplicate-free argument
+// tuples per input batch, with no bound on a lane's unacked frames (the
+// buffer is what bounds the pipeline); a reply carries one result per
+// argument of its frame and is published in a shared result table, and the
+// receiver waits on the pool for the entry of the argument it needs — the
+// lane readers always drain their sessions, which is also what keeps a
+// multi-session client from ever blocking on an unread uplink write. With
+// Sessions > 1 the frames travel in parallel, yet output order stays exactly
+// the input order. DictBatches additionally
+// negotiates the per-batch value dictionary encoding for both directions of
+// every session.
 type SemiJoin struct {
 	baseState
 	input Operator
@@ -60,11 +64,6 @@ type SemiJoin struct {
 	// encoding for the operator's sessions; it is used only when the client
 	// acknowledges support and only on frames it shrinks.
 	DictBatches bool
-	// SortInput, when set, sorts the input on the argument columns before
-	// sending so the receiver performs a pure merge join (the assumption the
-	// paper makes for its receiver). Result correctness does not depend on
-	// it; the receiver also keeps a hash cache of results.
-	SortInput bool
 	// Retry governs mid-query session re-establishment; the zero value
 	// enables fault tolerance with defaults.
 	Retry RetryConfig
@@ -73,42 +72,14 @@ type SemiJoin struct {
 	argOrdinals []int
 	remapped    []wire.UDFSpec
 
-	slots     []*sjSlot
-	factory   *sessionFactory
-	faults    faultCounters
-	results   *resultTable
-	buffer    chan []bufferedRecord
-	sendErr   chan error
-	wg        sync.WaitGroup // sender
-	readersWg sync.WaitGroup // per-session readers
-	cancel    context.CancelFunc
-	runCtx    context.Context // sender/receiver context (query ctx + Close cancel)
-	mem       memAccount      // dedup-set and result-cache memory charge
+	pool    *shipPool[[]uint64] // a frame's tag is the hashes of its argument tuples
+	resMu   sync.Mutex
+	results *argCache // published results by argument tuple; guarded by resMu
+	buffer  chan []bufferedRecord
+	mem     memAccount // dedup-set and result-table memory charge
 
-	cur       []bufferedRecord // receiver's current parked batch
-	curPos    int
-	stats     NetStats
-	finalLive int        // pool size when the operator closed
-	mu        sync.Mutex // guards stats updates from the sender
-}
-
-// sjSlot is one lane of the session pool: the session currently serving it
-// plus the FIFO of shipped-but-unacknowledged argument tuples, which is
-// exactly what must be replayed if the session dies. Two locks split the
-// lane's concerns: sendMu serializes whole park-frames-then-send sequences
-// (so the wire order always equals the FIFO order, even when the sender, a
-// migration and a replay compete for the lane), while mu guards the fields
-// themselves and is only ever held for pointer-sized critical sections —
-// never across blocking I/O. The slot's reader takes only mu, so it can
-// always drain replies; a sender blocked mid-transfer therefore cannot
-// deadlock against the client blocked writing a reply. Lock order: sendMu
-// before mu.
-type sjSlot struct {
-	sendMu  sync.Mutex
-	mu      sync.Mutex
-	sess    *udfSession
-	pending []pendingArg // unacked argument tuples in send order
-	dead    bool         // the lane is retired; no replacement could be dialled
+	cur    []bufferedRecord // receiver's current parked batch
+	curPos int
 }
 
 // bufferedRecord is one full record parked between sender and receiver,
@@ -117,77 +88,6 @@ type bufferedRecord struct {
 	tuple types.Tuple
 	args  types.Tuple
 	hash  uint64
-}
-
-// pendingArg is one shipped argument tuple awaiting its result.
-type pendingArg struct {
-	args types.Tuple
-	hash uint64
-}
-
-// resultTable is the shared receiver-side state of the (possibly parallel)
-// semi-join: the per-session readers publish matched results here and the
-// receiver waits for the entry of the argument it needs. The condition
-// variable replaces the demand-driven receive loop of the single-session
-// design — readers always drain their sessions, which is also what keeps a
-// multi-session client from ever blocking on an unread uplink write.
-type resultTable struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	cache *argCache
-	err   error
-	done  bool
-}
-
-func newResultTable() *resultTable {
-	t := &resultTable{cache: newArgCache()}
-	t.cond = sync.NewCond(&t.mu)
-	return t
-}
-
-// put publishes the result for one shipped argument and wakes waiters.
-func (t *resultTable) put(args types.Tuple, hash uint64, res types.Tuple) {
-	t.mu.Lock()
-	t.cache.put(args, hash, res)
-	t.mu.Unlock()
-	t.cond.Broadcast()
-}
-
-// fail records the first reader error and wakes waiters. Errors reported
-// after finish (connection teardown noise during Close) are dropped.
-func (t *resultTable) fail(err error) {
-	t.mu.Lock()
-	if t.err == nil && !t.done {
-		t.err = err
-	}
-	t.mu.Unlock()
-	t.cond.Broadcast()
-}
-
-// finish marks the table closed, releasing any waiter.
-func (t *resultTable) finish() {
-	t.mu.Lock()
-	t.done = true
-	t.mu.Unlock()
-	t.cond.Broadcast()
-}
-
-// wait blocks until the result for args is available (or the table fails).
-func (t *resultTable) wait(args types.Tuple, hash uint64) (types.Tuple, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for {
-		if res, ok := t.cache.get(args, hash); ok {
-			return res, nil
-		}
-		if t.err != nil {
-			return nil, t.err
-		}
-		if t.done {
-			return nil, fmt.Errorf("exec: semi-join closed before result arrived")
-		}
-		t.cond.Wait()
-	}
 }
 
 // NewSemiJoin builds the operator.
@@ -213,8 +113,7 @@ func NewSemiJoin(input Operator, link ClientLink, udfs []UDFBinding) (*SemiJoin,
 // Schema implements Operator.
 func (s *SemiJoin) Schema() *types.Schema { return s.schema }
 
-// Open implements Operator: it opens the session pool and starts the sender
-// and the per-session result readers.
+// Open implements Operator: it opens the shipping pool and starts the sender.
 func (s *SemiJoin) Open(ctx context.Context) error {
 	if s.link == nil {
 		return fmt.Errorf("exec: semi-join operator has no client link")
@@ -225,69 +124,38 @@ func (s *SemiJoin) Open(ctx context.Context) error {
 	if s.SendBatchSize < 1 {
 		s.SendBatchSize = DefaultSendBatchSize
 	}
-	var in Operator = s.input
-	if s.SortInput {
-		keys := make([]SortKey, len(s.argOrdinals))
-		for i, o := range s.argOrdinals {
-			keys[i] = SortKey{Ordinal: o}
-		}
-		in = NewSort(s.input, keys)
-	}
-	if err := in.Open(ctx); err != nil {
+	if err := s.input.Open(ctx); err != nil {
 		return err
 	}
 	shipped, err := s.input.Schema().Project(s.argOrdinals)
 	if err != nil {
 		return err
 	}
-	nSessions := s.Sessions
-	if nSessions < 1 {
-		nSessions = 1
-	}
-	setup := &wire.SetupRequest{
-		Mode:        wire.ModeSemiJoin,
-		InputSchema: shipped,
-		UDFs:        s.remapped,
-		DictBatches: s.DictBatches,
-	}
-	sessions, err := openSessionPool(ctx, s.link, nSessions, setup)
+	s.mem = memAccount{t: MemTrackerFrom(ctx)}
+	s.results = newArgCache()
+	s.pool, err = openShipPool(ctx, s.link, shipPolicy[[]uint64]{
+		setup: &wire.SetupRequest{
+			Mode:        wire.ModeSemiJoin,
+			InputSchema: shipped,
+			UDFs:        s.remapped,
+			DictBatches: s.DictBatches,
+		},
+		sessions: s.Sessions,
+		retry:    s.Retry,
+		onReply:  s.publish,
+	})
 	if err != nil {
-		_ = in.Close()
+		_ = s.input.Close()
 		return err
 	}
-	s.slots = make([]*sjSlot, len(sessions))
-	for i, sess := range sessions {
-		s.slots[i] = &sjSlot{sess: sess}
-	}
-	s.factory = &sessionFactory{link: s.link, req: setup, retry: s.Retry, stats: &s.faults}
 	// The buffer holds record batches; sizing it in batches of the sender's
 	// read granularity keeps roughly ConcurrencyFactor tuples in flight —
-	// which also bounds each slot's unacked-frame FIFO.
+	// which also bounds the lanes' unacked frames.
 	readBatch := s.senderReadBatch()
 	s.buffer = make(chan []bufferedRecord, (s.ConcurrencyFactor+readBatch-1)/readBatch)
-	s.sendErr = make(chan error, 1)
-	s.results = newResultTable()
 	s.cur, s.curPos = nil, 0
-	s.stats = NetStats{}
 
-	senderCtx, cancel := context.WithCancel(ctx)
-	s.cancel = cancel
-	s.runCtx = senderCtx
-	s.mem = memAccount{t: MemTrackerFrom(ctx)}
-	// Cancellation wake-up: a receiver parked in results.wait is not watching
-	// any channel, so the context's end must be translated into a table
-	// failure. Close cancels senderCtx, which also retires this goroutine.
-	go func() {
-		<-senderCtx.Done()
-		s.results.fail(senderCtx.Err())
-	}()
-	for i := range s.slots {
-		s.readersWg.Add(1)
-		go s.runReader(s.slots[i])
-	}
-	s.wg.Add(1)
-	go s.runSender(senderCtx, in)
-
+	s.pool.start(s.send, func() { close(s.buffer) })
 	s.markOpen(ctx)
 	return nil
 }
@@ -298,357 +166,106 @@ func (s *SemiJoin) Open(ctx context.Context) error {
 // factor (or SendBatchSize) of 1 degrades to the tuple-at-a-time pipeline of
 // the paper's Figure 3.
 func (s *SemiJoin) senderReadBatch() int {
-	n := DefaultBatchSize
-	if n > s.ConcurrencyFactor {
-		n = s.ConcurrencyFactor
-	}
-	if n > s.SendBatchSize {
-		n = s.SendBatchSize
-	}
-	return n
+	return min(DefaultBatchSize, s.ConcurrencyFactor, s.SendBatchSize)
 }
 
-// runSender is the sender thread of Figure 3: it reads input record batches,
-// ships each batch's distinct argument tuples downlink in one frame — cycling
-// round-robin through the session pool — and parks the full records in the
-// bounded buffer for the receiver. Because every session has a dedicated
-// reader draining its results into the shared table, a send can only block on
-// link transfer, never on an unread reply, regardless of how many frames are
-// in flight across the pool.
-func (s *SemiJoin) runSender(ctx context.Context, in Operator) {
-	defer s.wg.Done()
-	defer close(s.buffer)
-	defer func() {
-		// A panicking input operator must fail this query, not the process.
-		if rec := recover(); rec != nil {
-			s.reportSendErr(fmt.Errorf("exec: semi-join sender panicked: %v", rec))
-			s.results.fail(fmt.Errorf("exec: semi-join sender panicked: %v", rec))
-		}
-	}()
+// send is the sender thread of Figure 3: it reads input record batches,
+// ships each batch's distinct argument tuples downlink in one frame and
+// parks the full records in the bounded buffer for the receiver. The pool's
+// readers always drain their sessions, so a deal can only block on link
+// transfer, never on an unread reply, however many frames are in flight.
+func (s *SemiJoin) send(ctx context.Context) error {
 	seen := newTupleSet(nil)
-	readBatch := s.senderReadBatch()
-	batch := make([]types.Tuple, readBatch)
-	sendBuf := make([]types.Tuple, 0, readBatch)
-	sendHashes := make([]uint64, 0, readBatch)
-	target := 0 // round-robin slot cursor
-	flush := func() error {
-		if len(sendBuf) == 0 {
-			return nil
-		}
-		// Park the frame's argument tuples in the slot's unacked FIFO, then
-		// ship the frame outside the slot lock: the slot's reader needs that
-		// lock to drain replies, and a reply being drained is what unblocks
-		// this send on an unbuffered link. The send lock keeps park+send
-		// atomic against recovery and migration instead. A send error does
-		// not fail the query: the frame is already parked, so the reader's
-		// recovery will replay it on a replacement or surviving session;
-		// aborting the captured session (recovery may have swapped slot.sess
-		// already) is what kicks that reader out of its blocked receive.
-		n := len(s.slots)
-		for i := 0; i < n; i++ {
-			slot := s.slots[(target+i)%n]
-			slot.sendMu.Lock()
-			slot.mu.Lock()
-			if slot.dead {
-				slot.mu.Unlock()
-				slot.sendMu.Unlock()
-				continue
-			}
-			for j, args := range sendBuf {
-				slot.pending = append(slot.pending, pendingArg{args: args, hash: sendHashes[j]})
-			}
-			sess := slot.sess
-			slot.mu.Unlock()
-			if err := sess.sendBatch(sendBuf); err != nil {
-				sess.abort()
-			}
-			slot.sendMu.Unlock()
-			target = (target + i + 1) % n
-			s.mu.Lock()
-			s.stats.Messages++
-			s.stats.Invocations += int64(len(sendBuf))
-			s.mu.Unlock()
-			sendBuf = sendBuf[:0]
-			sendHashes = sendHashes[:0]
-			return nil
-		}
-		return exhausted(fmt.Errorf("exec: semi-join has no live session to send on"))
-	}
+	batch := make([]types.Tuple, s.senderReadBatch())
 	for {
-		if ctx.Err() != nil {
-			return
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		n, err := in.NextBatch(batch)
-		if err != nil {
-			s.reportSendErr(err)
-			return
-		}
-		if n == 0 {
-			return
+		n, err := s.input.NextBatch(batch)
+		if err != nil || n == 0 {
+			return err
 		}
 		records := make([]bufferedRecord, 0, n)
-		// One arena backs every argument projection of this input batch; the
-		// tuples escape into the dedup set, the pending channels and the
-		// result table, and the arena is never recycled, so they stay valid.
+		// The frame keeps its argument tuples until it is answered, so each
+		// input batch gets fresh slices. One arena backs every argument
+		// projection of the batch; the tuples escape into the dedup set, the
+		// frame and the result table, and the arena is never recycled.
+		var args []types.Tuple
+		var hashes []uint64
 		arena := make([]types.Value, 0, n*len(s.argOrdinals))
-		for _, t := range batch[:n] {
-			var args types.Tuple
-			arena, args, err = types.ProjectInto(arena, t, s.argOrdinals)
+		for i, t := range batch[:n] {
+			var arg types.Tuple
+			arena, arg, err = types.ProjectInto(arena, t, s.argOrdinals)
 			if err != nil {
-				s.reportSendErr(err)
-				return
+				return err
 			}
-			added, argHash := seen.add(args)
+			added, hash := seen.add(arg)
 			if added {
 				// The dedup set retains the argument tuple for the query's
 				// lifetime; charge it against the memory budget.
-				if err := s.mem.grow(tupleMemSize(args)); err != nil {
-					s.reportSendErr(err)
-					return
+				if err := s.mem.grow(tupleMemSize(arg)); err != nil {
+					return err
 				}
 				// Step 1 of the paper's pipeline: ship the duplicate-free
 				// argument values downlink.
-				sendBuf = append(sendBuf, args)
-				sendHashes = append(sendHashes, argHash)
+				if args == nil {
+					args, hashes = make([]types.Tuple, 0, n-i), make([]uint64, 0, n-i)
+				}
+				args = append(args, arg)
+				hashes = append(hashes, hash)
 			}
-			records = append(records, bufferedRecord{tuple: t, args: args, hash: argHash})
+			records = append(records, bufferedRecord{tuple: t, args: arg, hash: hash})
 		}
-		if err := flush(); err != nil {
-			s.reportSendErr(err)
-			return
+		if len(args) > 0 {
+			if err := s.pool.deal(args, hashes); err != nil {
+				return err
+			}
 		}
 		select {
 		case s.buffer <- records:
 		case <-ctx.Done():
-			return
+			return ctx.Err()
 		}
 	}
 }
 
-// runReader drains one slot's result stream, matching each returned tuple
-// with the slot's oldest unacknowledged argument — the per-channel half of
-// the merge join the paper describes for the receiver — and publishing it in
-// the shared result table. When the slot's session dies mid-query the reader
-// is also the recovery agent: being the sole consumer of the slot's FIFO, it
-// can replay the unacked tail onto a replacement or surviving session with
-// no risk of racing its own pops.
-func (s *SemiJoin) runReader(slot *sjSlot) {
-	defer s.readersWg.Done()
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.results.fail(fmt.Errorf("exec: semi-join reader panicked: %v", rec))
+// publish is the pool's reply policy: the per-channel half of the merge join
+// the paper describes for the receiver. A reply holds one result per argument
+// tuple of its frame, in order; they go into the shared result table.
+func (s *SemiJoin) publish(f shipFrame[[]uint64], reply []types.Tuple) error {
+	if len(reply) != len(f.tuples) {
+		return fmt.Errorf("exec: semi-join sent %d arguments, got %d results", len(f.tuples), len(reply))
+	}
+	for _, res := range reply {
+		if res.Len() != len(s.udfs) {
+			return fmt.Errorf("exec: semi-join expected %d result columns, got %d", len(s.udfs), res.Len())
 		}
-	}()
-	for {
-		slot.mu.Lock()
-		sess, dead := slot.sess, slot.dead
-		slot.mu.Unlock()
-		if dead {
-			return
-		}
-		batch, err := sess.receiveResult()
-		if err != nil {
-			if !s.recoverSlot(slot, sess, err) {
-				return
-			}
-			continue
-		}
-		for _, res := range batch.Tuples {
-			slot.mu.Lock()
-			if len(slot.pending) == 0 {
-				slot.mu.Unlock()
-				s.results.fail(fmt.Errorf("exec: semi-join received more results than arguments sent"))
-				return
-			}
-			p := slot.pending[0]
-			slot.pending = slot.pending[1:]
-			slot.mu.Unlock()
-			if res.Len() != len(s.udfs) {
-				s.results.fail(fmt.Errorf("exec: semi-join expected %d result columns, got %d", len(s.udfs), res.Len()))
-				return
-			}
-			// The result table retains the result for the query's lifetime.
-			if err := s.mem.grow(tupleMemSize(res)); err != nil {
-				s.results.fail(err)
-				return
-			}
-			s.results.put(p.args, p.hash, res)
-		}
-	}
-}
-
-// failoverBudget bounds the total session losses one query may absorb, so a
-// link that keeps flapping cannot make recovery loop forever.
-func (s *SemiJoin) failoverBudget() int64 { return int64(4*len(s.slots) + 16) }
-
-// recoverSlot handles a dead session on slot: replay the unacked FIFO on a
-// redialled replacement, or degrade by migrating it to a surviving slot.
-// It returns whether the slot's reader should keep reading.
-func (s *SemiJoin) recoverSlot(slot *sjSlot, failed *udfSession, err error) bool {
-	// First unblock anyone mid-send on the dead connection: recovery below
-	// waits on the slot's send lock, and its holder can only release it once
-	// its blocked write errors out.
-	failed.abort()
-	// Teardown and cancellation are not faults: surface the error (dropped
-	// if the table already finished) and stop.
-	if s.runCtx.Err() != nil {
-		s.results.fail(err)
-		return false
-	}
-	if s.Retry.Disable || wire.Classify(err) != wire.ClassRetryable {
-		s.results.fail(err)
-		return false
-	}
-	if s.faults.failovers.Load() >= s.failoverBudget() {
-		s.results.fail(fmt.Errorf("exec: semi-join failover budget exhausted: %w", err))
-		return false
-	}
-	slot.mu.Lock()
-	if slot.sess != failed || slot.dead {
-		// Someone else already recovered (or retired) this slot.
-		alive := !slot.dead
-		slot.mu.Unlock()
-		return alive
-	}
-	slot.mu.Unlock()
-	s.faults.failovers.Add(1)
-	if repl, rerr := s.factory.redial(s.runCtx); rerr == nil {
-		slot.sendMu.Lock()
-		slot.mu.Lock()
-		if slot.dead || slot.sess != failed {
-			// Close (or another path) retired the slot while we redialled.
-			alive := !slot.dead
-			slot.mu.Unlock()
-			slot.sendMu.Unlock()
-			repl.close()
-			return alive
-		}
-		old := slot.sess
-		slot.sess = repl
-		args := argsOf(slot.pending)
-		slot.mu.Unlock()
-		// Replay in its own goroutine while this reader resumes draining the
-		// replacement: over an unbuffered link the client blocks writing its
-		// reply to the first replayed frame until someone receives it, so a
-		// synchronous replay here would deadlock. Holding the send lock until
-		// the replay finishes keeps new frames behind the replayed tail in
-		// wire order.
-		s.readersWg.Add(1)
-		go func() {
-			defer s.readersWg.Done()
-			defer slot.sendMu.Unlock()
-			if rpErr := replayArgs(repl, args, s.SendBatchSize); rpErr != nil {
-				// The replacement died during replay; the reader's next
-				// receive will error and recovery runs again, bounded by
-				// the budget.
-				repl.abort()
-			}
-		}()
-		s.retireSession(old)
-		s.faults.replayed.Add(int64(len(args)))
-		return true
-	} else if wire.Classify(rerr) == wire.ClassCanceled {
-		s.results.fail(rerr)
-		return false
-	}
-	// Degradation: the lane is gone; re-deal its unacked frames to any
-	// surviving session. The pool shrinks — possibly down to one session —
-	// and only when no survivor is left does the query fail.
-	s.faults.lost.Add(1)
-	slot.sendMu.Lock()
-	slot.mu.Lock()
-	if slot.dead {
-		// Close retired the slot while we redialled; nothing left to do.
-		slot.mu.Unlock()
-		slot.sendMu.Unlock()
-		return false
-	}
-	slot.dead = true
-	orphans := slot.pending
-	slot.pending = nil
-	old := slot.sess
-	slot.mu.Unlock()
-	slot.sendMu.Unlock()
-	s.retireSession(old)
-	if !s.migrate(orphans) {
-		s.results.fail(exhausted(err))
-	}
-	return false
-}
-
-// migrate re-deals orphaned unacked arguments onto the first surviving slot.
-// A failed replay send is not fatal here: the frames are parked on the
-// survivor before the send, so the survivor's own reader replays them next.
-func (s *SemiJoin) migrate(orphans []pendingArg) bool {
-	if len(orphans) == 0 {
-		// Nothing is owed; losing the last session after its final result
-		// arrived must not fail the query.
-		return true
-	}
-	for _, slot := range s.slots {
-		slot.sendMu.Lock()
-		slot.mu.Lock()
-		if slot.dead {
-			slot.mu.Unlock()
-			slot.sendMu.Unlock()
-			continue
-		}
-		slot.pending = append(slot.pending, orphans...)
-		sess := slot.sess
-		slot.mu.Unlock()
-		if err := replayArgs(sess, argsOf(orphans), s.SendBatchSize); err != nil {
-			sess.abort()
-		}
-		slot.sendMu.Unlock()
-		s.faults.replayed.Add(int64(len(orphans)))
-		return true
-	}
-	return false
-}
-
-// retireSession folds a finished session's traffic into the operator stats
-// and closes it.
-func (s *SemiJoin) retireSession(sess *udfSession) {
-	s.mu.Lock()
-	s.stats.BytesDown += sess.conn.BytesSent()
-	s.stats.BytesUp += sess.conn.BytesReceived()
-	s.mu.Unlock()
-	sess.close()
-}
-
-// argsOf projects the argument tuples out of a pending FIFO for replay.
-func argsOf(pending []pendingArg) []types.Tuple {
-	out := make([]types.Tuple, len(pending))
-	for i, p := range pending {
-		out[i] = p.args
-	}
-	return out
-}
-
-// replayArgs re-ships argument tuples on a session in frames of at most
-// batchSize tuples.
-func replayArgs(sess *udfSession, args []types.Tuple, batchSize int) error {
-	if batchSize < 1 {
-		batchSize = DefaultSendBatchSize
-	}
-	for len(args) > 0 {
-		n := batchSize
-		if n > len(args) {
-			n = len(args)
-		}
-		if err := sess.sendBatch(args[:n]); err != nil {
+		// The result table retains the result for the query's lifetime.
+		if err := s.mem.grow(tupleMemSize(res)); err != nil {
 			return err
 		}
-		args = args[n:]
 	}
+	s.resMu.Lock()
+	for i, res := range reply {
+		s.results.put(f.tuples[i], f.tag[i], res)
+	}
+	s.resMu.Unlock()
 	return nil
 }
 
-func (s *SemiJoin) reportSendErr(err error) {
-	select {
-	case s.sendErr <- err:
-	default:
+// result returns the published result for rec's argument tuple, waiting on
+// the pool — every acknowledged frame wakes it — until it is there.
+func (s *SemiJoin) result(rec bufferedRecord) (res types.Tuple, err error) {
+	lookup := func() (ok bool) {
+		s.resMu.Lock()
+		res, ok = s.results.get(rec.args, rec.hash)
+		s.resMu.Unlock()
+		return ok
 	}
+	if !lookup() {
+		err = s.pool.await(lookup)
+	}
+	return res, err
 }
 
 // nextRecord returns the next parked record, pulling a new batch from the
@@ -657,22 +274,12 @@ func (s *SemiJoin) reportSendErr(err error) {
 func (s *SemiJoin) nextRecord() (bufferedRecord, bool, error) {
 	for s.curPos >= len(s.cur) {
 		select {
-		case err := <-s.sendErr:
-			return bufferedRecord{}, false, err
+		case <-s.pool.failed:
+			return bufferedRecord{}, false, s.pool.failure()
 		case recs, ok := <-s.buffer:
 			if !ok {
-				// Input exhausted; surface any straggler sender error. A
-				// cancelled context also closes the buffer (the sender bails
-				// out), which must read as the context error, not a clean end.
-				select {
-				case err := <-s.sendErr:
-					return bufferedRecord{}, false, err
-				default:
-				}
-				if err := s.runCtx.Err(); err != nil && !s.closed {
-					return bufferedRecord{}, false, err
-				}
-				return bufferedRecord{}, false, nil
+				// Input exhausted, unless the sender stopped on an error.
+				return bufferedRecord{}, false, s.pool.failure()
 			}
 			s.cur, s.curPos = recs, 0
 		}
@@ -692,7 +299,7 @@ func (s *SemiJoin) Next() (types.Tuple, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	results, err := s.results.wait(rec.args, rec.hash)
+	results, err := s.result(rec)
 	if err != nil {
 		return nil, false, err
 	}
@@ -716,7 +323,7 @@ func (s *SemiJoin) NextBatch(dst []types.Tuple) (int, error) {
 		if !ok {
 			return out, nil
 		}
-		results, err := s.results.wait(rec.args, rec.hash)
+		results, err := s.result(rec)
 		if err != nil {
 			return out, err
 		}
@@ -734,101 +341,23 @@ func (s *SemiJoin) NextBatch(dst []types.Tuple) (int, error) {
 	return out, nil
 }
 
-// Close implements Operator.
-//
-// Close must work both after a clean drain and when the caller abandons the
-// stream early (e.g. a LIMIT above the operator). The session readers keep
-// every connection drained, so the sender can only be parked on the bounded
-// buffer (drained here) or mid-transfer on the link (finite); once it exits,
-// the result table is retired and the connections closed, which unblocks the
-// readers.
+// Close implements Operator. It works both after a clean drain and when the
+// caller abandons the stream early (e.g. a LIMIT above the operator): closing
+// the pool stops the sender wherever it is parked.
 func (s *SemiJoin) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	if s.cancel != nil {
-		s.cancel()
-	}
-	if s.slots != nil {
-		drained := make(chan struct{})
-		go func() {
-			defer close(drained)
-			for range s.buffer {
-			}
-		}()
-		s.wg.Wait()
-		<-drained
-		s.results.finish()
-		s.finalLive = s.liveSlots()
-		for _, slot := range s.slots {
-			slot.mu.Lock()
-			sess, dead := slot.sess, slot.dead
-			slot.dead = true
-			slot.mu.Unlock()
-			if !dead {
-				s.retireSession(sess)
-			}
-		}
-		s.readersWg.Wait()
-	} else {
-		s.wg.Wait()
+	if s.pool != nil {
+		s.pool.close()
 	}
 	s.mem.releaseAll()
 	return s.input.Close()
 }
 
-// liveSlotBytes totals the framed traffic of the sessions still serving
-// slots; retired sessions' traffic is already folded into the stats.
-func liveSlotBytes[T interface {
-	liveSession() *udfSession
-}](slots []T) (down, up int64) {
-	for _, slot := range slots {
-		if sess := slot.liveSession(); sess != nil {
-			down += sess.conn.BytesSent()
-			up += sess.conn.BytesReceived()
-		}
-	}
-	return down, up
-}
-
-// liveSession returns the slot's session if the lane is still active.
-func (slot *sjSlot) liveSession() *udfSession {
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if slot.dead {
-		return nil
-	}
-	return slot.sess
-}
-
-// liveSlots counts the lanes still serving sessions.
-func (s *SemiJoin) liveSlots() int {
-	n := 0
-	for _, slot := range s.slots {
-		if slot.liveSession() != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // NetStats implements NetReporter.
-func (s *SemiJoin) NetStats() NetStats {
-	s.mu.Lock()
-	out := s.stats
-	s.mu.Unlock()
-	down, up := liveSlotBytes(s.slots)
-	out.BytesDown += down
-	out.BytesUp += up
-	return out
-}
+func (s *SemiJoin) NetStats() NetStats { return s.pool.netStats() }
 
 // FaultStats implements FaultReporter.
-func (s *SemiJoin) FaultStats() FaultStats {
-	live := s.finalLive
-	if !s.closed {
-		live = s.liveSlots()
-	}
-	return s.faults.snapshot(live)
-}
+func (s *SemiJoin) FaultStats() FaultStats { return s.pool.faultStats() }

@@ -1,0 +1,568 @@
+package exec
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+
+	"csq/internal/types"
+	"csq/internal/wire"
+)
+
+// shipFrame is one downlink frame: the tuples that crossed the link — kept
+// until the frame's reply arrives, which is what makes replay possible — and
+// the owning strategy's handle for rejoining that reply with its stream.
+type shipFrame[T any] struct {
+	tuples []types.Tuple
+	tag    T
+}
+
+// shipPolicy is everything that distinguishes one client-site strategy from
+// another below the operator: what the client runs on each session, how many
+// lanes carry frames, how many unacknowledged frames a lane may hold, and
+// where a reply goes.
+type shipPolicy[T any] struct {
+	setup    *wire.SetupRequest
+	sessions int         // lanes; values below 1 mean one
+	window   int         // unacked frames per lane; 0 is unbounded
+	retry    RetryConfig // mid-query session re-establishment
+	// onReply receives each frame with the client's reply to it, on the
+	// lane's reader goroutine, once per frame and in the lane's send order.
+	// The reply slice is recycled after the call; the tuples in it are not.
+	// It must not block; an error fails the pool.
+	onReply func(f shipFrame[T], reply []types.Tuple) error
+}
+
+// shipLane is one lane of the session pool: the session currently serving it
+// and the FIFO of frames sent but not yet answered on it, which is exactly
+// what must be replayed if the session dies. Two locks split the lane's
+// concerns: sendMu serializes whole park-frames-then-send sequences (so the
+// wire order always equals the FIFO order, even when the dealer, a migration
+// and a replay compete for the lane), while mu guards the fields themselves
+// and is only ever held for pointer-sized critical sections — never across
+// blocking I/O. The lane's reader takes only mu, so it can always drain
+// replies; a sender blocked mid-transfer therefore cannot deadlock against
+// the client blocked writing a reply, which is what an unbuffered link does
+// to it. Lock order: sendMu before mu; the pool's own mu is never held
+// together with either.
+type shipLane[T any] struct {
+	sendMu  sync.Mutex
+	mu      sync.Mutex
+	sess    *udfSession
+	unacked []shipFrame[T]
+	endSent bool // End has been sent on this lane
+	dead    bool // the lane is retired; no replacement could be dialled
+}
+
+// shipPool is the one shipping mechanism under the three client-site
+// strategies. It deals frames across a pool of sessions, keeps each lane's
+// unacknowledged frames, runs one reader per lane that matches every reply
+// frame with the lane's oldest unacked frame (the client answers each frame
+// with exactly one reply frame), and survives session loss: redial and
+// replay, else degrade onto the surviving lanes, else fail with
+// ErrSessionsExhausted. Traffic and fault counters are kept here for all of
+// them.
+//
+// The pool fails at most once: the first error — from a session, a reply
+// callback, the owning operator (fail), cancellation of the query context or
+// close — is latched, closes failed and wakes every waiter.
+type shipPool[T any] struct {
+	shipPolicy[T]
+	lanes   []*shipLane[T]
+	factory sessionFactory
+	faults  faultCounters
+	ctx     context.Context // the query context, cancelled by close
+	cancel  context.CancelFunc
+	failed  chan struct{} // closed once err is set
+	wg      sync.WaitGroup
+	next    int // deal cursor; deal and end are called from one goroutine
+
+	mu      sync.Mutex
+	cond    *sync.Cond // signalled on every ack, reader exit and failure
+	err     error
+	dealt   int64 // frames dealt
+	acked   int64 // frames answered
+	reading int   // lane readers still running
+	endRows uint64
+	stats   NetStats // frames and tuples dealt, bytes of retired sessions
+	live    int      // lanes still serving when the pool closed
+}
+
+// errShipPoolClosed is what close latches so that later errors (connection
+// teardown noise) are dropped and every waiter wakes.
+var errShipPoolClosed = errors.New("exec: client-site operator closed")
+
+// openShipPool opens the sessions — each with its own setup handshake and
+// session ID, all bound to the query context — and starts the lane readers.
+// On any failure the already-opened sessions are closed.
+func openShipPool[T any](ctx context.Context, link ClientLink, pol shipPolicy[T]) (*shipPool[T], error) {
+	p := &shipPool[T]{shipPolicy: pol, failed: make(chan struct{})}
+	p.cond = sync.NewCond(&p.mu)
+	p.factory = sessionFactory{link: link, req: pol.setup, retry: pol.retry, stats: &p.faults}
+	for i := 0; i < max(pol.sessions, 1); i++ {
+		sess, err := openUDFSession(ctx, link, pol.setup)
+		if err != nil {
+			for _, lane := range p.lanes {
+				lane.sess.close()
+			}
+			return nil, err
+		}
+		p.lanes = append(p.lanes, &shipLane[T]{sess: sess})
+	}
+	p.ctx, p.cancel = context.WithCancel(ctx)
+	p.reading = len(p.lanes)
+	p.wg.Add(len(p.lanes) + 1)
+	// Waiters park on cond or failed, not on the context.
+	go func() {
+		defer p.wg.Done()
+		select {
+		case <-p.ctx.Done():
+			p.fail(p.ctx.Err())
+		case <-p.failed:
+		}
+	}()
+	for _, lane := range p.lanes {
+		go p.read(lane)
+	}
+	return p, nil
+}
+
+// fail latches the pool's first error.
+func (p *shipPool[T]) fail(err error) {
+	p.mu.Lock()
+	if p.err == nil {
+		p.err = err
+		close(p.failed)
+	}
+	p.mu.Unlock()
+	p.cond.Broadcast()
+}
+
+// failure returns the latched error, if any.
+func (p *shipPool[T]) failure() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.err
+}
+
+// await blocks until ready holds or the pool fails. ready runs under the
+// pool's lock after every acknowledged frame and reader exit, so it may read
+// the pool's counters, or anything a reply callback changed: a reply is
+// handed to the policy before its frame counts as acknowledged.
+func (p *shipPool[T]) await(ready func() bool) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.err == nil && !ready() {
+		p.cond.Wait()
+	}
+	return p.err
+}
+
+// start runs the owning operator's sender on the pool, which close then
+// waits for. Whatever stops send short — a panicking input operator
+// included — fails the pool, and does so before done runs, so a receiver
+// that done wakes cannot mistake the stop for a clean end of the stream.
+func (p *shipPool[T]) start(send func(context.Context) error, done func()) {
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		defer done()
+		defer func() {
+			if rec := recover(); rec != nil {
+				p.fail(fmt.Errorf("exec: client-site sender panicked: %v", rec))
+			}
+		}()
+		if err := send(p.ctx); err != nil {
+			p.fail(err)
+		}
+	}()
+}
+
+// Outcomes of shipLane.ship.
+const (
+	laneDead = iota
+	laneFull
+	laneShipped
+)
+
+// ship parks frames (and the End marker) on the lane's FIFO and then sends
+// them. The send runs outside mu — the reader needs mu to drain replies, and
+// a reply being drained is what unblocks this send on an unbuffered link —
+// but under sendMu, so park+send stays atomic against recovery and
+// migration. A send error is not reported: the frames are already parked, so
+// the reader's recovery replays them; aborting the captured session
+// (recovery may have swapped lane.sess already) is what kicks that reader
+// out of its blocked receive.
+func (lane *shipLane[T]) ship(frames []shipFrame[T], end bool, window int) int {
+	lane.sendMu.Lock()
+	defer lane.sendMu.Unlock()
+	lane.mu.Lock()
+	switch {
+	case lane.dead:
+		lane.mu.Unlock()
+		return laneDead
+	case window > 0 && len(lane.unacked) >= window:
+		lane.mu.Unlock()
+		return laneFull
+	}
+	lane.unacked = append(lane.unacked, frames...)
+	lane.endSent = lane.endSent || end
+	sess := lane.sess
+	lane.mu.Unlock()
+	if err := replay(sess, frames, end); err != nil {
+		sess.abort()
+	}
+	return laneShipped
+}
+
+// replay sends frames, and the End marker when the lane's stream has ended,
+// on sess.
+func replay[T any](sess *udfSession, frames []shipFrame[T], end bool) error {
+	for _, f := range frames {
+		if err := sess.sendBatch(f.tuples); err != nil {
+			return err
+		}
+	}
+	if end {
+		return sess.conn.Send(wire.MsgEnd, wire.EncodeEnd(&wire.End{SessionID: sess.id}))
+	}
+	return nil
+}
+
+// deal ships one frame on the next live lane that has room, round-robin,
+// waiting for an acknowledgement when every live lane's window is full. It
+// fails only when the pool has failed or no live lane is left.
+func (p *shipPool[T]) deal(tuples []types.Tuple, tag T) error {
+	p.mu.Lock()
+	p.dealt++
+	p.stats.Messages++
+	p.stats.Invocations += int64(len(tuples))
+	p.mu.Unlock()
+	frame := []shipFrame[T]{{tuples: tuples, tag: tag}}
+	for {
+		p.mu.Lock()
+		acked := p.acked
+		p.mu.Unlock()
+		live := false
+		for i := range p.lanes {
+			at := (p.next + i) % len(p.lanes)
+			switch p.lanes[at].ship(frame, false, p.window) {
+			case laneShipped:
+				p.next = at + 1
+				return nil
+			case laneFull:
+				live = true
+			}
+		}
+		if !live {
+			// Latched here so that end cannot wait for a frame nobody carries.
+			err := exhausted(fmt.Errorf("exec: no live session to send on"))
+			p.fail(err)
+			return err
+		}
+		if err := p.await(func() bool { return p.acked != acked }); err != nil {
+			return err
+		}
+	}
+}
+
+// hasRoom reports whether deal would find a lane without waiting.
+func (p *shipPool[T]) hasRoom() bool {
+	for _, lane := range p.lanes {
+		lane.mu.Lock()
+		room := !lane.dead && (p.window == 0 || len(lane.unacked) < p.window)
+		lane.mu.Unlock()
+		if room {
+			return true
+		}
+	}
+	return false
+}
+
+// end runs the end-of-stream handshake: it waits until every dealt frame has
+// been answered — so no lane ever carries a tuple frame after its End, and
+// recovery never has to replay one onto a lane whose client already tore its
+// session down — then sends End on every surviving lane and waits for each
+// client-side session's own End, which carries its delivered row count. A
+// lane lost during the handshake orphans nothing but that count.
+func (p *shipPool[T]) end() error {
+	if err := p.await(func() bool { return p.acked == p.dealt }); err != nil {
+		return err
+	}
+	for _, lane := range p.lanes {
+		lane.ship(nil, true, 0)
+	}
+	return p.await(func() bool { return p.reading == 0 })
+}
+
+// delivered sums the row counts the clients reported in their End replies.
+// Like the stats below, it reports zero on a nil pool (operator not opened).
+func (p *shipPool[T]) delivered() uint64 {
+	if p == nil {
+		return 0
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.endRows
+}
+
+// read drains one lane's reply stream, handing each reply to the policy with
+// the lane's oldest unacknowledged frame — empty replies included, they keep
+// the FIFO aligned — until the lane's End arrives. When the session dies
+// mid-query the reader is also the recovery agent: being the sole consumer
+// of the lane's FIFO, it can replay the unacked tail with no risk of racing
+// its own pops.
+func (p *shipPool[T]) read(lane *shipLane[T]) {
+	defer p.wg.Done()
+	defer func() {
+		if rec := recover(); rec != nil {
+			p.fail(fmt.Errorf("exec: session reader panicked: %v", rec))
+		}
+		p.mu.Lock()
+		p.reading--
+		p.mu.Unlock()
+		p.cond.Broadcast()
+	}()
+	// The Tuples slice is recycled across frames; the decoded values live in
+	// per-frame arenas and stay valid.
+	var recv wire.TupleBatch
+	for {
+		lane.mu.Lock()
+		sess, dead := lane.sess, lane.dead
+		lane.mu.Unlock()
+		if dead {
+			return
+		}
+		msg, err := sess.conn.Receive()
+		if err != nil {
+			if !p.recoverLane(lane, sess, err) {
+				return
+			}
+			continue
+		}
+		switch msg.Type {
+		case wire.MsgResultBatch:
+			err = wire.DecodeTupleBatchInto(&recv, msg.Payload)
+		case wire.MsgResultBatchDict:
+			err = wire.DecodeDictBatchInto(&recv, msg.Payload)
+		case wire.MsgEnd:
+			lane.mu.Lock()
+			endSent := lane.endSent
+			lane.mu.Unlock()
+			var end *wire.End
+			if !endSent {
+				err = fmt.Errorf("exec: unexpected END from client")
+			} else if end, err = wire.DecodeEnd(msg.Payload); err == nil {
+				p.mu.Lock()
+				p.endRows += end.Rows
+				p.mu.Unlock()
+				return
+			}
+		case wire.MsgError:
+			var e *wire.ErrorMsg
+			if e, err = wire.DecodeError(msg.Payload); err == nil {
+				err = fmt.Errorf("exec: client error: %s", e.Message)
+			}
+		default:
+			err = fmt.Errorf("exec: unexpected message %s", msg.Type)
+		}
+		if err != nil {
+			p.fail(err)
+			return
+		}
+		lane.mu.Lock()
+		if len(lane.unacked) == 0 {
+			lane.mu.Unlock()
+			p.fail(fmt.Errorf("exec: received more replies than frames sent"))
+			return
+		}
+		frame := lane.unacked[0]
+		lane.unacked[0] = shipFrame[T]{} // acknowledged: release the replay copy
+		lane.unacked = lane.unacked[1:]
+		lane.mu.Unlock()
+		if err := p.onReply(frame, recv.Tuples); err != nil {
+			p.fail(err)
+			return
+		}
+		p.mu.Lock()
+		p.acked++
+		p.mu.Unlock()
+		p.cond.Broadcast()
+	}
+}
+
+// failoverBudget bounds the total session losses one query may absorb, so a
+// link that keeps flapping cannot make recovery loop forever.
+func (p *shipPool[T]) failoverBudget() int64 { return int64(4*len(p.lanes) + 16) }
+
+// recoverLane handles a dead session on lane: replay the unacked FIFO (and
+// the End marker, if it was already sent) on a redialled replacement, or
+// degrade by migrating the FIFO to a surviving lane. It returns whether the
+// lane's reader should keep reading.
+func (p *shipPool[T]) recoverLane(lane *shipLane[T], failed *udfSession, cause error) bool {
+	// First unblock anyone mid-send on the dead connection: recovery below
+	// waits on the lane's send lock, and its holder can only release it once
+	// its blocked write errors out.
+	failed.abort()
+	// Teardown and cancellation are not faults.
+	if err := p.ctx.Err(); err != nil {
+		p.fail(err)
+		return false
+	}
+	if p.retry.Disable || wire.Classify(cause) != wire.ClassRetryable {
+		p.fail(cause)
+		return false
+	}
+	if p.faults.failovers.Load() >= p.failoverBudget() {
+		p.fail(fmt.Errorf("exec: failover budget exhausted: %w", cause))
+		return false
+	}
+	p.faults.failovers.Add(1)
+	repl, rerr := p.factory.redial(p.ctx)
+	if rerr != nil && wire.Classify(rerr) == wire.ClassCanceled {
+		p.fail(rerr)
+		return false
+	}
+	lane.sendMu.Lock()
+	lane.mu.Lock()
+	if lane.dead {
+		// close retired the lane while we redialled; nothing left to do.
+		lane.mu.Unlock()
+		lane.sendMu.Unlock()
+		repl.close()
+		return false
+	}
+	if rerr == nil {
+		lane.sess = repl
+		frames, endSent := slices.Clone(lane.unacked), lane.endSent
+		lane.mu.Unlock()
+		// Replay in its own goroutine while this reader resumes draining the
+		// replacement: over an unbuffered link the client blocks writing its
+		// reply to the first replayed frame until someone receives it, so a
+		// synchronous replay here would deadlock. Holding the send lock until
+		// the replay finishes keeps new frames behind the replayed tail in
+		// wire order. FIFO acks guarantee a frame is only acknowledged (and
+		// its replay copy released) after this loop has already re-sent it.
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			defer lane.sendMu.Unlock()
+			if err := replay(repl, frames, endSent); err != nil {
+				// The replacement died during replay; the reader's next
+				// receive errors and recovery runs again, bounded by the
+				// budget.
+				repl.abort()
+			}
+		}()
+		p.retire(failed)
+		p.faults.replayed.Add(int64(len(frames)))
+		return true
+	}
+	// Degradation: the lane is gone; re-deal its unacked frames to the first
+	// surviving lane. The pool shrinks — possibly down to one session — and
+	// only when frames are owed and no survivor is left does the query fail.
+	p.faults.lost.Add(1)
+	lane.dead = true
+	orphans := lane.unacked
+	lane.unacked = nil
+	lane.mu.Unlock()
+	lane.sendMu.Unlock()
+	p.retire(failed)
+	if !p.migrate(orphans) {
+		p.fail(exhausted(cause))
+	}
+	return false
+}
+
+// migrate re-deals orphaned frames onto the first surviving lane. A failed
+// send is not fatal here either: the frames are parked on the survivor first,
+// so the survivor's own reader replays them. Owing nothing always succeeds:
+// losing the last session after its final reply arrived is not an error.
+func (p *shipPool[T]) migrate(orphans []shipFrame[T]) bool {
+	if len(orphans) == 0 {
+		return true
+	}
+	for _, lane := range p.lanes {
+		if lane.ship(orphans, false, 0) == laneShipped {
+			p.faults.replayed.Add(int64(len(orphans)))
+			return true
+		}
+	}
+	return false
+}
+
+// retire folds a finished session's traffic into the pool's stats and closes
+// it.
+func (p *shipPool[T]) retire(sess *udfSession) {
+	p.mu.Lock()
+	p.stats.BytesDown += sess.conn.BytesSent()
+	p.stats.BytesUp += sess.conn.BytesReceived()
+	p.mu.Unlock()
+	sess.close()
+}
+
+// close retires every lane and returns once the readers and replays have
+// exited. Closing the connections is what unblocks them (and a dealer that
+// is mid-send) wherever they are parked, so it works both after a clean
+// drain and when the consumer abandons the stream early.
+func (p *shipPool[T]) close() {
+	p.fail(errShipPoolClosed)
+	p.cancel()
+	live := 0
+	for _, lane := range p.lanes {
+		lane.mu.Lock()
+		sess, dead := lane.sess, lane.dead
+		lane.dead = true
+		lane.mu.Unlock()
+		if !dead {
+			live++
+			p.retire(sess)
+		}
+	}
+	p.mu.Lock()
+	p.live = live
+	p.mu.Unlock()
+	p.wg.Wait()
+}
+
+// netStats reports the pool's traffic: retired sessions' bytes are already
+// folded into stats, sessions still serving contribute their running
+// counters.
+func (p *shipPool[T]) netStats() NetStats {
+	if p == nil {
+		return NetStats{}
+	}
+	p.mu.Lock()
+	out := p.stats
+	p.mu.Unlock()
+	for _, lane := range p.lanes {
+		lane.mu.Lock()
+		if !lane.dead {
+			out.BytesDown += lane.sess.conn.BytesSent()
+			out.BytesUp += lane.sess.conn.BytesReceived()
+		}
+		lane.mu.Unlock()
+	}
+	return out
+}
+
+// faultStats reports the pool's fault-tolerance activity and how many lanes
+// are still serving — or were when the pool closed, which retires them all.
+func (p *shipPool[T]) faultStats() FaultStats {
+	if p == nil {
+		return FaultStats{}
+	}
+	p.mu.Lock()
+	live := p.live
+	p.mu.Unlock()
+	for _, lane := range p.lanes {
+		lane.mu.Lock()
+		if !lane.dead {
+			live++
+		}
+		lane.mu.Unlock()
+	}
+	return p.faults.snapshot(live)
+}

@@ -2,10 +2,8 @@ package storage
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"csq/internal/types"
 )
@@ -187,125 +185,5 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if tbl.RowCount() != 200 {
 		t.Errorf("concurrent inserts lost rows: %d", tbl.RowCount())
-	}
-}
-
-func TestHashIndex(t *testing.T) {
-	tbl, _ := NewHeapTable("R", quotesSchema())
-	for i := 0; i < 20; i++ {
-		_ = tbl.Insert(sampleRow(fmt.Sprintf("N%d", i%4), float64(i)))
-	}
-	idx, err := BuildHashIndex(tbl, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.Len() != 20 || idx.DistinctKeys() != 4 {
-		t.Errorf("Len=%d DistinctKeys=%d", idx.Len(), idx.DistinctKeys())
-	}
-	probe := types.NewTuple(types.NewString("N1"))
-	matches := idx.Probe(probe, []int{0})
-	if len(matches) != 5 {
-		t.Errorf("Probe(N1) = %d rows, want 5", len(matches))
-	}
-	if got := idx.ProbeKey(probe.Key([]int{0})); len(got) != 5 {
-		t.Errorf("ProbeKey = %d rows", len(got))
-	}
-	none := idx.Probe(types.NewTuple(types.NewString("ZZ")), []int{0})
-	if len(none) != 0 {
-		t.Errorf("Probe(ZZ) = %d rows, want 0", len(none))
-	}
-	if _, err := BuildHashIndex(tbl, nil); err == nil {
-		t.Error("empty key should fail")
-	}
-	if _, err := BuildHashIndex(tbl, []int{9}); err == nil {
-		t.Error("out-of-range key should fail")
-	}
-	manual := NewHashIndex([]int{0})
-	manual.Insert(types.NewTuple(types.NewString("k"), types.NewInt(1)))
-	if manual.Len() != 1 {
-		t.Error("manual index insert failed")
-	}
-}
-
-func TestSortedIndex(t *testing.T) {
-	tbl, _ := NewHeapTable("R", quotesSchema())
-	vals := []float64{5, 1, 9, 3, 7, 3}
-	for i, v := range vals {
-		_ = tbl.Insert(sampleRow(fmt.Sprintf("N%d", i), v))
-	}
-	idx, err := BuildSortedIndex(tbl, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.Len() != len(vals) {
-		t.Errorf("Len = %d", idx.Len())
-	}
-	it := idx.Scan()
-	prev := -1.0
-	for {
-		row, ok := it.Next()
-		if !ok {
-			break
-		}
-		f, _ := row[1].Float()
-		if f < prev {
-			t.Errorf("scan out of order: %g after %g", f, prev)
-		}
-		prev = f
-	}
-	probe := types.NewTuple(types.NewFloat(3))
-	matches := idx.Lookup(probe, []int{0})
-	if len(matches) != 2 {
-		t.Errorf("Lookup(3) = %d rows, want 2", len(matches))
-	}
-	if m := idx.Lookup(types.NewTuple(types.NewFloat(100)), []int{0}); len(m) != 0 {
-		t.Errorf("Lookup(100) = %d rows", len(m))
-	}
-	pos, ok := idx.SeekGE(types.NewTuple(types.NewFloat(6)), []int{0})
-	if !ok {
-		t.Fatal("SeekGE(6) should find a row")
-	}
-	if f, _ := idx.Row(pos)[1].Float(); f != 7 {
-		t.Errorf("SeekGE(6) landed on %g, want 7", f)
-	}
-	if _, ok := idx.SeekGE(types.NewTuple(types.NewFloat(100)), []int{0}); ok {
-		t.Error("SeekGE past the end should report !ok")
-	}
-	if _, err := BuildSortedIndex(tbl, nil); err == nil {
-		t.Error("empty key should fail")
-	}
-	if _, err := BuildSortedIndex(tbl, []int{-1}); err == nil {
-		t.Error("negative key ordinal should fail")
-	}
-}
-
-// TestQuickIndexAgreement property: for random tables, hash-index probes and
-// sorted-index lookups return the same multiset of rows for every key.
-func TestQuickIndexAgreement(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		tbl, _ := NewHeapTable("R", quotesSchema())
-		n := 5 + r.Intn(60)
-		for i := 0; i < n; i++ {
-			_ = tbl.Insert(sampleRow(fmt.Sprintf("K%d", r.Intn(8)), float64(r.Intn(5))))
-		}
-		h, err := BuildHashIndex(tbl, []int{0})
-		if err != nil {
-			return false
-		}
-		s, err := BuildSortedIndex(tbl, []int{0})
-		if err != nil {
-			return false
-		}
-		for k := 0; k < 8; k++ {
-			probe := types.NewTuple(types.NewString(fmt.Sprintf("K%d", k)))
-			if len(h.Probe(probe, []int{0})) != len(s.Lookup(probe, []int{0})) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
