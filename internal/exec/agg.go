@@ -235,7 +235,7 @@ func (h *HashAggregate) foldTuple(groups map[uint64][]*aggState, states *[]*aggS
 		}
 		groups[hash] = append(groups[hash], st)
 		*states = append(*states, st)
-		charge = tupleMemSize(groupRow) + aggStateMemSize(len(h.aggs))
+		charge = tupleMemSize(groupRow) + AggStateMemSize(len(h.aggs))
 	}
 	if err := h.accumulate(st, t); err != nil {
 		return 0, err

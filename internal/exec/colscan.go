@@ -183,10 +183,14 @@ func (s *ColumnarScan) advance() (bool, error) {
 		if err != nil {
 			return false, fmt.Errorf("exec: columnar scan: %w", err)
 		}
-		// Charge roughly the decoded footprint: the value arena plus the
-		// encoded payload it carries. Shared decodes charge the same amount —
-		// the bytes were read by a peer, but this query retains them too.
-		charge := footprint + int64(len(tuples))*tupleMemOverhead
+		// Charge the decoded footprint: one slice header and a full-width
+		// row of the Value arena per tuple, plus the bytes read as the bound
+		// on the variable-width payloads the decoded columns point to (a
+		// payload is at most its encoding; a dictionary chunk decodes to
+		// shared entries). Shared decodes charge the same amount — the bytes
+		// were read by a peer, but this query retains them too.
+		rowMem := int64(types.TupleHeaderMemSize + s.schema.Len()*types.ValueMemSize)
+		charge := footprint + int64(len(tuples))*rowMem
 		if err := s.mem.grow(charge); err != nil {
 			return false, err
 		}

@@ -330,6 +330,69 @@ func TestHashJoin(t *testing.T) {
 	}
 }
 
+// TestLargeIntKeysStayDistinct is the regression test for INT keys that agree
+// as float64 (2^53 and 2^53+1 share one hash, and used to compare equal): a
+// hash join must match each only with itself, an aggregate and a Distinct
+// must keep them in two groups.
+func TestLargeIntKeysStayDistinct(t *testing.T) {
+	const k = int64(1) << 53
+	schema := types.NewSchema(
+		types.Column{Name: "K", Kind: types.KindInt},
+		types.Column{Name: "V", Kind: types.KindInt},
+	)
+	rows := func() []types.Tuple {
+		return []types.Tuple{
+			{types.NewInt(k), types.NewInt(1)},
+			{types.NewInt(k + 1), types.NewInt(10)},
+		}
+	}
+	ctx := context.Background()
+
+	j, err := NewHashJoin(NewValuesScan(schema, rows()), NewValuesScan(schema, rows()), []int{0}, []int{0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined, err := Collect(ctx, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(joined) != 2 {
+		t.Fatalf("join over keys 2^53 and 2^53+1 = %d rows, want 2: %v", len(joined), joined)
+	}
+	for _, r := range joined {
+		if !r[0].Equal(r[2]) || !r[1].Equal(r[3]) {
+			t.Errorf("joined a key with its neighbour: %v", r)
+		}
+	}
+
+	agg, err := NewHashAggregate(NewValuesScan(schema, append(rows(), rows()...)), []int{0}, []Aggregate{
+		{Func: AggCount, Ordinal: -1, Name: "n"},
+		{Func: AggSum, Ordinal: 1, Name: "s"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, err := Collect(ctx, agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []types.Tuple{
+		{types.NewInt(k), types.NewInt(2), types.NewInt(2)},
+		{types.NewInt(k + 1), types.NewInt(2), types.NewInt(20)},
+	}
+	if len(groups) != 2 || !groups[0].Equal(want[0]) || !groups[1].Equal(want[1]) {
+		t.Errorf("aggregate over keys 2^53 and 2^53+1 = %v, want %v", groups, want)
+	}
+
+	distinct, err := Collect(ctx, NewDistinct(NewValuesScan(schema, append(rows(), rows()...)), []int{0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(distinct) != 2 {
+		t.Errorf("distinct over keys 2^53 and 2^53+1 = %v, want 2 rows", distinct)
+	}
+}
+
 // ---- aggregation ----
 
 func TestHashAggregate(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"csq/internal/storage"
+	"csq/internal/types"
 )
 
 // MemTracker is the per-query memory governor. Memory-hungry operators (the
@@ -240,14 +241,10 @@ func (a *memAccount) releaseAll() {
 	}
 }
 
-// tupleMemOverhead approximates the in-memory bookkeeping of one retained
-// tuple (slice header, hash-chain entry) on top of its encoded payload size.
-const tupleMemOverhead = 48
-
-// tupleMemSize is the memory charge for retaining t.
-func tupleMemSize(t interface{ Size() int }) int64 {
-	return int64(t.Size()) + tupleMemOverhead
-}
+// tupleMemSize is the memory charge for retaining t: the bytes it keeps
+// resident (slice header, Values, variable-width payloads), not its encoded
+// size. The hash-table entry that points to it is not counted.
+func tupleMemSize(t types.Tuple) int64 { return int64(t.MemSize()) }
 
 // memTrackerKey carries the query's MemTracker through the Open-time context.
 type memTrackerKey struct{}

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"net"
+	"sort"
 	"testing"
 	"time"
 
@@ -37,14 +38,21 @@ func TestProbeAsymmetryShapedLink(t *testing.T) {
 
 func TestProbeAsymmetryUnlimitedLink(t *testing.T) {
 	link := fastLink(t)
-	obs, err := ProbeAsymmetry(context.Background(), link, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// An unshaped in-process pipe may still show tiny measurable times, but
 	// the asymmetry must come out near 1 (both directions behave the same).
-	if obs.Asymmetry < 0.2 || obs.Asymmetry > 5 {
-		t.Errorf("unshaped link asymmetry = %.3f, want ~1", obs.Asymmetry)
+	// One probe is a ratio of two microsecond-scale send times and a single
+	// scheduling hiccup skews it, so the assertion is on the median of five.
+	ratios := make([]float64, 5)
+	for i := range ratios {
+		obs, err := ProbeAsymmetry(context.Background(), link, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratios[i] = obs.Asymmetry
+	}
+	sort.Float64s(ratios)
+	if median := ratios[len(ratios)/2]; median < 0.2 || median > 5 {
+		t.Errorf("unshaped link asymmetry: median %.3f of %.3f, want ~1", median, ratios)
 	}
 }
 

@@ -36,9 +36,14 @@ import (
 // does not size one from its memory estimate.
 const DefaultSpillPartitions = 16
 
-// aggStateMemSize approximates the in-memory footprint of one aggregation
-// state beyond its group row: the per-aggregate accumulator slices.
-func aggStateMemSize(nAggs int) int64 { return 96 + int64(nAggs)*56 }
+// AggStateMemSize is the in-memory footprint of one aggregation state beyond
+// its group row (charged by tupleMemSize): the aggState struct less the group
+// row's slice header (a count and four slice headers, 104 bytes), the two
+// pointers to it (collision chain and state list), and per aggregate one sum,
+// one count and a min and a max Value.
+func AggStateMemSize(nAggs int) int64 {
+	return 104 + 16 + int64(nAggs*(16+2*types.ValueMemSize))
+}
 
 // spillPartitions normalises a configured partition count.
 func spillPartitions(n int) int {
@@ -550,7 +555,7 @@ func (sp *aggSpill) finish(ctx context.Context, h *HashAggregate) ([]types.Tuple
 			hash := st.groupRow.Hash(groupOrds)
 			groups[hash] = append(groups[hash], st)
 			states = append(states, st)
-			n := tupleMemSize(st.groupRow) + aggStateMemSize(sp.nAggs)
+			n := tupleMemSize(st.groupRow) + AggStateMemSize(sp.nAggs)
 			if err := h.mem.t.Grow(n); err != nil {
 				_ = sr.Close()
 				h.mem.t.Shrink(charged)

@@ -25,9 +25,46 @@ type memEstimate struct {
 	OpBytes int64
 }
 
-// memOverheadPerRow mirrors the execution layer's per-retained-tuple
-// bookkeeping charge, so estimates and tracker charges are comparable.
-const memOverheadPerRow = 48
+// rowShape is what the execution layer's charge for retaining one tuple
+// (types.Tuple.MemSize) depends on besides the payload: how many columns the
+// row has and how many bytes of its encoded size (types.Tuple.Size) are fixed
+// per-column encoding rather than variable-width payload.
+type rowShape struct {
+	width int
+	fixed float64
+}
+
+func (r *rowShape) add(k types.Kind) {
+	r.width++
+	switch k {
+	case types.KindInt, types.KindFloat:
+		r.fixed += 10
+	case types.KindBool:
+		r.fixed += 3
+	default:
+		r.fixed += 6
+	}
+}
+
+func shapeOf(cols []types.Column) rowShape {
+	var r rowShape
+	for _, c := range cols {
+		r.add(c.Kind)
+	}
+	return r
+}
+
+// residentBytes mirrors types.Tuple.MemSize for a row of this shape whose
+// average encoded size is encoded, so estimates and tracker charges are
+// comparable: a slice header and one Value per column, plus the payload —
+// what is left of the encoded size once the fixed encoding is taken out.
+func (r rowShape) residentBytes(encoded float64) float64 {
+	payload := encoded - 4 - r.fixed
+	if payload < 0 {
+		payload = 0
+	}
+	return float64(types.TupleHeaderMemSize+r.width*types.ValueMemSize) + payload
+}
 
 // defaultRowBytes sizes a row from its schema kinds when no statistics exist.
 func defaultRowBytes(s *types.Schema) float64 {
@@ -95,17 +132,21 @@ func estimateMem(root logical.Node, decisions map[*logical.UDFApply]*Decision) m
 			}
 			est.RowBytes = l.RowBytes + r.RowBytes
 			// The hash join materialises its right (build) input.
-			est.OpBytes = int64(r.Rows * (r.RowBytes + memOverheadPerRow))
+			est.OpBytes = int64(r.Rows * shapeOf(t.Right.Schema().Columns).residentBytes(r.RowBytes))
 		case *logical.Aggregate:
 			in := walk(t.Input)
 			// Worst case: every input row is its own group.
 			est.Rows = in.Rows
 			est.RowBytes = defaultRowBytes(t.Schema())
-			est.OpBytes = int64(in.Rows * (est.RowBytes + memOverheadPerRow))
+			// Per group: the group row (the leading output columns) and the
+			// accumulators.
+			group := shapeOf(t.Schema().Columns[:len(t.GroupBy)])
+			groupBytes := est.RowBytes * float64(len(t.GroupBy)) / float64(t.Schema().Len())
+			est.OpBytes = int64(in.Rows * (group.residentBytes(groupBytes) + float64(exec.AggStateMemSize(len(t.Aggs)))))
 		case *logical.Distinct:
 			in := walk(t.Input)
 			est.Rows, est.RowBytes = in.Rows, in.RowBytes
-			est.OpBytes = int64(in.Rows * (in.RowBytes + memOverheadPerRow))
+			est.OpBytes = int64(in.Rows * shapeOf(t.Schema().Columns).residentBytes(in.RowBytes))
 		case *logical.Limit:
 			in := walk(t.Input)
 			est.Rows = in.Rows
@@ -152,7 +193,15 @@ func applyMemEstimate(apply *logical.UDFApply, in memEstimate, d *Decision) memE
 	distinct := rows * d.Params.DistinctFraction
 	switch d.Strategy {
 	case StrategySemiJoin, StrategyNaive:
-		est.OpBytes = int64(distinct * (argBytes + d.Params.ResultSize + 2*memOverheadPerRow))
+		// Per distinct argument: the argument tuple and the result tuple.
+		var args, results rowShape
+		for _, o := range apply.ArgOrdinals() {
+			args.add(apply.Input.Schema().Columns[o].Kind)
+		}
+		for _, u := range apply.UDFs {
+			results.add(u.ResultKind)
+		}
+		est.OpBytes = int64(distinct * (args.residentBytes(argBytes) + results.residentBytes(d.Params.ResultSize)))
 	case StrategyClientJoin:
 		est.OpBytes = 0
 	}

@@ -166,6 +166,11 @@ func DecodeTuple(src []byte) (Tuple, int, error) {
 	if n > 1<<20 {
 		return nil, 0, fmt.Errorf("types: decode tuple: column count %d too large", n)
 	}
+	// Every value takes at least its tag byte, so a count beyond the input
+	// is refused before it sizes an allocation.
+	if n > uint64(len(src)-c) {
+		return nil, 0, fmt.Errorf("types: decode tuple: %d columns in %d bytes", n, len(src)-c)
+	}
 	off := c
 	t := make(Tuple, 0, n)
 	for i := uint64(0); i < n; i++ {

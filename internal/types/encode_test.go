@@ -243,13 +243,19 @@ func TestQuickTupleRoundTrip(t *testing.T) {
 }
 
 // TestQuickCompareTotalOrder property: Compare over same-kind values is a
-// total order — antisymmetric and transitive on random triples.
+// total order — antisymmetric and transitive on random triples, and zero only
+// on identical keys. It runs over the whole int64 range and again over
+// triples drawn around ±2^53 and the ends of the range, the INTs float64
+// cannot tell apart.
 func TestQuickCompareTotalOrder(t *testing.T) {
 	f := func(a, b, c int64) bool {
 		va, vb, vc := NewInt(a), NewInt(b), NewInt(c)
 		ab, _ := Compare(va, vb)
 		ba, _ := Compare(vb, va)
 		if ab != -ba {
+			return false
+		}
+		if (ab == 0) != (a == b) || va.Equal(vb) != (a == b) {
 			return false
 		}
 		ac, _ := Compare(va, vc)
@@ -260,6 +266,15 @@ func TestQuickCompareTotalOrder(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	anchors := []int64{1 << 53, -(1 << 53), 1 << 62, math.MaxInt64 - 4, math.MinInt64 + 4}
+	nearAnchors := &quick.Config{MaxCount: 2000, Values: func(args []reflect.Value, r *rand.Rand) {
+		for i := range args {
+			args[i] = reflect.ValueOf(anchors[r.Intn(len(anchors))] + int64(r.Intn(9)) - 4)
+		}
+	}}
+	if err := quick.Check(f, nearAnchors); err != nil {
 		t.Error(err)
 	}
 }

@@ -94,6 +94,19 @@ func (t Tuple) Size() int {
 	return n
 }
 
+// MemSize returns the bytes the tuple keeps resident: its slice header, its
+// Values, and the variable-width payloads they point to. It is what a memory
+// budget is charged for retaining t; Size is what the cost model and the wire
+// are charged for shipping it. A payload shared between values (a dictionary
+// entry, a sub-slice of one buffer) is counted once per value pointing to it.
+func (t Tuple) MemSize() int {
+	n := TupleHeaderMemSize + len(t)*ValueMemSize
+	for _, v := range t {
+		n += v.payloadMemSize()
+	}
+	return n
+}
+
 // Hash combines the hashes of the values at the given ordinals. When ordinals
 // is nil the whole tuple is hashed.
 func (t Tuple) Hash(ordinals []int) uint64 {

@@ -1,11 +1,13 @@
 package types
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // ErrNull is returned by accessors when the value is NULL.
@@ -14,20 +16,43 @@ var ErrNull = errors.New("types: value is NULL")
 // ErrKindMismatch is returned when a value is accessed as the wrong kind.
 var ErrKindMismatch = errors.New("types: kind mismatch")
 
-// Value is a single, immutable SQL value. The zero Value is NULL.
+// Value is a single, immutable SQL value. The zero Value is NULL of KindNull.
 //
-// Value is a small struct passed by value; variable-width payloads (strings,
-// bytes, time series) are held by reference, so copying a Value is cheap.
+// A Value is three words (24 bytes) passed by value. INT and BOOL keep their
+// payload in w, FLOAT keeps its IEEE-754 bits there, and the three
+// variable-width kinds keep a pointer to the first element of their payload
+// in p and its length (bytes for STRING and BYTES, samples for TIMESERIES) in
+// w. Scalars box nothing; a STRING, BYTES or TIMESERIES value shares its
+// constructor argument's backing array exactly as a string or slice header
+// would, so copying a Value never copies a payload.
+//
+// p is an unsafe.Pointer, never a uintptr, so the garbage collector sees it
+// and keeps the payload alive. It is written only from unsafe.StringData and
+// unsafe.SliceData and read only through unsafe.String and unsafe.Slice with
+// the length in w, after the kind has been checked; that is what keeps every
+// accessor memory-safe. This file is the only one outside tests that imports
+// unsafe (CI checks it).
+//
+// Two Values holding equal payloads generally hold different addresses, so
+// == and reflect.DeepEqual on Values would compare the wrong thing; the
+// zero-width array of funcs makes == a compile error. Use Compare or Equal,
+// or compare encodings.
 type Value struct {
+	_     [0]func()
+	p     unsafe.Pointer // payload of STRING, BYTES, TIMESERIES; nil otherwise
+	w     uint64         // INT/BOOL word, FLOAT bits, or the length of p's payload
 	kind  Kind
 	null  bool
-	i     int64
-	f     float64
-	s     string
-	b     []byte
-	ts    TimeSeries
 	valid bool // distinguishes the zero Value (NULL of KindNull) from constructed values
 }
+
+// ValueMemSize is the resident size of one Value in bytes, excluding the
+// variable-width payload it may point to; TupleHeaderMemSize is that of a
+// Tuple's slice header. Tuple.MemSize adds them up.
+const (
+	ValueMemSize       = int(unsafe.Sizeof(Value{}))
+	TupleHeaderMemSize = int(unsafe.Sizeof(Tuple(nil)))
+)
 
 // Null returns a NULL value of the given kind.
 func Null(kind Kind) Value {
@@ -35,29 +60,51 @@ func Null(kind Kind) Value {
 }
 
 // NewInt returns an INT value.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v, valid: true} }
+func NewInt(v int64) Value { return Value{kind: KindInt, w: uint64(v), valid: true} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v, valid: true} }
+func NewFloat(v float64) Value {
+	return Value{kind: KindFloat, w: math.Float64bits(v), valid: true}
+}
 
 // NewString returns a STRING value.
-func NewString(v string) Value { return Value{kind: KindString, s: v, valid: true} }
+func NewString(v string) Value {
+	return Value{kind: KindString, p: unsafe.Pointer(unsafe.StringData(v)), w: uint64(len(v)), valid: true}
+}
 
 // NewBool returns a BOOL value.
 func NewBool(v bool) Value {
-	i := int64(0)
+	w := uint64(0)
 	if v {
-		i = 1
+		w = 1
 	}
-	return Value{kind: KindBool, i: i, valid: true}
+	return Value{kind: KindBool, w: w, valid: true}
 }
 
 // NewBytes returns a BYTES value. The slice is not copied; callers must not
 // mutate it afterwards.
-func NewBytes(v []byte) Value { return Value{kind: KindBytes, b: v, valid: true} }
+func NewBytes(v []byte) Value {
+	return Value{kind: KindBytes, p: unsafe.Pointer(unsafe.SliceData(v)), w: uint64(len(v)), valid: true}
+}
 
 // NewTimeSeries returns a TIMESERIES value. The series is not copied.
-func NewTimeSeries(ts TimeSeries) Value { return Value{kind: KindTimeSeries, ts: ts, valid: true} }
+func NewTimeSeries(ts TimeSeries) Value {
+	return Value{kind: KindTimeSeries, p: unsafe.Pointer(unsafe.SliceData(ts)), w: uint64(len(ts)), valid: true}
+}
+
+// The payload readers below trust kind: each is called only after the kind
+// has been checked, so p points at w elements of the type it is read as. The
+// slices they return have cap == len, so an append on one reallocates instead
+// of writing past the payload; a nil payload reads back nil and an empty
+// non-nil one non-nil.
+
+func (v Value) int() int64     { return int64(v.w) }
+func (v Value) float() float64 { return math.Float64frombits(v.w) }
+func (v Value) str() string    { return unsafe.String((*byte)(v.p), int(v.w)) }
+func (v Value) bytes() []byte  { return unsafe.Slice((*byte)(v.p), int(v.w)) }
+func (v Value) series() TimeSeries {
+	return unsafe.Slice((*float64)(v.p), int(v.w))
+}
 
 // Kind returns the value's declared kind. The zero Value reports KindNull.
 func (v Value) Kind() Kind {
@@ -78,7 +125,7 @@ func (v Value) Int() (int64, error) {
 	if v.kind != KindInt && v.kind != KindBool {
 		return 0, fmt.Errorf("%w: have %s, want INT", ErrKindMismatch, v.kind)
 	}
-	return v.i, nil
+	return v.int(), nil
 }
 
 // Float returns the float64 payload. INT values are widened.
@@ -88,9 +135,9 @@ func (v Value) Float() (float64, error) {
 	}
 	switch v.kind {
 	case KindFloat:
-		return v.f, nil
+		return v.float(), nil
 	case KindInt:
-		return float64(v.i), nil
+		return float64(v.int()), nil
 	default:
 		return 0, fmt.Errorf("%w: have %s, want FLOAT", ErrKindMismatch, v.kind)
 	}
@@ -104,7 +151,7 @@ func (v Value) Str() (string, error) {
 	if v.kind != KindString {
 		return "", fmt.Errorf("%w: have %s, want STRING", ErrKindMismatch, v.kind)
 	}
-	return v.s, nil
+	return v.str(), nil
 }
 
 // Bool returns the boolean payload of a BOOL value.
@@ -115,7 +162,7 @@ func (v Value) Bool() (bool, error) {
 	if v.kind != KindBool {
 		return false, fmt.Errorf("%w: have %s, want BOOL", ErrKindMismatch, v.kind)
 	}
-	return v.i != 0, nil
+	return v.w != 0, nil
 }
 
 // Bytes returns the byte payload of a BYTES value. Callers must not mutate the
@@ -127,7 +174,7 @@ func (v Value) Bytes() ([]byte, error) {
 	if v.kind != KindBytes {
 		return nil, fmt.Errorf("%w: have %s, want BYTES", ErrKindMismatch, v.kind)
 	}
-	return v.b, nil
+	return v.bytes(), nil
 }
 
 // Series returns the time-series payload of a TIMESERIES value.
@@ -138,7 +185,7 @@ func (v Value) Series() (TimeSeries, error) {
 	if v.kind != KindTimeSeries {
 		return nil, fmt.Errorf("%w: have %s, want TIMESERIES", ErrKindMismatch, v.kind)
 	}
-	return v.ts, nil
+	return v.series(), nil
 }
 
 // Size returns the approximate encoded size of the value in bytes. The cost
@@ -153,14 +200,25 @@ func (v Value) Size() int {
 		return 10
 	case KindBool:
 		return 3
-	case KindString:
-		return 6 + len(v.s)
-	case KindBytes:
-		return 6 + len(v.b)
+	case KindString, KindBytes:
+		return 6 + int(v.w)
 	case KindTimeSeries:
-		return 6 + 8*len(v.ts)
+		return 6 + 8*int(v.w)
 	default:
 		return 2
+	}
+}
+
+// payloadMemSize returns the bytes of variable-width payload v points to: what
+// the value keeps resident beyond its own ValueMemSize.
+func (v Value) payloadMemSize() int {
+	switch v.kind {
+	case KindString, KindBytes:
+		return int(v.w)
+	case KindTimeSeries:
+		return 8 * int(v.w)
+	default:
+		return 0
 	}
 }
 
@@ -171,20 +229,20 @@ func (v Value) String() string {
 	}
 	switch v.kind {
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindBool:
-		if v.i != 0 {
+		if v.w != 0 {
 			return "true"
 		}
 		return "false"
 	case KindString:
-		return v.s
+		return v.str()
 	case KindBytes:
-		return fmt.Sprintf("<bytes %d>", len(v.b))
+		return fmt.Sprintf("<bytes %d>", v.w)
 	case KindTimeSeries:
-		return v.ts.String()
+		return v.series().String()
 	default:
 		return "<invalid>"
 	}
@@ -214,28 +272,27 @@ func Compare(a, b Value) (int, error) {
 		return 1, nil
 	}
 	ak, bk := a.kind, b.kind
+	if ak == bk {
+		switch ak {
+		case KindInt, KindBool:
+			return compareInt(a.int(), b.int()), nil
+		case KindFloat:
+			return compareFloat(a.float(), b.float()), nil
+		case KindString:
+			return strings.Compare(a.str(), b.str()), nil
+		case KindBytes:
+			return bytes.Compare(a.bytes(), b.bytes()), nil
+		case KindTimeSeries:
+			return a.series().compare(b.series()), nil
+		}
+		return 0, fmt.Errorf("types: cannot compare values of kind %s", ak)
+	}
 	if ak.Numeric() && bk.Numeric() {
 		af, _ := a.Float()
 		bf, _ := b.Float()
 		return compareFloat(af, bf), nil
 	}
-	if ak != bk {
-		return 0, fmt.Errorf("%w: cannot compare %s with %s", ErrKindMismatch, ak, bk)
-	}
-	switch ak {
-	case KindInt, KindBool:
-		return compareInt(a.i, b.i), nil
-	case KindFloat:
-		return compareFloat(a.f, b.f), nil
-	case KindString:
-		return strings.Compare(a.s, b.s), nil
-	case KindBytes:
-		return compareBytes(a.b, b.b), nil
-	case KindTimeSeries:
-		return a.ts.compare(b.ts), nil
-	default:
-		return 0, fmt.Errorf("types: cannot compare values of kind %s", ak)
-	}
+	return 0, fmt.Errorf("%w: cannot compare %s with %s", ErrKindMismatch, ak, bk)
 }
 
 func compareInt(a, b int64) int {
@@ -264,22 +321,6 @@ func compareFloat(a, b float64) int {
 	}
 }
 
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return compareInt(int64(len(a)), int64(len(b)))
-}
-
 // Hash returns a 64-bit FNV-1a style hash of the value, suitable for hash
 // joins and duplicate elimination. Equal values (per Compare == 0) hash
 // identically; numeric values hash by their float64 representation so that
@@ -306,26 +347,26 @@ func (v Value) Hash() uint64 {
 	switch v.kind {
 	case KindInt:
 		mix(1)
-		mix8(math.Float64bits(float64(v.i)))
+		mix8(math.Float64bits(float64(v.int())))
 	case KindFloat:
 		mix(1)
-		mix8(math.Float64bits(v.f))
+		mix8(v.w)
 	case KindBool:
 		mix(2)
-		mix(byte(v.i))
+		mix(byte(v.w))
 	case KindString:
 		mix(3)
-		for i := 0; i < len(v.s); i++ {
-			mix(v.s[i])
+		for _, b := range v.bytes() {
+			mix(b)
 		}
 	case KindBytes:
 		mix(4)
-		for _, b := range v.b {
+		for _, b := range v.bytes() {
 			mix(b)
 		}
 	case KindTimeSeries:
 		mix(5)
-		for _, f := range v.ts {
+		for _, f := range v.series() {
 			mix8(math.Float64bits(f))
 		}
 	}
@@ -339,12 +380,10 @@ func (v Value) Truth() (bool, error) {
 		return false, nil
 	}
 	switch v.kind {
-	case KindBool:
-		return v.i != 0, nil
-	case KindInt:
-		return v.i != 0, nil
+	case KindBool, KindInt:
+		return v.w != 0, nil
 	case KindFloat:
-		return v.f != 0, nil
+		return v.float() != 0, nil
 	default:
 		return false, fmt.Errorf("%w: %s used in boolean context", ErrKindMismatch, v.kind)
 	}
@@ -363,24 +402,24 @@ func (v Value) Cast(target Kind) (Value, error) {
 	case KindInt:
 		switch v.kind {
 		case KindFloat:
-			return NewInt(int64(v.f)), nil
+			return NewInt(int64(v.float())), nil
 		case KindBool:
-			return NewInt(v.i), nil
+			return NewInt(v.int()), nil
 		case KindString:
-			i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
+			i, err := strconv.ParseInt(strings.TrimSpace(v.str()), 10, 64)
 			if err != nil {
-				return Value{}, fmt.Errorf("types: cannot cast %q to INT: %w", v.s, err)
+				return Value{}, fmt.Errorf("types: cannot cast %q to INT: %w", v.str(), err)
 			}
 			return NewInt(i), nil
 		}
 	case KindFloat:
 		switch v.kind {
 		case KindInt:
-			return NewFloat(float64(v.i)), nil
+			return NewFloat(float64(v.int())), nil
 		case KindString:
-			f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+			f, err := strconv.ParseFloat(strings.TrimSpace(v.str()), 64)
 			if err != nil {
-				return Value{}, fmt.Errorf("types: cannot cast %q to FLOAT: %w", v.s, err)
+				return Value{}, fmt.Errorf("types: cannot cast %q to FLOAT: %w", v.str(), err)
 			}
 			return NewFloat(f), nil
 		}
@@ -389,17 +428,17 @@ func (v Value) Cast(target Kind) (Value, error) {
 	case KindBool:
 		switch v.kind {
 		case KindInt:
-			return NewBool(v.i != 0), nil
+			return NewBool(v.w != 0), nil
 		case KindString:
-			b, err := strconv.ParseBool(strings.TrimSpace(strings.ToLower(v.s)))
+			b, err := strconv.ParseBool(strings.TrimSpace(strings.ToLower(v.str())))
 			if err != nil {
-				return Value{}, fmt.Errorf("types: cannot cast %q to BOOL: %w", v.s, err)
+				return Value{}, fmt.Errorf("types: cannot cast %q to BOOL: %w", v.str(), err)
 			}
 			return NewBool(b), nil
 		}
 	case KindBytes:
 		if v.kind == KindString {
-			return NewBytes([]byte(v.s)), nil
+			return NewBytes([]byte(v.str())), nil
 		}
 	}
 	return Value{}, fmt.Errorf("types: unsupported cast from %s to %s", v.kind, target)
