@@ -15,13 +15,13 @@ type Filter struct {
 	baseState
 	input   Operator
 	pred    expr.Expr
-	eval    *expr.Evaluator
+	match   expr.Predicate // pred, compiled at Open
 	scratch []types.Tuple
 }
 
 // NewFilter wraps input with the predicate.
 func NewFilter(input Operator, pred expr.Expr) *Filter {
-	return &Filter{input: input, pred: pred, eval: &expr.Evaluator{}}
+	return &Filter{input: input, pred: pred}
 }
 
 // Schema implements Operator.
@@ -35,6 +35,7 @@ func (f *Filter) Open(ctx context.Context) error {
 	if err := f.input.Open(ctx); err != nil {
 		return err
 	}
+	f.match = expr.CompilePredicate(&expr.Evaluator{}, f.pred)
 	f.markOpen(ctx)
 	return nil
 }
@@ -49,7 +50,7 @@ func (f *Filter) Next() (types.Tuple, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		keep, err := evalBoundPredicate(f.eval, f.pred, t)
+		keep, err := f.match(t)
 		if err != nil {
 			return nil, false, err
 		}
@@ -86,7 +87,7 @@ func (f *Filter) NextBatch(dst []types.Tuple) (int, error) {
 		}
 		out := 0
 		for _, t := range in[:n] {
-			keep, err := evalBoundPredicate(f.eval, f.pred, t)
+			keep, err := f.match(t)
 			if err != nil {
 				return out, err
 			}

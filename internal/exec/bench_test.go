@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"csq/internal/expr"
 	"csq/internal/netsim"
 	"csq/internal/types"
 )
@@ -291,6 +292,31 @@ func BenchmarkFilterProject(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			drainBatch(b, build())
+		}
+	})
+}
+
+// BenchmarkFilter runs a Filter over 4 096 rows with a two-sided INT range,
+// the shape of a pushed-down range predicate above a scan; half the rows pass.
+func BenchmarkFilter(b *testing.B) {
+	schema := types.NewSchema(
+		types.Column{Name: "Ts", Kind: types.KindInt},
+		types.Column{Name: "Sym", Kind: types.KindString},
+	)
+	rows := make([]types.Tuple, 4096)
+	for i := range rows {
+		rows[i] = types.NewTuple(types.NewInt(int64(i)), types.NewString(fmt.Sprintf("S%02d", i%16)))
+	}
+	ts := expr.NewBoundColumnRef(0, types.KindInt)
+	pred := expr.NewBinary(expr.OpAnd,
+		expr.NewBinary(expr.OpGe, ts, expr.NewConst(types.NewInt(1024))),
+		expr.NewBinary(expr.OpLt, ts, expr.NewConst(types.NewInt(3072))))
+	b.Run("range", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if n := drainBatch(b, NewFilter(NewValuesScan(schema, rows), pred)); n != 2048 {
+				b.Fatalf("%d rows passed, want 2048", n)
+			}
 		}
 	})
 }

@@ -36,7 +36,6 @@ import (
 	"context"
 	"fmt"
 
-	"csq/internal/expr"
 	"csq/internal/types"
 )
 
@@ -246,12 +245,4 @@ func (b *baseState) checkOpen() error {
 		}
 	}
 	return nil
-}
-
-// evalBoundPredicate is a tiny helper shared by Filter and join operators.
-func evalBoundPredicate(ev *expr.Evaluator, pred expr.Expr, t types.Tuple) (bool, error) {
-	if pred == nil {
-		return true, nil
-	}
-	return ev.EvalBool(pred, t)
 }

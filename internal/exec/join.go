@@ -19,7 +19,7 @@ type HashJoin struct {
 	leftKeys    []int
 	rightKeys   []int
 	residual    expr.Expr
-	eval        *expr.Evaluator
+	match       expr.Predicate // residual, compiled at Open
 	schema      *types.Schema
 
 	// SpillPartitions is the Grace partition fan-out used if the build side
@@ -54,7 +54,6 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []int, residual expr.
 		left: left, right: right,
 		leftKeys: leftKeys, rightKeys: rightKeys,
 		residual: residual,
-		eval:     &expr.Evaluator{},
 		schema:   left.Schema().Concat(right.Schema()),
 	}, nil
 }
@@ -71,6 +70,7 @@ func (j *HashJoin) Open(ctx context.Context) error {
 		return err
 	}
 	j.mem = memAccount{t: MemTrackerFrom(ctx)}
+	j.match = expr.CompilePredicate(&expr.Evaluator{}, j.residual)
 	j.spill = nil
 	j.table = make(map[uint64][]joinBucket)
 	batch := make([]types.Tuple, DefaultBatchSize)
@@ -176,7 +176,7 @@ func (j *HashJoin) Next() (types.Tuple, bool, error) {
 			match := j.pending[0]
 			j.pending = j.pending[1:]
 			out := j.current.Concat(match)
-			keep, err := evalBoundPredicate(j.eval, j.residual, out)
+			keep, err := j.match(out)
 			if err != nil {
 				return nil, false, err
 			}
@@ -221,15 +221,13 @@ func (j *HashJoin) NextBatch(dst []types.Tuple) (int, error) {
 			}
 			var joined types.Tuple
 			arena, joined = types.ConcatInto(arena, j.current, match)
-			if j.residual != nil {
-				keep, err := j.eval.EvalBool(j.residual, joined)
-				if err != nil {
-					return out, err
-				}
-				if !keep {
-					arena = arena[:len(arena)-width]
-					continue
-				}
+			keep, err := j.match(joined)
+			if err != nil {
+				return out, err
+			}
+			if !keep {
+				arena = arena[:len(arena)-width]
+				continue
 			}
 			dst[out] = joined
 			out++

@@ -339,7 +339,7 @@ func (sp *joinSpill) joinPartition(ctx context.Context, p int) error {
 		}
 		for _, m := range matches {
 			joined := t.Concat(m)
-			keep, err := evalBoundPredicate(j.eval, j.residual, joined)
+			keep, err := j.match(joined)
 			if err != nil {
 				return err
 			}

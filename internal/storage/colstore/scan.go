@@ -180,12 +180,10 @@ func (s *Snapshot) ReadSegment(i int, cols []int, buf []byte) ([]types.Tuple, in
 			return nil, 0, buf, fmt.Errorf("colstore: read segment %d column %d: %w", i, col, err)
 		}
 		bytesRead += cm.size
-		vals, err := decodeColumnChunk(chunk, seg.rows)
-		if err != nil {
+		// Row r's value of col goes to arena[r*width+col]; an empty segment
+		// has an empty arena.
+		if err := decodeColumnChunk(chunk, arena[min(col, len(arena)):], width, seg.rows); err != nil {
 			return nil, 0, buf, fmt.Errorf("colstore: segment %d: %w", i, err)
-		}
-		for r, v := range vals {
-			tuples[r][col] = v[0]
 		}
 	}
 	return tuples, bytesRead, buf, nil

@@ -19,7 +19,9 @@ import (
 // auto fallback the wire uses per frame — so a low-cardinality column pays
 // one value encoding per distinct value while a high-cardinality one never
 // pays dictionary overhead. The 16-byte SessionID/Seq header of the wire
-// format is written as zeros and ignored on read.
+// format is written as zeros and ignored on read. Reading builds no tuples:
+// wire.DecodeColumnInto writes each value straight into its row's slot of the
+// segment arena.
 const (
 	codecPlain byte = 0
 	codecDict  byte = 1
@@ -90,35 +92,20 @@ func encodeSegment(schema *types.Schema, rows []types.Tuple, dataOff int64) (seg
 	return seg, data, idxRec, nil
 }
 
-// decodeColumnChunk decodes one column chunk (tag byte + wire batch) into the
-// per-row values of the column. The returned values alias a freshly allocated
-// arena and stay valid indefinitely.
-func decodeColumnChunk(raw []byte, wantRows int) ([]types.Tuple, error) {
+// decodeColumnChunk decodes one column chunk (tag byte + wire batch) of rows
+// values straight into a row-major arena: row r lands at dst[r*stride]. The
+// values stay valid indefinitely.
+func decodeColumnChunk(raw []byte, dst []types.Value, stride, rows int) error {
 	if len(raw) < 1 {
-		return nil, fmt.Errorf("colstore: empty column chunk")
+		return fmt.Errorf("colstore: empty column chunk")
 	}
-	var b wire.TupleBatch
-	var err error
-	switch raw[0] {
-	case codecPlain:
-		err = wire.DecodeTupleBatchInto(&b, raw[1:])
-	case codecDict:
-		err = wire.DecodeDictBatchInto(&b, raw[1:])
-	default:
-		return nil, fmt.Errorf("colstore: unknown column codec %d", raw[0])
+	if raw[0] != codecPlain && raw[0] != codecDict {
+		return fmt.Errorf("colstore: unknown column codec %d", raw[0])
 	}
-	if err != nil {
-		return nil, fmt.Errorf("colstore: decode column chunk: %w", err)
+	if err := wire.DecodeColumnInto(dst, stride, rows, raw[1:], raw[0] == codecDict); err != nil {
+		return fmt.Errorf("colstore: decode column chunk: %w", err)
 	}
-	if len(b.Tuples) != wantRows {
-		return nil, fmt.Errorf("colstore: column chunk has %d rows, segment expects %d", len(b.Tuples), wantRows)
-	}
-	for i, t := range b.Tuples {
-		if len(t) != 1 {
-			return nil, fmt.Errorf("colstore: column chunk row %d has %d values", i, len(t))
-		}
-	}
-	return b.Tuples, nil
+	return nil
 }
 
 // encodeSegmentMeta renders one zone-map index record (without its length

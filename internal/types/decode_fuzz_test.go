@@ -53,23 +53,16 @@ func FuzzDecodeValue(f *testing.F) {
 	})
 }
 
-// FuzzDecodeTuple does the same for DecodeTuple and for DecodeTupleAppend,
-// which must agree with it. Seeds live in testdata/fuzz/FuzzDecodeTuple.
+// FuzzDecodeTuple does the same for DecodeTuple. Seeds live in
+// testdata/fuzz/FuzzDecodeTuple.
 func FuzzDecodeTuple(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tup, n, err := DecodeTuple(data)
-		arena, cols, used, aerr := DecodeTupleAppend(nil, data)
-		if (err == nil) != (aerr == nil) {
-			t.Fatalf("DecodeTuple err %v, DecodeTupleAppend err %v", err, aerr)
-		}
 		if err != nil {
 			return
 		}
 		if n <= 0 || n > len(data) || len(tup) >= n {
 			t.Fatalf("%d columns, consumed %d of %d bytes", len(tup), n, len(data))
-		}
-		if used != n || cols != len(tup) || len(arena) != len(tup) {
-			t.Fatalf("DecodeTupleAppend: %d columns, %d bytes; DecodeTuple: %d, %d", cols, used, len(tup), n)
 		}
 		enc, err := EncodeTuple(nil, tup)
 		if err != nil {
@@ -84,22 +77,10 @@ func FuzzDecodeTuple(f *testing.F) {
 		}
 		// Walk the columns of the input to hold each to the value contract.
 		_, off := binary.Uvarint(data)
-		for i, v := range tup {
+		for _, v := range tup {
 			_, w, _ := DecodeValue(data[off:])
 			checkDecoded(t, v, data[off:off+w])
-			if a, _ := EncodeValue(nil, arena[i]); !bytes.Equal(a, mustEncode(t, v)) {
-				t.Fatalf("column %d: DecodeTupleAppend and DecodeTuple disagree", i)
-			}
 			off += w
 		}
 	})
-}
-
-func mustEncode(t *testing.T, v Value) []byte {
-	t.Helper()
-	b, err := EncodeValue(nil, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }

@@ -184,32 +184,6 @@ func DecodeTuple(src []byte) (Tuple, int, error) {
 	return t, off, nil
 }
 
-// DecodeTupleAppend decodes one tuple from src, appending its values to arena
-// instead of allocating a per-tuple slice. It returns the grown arena, the
-// number of values decoded, and the number of bytes consumed. Batch decoders
-// use it to back every tuple of a frame with a single allocation; the caller
-// slices the arena into tuples afterwards.
-func DecodeTupleAppend(arena []Value, src []byte) ([]Value, int, int, error) {
-	n, c := binary.Uvarint(src)
-	if c <= 0 {
-		return arena, 0, 0, fmt.Errorf("types: decode tuple: bad column count")
-	}
-	if n > 1<<20 {
-		return arena, 0, 0, fmt.Errorf("types: decode tuple: column count %d too large", n)
-	}
-	off := c
-	start := len(arena)
-	for i := uint64(0); i < n; i++ {
-		v, used, err := DecodeValue(src[off:])
-		if err != nil {
-			return arena[:start], 0, 0, fmt.Errorf("types: decode tuple column %d: %w", i, err)
-		}
-		arena = append(arena, v)
-		off += used
-	}
-	return arena, int(n), off, nil
-}
-
 // EncodeSchema appends a compact encoding of the schema to dst.
 func EncodeSchema(dst []byte, s *Schema) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s.Columns)))

@@ -247,40 +247,144 @@ func DecodeTupleBatchInto(b *TupleBatch, src []byte) error {
 // decodeBatchRows decodes the row count and rows of a plain tuple batch into
 // tuples, reusing its capacity.
 func decodeBatchRows(tuples []types.Tuple, src []byte) ([]types.Tuple, error) {
-	n, off := binary.Uvarint(src)
-	// A row takes at least its column-count byte and a value at least its tag
-	// byte, which bounds what a frame can make the decoder allocate.
-	if off <= 0 || n > 1<<24 || n > uint64(len(src)-off) {
-		return nil, fmt.Errorf("wire: tuple batch: bad count")
+	n, off, err := readRowCount(src)
+	if err != nil {
+		return nil, fmt.Errorf("wire: tuple batch: %w", err)
 	}
-	if tuples == nil || cap(tuples) < int(n) {
-		tuples = make([]types.Tuple, 0, n)
-	} else {
-		tuples = tuples[:0]
+	tuples, used, err := decodeRows(tuples, src[off:], n, nil)
+	if err != nil {
+		return nil, fmt.Errorf("wire: tuple batch: %w", err)
 	}
-	// Decode every value into one shared arena, remembering where each tuple
-	// starts; the arena may move while growing, so tuples are sliced out only
-	// after the whole frame is decoded.
-	arena := make([]types.Value, 0, min(4*n, uint64(len(src)-off)))
-	starts := make([]int, 0, n+1)
-	for i := uint64(0); i < n; i++ {
-		starts = append(starts, len(arena))
-		var c int
-		var err error
-		arena, _, c, err = types.DecodeTupleAppend(arena, src[off:])
-		if err != nil {
-			return nil, fmt.Errorf("wire: tuple batch row %d: %w", i, err)
-		}
-		off += c
-	}
-	starts = append(starts, len(arena))
-	for i := 0; i < int(n); i++ {
-		tuples = append(tuples, types.Tuple(arena[starts[i]:starts[i+1]:starts[i+1]]))
-	}
-	if off != len(src) {
+	if off += used; off != len(src) {
 		return nil, fmt.Errorf("wire: tuple batch: %d trailing bytes", len(src)-off)
 	}
 	return tuples, nil
+}
+
+// readRowCount reads the row count that opens the rows of a batch. A row takes
+// at least its column-count byte, so a count beyond the bytes left is refused
+// before it sizes an allocation.
+func readRowCount(src []byte) (n, used int, err error) {
+	u, c := binary.Uvarint(src)
+	if c <= 0 || u > 1<<24 || u > uint64(len(src)-c) {
+		return 0, 0, fmt.Errorf("bad row count")
+	}
+	return int(u), c, nil
+}
+
+// decodeRows decodes n rows, each a column count and that many cells, into
+// tuples, reusing its capacity. A cell is a value encoding, or with a non-nil
+// dict an index into it. Every value lands in one arena, sized from the first
+// row's column count and capped by the bytes left (a cell takes at least one
+// byte), so a uniform batch decodes without regrowing it. It returns the bytes
+// consumed.
+func decodeRows(tuples []types.Tuple, src []byte, n int, dict []types.Value) ([]types.Tuple, int, error) {
+	if tuples == nil || cap(tuples) < n {
+		tuples = make([]types.Tuple, 0, n)
+	}
+	tuples = tuples[:0]
+	var arena []types.Value
+	off := 0
+	for i := 0; i < n; i++ {
+		cols, c := binary.Uvarint(src[off:])
+		if c <= 0 || cols > 1<<20 || cols > uint64(len(src)-off-c) {
+			return nil, 0, fmt.Errorf("row %d: bad column count", i)
+		}
+		off += c
+		if arena == nil {
+			left := uint64(len(src) - off)
+			arena = make([]types.Value, 0, min(cols*uint64(n), left))
+		}
+		start := len(arena)
+		for j := uint64(0); j < cols; j++ {
+			if dict != nil {
+				idx, c := binary.Uvarint(src[off:])
+				if c <= 0 || idx >= uint64(len(dict)) {
+					return nil, 0, fmt.Errorf("row %d column %d: %w", i, j, badIndex(idx, c, len(dict)))
+				}
+				arena = append(arena, dict[idx])
+				off += c
+				continue
+			}
+			v, used, err := types.DecodeValue(src[off:])
+			if err != nil {
+				return nil, 0, fmt.Errorf("row %d column %d: %w", i, j, err)
+			}
+			arena = append(arena, v)
+			off += used
+		}
+		tuples = append(tuples, types.Tuple(arena[start:]))
+	}
+	// Appends may have moved the arena; the tuples' lengths are right, so
+	// slice every one out of where the arena ended up.
+	start := 0
+	for i, t := range tuples {
+		end := start + len(t)
+		tuples[i] = types.Tuple(arena[start:end:end])
+		start = end
+	}
+	return tuples, off, nil
+}
+
+// DecodeColumnInto decodes a batch of one-value rows, plain or dictionary
+// encoded as dict says, writing row r's value to dst[r*stride]; no other
+// element of dst is touched. The batch must hold exactly rows rows of exactly
+// one value each. It makes every check the row-batch decoders make, and like
+// them hands out values that stay valid indefinitely: a dictionary batch's
+// rows share the dictionary's entries.
+func DecodeColumnInto(dst []types.Value, stride, rows int, src []byte, dict bool) error {
+	if stride < 1 || rows < 0 || (rows > 0 && (rows-1)*stride >= len(dst)) {
+		return fmt.Errorf("wire: column of %d rows does not fit %d slots at stride %d", rows, len(dst), stride)
+	}
+	if len(src) < 16 {
+		return fmt.Errorf("wire: column batch too short")
+	}
+	off := 16
+	var entries []types.Value
+	if dict {
+		var used int
+		var err error
+		if entries, used, err = readDict(src[off:]); err != nil {
+			return fmt.Errorf("wire: column batch: %w", err)
+		}
+		off += used
+	}
+	n, used, err := readRowCount(src[off:])
+	if err != nil {
+		return fmt.Errorf("wire: column batch: %w", err)
+	}
+	if n != rows {
+		return fmt.Errorf("wire: column batch has %d rows, want %d", n, rows)
+	}
+	off += used
+	for r := 0; r < rows; r++ {
+		cols, c := binary.Uvarint(src[off:])
+		if c <= 0 || cols != 1 {
+			return fmt.Errorf("wire: column batch row %d: want one value", r)
+		}
+		off += c
+		// The cell is read inline, as in decodeRows: a helper would cost a
+		// call per value on the scan's hottest loop.
+		var v types.Value
+		var used int
+		var err error
+		if entries == nil {
+			v, used, err = types.DecodeValue(src[off:])
+		} else if idx, c := binary.Uvarint(src[off:]); c > 0 && idx < uint64(len(entries)) {
+			v, used = entries[idx], c
+		} else {
+			err = badIndex(idx, c, len(entries))
+		}
+		if err != nil {
+			return fmt.Errorf("wire: column batch row %d: %w", r, err)
+		}
+		dst[r*stride] = v
+		off += used
+	}
+	if off != len(src) {
+		return fmt.Errorf("wire: column batch: %d trailing bytes", len(src)-off)
+	}
+	return nil
 }
 
 // DecodeTupleBatch deserialises a TupleBatch.

@@ -189,61 +189,54 @@ func DecodeDictBatchInto(b *TupleBatch, src []byte) error {
 	b.SessionID = binary.LittleEndian.Uint64(src)
 	b.Seq = binary.LittleEndian.Uint64(src[8:])
 	off := 16
-	entries, c := binary.Uvarint(src[off:])
-	if c <= 0 || entries > 1<<24 {
-		return fmt.Errorf("wire: dict batch: bad dictionary size")
+	dict, used, err := readDict(src[off:])
+	if err != nil {
+		return fmt.Errorf("wire: dict batch: %w", err)
 	}
-	off += c
-	dict := make([]types.Value, 0, entries)
-	for i := uint64(0); i < entries; i++ {
-		v, used, err := types.DecodeValue(src[off:])
-		if err != nil {
-			return fmt.Errorf("wire: dict batch entry %d: %w", i, err)
-		}
-		dict = append(dict, v)
-		off += used
+	off += used
+	n, used, err := readRowCount(src[off:])
+	if err != nil {
+		return fmt.Errorf("wire: dict batch: %w", err)
 	}
-	n, c := binary.Uvarint(src[off:])
-	if c <= 0 || n > 1<<24 {
-		return fmt.Errorf("wire: dict batch: bad row count")
+	off += used
+	b.Tuples, used, err = decodeRows(b.Tuples, src[off:], n, dict)
+	if err != nil {
+		return fmt.Errorf("wire: dict batch: %w", err)
 	}
-	off += c
-	if b.Tuples == nil || cap(b.Tuples) < int(n) {
-		b.Tuples = make([]types.Tuple, 0, n)
-	} else {
-		b.Tuples = b.Tuples[:0]
-	}
-	// Rows are assembled in one shared arena of dictionary references; the
-	// arena may move while growing, so tuples are sliced out afterwards.
-	arena := make([]types.Value, 0, 4*n)
-	starts := make([]int, 0, n+1)
-	for i := uint64(0); i < n; i++ {
-		starts = append(starts, len(arena))
-		cols, c := binary.Uvarint(src[off:])
-		if c <= 0 || cols > 1<<20 {
-			return fmt.Errorf("wire: dict batch row %d: bad column count", i)
-		}
-		off += c
-		for j := uint64(0); j < cols; j++ {
-			idx, c := binary.Uvarint(src[off:])
-			if c <= 0 {
-				return fmt.Errorf("wire: dict batch row %d: bad index", i)
-			}
-			if idx >= entries {
-				return fmt.Errorf("wire: dict batch row %d: index %d outside dictionary of %d", i, idx, entries)
-			}
-			off += c
-			arena = append(arena, dict[idx])
-		}
-	}
-	starts = append(starts, len(arena))
-	for i := 0; i < int(n); i++ {
-		b.Tuples = append(b.Tuples, types.Tuple(arena[starts[i]:starts[i+1]:starts[i+1]]))
-	}
-	if off != len(src) {
+	if off += used; off != len(src) {
 		return fmt.Errorf("wire: dict batch: %d trailing bytes", len(src)-off)
 	}
 	return nil
+}
+
+// readDict reads the dictionary section of a dictionary batch: an entry count,
+// then that many value encodings. An entry takes at least its tag byte, so a
+// count beyond the bytes left is refused before it sizes an allocation. It
+// returns the entries, never nil, and the bytes consumed.
+func readDict(src []byte) ([]types.Value, int, error) {
+	entries, off := binary.Uvarint(src)
+	if off <= 0 || entries > 1<<24 || entries > uint64(len(src)-off) {
+		return nil, 0, fmt.Errorf("bad dictionary size")
+	}
+	dict := make([]types.Value, entries)
+	for i := range dict {
+		v, used, err := types.DecodeValue(src[off:])
+		if err != nil {
+			return nil, 0, fmt.Errorf("entry %d: %w", i, err)
+		}
+		dict[i] = v
+		off += used
+	}
+	return dict, off, nil
+}
+
+// badIndex describes a dictionary batch cell whose uvarint index (c bytes,
+// as binary.Uvarint reports it) is malformed or names no entry.
+func badIndex(idx uint64, c, entries int) error {
+	if c <= 0 {
+		return fmt.Errorf("bad index")
+	}
+	return fmt.Errorf("index %d outside dictionary of %d", idx, entries)
 }
 
 // DecodeDictBatch deserialises a dictionary-encoded TupleBatch.

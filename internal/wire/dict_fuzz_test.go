@@ -1,0 +1,121 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
+	"testing"
+
+	"csq/internal/types"
+)
+
+// bytesAllocated returns how many heap bytes f allocates.
+func bytesAllocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// hostileFrames are the two smallest frames whose counts used to size the
+// decoder's buffers: a 16-byte header, an empty dictionary and a claim of
+// 1<<24 rows (21 bytes), and a header with a claim of 1<<24 dictionary entries
+// and nothing after it (20 bytes).
+func hostileFrames() map[string][]byte {
+	header := make([]byte, 16)
+	return map[string][]byte{
+		"rows":    binary.AppendUvarint(append(header[:16:16], 0), 1<<24),
+		"entries": binary.AppendUvarint(header[:16:16], 1<<24),
+	}
+}
+
+// TestDecodeHostileCounts pins the bound on what a frame's counts can make a
+// decoder allocate: each hostile frame fails in every decoder that reads it,
+// and no call allocates as much as 1 MB.
+func TestDecodeHostileCounts(t *testing.T) {
+	frames := hostileFrames()
+	if len(frames["rows"]) != 21 || len(frames["entries"]) != 20 {
+		t.Fatalf("frames of %d and %d bytes, want 21 and 20", len(frames["rows"]), len(frames["entries"]))
+	}
+	decoders := map[string]func([]byte) error{
+		"dict batch":  func(f []byte) error { var b TupleBatch; return DecodeDictBatchInto(&b, f) },
+		"plain batch": func(f []byte) error { var b TupleBatch; return DecodeTupleBatchInto(&b, f) },
+		"dict column": func(f []byte) error { return DecodeColumnInto(make([]types.Value, 1), 1, 1, f, true) },
+	}
+	for fname, frame := range frames {
+		for dname, decode := range decoders {
+			var err error
+			n := bytesAllocated(func() { err = decode(frame) })
+			if err == nil {
+				t.Errorf("%s frame: %s decoder accepted it", fname, dname)
+			}
+			if n >= 1<<20 {
+				t.Errorf("%s frame: %s decoder allocated %d bytes", fname, dname, n)
+			}
+		}
+	}
+}
+
+// FuzzDecodeDictBatch feeds arbitrary bytes to the dictionary and the plain
+// tuple-batch decoders, as a peer's frame of either type. Neither may panic or
+// allocate more than a fixed multiple of the input, and a batch either one
+// accepts must encode again and decode to the same values. Seeds live in
+// testdata/fuzz/FuzzDecodeDictBatch.
+func FuzzDecodeDictBatch(f *testing.F) {
+	codecs := []struct {
+		decode func(*TupleBatch, []byte) error
+		encode func([]byte, *TupleBatch) ([]byte, error)
+	}{
+		{DecodeDictBatchInto, AppendTupleBatchDict},
+		{DecodeTupleBatchInto, AppendTupleBatch},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range codecs {
+			var b TupleBatch
+			var err error
+			// A row, an entry and a cell each take at least one input byte and
+			// at most a tuple header or a Value, plus payload copies and arena
+			// regrowth on ragged rows.
+			if n := bytesAllocated(func() { err = c.decode(&b, data) }); n > uint64(128*len(data)+64<<10) {
+				t.Fatalf("%d input bytes made the decoder allocate %d", len(data), n)
+			}
+			if err != nil {
+				continue
+			}
+			enc, err := c.encode(nil, &b)
+			if err != nil {
+				t.Fatalf("decoded a batch that does not encode: %v", err)
+			}
+			var again TupleBatch
+			if err := c.decode(&again, enc); err != nil {
+				t.Fatalf("re-decode: %v", err)
+			}
+			requireSameBatch(t, &b, &again)
+		}
+	})
+}
+
+// requireSameBatch compares two batches value by value through their
+// encodings, which tell apart what Tuple.Equal does not (NULL kinds, INT 2
+// and FLOAT 2).
+func requireSameBatch(t *testing.T, want, got *TupleBatch) {
+	t.Helper()
+	if got.SessionID != want.SessionID || got.Seq != want.Seq || len(got.Tuples) != len(want.Tuples) {
+		t.Fatalf("batch (%d,%d) of %d rows, want (%d,%d) of %d", got.SessionID, got.Seq, len(got.Tuples),
+			want.SessionID, want.Seq, len(want.Tuples))
+	}
+	for i := range want.Tuples {
+		w, err := types.EncodeTuple(nil, want.Tuples[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := types.EncodeTuple(nil, got.Tuples[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w, g) {
+			t.Fatalf("row %d = %v, want %v", i, got.Tuples[i], want.Tuples[i])
+		}
+	}
+}
