@@ -19,8 +19,10 @@ import (
 // concurrently executing operators never interleave frames.
 type ClientLink interface {
 	// OpenSession returns a dedicated framed connection to the client runtime.
-	// The caller owns the connection and must close it.
-	OpenSession() (*wire.Conn, error)
+	// The caller owns the connection and must close it. ctx bounds the
+	// connection's establishment only; binding the connection's I/O to a
+	// context is the caller's business.
+	OpenSession(ctx context.Context) (*wire.Conn, error)
 }
 
 // sessionIDs generates unique session identifiers across all links.
@@ -55,8 +57,12 @@ func NewInProcessLink(rt *client.Runtime, cfg netsim.LinkConfig) *InProcessLink 
 }
 
 // OpenSession implements ClientLink. It is safe for concurrent use: mid-query
-// failover redials sessions from the operators' reader goroutines.
-func (l *InProcessLink) OpenSession() (*wire.Conn, error) {
+// failover redials sessions from the operators' reader goroutines. A dial
+// under a context that is already done fails without taking an ordinal.
+func (l *InProcessLink) OpenSession(ctx context.Context) (*wire.Conn, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("exec: open session: %w", err)
+	}
 	if l.Runtime == nil {
 		return nil, fmt.Errorf("exec: in-process link has no client runtime")
 	}
@@ -113,13 +119,14 @@ type DialLink struct {
 	linkBreaker
 }
 
-// OpenSession implements ClientLink.
-func (l *DialLink) OpenSession() (*wire.Conn, error) {
+// OpenSession implements ClientLink. The dial gives up at DialTimeout or when
+// ctx is done, whichever comes first.
+func (l *DialLink) OpenSession(ctx context.Context) (*wire.Conn, error) {
 	timeout := l.DialTimeout
 	if timeout == 0 {
 		timeout = 5 * time.Second
 	}
-	raw, err := net.DialTimeout("tcp", l.Addr, timeout)
+	raw, err := (&net.Dialer{Timeout: timeout}).DialContext(ctx, "tcp", l.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("exec: dial client runtime: %w", err)
 	}
@@ -159,52 +166,65 @@ type udfSession struct {
 }
 
 // openUDFSession opens a connection through the link and performs the setup
-// handshake. The dictionary encoding is armed only when the request asked for
-// it and the client's ack confirmed support, so pre-dictionary clients keep
-// receiving plain batches.
-//
-// The session's connection is bound to ctx: the context's deadline becomes
-// the connection's I/O deadline and cancellation aborts blocked frame I/O, so
-// a dead client (or a cancelled query) cannot wedge a server-side operator.
+// handshake on it.
 func openUDFSession(ctx context.Context, link ClientLink, req *wire.SetupRequest) (*udfSession, error) {
-	conn, err := link.OpenSession()
+	s, err := dialUDFSession(ctx, link)
 	if err != nil {
 		return nil, err
 	}
-	unbind := conn.BindContext(ctx)
-	fail := func(err error) (*udfSession, error) {
-		unbind()
-		_ = conn.Close()
+	if err := s.handshake(req); err != nil {
+		s.close()
 		return nil, err
 	}
+	return s, nil
+}
+
+// dialUDFSession opens a connection through the link and binds it to ctx:
+// the context's deadline becomes the connection's I/O deadline and
+// cancellation aborts blocked frame I/O, so a dead client (or a cancelled
+// query) cannot wedge a server-side operator. The session carries no traffic
+// until its handshake succeeds.
+func dialUDFSession(ctx context.Context, link ClientLink) (*udfSession, error) {
+	conn, err := link.OpenSession(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &udfSession{conn: conn, unbind: conn.BindContext(ctx)}, nil
+}
+
+// handshake runs the setup exchange on a dialled session. It sends a copy of
+// template under a fresh session ID — the one place session IDs are assigned,
+// so concurrent handshakes can share the template. The dictionary encoding is
+// armed only when the request asked for it and the client's ack confirmed
+// support, so pre-dictionary clients keep receiving plain batches. On error
+// the caller still owns the session and must close it.
+func (s *udfSession) handshake(template *wire.SetupRequest) error {
+	req := *template
 	req.SessionID = nextSessionID()
-	payload, err := wire.EncodeSetup(req)
+	payload, err := wire.EncodeSetup(&req)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	if err := conn.Send(wire.MsgSetup, payload); err != nil {
-		return fail(err)
+	if err := s.conn.Send(wire.MsgSetup, payload); err != nil {
+		return err
 	}
-	msg, err := conn.Receive()
+	msg, err := s.conn.Receive()
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	if msg.Type != wire.MsgSetupAck {
-		return fail(fmt.Errorf("exec: expected SETUP_ACK, got %s", msg.Type))
+		return fmt.Errorf("exec: expected SETUP_ACK, got %s", msg.Type)
 	}
 	ack, err := wire.DecodeSetupAck(msg.Payload)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	if !ack.OK {
-		return fail(fmt.Errorf("exec: client rejected setup: %s", ack.Error))
+		return fmt.Errorf("exec: client rejected setup: %s", ack.Error)
 	}
-	return &udfSession{
-		conn:   conn,
-		id:     req.SessionID,
-		dict:   req.DictBatches && ack.DictBatches,
-		unbind: unbind,
-	}, nil
+	s.id = req.SessionID
+	s.dict = req.DictBatches && ack.DictBatches
+	return nil
 }
 
 // sendBatch ships a batch of tuples downlink through the shared pooled

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -482,7 +483,7 @@ func TestOperatorConstructionErrors(t *testing.T) {
 	}
 	// In-process link without a runtime fails on session open.
 	empty := &InProcessLink{}
-	if _, err := empty.OpenSession(); err == nil {
+	if _, err := empty.OpenSession(context.Background()); err == nil {
 		t.Error("in-process link without runtime should fail")
 	}
 }
@@ -520,8 +521,33 @@ func TestDialLink(t *testing.T) {
 	}
 	// Dialling a dead address fails.
 	dead := &DialLink{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond}
-	if _, err := dead.OpenSession(); err == nil {
+	if _, err := dead.OpenSession(context.Background()); err == nil {
 		t.Error("dialling a dead address should fail")
+	}
+}
+
+// TestDialLinkCancelledContext dials a listening address under a cancelled
+// context: the dial must give up at once with context.Canceled instead of
+// connecting (or waiting out DialTimeout).
+func TestDialLinkCancelledContext(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	link := &DialLink{Addr: ln.Addr().String(), DialTimeout: time.Minute}
+	start := time.Now()
+	conn, err := link.OpenSession(ctx)
+	if err == nil {
+		_ = conn.Close()
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("cancelled dial took %v", elapsed)
 	}
 }
 

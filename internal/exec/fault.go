@@ -188,10 +188,7 @@ func (f *sessionFactory) redial(ctx context.Context) (*udfSession, error) {
 	}
 	r := &wire.Redialer[*udfSession]{
 		Dial: func(ctx context.Context) (*udfSession, error) {
-			// Copy the template: openUDFSession assigns a fresh SessionID,
-			// and concurrent recoveries must not race on the shared request.
-			req := *f.req
-			return openUDFSession(ctx, f.link, &req)
+			return openUDFSession(ctx, f.link, f.req)
 		},
 		MaxAttempts: attempts,
 		Backoff:     f.retry.wireBackoff(),

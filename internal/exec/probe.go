@@ -68,7 +68,7 @@ func ProbeAsymmetry(ctx context.Context, link ClientLink, probeBytes int) (LinkO
 			return LinkObservation{}, fmt.Errorf("exec: probe suppressed: %w", err)
 		}
 	}
-	conn, err := link.OpenSession()
+	conn, err := link.OpenSession(ctx)
 	if err != nil {
 		if breaker != nil {
 			breaker.Failure()

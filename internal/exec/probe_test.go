@@ -66,7 +66,7 @@ func TestProbeAsymmetryNoLink(t *testing.T) {
 // wedged-client scenario the probe's cancellation watchdog exists for.
 type silentLink struct{ peers []net.Conn }
 
-func (l *silentLink) OpenSession() (*wire.Conn, error) {
+func (l *silentLink) OpenSession(context.Context) (*wire.Conn, error) {
 	a, b := net.Pipe()
 	l.peers = append(l.peers, b)
 	return wire.NewConn(a), nil

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -95,21 +96,41 @@ type shipPool[T any] struct {
 var errShipPoolClosed = errors.New("exec: client-site operator closed")
 
 // openShipPool opens the sessions — each with its own setup handshake and
-// session ID, all bound to the query context — and starts the lane readers.
-// On any failure the already-opened sessions are closed.
+// session ID, all bound to the query context — and starts the lane readers
+// once every lane is open. The lanes are dialled in lane order, so lane i is
+// the link's i-th open (fault scripts count on it), and then shake hands
+// concurrently: T lanes cost about one setup round trip, not T. On any
+// failure every opened session is closed and the lowest failing lane's error
+// is returned.
 func openShipPool[T any](ctx context.Context, link ClientLink, pol shipPolicy[T]) (*shipPool[T], error) {
 	p := &shipPool[T]{shipPolicy: pol, failed: make(chan struct{})}
 	p.cond = sync.NewCond(&p.mu)
 	p.factory = sessionFactory{link: link, req: pol.setup, retry: pol.retry, stats: &p.faults}
-	for i := 0; i < max(pol.sessions, 1); i++ {
-		sess, err := openUDFSession(ctx, link, pol.setup)
+	abandon := func(err error) (*shipPool[T], error) {
+		for _, lane := range p.lanes {
+			lane.sess.close()
+		}
+		return nil, err
+	}
+	for range max(pol.sessions, 1) {
+		sess, err := dialUDFSession(ctx, link)
 		if err != nil {
-			for _, lane := range p.lanes {
-				lane.sess.close()
-			}
-			return nil, err
+			return abandon(err)
 		}
 		p.lanes = append(p.lanes, &shipLane[T]{sess: sess})
+	}
+	errs := make([]error, len(p.lanes))
+	var handshakes sync.WaitGroup
+	for i, lane := range p.lanes {
+		handshakes.Add(1)
+		go func() {
+			defer handshakes.Done()
+			errs[i] = lane.sess.handshake(pol.setup)
+		}()
+	}
+	handshakes.Wait()
+	if err := cmp.Or(errs...); err != nil { // the lowest failing lane's
+		return abandon(err)
 	}
 	p.ctx, p.cancel = context.WithCancel(ctx)
 	p.reading = len(p.lanes)

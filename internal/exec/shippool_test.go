@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -42,7 +44,19 @@ func openRig(t *testing.T, link ClientLink, lanes int) *poolRig {
 	t.Helper()
 	rig := &poolRig{}
 	var err error
-	rig.pool, err = openShipPool(context.Background(), link, shipPolicy[int]{
+	pol := rigPolicy(lanes)
+	pol.onReply = rig.onReply
+	rig.pool, err = openShipPool(context.Background(), link, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rig
+}
+
+// rigPolicy is the semi-join policy the rig's pools run, less the reply
+// callback, which a pool that carries no frame never calls.
+func rigPolicy(lanes int) shipPolicy[int] {
+	return shipPolicy[int]{
 		setup: &wire.SetupRequest{
 			Mode:        wire.ModeSemiJoin,
 			InputSchema: types.NewSchema(types.Column{Name: "Quotes", Kind: types.KindTimeSeries}),
@@ -50,12 +64,7 @@ func openRig(t *testing.T, link ClientLink, lanes int) *poolRig {
 		},
 		sessions: lanes,
 		retry:    RetryConfig{Backoff: time.Millisecond},
-		onReply:  rig.onReply,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return rig
 }
 
 func (r *poolRig) onReply(f shipFrame[int], reply []types.Tuple) error {
@@ -220,5 +229,199 @@ func TestShipPoolReplaysEnd(t *testing.T) {
 	}
 	if len(rig.tags) != 2 {
 		t.Errorf("callbacks = %v, want each of 2 frames once", rig.tags)
+	}
+}
+
+// barrierClient is a fake client link over net.Pipe whose sessions ack no
+// Setup until every one of the pool's lanes has sent its own: a pool that
+// opens its lanes one handshake at a time never gets an ack. Dialling ordinal
+// refuse fails; the lanes in reject answer their Setup with OK=false; with
+// hold set, no Setup is ever answered.
+type barrierClient struct {
+	lanes  int
+	refuse int // ordinal whose dial is refused; -1 for none
+	reject map[int]bool
+	hold   bool
+
+	mu       sync.Mutex
+	dialled  int
+	setups   int
+	ids      map[uint64]bool // session IDs the Setups carried
+	allSetup chan struct{}   // closed once every lane's Setup has arrived
+	stop     chan struct{}   // closed by the test to release waiting sessions
+	served   sync.WaitGroup  // fake-client sessions not yet closed
+}
+
+func newBarrierClient(lanes int) *barrierClient {
+	return &barrierClient{
+		lanes:    lanes,
+		refuse:   -1,
+		ids:      map[uint64]bool{},
+		allSetup: make(chan struct{}),
+		stop:     make(chan struct{}),
+	}
+}
+
+func (c *barrierClient) OpenSession(context.Context) (*wire.Conn, error) {
+	c.mu.Lock()
+	lane := c.dialled
+	c.dialled++
+	c.mu.Unlock()
+	if lane == c.refuse {
+		return nil, fmt.Errorf("lane %d: %w", lane, netsim.ErrDialRefused)
+	}
+	server, client := net.Pipe()
+	c.served.Add(1)
+	go c.serve(wire.NewConn(client), lane)
+	return wire.NewConn(server), nil
+}
+
+func (c *barrierClient) serve(conn *wire.Conn, lane int) {
+	defer c.served.Done()
+	defer conn.Close()
+	msg, err := conn.Receive()
+	if err != nil {
+		return
+	}
+	req, err := wire.DecodeSetup(msg.Payload)
+	if err != nil {
+		return
+	}
+	c.mu.Lock()
+	c.ids[req.SessionID] = true
+	if c.setups++; c.setups == c.lanes {
+		close(c.allSetup)
+	}
+	c.mu.Unlock()
+	select {
+	case <-c.allSetup:
+	case <-c.stop:
+		return
+	}
+	if !c.hold {
+		ack := wire.SetupAck{SessionID: req.SessionID, OK: !c.reject[lane]}
+		if !ack.OK {
+			ack.Error = fmt.Sprintf("lane %d rejected", lane)
+		}
+		if conn.Send(wire.MsgSetupAck, wire.EncodeSetupAck(&ack)) != nil {
+			return
+		}
+	}
+	// Keep the session until the server closes it.
+	for {
+		if _, err := conn.Receive(); err != nil {
+			return
+		}
+	}
+}
+
+// closed waits until the server has closed every session the client served.
+func (c *barrierClient) closed(t *testing.T) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		c.served.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a session the pool opened was never closed")
+	}
+}
+
+// TestShipPoolOpensLanesConcurrently opens a pool against a client that holds
+// every SetupAck until all lanes have sent their Setup: the open completes
+// only if the lanes shake hands concurrently.
+func TestShipPoolOpensLanesConcurrently(t *testing.T) {
+	const lanes = 4
+	baseline := grCount()
+	client := newBarrierClient(lanes)
+	defer close(client.stop)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	pool, err := openShipPool(ctx, client, rigPolicy(lanes))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if len(pool.lanes) != lanes || len(client.ids) != lanes {
+		t.Errorf("%d lanes over %d distinct session IDs, want %d of each", len(pool.lanes), len(client.ids), lanes)
+	}
+	for i, lane := range pool.lanes {
+		if !client.ids[lane.sess.id] {
+			t.Errorf("lane %d: session ID %d was never sent", i, lane.sess.id)
+		}
+	}
+	pool.close()
+	client.closed(t)
+	assertNoLeak(t, baseline)
+}
+
+// TestShipPoolOpenFailure fails one lane of the open in each way a lane can
+// fail — its dial, its ack, the query context mid-handshake — and checks that
+// the open returns the lowest failing lane's error, closes every session it
+// opened and leaves no goroutine behind, so no reader was started.
+func TestShipPoolOpenFailure(t *testing.T) {
+	const lanes = 4
+	cases := []struct {
+		name  string
+		setup func(c *barrierClient, cancel context.CancelFunc)
+		check func(t *testing.T, c *barrierClient, err error)
+	}{{
+		name:  "dial refused",
+		setup: func(c *barrierClient, _ context.CancelFunc) { c.refuse = 2 },
+		check: func(t *testing.T, c *barrierClient, err error) {
+			if !errors.Is(err, netsim.ErrDialRefused) {
+				t.Errorf("err = %v, want the refused dial", err)
+			}
+			if c.dialled != 3 {
+				t.Errorf("%d dials, want the lanes up to the refused one", c.dialled)
+			}
+		},
+	}, {
+		name: "setup rejected",
+		setup: func(c *barrierClient, _ context.CancelFunc) {
+			c.reject = map[int]bool{1: true, 3: true}
+		},
+		check: func(t *testing.T, _ *barrierClient, err error) {
+			if err == nil || !strings.Contains(err.Error(), "lane 1 rejected") {
+				t.Errorf("err = %v, want lane 1's rejection", err)
+			}
+		},
+	}, {
+		name: "cancelled mid-handshake",
+		setup: func(c *barrierClient, cancel context.CancelFunc) {
+			c.hold = true
+			go func() {
+				select {
+				case <-c.allSetup:
+					cancel()
+				case <-c.stop:
+				}
+			}()
+		},
+		check: func(t *testing.T, _ *barrierClient, err error) {
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("err = %v, want context.Canceled", err)
+			}
+		},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := grCount()
+			client := newBarrierClient(lanes)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			tc.setup(client, cancel)
+			pool, err := openShipPool(ctx, client, rigPolicy(lanes))
+			if pool != nil {
+				pool.close()
+				t.Fatal("open succeeded")
+			}
+			tc.check(t, client, err)
+			client.closed(t)
+			close(client.stop)
+			assertNoLeak(t, baseline)
+		})
 	}
 }
