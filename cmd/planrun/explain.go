@@ -5,13 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"csq/internal/catalog"
 	"csq/internal/exec"
-	"csq/internal/expr"
-	"csq/internal/logical"
 	"csq/internal/plan"
-	"csq/internal/storage"
-	"csq/internal/types"
 )
 
 // explainFigure8 plans one Figure-8-style workload point (I=1000B, A=50%,
@@ -23,27 +18,8 @@ import (
 func explainFigure8() (string, error) {
 	s := figure8Sweep()
 	pt := s.points[4] // S=0.5
-	rows := buildRows(s, pt)
-	schema := types.NewSchema(
-		types.Column{Name: "Arg", Kind: types.KindBytes},
-		types.Column{Name: "Extra", Kind: types.KindBytes},
-	)
-	table, err := storage.NewHeapTable("objects", schema)
+	pq, err := newPointQuery(s, pt)
 	if err != nil {
-		return "", err
-	}
-	if err := table.InsertBatch(rows); err != nil {
-		return "", err
-	}
-	cat := catalog.New()
-	if err := cat.AddTable(&catalog.Table{Name: "objects", Schema: schema, Stats: table.Stats(), Data: table}); err != nil {
-		return "", err
-	}
-	rt, err := newRuntime(pt)
-	if err != nil {
-		return "", err
-	}
-	if err := announceIntoCatalog(rt, cat); err != nil {
 		return "", err
 	}
 
@@ -54,27 +30,7 @@ func explainFigure8() (string, error) {
 		Asymmetry:       1,
 		RTT:             200 * time.Millisecond,
 	}
-
-	catTable, err := cat.Table("objects")
-	if err != nil {
-		return "", err
-	}
-	scan, err := logical.NewScan(catTable, "")
-	if err != nil {
-		return "", err
-	}
-	q := plan.Query{
-		Source: scan,
-		UDFs: []exec.UDFBinding{
-			{Name: "Produce", ArgOrdinals: []int{0}, ResultKind: types.KindBytes},
-			{Name: "Keep", ArgOrdinals: []int{0}, ResultKind: types.KindBool},
-		},
-		Pushable: expr.NewBoundColumnRef(3, types.KindBool),
-		Project:  []int{1, 2},
-		Table:    catTable,
-		Catalog:  cat,
-	}
-	tp, err := planner.PlanQuery(context.Background(), q)
+	tp, err := planner.PlanTree(context.Background(), pq.tree, pq.cat)
 	if err != nil {
 		return "", err
 	}

@@ -268,65 +268,80 @@ func expectedRows(s sweep, pt point) int {
 	return n
 }
 
-// runPoint plans (and optionally executes) one sweep point, returning the
-// planner's decision and the executed operator's link traffic (zero with
-// -noexec).
-func runPoint(s sweep, pt point, link *exec.LinkObservation, rt *client.Runtime, timescale float64, execute bool) (*plan.Decision, exec.NetStats, error) {
-	rows := buildRows(s, pt)
+// pointQuery is one sweep point's planner input: the client runtime hosting
+// the point's UDFs, a catalog holding the point's heap table and the
+// runtime's announced UDF metadata, and the query's logical tree.
+type pointQuery struct {
+	rt   *client.Runtime
+	cat  *catalog.Catalog
+	tree logical.Node
+}
+
+// newPointQuery builds the point's relation, runtime, catalog and query tree.
+func newPointQuery(s sweep, pt point) (*pointQuery, error) {
 	schema := types.NewSchema(
 		types.Column{Name: "Arg", Kind: types.KindBytes},
 		types.Column{Name: "Extra", Kind: types.KindBytes},
 	)
 	table, err := storage.NewHeapTable("objects", schema)
 	if err != nil {
-		return nil, exec.NetStats{}, err
+		return nil, err
 	}
-	if err := table.InsertBatch(rows); err != nil {
-		return nil, exec.NetStats{}, err
+	if err := table.InsertBatch(buildRows(s, pt)); err != nil {
+		return nil, err
 	}
+	catTable := &catalog.Table{Name: "objects", Schema: schema, Stats: table.Stats(), Data: table}
 	cat := catalog.New()
-	if err := cat.AddTable(&catalog.Table{Name: "objects", Schema: schema, Stats: table.Stats(), Data: table}); err != nil {
-		return nil, exec.NetStats{}, err
+	if err := cat.AddTable(catTable); err != nil {
+		return nil, err
+	}
+	rt, err := newRuntime(pt)
+	if err != nil {
+		return nil, err
 	}
 	if err := announceIntoCatalog(rt, cat); err != nil {
-		return nil, exec.NetStats{}, err
-	}
-
-	cfg := s.link
-	cfg.TimeScale = s.timescale(timescale)
-	planner := plan.NewPlanner(exec.NewInProcessLink(rt, cfg))
-	planner.Config.Link = link
-
-	catTable, err := cat.Table("objects")
-	if err != nil {
-		return nil, exec.NetStats{}, err
+		return nil, err
 	}
 	scan, err := logical.NewScan(catTable, "")
 	if err != nil {
-		return nil, exec.NetStats{}, err
+		return nil, err
 	}
-	q := plan.Query{
-		Source: scan,
-		UDFs: []exec.UDFBinding{
-			{Name: "Produce", ArgOrdinals: []int{0}, ResultKind: types.KindBytes},
-			{Name: "Keep", ArgOrdinals: []int{0}, ResultKind: types.KindBool},
-		},
-		// Extended schema: 0 Arg, 1 Extra, 2 Produce, 3 Keep. The pushable
-		// predicate keeps qualifying rows; the pushable projection returns the
-		// non-argument column plus the produced object, i.e. P·(I+R) =
-		// I·(1−A)+R as in the figures.
-		Pushable: expr.NewBoundColumnRef(3, types.KindBool),
-		Project:  []int{1, 2},
-		Table:    catTable,
-		Catalog:  cat,
+	udfs := []exec.UDFBinding{
+		{Name: "Produce", ArgOrdinals: []int{0}, ResultKind: types.KindBytes},
+		{Name: "Keep", ArgOrdinals: []int{0}, ResultKind: types.KindBool},
 	}
-	d, err := planner.Plan(context.Background(), q)
+	// Extended schema: 0 Arg, 1 Extra, 2 Produce, 3 Keep. The pushable
+	// predicate keeps qualifying rows; the pushable projection returns the
+	// non-argument column plus the produced object, i.e. P·(I+R) = I·(1−A)+R
+	// as in the figures.
+	tree, err := logical.NewApplyQuery(scan, nil, udfs, expr.NewBoundColumnRef(3, types.KindBool), []int{1, 2})
+	if err != nil {
+		return nil, err
+	}
+	return &pointQuery{rt: rt, cat: cat, tree: tree}, nil
+}
+
+// runPoint plans (and optionally executes) one sweep point, returning the
+// planner's decision and the executed operator's link traffic (zero with
+// -noexec).
+func runPoint(s sweep, pt point, link *exec.LinkObservation, timescale float64, execute bool) (*plan.Decision, exec.NetStats, error) {
+	pq, err := newPointQuery(s, pt)
 	if err != nil {
 		return nil, exec.NetStats{}, err
 	}
+	cfg := s.link
+	cfg.TimeScale = s.timescale(timescale)
+	planner := plan.NewPlanner(exec.NewInProcessLink(pq.rt, cfg))
+	planner.Config.Link = link
+
+	tp, err := planner.PlanTree(context.Background(), pq.tree, pq.cat)
+	if err != nil {
+		return nil, exec.NetStats{}, err
+	}
+	d := tp.Applies[0].Decision
 	var traffic exec.NetStats
 	if execute {
-		op, err := planner.NewOperator(q, d)
+		op, err := tp.NewOperator()
 		if err != nil {
 			return nil, exec.NetStats{}, err
 		}
@@ -458,11 +473,7 @@ func main() {
 			if simW[i], err = simWinner(s, pt); err != nil {
 				fatal(err)
 			}
-			rt, err := newRuntime(pt)
-			if err != nil {
-				fatal(err)
-			}
-			d, tr, err := runPoint(s, pt, &obs, rt, *timescale, !*noexec)
+			d, tr, err := runPoint(s, pt, &obs, *timescale, !*noexec)
 			if err != nil {
 				fatal(fmt.Errorf("%s %s: %w", s.name, pt.label, err))
 			}

@@ -18,6 +18,14 @@ import (
 // serialised by name and rebound by the client against its own function
 // registry with ResolveFunctions.
 
+// MaxDepth bounds the nesting depth of an expression that a decoder of
+// untrusted input accepts: Unmarshal here, and the query-language parser.
+// Nothing the compiler or the rewriter emits comes near it (a left-deep
+// conjunction takes one level per conjunct), while recursion over a tree
+// millions of levels deep exhausts the goroutine stack, a fatal error no
+// recover can catch.
+const MaxDepth = 10000
+
 const (
 	tagConst byte = iota + 1
 	tagColumn
@@ -86,7 +94,7 @@ func marshalInto(dst []byte, e Expr) ([]byte, error) {
 // must be passed through ResolveFunctions before evaluation (or be evaluated
 // with an Evaluator whose Invoke handles them).
 func Unmarshal(src []byte) (Expr, error) {
-	e, n, err := unmarshalFrom(src)
+	e, n, err := unmarshalFrom(src, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -96,9 +104,14 @@ func Unmarshal(src []byte) (Expr, error) {
 	return e, nil
 }
 
-func unmarshalFrom(src []byte) (Expr, int, error) {
+// unmarshalFrom decodes the expression at the head of src, which sits depth
+// levels below the root (the root is level 1).
+func unmarshalFrom(src []byte, depth int) (Expr, int, error) {
 	if len(src) == 0 {
 		return nil, 0, fmt.Errorf("expr: unmarshal: empty input")
+	}
+	if depth > MaxDepth {
+		return nil, 0, fmt.Errorf("expr: unmarshal: expression nested deeper than %d levels", MaxDepth)
 	}
 	switch src[0] {
 	case tagConst:
@@ -119,11 +132,11 @@ func unmarshalFrom(src []byte) (Expr, int, error) {
 			return nil, 0, fmt.Errorf("expr: unmarshal binary: truncated")
 		}
 		op, kind := Op(src[1]), types.Kind(src[2])
-		left, ln, err := unmarshalFrom(src[3:])
+		left, ln, err := unmarshalFrom(src[3:], depth+1)
 		if err != nil {
 			return nil, 0, err
 		}
-		right, rn, err := unmarshalFrom(src[3+ln:])
+		right, rn, err := unmarshalFrom(src[3+ln:], depth+1)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -133,7 +146,7 @@ func unmarshalFrom(src []byte) (Expr, int, error) {
 			return nil, 0, fmt.Errorf("expr: unmarshal unary: truncated")
 		}
 		op, kind := Op(src[1]), types.Kind(src[2])
-		in, n, err := unmarshalFrom(src[3:])
+		in, n, err := unmarshalFrom(src[3:], depth+1)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -145,7 +158,7 @@ func unmarshalFrom(src []byte) (Expr, int, error) {
 		kind := types.Kind(src[1])
 		off := 2
 		nameLen, n := binary.Uvarint(src[off:])
-		if n <= 0 || off+n+int(nameLen) > len(src) {
+		if n <= 0 || nameLen > uint64(len(src)-off-n) {
 			return nil, 0, fmt.Errorf("expr: unmarshal call: bad name")
 		}
 		off += n
@@ -158,7 +171,7 @@ func unmarshalFrom(src []byte) (Expr, int, error) {
 		off += n
 		args := make([]Expr, 0, argc)
 		for i := uint64(0); i < argc; i++ {
-			a, an, err := unmarshalFrom(src[off:])
+			a, an, err := unmarshalFrom(src[off:], depth+1)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -171,7 +184,7 @@ func unmarshalFrom(src []byte) (Expr, int, error) {
 			return nil, 0, fmt.Errorf("expr: unmarshal cast: truncated")
 		}
 		target := types.Kind(src[1])
-		in, n, err := unmarshalFrom(src[2:])
+		in, n, err := unmarshalFrom(src[2:], depth+1)
 		if err != nil {
 			return nil, 0, err
 		}

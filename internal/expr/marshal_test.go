@@ -71,6 +71,8 @@ func TestUnmarshalErrors(t *testing.T) {
 		{tagBinary, byte(OpAdd)},
 		{tagUnary, byte(OpNot)},
 		{tagCall},
+		// A name length that overflows int once converted.
+		{tagCall, byte(types.KindInt), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 'f', 0x00},
 		{tagCast},
 		{tagConst},
 	}

@@ -20,6 +20,8 @@ type parser struct {
 	src  string
 	toks []token
 	i    int
+	// depth is the expression nesting level of the token being parsed.
+	depth int
 }
 
 func (p *parser) cur() token { return p.toks[p.i] }
@@ -37,6 +39,20 @@ func (p *parser) advance() token {
 	}
 	return t
 }
+
+// nest enters one more level of expression nesting at pos. It fails past
+// expr.MaxDepth, so deeply nested text is an error instead of a recursion
+// that exhausts the stack. Callers restore the level on return with
+// defer p.restoreDepth(p.depth).
+func (p *parser) nest(pos Pos) error {
+	p.depth++
+	if p.depth > expr.MaxDepth {
+		return errf(p.src, pos, "expression nested deeper than %d levels", expr.MaxDepth)
+	}
+	return nil
+}
+
+func (p *parser) restoreDepth(depth int) { p.depth = depth }
 
 func (p *parser) expect(k tokenKind, what string) (token, error) {
 	if p.cur().kind != k {
@@ -63,6 +79,11 @@ func (p *parser) parseQuery() (*Query, error) {
 		q.Clauses = append(q.Clauses, cl)
 		switch p.cur().kind {
 		case tComma:
+			// The compiled tree takes a level per clause (joins and
+			// conjunctions are left-deep), so the clause count is bounded too.
+			if len(q.Clauses) >= expr.MaxDepth {
+				return nil, errf(p.src, p.cur().pos, "a query takes at most %d body clauses", expr.MaxDepth)
+			}
 			p.advance()
 		case tDot:
 			p.advance()
@@ -259,15 +280,30 @@ func (p *parser) parseUDFClause() (*UDFClause, error) {
 //
 //	or → and → not → comparison → additive → multiplicative → unary → primary
 
-func (p *parser) parseExpr() (ExprNode, error) { return p.parseOr() }
+// parseExpr parses one expression a level deeper than its context: a clause,
+// a call argument or a parenthesised expression.
+func (p *parser) parseExpr() (ExprNode, error) {
+	defer p.restoreDepth(p.depth)
+	if err := p.nest(p.cur().pos); err != nil {
+		return nil, err
+	}
+	return p.parseOr()
+}
+
+// The binary-operator loops build left-deep trees, so each operator of a
+// chain also takes a level.
 
 func (p *parser) parseOr() (ExprNode, error) {
+	defer p.restoreDepth(p.depth)
 	left, err := p.parseAnd()
 	if err != nil {
 		return nil, err
 	}
 	for p.cur().kind == tOr {
 		op := p.advance()
+		if err := p.nest(op.pos); err != nil {
+			return nil, err
+		}
 		right, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -278,12 +314,16 @@ func (p *parser) parseOr() (ExprNode, error) {
 }
 
 func (p *parser) parseAnd() (ExprNode, error) {
+	defer p.restoreDepth(p.depth)
 	left, err := p.parseNot()
 	if err != nil {
 		return nil, err
 	}
 	for p.cur().kind == tAnd {
 		op := p.advance()
+		if err := p.nest(op.pos); err != nil {
+			return nil, err
+		}
 		right, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -295,7 +335,11 @@ func (p *parser) parseAnd() (ExprNode, error) {
 
 func (p *parser) parseNot() (ExprNode, error) {
 	if p.cur().kind == tNot {
+		defer p.restoreDepth(p.depth)
 		op := p.advance()
+		if err := p.nest(op.pos); err != nil {
+			return nil, err
+		}
 		in, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -332,6 +376,7 @@ func (p *parser) parseComparison() (ExprNode, error) {
 }
 
 func (p *parser) parseAdditive() (ExprNode, error) {
+	defer p.restoreDepth(p.depth)
 	left, err := p.parseMultiplicative()
 	if err != nil {
 		return nil, err
@@ -347,6 +392,9 @@ func (p *parser) parseAdditive() (ExprNode, error) {
 			return left, nil
 		}
 		opTok := p.advance()
+		if err := p.nest(opTok.pos); err != nil {
+			return nil, err
+		}
 		right, err := p.parseMultiplicative()
 		if err != nil {
 			return nil, err
@@ -356,6 +404,7 @@ func (p *parser) parseAdditive() (ExprNode, error) {
 }
 
 func (p *parser) parseMultiplicative() (ExprNode, error) {
+	defer p.restoreDepth(p.depth)
 	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
@@ -371,6 +420,9 @@ func (p *parser) parseMultiplicative() (ExprNode, error) {
 			return left, nil
 		}
 		opTok := p.advance()
+		if err := p.nest(opTok.pos); err != nil {
+			return nil, err
+		}
 		right, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -381,7 +433,11 @@ func (p *parser) parseMultiplicative() (ExprNode, error) {
 
 func (p *parser) parseUnary() (ExprNode, error) {
 	if p.cur().kind == tMinus {
+		defer p.restoreDepth(p.depth)
 		op := p.advance()
+		if err := p.nest(op.pos); err != nil {
+			return nil, err
+		}
 		in, err := p.parseUnary()
 		if err != nil {
 			return nil, err

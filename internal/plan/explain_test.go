@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"csq/internal/catalog"
-	"csq/internal/exec"
 	"csq/internal/logical"
 	"csq/internal/netsim"
 	"csq/internal/storage"
@@ -39,15 +38,10 @@ func TestExplainRendersAllThreeLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := newTestPlanner(t, rt, netsim.Unlimited())
-	q := testQuery(t, rows, cat)
-	q.Source = scan
 
-	tp, err := p.PlanQuery(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tp.Applies[0].Decision.Strategy; got != StrategySemiJoin {
-		t.Fatalf("planned %s, want semi-join", got)
+	tp, d := planOne(t, p, testQuery(t, scan), cat)
+	if d.Strategy != StrategySemiJoin {
+		t.Fatalf("planned %s, want semi-join", d.Strategy)
 	}
 	out := tp.Explain()
 	for _, want := range []string{
@@ -67,14 +61,7 @@ func TestExplainRendersAllThreeLayers(t *testing.T) {
 	}
 
 	// The planned scan-backed tree executes like the values-backed one.
-	op, err := tp.NewOperator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := exec.Collect(context.Background(), op)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, got := collectPlan(t, tp)
 	want := 0
 	for i := range rows {
 		if uint32(i%8)%10 == 0 {
@@ -99,8 +86,7 @@ func TestLowerScanWithoutHandle(t *testing.T) {
 	}
 	rt := testRuntime(t)
 	p := newTestPlanner(t, rt, netsim.Unlimited())
-	q := Query{Source: scan, UDFs: testBindings(), Catalog: testCatalog(t, rt)}
-	_, err = p.Plan(context.Background(), q)
+	_, err = p.PlanTree(context.Background(), applyQuery(t, scan, testBindings(), nil, nil), testCatalog(t, rt))
 	if err == nil || !strings.Contains(err.Error(), "no storage handle") {
 		t.Errorf("planning a handle-less scan = %v, want storage-handle error", err)
 	}
@@ -112,23 +98,11 @@ func TestLowerScanWithoutHandle(t *testing.T) {
 func TestPlanEmptyInputFallsBackToNaive(t *testing.T) {
 	rt := testRuntime(t)
 	p := newTestPlanner(t, rt, netsim.Unlimited())
-	q := testQuery(t, nil, testCatalog(t, rt))
-	d, err := p.Plan(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tp, d := planOne(t, p, testQuery(t, testValues(t, nil)), testCatalog(t, rt))
 	if d.Strategy != StrategyNaive || !d.Fallback {
 		t.Fatalf("empty input planned as %s (fallback=%v), want naive fallback", d.Strategy, d.Fallback)
 	}
-	op, err := p.NewOperator(q, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := exec.Collect(context.Background(), op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
+	if _, got := collectPlan(t, tp); len(got) != 0 {
 		t.Errorf("empty input returned %d rows", len(got))
 	}
 }

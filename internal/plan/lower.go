@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"csq/internal/catalog"
 	"csq/internal/exec"
@@ -18,8 +17,8 @@ import (
 // tree, runs the sampling/probing/cost-model machinery once per UDFApply
 // node, and instantiates exec operators. Instantiation is repeatable — every
 // call builds a fresh operator tree from the declarative nodes, which is what
-// lets the planner sample an input subtree, execute it, and later re-lower it
-// for adaptive re-planning without any reset-the-iterator protocol.
+// lets the planner sample an input subtree and then execute it without any
+// reset-the-iterator protocol.
 
 // ApplyPlan pairs one UDFApply node of the rewritten tree with its decision.
 type ApplyPlan struct {
@@ -57,10 +56,6 @@ func (tp *TreePlan) MemEstimate(n logical.Node) (int64, bool) {
 // can instantiate its already-planned inputs). The catalog supplies UDF cost
 // metadata; it may be nil when kind-based defaults are acceptable.
 func (p *Planner) PlanTree(ctx context.Context, root logical.Node, cat *catalog.Catalog) (*TreePlan, error) {
-	return p.planTree(ctx, root, cat, nil)
-}
-
-func (p *Planner) planTree(ctx context.Context, root logical.Node, cat *catalog.Catalog, tablePrior *catalog.Table) (*TreePlan, error) {
 	if root == nil {
 		return nil, fmt.Errorf("plan: nil logical tree")
 	}
@@ -76,10 +71,7 @@ func (p *Planner) planTree(ctx context.Context, root logical.Node, cat *catalog.
 		decisions: map[*logical.UDFApply]*Decision{},
 	}
 	for _, apply := range logical.Applies(rewritten) {
-		spec := applySpec{apply: apply, cat: cat, table: tablePrior}
-		if spec.table == nil {
-			spec.table = findScanTable(apply.Input)
-		}
+		spec := applySpec{apply: apply, cat: cat, table: findScanTable(apply.Input)}
 		d, err := p.planApply(ctx, tp.lowerer(), spec)
 		if err != nil {
 			return nil, err
@@ -133,9 +125,7 @@ func findScanTable(n logical.Node) *catalog.Table {
 }
 
 // lowerer instantiates exec operators from logical nodes, using the planned
-// decision for each UDFApply node. Callers needing a forced strategy or an
-// input-row skip for one application (the adaptive operator's mid-query
-// switch) call applyOperator on that node directly.
+// decision for each UDFApply node.
 type lowerer struct {
 	planner   *Planner
 	decisions map[*logical.UDFApply]*Decision
@@ -224,126 +214,67 @@ func (lw *lowerer) lower(n logical.Node) (exec.Operator, error) {
 		if !ok {
 			return nil, fmt.Errorf("plan: UDF application %s has no decision (not planned by this tree plan)", t)
 		}
-		return lw.applyOperator(t, t.Pushable, t.Project, d, d.Strategy, 0)
+		return lw.applyOperator(t, d)
 	default:
 		return nil, fmt.Errorf("plan: cannot lower unknown logical node %T", n)
 	}
 }
 
-// applyOperator instantiates one UDF application with the given pushable
-// predicate and projection, placing them on the right side of the link for
-// the strategy: at the client for the client-site join, at the server above
-// the join-back for the semi-join and the naive operator. skip discards the
-// first input rows (post any pushed-down filter) — the adaptive re-planning
-// resume hook.
-func (lw *lowerer) applyOperator(apply *logical.UDFApply, pushable expr.Expr, project []int, d *Decision, s Strategy, skip int) (exec.Operator, error) {
+// applyOperator instantiates one UDF application with its planned strategy,
+// placing the node's pushable predicate and projection on the right side of
+// the link: at the client for the client-site join, at the server above the
+// join-back for the semi-join and the naive operator. The rewriter absorbs
+// only conjuncts the client can evaluate over the shipped extended record, so
+// the client-site join takes the whole pushable predicate.
+func (lw *lowerer) applyOperator(apply *logical.UDFApply, d *Decision) (exec.Operator, error) {
 	input, err := lw.lower(apply.Input)
 	if err != nil {
 		return nil, err
 	}
-	if skip > 0 {
-		input = newSkip(input, skip)
-	}
 	p := lw.planner
-	switch s {
+	var op exec.Operator
+	switch d.Strategy {
 	case StrategyClientJoin:
-		op, err := exec.NewClientJoin(input, p.Link, apply.UDFs)
+		cj, err := exec.NewClientJoin(input, p.Link, apply.UDFs)
 		if err != nil {
 			return nil, err
 		}
-		op.Sessions = d.Sessions
-		op.DictBatches = d.DictBatches
-		op.Retry = p.Config.Retry
-		client, server := splitClientEvaluable(pushable, apply)
-		op.Pushable = client
-		if server == nil {
-			op.ProjectOrdinals = project
-			return op, nil
-		}
-		// A server-side residue needs the full extended record, so the
-		// projection is applied above it rather than at the client.
-		var out exec.Operator = exec.NewFilter(op, server)
-		if len(project) > 0 {
-			return exec.NewProjectOrdinals(out, project)
-		}
-		return out, nil
-	case StrategySemiJoin, StrategyNaive:
-		op, err := p.newUDFOperator(input, apply.UDFs, s, d)
-		if err != nil {
-			return nil, err
-		}
-		var out exec.Operator = op
-		if pushable != nil {
-			out = exec.NewFilter(out, pushable)
-		}
-		if len(project) > 0 {
-			return exec.NewProjectOrdinals(out, project)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("plan: unknown strategy %d", s)
-	}
-}
-
-// splitClientEvaluable partitions a pushable predicate's conjuncts into those
-// the client can evaluate over the shipped extended record (no server-site
-// UDF calls, no out-of-record columns) and the residue the server must apply
-// above the operator. The rewriter only absorbs client-evaluable conjuncts,
-// so for absorbed predicates the residue is nil; the split matters for folded
-// predicates coming from the adaptive path.
-func splitClientEvaluable(pushable expr.Expr, apply *logical.UDFApply) (client, server expr.Expr) {
-	if pushable == nil {
-		return nil, nil
-	}
-	extW := apply.ExtendedSchema().Len()
-	avail := make(map[int]bool, extW)
-	for i := 0; i < extW; i++ {
-		avail[i] = true
-	}
-	udfResults := make(map[string]bool, len(apply.UDFs))
-	for _, u := range apply.UDFs {
-		udfResults[strings.ToLower(u.Name)] = true
-	}
-	var cs, ss []expr.Expr
-	for _, c := range expr.Conjuncts(pushable) {
-		if expr.PushableToClient(c, avail, udfResults) {
-			cs = append(cs, c)
-		} else {
-			ss = append(ss, c)
-		}
-	}
-	return expr.Conjoin(cs), expr.Conjoin(ss)
-}
-
-// newUDFOperator builds and configures the semi-join or naive operator over
-// an already-assembled input; it is shared by the lowering path and the
-// adaptive operator's monitored phase so both always run identically
-// configured operators.
-func (p *Planner) newUDFOperator(input exec.Operator, udfs []exec.UDFBinding, s Strategy, d *Decision) (exec.Operator, error) {
-	switch s {
+		cj.Sessions = d.Sessions
+		cj.DictBatches = d.DictBatches
+		cj.Retry = p.Config.Retry
+		cj.Pushable = apply.Pushable
+		cj.ProjectOrdinals = apply.Project
+		return cj, nil
 	case StrategySemiJoin:
-		op, err := exec.NewSemiJoin(input, p.Link, udfs)
+		sj, err := exec.NewSemiJoin(input, p.Link, apply.UDFs)
 		if err != nil {
 			return nil, err
 		}
 		if d.Concurrency > 0 {
-			op.ConcurrencyFactor = d.Concurrency
+			sj.ConcurrencyFactor = d.Concurrency
 		}
-		op.Sessions = d.Sessions
-		op.DictBatches = d.DictBatches
-		op.Retry = p.Config.Retry
-		return op, nil
+		sj.Sessions = d.Sessions
+		sj.DictBatches = d.DictBatches
+		sj.Retry = p.Config.Retry
+		op = sj
 	case StrategyNaive:
-		op, err := exec.NewNaiveUDF(input, p.Link, udfs)
+		nu, err := exec.NewNaiveUDF(input, p.Link, apply.UDFs)
 		if err != nil {
 			return nil, err
 		}
-		op.EnableCache = true
-		op.Retry = p.Config.Retry
-		return op, nil
+		nu.EnableCache = true
+		nu.Retry = p.Config.Retry
+		op = nu
 	default:
-		return nil, fmt.Errorf("plan: strategy %s is not a server-joined UDF operator", s)
+		return nil, fmt.Errorf("plan: unknown strategy %d", d.Strategy)
 	}
+	if apply.Pushable != nil {
+		op = exec.NewFilter(op, apply.Pushable)
+	}
+	if len(apply.Project) > 0 {
+		return exec.NewProjectOrdinals(op, apply.Project)
+	}
+	return op, nil
 }
 
 // planApply makes the decision for one UDF application: it obtains sampling

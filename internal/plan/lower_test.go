@@ -267,37 +267,30 @@ func TestLowerPrunesProjectedQuery(t *testing.T) {
 	}
 	rt := testRuntime(t)
 	p := newTestPlanner(t, rt, netsim.Unlimited())
-	q := testQuery(t, rows, testCatalog(t, rt))
 
-	pq, err := p.prepared(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := pq.apply.InputWidth(); w != 2 {
+	tp, d := planOne(t, p, testQuery(t, testValues(t, rows)), testCatalog(t, rt))
+	apply := tp.Applies[0].Apply
+	if w := apply.InputWidth(); w != 2 {
 		t.Fatalf("pruned input width = %d, want 2 (ID, Payload)", w)
 	}
-	proj, ok := pq.apply.Input.(*logical.Project)
+	proj, ok := apply.Input.(*logical.Project)
 	if !ok {
-		t.Fatalf("pruned input is %T, want *logical.Project", pq.apply.Input)
+		t.Fatalf("pruned input is %T, want *logical.Project", apply.Input)
 	}
 	if len(proj.Ordinals) != 2 || proj.Ordinals[0] != 0 || proj.Ordinals[1] != 1 {
 		t.Fatalf("pruned ordinals = %v, want [0 1]", proj.Ordinals)
 	}
 	// Remapped extended schema: 0 ID, 1 Payload, 2 Score, 3 Qualify.
-	if len(pq.project) != 2 || pq.project[0] != 0 || pq.project[1] != 2 {
-		t.Fatalf("remapped projection = %v, want [0 2]", pq.project)
+	if len(apply.Project) != 2 || apply.Project[0] != 0 || apply.Project[1] != 2 {
+		t.Fatalf("remapped projection = %v, want [0 2]", apply.Project)
 	}
 
 	// The pruned plan executes correctly and ships fewer downlink bytes than
 	// an unpruned client join of the same query.
-	d, err := p.Plan(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if d.Strategy != StrategyClientJoin {
 		t.Fatalf("planned %s, want client-site join", d.Strategy)
 	}
-	op, err := p.NewOperator(q, d)
+	op, err := tp.NewOperator()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,12 @@
 //
 // The pipeline is
 //
-//	Query (thin constructor) → logical tree → logical.Rewrite (predicate
-//	pushdown, pushable absorption, projection pruning) → lower (this
-//	package: sampling, link probing, cost-model decisions, operator
-//	instantiation)
+//	logical tree → logical.Rewrite (predicate pushdown, pushable absorption,
+//	projection pruning) → lower (this package: sampling, link probing,
+//	cost-model decisions, operator instantiation)
 //
-// For each UDFApply node of the rewritten tree:
+// Planner.PlanTree is the only entry point; TreePlan.NewOperator instantiates
+// the plan. For each UDFApply node of the rewritten tree:
 //
 //   - A, D, S, P and I come from catalog metadata plus a bounded sampling
 //     pass over a fresh instantiation of the node's input subtree (package
@@ -23,16 +23,15 @@
 //   - the winning operator is instantiated with the node's pushable
 //     predicate and projection on the right side of the link: the client for
 //     the client-site join, the server (above the join-back) for the
-//     semi-join and the naive operator;
-//   - the Adaptive wrapper re-checks the decision mid-query from observed
-//     statistics and switches strategy by re-lowering the node's input
-//     subtree, without discarding rows already delivered.
+//     semi-join and the naive operator.
+//
+// The decision is made once per plan. PlanCache keys plans on the data
+// version of every scanned table, so a write makes the next execution plan
+// afresh.
 package plan
 
 import (
-	"context"
 	"errors"
-	"fmt"
 
 	"csq/internal/catalog"
 	"csq/internal/costmodel"
@@ -52,9 +51,6 @@ const (
 	DefaultSampleRows = 256
 	// DefaultSketchSize is the KMV sketch capacity used for D.
 	DefaultSketchSize = 256
-	// DefaultReplanAfterRows is how many rows the adaptive operator observes
-	// between decision re-checks.
-	DefaultReplanAfterRows = 256
 	// perTupleOverhead is the encoder's fixed per-tuple header (types
 	// encoding: a 4-byte column count), fed to the cost model so its byte
 	// accounting matches the implementation's.
@@ -110,10 +106,6 @@ type Config struct {
 	// ProbeBytes is the large-probe payload for link measurement; < 1 selects
 	// exec.DefaultProbeBytes.
 	ProbeBytes int
-	// ReplanAfterRows is the adaptive operator's observation window (the
-	// "first K batches" of the re-planning rule, expressed in rows). Values
-	// < 1 select DefaultReplanAfterRows.
-	ReplanAfterRows int
 	// MaxSessions caps the parallel session fan-out the planner derives from
 	// the measured link. Values < 1 select DefaultMaxSessions.
 	MaxSessions int
@@ -156,13 +148,6 @@ func (c Config) sketchSize() int {
 	return c.SketchSize
 }
 
-func (c Config) replanAfterRows() int {
-	if c.ReplanAfterRows < 1 {
-		return DefaultReplanAfterRows
-	}
-	return c.ReplanAfterRows
-}
-
 func (c Config) maxSessions() int {
 	if c.MaxSessions < 1 {
 		return DefaultMaxSessions
@@ -170,78 +155,10 @@ func (c Config) maxSessions() int {
 	return c.MaxSessions
 }
 
-// Query is the thin constructor for the common single-UDF-application query
-// shape: a declarative input subtree, the client-site UDFs to apply, and the
-// predicates and projection around them. Logical assembles it into a logical
-// tree; everything else — predicate splitting, projection pruning, strategy
-// choice — happens in the rewrite and lowering layers. Arbitrary shapes
-// (UDFs above joins, several UDF applications in one tree) skip Query and go
-// through Planner.PlanTree directly.
-type Query struct {
-	// Source is the declarative input subtree (a logical Scan, Values, or any
-	// tree without UDF applications). The lowering layer instantiates a fresh
-	// operator tree from it for every pass that needs one — sampling,
-	// execution, adaptive re-planning — so there is no shared-iterator state
-	// to reset between passes.
-	Source logical.Node
-	// UDFs are the client-site UDFs to apply; ordinals reference the source
-	// schema.
-	UDFs []exec.UDFBinding
-	// ServerFilter is an optional server-evaluable predicate over the source
-	// schema, applied below the UDF application.
-	ServerFilter expr.Expr
-	// Pushable is an optional predicate over the extended schema (source
-	// columns followed by one result column per UDF). The rewriter splits it:
-	// server-evaluable conjuncts are pushed below the UDF application,
-	// client-evaluable ones are absorbed into it.
-	Pushable expr.Expr
-	// Project optionally narrows the output to these extended-schema
-	// ordinals (a pushable projection). Empty keeps every column.
-	Project []int
-	// Table optionally supplies catalog statistics for the scanned relation
-	// (cardinality priors when the sample does not exhaust the input). When
-	// nil, the planner looks for a Scan node below the UDF application.
-	Table *catalog.Table
-	// Catalog supplies UDF cost metadata (result sizes, predicate
-	// selectivities) as announced by the client runtime.
-	Catalog *catalog.Catalog
-}
-
-// Logical assembles the query's logical tree, pre-rewrite: Project over
-// Filter(Pushable) over UDFApply over Filter(ServerFilter) over Source.
-func (q Query) Logical() (logical.Node, error) {
-	if q.Source == nil {
-		return nil, fmt.Errorf("plan: query has no input")
-	}
-	if len(q.UDFs) == 0 {
-		return nil, fmt.Errorf("plan: query has no client-site UDFs")
-	}
-	var n logical.Node = q.Source
-	var err error
-	if q.ServerFilter != nil {
-		if n, err = logical.NewFilter(n, q.ServerFilter); err != nil {
-			return nil, fmt.Errorf("plan: %w", err)
-		}
-	}
-	if n, err = logical.NewUDFApply(n, q.UDFs); err != nil {
-		return nil, fmt.Errorf("plan: %w", err)
-	}
-	if q.Pushable != nil {
-		if n, err = logical.NewFilter(n, q.Pushable); err != nil {
-			return nil, fmt.Errorf("plan: %w", err)
-		}
-	}
-	if len(q.Project) > 0 {
-		if n, err = logical.NewProject(n, q.Project); err != nil {
-			return nil, fmt.Errorf("plan: %w", err)
-		}
-	}
-	return n, nil
-}
-
 // applySpec bundles one rewritten UDFApply node with the metadata context its
 // decision is derived from: the catalog (UDF result sizes and selectivities)
-// and an optional table prior for cardinality estimation.
+// and the scanned table's catalog entry, when findScanTable finds one, for
+// cardinality priors.
 type applySpec struct {
 	apply *logical.UDFApply
 	table *catalog.Table
@@ -304,7 +221,7 @@ type Planner struct {
 	// Link is the client link queries execute over; the planner probes it to
 	// measure the network asymmetry.
 	Link exec.ClientLink
-	// Config tunes sampling, probing and re-planning.
+	// Config tunes sampling, probing and lowering.
 	Config Config
 }
 
@@ -330,38 +247,9 @@ func ChooseStrategy(p costmodel.Params) (Strategy, costmodel.LinkCost, costmodel
 	return StrategyClientJoin, sj, cj, nil
 }
 
-// Plan lowers the query through the logical→rewrite→lower pipeline and
-// returns the decision for its UDF application.
-func (p *Planner) Plan(ctx context.Context, q Query) (*Decision, error) {
-	tp, err := p.PlanQuery(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return tp.Applies[0].Decision, nil
-}
-
-// PlanQuery builds the query's logical tree and plans it. The returned
-// TreePlan has exactly one UDF application.
-func (p *Planner) PlanQuery(ctx context.Context, q Query) (*TreePlan, error) {
-	root, err := q.Logical()
-	if err != nil {
-		return nil, err
-	}
-	tp, err := p.planTree(ctx, root, q.Catalog, q.Table)
-	if err != nil {
-		return nil, err
-	}
-	if len(tp.Applies) != 1 {
-		return nil, fmt.Errorf("plan: query rewrote to %d UDF applications, want exactly 1", len(tp.Applies))
-	}
-	return tp, nil
-}
-
 // finalizeLinkKnobs derives the decision's link-level knobs — session
 // fan-out, pipeline concurrency factor and dictionary choice — from its
-// strategy, parameters, link observation and sample statistics. It is shared
-// by the lowering pass and the adaptive mid-query re-plan so a strategy
-// switch always re-derives the knobs exactly the way a fresh plan would.
+// strategy, parameters, link observation and sample statistics.
 func finalizeLinkKnobs(d *Decision, spec applySpec, maxSessions int) {
 	d.Sessions = sessionsFor(d, maxSessions)
 	d.Concurrency = concurrencyFor(d.Params, d.Link, d.Sessions)

@@ -134,15 +134,51 @@ func testValues(t testing.TB, rows []types.Tuple) logical.Node {
 	return src
 }
 
-// extended schema ordinals: 0 ID, 1 Payload, 2 Extra, 3 Score, 4 Qualify.
-func testQuery(t testing.TB, rows []types.Tuple, cat *catalog.Catalog) Query {
-	return Query{
-		Source:   testValues(t, rows),
-		UDFs:     testBindings(),
-		Pushable: expr.NewBoundColumnRef(4, types.KindBool),
-		Project:  []int{0, 3},
-		Catalog:  cat,
+// applyQuery builds a structural query over src through the shared
+// constructor.
+func applyQuery(t testing.TB, src logical.Node, udfs []exec.UDFBinding, pushable expr.Expr, project []int) logical.Node {
+	t.Helper()
+	root, err := logical.NewApplyQuery(src, nil, udfs, pushable, project)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return root
+}
+
+// testQuery applies both UDFs to src, keeps the rows Qualify accepts and
+// returns (ID, Score). Extended schema ordinals: 0 ID, 1 Payload, 2 Extra,
+// 3 Score, 4 Qualify.
+func testQuery(t testing.TB, src logical.Node) logical.Node {
+	t.Helper()
+	return applyQuery(t, src, testBindings(), expr.NewBoundColumnRef(4, types.KindBool), []int{0, 3})
+}
+
+// planOne plans a tree with exactly one UDF application and returns the plan
+// with that application's decision.
+func planOne(t testing.TB, p *Planner, root logical.Node, cat *catalog.Catalog) (*TreePlan, *Decision) {
+	t.Helper()
+	tp, err := p.PlanTree(context.Background(), root, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tp.Applies) != 1 {
+		t.Fatalf("planned %d UDF applications, want 1", len(tp.Applies))
+	}
+	return tp, tp.Applies[0].Decision
+}
+
+// collectPlan instantiates the plan's operator tree and drains it.
+func collectPlan(t testing.TB, tp *TreePlan) (exec.Operator, []types.Tuple) {
+	t.Helper()
+	op, err := tp.NewOperator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := exec.Collect(context.Background(), op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op, got
 }
 
 func TestSketchExactAndEstimated(t *testing.T) {
@@ -301,10 +337,7 @@ func TestPlanPicksSemiJoinForDuplicateHeavyInput(t *testing.T) {
 	}
 	rt := testRuntime(t)
 	p := newTestPlanner(t, rt, netsim.Unlimited())
-	d, err := p.Plan(context.Background(), testQuery(t, rows, testCatalog(t, rt)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tp, d := planOne(t, p, testQuery(t, testValues(t, rows)), testCatalog(t, rt))
 	if d.Strategy != StrategySemiJoin {
 		t.Fatalf("duplicate-heavy input planned as %s, want semi-join (params %+v)", d.Strategy, d.Params)
 	}
@@ -315,14 +348,7 @@ func TestPlanPicksSemiJoinForDuplicateHeavyInput(t *testing.T) {
 		t.Errorf("S = %g, want the catalog-declared 0.1", d.Params.Selectivity)
 	}
 	// Execute the planned operator and verify against a hand-built semi-join.
-	op, err := p.NewOperator(testQuery(t, rows, testCatalog(t, rt)), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := exec.Collect(context.Background(), op)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, got := collectPlan(t, tp)
 	want := 0
 	for i := range rows {
 		if uint32(i%8)%10 == 0 {
@@ -346,22 +372,11 @@ func TestPlanPicksClientJoinForDistinctInput(t *testing.T) {
 	}
 	rt := testRuntime(t)
 	p := newTestPlanner(t, rt, netsim.Unlimited())
-	q := testQuery(t, rows, testCatalog(t, rt))
-	d, err := p.Plan(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tp, d := planOne(t, p, testQuery(t, testValues(t, rows)), testCatalog(t, rt))
 	if d.Strategy != StrategyClientJoin {
 		t.Fatalf("distinct input planned as %s, want client-site join (params %+v)", d.Strategy, d.Params)
 	}
-	op, err := p.NewOperator(q, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := exec.Collect(context.Background(), op)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, got := collectPlan(t, tp)
 	for _, r := range got {
 		if r.Len() != 2 {
 			t.Fatalf("projected row arity = %d, want 2", r.Len())
@@ -375,27 +390,12 @@ func TestPlanNaiveDegenerateCase(t *testing.T) {
 	p := newTestPlanner(t, rt, netsim.Unlimited())
 	// A small-result UDF keeps the semi-join side of the argmin, which the
 	// single-row input then degrades to naive.
-	q := Query{
-		Source:  testValues(t, rows),
-		UDFs:    []exec.UDFBinding{{Name: "Qualify", ArgOrdinals: []int{1}, ResultKind: types.KindBool}},
-		Catalog: testCatalog(t, rt),
-	}
-	d, err := p.Plan(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	qualify := []exec.UDFBinding{{Name: "Qualify", ArgOrdinals: []int{1}, ResultKind: types.KindBool}}
+	tp, d := planOne(t, p, applyQuery(t, testValues(t, rows), qualify, nil, nil), testCatalog(t, rt))
 	if d.Strategy != StrategyNaive {
 		t.Fatalf("single-row workload planned as %s, want naive", d.Strategy)
 	}
-	op, err := p.NewOperator(q, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := exec.Collect(context.Background(), op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Len() != 4 {
+	if _, got := collectPlan(t, tp); len(got) != 1 || got[0].Len() != 4 {
 		t.Errorf("naive plan output = %d rows", len(got))
 	}
 }
@@ -403,15 +403,14 @@ func TestPlanNaiveDegenerateCase(t *testing.T) {
 func TestPlanQueryValidation(t *testing.T) {
 	rt := testRuntime(t)
 	p := newTestPlanner(t, rt, netsim.Unlimited())
-	if _, err := p.Plan(context.Background(), Query{}); err == nil {
-		t.Error("query without input should fail")
+	if _, err := p.PlanTree(context.Background(), nil, testCatalog(t, rt)); err == nil {
+		t.Error("a nil tree should fail")
 	}
-	q := Query{Source: testValues(t, nil)}
-	if _, err := p.Plan(context.Background(), q); err == nil {
-		t.Error("query without UDFs should fail")
+	if _, err := logical.NewApplyQuery(nil, nil, testBindings(), nil, nil); err == nil {
+		t.Error("a query without input should fail")
 	}
-	q.UDFs = []exec.UDFBinding{{Name: "Score", ArgOrdinals: []int{9}, ResultKind: types.KindBytes}}
-	if _, err := p.Plan(context.Background(), q); err == nil {
+	bad := []exec.UDFBinding{{Name: "Score", ArgOrdinals: []int{9}, ResultKind: types.KindBytes}}
+	if _, err := logical.NewApplyQuery(testValues(t, nil), nil, bad, nil, nil); err == nil {
 		t.Error("out-of-range argument ordinal should fail")
 	}
 }
@@ -428,6 +427,7 @@ func TestPlanDerivesSessionsAndDict(t *testing.T) {
 		rows[i] = rowWithKey(i, uint32(1000+i))
 	}
 	rt := testRuntime(t)
+	cat := testCatalog(t, rt)
 	p := newTestPlanner(t, rt, netsim.Unlimited())
 	p.Config.Link = &exec.LinkObservation{
 		DownBytesPerSec: 180_000,
@@ -435,15 +435,11 @@ func TestPlanDerivesSessionsAndDict(t *testing.T) {
 		Asymmetry:       50,
 		RTT:             100 * time.Millisecond,
 	}
-	q := testQuery(t, rows, testCatalog(t, rt))
 	// Return (Extra, Score): the duplicate-heavy Extra column survives the
 	// rewriter's projection pruning, so the shipped records keep the
 	// dictionary-friendly structure this test is about.
-	q.Project = []int{2, 3}
-	d, err := p.Plan(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := applyQuery(t, testValues(t, rows), testBindings(), expr.NewBoundColumnRef(4, types.KindBool), []int{2, 3})
+	tp, d := planOne(t, p, q, cat)
 	if d.Strategy != StrategyClientJoin {
 		t.Fatalf("planned %s, want client-site join", d.Strategy)
 	}
@@ -455,20 +451,13 @@ func TestPlanDerivesSessionsAndDict(t *testing.T) {
 	}
 	// The derived fan-out and encoding must reach the instantiated operator,
 	// and the parallel dictionary-encoded plan must stay correct.
-	op, err := p.NewOperator(q, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	op, got := collectPlan(t, tp)
 	cj, ok := op.(*exec.ClientJoin)
 	if !ok {
 		t.Fatalf("planned operator is %T, want *exec.ClientJoin", op)
 	}
 	if cj.Sessions != d.Sessions || cj.DictBatches != d.DictBatches {
 		t.Errorf("operator got sessions=%d dict=%v, decision says %d/%v", cj.Sessions, cj.DictBatches, d.Sessions, d.DictBatches)
-	}
-	got, err := exec.Collect(context.Background(), op)
-	if err != nil {
-		t.Fatal(err)
 	}
 	want := 0
 	for i := range rows {
@@ -482,11 +471,7 @@ func TestPlanDerivesSessionsAndDict(t *testing.T) {
 
 	// The session cap is configurable.
 	p.Config.MaxSessions = 2
-	d2, err := p.Plan(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Sessions > 2 {
+	if _, d2 := planOne(t, p, q, cat); d2.Sessions > 2 {
 		t.Errorf("sessions = %d exceeds the configured cap 2", d2.Sessions)
 	}
 }
@@ -500,11 +485,7 @@ func TestPlanSingleSessionOnUnmeasuredLink(t *testing.T) {
 	}
 	rt := testRuntime(t)
 	p := newTestPlanner(t, rt, netsim.Unlimited())
-	d, err := p.Plan(context.Background(), testQuery(t, rows, testCatalog(t, rt)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Sessions != 1 {
+	if _, d := planOne(t, p, testQuery(t, testValues(t, rows)), testCatalog(t, rt)); d.Sessions != 1 {
 		t.Errorf("unmeasured link derived %d sessions, want 1", d.Sessions)
 	}
 }

@@ -11,9 +11,7 @@ import (
 // smallest hash value estimates the distinct count as (k−1)/normalised(kth).
 //
 // The planner feeds it the hash of each argument tuple to measure D, the
-// distinct-argument fraction of Section 3.2.2, both during the sampling pass
-// and live inside the adaptive operator (where the stream can be much larger
-// than any sample budget).
+// distinct-argument fraction of Section 3.2.2, during the sampling pass.
 type DistinctSketch struct {
 	k    int
 	mins []uint64 // sorted ascending, distinct; at most k entries

@@ -62,20 +62,13 @@ func statsCacheFixture(t *testing.T) (*countingRelation, *catalog.Catalog, *Plan
 	return counting, cat, p, cache
 }
 
-func statsCacheQuery(t *testing.T, cat *catalog.Catalog) Query {
+func statsCacheQuery(t *testing.T, cat *catalog.Catalog) logical.Node {
 	t.Helper()
-	table, err := cat.Table("objects")
+	scan, err := logical.NewScanByName(cat, "objects", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := logical.NewScan(table, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := testQuery(t, nil, cat)
-	q.Source = scan
-	q.Table = table
-	return q
+	return testQuery(t, scan)
 }
 
 // TestStatsCacheHitSkipsSamplingPass plans the same query twice: the second
@@ -85,7 +78,7 @@ func TestStatsCacheHitSkipsSamplingPass(t *testing.T) {
 	counting, cat, p, cache := statsCacheFixture(t)
 	q := statsCacheQuery(t, cat)
 
-	first, err := p.PlanQuery(context.Background(), q)
+	first, err := p.PlanTree(context.Background(), q, cat)
 	if err != nil {
 		t.Fatalf("first plan: %v", err)
 	}
@@ -96,7 +89,7 @@ func TestStatsCacheHitSkipsSamplingPass(t *testing.T) {
 		t.Fatalf("first plan claims cached stats")
 	}
 
-	second, err := p.PlanQuery(context.Background(), q)
+	second, err := p.PlanTree(context.Background(), q, cat)
 	if err != nil {
 		t.Fatalf("second plan: %v", err)
 	}
@@ -123,13 +116,13 @@ func TestStatsCacheInvalidatedByTableWrite(t *testing.T) {
 	counting, cat, p, _ := statsCacheFixture(t)
 	q := statsCacheQuery(t, cat)
 
-	if _, err := p.PlanQuery(context.Background(), q); err != nil {
+	if _, err := p.PlanTree(context.Background(), q, cat); err != nil {
 		t.Fatalf("first plan: %v", err)
 	}
 	if err := counting.Insert(rowWithKey(999, 999)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.PlanQuery(context.Background(), q); err != nil {
+	if _, err := p.PlanTree(context.Background(), q, cat); err != nil {
 		t.Fatalf("plan after insert: %v", err)
 	}
 	if got := counting.scans.Load(); got != 2 {
@@ -144,7 +137,7 @@ func TestStatsCacheInvalidatedByCatalogChange(t *testing.T) {
 	counting, cat, p, _ := statsCacheFixture(t)
 	q := statsCacheQuery(t, cat)
 
-	if _, err := p.PlanQuery(context.Background(), q); err != nil {
+	if _, err := p.PlanTree(context.Background(), q, cat); err != nil {
 		t.Fatalf("first plan: %v", err)
 	}
 	if _, err := cat.RegisterClientUDF(&wire.RegisterUDF{
@@ -152,7 +145,7 @@ func TestStatsCacheInvalidatedByCatalogChange(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.PlanQuery(context.Background(), q); err != nil {
+	if _, err := p.PlanTree(context.Background(), q, cat); err != nil {
 		t.Fatalf("plan after catalog change: %v", err)
 	}
 	if got := counting.scans.Load(); got != 2 {
@@ -174,14 +167,14 @@ func TestStatsCacheLinkReuse(t *testing.T) {
 	p.Config.ProbeBytes = 8 << 10
 	q := statsCacheQuery(t, cat)
 
-	first, err := p.PlanQuery(context.Background(), q)
+	first, err := p.PlanTree(context.Background(), q, cat)
 	if err != nil {
 		t.Fatalf("first plan: %v", err)
 	}
 	if first.Applies[0].Decision.LinkFromCache {
 		t.Fatalf("first plan claims a cached link observation")
 	}
-	second, err := p.PlanQuery(context.Background(), q)
+	second, err := p.PlanTree(context.Background(), q, cat)
 	if err != nil {
 		t.Fatalf("second plan: %v", err)
 	}
@@ -202,11 +195,11 @@ func TestValuesInputsAreNotCached(t *testing.T) {
 	for i := range rows {
 		rows[i] = rowWithKey(i, uint32(i))
 	}
-	q := testQuery(t, rows, cat)
-	if _, err := p.PlanQuery(context.Background(), q); err != nil {
+	q := testQuery(t, testValues(t, rows))
+	if _, err := p.PlanTree(context.Background(), q, cat); err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	if _, err := p.PlanQuery(context.Background(), q); err != nil {
+	if _, err := p.PlanTree(context.Background(), q, cat); err != nil {
 		t.Fatalf("second plan: %v", err)
 	}
 	if cache.Hits() != 0 {
@@ -217,11 +210,11 @@ func TestValuesInputsAreNotCached(t *testing.T) {
 func TestStatsCacheExplicitInvalidation(t *testing.T) {
 	counting, cat, p, cache := statsCacheFixture(t)
 	q := statsCacheQuery(t, cat)
-	if _, err := p.PlanQuery(context.Background(), q); err != nil {
+	if _, err := p.PlanTree(context.Background(), q, cat); err != nil {
 		t.Fatal(err)
 	}
 	cache.Invalidate()
-	if _, err := p.PlanQuery(context.Background(), q); err != nil {
+	if _, err := p.PlanTree(context.Background(), q, cat); err != nil {
 		t.Fatal(err)
 	}
 	if got := counting.scans.Load(); got != 2 {

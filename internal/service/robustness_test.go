@@ -133,12 +133,8 @@ func (h *hangFixture) tree(t *testing.T) logical.Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := plan.Query{
-		Source:  scan,
-		UDFs:    []exec.UDFBinding{{Name: "hang", ArgOrdinals: []int{0}, ResultKind: types.KindFloat}},
-		Catalog: h.cat,
-	}
-	tree, err := q.Logical()
+	udfs := []exec.UDFBinding{{Name: "hang", ArgOrdinals: []int{0}, ResultKind: types.KindFloat}}
+	tree, err := logical.NewApplyQuery(scan, nil, udfs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

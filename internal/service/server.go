@@ -15,7 +15,6 @@ import (
 	"csq/internal/expr"
 	"csq/internal/lang"
 	"csq/internal/logical"
-	"csq/internal/plan"
 	"csq/internal/types"
 	"csq/internal/wire"
 )
@@ -471,8 +470,8 @@ func (s *Server) sendError(conn *wire.Conn, session uint64, msg string) error {
 
 // buildTree assembles the spec's logical tree. A textual query (spec.Text) is
 // parsed, resolved and compiled server-side against the service catalog;
-// otherwise the structural fields describe the classic scan → [filter] →
-// [udf-apply with pushable/projection] shape over one named table.
+// otherwise the structural fields describe the scan → [filter] → [udf-apply]
+// → [pushable filter] → [project] shape over one named table.
 func (s *Server) buildTree(spec *wire.QuerySpec) (logical.Node, error) {
 	if spec.Text != "" {
 		return lang.Compile(s.svc.cat, spec.Text)
@@ -485,27 +484,9 @@ func (s *Server) buildTree(spec *wire.QuerySpec) (logical.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	var serverFilter expr.Expr
-	if len(spec.Filter) > 0 {
-		serverFilter, err = expr.Unmarshal(spec.Filter)
-		if err != nil {
-			return nil, fmt.Errorf("service: query filter: %w", err)
-		}
-	}
-	if len(spec.UDFs) == 0 {
-		// Pure server-side query.
-		var n logical.Node = scan
-		if serverFilter != nil {
-			if n, err = logical.NewFilter(n, serverFilter); err != nil {
-				return nil, err
-			}
-		}
-		if len(spec.Project) > 0 {
-			if n, err = logical.NewProject(n, spec.Project); err != nil {
-				return nil, err
-			}
-		}
-		return n, nil
+	filter, err := unmarshalPredicate(spec.Filter)
+	if err != nil {
+		return nil, fmt.Errorf("service: query filter: %w", err)
 	}
 	bindings := make([]exec.UDFBinding, 0, len(spec.UDFs))
 	for _, u := range spec.UDFs {
@@ -519,21 +500,20 @@ func (s *Server) buildTree(spec *wire.QuerySpec) (logical.Node, error) {
 			ResultKind:  udf.ResultKind,
 		})
 	}
-	var pushable expr.Expr
-	if len(spec.Pushable) > 0 {
-		pushable, err = expr.Unmarshal(spec.Pushable)
-		if err != nil {
-			return nil, fmt.Errorf("service: pushable predicate: %w", err)
-		}
+	pushable, err := unmarshalPredicate(spec.Pushable)
+	if err != nil {
+		return nil, fmt.Errorf("service: pushable predicate: %w", err)
 	}
-	q := plan.Query{
-		Source:       scan,
-		UDFs:         bindings,
-		ServerFilter: serverFilter,
-		Pushable:     pushable,
-		Project:      append([]int(nil), spec.Project...),
+	return logical.NewApplyQuery(scan, filter, bindings, pushable, spec.Project)
+}
+
+// unmarshalPredicate decodes an optional marshalled predicate; no bytes mean
+// no predicate.
+func unmarshalPredicate(b []byte) (expr.Expr, error) {
+	if len(b) == 0 {
+		return nil, nil
 	}
-	return q.Logical()
+	return expr.Unmarshal(b)
 }
 
 // Requester is the client side of the MsgQuery protocol: a thin helper that

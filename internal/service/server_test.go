@@ -197,6 +197,41 @@ func TestServerRejectsUnknownTable(t *testing.T) {
 	}
 }
 
+// TestServerPushableWithoutUDFs: with no UDFs the extended schema is the
+// table schema, so a structural query's pushable predicate filters the table
+// like Filter does, and malformed predicate bytes are rejected.
+func TestServerPushableWithoutUDFs(t *testing.T) {
+	fx := newServiceFixture(t)
+	defer fx.cleanup()
+	_, addr := startServer(t, fx, Config{Planner: plan.Config{Link: fixedLink()}})
+
+	req, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer req.Close()
+	pushable, err := expr.Marshal(expr.NewBinary(expr.OpLt,
+		expr.NewBoundColumnRef(0, types.KindInt),
+		expr.NewConst(types.NewInt(3))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := req.Submit(wire.QuerySpec{Table: "dims", Pushable: pushable})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	rows, err := q.Collect()
+	if err != nil {
+		t.Fatalf("collect: %v", err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("pushable $0 < 3 over dims returned %d rows, want 3", len(rows))
+	}
+	if _, err := req.Submit(wire.QuerySpec{Table: "dims", Pushable: []byte{0xff, 0xff}}); err == nil {
+		t.Fatalf("malformed pushable bytes were accepted")
+	}
+}
+
 // TestQuerySpecRoundTrip pins the MsgQuery codec.
 func TestQuerySpecRoundTrip(t *testing.T) {
 	spec := &wire.QuerySpec{

@@ -201,8 +201,7 @@ func udfQueryTree(t testing.TB, fx *serviceFixture, udfs []exec.UDFBinding, filt
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := plan.Query{Source: scan, UDFs: udfs, ServerFilter: filter, Pushable: pushable, Project: project, Catalog: fx.cat}
-	tree, err := q.Logical()
+	tree, err := logical.NewApplyQuery(scan, filter, udfs, pushable, project)
 	if err != nil {
 		t.Fatal(err)
 	}
