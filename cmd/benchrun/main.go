@@ -69,10 +69,10 @@ type Report struct {
 	Speedups    map[string]Ratios `json:"speedups"`
 }
 
-// Ratios compares a benchmark's batch variant against its scalar baseline.
+// Ratios compares a benchmark's optimised variant against its base variant.
 type Ratios struct {
-	TimeRatio  float64 `json:"time_scalar_over_batch"`
-	AllocRatio float64 `json:"allocs_scalar_over_batch"`
+	TimeRatio  float64 `json:"time_base_over_variant"`
+	AllocRatio float64 `json:"allocs_base_over_variant"`
 }
 
 // benchLine matches e.g.
@@ -324,11 +324,11 @@ func runPackage(pkg, benchtime string) ([]Result, error) {
 	return results, nil
 }
 
-// speedups pairs */scalar baselines with their */batch (or */pooled, */into)
+// speedups pairs */fresh baselines with their */pooled or */into
 // counterparts.
 func speedups(results []Result) map[string]Ratios {
 	base := make(map[string]Result)
-	variants := map[string]string{"batch": "scalar", "pooled": "fresh", "into": "fresh"}
+	variants := map[string]string{"pooled": "fresh", "into": "fresh"}
 	for _, r := range results {
 		if i := strings.LastIndex(r.Name, "/"); i >= 0 {
 			base[r.Name] = r

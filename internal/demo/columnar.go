@@ -6,6 +6,7 @@ import (
 	"csq/internal/catalog"
 	"csq/internal/storage"
 	"csq/internal/storage/colstore"
+	"csq/internal/types"
 )
 
 // CtradesSegmentRows is the segment size of the demo columnar table: 60
@@ -33,14 +34,13 @@ func AddColumnarTrades(cat *catalog.Catalog, dir string) (*colstore.Table, error
 		return nil, err
 	}
 	it := rel.Iterator()
-	for {
-		row, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := ct.Insert(row); err != nil {
-			ct.Close()
-			return nil, err
+	batch := make([]types.Tuple, 64)
+	for n := it.NextBatch(batch); n > 0; n = it.NextBatch(batch) {
+		for _, row := range batch[:n] {
+			if err := ct.Insert(row); err != nil {
+				ct.Close()
+				return nil, err
+			}
 		}
 	}
 	if err := ct.Flush(); err != nil {

@@ -351,19 +351,6 @@ func (h *HashAggregate) finalizeResults() error {
 	return nil
 }
 
-// Next implements Operator.
-func (h *HashAggregate) Next() (types.Tuple, bool, error) {
-	if err := h.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	if h.pos >= len(h.results) {
-		return nil, false, nil
-	}
-	t := h.results[h.pos]
-	h.pos++
-	return t, true, nil
-}
-
 // NextBatch implements Operator with a bulk copy out of the computed groups.
 func (h *HashAggregate) NextBatch(dst []types.Tuple) (int, error) {
 	if err := h.checkOpen(); err != nil {

@@ -40,26 +40,6 @@ func (f *Filter) Open(ctx context.Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (f *Filter) Next() (types.Tuple, bool, error) {
-	if err := f.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	for {
-		t, ok, err := f.input.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		keep, err := f.match(t)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			return t, true, nil
-		}
-	}
-}
-
 // NextBatch implements Operator: it pulls child batches and compacts the
 // qualifying tuples into dst, retrying until at least one tuple qualifies or
 // the input is exhausted.
@@ -160,26 +140,6 @@ func (p *Project) Open(ctx context.Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (p *Project) Next() (types.Tuple, bool, error) {
-	if err := p.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	in, ok, err := p.input.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make(types.Tuple, len(p.cols))
-	for i, c := range p.cols {
-		v, err := p.eval.Eval(c.Expr, in)
-		if err != nil {
-			return nil, false, err
-		}
-		out[i] = v
-	}
-	return out, true, nil
-}
-
 // NextBatch implements Operator: all output tuples of one batch share a
 // single backing arena.
 func (p *Project) NextBatch(dst []types.Tuple) (int, error) {
@@ -246,22 +206,6 @@ func (p *ProjectOrdinals) Open(ctx context.Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (p *ProjectOrdinals) Next() (types.Tuple, bool, error) {
-	if err := p.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	in, ok, err := p.input.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out, err := in.Project(p.ordinals)
-	if err != nil {
-		return nil, false, err
-	}
-	return out, true, nil
-}
-
 // NextBatch implements Operator: all output tuples of one batch share a
 // single backing arena.
 func (p *ProjectOrdinals) NextBatch(dst []types.Tuple) (int, error) {
@@ -321,22 +265,6 @@ func (l *Limit) Open(ctx context.Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (l *Limit) Next() (types.Tuple, bool, error) {
-	if err := l.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	if l.seen >= l.n {
-		return nil, false, nil
-	}
-	t, ok, err := l.input.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return t, true, nil
-}
-
 // NextBatch implements Operator: it narrows the requested batch to the
 // remaining quota so the input is never over-consumed.
 func (l *Limit) NextBatch(dst []types.Tuple) (int, error) {
@@ -390,22 +318,6 @@ func (d *Distinct) Open(ctx context.Context) error {
 	d.mem = memAccount{t: MemTrackerFrom(ctx)}
 	d.markOpen(ctx)
 	return nil
-}
-
-// Next implements Operator.
-func (d *Distinct) Next() (types.Tuple, bool, error) {
-	if err := d.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	for {
-		t, ok, err := d.input.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if added, _ := d.seen.add(t); added {
-			return t, true, nil
-		}
-	}
 }
 
 // NextBatch implements Operator: it pulls child batches and compacts the

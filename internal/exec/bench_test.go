@@ -10,32 +10,9 @@ import (
 	"csq/internal/types"
 )
 
-// The benchmarks compare the tuple-at-a-time pipeline (Scalarize + Next, the
-// pre-batching behaviour) against the batched pipeline (NextBatch) for the
-// hot operators. cmd/benchrun runs them and emits BENCH_exec.json.
-
-// drainScalar consumes op strictly tuple-at-a-time.
-func drainScalar(b *testing.B, op Operator) int {
-	b.Helper()
-	if err := op.Open(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	n := 0
-	for {
-		_, ok, err := op.Next()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if err := op.Close(); err != nil {
-		b.Fatal(err)
-	}
-	return n
-}
+// The benchmarks drain the hot operators through NextBatch at the engine's
+// default batch size. cmd/benchrun runs them and emits BENCH_exec.json; the
+// /batch sub-names are the keys its regression gate compares.
 
 // drainBatch consumes op through NextBatch.
 func drainBatch(b *testing.B, op Operator) int {
@@ -72,12 +49,6 @@ func BenchmarkHashJoin(b *testing.B) {
 		}
 		return j
 	}
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			drainScalar(b, Scalarize(build()))
-		}
-	})
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -98,12 +69,6 @@ func BenchmarkHashAggregate(b *testing.B) {
 		}
 		return a
 	}
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			drainScalar(b, Scalarize(build()))
-		}
-	})
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -114,7 +79,7 @@ func BenchmarkHashAggregate(b *testing.B) {
 
 func BenchmarkSemiJoin(b *testing.B) {
 	rows := benchRows(1024, 128)
-	build := func(sendBatch int) *SemiJoin {
+	build := func() *SemiJoin {
 		op, err := NewSemiJoin(NewValuesScan(stockSchema(), rows),
 			NewInProcessLink(newAnalysisRuntime(b), netsim.Unlimited()),
 			[]UDFBinding{analysisBinding()})
@@ -122,46 +87,32 @@ func BenchmarkSemiJoin(b *testing.B) {
 			b.Fatal(err)
 		}
 		op.ConcurrencyFactor = 64
-		op.SendBatchSize = sendBatch
 		return op
 	}
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			// SendBatchSize 1 reproduces the tuple-at-a-time wire pipeline.
-			drainScalar(b, Scalarize(build(1)))
-		}
-	})
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			drainBatch(b, build(DefaultSendBatchSize))
+			drainBatch(b, build())
 		}
 	})
 }
 
 func BenchmarkClientJoin(b *testing.B) {
 	rows := benchRows(1024, 128)
-	build := func(shipBatch int) *ClientJoin {
+	build := func() *ClientJoin {
 		op, err := NewClientJoin(NewValuesScan(stockSchema(), rows),
 			NewInProcessLink(newAnalysisRuntime(b), netsim.Unlimited()),
 			[]UDFBinding{analysisBinding()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		op.ShipBatchSize = shipBatch
+		op.ShipBatchSize = DefaultBatchSize
 		return op
 	}
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			drainScalar(b, Scalarize(build(1)))
-		}
-	})
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			drainBatch(b, build(DefaultBatchSize))
+			drainBatch(b, build())
 		}
 	})
 }
@@ -282,12 +233,6 @@ func BenchmarkFilterProject(b *testing.B) {
 		}
 		return p
 	}
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			drainScalar(b, Scalarize(build()))
-		}
-	})
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

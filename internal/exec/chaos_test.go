@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"csq/internal/netsim"
+	"csq/internal/types"
 )
 
 // The chaos suite runs the acceptance scenarios of the fault-tolerant session
@@ -183,15 +184,16 @@ func TestChaosCancellationDuringRecovery(t *testing.T) {
 			if err := op.Open(ctx); err != nil {
 				t.Fatalf("open: %v", err)
 			}
+			row := make([]types.Tuple, 1)
 			for i := 0; i < 8; i++ {
-				if _, ok, err := op.Next(); err != nil || !ok {
-					t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
+				if n, err := op.NextBatch(row); err != nil || n != 1 {
+					t.Fatalf("row %d: n=%d err=%v", i, n, err)
 				}
 			}
 			cancel()
 			for i := 0; ; i++ {
-				_, ok, err := op.Next()
-				if err != nil || !ok {
+				n, err := op.NextBatch(row)
+				if err != nil || n == 0 {
 					break
 				}
 				if i > DefaultBatchSize*8 {

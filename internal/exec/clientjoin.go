@@ -256,23 +256,6 @@ func (c *ClientJoin) nextResultBatch() ([]types.Tuple, bool, error) {
 	}
 }
 
-// Next implements Operator.
-func (c *ClientJoin) Next() (types.Tuple, bool, error) {
-	if err := c.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	for c.curPos >= len(c.cur) {
-		batch, ok, err := c.nextResultBatch()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		c.cur, c.curPos = batch, 0
-	}
-	t := c.cur[c.curPos]
-	c.curPos++
-	return t, true, nil
-}
-
 // NextBatch implements Operator: it drains the merged batches directly into
 // dst.
 func (c *ClientJoin) NextBatch(dst []types.Tuple) (int, error) {

@@ -125,24 +125,6 @@ func (s *ColumnarScan) Open(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Next implements Operator.
-func (s *ColumnarScan) Next() (types.Tuple, bool, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	for {
-		if s.pos < len(s.cur) {
-			t := s.cur[s.pos]
-			s.pos++
-			return t, true, nil
-		}
-		ok, err := s.advance()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-	}
-}
-
 // NextBatch implements Operator with bulk copies out of the decoded segment.
 func (s *ColumnarScan) NextBatch(dst []types.Tuple) (int, error) {
 	if err := s.checkOpen(); err != nil {

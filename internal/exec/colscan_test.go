@@ -40,23 +40,14 @@ func colTestTable(t *testing.T, n, segmentRows int) (*colstore.Table, []types.Tu
 	return tbl, rows
 }
 
+// drain collects op one row per NextBatch call.
 func drain(t *testing.T, op Operator, ctx context.Context) []types.Tuple {
 	t.Helper()
-	if err := op.Open(ctx); err != nil {
+	out, err := collectBatches(ctx, op, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer op.Close()
-	var out []types.Tuple
-	for {
-		row, ok, err := op.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return out
-		}
-		out = append(out, row)
-	}
+	return out
 }
 
 func encodeRows(t *testing.T, rows []types.Tuple) []byte {
@@ -73,7 +64,7 @@ func encodeRows(t *testing.T, rows []types.Tuple) []byte {
 }
 
 // TestColumnarScanFull checks an unpruned, unprojected scan returns every row
-// byte-identically, through both Next and NextBatch.
+// byte-identically, drained one row at a time and in default-size batches.
 func TestColumnarScanFull(t *testing.T) {
 	tbl, rows := colTestTable(t, 100, 16) // 6 segments + 4-row tail
 	got := drain(t, NewColumnarScan(tbl, "", nil, nil), context.Background())
@@ -176,12 +167,13 @@ func TestColumnarScanMemoryBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var maxUsed int64
+	row := make([]types.Tuple, 1)
 	for {
-		_, ok, err := scan.Next()
+		n, err := scan.NextBatch(row)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
 		if u := mt.Used(); u > maxUsed {

@@ -7,29 +7,21 @@
 //
 // # Batch execution contract
 //
-// Operators implement both a tuple-at-a-time interface (Next) and a batched
-// one (NextBatch). The batched path is the fast path: it amortises per-call
-// overheads and lets operators carve the tuples of one batch out of a single
-// backing allocation. The rules are:
+// Operators produce rows only in batches, through NextBatch. A batch
+// amortises per-call overheads and lets an operator carve the tuples of one
+// batch out of a single backing allocation. The rules are:
 //
 //   - NextBatch(dst) fills up to len(dst) tuples into dst and returns how
 //     many were produced. A return of 0 with a nil error means the stream is
 //     exhausted. Operators may return fewer than len(dst) tuples before
 //     exhaustion (e.g. when an internal buffer boundary is hit); only n == 0
-//     signals the end.
+//     signals the end. Any len(dst) ≥ 1 is valid, and the rows produced do
+//     not depend on it.
 //   - Ownership: tuples written into dst belong to the caller. An operator
 //     must never mutate or recycle a tuple it has handed out. Several tuples
 //     of one batch may share a backing arena, so retaining one tuple of a
 //     batch can pin the memory of its siblings — callers that keep long-lived
 //     references to few tuples of large batches should Clone them.
-//   - Mixing Next and NextBatch calls on the same operator is allowed; both
-//     drain the same underlying stream.
-//
-// Tuple-at-a-time operators satisfy the batched contract with the generic
-// ScalarNextBatch adapter, which loops Next. Wrapping any operator in
-// Scalarize forces every downstream NextBatch through the tuple-at-a-time
-// path; the benchmarks use it as the baseline the batch path is measured
-// against.
 package exec
 
 import (
@@ -45,60 +37,20 @@ import (
 const DefaultBatchSize = 64
 
 // Operator is the interface every physical operator implements: Open
-// prepares the operator, Next/NextBatch produce tuples, Close releases
-// resources. Next reports exhaustion with ok == false; NextBatch with a zero
-// count. See the package documentation for the batch ownership rules.
+// prepares the operator, NextBatch produces tuples and reports exhaustion
+// with a zero count, Close releases resources. See the package documentation
+// for the batch ownership rules.
 type Operator interface {
-	// Schema describes the tuples produced by Next and NextBatch.
+	// Schema describes the tuples produced by NextBatch.
 	Schema() *types.Schema
 	// Open prepares the operator and its children for execution.
 	Open(ctx context.Context) error
-	// Next returns the next tuple. ok is false when the stream is exhausted.
-	Next() (t types.Tuple, ok bool, err error)
 	// NextBatch fills dst with up to len(dst) tuples and returns how many
 	// were produced; 0 with a nil error means the stream is exhausted.
 	NextBatch(dst []types.Tuple) (n int, err error)
 	// Close releases resources. It is safe to call Close more than once and
 	// after a failed Open.
 	Close() error
-}
-
-// nexter is the tuple-at-a-time half of Operator; it is what the generic
-// batch adapter needs.
-type nexter interface {
-	Next() (types.Tuple, bool, error)
-}
-
-// ScalarNextBatch adapts a tuple-at-a-time Next loop to the NextBatch
-// contract. Operators without a native batch implementation use it as their
-// NextBatch body.
-func ScalarNextBatch(op nexter, dst []types.Tuple) (int, error) {
-	for i := range dst {
-		t, ok, err := op.Next()
-		if err != nil {
-			return i, err
-		}
-		if !ok {
-			return i, nil
-		}
-		dst[i] = t
-	}
-	return len(dst), nil
-}
-
-// scalarized forces batched consumers through the tuple-at-a-time path.
-type scalarized struct {
-	Operator
-}
-
-// Scalarize wraps op so that NextBatch degrades to a Next loop, disabling the
-// operator's native batch path. It exists for A/B comparisons (benchmarks,
-// equivalence tests) between the batched and tuple-at-a-time pipelines.
-func Scalarize(op Operator) Operator { return scalarized{op} }
-
-// NextBatch implements Operator by looping the wrapped operator's Next.
-func (s scalarized) NextBatch(dst []types.Tuple) (int, error) {
-	return ScalarNextBatch(s.Operator, dst)
 }
 
 // Collect drains an operator into a slice, handling Open/Close. It is the
@@ -206,11 +158,9 @@ func NetStatsOf(op Operator) NetStats {
 }
 
 // baseState tracks the open/closed lifecycle shared by the operators and
-// threads the Open-time context through the Next/NextBatch hot paths: every
-// call checks the query context, so a cancelled or expired query stops
-// promptly no matter how deep the operator tree is. On the batched fast path
-// that is one check per batch; the tuple-at-a-time path pays it per row,
-// which is noise next to its per-row evaluation and allocation costs.
+// threads the Open-time context through the NextBatch hot path: every call
+// checks the query context, once per batch, so a cancelled or expired query
+// stops promptly no matter how deep the operator tree is.
 type baseState struct {
 	ctx    context.Context
 	prog   *Progress
@@ -233,7 +183,7 @@ func (b *baseState) checkOpen() error {
 	if b.closed {
 		return fmt.Errorf("exec: operator used after Close")
 	}
-	// Every live batch (or row, on the scalar path) boundary is a heartbeat:
+	// Every live batch boundary is a heartbeat:
 	// the stuck-query watchdog sees the counter freeze exactly when the
 	// operator tree stops getting here.
 	b.prog.Tick()

@@ -94,10 +94,10 @@ func TestTableScan(t *testing.T) {
 	if unaliased.Schema().Columns[0].Qualifier != "StockQuotes" {
 		t.Errorf("default qualifier = %v", unaliased.Schema().Columns[0].Qualifier)
 	}
-	// Next before Open errors.
+	// NextBatch before Open errors.
 	fresh := NewTableScan(tbl, "S")
-	if _, _, err := fresh.Next(); err == nil {
-		t.Error("Next before Open should fail")
+	if _, err := fresh.NextBatch(make([]types.Tuple, 1)); err == nil {
+		t.Error("NextBatch before Open should fail")
 	}
 }
 

@@ -9,32 +9,9 @@ import (
 	"csq/internal/types"
 )
 
-// collectScalar drains an operator strictly tuple-at-a-time via Next,
-// bypassing every native NextBatch implementation. It is the baseline the
-// batch path is compared against.
-func collectScalar(ctx context.Context, op Operator) ([]types.Tuple, error) {
-	if err := op.Open(ctx); err != nil {
-		_ = op.Close()
-		return nil, err
-	}
-	var out []types.Tuple
-	for {
-		t, ok, err := op.Next()
-		if err != nil {
-			_ = op.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	return out, op.Close()
-}
-
-// collectOddBatches drains an operator through NextBatch with a deliberately
-// awkward batch size to exercise partial-batch boundaries.
-func collectOddBatches(ctx context.Context, op Operator, size int) ([]types.Tuple, error) {
+// collectBatches drains an operator through NextBatch with a fixed batch
+// size; awkward sizes exercise partial-batch boundaries.
+func collectBatches(ctx context.Context, op Operator, size int) ([]types.Tuple, error) {
 	if err := op.Open(ctx); err != nil {
 		_ = op.Close()
 		return nil, err
@@ -55,10 +32,10 @@ func collectOddBatches(ctx context.Context, op Operator, size int) ([]types.Tupl
 	return out, op.Close()
 }
 
-func requireSameRows(t *testing.T, name string, scalar, batch []types.Tuple, ordered bool) {
+func requireSameRows(t *testing.T, name string, want, got []types.Tuple, ordered bool) {
 	t.Helper()
-	if len(scalar) != len(batch) {
-		t.Fatalf("%s: scalar produced %d rows, batch %d", name, len(scalar), len(batch))
+	if len(want) != len(got) {
+		t.Fatalf("%s: want %d rows, got %d", name, len(want), len(got))
 	}
 	if !ordered {
 		key := func(rows []types.Tuple) map[string]int {
@@ -68,23 +45,26 @@ func requireSameRows(t *testing.T, name string, scalar, batch []types.Tuple, ord
 			}
 			return m
 		}
-		sm, bm := key(scalar), key(batch)
-		for k, c := range sm {
-			if bm[k] != c {
-				t.Fatalf("%s: row %s count scalar=%d batch=%d", name, k, c, bm[k])
+		wm, gm := key(want), key(got)
+		for k, c := range wm {
+			if gm[k] != c {
+				t.Fatalf("%s: row %s count want=%d got=%d", name, k, c, gm[k])
 			}
 		}
 		return
 	}
-	for i := range scalar {
-		if !scalar[i].Equal(batch[i]) {
-			t.Fatalf("%s: row %d differs: scalar=%v batch=%v", name, i, scalar[i], batch[i])
+	for i := range want {
+		if !want[i].Equal(got[i]) {
+			t.Fatalf("%s: row %d differs: want=%v got=%v", name, i, want[i], got[i])
 		}
 	}
 }
 
-// TestBatchScalarEquivalence asserts the batched and tuple-at-a-time paths
-// produce identical results for every operator.
+// TestBatchScalarEquivalence asserts every operator produces the same rows
+// whatever the batch size it is drained at: one row per call (the
+// tuple-at-a-time pull), awkward partial sizes, the engine default and one
+// batch larger than any input. Each drain must equal the 1024-row drain, in
+// order where the case is ordered.
 func TestBatchScalarEquivalence(t *testing.T) {
 	ctx := context.Background()
 	gtPred := func(t *testing.T) expr.Expr {
@@ -198,47 +178,18 @@ func TestBatchScalarEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			scalar, err := collectScalar(ctx, Scalarize(tc.make(t)))
+			want, err := collectBatches(ctx, tc.make(t), 1024)
 			if err != nil {
-				t.Fatalf("scalar drain: %v", err)
+				t.Fatalf("batch size 1024: %v", err)
 			}
-			batch, err := Collect(ctx, tc.make(t))
-			if err != nil {
-				t.Fatalf("batch drain: %v", err)
-			}
-			requireSameRows(t, tc.name, scalar, batch, tc.ordered)
-			// Awkward batch sizes must hit the same rows.
-			for _, size := range []int{1, 3} {
-				odd, err := collectOddBatches(ctx, tc.make(t), size)
+			for _, size := range []int{1, 3, DefaultBatchSize} {
+				got, err := collectBatches(ctx, tc.make(t), size)
 				if err != nil {
 					t.Fatalf("batch size %d: %v", size, err)
 				}
-				requireSameRows(t, fmt.Sprintf("%s/size%d", tc.name, size), scalar, odd, tc.ordered)
+				requireSameRows(t, fmt.Sprintf("%s/size%d", tc.name, size), want, got, tc.ordered)
 			}
 		})
-	}
-}
-
-// TestScalarizeAdapter checks the generic tuple-at-a-time adapter's batch
-// semantics directly: partial fills, exhaustion signalling and pass-through.
-func TestScalarizeAdapter(t *testing.T) {
-	op := Scalarize(NewValuesScan(stockSchema(), stockRows(5)))
-	if err := op.Open(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer op.Close()
-	dst := make([]types.Tuple, 3)
-	n, err := op.NextBatch(dst)
-	if err != nil || n != 3 {
-		t.Fatalf("first batch = %d, %v", n, err)
-	}
-	n, err = op.NextBatch(dst)
-	if err != nil || n != 2 {
-		t.Fatalf("second batch = %d, %v", n, err)
-	}
-	n, err = op.NextBatch(dst)
-	if err != nil || n != 0 {
-		t.Fatalf("exhausted batch = %d, %v", n, err)
 	}
 }
 

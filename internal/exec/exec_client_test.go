@@ -634,9 +634,10 @@ func TestContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Read a couple of rows, then cancel and close.
+	row := make([]types.Tuple, 1)
 	for i := 0; i < 2; i++ {
-		if _, ok, err := op.Next(); err != nil || !ok {
-			t.Fatalf("next %d: %v %v", i, ok, err)
+		if n, err := op.NextBatch(row); err != nil || n != 1 {
+			t.Fatalf("next %d: %d %v", i, n, err)
 		}
 	}
 	cancel()

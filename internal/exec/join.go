@@ -163,34 +163,6 @@ func (j *HashJoin) advance() (ok bool, err error) {
 	return true, nil
 }
 
-// Next implements Operator.
-func (j *HashJoin) Next() (types.Tuple, bool, error) {
-	if err := j.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	if j.spill != nil {
-		return j.spill.next()
-	}
-	for {
-		for len(j.pending) > 0 {
-			match := j.pending[0]
-			j.pending = j.pending[1:]
-			out := j.current.Concat(match)
-			keep, err := j.match(out)
-			if err != nil {
-				return nil, false, err
-			}
-			if keep {
-				return out, true, nil
-			}
-		}
-		ok, err := j.advance()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-	}
-}
-
 // NextBatch implements Operator: all output tuples of one batch are carved
 // out of a single backing arena instead of one Concat allocation each.
 func (j *HashJoin) NextBatch(dst []types.Tuple) (int, error) {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"csq/internal/types"
 )
 
 // grCount returns the current goroutine count, excluding the runtime's own
@@ -95,9 +97,10 @@ func TestEarlyCloseJoinsAllReaders(t *testing.T) {
 				if err := op.Open(context.Background()); err != nil {
 					t.Fatalf("open: %v", err)
 				}
+				row := make([]types.Tuple, 1)
 				for i := 0; i < 5; i++ {
-					if _, ok, err := op.Next(); err != nil || !ok {
-						t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
+					if n, err := op.NextBatch(row); err != nil || n != 1 {
+						t.Fatalf("row %d: n=%d err=%v", i, n, err)
 					}
 				}
 				if err := op.Close(); err != nil {
@@ -125,15 +128,16 @@ func TestCancelledQueryJoinsAllReaders(t *testing.T) {
 			if err := op.Open(ctx); err != nil {
 				t.Fatalf("open: %v", err)
 			}
-			if _, ok, err := op.Next(); err != nil || !ok {
-				t.Fatalf("first row: ok=%v err=%v", ok, err)
+			row := make([]types.Tuple, 1)
+			if n, err := op.NextBatch(row); err != nil || n != 1 {
+				t.Fatalf("first row: n=%d err=%v", n, err)
 			}
 			cancel()
 			// Drain until the cancellation surfaces; the error may take one
 			// batch boundary to propagate.
 			for i := 0; ; i++ {
-				_, ok, err := op.Next()
-				if err != nil || !ok {
+				n, err := op.NextBatch(row)
+				if err != nil || n == 0 {
 					break
 				}
 				if i > DefaultBatchSize*4 {
@@ -162,8 +166,8 @@ func TestRepeatedEarlyCloseDoesNotAccumulate(t *testing.T) {
 		if err := op.Open(context.Background()); err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		if _, ok, err := op.Next(); err != nil || !ok {
-			t.Fatalf("round %d: ok=%v err=%v", round, ok, err)
+		if n, err := op.NextBatch(make([]types.Tuple, 1)); err != nil || n != 1 {
+			t.Fatalf("round %d: n=%d err=%v", round, n, err)
 		}
 		if err := op.Close(); err != nil {
 			t.Fatalf("close: %v", err)

@@ -49,6 +49,8 @@ type NaiveUDF struct {
 	pool     *shipPool[*naivePending]
 	window   []*naivePending          // FIFO of read-ahead input tuples
 	inflight map[uint64][]types.Tuple // argument tuples with a round trip in flight, by hash
+	inBuf    []types.Tuple            // reused input batch
+	ahead    []types.Tuple            // pulled input not yet in the window (a tail of inBuf)
 	inputEOF bool
 	cache    *argCache
 	mem      memAccount // result-cache memory charge
@@ -168,6 +170,7 @@ func (n *NaiveUDF) Open(ctx context.Context) error {
 	}
 	n.window = n.window[:0]
 	n.inflight = make(map[uint64][]types.Tuple)
+	n.ahead = nil
 	n.inputEOF = false
 	n.mem = memAccount{t: MemTrackerFrom(ctx)}
 	if n.EnableCache {
@@ -186,14 +189,25 @@ func (n *NaiveUDF) Open(ctx context.Context) error {
 func (n *NaiveUDF) fillWindow() error {
 	limit := len(n.pool.lanes) + DefaultBatchSize
 	for !n.inputEOF && len(n.window) < limit && (len(n.window) == 0 || n.pool.hasRoom()) {
-		in, ok, err := n.input.Next()
-		if err != nil {
-			return err
+		if len(n.ahead) == 0 {
+			// Pull no more than the window has room for, so the window and
+			// the unread input together stay within the read-ahead bound.
+			room := limit - len(n.window)
+			if cap(n.inBuf) < room {
+				n.inBuf = make([]types.Tuple, room)
+			}
+			k, err := n.input.NextBatch(n.inBuf[:room])
+			if err != nil {
+				return err
+			}
+			if k == 0 {
+				n.inputEOF = true
+				return nil
+			}
+			n.ahead = n.inBuf[:k]
 		}
-		if !ok {
-			n.inputEOF = true
-			return nil
-		}
+		in := n.ahead[0]
+		n.ahead = n.ahead[1:]
 		args, err := in.Project(n.argOrdinals)
 		if err != nil {
 			return err
@@ -291,32 +305,37 @@ func (n *NaiveUDF) removeInFlight(hash uint64, args types.Tuple) {
 	}
 }
 
-// Next implements Operator: one blocking round trip per non-cached tuple,
-// with up to Sessions round trips overlapped by the read-ahead window.
-func (n *NaiveUDF) Next() (types.Tuple, bool, error) {
-	if err := n.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	if err := n.fillWindow(); err != nil {
-		return nil, false, err
-	}
-	if len(n.window) == 0 {
-		return nil, false, nil
-	}
-	p := n.window[0]
-	n.window = n.window[1:]
-	res, err := n.resolve(p)
-	if err != nil {
-		return nil, false, err
-	}
-	return p.in.Concat(res), true, nil
-}
-
-// NextBatch implements Operator via the generic tuple-at-a-time adapter: one
-// blocking round trip per tuple is the defining behaviour of this operator,
-// so there is nothing to batch beyond the session window.
+// NextBatch implements Operator: one blocking round trip per non-cached
+// tuple, with up to Sessions round trips overlapped by the read-ahead window.
+// Window heads resolve into dst in input order; all output tuples of one
+// batch are carved out of a single backing arena.
 func (n *NaiveUDF) NextBatch(dst []types.Tuple) (int, error) {
-	return ScalarNextBatch(n, dst)
+	width := n.schema.Len()
+	var arena []types.Value
+	for out := range dst {
+		// Each tuple can wait a full round trip; re-check the query context
+		// per tuple so cancellation never rides out a whole batch.
+		if err := n.checkOpen(); err != nil {
+			return out, err
+		}
+		if err := n.fillWindow(); err != nil {
+			return out, err
+		}
+		if len(n.window) == 0 {
+			return out, nil
+		}
+		p := n.window[0]
+		n.window = n.window[1:]
+		res, err := n.resolve(p)
+		if err != nil {
+			return out, err
+		}
+		if arena == nil {
+			arena = make([]types.Value, 0, len(dst)*width)
+		}
+		arena, dst[out] = types.ConcatInto(arena, p.in, res)
+	}
+	return len(dst), nil
 }
 
 // Close implements Operator. The lane readers are always draining, so round
@@ -332,6 +351,7 @@ func (n *NaiveUDF) Close() error {
 		n.pool.close()
 		n.window = n.window[:0]
 	}
+	n.inBuf, n.ahead = nil, nil
 	n.cache = nil
 	n.mem.releaseAll()
 	return n.input.Close()

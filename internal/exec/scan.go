@@ -45,15 +45,6 @@ func (s *TableScan) Open(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Next implements Operator.
-func (s *TableScan) Next() (types.Tuple, bool, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	t, ok := s.it.Next()
-	return t, ok, nil
-}
-
 // NextBatch implements Operator with a bulk copy out of the table snapshot.
 func (s *TableScan) NextBatch(dst []types.Tuple) (int, error) {
 	if err := s.checkOpen(); err != nil {
@@ -90,19 +81,6 @@ func (s *ValuesScan) Open(ctx context.Context) error {
 	s.pos = 0
 	s.markOpen(ctx)
 	return ctx.Err()
-}
-
-// Next implements Operator.
-func (s *ValuesScan) Next() (types.Tuple, bool, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
 }
 
 // NextBatch implements Operator with a bulk copy out of the row slice.

@@ -187,23 +187,10 @@ func TestScanShareConcurrentScans(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			scan := NewColumnarScan(tbl, "", nil, nil)
-			if err := scan.Open(ctx); err != nil {
+			got, err := collectBatches(ctx, NewColumnarScan(tbl, "", nil, nil), 1)
+			if err != nil {
 				errs <- err
 				return
-			}
-			defer scan.Close()
-			var got []types.Tuple
-			for {
-				row, ok, err := scan.Next()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if !ok {
-					break
-				}
-				got = append(got, row)
 			}
 			if !bytes.Equal(encodeRows(t, got), want) {
 				errs <- errors.New("concurrent shared scan returned wrong rows")

@@ -289,25 +289,10 @@ func (s *SemiJoin) nextRecord() (bufferedRecord, bool, error) {
 	return rec, true, nil
 }
 
-// Next implements Operator: it is the receiver thread of Figure 3, joining
-// buffered records with the result stream the session readers publish.
-func (s *SemiJoin) Next() (types.Tuple, bool, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	rec, ok, err := s.nextRecord()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	results, err := s.result(rec)
-	if err != nil {
-		return nil, false, err
-	}
-	return rec.tuple.Concat(results), true, nil
-}
-
-// NextBatch implements Operator: all output tuples of one batch are carved
-// out of a single backing arena.
+// NextBatch implements Operator: it is the receiver thread of Figure 3,
+// joining buffered records with the result stream the session readers
+// publish. All output tuples of one batch are carved out of a single backing
+// arena.
 func (s *SemiJoin) NextBatch(dst []types.Tuple) (int, error) {
 	if err := s.checkOpen(); err != nil {
 		return 0, err

@@ -83,19 +83,6 @@ func (s *Sort) Open(ctx context.Context) error {
 	return nil
 }
 
-// Next implements Operator.
-func (s *Sort) Next() (types.Tuple, bool, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, false, err
-	}
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
-}
-
 // NextBatch implements Operator with a bulk copy out of the sorted rows.
 func (s *Sort) NextBatch(dst []types.Tuple) (int, error) {
 	if err := s.checkOpen(); err != nil {

@@ -105,28 +105,14 @@ func TestHashJoinSpillByteIdentical(t *testing.T) {
 		t.Fatalf("tracker still charged %d bytes after Close", tracker.Used())
 	}
 
-	// The tuple-at-a-time surface must drain the same spilled stream.
-	j := build()
+	// A one-row-at-a-time drain must see the same spilled stream.
 	tracker2 := NewMemTracker(32 << 10)
-	if err := j.Open(WithMemTracker(context.Background(), tracker2)); err != nil {
-		t.Fatalf("open: %v", err)
+	oneByOne, err := collectBatches(WithMemTracker(context.Background(), tracker2), build(), 1)
+	if err != nil {
+		t.Fatalf("spilled join, batch size 1: %v", err)
 	}
-	var scalar []types.Tuple
-	for {
-		tu, ok, err := j.Next()
-		if err != nil {
-			t.Fatalf("next: %v", err)
-		}
-		if !ok {
-			break
-		}
-		scalar = append(scalar, tu)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if !bytes.Equal(encodeAll(t, scalar), encodeAll(t, want)) {
-		t.Fatalf("spilled join Next() output differs from in-memory output")
+	if !bytes.Equal(encodeAll(t, oneByOne), encodeAll(t, want)) {
+		t.Fatalf("spilled join output at batch size 1 differs from in-memory output")
 	}
 }
 
@@ -197,11 +183,12 @@ func TestCancellationStopsOperatorsAtBatchBoundary(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer j.Close()
-	if _, ok, err := j.Next(); err != nil || !ok {
-		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	row := make([]types.Tuple, 1)
+	if n, err := j.NextBatch(row); err != nil || n != 1 {
+		t.Fatalf("first row: n=%d err=%v", n, err)
 	}
 	cancel()
-	if _, _, err := j.Next(); !errors.Is(err, context.Canceled) {
+	if _, err := j.NextBatch(row); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled after cancel, got %v", err)
 	}
 	batch := make([]types.Tuple, 8)

@@ -16,7 +16,7 @@ import (
 
 // Property test: lowering any logical tree generated from a small shape
 // grammar produces results byte-identical to the equivalent hand-built exec
-// operator tree, on both the batch and the tuple-at-a-time path. The grammar
+// operator tree, drained in default-size batches and one row at a time. The grammar
 // covers every IR node; the mirror construction is deliberately naive (naive
 // UDF operator, no pushdown), so the comparison exercises the rewriter's
 // semantics preservation as well as the lowering itself.
@@ -248,9 +248,30 @@ func (g *propGen) tree(depth int) (pair, error) {
 	}
 }
 
-func collectScalar(t *testing.T, op exec.Operator) []string {
+// collectOneByOne drains op one row per NextBatch call.
+func collectOneByOne(t *testing.T, op exec.Operator) []string {
 	t.Helper()
-	return mustCollect(t, exec.Scalarize(op))
+	if err := op.Open(context.Background()); err != nil {
+		_ = op.Close()
+		t.Fatal(err)
+	}
+	var out []types.Tuple
+	row := make([]types.Tuple, 1)
+	for {
+		n, err := op.NextBatch(row)
+		if err != nil {
+			_ = op.Close()
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+		out = append(out, row[0])
+	}
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return tupleKeys(t, out)
 }
 
 func TestLoweringMatchesDirectConstructionProperty(t *testing.T) {
@@ -288,12 +309,12 @@ func TestLoweringMatchesDirectConstructionProperty(t *testing.T) {
 			got := mustCollect(t, batchOp)
 			requireSameRows(t, got, want, "batch path\n"+logical.Format(tp.Root))
 
-			scalarOp, err := tp.NewOperator()
+			oneOp, err := tp.NewOperator()
 			if err != nil {
-				t.Fatalf("lowering (scalar): %v", err)
+				t.Fatalf("lowering (batch size 1): %v", err)
 			}
-			gotScalar := collectScalar(t, scalarOp)
-			requireSameRows(t, gotScalar, want, "scalar path\n"+logical.Format(tp.Root))
+			gotOne := collectOneByOne(t, oneOp)
+			requireSameRows(t, gotOne, want, "batch size 1\n"+logical.Format(tp.Root))
 		})
 	}
 }

@@ -759,6 +759,76 @@ func TestServerShutdownOverWire(t *testing.T) {
 	}
 }
 
+// TestServerShutdownRacesWireSubmissions runs Shutdown against a burst of
+// wire submissions. Every submission must end in its rows, a typed reject or
+// a transport error from the connections closing after the drain, Shutdown
+// must return nil, and the race detector must see no unsynchronised use of
+// the server's stream accounting.
+func TestServerShutdownRacesWireSubmissions(t *testing.T) {
+	const rows, requesters, perRequester = 16, 4, 8
+	cat := miniCatalog(t, rows)
+	for round := 0; round < 10; round++ {
+		srv := NewServer(New(cat, Config{MaxConcurrent: 4, MaxQueued: requesters * perRequester}))
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveDone := make(chan struct{})
+		go func() { _ = srv.Serve(ln); close(serveDone) }()
+		// A Shutdown that beats Serve's start would leave ln open, and the
+		// requesters' connections unaccepted in its backlog.
+		for srv.Addr() == nil {
+			time.Sleep(time.Millisecond)
+		}
+
+		start := make(chan struct{})
+		errs := make(chan error, requesters*perRequester)
+		var wg sync.WaitGroup
+		conns := make([]*Requester, requesters)
+		for i := range conns {
+			r, err := Dial(ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			conns[i] = r
+			for j := 0; j < perRequester; j++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					q, err := r.Submit(wire.QuerySpec{Table: "nums"})
+					var got []types.Tuple
+					if err == nil {
+						got, err = q.Collect()
+					}
+					switch {
+					case err == nil && len(got) != rows:
+						errs <- fmt.Errorf("completed query returned %d rows, want %d", len(got), rows)
+					case err != nil && !wire.IsRetryable(err):
+						errs <- fmt.Errorf("submission failed untyped: %w", err)
+					}
+				}()
+			}
+		}
+		close(start)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err = srv.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("round %d: Shutdown returned %v", round, err)
+		}
+		wg.Wait()
+		for _, r := range conns {
+			_ = r.Close()
+		}
+		close(errs)
+		for err := range errs {
+			t.Errorf("round %d: %v", round, err)
+		}
+		<-serveDone
+	}
+}
+
 func waitDraining(t *testing.T, svc *Service) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

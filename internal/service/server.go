@@ -209,10 +209,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // handleConn is one requester connection's control loop.
 func (s *Server) handleConn(nc net.Conn) {
 	conn := wire.NewConn(&stallGuardConn{Conn: nc, stall: s.writeStall()})
-	owned := struct {
-		sync.Mutex
-		queries map[uint64]*Query
-	}{queries: make(map[uint64]*Query)}
+	owned := &connQueries{queries: make(map[uint64]*Query)}
 	// Prepared statements live for the connection; they hold no slots or
 	// sessions, so disconnect cleanup is just letting the map go.
 	stmts := make(map[uint64]*connStatement)
@@ -282,22 +279,9 @@ func (s *Server) handleConn(nc net.Conn) {
 			if err != nil {
 				continue
 			}
-			q, serr := s.svc.Submit(context.Background(), req)
-			if serr != nil {
-				s.sendFailure(conn, ack.Caps, spec.QueryID, serr)
-				continue
-			}
-			owned.Lock()
-			owned.queries[spec.QueryID] = q
-			owned.Unlock()
-			s.streams.Add(1)
-			go func(id uint64, caps uint32) {
-				defer s.streams.Done()
-				s.streamResult(conn, caps, id, q)
-				owned.Lock()
-				delete(owned.queries, id)
-				owned.Unlock()
-			}(spec.QueryID, ack.Caps)
+			s.submitStream(conn, owned, ack.Caps, spec.QueryID, func() (*Query, error) {
+				return s.svc.Submit(context.Background(), req)
+			})
 		case wire.MsgPrepare:
 			// A prepared statement arrives as a QuerySpec whose QueryID is the
 			// statement ID; the tree is built (and a textual query compiled)
@@ -347,22 +331,9 @@ func (s *Server) handleConn(nc net.Conn) {
 			if ep.TimeoutMillis > 0 {
 				over.Timeout = time.Duration(ep.TimeoutMillis) * time.Millisecond
 			}
-			q, serr := st.ps.Submit(context.Background(), over)
-			if serr != nil {
-				s.sendFailure(conn, st.caps, ep.QueryID, serr)
-				continue
-			}
-			owned.Lock()
-			owned.queries[ep.QueryID] = q
-			owned.Unlock()
-			s.streams.Add(1)
-			go func(id uint64, caps uint32) {
-				defer s.streams.Done()
-				s.streamResult(conn, caps, id, q)
-				owned.Lock()
-				delete(owned.queries, id)
-				owned.Unlock()
-			}(ep.QueryID, st.caps)
+			s.submitStream(conn, owned, st.caps, ep.QueryID, func() (*Query, error) {
+				return st.ps.Submit(context.Background(), over)
+			})
 		case wire.MsgCancel:
 			c, err := wire.DecodeCancel(msg.Payload)
 			if err != nil {
@@ -379,6 +350,45 @@ func (s *Server) handleConn(nc net.Conn) {
 			_ = s.sendError(conn, 0, fmt.Sprintf("unexpected message %s", msg.Type))
 		}
 	}
+}
+
+// connQueries is the set of in-flight queries one requester connection owns,
+// by their peer-chosen query IDs.
+type connQueries struct {
+	sync.Mutex
+	queries map[uint64]*Query
+}
+
+// submitStream submits one query for a requester connection and, once it is
+// admitted, streams its result from a goroutine that Shutdown waits for. The
+// stream is counted before the submission, under s.mu, so it never races
+// Shutdown's wait from a zero count: once the server is closed no stream is
+// counted any more, and the query is refused with a typed draining reject.
+func (s *Server) submitStream(conn *wire.Conn, owned *connQueries, caps uint32, id uint64, submit func() (*Query, error)) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		s.sendFailure(conn, caps, id, &wire.RejectError{Reason: wire.RejectDraining})
+		return
+	}
+	s.streams.Add(1)
+	s.mu.Unlock()
+	q, err := submit()
+	if err != nil {
+		s.streams.Done()
+		s.sendFailure(conn, caps, id, err)
+		return
+	}
+	owned.Lock()
+	owned.queries[id] = q
+	owned.Unlock()
+	go func() {
+		defer s.streams.Done()
+		s.streamResult(conn, caps, id, q)
+		owned.Lock()
+		delete(owned.queries, id)
+		owned.Unlock()
+	}()
 }
 
 // connStatement is a prepared statement owned by one requester connection,

@@ -4,11 +4,11 @@
 // fallback, like the wire's AppendTupleBatchAuto) and summarized by a zone
 // map (min/max, row count, null count).
 //
-// colstore.Table implements storage.Relation, so every operator, strategy and
-// the planner work against it unchanged; the execution engine's vectorized
-// ColumnarScan uses the richer Snapshot surface to materialize only the
-// columns a query needs and to skip whole segments via zone maps before any
-// decode happens.
+// The execution engine reads a columnar table only through its vectorized
+// ColumnarScan, over the Snapshot surface: it materializes only the columns a
+// query needs and skips whole segments via zone maps before any decode
+// happens. The planner keys its caches on the table's storage.Versioned and
+// storage.SegmentVersioned versions.
 //
 // # On-disk layout
 //
@@ -236,10 +236,10 @@ func (t *Table) loadIndex() error {
 	return nil
 }
 
-// Name implements storage.Relation.
+// Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
-// Schema implements storage.Relation. Callers must not modify it.
+// Schema returns the table schema. Callers must not modify it.
 func (t *Table) Schema() *types.Schema { return t.schema }
 
 // Version implements storage.Versioned: it changes on every mutation.
@@ -407,9 +407,9 @@ func (t *Table) validate(row types.Tuple) error {
 	return nil
 }
 
-// Compile-time checks: the columnar table plugs in behind the row-store seams.
+// Compile-time checks: the columnar table carries the versions the planner's
+// caches key on.
 var (
-	_ storage.Relation         = (*Table)(nil)
 	_ storage.Versioned        = (*Table)(nil)
 	_ storage.SegmentVersioned = (*Table)(nil)
 )

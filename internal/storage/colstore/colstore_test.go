@@ -47,8 +47,25 @@ func encodeAll(t *testing.T, rows []types.Tuple) []byte {
 	return buf
 }
 
+// readAll materializes every row of the snapshot, segment by segment and then
+// the buffered tail, in insertion order.
+func readAll(t *testing.T, snap *Snapshot) []types.Tuple {
+	t.Helper()
+	var out []types.Tuple
+	var buf []byte
+	for i := 0; i < snap.NumSegments(); i++ {
+		rows, _, b, err := snap.ReadSegment(i, nil, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = b
+		out = append(out, rows...)
+	}
+	return append(out, snap.Tail()...)
+}
+
 // TestRoundTrip inserts rows across several segments plus a buffered tail and
-// verifies the iterator returns them byte-identically and in order.
+// verifies a snapshot reads them back byte-identically and in order.
 func TestRoundTrip(t *testing.T) {
 	tbl, err := Create(t.TempDir(), "quotes", testSchema(), Options{SegmentRows: 16})
 	if err != nil {
@@ -66,38 +83,8 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("NumSegments = %d, want 6", got)
 	}
 
-	it := tbl.Iterator()
-	if it.Len() != 100 {
-		t.Fatalf("iterator Len = %d, want 100", it.Len())
-	}
-	var got []types.Tuple
-	for {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		got = append(got, r)
-	}
-	if err := it.(*rowIterator).Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeAll(t, got), encodeAll(t, rows)) {
-		t.Fatal("iterated rows differ from inserted rows")
-	}
-
-	// Batch path, reset first.
-	it.Reset()
-	var batched []types.Tuple
-	dst := make([]types.Tuple, 7)
-	for {
-		n := it.NextBatch(dst)
-		if n == 0 {
-			break
-		}
-		batched = append(batched, dst[:n]...)
-	}
-	if !bytes.Equal(encodeAll(t, batched), encodeAll(t, rows)) {
-		t.Fatal("batched rows differ from inserted rows")
+	if !bytes.Equal(encodeAll(t, readAll(t, tbl.Snapshot())), encodeAll(t, rows)) {
+		t.Fatal("read rows differ from inserted rows")
 	}
 }
 
@@ -146,16 +133,7 @@ func TestReopen(t *testing.T) {
 		t.Fatalf("segment 0 max = %d, want 7", max)
 	}
 
-	var got []types.Tuple
-	it := re.Iterator()
-	for {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		got = append(got, r)
-	}
-	if !bytes.Equal(encodeAll(t, got), encodeAll(t, rows)) {
+	if !bytes.Equal(encodeAll(t, readAll(t, snap)), encodeAll(t, rows)) {
 		t.Fatal("reopened rows differ from inserted rows")
 	}
 }
@@ -249,7 +227,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if err := tbl.InsertBatch(rows[:10]); err != nil {
 		t.Fatal(err)
 	}
-	it := tbl.Iterator()
+	snap := tbl.Snapshot()
 	v1 := tbl.SegmentSetVersion()
 	if err := tbl.InsertBatch(rows[10:]); err != nil {
 		t.Fatal(err)
@@ -260,15 +238,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if v2 := tbl.SegmentSetVersion(); v2 == v1 {
 		t.Fatalf("SegmentSetVersion unchanged across flush: %q", v2)
 	}
-	count := 0
-	for {
-		_, ok := it.Next()
-		if !ok {
-			break
-		}
-		count++
-	}
-	if count != 10 {
+	if count := len(readAll(t, snap)); count != 10 {
 		t.Fatalf("snapshot saw %d rows, want 10", count)
 	}
 }

@@ -3,7 +3,6 @@ package colstore
 import (
 	"fmt"
 
-	"csq/internal/storage"
 	"csq/internal/types"
 )
 
@@ -81,15 +80,6 @@ func (s *Snapshot) ZoneMap(i, col int) ZoneMap { return s.segs[i].cols[col].zm }
 // Tail returns the buffered rows not yet flushed to a segment. Zone maps do
 // not cover them; a scan emits them after the segments.
 func (s *Snapshot) Tail() []types.Tuple { return s.tail }
-
-// TotalRows returns the number of rows the snapshot covers.
-func (s *Snapshot) TotalRows() int {
-	n := len(s.tail)
-	for _, seg := range s.segs {
-		n += seg.rows
-	}
-	return n
-}
 
 // SegmentMayMatch reports whether segment i could contain a row satisfying
 // every predicate. It errs on the side of true: only a zone map that proves
@@ -188,93 +178,3 @@ func (s *Snapshot) ReadSegment(i int, cols []int, buf []byte) ([]types.Tuple, in
 	}
 	return tuples, bytesRead, buf, nil
 }
-
-// Iterator implements storage.Relation with a row-at-a-time view over a
-// snapshot: segments are decoded lazily, one at a time, then the tail is
-// emitted. Disk errors end the iteration early; Err reports them (the
-// vectorized ColumnarScan in the execution engine is the error-aware path).
-func (t *Table) Iterator() storage.RowIterator {
-	return &rowIterator{snap: t.Snapshot()}
-}
-
-type rowIterator struct {
-	snap     *Snapshot
-	seg      int           // next segment to decode
-	cur      []types.Tuple // decoded rows of the current segment (or the tail)
-	pos      int
-	buf      []byte
-	tailDone bool
-	err      error
-}
-
-// Next implements storage.RowIterator.
-func (it *rowIterator) Next() (types.Tuple, bool) {
-	for {
-		if it.pos < len(it.cur) {
-			t := it.cur[it.pos]
-			it.pos++
-			return t, true
-		}
-		if !it.advance() {
-			return nil, false
-		}
-	}
-}
-
-// NextBatch implements storage.RowIterator.
-func (it *rowIterator) NextBatch(dst []types.Tuple) int {
-	filled := 0
-	for filled < len(dst) {
-		if it.pos < len(it.cur) {
-			n := copy(dst[filled:], it.cur[it.pos:])
-			filled += n
-			it.pos += n
-			continue
-		}
-		if !it.advance() {
-			break
-		}
-	}
-	return filled
-}
-
-// advance loads the next non-empty segment (or the tail) into cur.
-func (it *rowIterator) advance() bool {
-	if it.err != nil {
-		return false
-	}
-	it.pos = 0
-	for it.seg < len(it.snap.segs) {
-		i := it.seg
-		it.seg++
-		tuples, _, buf, err := it.snap.ReadSegment(i, nil, it.buf)
-		it.buf = buf
-		if err != nil {
-			it.err = err
-			it.cur = nil
-			return false
-		}
-		if len(tuples) > 0 {
-			it.cur = tuples
-			return true
-		}
-	}
-	if !it.tailDone {
-		it.tailDone = true
-		it.cur = it.snap.tail
-		return len(it.cur) > 0
-	}
-	it.cur = nil
-	return false
-}
-
-// Reset implements storage.RowIterator.
-func (it *rowIterator) Reset() {
-	it.seg, it.pos, it.cur, it.tailDone, it.err = 0, 0, nil, false, nil
-}
-
-// Len implements storage.RowIterator.
-func (it *rowIterator) Len() int { return it.snap.TotalRows() }
-
-// Err returns the first disk error the iterator hit, if any.
-func (it *rowIterator) Err() error { return it.err }

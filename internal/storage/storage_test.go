@@ -24,6 +24,16 @@ func sampleRow(name string, close float64) types.Tuple {
 	)
 }
 
+// countRows drains it one row per NextBatch call and returns the row count.
+func countRows(it RowIterator) int {
+	row := make([]types.Tuple, 1)
+	n := 0
+	for it.NextBatch(row) == 1 {
+		n++
+	}
+	return n
+}
+
 func TestHeapTableBasics(t *testing.T) {
 	tbl, err := NewHeapTable("StockQuotes", quotesSchema())
 	if err != nil {
@@ -45,24 +55,8 @@ func TestHeapTableBasics(t *testing.T) {
 	if tbl.AvgRowSize() <= 0 {
 		t.Error("AvgRowSize should be positive")
 	}
-	it := tbl.Iterator()
-	if it.Len() != 3 {
-		t.Errorf("iterator Len = %d", it.Len())
-	}
-	count := 0
-	for {
-		_, ok := it.Next()
-		if !ok {
-			break
-		}
-		count++
-	}
-	if count != 3 {
+	if count := countRows(tbl.Iterator()); count != 3 {
 		t.Errorf("iterated %d rows", count)
-	}
-	it.Reset()
-	if _, ok := it.Next(); !ok {
-		t.Error("Reset should rewind the iterator")
 	}
 	tbl.Truncate()
 	if tbl.RowCount() != 0 {
@@ -95,8 +89,8 @@ func TestHeapTableSnapshotIsolation(t *testing.T) {
 	_ = tbl.Insert(sampleRow("A", 1))
 	it := tbl.Iterator()
 	_ = tbl.Insert(sampleRow("B", 2))
-	if it.Len() != 1 {
-		t.Errorf("iterator should see the snapshot taken at creation, got %d rows", it.Len())
+	if n := countRows(it); n != 1 {
+		t.Errorf("iterator should see the snapshot taken at creation, got %d rows", n)
 	}
 	if tbl.RowCount() != 2 {
 		t.Errorf("table should now have 2 rows")
@@ -173,12 +167,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
 				_ = tbl.Insert(sampleRow(fmt.Sprintf("w%d-%d", i, j), float64(j)))
-				it := tbl.Iterator()
-				for {
-					if _, ok := it.Next(); !ok {
-						break
-					}
-				}
+				countRows(tbl.Iterator())
 			}
 		}(i)
 	}

@@ -18,15 +18,9 @@ import (
 // RowIterator is a snapshot iterator over a relation's rows. Implementations
 // are single-goroutine; a fresh iterator is obtained per scan.
 type RowIterator interface {
-	// Next returns the next tuple, or (nil, false) when exhausted.
-	Next() (types.Tuple, bool)
 	// NextBatch fills up to len(dst) tuples into dst and returns how many
 	// were filled; 0 means the snapshot is exhausted.
 	NextBatch(dst []types.Tuple) int
-	// Reset rewinds the iterator to the beginning of its snapshot.
-	Reset()
-	// Len returns the number of rows in the snapshot.
-	Len() int
 }
 
 // Relation is the read surface the execution engine scans: any named,
@@ -259,45 +253,16 @@ func (h *HeapTable) DistinctFractionOn(ordinals []int) float64 {
 	return float64(len(seen)) / float64(rows)
 }
 
-// TableIterator iterates over a snapshot of in-memory rows (a heap table's
-// chunk list, or a single materialized slice such as a sorted index).
+// TableIterator iterates over a snapshot of a heap table's chunk list.
 type TableIterator struct {
 	chunks [][]types.Tuple
 	ci     int // current chunk
 	pos    int // position within the current chunk
-	total  int
 }
 
 // newChunkIterator builds an iterator over a chunk list.
 func newChunkIterator(chunks [][]types.Tuple) *TableIterator {
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	return &TableIterator{chunks: chunks, total: total}
-}
-
-// NewSliceIterator returns an iterator over a single row slice; the caller
-// must not mutate the occupied prefix afterwards.
-func NewSliceIterator(rows []types.Tuple) *TableIterator {
-	if len(rows) == 0 {
-		return &TableIterator{}
-	}
-	return &TableIterator{chunks: [][]types.Tuple{rows}, total: len(rows)}
-}
-
-// Next returns the next tuple, or (nil, false) when exhausted.
-func (it *TableIterator) Next() (types.Tuple, bool) {
-	for it.ci < len(it.chunks) {
-		if c := it.chunks[it.ci]; it.pos < len(c) {
-			t := c[it.pos]
-			it.pos++
-			return t, true
-		}
-		it.ci++
-		it.pos = 0
-	}
-	return nil, false
+	return &TableIterator{chunks: chunks}
 }
 
 // NextBatch copies up to len(dst) tuples into dst and returns how many were
@@ -316,12 +281,6 @@ func (it *TableIterator) NextBatch(dst []types.Tuple) int {
 	}
 	return filled
 }
-
-// Reset rewinds the iterator to the beginning of its snapshot.
-func (it *TableIterator) Reset() { it.ci, it.pos = 0, 0 }
-
-// Len returns the number of rows in the snapshot.
-func (it *TableIterator) Len() int { return it.total }
 
 // Store is a named collection of heap tables; the execution engine resolves
 // base-table scans against it. It is kept separate from the catalog so that

@@ -204,7 +204,9 @@ func DecodeSchema(src []byte) (*Schema, int, error) {
 	if c <= 0 {
 		return nil, 0, fmt.Errorf("types: decode schema: bad column count")
 	}
-	if n > 1<<16 {
+	// A column takes at least three bytes (its kind and two string lengths),
+	// so a count the input cannot hold is refused before it sizes anything.
+	if n > 1<<16 || n > uint64(len(src)-c)/3 {
 		return nil, 0, fmt.Errorf("types: decode schema: column count %d too large", n)
 	}
 	off := c

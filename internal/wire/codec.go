@@ -60,7 +60,9 @@ func appendInts(dst []byte, xs []int) []byte {
 
 func readInts(src []byte) ([]int, int, error) {
 	n, c := binary.Uvarint(src)
-	if c <= 0 || n > 1<<16 {
+	// Every entry takes at least one byte: a count the input cannot hold is
+	// refused before it sizes the list.
+	if c <= 0 || n > 1<<16 || n > uint64(len(src)-c) {
 		return nil, 0, fmt.Errorf("wire: bad int list length")
 	}
 	off := c
