@@ -1053,8 +1053,10 @@ func (q *Query) finish(ctx context.Context, err error) {
 	// failed query's half-written partitions) go with it.
 	tracker.CleanupSpill()
 	q.cancelWith(nil) // release the context's resources
-	close(q.done)
+	// Retire before signalling Done, so a waiter that then lists Queries sees
+	// the retention bound already applied.
 	q.svc.retire(q)
+	close(q.done)
 }
 
 // retire prunes old finished queries beyond the configured retention.
