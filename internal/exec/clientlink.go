@@ -106,7 +106,8 @@ func (l *InProcessLink) Stats() netsim.Stats {
 }
 
 // DialLink connects to a remote client runtime listening on a TCP address
-// (cmd/csq-client). Each session dials a fresh connection, optionally shaped.
+// (client.Runtime.ServeConn behind an accept loop). Each session dials a fresh
+// connection, optionally shaped.
 type DialLink struct {
 	// Addr is the client runtime's listen address.
 	Addr string

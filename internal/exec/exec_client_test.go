@@ -490,7 +490,8 @@ func TestOperatorConstructionErrors(t *testing.T) {
 
 func TestDialLink(t *testing.T) {
 	// Spin up a TCP listener backed by the client runtime and execute a
-	// semi-join through a DialLink — the path cmd/csq-server uses.
+	// semi-join through a DialLink — the path a planner over a remote client
+	// runtime uses.
 	rt := newAnalysisRuntime(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

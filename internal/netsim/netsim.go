@@ -10,8 +10,8 @@
 //     directions are independently shaped by bandwidth and latency, with byte
 //     counters. This is the "real" transport used by the execution operators
 //     and the integration tests.
-//   - Dial/Listen helpers that shape an arbitrary net.Conn (e.g. TCP) the same
-//     way, used by the cmd/csq-server and cmd/csq-client binaries.
+//   - ShapeLink, which shapes one direction of an arbitrary net.Conn (e.g. a
+//     TCP connection from exec.DialLink) the same way, faults included.
 //
 // The deterministic discrete-event simulator used to regenerate the paper's
 // figures lives in package sim, not here.
@@ -236,46 +236,6 @@ func (c *shapedConn) delay(n int) {
 		time.Sleep(d)
 	}
 }
-
-// Shape wraps an existing net.Conn so that its writes are paced at the given
-// bandwidth (bytes/second) with the given latency and scale, counting written
-// bytes into ctr when non-nil.
-func Shape(conn net.Conn, bandwidth float64, latency time.Duration, scale float64, ctr *atomic.Int64) net.Conn {
-	if scale <= 0 {
-		scale = 1
-	}
-	return &shapedConn{Conn: conn, writeBW: bandwidth, latency: latency, scale: scale, writeCtr: ctr}
-}
-
-// CountingConn wraps a net.Conn and counts the bytes read and written.
-type CountingConn struct {
-	net.Conn
-	read    atomic.Int64
-	written atomic.Int64
-}
-
-// NewCountingConn wraps conn with byte counters.
-func NewCountingConn(conn net.Conn) *CountingConn { return &CountingConn{Conn: conn} }
-
-// Read implements io.Reader.
-func (c *CountingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.read.Add(int64(n))
-	return n, err
-}
-
-// Write implements io.Writer.
-func (c *CountingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.written.Add(int64(n))
-	return n, err
-}
-
-// BytesRead returns the number of bytes read so far.
-func (c *CountingConn) BytesRead() int64 { return c.read.Load() }
-
-// BytesWritten returns the number of bytes written so far.
-func (c *CountingConn) BytesWritten() int64 { return c.written.Load() }
 
 // Validate checks a link configuration for nonsensical values.
 func (c LinkConfig) Validate() error {

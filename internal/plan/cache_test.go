@@ -169,13 +169,55 @@ func TestPlanCacheLRUAndCounters(t *testing.T) {
 	}
 
 	// nil receiver is a disabled cache, not a crash.
-	var nilCache *PlanCache
+	var nilCache *Cache[*TreePlan]
 	if _, hit := nilCache.Lookup("x"); hit {
 		t.Fatal("nil cache hit")
 	}
 	nilCache.Store("x", tp)
 	if nilCache.Hits() != 0 || nilCache.Misses() != 0 || nilCache.Len() != 0 {
 		t.Fatal("nil cache counters non-zero")
+	}
+}
+
+// TestCacheChargesCost pins the budget rules on a cost-charged instance, as
+// the service's result cache is: an entry over MaxEntry is refused, the least
+// recently used entries go once the charged total passes the budget, and a
+// store under a present key keeps the incumbent but refreshes its recency.
+func TestCacheChargesCost(t *testing.T) {
+	c := NewCache(100, func(s string) int64 { return int64(len(s)) })
+	if c.MaxEntry() != 12 {
+		t.Fatalf("MaxEntry = %d, want budget/8 = 12", c.MaxEntry())
+	}
+	c.Store("big", strings.Repeat("x", 13))
+	if c.Len() != 0 {
+		t.Fatal("an entry over MaxEntry was stored")
+	}
+	for i := 0; i < 10; i++ {
+		c.Store(string(rune('a'+i)), strings.Repeat(string(rune('a'+i)), 10))
+	}
+	if c.Used() != 100 || c.Len() != 10 {
+		t.Fatalf("used/len = %d/%d, want 100/10", c.Used(), c.Len())
+	}
+	c.Store("b", "incumbent?")
+	c.Store("k", strings.Repeat("k", 10))
+	c.Store("l", strings.Repeat("l", 10))
+	if _, hit := c.Lookup("a"); hit {
+		t.Fatal("least recently used entry survived going over budget")
+	}
+	if v, hit := c.Lookup("b"); !hit || v != strings.Repeat("b", 10) {
+		t.Fatalf("refreshed entry = %q, %v; want the incumbent", v, hit)
+	}
+	if _, hit := c.Lookup("c"); hit {
+		t.Fatal("eviction skipped the least recently used entry")
+	}
+	if c.Used() != 100 || c.Len() != 10 {
+		t.Fatalf("used/len = %d/%d, want 100/10", c.Used(), c.Len())
+	}
+	if got := c.Values()[0]; got != strings.Repeat("b", 10) {
+		t.Fatalf("most recent value = %q", got)
+	}
+	if small := NewCache[int](3, nil); small.MaxEntry() != 1 {
+		t.Fatalf("MaxEntry of a 3-entry cache = %d, want 1", small.MaxEntry())
 	}
 }
 

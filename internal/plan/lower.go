@@ -283,26 +283,19 @@ func (lw *lowerer) applyOperator(apply *logical.UDFApply, d *Decision) (exec.Ope
 // link observation, assembles the cost-model parameters and picks the
 // strategy.
 func (p *Planner) planApply(ctx context.Context, lw *lowerer, spec applySpec) (*Decision, error) {
-	cache := p.Config.StatsCache
+	samples, links := p.Config.StatsCache.caches()
 	var cacheKey string
-	cacheable := false
-	if cache != nil {
-		cacheKey, cacheable = sampleCacheKey(spec, p.Config)
+	if samples != nil {
+		cacheKey = sampleCacheKey(spec, p.Config)
 	}
-	var stats SampleStats
-	statsFromCache := false
-	if cacheable {
-		stats, statsFromCache = cache.lookupSample(cacheKey)
-	}
+	stats, statsFromCache := samples.Lookup(cacheKey)
 	if !statsFromCache {
 		var err error
 		stats, err = p.sampleApply(ctx, lw, spec.apply)
 		if err != nil {
 			return nil, fmt.Errorf("plan: sampling pass: %w", err)
 		}
-		if cacheable {
-			cache.storeSample(cacheKey, stats)
-		}
+		samples.Store(cacheKey, stats)
 	}
 
 	var link exec.LinkObservation
@@ -311,7 +304,7 @@ func (p *Planner) planApply(ctx context.Context, lw *lowerer, spec applySpec) (*
 	case p.Config.Link != nil:
 		link = *p.Config.Link
 	default:
-		if obs, ok := cache.LinkObservation(p.Config.LinkKey); ok {
+		if obs, ok := links.Lookup(p.Config.LinkKey); ok {
 			link, linkFromCache = obs, true
 			break
 		}
@@ -320,7 +313,7 @@ func (p *Planner) planApply(ctx context.Context, lw *lowerer, spec applySpec) (*
 		if err != nil {
 			return nil, fmt.Errorf("plan: link probe: %w", err)
 		}
-		cache.StoreLink(p.Config.LinkKey, link)
+		links.Store(p.Config.LinkKey, link)
 	}
 
 	d := &Decision{Stats: stats, Link: link, StatsFromCache: statsFromCache, LinkFromCache: linkFromCache}

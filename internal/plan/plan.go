@@ -25,7 +25,7 @@
 //     the client-site join, the server (above the join-back) for the
 //     semi-join and the naive operator.
 //
-// The decision is made once per plan. PlanCache keys plans on the data
+// The decision is made once per plan. NewPlanCache keys plans on the data
 // version of every scanned table, so a write makes the next execution plan
 // afresh.
 package plan

@@ -2,183 +2,69 @@ package plan
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	"csq/internal/exec"
-	"csq/internal/logical"
-	"csq/internal/storage"
 )
+
+// statsCacheEntries bounds each of a StatsCache's two instances: every table
+// write strands the entries keyed on the old version until the LRU evicts
+// them.
+const statsCacheEntries = 1024
 
 // StatsCache is the cross-query statistics cache: repeated queries over
 // unchanged data reuse the sampled cardinality, record sizes, distinct
 // fractions and selectivities (and the probe-measured link observation)
 // instead of re-running a sampling pass and a link probe per plan.
 //
-// Sample entries are keyed by everything the sampling pass depends on — the
-// data version of every scanned relation, the catalog version (UDF metadata
-// feeds the decision), the rendered input subtree, the argument ordinals and
-// the sampling configuration — so a cache hit is exactly as fresh as a
-// re-sample, and any catalog mutation or table write invalidates implicitly
-// by changing the key. Link observations are keyed by a caller-supplied link
-// identity (e.g. the client address).
+// Sample entries are keyed by the version stamp of the sampled input subtree
+// (see TreeVersionKey) plus the argument ordinals and the sampling
+// configuration, so a cache hit is exactly as fresh as a re-sample. Link
+// observations are keyed by a caller-supplied link identity (e.g. the client
+// address).
 //
 // A StatsCache is safe for concurrent use by any number of planners; the
 // service layer shares one across all queries.
 type StatsCache struct {
-	mu      sync.Mutex
-	samples map[string]SampleStats
-	links   map[string]exec.LinkObservation
-
-	hits   atomic.Int64
-	misses atomic.Int64
+	samples *Cache[SampleStats]
+	links   *Cache[exec.LinkObservation]
 }
 
 // NewStatsCache returns an empty cache.
 func NewStatsCache() *StatsCache {
 	return &StatsCache{
-		samples: make(map[string]SampleStats),
-		links:   make(map[string]exec.LinkObservation),
+		samples: NewCache[SampleStats](statsCacheEntries, nil),
+		links:   NewCache[exec.LinkObservation](statsCacheEntries, nil),
 	}
+}
+
+// caches returns the two instances, both nil (disabled) for a nil StatsCache.
+func (c *StatsCache) caches() (*Cache[SampleStats], *Cache[exec.LinkObservation]) {
+	if c == nil {
+		return nil, nil
+	}
+	return c.samples, c.links
 }
 
 // Hits returns how many sampling passes the cache has saved.
 func (c *StatsCache) Hits() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.hits.Load()
+	samples, _ := c.caches()
+	return samples.Hits()
 }
 
 // Misses returns how many lookups fell through to a live sampling pass.
 func (c *StatsCache) Misses() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.misses.Load()
-}
-
-// Invalidate drops every cached sample and link observation.
-func (c *StatsCache) Invalidate() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.samples = make(map[string]SampleStats)
-	c.links = make(map[string]exec.LinkObservation)
-}
-
-// lookupSample returns the cached sampling result for key, if any.
-func (c *StatsCache) lookupSample(key string) (SampleStats, bool) {
-	if c == nil || key == "" {
-		return SampleStats{}, false
-	}
-	c.mu.Lock()
-	stats, ok := c.samples[key]
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return stats, ok
-}
-
-// storeSample records a sampling result under key.
-func (c *StatsCache) storeSample(key string, stats SampleStats) {
-	if c == nil || key == "" {
-		return
-	}
-	c.mu.Lock()
-	c.samples[key] = stats
-	c.mu.Unlock()
-}
-
-// LinkObservation returns the cached probe result for a link identity.
-func (c *StatsCache) LinkObservation(key string) (exec.LinkObservation, bool) {
-	if c == nil || key == "" {
-		return exec.LinkObservation{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	obs, ok := c.links[key]
-	return obs, ok
-}
-
-// StoreLink records a probe result for a link identity.
-func (c *StatsCache) StoreLink(key string, obs exec.LinkObservation) {
-	if c == nil || key == "" {
-		return
-	}
-	c.mu.Lock()
-	c.links[key] = obs
-	c.mu.Unlock()
-}
-
-// InvalidateLink drops one link identity's cached observation (e.g. after a
-// reconnect, when the path may have changed).
-func (c *StatsCache) InvalidateLink(key string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	delete(c.links, key)
-	c.mu.Unlock()
+	samples, _ := c.caches()
+	return samples.Misses()
 }
 
 // sampleCacheKey derives the cache key for one UDF application's sampling
-// pass, or ok == false when the pass is not cacheable: every scan below the
-// application must expose a data version (storage.Versioned), since without
-// one staleness cannot be detected.
-func sampleCacheKey(spec applySpec, cfg Config) (string, bool) {
-	scans := scansOf(spec.apply.Input)
-	if len(scans) == 0 {
-		// Values-backed or synthetic inputs: nothing versioned to key on.
-		return "", false
+// pass: the version stamp of its input plus what D is computed over and the
+// sampling configuration. It is empty, and the pass uncacheable, when the
+// input has no version stamp.
+func sampleCacheKey(spec applySpec, cfg Config) string {
+	base, ok := TreeVersionKey(spec.apply.Input, spec.cat)
+	if !ok {
+		return ""
 	}
-	var b strings.Builder
-	versions := make([]string, 0, len(scans))
-	for _, sc := range scans {
-		v, ok := sc.Table.Data.(storage.Versioned)
-		if !ok {
-			return "", false
-		}
-		ver := fmt.Sprintf("%s@%d", strings.ToLower(sc.Table.Name), v.Version())
-		// Segmented backends additionally key on their segment-set version:
-		// a flush moves rows between the unsegmented tail and the zone-mapped
-		// segments without changing the row count, which changes how much a
-		// pruned scan reads and therefore what the sampling pass measures.
-		if sv, ok := sc.Table.Data.(storage.SegmentVersioned); ok {
-			ver += "/" + sv.SegmentSetVersion()
-		}
-		versions = append(versions, ver)
-	}
-	sort.Strings(versions)
-	fmt.Fprintf(&b, "tables=%s", strings.Join(versions, ","))
-	if spec.cat != nil {
-		fmt.Fprintf(&b, "|cat=%d", spec.cat.Version())
-	}
-	// The rendered input subtree pins the filter, projection and shape the
-	// pass measures; the argument ordinals pin what D is computed over.
-	fmt.Fprintf(&b, "|args=%v|rows=%d|sketch=%d|tree=%s",
-		spec.apply.ArgOrdinals(), cfg.sampleRows(), cfg.sketchSize(), logical.Format(spec.apply.Input))
-	return b.String(), true
-}
-
-// scansOf collects every Scan node of a subtree.
-func scansOf(n logical.Node) []*logical.Scan {
-	if n == nil {
-		return nil
-	}
-	var out []*logical.Scan
-	if sc, ok := n.(*logical.Scan); ok {
-		out = append(out, sc)
-	}
-	for _, child := range n.Children() {
-		out = append(out, scansOf(child)...)
-	}
-	return out
+	return fmt.Sprintf("%s|args=%v|rows=%d|sketch=%d", base, spec.apply.ArgOrdinals(), cfg.sampleRows(), cfg.sketchSize())
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -207,36 +208,77 @@ func TestValuesInputsAreNotCached(t *testing.T) {
 	}
 }
 
-func TestStatsCacheExplicitInvalidation(t *testing.T) {
+// TestSampleCacheKeyNeedsEveryLeafVersioned: a sampled input that joins a
+// versioned scan with a literal has no version stamp, because a literal
+// renders only its size and two literals of one size would share a key.
+func TestSampleCacheKeyNeedsEveryLeafVersioned(t *testing.T) {
+	_, cat, scan := versionKeyFixture(t)
+	join, err := logical.NewJoin(scan, testValues(t, []types.Tuple{rowWithKey(0, 0)}), []int{0}, []int{0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyOf := func(input logical.Node) string {
+		apply, err := logical.NewUDFApply(input, []exec.UDFBinding{{Name: "f", ArgOrdinals: []int{1}, ResultKind: types.KindBytes}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sampleCacheKey(applySpec{apply: apply, cat: cat}, Config{})
+	}
+	if keyOf(scan) == "" {
+		t.Fatal("a sample over a versioned scan must be cacheable")
+	}
+	if key := keyOf(join); key != "" {
+		t.Fatalf("a sample over a scan joined with a literal got the key %q", key)
+	}
+}
+
+// TestStatsCacheSamplesBounded plans and then writes the table, over and over:
+// each write strands the sample keyed on the old version. The stranded
+// entries must age out of the bounded cache, and the current version's sample
+// must still be served on a repeat.
+func TestStatsCacheSamplesBounded(t *testing.T) {
 	counting, cat, p, cache := statsCacheFixture(t)
 	q := statsCacheQuery(t, cat)
+	for i := 0; i < 2*statsCacheEntries; i++ {
+		if _, err := p.PlanTree(context.Background(), q, cat); err != nil {
+			t.Fatal(err)
+		}
+		if err := counting.Insert(rowWithKey(1000+i, uint32(i%50))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := cache.samples.Len(); n > statsCacheEntries {
+		t.Fatalf("%d rounds of plan then write left %d samples, want at most %d", 2*statsCacheEntries, n, statsCacheEntries)
+	}
 	if _, err := p.PlanTree(context.Background(), q, cat); err != nil {
 		t.Fatal(err)
 	}
-	cache.Invalidate()
-	if _, err := p.PlanTree(context.Background(), q, cat); err != nil {
+	again, err := p.PlanTree(context.Background(), q, cat)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := counting.scans.Load(); got != 2 {
-		t.Fatalf("explicit invalidation must force a re-sample: %d scans, want 2", got)
+	if !again.Applies[0].Decision.StatsFromCache {
+		t.Fatal("a repeated plan over unchanged data re-sampled")
 	}
-	cache.StoreLink("l", exec.LinkObservation{Asymmetry: 7})
-	if _, ok := cache.LinkObservation("l"); !ok {
-		t.Fatalf("stored link observation not found")
+}
+
+// TestStatsCacheLinksBounded stores observations under ever new link
+// identities: the oldest age out, the latest is served.
+func TestStatsCacheLinksBounded(t *testing.T) {
+	cache := NewStatsCache()
+	for i := 0; i < 2*statsCacheEntries; i++ {
+		cache.links.Store(fmt.Sprintf("client-%d", i), exec.LinkObservation{Asymmetry: float64(i)})
 	}
-	cache.InvalidateLink("l")
-	if _, ok := cache.LinkObservation("l"); ok {
-		t.Fatalf("link observation survived invalidation")
+	if n := cache.links.Len(); n > statsCacheEntries {
+		t.Fatalf("%d link identities left %d observations, want at most %d", 2*statsCacheEntries, n, statsCacheEntries)
+	}
+	last := 2*statsCacheEntries - 1
+	if obs, ok := cache.links.Lookup(fmt.Sprintf("client-%d", last)); !ok || obs.Asymmetry != float64(last) {
+		t.Fatalf("latest observation = %+v, %v", obs, ok)
 	}
 	var nilCache *StatsCache
 	if nilCache.Hits() != 0 || nilCache.Misses() != 0 {
 		t.Fatalf("nil cache counters must be zero")
-	}
-	nilCache.Invalidate()
-	nilCache.InvalidateLink("x")
-	nilCache.StoreLink("x", exec.LinkObservation{})
-	if _, ok := nilCache.LinkObservation("x"); ok {
-		t.Fatalf("nil cache must miss")
 	}
 }
 

@@ -243,16 +243,17 @@ func TestChaosDrainRestartCycles(t *testing.T) {
 
 		var out stormOutcome
 		errCh := make(chan error, 16)
-		var wg sync.WaitGroup
+		var wg, dialed sync.WaitGroup
 		for i := 0; i < 16; i++ {
 			wg.Add(1)
+			dialed.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				r, err := Dial(addr)
+				dialed.Done()
 				if err != nil {
-					// The drain can win the race before this requester even
-					// connects on later iterations of the loop below — but a
-					// first dial should succeed, the listener is up.
+					// The drain starts only once every requester has dialed,
+					// so a dial should succeed: the listener is up.
 					errCh <- fmt.Errorf("requester %d dial: %w", i, err)
 					return
 				}
@@ -282,7 +283,9 @@ func TestChaosDrainRestartCycles(t *testing.T) {
 			}(i)
 		}
 
-		// Let the storm build, then drain mid-flight.
+		// Let every requester connect and the storm build, then drain
+		// mid-flight.
+		dialed.Wait()
 		time.Sleep(30 * time.Millisecond)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		if err := srv.Shutdown(ctx); err != nil {

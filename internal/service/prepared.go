@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"csq/internal/logical"
 	"csq/internal/plan"
@@ -12,21 +11,18 @@ import (
 // PreparedStatement is a query registered once and executed many times: the
 // parse/resolve work happened at Prepare time (the caller hands a logical
 // tree) and the rewrite/sample/probe/choose planning pass runs at most once
-// per data version — the statement holds its own single-plan slot keyed like
-// the plan cache, so repeated executions over unchanged data skip planning
+// per data version — the statement holds its own one-entry plan cache, keyed
+// like the service's, so repeated executions over unchanged data skip planning
 // entirely, and the first execution after a write re-plans automatically.
 // The slot works even when the service's global plan cache is disabled;
 // when both exist they cooperate (the slot is checked first).
 //
 // A statement is safe for concurrent use: executions are ordinary service
-// queries and the slot is mutex-guarded.
+// queries and the slot is a plan.Cache.
 type PreparedStatement struct {
-	svc *Service
-	req Request // template: tree, link, tenant, budgets
-
-	mu       sync.Mutex
-	lastKey  string
-	lastPlan *plan.TreePlan
+	svc   *Service
+	req   Request // template: tree, link, tenant, budgets
+	plans *plan.Cache[*plan.TreePlan]
 }
 
 // Prepare registers a statement for repeated execution. The tree is validated
@@ -44,30 +40,7 @@ func (s *Service) Prepare(req Request) (*PreparedStatement, error) {
 	if closed {
 		return nil, fmt.Errorf("service: closed")
 	}
-	return &PreparedStatement{svc: s, req: req}, nil
-}
-
-// cachedPlan returns the slot's plan when its version-stamped key matches.
-func (ps *PreparedStatement) cachedPlan(key string) *plan.TreePlan {
-	if ps == nil || key == "" {
-		return nil
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.lastKey == key {
-		return ps.lastPlan
-	}
-	return nil
-}
-
-// storePlan records the latest plan and its key in the slot.
-func (ps *PreparedStatement) storePlan(key string, tp *plan.TreePlan) {
-	if ps == nil || key == "" || tp == nil {
-		return
-	}
-	ps.mu.Lock()
-	ps.lastKey, ps.lastPlan = key, tp
-	ps.mu.Unlock()
+	return &PreparedStatement{svc: s, req: req, plans: plan.NewPlanCache(1)}, nil
 }
 
 // Submit starts one execution of the statement, applying the request template

@@ -396,16 +396,11 @@ func TestServerOldRequesterGetsParentBytes(t *testing.T) {
 // onlyCachedResult returns the result cache's single entry.
 func onlyCachedResult(t *testing.T, svc *Service) *cachedResult {
 	t.Helper()
-	rc := svc.resultCache
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if len(rc.entries) != 1 {
-		t.Fatalf("result cache holds %d entries, want 1", len(rc.entries))
+	entries := svc.resultCache.Values()
+	if len(entries) != 1 {
+		t.Fatalf("result cache holds %d entries, want 1", len(entries))
 	}
-	for _, el := range rc.entries {
-		return el.Value.(*cachedResult)
-	}
-	return nil
+	return entries[0]
 }
 
 // ---- cache accounting and state lifetime -----------------------------------
@@ -465,10 +460,8 @@ func TestResultCacheChargesExactFrameBytes(t *testing.T) {
 	}
 
 	var sum int64
-	rc := srv.svc.resultCache
-	rc.mu.Lock()
-	for _, el := range rc.entries {
-		e := el.Value.(*cachedResult)
+	cached := srv.svc.resultCache.Values()
+	for _, e := range cached {
 		var n int64
 		for _, f := range e.frames {
 			n += int64(len(f.Body))
@@ -478,8 +471,7 @@ func TestResultCacheChargesExactFrameBytes(t *testing.T) {
 		}
 		sum += n
 	}
-	entries := len(rc.entries)
-	rc.mu.Unlock()
+	entries := len(cached)
 	if st := srv.svc.Stats().Caches; st.ResultBytes != sum || st.ResultEntries != entries || entries != 2 {
 		t.Fatalf("ResultBytes = %d over %d entries, want the %d B of %d entries' frames", st.ResultBytes, st.ResultEntries, sum, entries)
 	}

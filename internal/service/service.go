@@ -275,8 +275,8 @@ type Service struct {
 	adm   *admission
 
 	// Hot-query serving state; each is nil when its Config knob is off.
-	planCache   *plan.PlanCache
-	resultCache *resultCache
+	planCache   *plan.Cache[*plan.TreePlan]
+	resultCache *plan.Cache[*cachedResult]
 	scanShare   *exec.ScanShare
 
 	nextID       atomic.Uint64
@@ -716,7 +716,7 @@ func (s *Service) Stats() ServiceStats {
 			PlanMisses:     s.planCache.Misses(),
 			ResultHits:     s.resultCache.Hits(),
 			ResultMisses:   s.resultCache.Misses(),
-			ResultBytes:    s.resultCache.UsedBytes(),
+			ResultBytes:    s.resultCache.Used(),
 			ResultEntries:  s.resultCache.Len(),
 			SharedSegments: s.scanShare.SharedSegments(),
 			LedSegments:    s.scanShare.LedSegments(),
@@ -762,12 +762,12 @@ func (q *Query) run(ctx context.Context, req Request) {
 	var resultKey string
 	if rc := q.svc.resultCache; rc != nil {
 		if key, ok := plan.TreeVersionKey(req.Tree, q.svc.cat); ok && plan.PureTree(req.Tree, q.svc.cat) {
-			if res, hit := rc.lookup(key); hit {
+			if res, hit := rc.Lookup(key); hit {
 				err = q.serveCached(ctx, res)
 				return
 			}
 			resultKey = key
-			q.keepLimit = rc.maxEntryBytes()
+			q.keepLimit = rc.MaxEntry()
 		}
 	}
 	// The answer is encoded once, for whoever wants frames: for the sink in
@@ -811,28 +811,25 @@ func (q *Query) run(ctx context.Context, req Request) {
 	planner.Config.LinkKey = req.LinkKey
 	planner.Config.MemBudget = budget
 
-	// Plan reuse, in preference order: the prepared statement's own slot
-	// (works even with the global cache off), then the cross-query plan
+	// Plan reuse, in preference order: the prepared statement's own one-entry
+	// cache (works even with the global cache off), then the cross-query plan
 	// cache. Both are keyed on the version-stamped tree identity plus the
 	// planning configuration, so a write re-plans instead of reusing
 	// decisions made over different data. A reused TreePlan is read-only and
 	// NewOperator builds fresh operators, so sharing across queries is safe.
-	var tp *plan.TreePlan
+	var stmtPlans *plan.Cache[*plan.TreePlan]
+	if req.stmt != nil {
+		stmtPlans = req.stmt.plans
+	}
 	var planKey string
-	if req.stmt != nil || q.svc.planCache != nil {
+	if stmtPlans != nil || q.svc.planCache != nil {
 		planKey, _ = plan.PlanCacheKey(req.Tree, q.svc.cat, planner.Config)
 	}
-	if planKey != "" {
-		if req.stmt != nil {
-			tp = req.stmt.cachedPlan(planKey)
-		}
-		if tp == nil {
-			if cached, hit := q.svc.planCache.Lookup(planKey); hit {
-				tp = cached
-			}
-		}
+	tp, hit := stmtPlans.Lookup(planKey)
+	if !hit {
+		tp, hit = q.svc.planCache.Lookup(planKey)
 	}
-	if tp != nil {
+	if hit {
 		q.mu.Lock()
 		q.planFromCache = true
 		q.mu.Unlock()
@@ -843,12 +840,8 @@ func (q *Query) run(ctx context.Context, req Request) {
 			err = perr
 			return
 		}
-		if planKey != "" {
-			if req.stmt != nil {
-				req.stmt.storePlan(planKey, tp)
-			}
-			q.svc.planCache.Store(planKey, tp)
-		}
+		stmtPlans.Store(planKey, tp)
+		q.svc.planCache.Store(planKey, tp)
 	}
 	strategies := make([]string, 0, len(tp.Applies))
 	planned := make([]int, 0, len(tp.Applies))
@@ -882,8 +875,8 @@ func (q *Query) run(ctx context.Context, req Request) {
 	// correspond to the keyed versions when nothing changed underneath it.
 	if err == nil && q.keepLimit > 0 {
 		if key, ok := plan.TreeVersionKey(req.Tree, q.svc.cat); ok && key == resultKey {
-			q.svc.resultCache.store(&cachedResult{
-				key: resultKey, frames: q.keep, stream: q.enc.Stream(), rows: q.rowCount, bytes: q.keepBytes,
+			q.svc.resultCache.Store(resultKey, &cachedResult{
+				frames: q.keep, stream: q.enc.Stream(), rows: q.rowCount, bytes: q.keepBytes,
 			})
 		}
 	}
