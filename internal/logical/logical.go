@@ -39,7 +39,6 @@ package logical
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"csq/internal/catalog"
@@ -71,12 +70,12 @@ type Scan struct {
 	// Alias optionally re-qualifies the produced columns (FROM t AS a).
 	Alias string
 
-	// Required is the scan-pushdown annotation installed by the rewriter's
-	// annotate-scan-required rule: the table ordinals the plan above the scan
-	// actually reads, or nil for all of them. The schema is unaffected — a
-	// columnar scan still produces full-width tuples, but materializes only
-	// these positions (the rest stay NULL placeholders nothing above reads).
-	// Row-store scans ignore it.
+	// Required is the scan-pushdown annotation the rewriter's column-demand
+	// pass installs: the table ordinals the plan above the scan reads ([] for
+	// none, as under COUNT(*)), or nil for all of them. The schema is
+	// unaffected — a columnar scan still produces full-width tuples, but
+	// materializes only these positions (the rest stay NULL placeholders
+	// nothing above reads). Row-store scans ignore it.
 	Required []int
 	// Prunable is the scan-pushdown annotation installed by the rewriter's
 	// annotate-scan-prunable rule: the conjuncts of the filter directly above
@@ -112,20 +111,6 @@ func NewScanByName(cat *catalog.Catalog, name, alias string) (*Scan, error) {
 		return nil, fmt.Errorf("logical: scan: %w", err)
 	}
 	return NewScan(t, alias)
-}
-
-// WithPushdown returns a copy of the scan carrying the given pushdown
-// annotations; a nil required or prunable keeps the scan's current value for
-// that annotation (the two annotation rules write disjoint fields).
-func (s *Scan) WithPushdown(required []int, prunable []expr.Expr) *Scan {
-	out := &Scan{Table: s.Table, Alias: s.Alias, Required: s.Required, Prunable: s.Prunable, schema: s.schema}
-	if required != nil {
-		out.Required = append([]int(nil), required...)
-	}
-	if prunable != nil {
-		out.Prunable = append([]expr.Expr(nil), prunable...)
-	}
-	return out
 }
 
 // Schema implements Node.
@@ -571,18 +556,11 @@ func (u *UDFApply) ExtendedSchema() *types.Schema {
 
 // ArgOrdinals returns the sorted union of all UDF argument ordinals.
 func (u *UDFApply) ArgOrdinals() []int {
-	seen := map[int]bool{}
+	args := make([]bool, u.InputWidth())
 	for _, b := range u.UDFs {
-		for _, o := range b.ArgOrdinals {
-			seen[o] = true
-		}
+		args = demand(args, b.ArgOrdinals...)
 	}
-	out := make([]int, 0, len(seen))
-	for o := range seen {
-		out = append(out, o)
-	}
-	sort.Ints(out)
-	return out
+	return marked(args)
 }
 
 // String implements Node.

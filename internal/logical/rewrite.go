@@ -22,11 +22,15 @@ import (
 //     UDF-dependent conjuncts (absorbed as the node's pushable predicate);
 //   - absorb-project-into-udf-apply turns a positional projection directly
 //     above a UDF application into its pushable projection;
-//   - compose-projects collapses stacked positional projections;
-//   - prune-udf-apply-input narrows a UDF application's input to the columns
-//     actually needed — UDF arguments, pushable-predicate inputs and
-//     projected outputs — rewriting every ordinal the node carries;
-//   - drop-identity-project removes projections that are the identity.
+//   - drop-identity-project removes projections that are the identity;
+//   - annotate-scan-prunable records on a scan the conjuncts of the filter
+//     above it that zone maps can evaluate.
+//
+// After the fixpoint, one column-demand pass (pruneColumns) pushes the
+// columns each node reads down the tree: scans record them as Required, and
+// Join and UDFApply inputs are narrowed to them. On its way down it also
+// collapses stacked projections and absorbs a projection into the UDF
+// application below it.
 //
 // All rules are copy-on-write (see the package documentation's ownership
 // rules): they build new nodes through the constructors and never mutate
@@ -48,11 +52,8 @@ func DefaultRules() []Rule {
 		{Name: "push-filter-through-join", Apply: pushFilterThroughJoin},
 		{Name: "absorb-pushable-into-udf-apply", Apply: absorbPushableIntoUDFApply},
 		{Name: "absorb-project-into-udf-apply", Apply: absorbProjectIntoUDFApply},
-		{Name: "compose-projects", Apply: composeProjects},
-		{Name: "prune-udf-apply-input", Apply: pruneUDFApplyInput},
 		{Name: "drop-identity-project", Apply: dropIdentityProject},
 		{Name: "annotate-scan-prunable", Apply: annotateScanPrunable},
-		{Name: "annotate-scan-required", Apply: annotateScanRequired},
 	}
 }
 
@@ -61,13 +62,24 @@ func DefaultRules() []Rule {
 // suffice and hitting the cap indicates a buggy rule.
 const maxRewritePasses = 64
 
-// Rewrite applies the default rules to the tree until no rule fires, and
-// returns the rewritten tree. The input tree is left untouched.
-func Rewrite(root Node) (Node, error) {
-	return RewriteWith(root, DefaultRules())
+// Rewrite applies the default rules to the tree until no rule fires, runs
+// the column-demand pass once over the result, and returns the rewritten
+// tree. The input tree is left untouched.
+func Rewrite(root Node) (out Node, err error) {
+	if out, err = RewriteWith(root, DefaultRules()); err != nil {
+		return nil, err
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("logical: column demand: %v", r)
+		}
+	}()
+	out, _ = pruneColumns(out, full(out.Schema().Len()))
+	return out, nil
 }
 
-// RewriteWith is Rewrite with an explicit rule set.
+// RewriteWith applies the given rules until no rule fires, without the
+// column-demand pass.
 func RewriteWith(root Node, rules []Rule) (Node, error) {
 	cur := root
 	for pass := 0; pass < maxRewritePasses; pass++ {
@@ -317,107 +329,7 @@ func absorbProjectIntoUDFApply(n Node) (Node, bool, error) {
 	if !ok {
 		return n, false, nil
 	}
-	project := p.Ordinals
-	if len(u.Project) > 0 {
-		project = make([]int, len(p.Ordinals))
-		for i, o := range p.Ordinals {
-			project[i] = u.Project[o]
-		}
-	}
-	out, err := newUDFApply(u.Input, u.UDFs, u.Pushable, project)
-	return out, err == nil, err
-}
-
-// composeProjects collapses stacked positional projections into one.
-func composeProjects(n Node) (Node, bool, error) {
-	outer, ok := n.(*Project)
-	if !ok {
-		return n, false, nil
-	}
-	inner, ok := outer.Input.(*Project)
-	if !ok {
-		return n, false, nil
-	}
-	ords := make([]int, len(outer.Ordinals))
-	for i, o := range outer.Ordinals {
-		ords[i] = inner.Ordinals[o]
-	}
-	out, err := NewProject(inner.Input, ords)
-	return out, err == nil, err
-}
-
-// pruneUDFApplyInput narrows a projected UDF application's input to the
-// columns it actually consumes: UDF arguments, input columns its pushable
-// predicate reads, and input columns its projection returns. A positional
-// projection is inserted below the application and every ordinal the node
-// carries (argument ordinals, pushable references, projection entries) is
-// rewritten against the narrowed schema.
-func pruneUDFApplyInput(n Node) (Node, bool, error) {
-	u, ok := n.(*UDFApply)
-	if !ok || len(u.Project) == 0 {
-		return n, false, nil
-	}
-	inW := u.InputWidth()
-	needed := map[int]bool{}
-	for _, o := range u.ArgOrdinals() {
-		needed[o] = true
-	}
-	for _, o := range expr.Columns(u.Pushable) {
-		if o < inW {
-			needed[o] = true
-		}
-	}
-	for _, o := range u.Project {
-		if o < inW {
-			needed[o] = true
-		}
-	}
-	if len(needed) >= inW {
-		return n, false, nil
-	}
-	keep := make([]int, 0, len(needed))
-	for o := 0; o < inW; o++ {
-		if needed[o] {
-			keep = append(keep, o)
-		}
-	}
-	pos := make(map[int]int, len(keep))
-	for i, o := range keep {
-		pos[o] = i
-	}
-	newW := len(keep)
-	// Extended-schema remapping: input ordinals through pos, result-column
-	// ordinals shifted down by the removed input width.
-	extMap := make(map[int]int, inW+len(u.UDFs))
-	for o, i := range pos {
-		extMap[o] = i
-	}
-	for i := range u.UDFs {
-		extMap[inW+i] = newW + i
-	}
-
-	input, err := NewProject(u.Input, keep)
-	if err != nil {
-		return nil, false, err
-	}
-	udfs := make([]exec.UDFBinding, len(u.UDFs))
-	for i, b := range u.UDFs {
-		nb := b
-		nb.ArgOrdinals = make([]int, len(b.ArgOrdinals))
-		for j, o := range b.ArgOrdinals {
-			nb.ArgOrdinals[j] = pos[o]
-		}
-		udfs[i] = nb
-	}
-	pushable, err := expr.RemapColumns(u.Pushable, extMap)
-	if err != nil {
-		return nil, false, err
-	}
-	project := make([]int, len(u.Project))
-	for i, o := range u.Project {
-		project[i] = extMap[o]
-	}
-	out, err := newUDFApply(input, udfs, pushable, project)
+	out, err := newUDFApply(u.Input, u.UDFs, u.Pushable, pick(u.Project, p.Ordinals))
 	return out, err == nil, err
 }
 
@@ -426,9 +338,7 @@ func pruneUDFApplyInput(n Node) (Node, bool, error) {
 // <constant> a zone-mapped storage backend can evaluate against segment
 // min/max summaries. The filter node is kept — rows are still filtered one by
 // one — so the annotation is purely an access-path hint and the rule is a
-// no-op for row-store scans. It writes only the Prunable field (the
-// required-columns annotation belongs to annotateScanRequired), which keeps the two
-// rules from oscillating, and refires only when the computed conjunct set
+// no-op for row-store scans. It refires only when the computed conjunct set
 // changes, which keeps the fixpoint finite.
 func annotateScanPrunable(n Node) (Node, bool, error) {
 	f, ok := n.(*Filter)
@@ -440,67 +350,15 @@ func annotateScanPrunable(n Node) (Node, bool, error) {
 		return n, false, nil
 	}
 	prunable := prunableConjuncts(f.Pred, sc.Schema().Len())
-	if exprListEqual(prunable, sc.Prunable) {
+	if fmt.Sprint(prunable) == fmt.Sprint(sc.Prunable) { // expressions are immutable: renderings identify them
 		return n, false, nil
 	}
 	if prunable == nil {
 		prunable = []expr.Expr{} // explicitly clear a stale annotation
 	}
-	out, err := NewFilter(sc.WithPushdown(nil, prunable), f.Pred)
-	return out, err == nil, err
-}
-
-// annotateScanRequired installs the required-columns annotation on a scan
-// below a positional projection (optionally with a filter in between): the
-// union of the projected ordinals and the filter's column references is
-// everything the plan above can observe, so a columnar scan only needs to
-// materialize those positions. Like annotateScanPrunable it writes a single
-// field and refires only on change.
-func annotateScanRequired(n Node) (Node, bool, error) {
-	p, ok := n.(*Project)
-	if !ok {
-		return n, false, nil
-	}
-	var f *Filter
-	sc, ok := p.Input.(*Scan)
-	if !ok {
-		if f, ok = p.Input.(*Filter); !ok {
-			return n, false, nil
-		}
-		if sc, ok = f.Input.(*Scan); !ok {
-			return n, false, nil
-		}
-	}
-	needed := map[int]bool{}
-	for _, o := range p.Ordinals {
-		needed[o] = true
-	}
-	if f != nil {
-		for _, o := range expr.Columns(f.Pred) {
-			needed[o] = true
-		}
-	}
-	width := sc.Schema().Len()
-	keep := make([]int, 0, len(needed))
-	for o := 0; o < width; o++ {
-		if needed[o] {
-			keep = append(keep, o)
-		}
-	}
-	if len(keep) == width && sc.Required == nil {
-		return n, false, nil // full width: annotation would say nothing
-	}
-	if intsEqual(keep, sc.Required) {
-		return n, false, nil
-	}
-	input := Node(sc.WithPushdown(keep, nil))
-	var err error
-	if f != nil {
-		if input, err = NewFilter(input, f.Pred); err != nil {
-			return nil, false, err
-		}
-	}
-	out, err := NewProject(input, p.Ordinals)
+	annotated := *sc
+	annotated.Prunable = prunable
+	out, err := NewFilter(&annotated, f.Pred)
 	return out, err == nil, err
 }
 
@@ -520,32 +378,6 @@ func prunableConjuncts(pred expr.Expr, width int) []expr.Expr {
 	return out
 }
 
-// exprListEqual compares two expression lists by rendered form (expressions
-// are immutable, so the rendering identifies them).
-func exprListEqual(a, b []expr.Expr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].String() != b[i].String() {
-			return false
-		}
-	}
-	return true
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // dropIdentityProject removes a projection that returns its input unchanged.
 func dropIdentityProject(n Node) (Node, bool, error) {
 	p, ok := n.(*Project)
@@ -561,4 +393,190 @@ func dropIdentityProject(n Node) (Node, bool, error) {
 		}
 	}
 	return p.Input, true, nil
+}
+
+// pruneColumns is the column-demand pass, a top-down π pushdown. need marks
+// the output columns of n that the plan above reads; each node adds the
+// columns it reads itself (predicates, join keys and residual, group-by and
+// aggregate arguments, distinct keys, UDF arguments) and hands the demand to
+// its inputs. A Scan records its demand as Required (nil when it is every
+// column), and a Join or UDFApply input that would produce columns nobody
+// reads is narrowed (see narrow). The result produces every needed column;
+// pos maps each of n's output ordinals that survives to its ordinal in the
+// result.
+func pruneColumns(n Node, need []bool) (out Node, pos map[int]int) {
+	switch t := n.(type) {
+	case *Scan:
+		s := *t
+		if s.Required = marked(need); len(s.Required) == len(need) {
+			s.Required = nil
+		}
+		return &s, identity(len(need))
+	case *Filter:
+		in, pos := pruneColumns(t.Input, demand(need, expr.Columns(t.Pred)...))
+		return must(NewFilter(in, must(expr.RemapColumns(t.Pred, pos)))), pos
+	case *Limit:
+		in, pos := pruneColumns(t.Input, need)
+		return must(NewLimit(in, t.N)), pos
+	case *Distinct:
+		keys := full(len(need))
+		if len(t.Ordinals) > 0 {
+			keys = demand(need, t.Ordinals...)
+		}
+		in, pos := pruneColumns(t.Input, keys)
+		return must(NewDistinct(in, remapped(t.Ordinals, pos))), pos
+	case *Project:
+		switch in := t.Input.(type) {
+		case *Project:
+			return pruneColumns(must(NewProject(in.Input, pick(in.Ordinals, t.Ordinals))), need)
+		case *UDFApply:
+			absorbed, _, err := absorbProjectIntoUDFApply(t)
+			return pruneColumns(must(absorbed, err), need)
+		}
+		in, inPos := pruneColumns(t.Input, demand(make([]bool, t.Input.Schema().Len()), t.Ordinals...))
+		out, _, _ = dropIdentityProject(must(NewProject(in, remapped(t.Ordinals, inPos))))
+		return out, identity(len(need))
+	case *Aggregate:
+		inNeed := demand(make([]bool, t.Input.Schema().Len()), t.GroupBy...)
+		for _, a := range t.Aggs {
+			if a.Ordinal >= 0 {
+				inNeed[a.Ordinal] = true
+			}
+		}
+		in, inPos := pruneColumns(t.Input, inNeed)
+		aggs := append([]exec.Aggregate(nil), t.Aggs...)
+		for i, a := range aggs {
+			if a.Ordinal >= 0 {
+				aggs[i].Ordinal = inPos[a.Ordinal]
+			}
+		}
+		return must(NewAggregate(in, remapped(t.GroupBy, inPos), aggs)), identity(len(need))
+	case *Join:
+		lw := t.Left.Schema().Len()
+		need = demand(need, append(expr.Columns(t.Residual), t.LeftKeys...)...)
+		for _, k := range t.RightKeys {
+			need[lw+k] = true
+		}
+		left, lpos := narrow(t.Left, need[:lw])
+		right, rpos := narrow(t.Right, need[lw:])
+		pos = concatPos(lpos, lw, left.Schema().Len(), rpos)
+		residual := must(expr.RemapColumns(t.Residual, pos))
+		return must(NewJoin(left, right, remapped(t.LeftKeys, lpos), remapped(t.RightKeys, rpos), residual)), pos
+	case *UDFApply:
+		inW := t.InputWidth()
+		ext := need
+		if len(t.Project) > 0 {
+			ext = demand(make([]bool, inW+len(t.UDFs)), t.Project...)
+		}
+		ext = demand(ext, expr.Columns(t.Pushable)...)
+		in, inPos := narrow(t.Input, demand(ext[:inW], t.ArgOrdinals()...))
+		pos = concatPos(inPos, inW, in.Schema().Len(), identity(len(t.UDFs)))
+		udfs := append([]exec.UDFBinding(nil), t.UDFs...)
+		for i := range udfs {
+			udfs[i].ArgOrdinals = remapped(udfs[i].ArgOrdinals, inPos)
+		}
+		out = must(newUDFApply(in, udfs, must(expr.RemapColumns(t.Pushable, pos)), remapped(t.Project, pos)))
+		if len(t.Project) > 0 {
+			pos = identity(len(need))
+		}
+		return out, pos
+	default:
+		return n, identity(len(need))
+	}
+}
+
+// narrow prunes a Join or UDFApply input to need and drops whatever else it
+// would still produce, through a Project of the needed columns; the Project
+// case folds it into a projection below or drops it when it removes nothing.
+func narrow(n Node, need []bool) (Node, map[int]int) {
+	keep := marked(need)
+	if len(keep) == len(need) {
+		return pruneColumns(n, need)
+	}
+	out, _ := pruneColumns(must(NewProject(n, keep)), full(len(keep)))
+	return out, positions(keep)
+}
+
+// must panics with a constructor's error; Rewrite returns it as an error.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// full demands every one of width columns.
+func full(width int) []bool {
+	need := make([]bool, width)
+	for i := range need {
+		need[i] = true
+	}
+	return need
+}
+
+// demand returns a copy of need with the given ordinals marked too.
+func demand(need []bool, ords ...int) []bool {
+	out := append([]bool(nil), need...)
+	for _, o := range ords {
+		out[o] = true
+	}
+	return out
+}
+
+// marked lists the ordinals need marks, in order (empty, not nil, for none).
+func marked(need []bool) []int {
+	out := make([]int, 0, len(need))
+	for o, ok := range need {
+		if ok {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// positions is the position map of keeping the ordinals keep, in order.
+func positions(keep []int) map[int]int {
+	pos := make(map[int]int, len(keep))
+	for i, o := range keep {
+		pos[o] = i
+	}
+	return pos
+}
+
+// identity is the position map of width columns that all stay in place.
+func identity(width int) map[int]int { return positions(marked(full(width))) }
+
+// remapped rewrites ordinals through a position map.
+func remapped(ords []int, pos map[int]int) []int {
+	out := make([]int, len(ords))
+	for i, o := range ords {
+		out[i] = pos[o]
+	}
+	return out
+}
+
+// pick returns ords[i] for each i in idx; no ords, as in a UDFApply
+// without a projection, is the identity.
+func pick(ords, idx []int) []int {
+	if len(ords) == 0 {
+		return idx
+	}
+	out := make([]int, len(idx))
+	for j, i := range idx {
+		out[j] = ords[i]
+	}
+	return out
+}
+
+// concatPos is the position map of a concatenated schema: the first part,
+// aw columns wide and now newAW wide, through a, the rest through b.
+func concatPos(a map[int]int, aw, newAW int, b map[int]int) map[int]int {
+	pos := make(map[int]int, len(a)+len(b))
+	for o, p := range a {
+		pos[o] = p
+	}
+	for o, p := range b {
+		pos[aw+o] = newAW + p
+	}
+	return pos
 }

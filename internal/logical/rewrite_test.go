@@ -1,11 +1,15 @@
 package logical
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"csq/internal/catalog"
+	"csq/internal/exec"
 	"csq/internal/expr"
+	"csq/internal/storage/colstore"
 	"csq/internal/types"
 )
 
@@ -70,7 +74,7 @@ func TestAnnotateScanPushdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	annotated := findScan(t, out)
-	if want := []int{0, 2, 3}; !intsEqual(annotated.Required, want) {
+	if want := []int{0, 2, 3}; !slices.Equal(annotated.Required, want) {
 		t.Errorf("Required = %v, want %v", annotated.Required, want)
 	}
 	if len(annotated.Prunable) != 1 || !strings.Contains(annotated.Prunable[0].String(), "$2 > 100") {
@@ -144,5 +148,57 @@ func TestAnnotateScanFullWidthProject(t *testing.T) {
 	}
 	if annotated := findScan(t, out); annotated.Required != nil {
 		t.Errorf("Required = %v, want nil for a full-width projection", annotated.Required)
+	}
+}
+
+// TestCountStarRequiresNoColumns checks the column-demand pass under
+// COUNT(*): the scan is told to read no column at all (Required is empty,
+// not nil), and the columnar scan still yields every row — segments and the
+// unflushed tail — to be counted.
+func TestCountStarRequiresNoColumns(t *testing.T) {
+	table := scanTestTable()
+	ct, err := colstore.Create(t.TempDir(), table.Name, table.Schema, colstore.Options{SegmentRows: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ct.Close()
+	const rows = 30 // three segments and a six-row tail
+	for i := 0; i < rows; i++ {
+		row := types.NewTuple(types.NewString("S"), types.NewInt(int64(i)), types.NewFloat(1), types.NewInt(2))
+		if err := ct.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	table.Data = ct
+	sc, err := NewScan(table, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := []exec.Aggregate{{Func: exec.AggCount, Ordinal: -1, Name: "n"}}
+	root, err := NewAggregate(sc, nil, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Rewrite(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	annotated := findScan(t, out)
+	if annotated.Required == nil || len(annotated.Required) != 0 {
+		t.Fatalf("Required = %#v, want an empty, non-nil list\n%s", annotated.Required, Format(out))
+	}
+	agg, err := exec.NewHashAggregate(exec.NewColumnarScan(ct, "", annotated.Required, annotated.Prunable), nil, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := exec.Collect(context.Background(), agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("COUNT(*) returned %d rows, want 1", len(got))
+	}
+	if n, err := got[0][0].Int(); err != nil || n != rows {
+		t.Errorf("COUNT(*) = %v, want %d", got[0][0], rows)
 	}
 }

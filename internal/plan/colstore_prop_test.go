@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"csq/internal/catalog"
+	"csq/internal/client"
 	"csq/internal/exec"
 	"csq/internal/expr"
 	"csq/internal/logical"
@@ -49,10 +51,12 @@ func colPropRows(n int) []types.Tuple {
 	return rows
 }
 
-// colPropTree grows a query tree above the scan from the PR-4 grammar
+// colPropTree grows a query tree above a scan from the shape grammar's
 // productions: prunable filters, positional projections, limits, distincts,
-// aggregates, joins against generated leaves, and UDF applications.
-func colPropTree(r *rand.Rand, node logical.Node, depth int) (logical.Node, error) {
+// aggregates, joins against generated leaves or a second scan, and UDF
+// applications. scan builds a fresh scan of the table.
+func colPropTree(r *rand.Rand, scan func() logical.Node, depth int) (logical.Node, error) {
+	node := scan()
 	for step := 0; step < depth; step++ {
 		schema := node.Schema()
 		ints := intCols(schema)
@@ -75,46 +79,32 @@ func colPropTree(r *rand.Rand, node logical.Node, depth int) (logical.Node, erro
 			node, err = logical.NewLimit(node, r.Intn(200))
 		case 3: // distinct
 			var ords []int
-			if r.Intn(2) == 0 && len(ints) > 0 {
-				ords = []int{ints[0]}
+			if r.Intn(2) == 0 {
+				ords = []int{r.Intn(schema.Len())}
 			}
 			node, err = logical.NewDistinct(node, ords)
-		case 4: // join with a generated leaf on the first int columns
+		case 4: // join with a generated leaf or a second scan, keys in any layout
 			if len(ints) == 0 {
 				continue
 			}
-			leafSchema := types.NewSchema(
-				types.Column{Name: "K", Kind: types.KindInt},
-				types.Column{Name: "T", Kind: types.KindString},
-			)
-			n := 1 + r.Intn(12)
-			leafRows := make([]types.Tuple, n)
-			for i := range leafRows {
-				leafRows[i] = types.NewTuple(
-					types.NewInt(int64(r.Intn(20))),
-					types.NewString(fmt.Sprintf("t%d", i%3)),
-				)
+			node, err = colPropJoin(r, node, ints, scan)
+		case 5: // aggregate: COUNT(*), with or without a group-by column and a SUM
+			aggs := []exec.Aggregate{{Func: exec.AggCount, Ordinal: -1, Name: "n"}}
+			if len(ints) > 0 && r.Intn(2) == 0 {
+				aggs = append(aggs, exec.Aggregate{Func: exec.AggSum, Ordinal: ints[r.Intn(len(ints))], Name: "s"})
 			}
-			var right *logical.Values
-			if right, err = logical.NewValues(leafSchema, leafRows); err != nil {
-				return nil, err
+			var groupBy []int
+			if r.Intn(3) > 0 {
+				groupBy = []int{r.Intn(schema.Len())}
 			}
-			node, err = logical.NewJoin(node, right, []int{ints[0]}, []int{0}, nil)
-		case 5: // aggregate: group by first column, COUNT(*) + SUM(first int)
+			node, err = logical.NewAggregate(node, groupBy, aggs)
+		case 6: // UDF application over int columns
 			if len(ints) == 0 {
 				continue
 			}
-			node, err = logical.NewAggregate(node, []int{0}, []exec.Aggregate{
-				{Func: exec.AggCount, Ordinal: -1, Name: "n"},
-				{Func: exec.AggSum, Ordinal: ints[0], Name: "s"},
-			})
-		case 6: // UDF application over the first int column
-			if len(ints) == 0 {
-				continue
-			}
-			udfs := []exec.UDFBinding{{Name: "Inc", ArgOrdinals: []int{ints[0]}, ResultKind: types.KindInt}}
+			udfs := []exec.UDFBinding{{Name: "Inc", ArgOrdinals: []int{ints[r.Intn(len(ints))]}, ResultKind: types.KindInt}}
 			if r.Intn(2) == 0 {
-				udfs = append(udfs, exec.UDFBinding{Name: "IsOdd", ArgOrdinals: []int{ints[0]}, ResultKind: types.KindBool})
+				udfs = append(udfs, exec.UDFBinding{Name: "IsOdd", ArgOrdinals: []int{ints[r.Intn(len(ints))]}, ResultKind: types.KindBool})
 			}
 			node, err = logical.NewUDFApply(node, udfs)
 		}
@@ -123,6 +113,55 @@ func colPropTree(r *rand.Rand, node logical.Node, depth int) (logical.Node, erro
 		}
 	}
 	return node, nil
+}
+
+// colPropJoin joins node with a three-column relation whose int columns are
+// base ordinals 0 and 1: a generated leaf (K, V, T) or a second scan of the
+// table (A, B, S). The relation's columns are laid out by a cyclic rotation
+// or a random shuffle, so the right key can sit at any position, and the
+// left keys are drawn from any int columns, one or two of them.
+func colPropJoin(r *rand.Rand, node logical.Node, ints []int, scan func() logical.Node) (logical.Node, error) {
+	var base logical.Node
+	if r.Intn(2) == 0 {
+		n := 1 + r.Intn(12)
+		rows := make([]types.Tuple, n)
+		for i := range rows {
+			rows[i] = types.NewTuple(
+				types.NewInt(int64(r.Intn(6))),
+				types.NewInt(int64(r.Intn(4))),
+				types.NewString(fmt.Sprintf("t%d", i%3)),
+			)
+		}
+		leaf, err := logical.NewValues(types.NewSchema(
+			types.Column{Name: "K", Kind: types.KindInt},
+			types.Column{Name: "V", Kind: types.KindInt},
+			types.Column{Name: "T", Kind: types.KindString},
+		), rows)
+		if err != nil {
+			return nil, err
+		}
+		base = leaf
+	} else {
+		base = scan()
+	}
+	layout := r.Perm(3)
+	if r.Intn(2) == 0 {
+		shift := r.Intn(3)
+		for i := range layout {
+			layout[i] = (i + shift) % 3
+		}
+	}
+	right, err := logical.NewProject(base, layout)
+	if err != nil {
+		return nil, err
+	}
+	posOf := func(baseCol int) int { return slices.Index(layout, baseCol) }
+	leftKeys, rightKeys := []int{ints[r.Intn(len(ints))]}, []int{posOf(0)}
+	if r.Intn(3) == 0 {
+		leftKeys = append(leftKeys, ints[r.Intn(len(ints))])
+		rightKeys = append(rightKeys, posOf(1))
+	}
+	return logical.NewJoin(node, right, leftKeys, rightKeys, nil)
 }
 
 // collectBudgeted runs the operator under a spill-inducing soft budget and
@@ -155,10 +194,11 @@ func collectBudgeted(t *testing.T, op exec.Operator, budget int64) []string {
 	return tupleKeys(t, out)
 }
 
-func TestColumnarMatchesHeapProperty(t *testing.T) {
-	rt := propRuntime(t)
-	link := exec.NewInProcessLink(rt, netsim.Unlimited())
-
+// colPropCatalogs returns two catalogs holding the same 240-row table t:
+// one as a row-store heap, one as a columnar table of 7 segments and a
+// 16-row tail.
+func colPropCatalogs(t *testing.T, rt *client.Runtime) (heapCat, colCat *catalog.Catalog) {
+	t.Helper()
 	const tableRows = 240
 	rows := colPropRows(tableRows)
 	schema := colPropSchema()
@@ -176,8 +216,8 @@ func TestColumnarMatchesHeapProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer col.Close()
-	if err := col.InsertBatch(rows); err != nil { // 7 segments + 16-row tail
+	t.Cleanup(func() { _ = col.Close() })
+	if err := col.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
 
@@ -192,58 +232,159 @@ func TestColumnarMatchesHeapProperty(t *testing.T) {
 		}
 		return cat
 	}
-	heapCat, colCat := catFor(heap), catFor(col)
+	return catFor(heap), catFor(col)
+}
 
-	// Small enough that aggregates, joins and distincts over 240 rows spill.
-	const budget = 2048
-	strategies := []Strategy{StrategyNaive, StrategySemiJoin, StrategyClientJoin}
+// Small enough that aggregates, joins and distincts over 240 rows spill.
+const colPropBudget = 2048
+
+// colPropPlan plans the tree with a fresh planner under colPropBudget.
+func colPropPlan(t *testing.T, link exec.ClientLink, tree logical.Node, cat *catalog.Catalog) *TreePlan {
+	t.Helper()
+	p := NewPlanner(link)
+	p.Config.Link = &exec.LinkObservation{Asymmetry: 1}
+	p.Config.MemBudget = colPropBudget
+	tp, err := p.PlanTree(context.Background(), tree, cat)
+	if err != nil {
+		t.Fatalf("planning %s: %v", logical.Format(tree), err)
+	}
+	return tp
+}
+
+// colPropRun executes the plan with every UDF application forced to s.
+func colPropRun(t *testing.T, tp *TreePlan, s Strategy) []string {
+	t.Helper()
+	for _, ap := range tp.Applies {
+		ap.Decision.Strategy = s
+	}
+	op, err := tp.NewOperator()
+	if err != nil {
+		t.Fatalf("lowering with %s: %v", s, err)
+	}
+	return collectBudgeted(t, op, colPropBudget)
+}
+
+var colPropStrategies = []Strategy{StrategyNaive, StrategySemiJoin, StrategyClientJoin}
+
+func TestColumnarMatchesHeapProperty(t *testing.T) {
+	rt := propRuntime(t)
+	link := exec.NewInProcessLink(rt, netsim.Unlimited())
+	heapCat, colCat := colPropCatalogs(t, rt)
 
 	const trees = 30
 	for seed := 0; seed < trees; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			build := func(cat *catalog.Catalog) logical.Node {
-				r := rand.New(rand.NewSource(int64(seed)))
-				sc, err := logical.NewScanByName(cat, "t", "")
-				if err != nil {
-					t.Fatal(err)
-				}
-				node, err := colPropTree(r, sc, 2+r.Intn(3))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return node
-			}
-
-			p := NewPlanner(link)
-			p.Config.Link = &exec.LinkObservation{Asymmetry: 1}
-			p.Config.MemBudget = budget
-
-			heapPlan, err := p.PlanTree(context.Background(), build(heapCat), heapCat)
-			if err != nil {
-				t.Fatalf("planning heap tree: %v", err)
-			}
-			colPlan, err := p.PlanTree(context.Background(), build(colCat), colCat)
-			if err != nil {
-				t.Fatalf("planning columnar tree: %v", err)
-			}
-
-			run := func(tp *TreePlan, s Strategy) []string {
-				for _, ap := range tp.Applies {
-					ap.Decision.Strategy = s
-				}
-				op, err := tp.NewOperator()
-				if err != nil {
-					t.Fatalf("lowering with %s: %v", s, err)
-				}
-				return collectBudgeted(t, op, budget)
-			}
-			for _, s := range strategies {
-				want := run(heapPlan, s)
-				got := run(colPlan, s)
+			heapPlan := colPropPlan(t, link, colPropBuild(t, heapCat, seed), heapCat)
+			colPlan := colPropPlan(t, link, colPropBuild(t, colCat, seed), colCat)
+			for _, s := range colPropStrategies {
+				want := colPropRun(t, heapPlan, s)
+				got := colPropRun(t, colPlan, s)
 				requireSameRows(t, got, want,
 					fmt.Sprintf("strategy %s\n%s", s, logical.Format(colPlan.Root)))
 			}
 		})
 	}
+}
+
+// TestColumnDemandProperty holds the rewriter's column-demand pass to the
+// columnar grammar, whose joins draw their keys in cyclic and shuffled
+// layouts: rewriting the pass's output changes nothing, and the pruned plan
+// answers exactly as the same rewrite without the pass, although every
+// column a scan was told not to read holds a non-NULL sentinel.
+func TestColumnDemandProperty(t *testing.T) {
+	rt := propRuntime(t)
+	link := exec.NewInProcessLink(rt, netsim.Unlimited())
+	_, cat := colPropCatalogs(t, rt)
+	fillUnread(t)
+
+	const trees = 100
+	for seed := 0; seed < trees; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			pruned := colPropPlan(t, link, colPropBuild(t, cat, seed), cat)
+			again, err := logical.Rewrite(pruned.Root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := logical.Format(again), logical.Format(pruned.Root); got != want {
+				t.Fatalf("rewrite is not idempotent:\n%s\nrewrites to\n%s", want, got)
+			}
+			unpruned := planWithoutPass(t, link, colPropBuild(t, cat, seed), cat)
+			for _, s := range colPropStrategies {
+				requireSameRows(t, colPropRun(t, pruned, s), colPropRun(t, unpruned, s),
+					fmt.Sprintf("strategy %s, pruned plan\n%s\nunpruned plan\n%s",
+						s, logical.Format(pruned.Root), logical.Format(unpruned.Root)))
+			}
+		})
+	}
+}
+
+// planWithoutPass plans the tree through the rewrite rules alone, skipping
+// the column-demand pass.
+func planWithoutPass(t *testing.T, link exec.ClientLink, tree logical.Node, cat *catalog.Catalog) *TreePlan {
+	t.Helper()
+	rewrite = func(root logical.Node) (logical.Node, error) {
+		return logical.RewriteWith(root, logical.DefaultRules())
+	}
+	defer func() { rewrite = logical.Rewrite }()
+	return colPropPlan(t, link, tree, cat)
+}
+
+// fillUnread makes every columnar scan lowered until the test ends fill the
+// columns outside its Required set with a sentinel, so a plan that reads a
+// column the column-demand pass dropped gets a wrong answer instead of a
+// NULL.
+func fillUnread(t *testing.T) {
+	prev := columnarScan
+	t.Cleanup(func() { columnarScan = prev })
+	columnarScan = func(ct *colstore.Table, sc *logical.Scan) exec.Operator {
+		return &sentinelScan{Operator: prev(ct, sc), required: sc.Required}
+	}
+}
+
+// sentinelScan overwrites the unrequired columns of each row it passes up
+// with a value unique to the row, so a distinct or a grouping on a dropped
+// column keeps every row. Rows are cloned first: a columnar scan hands out
+// the table's own tail rows.
+type sentinelScan struct {
+	exec.Operator
+	required []int
+	rows     int
+}
+
+func (s *sentinelScan) NextBatch(dst []types.Tuple) (int, error) {
+	n, err := s.Operator.NextBatch(dst)
+	if s.required == nil {
+		return n, err
+	}
+	for i := range dst[:n] {
+		row := dst[i].Clone()
+		for c := range row {
+			if !slices.Contains(s.required, c) {
+				row[c] = types.NewString(fmt.Sprintf("unread%d", s.rows))
+			}
+		}
+		dst[i] = row
+		s.rows++
+	}
+	return n, err
+}
+
+// colPropBuild draws the seed's tree over table t of the catalog.
+func colPropBuild(t *testing.T, cat *catalog.Catalog, seed int) logical.Node {
+	t.Helper()
+	r := rand.New(rand.NewSource(int64(seed)))
+	scan := func() logical.Node {
+		sc, err := logical.NewScanByName(cat, "t", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	node, err := colPropTree(r, scan, 2+r.Intn(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return node
 }

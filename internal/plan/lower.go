@@ -20,6 +20,16 @@ import (
 // lets the planner sample an input subtree and then execute it without any
 // reset-the-iterator protocol.
 
+// rewrite and columnarScan are the rewriter PlanTree runs and the columnar
+// scan lowering builds; tests swap them to plan without the column-demand
+// pass and to fill the columns a scan leaves unread.
+var (
+	rewrite      = logical.Rewrite
+	columnarScan = func(ct *colstore.Table, sc *logical.Scan) exec.Operator {
+		return exec.NewColumnarScan(ct, sc.Alias, sc.Required, sc.Prunable)
+	}
+)
+
 // ApplyPlan pairs one UDFApply node of the rewritten tree with its decision.
 type ApplyPlan struct {
 	Apply    *logical.UDFApply
@@ -59,7 +69,7 @@ func (p *Planner) PlanTree(ctx context.Context, root logical.Node, cat *catalog.
 	if root == nil {
 		return nil, fmt.Errorf("plan: nil logical tree")
 	}
-	rewritten, err := logical.Rewrite(root)
+	rewritten, err := rewrite(root)
 	if err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}
@@ -150,7 +160,7 @@ func (lw *lowerer) lower(n logical.Node) (exec.Operator, error) {
 	switch t := n.(type) {
 	case *logical.Scan:
 		if ct, ok := t.Table.Data.(*colstore.Table); ok {
-			return exec.NewColumnarScan(ct, t.Alias, t.Required, t.Prunable), nil
+			return columnarScan(ct, t), nil
 		}
 		data, ok := t.Table.Data.(storage.Relation)
 		if !ok {

@@ -779,6 +779,20 @@ type RemoteQuery struct {
 // Submit sends a QuerySpec (its QueryID and Caps are managed by the
 // requester) and waits for the server's admission ack.
 func (r *Requester) Submit(spec wire.QuerySpec) (*RemoteQuery, error) {
+	ch, ack, err := r.request(wire.MsgQuery, "query", &spec)
+	if err != nil {
+		return nil, err
+	}
+	return &RemoteQuery{r: r, id: spec.QueryID, caps: ack.Caps, ch: ch}, nil
+}
+
+// request is the one request path of Submit and Prepare: it starts the read
+// loop, gives the spec a fresh query ID and the requester's caps, registers
+// the ID's event queue, sends the spec as one msg frame and waits for the
+// server's ack to what ("query" or "prepare"). On any failure, a rejecting
+// ack included, the ID is dropped again; on success its queue stays
+// registered for the caller.
+func (r *Requester) request(msg wire.MsgType, what string, spec *wire.QuerySpec) (_ *eventQueue, _ *wire.QueryAck, err error) {
 	r.mu.Lock()
 	if !r.started {
 		r.started = true
@@ -787,7 +801,7 @@ func (r *Requester) Submit(spec wire.QuerySpec) (*RemoteQuery, error) {
 	if r.readErr != nil {
 		err := r.readErr
 		r.mu.Unlock()
-		return nil, err
+		return nil, nil, err
 	}
 	r.nextID++
 	spec.QueryID = r.nextID
@@ -795,36 +809,36 @@ func (r *Requester) Submit(spec wire.QuerySpec) (*RemoteQuery, error) {
 	ch := newEventQueue()
 	r.pending[spec.QueryID] = ch
 	r.mu.Unlock()
+	defer func() {
+		if err != nil {
+			r.drop(spec.QueryID)
+		}
+	}()
 
-	payload, err := wire.EncodeQuerySpec(&spec)
+	payload, err := wire.EncodeQuerySpec(spec)
 	if err != nil {
-		r.drop(spec.QueryID)
-		return nil, err
+		return nil, nil, err
 	}
-	if err := r.conn.Send(wire.MsgQuery, payload); err != nil {
-		r.drop(spec.QueryID)
-		return nil, err
+	if err := r.conn.Send(msg, payload); err != nil {
+		return nil, nil, err
 	}
 	ev, ok := ch.pop()
 	if ev.err != nil {
-		r.drop(spec.QueryID)
-		return nil, ev.err
+		return nil, nil, ev.err
 	}
 	if !ok || ev.ack == nil {
-		r.drop(spec.QueryID)
 		r.mu.Lock()
 		err := r.readErr
 		r.mu.Unlock()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return nil, fmt.Errorf("service: expected QUERY_ACK")
+		return nil, nil, fmt.Errorf("service: expected %s_ACK", strings.ToUpper(what))
 	}
 	if !ev.ack.OK {
-		r.drop(spec.QueryID)
-		return nil, fmt.Errorf("service: query rejected: %s", ev.ack.Error)
+		return nil, nil, fmt.Errorf("service: %s rejected: %s", what, ev.ack.Error)
 	}
-	return &RemoteQuery{r: r, id: spec.QueryID, caps: ev.ack.Caps, ch: ch}, nil
+	return ch, ev.ack, nil
 }
 
 // SubmitText submits a textual query (see docs/QUERYLANG.md) for server-side
@@ -833,13 +847,14 @@ func (r *Requester) Submit(spec wire.QuerySpec) (*RemoteQuery, error) {
 // too old to understand query text rejects the spec at decode time, so the
 // submission fails cleanly rather than misbehaving.
 func (r *Requester) SubmitText(text string, spec wire.QuerySpec) (*RemoteQuery, error) {
+	return r.Submit(textSpec(text, spec))
+}
+
+// textSpec is spec carrying the query text in place of its structural fields.
+func textSpec(text string, spec wire.QuerySpec) wire.QuerySpec {
 	spec.Text = text
-	spec.Table = ""
-	spec.Filter = nil
-	spec.UDFs = nil
-	spec.Pushable = nil
-	spec.Project = nil
-	return r.Submit(spec)
+	spec.Table, spec.Filter, spec.UDFs, spec.Pushable, spec.Project = "", nil, nil, nil, nil
+	return spec
 }
 
 // RemoteStatement is a statement prepared on the server over this requester's
@@ -858,62 +873,20 @@ type RemoteStatement struct {
 // template, overridable per execution. Servers that have not negotiated
 // CapPrepared fail the call cleanly.
 func (r *Requester) Prepare(spec wire.QuerySpec) (*RemoteStatement, error) {
-	r.mu.Lock()
-	if !r.started {
-		r.started = true
-		go r.readLoop()
-	}
-	if r.readErr != nil {
-		err := r.readErr
-		r.mu.Unlock()
-		return nil, err
-	}
-	r.nextID++
-	spec.QueryID = r.nextID
-	spec.Caps = serverCaps
-	ch := newEventQueue()
-	r.pending[spec.QueryID] = ch
-	r.mu.Unlock()
-	defer r.drop(spec.QueryID)
-
-	payload, err := wire.EncodeQuerySpec(&spec)
+	_, ack, err := r.request(wire.MsgPrepare, "prepare", &spec)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.conn.Send(wire.MsgPrepare, payload); err != nil {
-		return nil, err
-	}
-	ev, ok := ch.pop()
-	if ev.err != nil {
-		return nil, ev.err
-	}
-	if !ok || ev.ack == nil {
-		r.mu.Lock()
-		err := r.readErr
-		r.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("service: expected PREPARE_ACK")
-	}
-	if !ev.ack.OK {
-		return nil, fmt.Errorf("service: prepare rejected: %s", ev.ack.Error)
-	}
-	if ev.ack.Caps&wire.CapPrepared == 0 {
+	r.drop(spec.QueryID)
+	if ack.Caps&wire.CapPrepared == 0 {
 		return nil, fmt.Errorf("service: server did not negotiate prepared statements")
 	}
-	return &RemoteStatement{r: r, id: spec.QueryID, caps: ev.ack.Caps}, nil
+	return &RemoteStatement{r: r, id: spec.QueryID, caps: ack.Caps}, nil
 }
 
 // PrepareText prepares a textual query (see docs/QUERYLANG.md) server-side.
 func (r *Requester) PrepareText(text string, spec wire.QuerySpec) (*RemoteStatement, error) {
-	spec.Text = text
-	spec.Table = ""
-	spec.Filter = nil
-	spec.UDFs = nil
-	spec.Pushable = nil
-	spec.Project = nil
-	return r.Prepare(spec)
+	return r.Prepare(textSpec(text, spec))
 }
 
 // Exec starts one execution of the statement. over's StatementID and QueryID
@@ -984,7 +957,7 @@ func (q *RemoteQuery) Collect() ([]types.Tuple, error) {
 	return rows, err
 }
 
-// errIsCanceled reports whether a server-side error string describes a
+// ErrIsCanceled reports whether a server-side error string describes a
 // cancelled query (the error crosses the wire as text).
 func ErrIsCanceled(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "context canceled")

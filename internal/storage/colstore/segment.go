@@ -142,6 +142,7 @@ func decodeSegmentMeta(raw []byte, width int, dataEnd int64) (segmentMeta, error
 	}
 	raw = raw[c:]
 	seg := segmentMeta{rows: int(rows), cols: make([]colMeta, width)}
+	var chunks int64
 	for col := 0; col < width; col++ {
 		var vals [3]uint64
 		for i := range vals {
@@ -159,6 +160,16 @@ func decodeSegmentMeta(raw []byte, width int, dataEnd int64) (segmentMeta, error
 		if cm.off < 0 || cm.size <= 0 || cm.off+cm.size > dataEnd {
 			return segmentMeta{}, fmt.Errorf("column %d extent [%d,%d) outside data file of %d bytes",
 				col, cm.off, cm.off+cm.size, dataEnd)
+		}
+		// Each row costs a chunk at least two bytes (its value count and a
+		// value), and a segment's chunks do not overlap: this keeps the
+		// arena a read allocates, rows × width values, within a constant
+		// factor of the data file.
+		if int64(rows) > cm.size/2 {
+			return segmentMeta{}, fmt.Errorf("%d rows do not fit column %d's %d-byte chunk", rows, col, cm.size)
+		}
+		if chunks += cm.size; chunks > dataEnd {
+			return segmentMeta{}, fmt.Errorf("chunks of %d bytes exceed the data file of %d bytes", chunks, dataEnd)
 		}
 		if len(raw) == 0 {
 			return segmentMeta{}, fmt.Errorf("truncated column %d", col)
