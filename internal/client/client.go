@@ -140,8 +140,7 @@ func (r *Runtime) recordInvocation(name string) {
 	r.mu.Unlock()
 }
 
-// Call invokes a registered function directly (used by in-process setups and
-// by the naive operator's invoker path).
+// Call invokes a registered function directly (used by in-process setups).
 func (r *Runtime) Call(name string, args []types.Value) (types.Value, error) {
 	f, ok := r.Lookup(name)
 	if !ok {

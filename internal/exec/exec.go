@@ -1,9 +1,10 @@
 // Package exec implements the execution engine of the server, including the
-// three client-site UDF execution strategies the paper studies: naive
-// tuple-at-a-time remote invocation, the semi-join operator with a
-// sender/receiver pipeline around a bounded buffer (the pipeline concurrency
-// factor), and the client-site join that ships full records and applies
-// pushable predicates and projections at the client.
+// three client-site UDF execution strategies the paper studies: the
+// semi-join operator with a sender/receiver pipeline around a bounded buffer
+// (the pipeline concurrency factor) — whose factor-1 point is the naive
+// tuple-at-a-time remote invocation — and the client-site join that ships
+// full records and applies pushable predicates and projections at the
+// client.
 //
 // # Batch execution contract
 //
@@ -114,8 +115,6 @@ type NetStats struct {
 	// Invocations counts tuples shipped for UDF evaluation (after duplicate
 	// elimination for the semi-join).
 	Invocations int64
-	// RoundTrips counts synchronous request/response cycles (naive operator).
-	RoundTrips int64
 }
 
 // Add accumulates other into s.
@@ -124,7 +123,6 @@ func (s *NetStats) Add(other NetStats) {
 	s.BytesUp += other.BytesUp
 	s.Messages += other.Messages
 	s.Invocations += other.Invocations
-	s.RoundTrips += other.RoundTrips
 }
 
 // NetReporter is implemented by operators that talk to the client and can

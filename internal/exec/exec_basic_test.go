@@ -245,37 +245,6 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
-// ---- sort ----
-
-func TestSort(t *testing.T) {
-	rows := stockRows(10)
-	s := NewSort(NewValuesScan(stockSchema(), rows), []SortKey{{Ordinal: 1, Desc: true}})
-	got, err := Collect(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := 1e18
-	for _, r := range got {
-		f, _ := r[1].Float()
-		if f > prev {
-			t.Errorf("descending sort violated: %g after %g", f, prev)
-		}
-		prev = f
-	}
-	// Two keys: Name asc, Close asc.
-	s = NewSort(NewValuesScan(stockSchema(), rows), []SortKey{{Ordinal: 0}, {Ordinal: 1}})
-	got, err = Collect(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(got); i++ {
-		c, _ := types.CompareOn(got[i-1], got[i], []int{0, 1})
-		if c > 0 {
-			t.Errorf("sort violated at %d", i)
-		}
-	}
-}
-
 // ---- joins ----
 
 func estimationsSchema() *types.Schema {
@@ -480,9 +449,9 @@ func TestRunAndCollectHelpers(t *testing.T) {
 	}
 	// NetStats accumulation helper.
 	var s NetStats
-	s.Add(NetStats{BytesDown: 10, BytesUp: 5, Messages: 2, Invocations: 2, RoundTrips: 1})
+	s.Add(NetStats{BytesDown: 10, BytesUp: 5, Messages: 2, Invocations: 2})
 	s.Add(NetStats{BytesDown: 1, BytesUp: 1})
-	if s.BytesDown != 11 || s.BytesUp != 6 || s.Messages != 2 || s.Invocations != 2 || s.RoundTrips != 1 {
+	if s.BytesDown != 11 || s.BytesUp != 6 || s.Messages != 2 || s.Invocations != 2 {
 		t.Errorf("NetStats.Add = %+v", s)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -77,10 +79,21 @@ func fastLink(t testing.TB) *InProcessLink {
 	return NewInProcessLink(newAnalysisRuntime(t), netsim.Unlimited())
 }
 
+// newNaive builds the paper's naive strategy: a semi-join at concurrency
+// factor 1, whose lanes each hold at most one unacknowledged frame.
+func newNaive(input Operator, link ClientLink, udfs []UDFBinding) (*SemiJoin, error) {
+	op, err := NewSemiJoin(input, link, udfs)
+	if err != nil {
+		return nil, err
+	}
+	op.ConcurrencyFactor = 1
+	return op, nil
+}
+
 func TestNaiveUDFOperator(t *testing.T) {
 	rows := stockRows(12)
 	link := fastLink(t)
-	op, err := NewNaiveUDF(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
+	op, err := newNaive(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +113,10 @@ func TestNaiveUDFOperator(t *testing.T) {
 			t.Errorf("row %d rating = %d, want %d", i, v, expectedRating(ts))
 		}
 	}
+	// Every argument is distinct: one 1-tuple frame each.
 	stats := op.NetStats()
-	if stats.RoundTrips != int64(len(rows)) {
-		t.Errorf("naive round trips = %d, want %d", stats.RoundTrips, len(rows))
+	if stats.Messages != int64(len(rows)) || stats.Invocations != int64(len(rows)) {
+		t.Errorf("naive messages = %d, invocations = %d, want %d each", stats.Messages, stats.Invocations, len(rows))
 	}
 	if stats.BytesDown == 0 || stats.BytesUp == 0 {
 		t.Errorf("naive stats should record traffic: %+v", stats)
@@ -110,8 +124,8 @@ func TestNaiveUDFOperator(t *testing.T) {
 }
 
 func TestNaiveUDFCache(t *testing.T) {
-	// All rows share the same argument value: with the cache on, only one
-	// round trip should happen.
+	// All rows share the same argument value: the result table answers the
+	// duplicates, so only one round trip happens.
 	ts := types.NewTimeSeries(types.NewSeries(100, 110))
 	rows := make([]types.Tuple, 10)
 	for i := range rows {
@@ -119,11 +133,10 @@ func TestNaiveUDFCache(t *testing.T) {
 	}
 	rt := newAnalysisRuntime(t)
 	link := NewInProcessLink(rt, netsim.Unlimited())
-	op, err := NewNaiveUDF(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
+	op, err := newNaive(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	op.EnableCache = true
 	got, err := Collect(context.Background(), op)
 	if err != nil {
 		t.Fatal(err)
@@ -131,11 +144,86 @@ func TestNaiveUDFCache(t *testing.T) {
 	if len(got) != 10 {
 		t.Fatalf("rows = %d", len(got))
 	}
-	if op.NetStats().RoundTrips != 1 {
-		t.Errorf("cached naive round trips = %d, want 1", op.NetStats().RoundTrips)
+	if st := op.NetStats(); st.Messages != 1 || st.Invocations != 1 {
+		t.Errorf("cached naive messages = %d, invocations = %d, want 1 and 1", st.Messages, st.Invocations)
 	}
 	if rt.Invocations("ClientAnalysis") != 1 {
 		t.Errorf("client invocations = %d, want 1", rt.Invocations("ClientAnalysis"))
+	}
+}
+
+// TestNaiveOneFrameInFlight holds the first argument's UDF call at the
+// client: at concurrency factor 1 a lane holds one unacknowledged frame, so
+// nothing else is dealt until the call returns, and afterwards every
+// distinct argument still gets exactly one 1-tuple frame.
+func TestNaiveOneFrameInFlight(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	rt := client.NewRuntime()
+	err := rt.Register(&client.Func{
+		Name:       "ClientAnalysis",
+		ArgKinds:   []types.Kind{types.KindTimeSeries},
+		ResultKind: types.KindInt,
+		Body: func(args []types.Value) (types.Value, error) {
+			first.Do(func() {
+				close(held)
+				<-release
+			})
+			ts, err := args[0].Series()
+			if err != nil {
+				return types.Value{}, err
+			}
+			return types.NewInt(expectedRating(ts)), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const distinct = 4
+	rows := make([]types.Tuple, 12)
+	for i := range rows {
+		rows[i] = types.NewTuple(types.NewString("X"), types.NewFloat(float64(i)),
+			types.NewTimeSeries(types.NewSeries(100, 100+float64(i%distinct))))
+	}
+	op, err := newNaive(NewValuesScan(stockSchema(), rows), NewInProcessLink(rt, netsim.Unlimited()), []UDFBinding{analysisBinding()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		rows []types.Tuple
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		got, err := Collect(context.Background(), op)
+		done <- result{got, err}
+	}()
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first UDF call never reached the client")
+	}
+	// Give the sender time to deal a second frame if its window let it.
+	time.Sleep(50 * time.Millisecond)
+	if m := op.NetStats().Messages; m != 1 {
+		t.Errorf("frames dealt while the first call is held = %d, want 1", m)
+	}
+	close(release)
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if len(res.rows) != len(rows) {
+		t.Fatalf("rows = %d, want %d", len(res.rows), len(rows))
+	}
+	for i, r := range res.rows {
+		ts, _ := rows[i][2].Series()
+		if v, _ := r[3].Int(); v != expectedRating(ts) {
+			t.Errorf("row %d rating = %d, want %d", i, v, expectedRating(ts))
+		}
+	}
+	if st := op.NetStats(); st.Messages != distinct || st.Invocations != distinct {
+		t.Errorf("messages = %d, invocations = %d, want %d each", st.Messages, st.Invocations, distinct)
 	}
 }
 
@@ -209,8 +297,12 @@ func TestSemiJoinSortedInput(t *testing.T) {
 	link := fastLink(t)
 	// Sorting on the argument column below the operator makes its receiver a
 	// pure merge join (the assumption the paper makes for it).
-	sorted := NewSort(NewValuesScan(stockSchema(), rows), []SortKey{{Ordinal: analysisBinding().ArgOrdinals[0]}})
-	op, err := NewSemiJoin(sorted, link, []UDFBinding{analysisBinding()})
+	arg := analysisBinding().ArgOrdinals[0]
+	slices.SortFunc(rows, func(a, b types.Tuple) int {
+		c, _ := types.Compare(a[arg], b[arg])
+		return c
+	})
+	op, err := NewSemiJoin(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,10 +515,6 @@ func TestClientUDFErrorPropagation(t *testing.T) {
 	})
 	rows := stockRows(3)
 
-	naive, _ := NewNaiveUDF(NewValuesScan(stockSchema(), rows), NewInProcessLink(rt, netsim.Unlimited()), []UDFBinding{analysisBinding()})
-	if _, err := Collect(context.Background(), naive); err == nil {
-		t.Error("naive operator should propagate the client error")
-	}
 	semi, _ := NewSemiJoin(NewValuesScan(stockSchema(), rows), NewInProcessLink(rt, netsim.Unlimited()), []UDFBinding{analysisBinding()})
 	if _, err := Collect(context.Background(), semi); err == nil {
 		t.Error("semi-join operator should propagate the client error")
@@ -448,9 +536,6 @@ func TestClientUDFErrorPropagation(t *testing.T) {
 func TestOperatorConstructionErrors(t *testing.T) {
 	scan := NewValuesScan(stockSchema(), nil)
 	link := fastLink(t)
-	if _, err := NewNaiveUDF(scan, link, nil); err == nil {
-		t.Error("naive without UDFs should fail")
-	}
 	if _, err := NewSemiJoin(scan, link, nil); err == nil {
 		t.Error("semi-join without UDFs should fail")
 	}
@@ -458,7 +543,7 @@ func TestOperatorConstructionErrors(t *testing.T) {
 		t.Error("client join without UDFs should fail")
 	}
 	bad := UDFBinding{Name: "X", ArgOrdinals: []int{99}, ResultKind: types.KindInt}
-	if _, err := NewNaiveUDF(scan, link, []UDFBinding{bad}); err == nil {
+	if _, err := NewSemiJoin(scan, link, []UDFBinding{bad}); err == nil {
 		t.Error("out-of-range argument ordinal should fail")
 	}
 	if _, err := NewClientJoin(scan, link, []UDFBinding{bad}); err == nil {
@@ -469,10 +554,6 @@ func TestOperatorConstructionErrors(t *testing.T) {
 		t.Error("UDF without argument columns should fail for semi-join")
 	}
 	// Operators without a link refuse to open.
-	op, _ := NewNaiveUDF(scan, nil, []UDFBinding{analysisBinding()})
-	if err := op.Open(context.Background()); err == nil {
-		t.Error("naive without a link should fail to open")
-	}
 	sj, _ := NewSemiJoin(scan, nil, []UDFBinding{analysisBinding()})
 	if err := sj.Open(context.Background()); err == nil {
 		t.Error("semi-join without a link should fail to open")
@@ -581,11 +662,10 @@ func TestStrategyEquivalence(t *testing.T) {
 			sort.Strings(keys)
 			return keys, nil
 		}
-		naive, err := NewNaiveUDF(NewValuesScan(stockSchema(), rows), fastLink(t), []UDFBinding{analysisBinding()})
+		naive, err := newNaive(NewValuesScan(stockSchema(), rows), fastLink(t), []UDFBinding{analysisBinding()})
 		if err != nil {
 			return false
 		}
-		naive.EnableCache = r.Intn(2) == 0
 		a, err := collectSorted(naive)
 		if err != nil {
 			return false

@@ -23,8 +23,8 @@ func faultyLink(t testing.TB, script *netsim.FaultScript) *InProcessLink {
 // with a pool of the given size.
 func strategyBuilders(rows []types.Tuple, sessions int) map[string]func(link ClientLink) (Operator, error) {
 	return map[string]func(link ClientLink) (Operator, error){
-		"NaiveUDF": func(link ClientLink) (Operator, error) {
-			op, err := NewNaiveUDF(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
+		"naive": func(link ClientLink) (Operator, error) {
+			op, err := newNaive(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
 			if err != nil {
 				return nil, err
 			}
@@ -113,7 +113,7 @@ func TestDegradeToSurvivingSession(t *testing.T) {
 			}
 			// The drop comes a few frames past the setup handshake: how the
 			// frames split over the two lanes depends on scheduling, and on a
-			// loaded machine the second lane of NaiveUDF can carry under 1 kB
+			// loaded machine the second lane of the naive strategy can carry under 1 kB
 			// of the whole query.
 			script := netsim.NewFaultScript(1).
 				Set(0, netsim.FaultConfig{}).

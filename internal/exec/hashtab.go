@@ -52,8 +52,9 @@ func (s *tupleSet) add(t types.Tuple) (added bool, hash uint64) {
 }
 
 // argCache maps duplicate-free argument tuples to cached UDF result tuples.
-// Both the semi-join receiver and the naive operator's [HN97]-style cache use
-// it. Keys are whole argument tuples.
+// The semi-join's result table uses it, which at a concurrency factor of 1 is
+// the [HN97]-style cache of the naive strategy. Keys are whole argument
+// tuples.
 type argCache struct {
 	ords []int // lazily initialised full-width ordinal list
 	m    map[uint64][]argResult
@@ -67,9 +68,6 @@ type argResult struct {
 func newArgCache() *argCache {
 	return &argCache{m: make(map[uint64][]argResult)}
 }
-
-// hashArgs computes the cache hash of an argument tuple (all columns).
-func hashArgs(args types.Tuple) uint64 { return args.Hash(nil) }
 
 // get looks up the cached result for args, whose full-tuple hash is h.
 func (c *argCache) get(args types.Tuple, h uint64) (types.Tuple, bool) {

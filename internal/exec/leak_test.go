@@ -71,8 +71,8 @@ func earlyCloseCases(t *testing.T) map[string]func(link ClientLink) (Operator, e
 			op.Sessions = 3
 			return op, nil
 		},
-		"NaiveUDF": func(link ClientLink) (Operator, error) {
-			op, err := NewNaiveUDF(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
+		"naive": func(link ClientLink) (Operator, error) {
+			op, err := newNaive(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
 			if err != nil {
 				return nil, err
 			}

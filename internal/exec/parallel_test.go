@@ -202,47 +202,6 @@ func TestClientJoinParallelFinalDelivery(t *testing.T) {
 	}
 }
 
-// TestNaiveUDFSessions: the in-flight window preserves order and the cache's
-// duplicate elimination.
-func TestNaiveUDFSessions(t *testing.T) {
-	rows, schema := dupWorkload(80, 4, 8, 40)
-	run := func(sessions int, cache bool) ([]string, NetStats) {
-		t.Helper()
-		rt := deriveRuntime(t, 24)
-		op, err := NewNaiveUDF(NewValuesScan(schema, rows), NewInProcessLink(rt, netsim.Unlimited()), []UDFBinding{deriveBinding()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		op.Sessions = sessions
-		op.EnableCache = cache
-		got, err := Collect(context.Background(), op)
-		if err != nil {
-			t.Fatalf("sessions=%d cache=%v: %v", sessions, cache, err)
-		}
-		return keysOf(got), op.NetStats()
-	}
-	want, _ := run(1, false)
-	for _, sessions := range []int{2, 4, 6} {
-		for _, cache := range []bool{false, true} {
-			got, stats := run(sessions, cache)
-			if len(got) != len(want) {
-				t.Fatalf("sessions=%d cache=%v: %d rows, want %d", sessions, cache, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("sessions=%d cache=%v: row %d differs", sessions, cache, i)
-				}
-			}
-			if cache && stats.RoundTrips != 8 {
-				t.Errorf("sessions=%d: cached naive did %d round trips, want 8", sessions, stats.RoundTrips)
-			}
-			if !cache && stats.RoundTrips != 80 {
-				t.Errorf("sessions=%d: uncached naive did %d round trips, want 80", sessions, stats.RoundTrips)
-			}
-		}
-	}
-}
-
 // TestParallelDictSemiJoinAcceptance is the PR's acceptance criterion: on a
 // duplicate-heavy workload (D = 0.3) over a netsim link with asymmetry 50,
 // the parallel dictionary-encoded semi-join must ship at least 40% fewer
@@ -373,12 +332,11 @@ func TestDialLinkConcurrentSessions(t *testing.T) {
 		}
 	}
 
-	naive, err := NewNaiveUDF(NewValuesScan(schema, rows), link, []UDFBinding{deriveBinding()})
+	naive, err := newNaive(NewValuesScan(schema, rows), link, []UDFBinding{deriveBinding()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	naive.Sessions = 4
-	naive.EnableCache = true
 	nRows, err := Collect(context.Background(), naive)
 	if err != nil {
 		t.Fatal(err)
@@ -386,8 +344,8 @@ func TestDialLinkConcurrentSessions(t *testing.T) {
 	if len(nRows) != 200 {
 		t.Fatalf("TCP windowed naive returned %d rows", len(nRows))
 	}
-	if rtrips := naive.NetStats().RoundTrips; rtrips != 40 {
-		t.Errorf("TCP windowed naive did %d round trips, want 40", rtrips)
+	if st := naive.NetStats(); st.Messages != 40 || st.Invocations != 40 {
+		t.Errorf("TCP windowed naive sent %d frames of %d arguments, want 40 and 40", st.Messages, st.Invocations)
 	}
 }
 

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 
 	"csq/internal/types"
@@ -41,9 +42,13 @@ const DefaultSendBatchSize = 32
 // lane readers always drain their sessions, which is also what keeps a
 // multi-session client from ever blocking on an unread uplink write. With
 // Sessions > 1 the frames travel in parallel, yet output order stays exactly
-// the input order. DictBatches additionally
-// negotiates the per-batch value dictionary encoding for both directions of
-// every session.
+// the input order. DictBatches additionally negotiates the per-batch value
+// dictionary encoding for both directions of every session.
+//
+// A concurrency factor of 1 is the paper's naive strategy (Section 2.1): one
+// argument tuple per frame and at most one unacked frame per lane, so on a
+// single session every invocation is a blocking round trip; duplicates are
+// answered from the result table.
 type SemiJoin struct {
 	baseState
 	input Operator
@@ -51,7 +56,8 @@ type SemiJoin struct {
 	link  ClientLink
 
 	// ConcurrencyFactor bounds the number of argument tuples in flight
-	// between sender and receiver.
+	// between sender and receiver. At 1 every lane also holds at most one
+	// unacknowledged frame: the naive strategy.
 	ConcurrencyFactor int
 	// SendBatchSize is the number of duplicate-free argument tuples shipped
 	// per downlink frame. Values below 1 select DefaultSendBatchSize.
@@ -110,6 +116,63 @@ func NewSemiJoin(input Operator, link ClientLink, udfs []UDFBinding) (*SemiJoin,
 	return op, nil
 }
 
+// shipArgumentColumns computes the sorted union of argument ordinals and
+// rewrites the UDF specs so their ordinals index the shipped (argument-only)
+// tuple rather than the full input tuple.
+func shipArgumentColumns(schema *types.Schema, udfs []UDFBinding) ([]int, []wire.UDFSpec, error) {
+	seen := map[int]bool{}
+	for _, u := range udfs {
+		if len(u.ArgOrdinals) == 0 {
+			return nil, nil, fmt.Errorf("exec: UDF %s has no argument columns", u.Name)
+		}
+		for _, o := range u.ArgOrdinals {
+			if o < 0 || o >= schema.Len() {
+				return nil, nil, fmt.Errorf("exec: UDF %s argument ordinal %d out of range", u.Name, o)
+			}
+			seen[o] = true
+		}
+	}
+	union := make([]int, 0, len(seen))
+	for o := range seen {
+		union = append(union, o)
+	}
+	sort.Ints(union)
+	pos := make(map[int]int, len(union))
+	for i, o := range union {
+		pos[o] = i
+	}
+	specs := make([]wire.UDFSpec, len(udfs))
+	for i, u := range udfs {
+		spec := wire.UDFSpec{Name: u.Name}
+		for _, o := range u.ArgOrdinals {
+			spec.ArgOrdinals = append(spec.ArgOrdinals, pos[o])
+		}
+		specs[i] = spec
+	}
+	return union, specs, nil
+}
+
+// ExtendedSchema returns the schema of an input extended with one result
+// column per UDF binding — the output shape shared by every client-site
+// strategy before any pushable projection. The planner uses it to bind
+// pushable predicates and projections without instantiating an operator.
+func ExtendedSchema(in *types.Schema, udfs []UDFBinding) *types.Schema {
+	return extendSchema(in, udfs)
+}
+
+// extendSchema appends one result column per UDF to the input schema.
+func extendSchema(in *types.Schema, udfs []UDFBinding) *types.Schema {
+	out := in.Clone()
+	for _, u := range udfs {
+		name := u.ResultName
+		if name == "" {
+			name = u.Name
+		}
+		out.Columns = append(out.Columns, types.Column{Name: name, Kind: u.ResultKind})
+	}
+	return out
+}
+
 // Schema implements Operator.
 func (s *SemiJoin) Schema() *types.Schema { return s.schema }
 
@@ -133,6 +196,10 @@ func (s *SemiJoin) Open(ctx context.Context) error {
 	}
 	s.mem = memAccount{t: MemTrackerFrom(ctx)}
 	s.results = newArgCache()
+	window := 0 // unbounded: the buffer bounds the pipeline
+	if s.ConcurrencyFactor == 1 {
+		window = 1 // naive: every shipped argument is a blocking round trip
+	}
 	s.pool, err = openShipPool(ctx, s.link, shipPolicy[[]uint64]{
 		setup: &wire.SetupRequest{
 			Mode:        wire.ModeSemiJoin,
@@ -141,6 +208,7 @@ func (s *SemiJoin) Open(ctx context.Context) error {
 			DictBatches: s.DictBatches,
 		},
 		sessions: s.Sessions,
+		window:   window,
 		retry:    s.Retry,
 		onReply:  s.publish,
 	})

@@ -46,8 +46,9 @@ type shipPolicy[T any] struct {
 // blocking I/O. The lane's reader takes only mu, so it can always drain
 // replies; a sender blocked mid-transfer therefore cannot deadlock against
 // the client blocked writing a reply, which is what an unbuffered link does
-// to it. Lock order: sendMu before mu; the pool's own mu is never held
-// together with either.
+// to it. Lock order: sendMu before mu before the pool's own mu, which is
+// only ever taken under sendMu (to count a dealt frame) and never held while
+// taking a lane lock.
 type shipLane[T any] struct {
 	sendMu  sync.Mutex
 	mu      sync.Mutex
@@ -57,14 +58,13 @@ type shipLane[T any] struct {
 	dead    bool // the lane is retired; no replacement could be dialled
 }
 
-// shipPool is the one shipping mechanism under the three client-site
-// strategies. It deals frames across a pool of sessions, keeps each lane's
-// unacknowledged frames, runs one reader per lane that matches every reply
-// frame with the lane's oldest unacked frame (the client answers each frame
-// with exactly one reply frame), and survives session loss: redial and
-// replay, else degrade onto the surviving lanes, else fail with
-// ErrSessionsExhausted. Traffic and fault counters are kept here for all of
-// them.
+// shipPool is the one shipping mechanism under the client-site operators. It
+// deals frames across a pool of sessions, keeps each lane's unacknowledged
+// frames, runs one reader per lane that matches every reply frame with the
+// lane's oldest unacked frame (the client answers each frame with exactly one
+// reply frame), and survives session loss: redial and replay, else degrade
+// onto the surviving lanes, else fail with ErrSessionsExhausted. Traffic and
+// fault counters are kept here for all of them.
 //
 // The pool fails at most once: the first error — from a session, a reply
 // callback, the owning operator (fail), cancellation of the query context or
@@ -208,15 +208,15 @@ const (
 	laneShipped
 )
 
-// ship parks frames (and the End marker) on the lane's FIFO and then sends
-// them. The send runs outside mu — the reader needs mu to drain replies, and
-// a reply being drained is what unblocks this send on an unbuffered link —
-// but under sendMu, so park+send stays atomic against recovery and
-// migration. A send error is not reported: the frames are already parked, so
+// ship parks frames (and the End marker) on the lane's FIFO, runs parked
+// (when non-nil), and then sends them. The send runs outside mu — the reader
+// needs mu to drain replies, and a reply being drained is what unblocks this
+// send on an unbuffered link — but under sendMu, so park+send stays atomic
+// against recovery and migration. A send error is not reported: the frames are already parked, so
 // the reader's recovery replays them; aborting the captured session
 // (recovery may have swapped lane.sess already) is what kicks that reader
 // out of its blocked receive.
-func (lane *shipLane[T]) ship(frames []shipFrame[T], end bool, window int) int {
+func (lane *shipLane[T]) ship(frames []shipFrame[T], end bool, window int, parked func()) int {
 	lane.sendMu.Lock()
 	defer lane.sendMu.Unlock()
 	lane.mu.Lock()
@@ -232,6 +232,9 @@ func (lane *shipLane[T]) ship(frames []shipFrame[T], end bool, window int) int {
 	lane.endSent = lane.endSent || end
 	sess := lane.sess
 	lane.mu.Unlock()
+	if parked != nil {
+		parked()
+	}
 	if err := replay(sess, frames, end); err != nil {
 		sess.abort()
 	}
@@ -253,15 +256,19 @@ func replay[T any](sess *udfSession, frames []shipFrame[T], end bool) error {
 }
 
 // deal ships one frame on the next live lane that has room, round-robin,
-// waiting for an acknowledgement when every live lane's window is full. It
-// fails only when the pool has failed or no live lane is left.
+// waiting for an acknowledgement when every live lane's window is full. The
+// frame counts as dealt once a lane has parked it, before its send, so a
+// send blocked on link transfer is counted and a frame waiting for room is
+// not. It fails only when the pool has failed or no live lane is left.
 func (p *shipPool[T]) deal(tuples []types.Tuple, tag T) error {
-	p.mu.Lock()
-	p.dealt++
-	p.stats.Messages++
-	p.stats.Invocations += int64(len(tuples))
-	p.mu.Unlock()
 	frame := []shipFrame[T]{{tuples: tuples, tag: tag}}
+	count := func() {
+		p.mu.Lock()
+		p.dealt++
+		p.stats.Messages++
+		p.stats.Invocations += int64(len(tuples))
+		p.mu.Unlock()
+	}
 	for {
 		p.mu.Lock()
 		acked := p.acked
@@ -269,7 +276,7 @@ func (p *shipPool[T]) deal(tuples []types.Tuple, tag T) error {
 		live := false
 		for i := range p.lanes {
 			at := (p.next + i) % len(p.lanes)
-			switch p.lanes[at].ship(frame, false, p.window) {
+			switch p.lanes[at].ship(frame, false, p.window, count) {
 			case laneShipped:
 				p.next = at + 1
 				return nil
@@ -289,19 +296,6 @@ func (p *shipPool[T]) deal(tuples []types.Tuple, tag T) error {
 	}
 }
 
-// hasRoom reports whether deal would find a lane without waiting.
-func (p *shipPool[T]) hasRoom() bool {
-	for _, lane := range p.lanes {
-		lane.mu.Lock()
-		room := !lane.dead && (p.window == 0 || len(lane.unacked) < p.window)
-		lane.mu.Unlock()
-		if room {
-			return true
-		}
-	}
-	return false
-}
-
 // end runs the end-of-stream handshake: it waits until every dealt frame has
 // been answered — so no lane ever carries a tuple frame after its End, and
 // recovery never has to replay one onto a lane whose client already tore its
@@ -313,7 +307,7 @@ func (p *shipPool[T]) end() error {
 		return err
 	}
 	for _, lane := range p.lanes {
-		lane.ship(nil, true, 0)
+		lane.ship(nil, true, 0, nil)
 	}
 	return p.await(func() bool { return p.reading == 0 })
 }
@@ -506,7 +500,7 @@ func (p *shipPool[T]) migrate(orphans []shipFrame[T]) bool {
 		return true
 	}
 	for _, lane := range p.lanes {
-		if lane.ship(orphans, false, 0) == laneShipped {
+		if lane.ship(orphans, false, 0, nil) == laneShipped {
 			p.faults.replayed.Add(int64(len(orphans)))
 			return true
 		}

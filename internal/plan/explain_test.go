@@ -93,7 +93,7 @@ func TestLowerScanWithoutHandle(t *testing.T) {
 }
 
 // TestPlanEmptyInputFallsBackToNaive: an empty source with no priors cannot
-// feed the cost model; the plan degrades to the naive operator (correct at
+// feed the cost model; the plan degrades to the naive strategy (correct at
 // any cardinality) instead of failing, and executes to an empty result.
 func TestPlanEmptyInputFallsBackToNaive(t *testing.T) {
 	rt := testRuntime(t)

@@ -233,7 +233,7 @@ func (lw *lowerer) lower(n logical.Node) (exec.Operator, error) {
 // applyOperator instantiates one UDF application with its planned strategy,
 // placing the node's pushable predicate and projection on the right side of
 // the link: at the client for the client-site join, at the server above the
-// join-back for the semi-join and the naive operator. The rewriter absorbs
+// join-back for the semi-join and naive strategies. The rewriter absorbs
 // only conjuncts the client can evaluate over the shipped extended record, so
 // the client-site join takes the whole pushable predicate.
 func (lw *lowerer) applyOperator(apply *logical.UDFApply, d *Decision) (exec.Operator, error) {
@@ -255,7 +255,8 @@ func (lw *lowerer) applyOperator(apply *logical.UDFApply, d *Decision) (exec.Ope
 		cj.Pushable = apply.Pushable
 		cj.ProjectOrdinals = apply.Project
 		return cj, nil
-	case StrategySemiJoin:
+	case StrategySemiJoin, StrategyNaive:
+		// Naive is the semi-join at concurrency factor 1 on one session.
 		sj, err := exec.NewSemiJoin(input, p.Link, apply.UDFs)
 		if err != nil {
 			return nil, err
@@ -267,14 +268,6 @@ func (lw *lowerer) applyOperator(apply *logical.UDFApply, d *Decision) (exec.Ope
 		sj.DictBatches = d.DictBatches
 		sj.Retry = p.Config.Retry
 		op = sj
-	case StrategyNaive:
-		nu, err := exec.NewNaiveUDF(input, p.Link, apply.UDFs)
-		if err != nil {
-			return nil, err
-		}
-		nu.EnableCache = true
-		nu.Retry = p.Config.Retry
-		op = nu
 	default:
 		return nil, fmt.Errorf("plan: unknown strategy %d", d.Strategy)
 	}
@@ -332,12 +325,12 @@ func (p *Planner) planApply(ctx context.Context, lw *lowerer, spec applySpec) (*
 	d.Params, err = assembleParams(stats, spec, link, d.EstimatedRows)
 	if errors.Is(err, errEmptySample) {
 		// Degenerate input: nothing sampled and no catalog priors to size a
-		// record with. The naive operator is correct at any cardinality and
-		// carries the least machinery for the zero-row stream this almost
+		// record with. The naive strategy is correct at any cardinality and
+		// keeps the least in flight for the zero-row stream this almost
 		// always is, so fall back to it instead of failing the plan.
 		d.Strategy = StrategyNaive
 		d.Sessions = 1
-		d.Concurrency = exec.DefaultConcurrencyFactor
+		d.Concurrency = 1
 		d.Fallback = true
 		return d, nil
 	}

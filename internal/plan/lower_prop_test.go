@@ -241,7 +241,7 @@ func (g *propGen) tree(depth int) (pair, error) {
 			if err != nil {
 				return nil, err
 			}
-			return exec.NewNaiveUDF(op, link, udfs)
+			return newNaive(op, link, udfs)
 		}}, nil
 	default:
 		return in, nil

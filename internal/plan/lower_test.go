@@ -50,6 +50,17 @@ func requireSameRows(t *testing.T, got, want []string, label string) {
 	}
 }
 
+// newNaive builds the naive strategy by hand: a semi-join at concurrency
+// factor 1.
+func newNaive(input exec.Operator, link exec.ClientLink, udfs []exec.UDFBinding) (*exec.SemiJoin, error) {
+	sj, err := exec.NewSemiJoin(input, link, udfs)
+	if err != nil {
+		return nil, err
+	}
+	sj.ConcurrencyFactor = 1
+	return sj, nil
+}
+
 // joinWorkload builds two relations joined on an int key, with the UDF
 // argument payload on the left side.
 func joinWorkload(t *testing.T) (left, right *logical.Values, leftRows, rightRows []types.Tuple, leftSchema, rightSchema *types.Schema) {
@@ -127,7 +138,7 @@ func TestLowerUDFAboveJoin(t *testing.T) {
 	}
 	got := mustCollect(t, op)
 
-	// Hand-built equivalent: join → naive UDF → filter → project.
+	// Hand-built equivalent: join → naive → filter → project.
 	hj, err := exec.NewHashJoin(
 		exec.NewValuesScan(leftSchema, leftRows),
 		exec.NewValuesScan(rightSchema, rightRows),
@@ -135,7 +146,7 @@ func TestLowerUDFAboveJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nu, err := exec.NewNaiveUDF(hj, p.Link, udfs)
+	nu, err := newNaive(hj, p.Link, udfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +205,11 @@ func TestLowerTwoUDFApplies(t *testing.T) {
 	}
 	got := mustCollect(t, op)
 
-	n1, err := exec.NewNaiveUDF(exec.NewValuesScan(testSchema(), rows), p.Link, score)
+	n1, err := newNaive(exec.NewValuesScan(testSchema(), rows), p.Link, score)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := exec.NewNaiveUDF(n1, p.Link, qualify)
+	n2, err := newNaive(n1, p.Link, qualify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +253,7 @@ func TestLowerAggregateOverUDF(t *testing.T) {
 	}
 	got := mustCollect(t, op)
 
-	nu, err := exec.NewNaiveUDF(exec.NewValuesScan(testSchema(), rows), p.Link, qualify)
+	nu, err := newNaive(exec.NewValuesScan(testSchema(), rows), p.Link, qualify)
 	if err != nil {
 		t.Fatal(err)
 	}

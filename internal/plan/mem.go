@@ -173,9 +173,9 @@ func estimateMem(root logical.Node, decisions map[*logical.UDFApply]*Decision) m
 }
 
 // applyMemEstimate sizes one UDF application from its decision: the
-// semi-join retains the duplicate-free argument tuples plus the result
-// cache, the naive operator's cache retains one entry per distinct argument,
-// and the client-site join streams (no retained state grows with the input).
+// semi-join (naive included, its factor-1 point) retains the duplicate-free
+// argument tuples plus the result table, and the client-site join streams
+// (no retained state grows with the input).
 func applyMemEstimate(apply *logical.UDFApply, in memEstimate, d *Decision) memEstimate {
 	est := memEstimate{Rows: in.Rows, RowBytes: defaultRowBytes(apply.Schema())}
 	if d == nil {

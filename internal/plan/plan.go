@@ -23,7 +23,7 @@
 //   - the winning operator is instantiated with the node's pushable
 //     predicate and projection on the right side of the link: the client for
 //     the client-site join, the server (above the join-back) for the
-//     semi-join and the naive operator.
+//     semi-join and naive strategies.
 //
 // The decision is made once per plan. NewPlanCache keys plans on the data
 // version of every scanned table, so a write makes the next execution plan
@@ -68,9 +68,10 @@ const (
 )
 
 // Strategy identifies the execution strategy the planner instantiates. It
-// extends the two-way cost-model choice with the naive operator, which the
-// planner falls back to only in the degenerate case where the pipeline would
-// have at most one invocation in flight.
+// extends the two-way cost-model choice with the naive strategy — the
+// semi-join at concurrency factor 1 — which the planner falls back to only in
+// the degenerate case where the pipeline would have at most one invocation in
+// flight.
 type Strategy uint8
 
 // Planner strategies.
@@ -179,7 +180,7 @@ type Decision struct {
 	// EstimatedRows is the cardinality estimate for the operator's input.
 	EstimatedRows int
 	// Concurrency is the derived semi-join pipeline concurrency factor (B·T,
-	// totalled across the session pool).
+	// totalled across the session pool); 1 for the naive strategy.
 	Concurrency int
 	// Sessions is the derived parallel session fan-out T: how many wire
 	// sessions the operator deals its frames across, from the measured
@@ -194,7 +195,7 @@ type Decision struct {
 	DictSavings float64
 	// Fallback reports that the decision is the degenerate-input fallback: an
 	// empty sample with no catalog priors cannot feed the cost model, so the
-	// naive operator (correct for any cardinality, cheapest machinery for
+	// naive strategy (correct for any cardinality, least in flight for
 	// none) is chosen without one.
 	Fallback bool
 	// EstimatedMemBytes is the estimated operator state the chosen strategy
@@ -231,8 +232,8 @@ func NewPlanner(link exec.ClientLink) *Planner { return &Planner{Link: link} }
 // ChooseStrategy maps validated cost-model parameters to the planner's
 // strategy: the cost model's argmin (ties go to the semi-join), except that a
 // workload with at most one expected invocation degrades to the naive
-// operator, whose single round trip is then identical to the semi-join
-// pipeline but without its machinery.
+// strategy, the semi-join at concurrency factor 1, whose single round trip
+// is then identical to the wider pipeline's.
 func ChooseStrategy(p costmodel.Params) (Strategy, costmodel.LinkCost, costmodel.LinkCost, error) {
 	s, sj, cj, err := costmodel.Decide(p)
 	if err != nil {
@@ -253,7 +254,10 @@ func ChooseStrategy(p costmodel.Params) (Strategy, costmodel.LinkCost, costmodel
 func finalizeLinkKnobs(d *Decision, spec applySpec, maxSessions int) {
 	d.Sessions = sessionsFor(d, maxSessions)
 	d.Concurrency = concurrencyFor(d.Params, d.Link, d.Sessions)
-	// The naive operator ships one tuple per frame, where a per-batch
+	if d.Strategy == StrategyNaive {
+		d.Concurrency = 1 // naive is the semi-join at factor 1
+	}
+	// The naive strategy ships one tuple per frame, where a per-batch
 	// dictionary can never shrink anything; the decision must describe the
 	// plan that actually executes.
 	d.DictSavings, d.DictBatches = 0, false

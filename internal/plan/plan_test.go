@@ -310,7 +310,7 @@ func TestChooseStrategyTieAndDegenerate(t *testing.T) {
 		t.Errorf("tie went to %s, want semi-join", s)
 	}
 
-	// One expected invocation: the pipeline degenerates to the naive operator.
+	// One expected invocation: the pipeline degenerates to the naive strategy.
 	one := tie
 	one.Rows = 1
 	if s, _, _, _ := ChooseStrategy(one); s != StrategyNaive {
@@ -395,9 +395,28 @@ func TestPlanNaiveDegenerateCase(t *testing.T) {
 	if d.Strategy != StrategyNaive {
 		t.Fatalf("single-row workload planned as %s, want naive", d.Strategy)
 	}
-	if _, got := collectPlan(t, tp); len(got) != 1 || got[0].Len() != 4 {
+	op, got := collectPlan(t, tp)
+	if len(got) != 1 || got[0].Len() != 4 {
 		t.Errorf("naive plan output = %d rows", len(got))
 	}
+	// Naive lowers to the semi-join at concurrency factor 1 on one session.
+	for op != nil {
+		if sj, ok := op.(*exec.SemiJoin); ok {
+			if d.Concurrency != 1 || sj.ConcurrencyFactor != 1 || sj.Sessions != 1 {
+				t.Errorf("naive lowered with factor %d (decision %d), %d sessions; want 1, 1, 1", sj.ConcurrencyFactor, d.Concurrency, sj.Sessions)
+			}
+			if st := sj.NetStats(); st.Messages != 1 || st.Invocations != 1 {
+				t.Errorf("naive shipped %d frames of %d arguments, want 1 and 1", st.Messages, st.Invocations)
+			}
+			return
+		}
+		u, ok := op.(exec.Unwrapper)
+		if !ok {
+			break
+		}
+		op = u.Unwrap()
+	}
+	t.Errorf("naive plan has no semi-join operator: %T", op)
 }
 
 func TestPlanQueryValidation(t *testing.T) {

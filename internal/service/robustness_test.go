@@ -383,6 +383,34 @@ func TestServiceShedsTypedWhenSaturated(t *testing.T) {
 	}
 }
 
+// TestServiceShedQueryReportsAdmissionWait holds the one slot past the
+// queue-wait cap: the second query is shed, and its stats still carry the
+// time it spent queued.
+func TestServiceShedQueryReportsAdmissionWait(t *testing.T) {
+	cat := miniCatalog(t, 512)
+	const maxWait = 30 * time.Millisecond
+	svc := New(cat, Config{MaxConcurrent: 1, MaxQueueWait: maxWait})
+	defer svc.Close()
+
+	started := make(chan struct{})
+	hold := make(chan struct{})
+	defer close(hold) // before Close, which waits for the blocker
+	if _, err := svc.Submit(context.Background(), blockerRequest(t, cat, started, hold)); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	shed, err := svc.Submit(context.Background(), Request{Tree: numsTree(t, cat)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shed.Wait(); !errors.Is(err, wire.ErrOverloaded) {
+		t.Fatalf("queued query returned %v, want an overload shed", err)
+	}
+	if st := shed.Stats(); st.State != StateShed || st.AdmissionWait < maxWait {
+		t.Fatalf("shed query state = %s, admission wait = %v; want shed after at least %v", st.State, st.AdmissionWait, maxWait)
+	}
+}
+
 // TestServiceCancelWhileQueued cancels a query waiting for admission and
 // checks it reports context.Canceled / StateCanceled without ever running —
 // leak-free.

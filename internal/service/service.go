@@ -782,6 +782,9 @@ func (q *Query) run(ctx context.Context, req Request) {
 	// queries (typed, retryable) rather than queueing them past their
 	// deadline's usefulness; a cancelled query leaves the queue immediately.
 	release, wait, aerr := q.svc.adm.acquire(ctx, q.tenant)
+	q.mu.Lock()
+	q.admissionWait = wait // also when shed or cancelled in the queue
+	q.mu.Unlock()
 	if aerr != nil {
 		err = aerr
 		return
@@ -790,7 +793,6 @@ func (q *Query) run(ctx context.Context, req Request) {
 
 	q.mu.Lock()
 	q.started = time.Now()
-	q.admissionWait = wait
 	q.state = StatePlanning
 	q.mu.Unlock()
 

@@ -128,38 +128,13 @@ func TestHeapTableStats(t *testing.T) {
 	}
 }
 
-func TestStore(t *testing.T) {
-	s := NewStore()
-	if _, err := s.Create("StockQuotes", quotesSchema()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Create("stockquotes", quotesSchema()); err == nil {
-		t.Error("case-insensitive duplicate create should fail")
-	}
-	if _, err := s.Table("STOCKQUOTES"); err != nil {
-		t.Errorf("lookup: %v", err)
-	}
-	if _, err := s.Table("missing"); err == nil {
-		t.Error("missing table should fail")
-	}
-	if _, err := s.Create("Estimations", quotesSchema()); err != nil {
-		t.Fatal(err)
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "Estimations" {
-		t.Errorf("Names = %v", names)
-	}
-	if err := s.Drop("StockQuotes"); err != nil {
-		t.Errorf("Drop: %v", err)
-	}
-	if err := s.Drop("StockQuotes"); err == nil {
-		t.Error("double drop should fail")
-	}
-}
-
+// TestStoreConcurrentAccess: one heap table under concurrent inserts and
+// scans loses no rows.
 func TestStoreConcurrentAccess(t *testing.T) {
-	s := NewStore()
-	tbl, _ := s.Create("R", quotesSchema())
+	tbl, err := NewHeapTable("R", quotesSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)

@@ -7,7 +7,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -280,78 +279,4 @@ func (it *TableIterator) NextBatch(dst []types.Tuple) int {
 		}
 	}
 	return filled
-}
-
-// Store is a named collection of heap tables; the execution engine resolves
-// base-table scans against it. It is kept separate from the catalog so that
-// metadata (catalog) and data (store) can live in different components.
-type Store struct {
-	mu     sync.RWMutex
-	tables map[string]*HeapTable
-}
-
-// NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{tables: make(map[string]*HeapTable)}
-}
-
-// Create creates a new heap table in the store.
-func (s *Store) Create(name string, schema *types.Schema) (*HeapTable, error) {
-	t, err := NewHeapTable(name, schema)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := lowerKey(name)
-	if _, ok := s.tables[k]; ok {
-		return nil, fmt.Errorf("storage: table %q already exists", name)
-	}
-	s.tables[k] = t
-	return t, nil
-}
-
-// Table looks up a table by case-insensitive name.
-func (s *Store) Table(name string) (*HeapTable, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tables[lowerKey(name)]
-	if !ok {
-		return nil, fmt.Errorf("storage: table %q does not exist", name)
-	}
-	return t, nil
-}
-
-// Drop removes a table from the store.
-func (s *Store) Drop(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := lowerKey(name)
-	if _, ok := s.tables[k]; !ok {
-		return fmt.Errorf("storage: table %q does not exist", name)
-	}
-	delete(s.tables, k)
-	return nil
-}
-
-// Names returns the table names in sorted order.
-func (s *Store) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.tables))
-	for _, t := range s.tables {
-		out = append(out, t.Name())
-	}
-	sort.Strings(out)
-	return out
-}
-
-func lowerKey(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
-		}
-	}
-	return string(b)
 }

@@ -170,8 +170,8 @@ type Message struct {
 }
 
 // Conn frames messages over an underlying reader/writer. Writes are
-// serialised with a mutex so that concurrent sender goroutines (the semi-join
-// sender and the naive operator's control path) can share one connection.
+// serialised with a mutex so that concurrent sender goroutines can share one
+// connection.
 type Conn struct {
 	wmu sync.Mutex
 	w   *bufio.Writer
