@@ -25,15 +25,18 @@ const DefaultShipBatchSize = 8
 // result batches instead of one tuple per send.
 //
 // What goes down the shipping pool is one frame of ShipBatchSize whole
-// records, with no bound on a lane's unacked frames; a reply (possibly empty
-// after filtering) is dropped in its frame's one-shot box, and the receiver
-// opens the boxes in deal order — so with Sessions > 1 the frames travel in
-// parallel and the global record order is reconstructed without sequence
-// bookkeeping on the wire, even for a frame replayed on a different session.
-// Once every frame is answered the sender runs the pool's End handshake,
-// which is how the FinalDelivery row counts come back. DictBatches
-// additionally negotiates the per-batch value dictionary encoding on every
-// session.
+// records, with no bound on a lane's unacked frames; the records a frame
+// holds are charged to the query's memory tracker until its reply is merged.
+// A reply (possibly empty after filtering) is dropped in its frame's one-shot
+// box, and the receiver opens the boxes in deal order — so with Sessions > 1
+// the frames travel in parallel and the global record order is reconstructed
+// without sequence bookkeeping on the wire, even for a frame replayed on a
+// different session. The stream ends when the input does and every box is
+// opened: every reply is in, and Close retires the sessions. Only under
+// FinalDelivery does the sender run the pool's End handshake once every
+// frame is answered, because that is how the delivered row counts come back.
+// DictBatches additionally negotiates the per-batch value dictionary
+// encoding on every session.
 type ClientJoin struct {
 	baseState
 	input Operator
@@ -68,14 +71,22 @@ type ClientJoin struct {
 	outSchema *types.Schema // extended schema narrowed by ProjectOrdinals
 
 	pool   *shipPool[replyBox]
-	order  chan replyBox // dealt frames' boxes in deal order; the merge follows it
-	cur    []types.Tuple // receiver batch currently being drained
+	order  chan dealtFrame // dealt frames in deal order; the merge follows it
+	mem    memAccount      // records held in flight, until their frame is merged
+	cur    []types.Tuple   // receiver batch currently being drained
 	curPos int
 }
 
 // replyBox is a frame's one-shot reply slot (capacity 1: exactly one reply
 // per frame).
 type replyBox chan []types.Tuple
+
+// dealtFrame is a dealt frame as the merge sees it: its reply box and the
+// memory charged for the records it holds.
+type dealtFrame struct {
+	box    replyBox
+	charge int64
+}
 
 // NewClientJoin builds the operator. UDF argument ordinals reference the
 // input schema directly (the whole record is shipped).
@@ -129,11 +140,13 @@ func (c *ClientJoin) Schema() *types.Schema {
 }
 
 // DeliveredRows reports how many rows the client kept when FinalDelivery is
-// in effect. Only meaningful after Close.
+// in effect: the sum of the row counts the sessions' End replies carry. Only
+// meaningful after the stream has ended; zero without FinalDelivery, which
+// sends no End.
 func (c *ClientJoin) DeliveredRows() uint64 { return c.pool.delivered() }
 
-// Open implements Operator: it validates the pushable projection, opens the
-// shipping pool and starts the sender.
+// Open implements Operator: it validates the pushable projection and opens
+// the shipping pool, which starts the sender.
 func (c *ClientJoin) Open(ctx context.Context) error {
 	if c.link == nil {
 		return fmt.Errorf("exec: client-site join has no client link")
@@ -169,7 +182,13 @@ func (c *ClientJoin) Open(ctx context.Context) error {
 		}
 		req.PushablePredicate = data
 	}
-	c.pool, err = openShipPool(ctx, c.link, shipPolicy[replyBox]{
+	// Unmerged in-flight frames are bounded by the per-session reply buffers
+	// plus the clients' turnaround, so a modest deal-order buffer suffices; a
+	// full channel just pauses the sender until the merge catches up.
+	c.order = make(chan dealtFrame, 4096)
+	c.mem = memAccount{t: MemTrackerFrom(ctx)}
+	c.cur, c.curPos = nil, 0
+	c.pool = newShipPool(shipPolicy[replyBox]{
 		setup:    req,
 		sessions: c.Sessions,
 		retry:    c.Retry,
@@ -178,24 +197,22 @@ func (c *ClientJoin) Open(ctx context.Context) error {
 			f.tag <- slices.Clone(reply)
 			return nil
 		},
+		send: c.send,
+		done: func() { close(c.order) },
 	})
-	if err != nil {
+	if err := c.pool.open(ctx, c.link); err != nil {
+		c.mem.releaseAll()
 		_ = c.input.Close()
 		return err
 	}
-	// Unmerged in-flight frames are bounded by the per-session reply buffers
-	// plus the clients' turnaround, so a modest deal-order buffer suffices; a
-	// full channel just pauses the sender until the merge catches up.
-	c.order = make(chan replyBox, 4096)
-	c.cur, c.curPos = nil, 0
-	c.pool.start(c.send, func() { close(c.order) })
 	c.markOpen(ctx)
 	return nil
 }
 
 // send ships the full input stream downlink, one frame per ShipBatchSize
-// records, recording the deal order for the merging receiver, and ends the
-// stream once the input is exhausted.
+// records, charging each frame's records and recording the deal order for
+// the merging receiver. Under FinalDelivery it ends the stream with the
+// pool's End handshake once the input is exhausted.
 func (c *ClientJoin) send(ctx context.Context) error {
 	batch := make([]types.Tuple, c.ShipBatchSize)
 	for {
@@ -207,19 +224,29 @@ func (c *ClientJoin) send(ctx context.Context) error {
 			return err
 		}
 		if n == 0 {
-			return c.pool.end()
+			if c.FinalDelivery {
+				return c.pool.end()
+			}
+			return nil
+		}
+		// The frame keeps its own copy of the records until it is answered.
+		records := slices.Clone(batch[:n])
+		f := dealtFrame{box: make(replyBox, 1)}
+		for _, t := range records {
+			f.charge += tupleMemSize(t)
+		}
+		if err := c.mem.grow(f.charge); err != nil {
+			return err
 		}
 		// The deal order must be on record before the reply can be merged;
 		// the channel is sized far above any sane frame count, but keep the
 		// cancellation escape for when it fills.
-		box := make(replyBox, 1)
 		select {
-		case c.order <- box:
+		case c.order <- f:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		// The frame keeps its own copy of the records until it is answered.
-		if err := c.pool.deal(slices.Clone(batch[:n]), box); err != nil {
+		if err := c.pool.deal(records, f.box); err != nil {
 			return err
 		}
 	}
@@ -233,22 +260,23 @@ func (c *ClientJoin) send(ctx context.Context) error {
 // could carry it), in which case the only wake-up is the recovery error.
 func (c *ClientJoin) nextResultBatch() ([]types.Tuple, bool, error) {
 	for {
-		var box replyBox
+		var f dealtFrame
 		select {
 		case <-c.pool.failed:
 			return nil, false, c.pool.failure()
-		case b, ok := <-c.order:
+		case next, ok := <-c.order:
 			if !ok {
-				// All frames merged and the End handshake is over, unless the
-				// sender stopped on an error.
+				// All frames merged (and, under FinalDelivery, the End
+				// handshake over), unless the sender stopped on an error.
 				return nil, false, c.pool.failure()
 			}
-			box = b
+			f = next
 		}
 		select {
 		case <-c.pool.failed:
 			return nil, false, c.pool.failure()
-		case batch := <-box:
+		case batch := <-f.box:
+			c.mem.shrink(f.charge)
 			if len(batch) > 0 {
 				return batch, true, nil
 			}
@@ -286,6 +314,7 @@ func (c *ClientJoin) Close() error {
 	if c.pool != nil {
 		c.pool.close()
 	}
+	c.mem.releaseAll()
 	return c.input.Close()
 }
 

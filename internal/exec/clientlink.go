@@ -160,10 +160,13 @@ type udfSession struct {
 	// unbind releases the connection's query-context binding (set when the
 	// session was opened under a cancellable context).
 	unbind func()
-	// dict is set when the client accepted the per-batch value dictionary
-	// encoding for this session; sendBatch then dictionary-encodes the frames
-	// it shrinks.
-	dict bool
+	// wantDict records that the session's Setup asked for the per-batch value
+	// dictionary encoding. dict is armed by the client's ack confirming it;
+	// from then on sendBatch dictionary-encodes the frames it shrinks. Frames
+	// may be sent before the ack arrives, so the lane reader arms dict while
+	// a sender reads it.
+	wantDict bool
+	dict     atomic.Bool
 }
 
 // openUDFSession opens a connection through the link and performs the setup
@@ -184,7 +187,7 @@ func openUDFSession(ctx context.Context, link ClientLink, req *wire.SetupRequest
 // the context's deadline becomes the connection's I/O deadline and
 // cancellation aborts blocked frame I/O, so a dead client (or a cancelled
 // query) cannot wedge a server-side operator. The session carries no traffic
-// until its handshake succeeds.
+// until its Setup is sent.
 func dialUDFSession(ctx context.Context, link ClientLink) (*udfSession, error) {
 	conn, err := link.OpenSession(ctx)
 	if err != nil {
@@ -193,26 +196,25 @@ func dialUDFSession(ctx context.Context, link ClientLink) (*udfSession, error) {
 	return &udfSession{conn: conn, unbind: conn.BindContext(ctx)}, nil
 }
 
-// handshake runs the setup exchange on a dialled session. It sends a copy of
-// template under a fresh session ID — the one place session IDs are assigned,
-// so concurrent handshakes can share the template. The dictionary encoding is
-// armed only when the request asked for it and the client's ack confirmed
-// support, so pre-dictionary clients keep receiving plain batches. On error
-// the caller still owns the session and must close it.
-func (s *udfSession) handshake(template *wire.SetupRequest) error {
+// setup encodes the session's Setup: a copy of template under a fresh
+// session ID — the one place session IDs are assigned, so sessions can share
+// the template.
+func (s *udfSession) setup(template *wire.SetupRequest) ([]byte, error) {
 	req := *template
 	req.SessionID = nextSessionID()
 	payload, err := wire.EncodeSetup(&req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := s.conn.Send(wire.MsgSetup, payload); err != nil {
-		return err
-	}
-	msg, err := s.conn.Receive()
-	if err != nil {
-		return err
-	}
+	s.id, s.wantDict = req.SessionID, req.DictBatches
+	return payload, nil
+}
+
+// acknowledge checks that msg, the session's first message from the client,
+// is a SetupAck accepting the Setup. The dictionary encoding is armed only
+// when the Setup asked for it and the ack confirmed support, so
+// pre-dictionary clients keep receiving plain batches.
+func (s *udfSession) acknowledge(msg wire.Message) error {
 	if msg.Type != wire.MsgSetupAck {
 		return fmt.Errorf("exec: expected SETUP_ACK, got %s", msg.Type)
 	}
@@ -223,9 +225,26 @@ func (s *udfSession) handshake(template *wire.SetupRequest) error {
 	if !ack.OK {
 		return fmt.Errorf("exec: client rejected setup: %s", ack.Error)
 	}
-	s.id = req.SessionID
-	s.dict = req.DictBatches && ack.DictBatches
+	s.dict.Store(s.wantDict && ack.DictBatches)
 	return nil
+}
+
+// handshake runs the setup exchange on a dialled session: send the Setup,
+// then acknowledge the next message. On error the caller still owns the
+// session and must close it.
+func (s *udfSession) handshake(template *wire.SetupRequest) error {
+	payload, err := s.setup(template)
+	if err != nil {
+		return err
+	}
+	if err := s.conn.Send(wire.MsgSetup, payload); err != nil {
+		return err
+	}
+	msg, err := s.conn.Receive()
+	if err != nil {
+		return err
+	}
+	return s.acknowledge(msg)
 }
 
 // sendBatch ships a batch of tuples downlink through the shared pooled
@@ -234,7 +253,7 @@ func (s *udfSession) handshake(template *wire.SetupRequest) error {
 func (s *udfSession) sendBatch(tuples []types.Tuple) error {
 	batch := wire.TupleBatch{SessionID: s.id, Seq: s.seq, Tuples: tuples}
 	s.seq++
-	return wire.SendBatch(s.conn, &batch, s.dict, wire.MsgTupleBatch, wire.MsgTupleBatchDict)
+	return wire.SendBatch(s.conn, &batch, s.dict.Load(), wire.MsgTupleBatch, wire.MsgTupleBatchDict)
 }
 
 // abort slams the session's transport shut without releasing the context

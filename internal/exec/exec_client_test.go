@@ -475,6 +475,51 @@ func TestClientJoinFinalDelivery(t *testing.T) {
 	}
 }
 
+// TestClientJoinChargesFramesInFlight checks that the records a client-site
+// join holds in flight are charged to the query's memory tracker: at least
+// one frame's worth at the peak, nothing once the operator is closed, and a
+// hard limit below one frame fails the query with the tracker's error.
+func TestClientJoinChargesFramesInFlight(t *testing.T) {
+	rows := stockRows(64)
+	build := func(t *testing.T) *ClientJoin {
+		op, err := NewClientJoin(NewValuesScan(stockSchema(), rows), fastLink(t), []UDFBinding{analysisBinding()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		op.Sessions = 2
+		return op
+	}
+	var frame int64
+	for _, r := range rows[:DefaultShipBatchSize] {
+		frame += tupleMemSize(r)
+	}
+
+	tracker := NewMemTracker(0)
+	op := build(t)
+	got, err := Collect(WithMemTracker(context.Background(), tracker), op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(rows) {
+		t.Fatalf("%d rows, want %d", len(got), len(rows))
+	}
+	if tracker.Peak() < frame {
+		t.Errorf("peak charge %d B, want at least one frame's records (%d B)", tracker.Peak(), frame)
+	}
+	if tracker.Used() != 0 {
+		t.Errorf("tracker still charged %d B after Close", tracker.Used())
+	}
+
+	tracker = NewMemTracker(0)
+	tracker.SetHardLimit(frame - 1)
+	if _, err := Collect(WithMemTracker(context.Background(), tracker), build(t)); !errors.Is(err, ErrMemoryLimit) {
+		t.Errorf("err = %v, want ErrMemoryLimit under a hard limit below one frame", err)
+	}
+	if tracker.Used() != 0 {
+		t.Errorf("tracker still charged %d B after the failed query", tracker.Used())
+	}
+}
+
 func TestClientJoinEarlyClose(t *testing.T) {
 	rows := stockRows(500)
 	link := fastLink(t)

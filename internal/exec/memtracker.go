@@ -12,9 +12,10 @@ import (
 )
 
 // MemTracker is the per-query memory governor. Memory-hungry operators (the
-// hash tables of HashJoin, HashAggregate, Distinct and the semi-join's
-// duplicate-elimination and result caches) charge it as they grow and release
-// their charge on Close. Two thresholds apply:
+// hash tables of HashJoin, HashAggregate, Distinct, the semi-join's
+// duplicate-elimination and result caches, and the client-site join's
+// records in flight) charge it as they grow and release their charge on
+// Close. Two thresholds apply:
 //
 //   - Budget is the soft spill threshold: once total charged memory exceeds
 //     it, operators that can spill (HashJoin, HashAggregate) partition their

@@ -176,7 +176,8 @@ func extendSchema(in *types.Schema, udfs []UDFBinding) *types.Schema {
 // Schema implements Operator.
 func (s *SemiJoin) Schema() *types.Schema { return s.schema }
 
-// Open implements Operator: it opens the shipping pool and starts the sender.
+// Open implements Operator: it opens the shipping pool, which starts the
+// sender.
 func (s *SemiJoin) Open(ctx context.Context) error {
 	if s.link == nil {
 		return fmt.Errorf("exec: semi-join operator has no client link")
@@ -200,7 +201,13 @@ func (s *SemiJoin) Open(ctx context.Context) error {
 	if s.ConcurrencyFactor == 1 {
 		window = 1 // naive: every shipped argument is a blocking round trip
 	}
-	s.pool, err = openShipPool(ctx, s.link, shipPolicy[[]uint64]{
+	// The buffer holds record batches; sizing it in batches of the sender's
+	// read granularity keeps roughly ConcurrencyFactor tuples in flight —
+	// which also bounds the lanes' unacked frames.
+	readBatch := s.senderReadBatch()
+	s.buffer = make(chan []bufferedRecord, (s.ConcurrencyFactor+readBatch-1)/readBatch)
+	s.cur, s.curPos = nil, 0
+	s.pool = newShipPool(shipPolicy[[]uint64]{
 		setup: &wire.SetupRequest{
 			Mode:        wire.ModeSemiJoin,
 			InputSchema: shipped,
@@ -211,19 +218,14 @@ func (s *SemiJoin) Open(ctx context.Context) error {
 		window:   window,
 		retry:    s.Retry,
 		onReply:  s.publish,
+		send:     s.send,
+		done:     func() { close(s.buffer) },
 	})
-	if err != nil {
+	if err := s.pool.open(ctx, s.link); err != nil {
+		s.mem.releaseAll()
 		_ = s.input.Close()
 		return err
 	}
-	// The buffer holds record batches; sizing it in batches of the sender's
-	// read granularity keeps roughly ConcurrencyFactor tuples in flight —
-	// which also bounds the lanes' unacked frames.
-	readBatch := s.senderReadBatch()
-	s.buffer = make(chan []bufferedRecord, (s.ConcurrencyFactor+readBatch-1)/readBatch)
-	s.cur, s.curPos = nil, 0
-
-	s.pool.start(s.send, func() { close(s.buffer) })
 	s.markOpen(ctx)
 	return nil
 }

@@ -22,8 +22,8 @@ type shipFrame[T any] struct {
 
 // shipPolicy is everything that distinguishes one client-site strategy from
 // another below the operator: what the client runs on each session, how many
-// lanes carry frames, how many unacknowledged frames a lane may hold, and
-// where a reply goes.
+// lanes carry frames, how many unacknowledged frames a lane may hold, where a
+// reply goes and what feeds the pool.
 type shipPolicy[T any] struct {
 	setup    *wire.SetupRequest
 	sessions int         // lanes; values below 1 mean one
@@ -34,6 +34,11 @@ type shipPolicy[T any] struct {
 	// The reply slice is recycled after the call; the tuples in it are not.
 	// It must not block; an error fails the pool.
 	onReply func(f shipFrame[T], reply []types.Tuple) error
+	// send is the owning operator's sender, which the open starts once every
+	// lane's Setup is out and close waits for; done runs when it returns.
+	// A nil send starts nothing.
+	send func(context.Context) error
+	done func()
 }
 
 // shipLane is one lane of the session pool: the session currently serving it
@@ -95,44 +100,60 @@ type shipPool[T any] struct {
 // teardown noise) are dropped and every waiter wakes.
 var errShipPoolClosed = errors.New("exec: client-site operator closed")
 
-// openShipPool opens the sessions — each with its own setup handshake and
-// session ID, all bound to the query context — and starts the lane readers
-// once every lane is open. The lanes are dialled in lane order, so lane i is
-// the link's i-th open (fault scripts count on it), and then shake hands
-// concurrently: T lanes cost about one setup round trip, not T. On any
-// failure every opened session is closed and the lowest failing lane's error
-// is returned.
-func openShipPool[T any](ctx context.Context, link ClientLink, pol shipPolicy[T]) (*shipPool[T], error) {
+// newShipPool builds a pool that runs pol; open starts it. The two steps let
+// the owning operator hold the pool before its sender starts.
+func newShipPool[T any](pol shipPolicy[T]) *shipPool[T] {
 	p := &shipPool[T]{shipPolicy: pol, failed: make(chan struct{})}
 	p.cond = sync.NewCond(&p.mu)
-	p.factory = sessionFactory{link: link, req: pol.setup, retry: pol.retry, stats: &p.faults}
-	abandon := func(err error) (*shipPool[T], error) {
-		for _, lane := range p.lanes {
-			lane.sess.close()
-		}
-		return nil, err
+	return p
+}
+
+// open opens the sessions — each with its own Setup and session ID, all
+// bound to the query context — and starts the pool. The lanes are
+// dialled in lane order, so lane i is the link's i-th open (fault scripts
+// count on it). Then every lane's Setup goes out at once, the lane readers
+// start, and so does the policy's sender, before any SetupAck is in: a frame
+// sent behind a Setup is served after it, so T lanes cost no setup round
+// trip on the critical path. Each reader takes its session's first message
+// as the ack. The open returns once every lane's setup has resolved — acked,
+// replaced by recovery or retired — so a rejected setup or the query
+// context still fails it: every session is then closed, the sender stopped,
+// and the lowest failing lane's error returned.
+func (p *shipPool[T]) open(ctx context.Context, link ClientLink) error {
+	p.factory = sessionFactory{link: link, req: p.setup, retry: p.retry, stats: &p.faults}
+	p.ctx, p.cancel = context.WithCancel(ctx)
+	abandon := func(err error) error {
+		p.close()
+		return err
 	}
-	for range max(pol.sessions, 1) {
+	for range max(p.sessions, 1) {
 		sess, err := dialUDFSession(ctx, link)
 		if err != nil {
 			return abandon(err)
 		}
 		p.lanes = append(p.lanes, &shipLane[T]{sess: sess})
 	}
-	errs := make([]error, len(p.lanes))
-	var handshakes sync.WaitGroup
+	setups := make([][]byte, len(p.lanes))
 	for i, lane := range p.lanes {
-		handshakes.Add(1)
+		var err error
+		if setups[i], err = lane.sess.setup(p.setup); err != nil {
+			return abandon(err)
+		}
+	}
+	// The Setups go out concurrently: a shaped link makes a session's first
+	// write wait out the latency. A session lost here is recovered by its
+	// reader like one lost later.
+	var sent sync.WaitGroup
+	for i, lane := range p.lanes {
+		sent.Add(1)
 		go func() {
-			defer handshakes.Done()
-			errs[i] = lane.sess.handshake(pol.setup)
+			defer sent.Done()
+			if lane.sess.conn.Send(wire.MsgSetup, setups[i]) != nil {
+				lane.sess.abort()
+			}
 		}()
 	}
-	handshakes.Wait()
-	if err := cmp.Or(errs...); err != nil { // the lowest failing lane's
-		return abandon(err)
-	}
-	p.ctx, p.cancel = context.WithCancel(ctx)
+	sent.Wait()
 	p.reading = len(p.lanes)
 	p.wg.Add(len(p.lanes) + 1)
 	// Waiters park on cond or failed, not on the context.
@@ -144,10 +165,23 @@ func openShipPool[T any](ctx context.Context, link ClientLink, pol shipPolicy[T]
 		case <-p.failed:
 		}
 	}()
-	for _, lane := range p.lanes {
-		go p.read(lane)
+	errs := make([]error, len(p.lanes))
+	var resolved sync.WaitGroup
+	resolved.Add(len(p.lanes))
+	for i, lane := range p.lanes {
+		go p.read(lane, func(err error) {
+			errs[i] = err
+			resolved.Done()
+		})
 	}
-	return p, nil
+	if p.send != nil {
+		p.start(p.send, p.done)
+	}
+	resolved.Wait()
+	if err := cmp.Or(errs...); err != nil { // the lowest failing lane's
+		return abandon(err)
+	}
+	return nil
 }
 
 // fail latches the pool's first error.
@@ -325,15 +359,21 @@ func (p *shipPool[T]) delivered() uint64 {
 
 // read drains one lane's reply stream, handing each reply to the policy with
 // the lane's oldest unacknowledged frame — empty replies included, they keep
-// the FIFO aligned — until the lane's End arrives. When the session dies
-// mid-query the reader is also the recovery agent: being the sole consumer
-// of the lane's FIFO, it can replay the unacked tail with no risk of racing
-// its own pops.
-func (p *shipPool[T]) read(lane *shipLane[T]) {
+// the FIFO aligned — until the lane's End arrives. The first message of the
+// lane's first session is its SetupAck; resolve reports the lane's setup
+// exactly once: nil once the ack is in, the session replaced or the lane
+// retired, else the error that stopped it. When the session dies mid-query —
+// before its ack or after — the reader is also the recovery agent: being
+// the sole consumer of the lane's FIFO, it can replay the unacked tail with
+// no risk of racing its own pops.
+func (p *shipPool[T]) read(lane *shipLane[T], resolve func(error)) {
 	defer p.wg.Done()
 	defer func() {
 		if rec := recover(); rec != nil {
 			p.fail(fmt.Errorf("exec: session reader panicked: %v", rec))
+		}
+		if resolve != nil {
+			resolve(p.failure())
 		}
 		p.mu.Lock()
 		p.reading--
@@ -353,6 +393,21 @@ func (p *shipPool[T]) read(lane *shipLane[T]) {
 		msg, err := sess.conn.Receive()
 		if err != nil {
 			if !p.recoverLane(lane, sess, err) {
+				return
+			}
+			if resolve != nil {
+				// The replacement shook hands before it was installed.
+				resolve(nil)
+				resolve = nil
+			}
+			continue
+		}
+		if resolve != nil {
+			err := sess.acknowledge(msg)
+			resolve(err)
+			resolve = nil
+			if err != nil {
+				p.fail(err)
 				return
 			}
 			continue

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"csq/internal/client"
 	"csq/internal/netsim"
 	"csq/internal/types"
 	"csq/internal/wire"
@@ -38,6 +40,15 @@ func rigFrame(tag int) []types.Tuple {
 		frame[i] = types.NewTuple(types.NewTimeSeries(types.NewSeries(samples...)))
 	}
 	return frame
+}
+
+// openShipPool builds a pool and opens it, as an operator's Open does.
+func openShipPool[T any](ctx context.Context, link ClientLink, pol shipPolicy[T]) (*shipPool[T], error) {
+	p := newShipPool(pol)
+	if err := p.open(ctx, link); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 func openRig(t *testing.T, link ClientLink, lanes int) *poolRig {
@@ -424,4 +435,265 @@ func TestShipPoolOpenFailure(t *testing.T) {
 			assertNoLeak(t, baseline)
 		})
 	}
+}
+
+// relayClient is a fake client link that relays every session to a real
+// client runtime and records, per session in open order, the type of every
+// message the server sent. The first hold sessions have their SetupAck
+// withheld until their first tuple frame has arrived, so a pool that waits
+// for an ack before it deals never gets one; where sever[i] is set, session i
+// is cut at that frame instead, its ack never sent.
+type relayClient struct {
+	rt    *client.Runtime
+	hold  int
+	sever map[int]bool
+
+	mu     sync.Mutex
+	down   [][]wire.MsgType // server messages per session
+	preAck []int            // how many of them arrived before the ack went out
+	served sync.WaitGroup
+}
+
+func (c *relayClient) OpenSession(context.Context) (*wire.Conn, error) {
+	serverEnd, relayDown := net.Pipe()
+	relayUp, runtimeEnd := net.Pipe()
+	c.mu.Lock()
+	sess := len(c.down)
+	c.down = append(c.down, nil)
+	c.preAck = append(c.preAck, -1)
+	c.mu.Unlock()
+	down, up, rt := wire.NewConn(relayDown), wire.NewConn(relayUp), wire.NewConn(runtimeEnd)
+	framed := make(chan struct{})
+	var once sync.Once
+	c.served.Add(3)
+	go func() {
+		defer c.served.Done()
+		_ = c.rt.ServeConn(rt)
+		_ = rt.Close()
+	}()
+	go func() { // server to runtime
+		defer c.served.Done()
+		defer up.Close()
+		defer once.Do(func() { close(framed) })
+		for {
+			msg, err := down.Receive()
+			if err != nil {
+				return
+			}
+			c.mu.Lock()
+			c.down[sess] = append(c.down[sess], msg.Type)
+			c.mu.Unlock()
+			if msg.Type == wire.MsgTupleBatch || msg.Type == wire.MsgTupleBatchDict {
+				if c.sever[sess] {
+					_ = down.Close()
+					return
+				}
+				once.Do(func() { close(framed) })
+			}
+			if up.Send(msg.Type, msg.Payload) != nil {
+				return
+			}
+		}
+	}()
+	go func() { // runtime to server
+		defer c.served.Done()
+		defer down.Close()
+		for {
+			msg, err := up.Receive()
+			if err != nil {
+				return
+			}
+			if msg.Type == wire.MsgSetupAck {
+				if sess < c.hold {
+					<-framed
+				}
+				c.mu.Lock()
+				c.preAck[sess] = len(c.down[sess])
+				c.mu.Unlock()
+			}
+			if down.Send(msg.Type, msg.Payload) != nil {
+				return
+			}
+		}
+	}()
+	return wire.NewConn(serverEnd), nil
+}
+
+// sent returns the server's messages on each session and how many of them
+// came before the session's ack.
+func (c *relayClient) sent() ([][]wire.MsgType, []int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	down := make([][]wire.MsgType, len(c.down))
+	for i, d := range c.down {
+		down[i] = slices.Clone(d)
+	}
+	return down, slices.Clone(c.preAck)
+}
+
+// checkRatings checks that got is rows, in order, each extended with its
+// rating.
+func checkRatings(t *testing.T, got, rows []types.Tuple) {
+	t.Helper()
+	if len(got) != len(rows) {
+		t.Fatalf("%d rows, want %d", len(got), len(rows))
+	}
+	for i, r := range got {
+		ts, _ := rows[i][2].Series()
+		if v, _ := r[3].Int(); v != expectedRating(ts) {
+			t.Errorf("row %d rating = %d, want %d", i, v, expectedRating(ts))
+		}
+	}
+}
+
+// semiJoinReach is a semi-join concurrency factor whose record buffer lets
+// the sender deal a frame on each of three lanes before the receiver drains
+// anything: the relay acks a lane only once it has a frame, and Open returns
+// only once every lane is acked.
+const semiJoinReach = 64
+
+// TestShipPoolFramesBeforeAck runs both strategies against a client that
+// acks no Setup until the session's first tuple frame has arrived: the query
+// completes only if frames follow the Setup without waiting for its ack.
+// Frames sent before the ack are plain, even with the dictionary encoding
+// requested, because only the ack says the client decodes it.
+func TestShipPoolFramesBeforeAck(t *testing.T) {
+	const lanes = 3
+	// One long name on every row: a client-site join frame shrinks under the
+	// dictionary encoding, so it would be sent dictionary-encoded if it could.
+	rows := stockRows(96)
+	for _, r := range rows {
+		r[0] = types.NewString(strings.Repeat("Consolidated Holdings ", 4))
+	}
+	builders := map[string]func(link ClientLink) (Operator, error){
+		"SemiJoin": func(link ClientLink) (Operator, error) {
+			op, err := NewSemiJoin(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
+			if err == nil {
+				op.Sessions, op.DictBatches = lanes, true
+				op.ConcurrencyFactor = semiJoinReach
+			}
+			return op, err
+		},
+		"ClientJoin": func(link ClientLink) (Operator, error) {
+			op, err := NewClientJoin(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
+			if err == nil {
+				op.Sessions, op.DictBatches = lanes, true
+			}
+			return op, err
+		},
+	}
+	for name, build := range builders {
+		t.Run(name, func(t *testing.T) {
+			baseline := grCount()
+			link := &relayClient{rt: newAnalysisRuntime(t), hold: lanes}
+			op, err := build(link)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			got, err := Collect(ctx, op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRatings(t, got, rows)
+			link.served.Wait()
+			assertNoLeak(t, baseline)
+			down, preAck := link.sent()
+			if len(down) != lanes {
+				t.Fatalf("%d sessions, want %d", len(down), lanes)
+			}
+			for i, msgs := range down {
+				if preAck[i] < 2 {
+					t.Errorf("session %d: %d messages before the ack, want the Setup and a frame: %v", i, preAck[i], msgs)
+					continue
+				}
+				for _, m := range msgs[1:preAck[i]] {
+					if m != wire.MsgTupleBatch {
+						t.Errorf("session %d: %s before the ack, want plain tuple batches only: %v", i, m, msgs)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestShipPoolRecoversSessionLostBeforeAck cuts one session of three at its
+// first frame, before its ack was sent: the frames already parked on it are
+// replayed on a redialled session, exactly as for a session lost later.
+func TestShipPoolRecoversSessionLostBeforeAck(t *testing.T) {
+	const lanes = 3
+	baseline := grCount()
+	rows := stockRows(96)
+	link := &relayClient{rt: newAnalysisRuntime(t), hold: lanes, sever: map[int]bool{1: true}}
+	op, err := NewSemiJoin(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op.Sessions, op.ConcurrencyFactor = lanes, semiJoinReach
+	op.Retry = RetryConfig{Backoff: time.Millisecond}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	got, err := Collect(ctx, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRatings(t, got, rows)
+	link.served.Wait()
+	assertNoLeak(t, baseline)
+	if stats := op.FaultStats(); stats.Failovers != 1 || stats.Redials != 1 || stats.ReplayedFrames < 1 || stats.FinalSessions != lanes {
+		t.Errorf("fault stats = %+v, want 1 failover, 1 redial, the cut frame replayed, %d final sessions", stats, lanes)
+	}
+}
+
+// TestShipPoolEndsOnlyForFinalDelivery counts the End markers a client-site
+// join sends: none when the client returns rows (every reply arriving is the
+// end of the stream), one per session when the End reply carries the
+// delivered row count.
+func TestShipPoolEndsOnlyForFinalDelivery(t *testing.T) {
+	const lanes = 3
+	rows := stockRows(60)
+	for _, final := range []bool{false, true} {
+		t.Run(fmt.Sprintf("FinalDelivery=%v", final), func(t *testing.T) {
+			link := &relayClient{rt: newAnalysisRuntime(t)}
+			op, err := NewClientJoin(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			op.Sessions, op.FinalDelivery = lanes, final
+			got, err := Collect(context.Background(), op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			link.served.Wait()
+			want, delivered := 0, uint64(0)
+			if final {
+				want, delivered = 1, uint64(len(rows))
+			} else {
+				checkRatings(t, got, rows)
+			}
+			if op.DeliveredRows() != delivered {
+				t.Errorf("DeliveredRows = %d, want %d", op.DeliveredRows(), delivered)
+			}
+			down, _ := link.sent()
+			if len(down) != lanes {
+				t.Fatalf("%d sessions, want %d", len(down), lanes)
+			}
+			for i, msgs := range down {
+				if ends := countType(msgs, wire.MsgEnd); ends != want {
+					t.Errorf("session %d: %d End markers, want %d: %v", i, ends, want, msgs)
+				}
+			}
+		})
+	}
+}
+
+func countType(msgs []wire.MsgType, typ wire.MsgType) int {
+	n := 0
+	for _, m := range msgs {
+		if m == typ {
+			n++
+		}
+	}
+	return n
 }
