@@ -88,93 +88,6 @@ func (f *Filter) Close() error {
 	return f.input.Close()
 }
 
-// ProjectColumn is one output column of a Project operator: a bound
-// expression and the name it is exposed under.
-type ProjectColumn struct {
-	Expr expr.Expr
-	Name string
-}
-
-// Project evaluates a list of expressions per input tuple.
-type Project struct {
-	baseState
-	input   Operator
-	cols    []ProjectColumn
-	schema  *types.Schema
-	eval    *expr.Evaluator
-	scratch []types.Tuple
-}
-
-// NewProject builds a projection over input.
-func NewProject(input Operator, cols []ProjectColumn) *Project {
-	schemaCols := make([]types.Column, len(cols))
-	for i, c := range cols {
-		name := c.Name
-		if name == "" {
-			name = c.Expr.String()
-		}
-		schemaCols[i] = types.Column{Name: name, Kind: c.Expr.ResultKind()}
-	}
-	return &Project{
-		input:  input,
-		cols:   cols,
-		schema: types.NewSchema(schemaCols...),
-		eval:   &expr.Evaluator{},
-	}
-}
-
-// Schema implements Operator.
-func (p *Project) Schema() *types.Schema { return p.schema }
-
-// Open implements Operator.
-func (p *Project) Open(ctx context.Context) error {
-	for _, c := range p.cols {
-		if expr.HasClientCall(c.Expr) {
-			return fmt.Errorf("exec: Project expression %s contains a client-site UDF; plan it with a client-site operator", c.Expr)
-		}
-	}
-	if err := p.input.Open(ctx); err != nil {
-		return err
-	}
-	p.markOpen(ctx)
-	return nil
-}
-
-// NextBatch implements Operator: all output tuples of one batch share a
-// single backing arena.
-func (p *Project) NextBatch(dst []types.Tuple) (int, error) {
-	if err := p.checkOpen(); err != nil {
-		return 0, err
-	}
-	if cap(p.scratch) < len(dst) {
-		p.scratch = make([]types.Tuple, len(dst))
-	}
-	in := p.scratch[:len(dst)]
-	n, err := p.input.NextBatch(in)
-	if err != nil || n == 0 {
-		return 0, err
-	}
-	arena := make([]types.Value, 0, n*len(p.cols))
-	for i, t := range in[:n] {
-		start := len(arena)
-		for _, c := range p.cols {
-			v, err := p.eval.Eval(c.Expr, t)
-			if err != nil {
-				return i, err
-			}
-			arena = append(arena, v)
-		}
-		dst[i] = types.Tuple(arena[start:len(arena):len(arena)])
-	}
-	return n, nil
-}
-
-// Close implements Operator.
-func (p *Project) Close() error {
-	p.closed = true
-	return p.input.Close()
-}
-
 // ProjectOrdinals is a cheap positional projection (no expression
 // evaluation); it is what pushable projections compile to.
 type ProjectOrdinals struct {
@@ -378,9 +291,6 @@ func allOrdinals(n int) []int {
 
 // Unwrap implements Unwrapper for stats aggregation (NetStatsOf).
 func (f *Filter) Unwrap() Operator { return f.input }
-
-// Unwrap implements Unwrapper for stats aggregation (NetStatsOf).
-func (p *Project) Unwrap() Operator { return p.input }
 
 // Unwrap implements Unwrapper for stats aggregation (NetStatsOf).
 func (p *ProjectOrdinals) Unwrap() Operator { return p.input }

@@ -148,44 +148,6 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	scan := NewValuesScan(stockSchema(), stockRows(5))
-	cols := []ProjectColumn{
-		{Expr: mustBind(t, stockSchema(), nil, expr.NewColumnRef("S", "Name")), Name: "Company"},
-		{Expr: mustBind(t, stockSchema(), nil,
-			expr.NewBinary(expr.OpMul, expr.NewColumnRef("S", "Close"), expr.NewConst(types.NewFloat(2)))), Name: "Doubled"},
-	}
-	p := NewProject(scan, cols)
-	if p.Schema().Len() != 2 || p.Schema().Columns[0].Name != "Company" {
-		t.Errorf("project schema = %v", p.Schema())
-	}
-	rows, err := Collect(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("project returned %d rows", len(rows))
-	}
-	if f, _ := rows[0][1].Float(); f != 20 {
-		t.Errorf("projected value = %v", rows[0][1])
-	}
-	// Client-site UDF in a projection must refuse to open.
-	cat := serverCatalog(t)
-	bad := NewProject(NewValuesScan(stockSchema(), stockRows(2)), []ProjectColumn{
-		{Expr: mustBind(t, stockSchema(), cat, expr.NewFuncCall("ClientAnalysis", expr.NewColumnRef("S", "Quotes")))},
-	})
-	if err := bad.Open(context.Background()); err == nil {
-		t.Error("project with client-site UDF should fail to open")
-	}
-	// Default column naming falls back to the expression text.
-	def := NewProject(NewValuesScan(stockSchema(), nil), []ProjectColumn{
-		{Expr: mustBind(t, stockSchema(), nil, expr.NewColumnRef("S", "Close"))},
-	})
-	if def.Schema().Columns[0].Name == "" {
-		t.Error("default projection name should not be empty")
-	}
-}
-
 func TestProjectOrdinals(t *testing.T) {
 	scan := NewValuesScan(stockSchema(), stockRows(4))
 	p, err := NewProjectOrdinals(scan, []int{2, 0})

@@ -86,13 +86,6 @@ func TestBatchScalarEquivalence(t *testing.T) {
 				expr.NewBinary(expr.OpGt, expr.NewColumnRef("S", "Close"), expr.NewConst(types.NewFloat(1e9))))
 			return NewFilter(NewValuesScan(stockSchema(), stockRows(40)), none)
 		}, true},
-		{"Project", func(t *testing.T) Operator {
-			return NewProject(NewValuesScan(stockSchema(), stockRows(21)), []ProjectColumn{
-				{Expr: mustBind(t, stockSchema(), serverCatalog(t),
-					expr.NewBinary(expr.OpMul, expr.NewColumnRef("S", "Close"), expr.NewConst(types.NewFloat(2)))), Name: "Double"},
-				{Expr: mustBind(t, stockSchema(), serverCatalog(t), expr.NewColumnRef("S", "Name")), Name: "Name"},
-			})
-		}, true},
 		{"ProjectOrdinals", func(t *testing.T) Operator {
 			p, err := NewProjectOrdinals(NewValuesScan(stockSchema(), stockRows(19)), []int{2, 0})
 			if err != nil {

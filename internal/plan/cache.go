@@ -241,7 +241,7 @@ func PureTree(root logical.Node, cat *catalog.Catalog) bool {
 // PlanCacheKey derives the plan cache key for a logical tree under a planner
 // configuration, or ok == false when the plan is not cacheable. It extends
 // TreeVersionKey with everything else the planning pass depends on: the
-// sampling configuration, the link identity (probe observations differ per
+// probe size and session cap, the link identity (probe observations differ per
 // link) and the memory budget (it sizes spill fan-out and the spill-expected
 // flag baked into decisions).
 func PlanCacheKey(root logical.Node, cat *catalog.Catalog, cfg Config) (key string, ok bool) {
@@ -251,8 +251,8 @@ func PlanCacheKey(root logical.Node, cat *catalog.Catalog, cfg Config) (key stri
 	}
 	var b strings.Builder
 	b.WriteString(base)
-	fmt.Fprintf(&b, "|rows=%d|sketch=%d|probe=%d|sessions=%d|budget=%d|link=%s",
-		cfg.sampleRows(), cfg.sketchSize(), cfg.ProbeBytes, cfg.maxSessions(), cfg.MemBudget, cfg.LinkKey)
+	fmt.Fprintf(&b, "|probe=%d|sessions=%d|budget=%d|link=%s",
+		cfg.ProbeBytes, cfg.maxSessions(), cfg.MemBudget, cfg.LinkKey)
 	if cfg.Link != nil {
 		fmt.Fprintf(&b, "|obs=%v", *cfg.Link)
 	}

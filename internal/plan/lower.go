@@ -289,7 +289,7 @@ func (p *Planner) planApply(ctx context.Context, lw *lowerer, spec applySpec) (*
 	samples, links := p.Config.StatsCache.caches()
 	var cacheKey string
 	if samples != nil {
-		cacheKey = sampleCacheKey(spec, p.Config)
+		cacheKey = sampleCacheKey(spec)
 	}
 	stats, statsFromCache := samples.Lookup(cacheKey)
 	if !statsFromCache {
@@ -375,5 +375,5 @@ func (p *Planner) sampleApply(ctx context.Context, lw *lowerer, apply *logical.U
 		}
 		argOrds = mapped
 	}
-	return sampleInput(ctx, src, argOrds, pred, projection, p.Config.sampleRows(), p.Config.sketchSize())
+	return sampleInput(ctx, src, argOrds, pred, projection, sampleRows, sketchSize)
 }

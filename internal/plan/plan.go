@@ -45,12 +45,12 @@ import (
 // with the naive fallback instead of a planning failure.
 var errEmptySample = errors.New("plan: cannot size input records (empty sample and no table stats)")
 
-// Defaults for Config fields left zero.
+// Defaults for Config fields left zero, and the fixed sampling bounds.
 const (
-	// DefaultSampleRows bounds the sampling pass.
-	DefaultSampleRows = 256
-	// DefaultSketchSize is the KMV sketch capacity used for D.
-	DefaultSketchSize = 256
+	// sampleRows bounds the statistics sampling pass.
+	sampleRows = 256
+	// sketchSize is the KMV sketch capacity used for D.
+	sketchSize = 256
 	// perTupleOverhead is the encoder's fixed per-tuple header (types
 	// encoding: a 4-byte column count), fed to the cost model so its byte
 	// accounting matches the implementation's.
@@ -100,10 +100,6 @@ func (s Strategy) String() string {
 
 // Config tunes the planner. The zero value selects the defaults above.
 type Config struct {
-	// SampleRows bounds the statistics sampling pass.
-	SampleRows int
-	// SketchSize is the distinct-sketch capacity.
-	SketchSize int
 	// ProbeBytes is the large-probe payload for link measurement; < 1 selects
 	// exec.DefaultProbeBytes.
 	ProbeBytes int
@@ -133,20 +129,6 @@ type Config struct {
 	// tolerance altogether). The zero value enables fault tolerance with the
 	// exec package defaults.
 	Retry exec.RetryConfig
-}
-
-func (c Config) sampleRows() int {
-	if c.SampleRows < 1 {
-		return DefaultSampleRows
-	}
-	return c.SampleRows
-}
-
-func (c Config) sketchSize() int {
-	if c.SketchSize < 1 {
-		return DefaultSketchSize
-	}
-	return c.SketchSize
 }
 
 func (c Config) maxSessions() int {

@@ -58,13 +58,12 @@ func (c *StatsCache) Misses() int64 {
 }
 
 // sampleCacheKey derives the cache key for one UDF application's sampling
-// pass: the version stamp of its input plus what D is computed over and the
-// sampling configuration. It is empty, and the pass uncacheable, when the
-// input has no version stamp.
-func sampleCacheKey(spec applySpec, cfg Config) string {
+// pass: the version stamp of its input plus what D is computed over. It is
+// empty, and the pass uncacheable, when the input has no version stamp.
+func sampleCacheKey(spec applySpec) string {
 	base, ok := TreeVersionKey(spec.apply.Input, spec.cat)
 	if !ok {
 		return ""
 	}
-	return fmt.Sprintf("%s|args=%v|rows=%d|sketch=%d", base, spec.apply.ArgOrdinals(), cfg.sampleRows(), cfg.sketchSize())
+	return fmt.Sprintf("%s|args=%v", base, spec.apply.ArgOrdinals())
 }

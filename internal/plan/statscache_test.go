@@ -222,7 +222,7 @@ func TestSampleCacheKeyNeedsEveryLeafVersioned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sampleCacheKey(applySpec{apply: apply, cat: cat}, Config{})
+		return sampleCacheKey(applySpec{apply: apply, cat: cat})
 	}
 	if keyOf(scan) == "" {
 		t.Fatal("a sample over a versioned scan must be cacheable")

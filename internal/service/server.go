@@ -39,13 +39,6 @@ type Server struct {
 
 	// DialTimeout bounds UDF-session connection establishment.
 	DialTimeout time.Duration
-	// WriteStallTimeout bounds how long one result-frame write to a
-	// requester may block. A requester that dies silently (or stops reading)
-	// would otherwise wedge its queries' streaming sends forever — holding
-	// admission slots past any deadline, since the shared control connection
-	// cannot be bound to a single query's context. Zero selects
-	// DefaultWriteStallTimeout.
-	WriteStallTimeout time.Duration
 
 	// streams counts in-flight result-stream goroutines, so Shutdown can
 	// wait for every admitted query's terminal frame to flush before the
@@ -58,16 +51,12 @@ type Server struct {
 	closed bool
 }
 
-// DefaultWriteStallTimeout is the default bound on one control-connection
-// write.
+// DefaultWriteStallTimeout bounds how long one result-frame write to a
+// requester may block. A requester that dies silently (or stops reading)
+// would otherwise wedge its queries' streaming sends forever — holding
+// admission slots past any deadline, since the shared control connection
+// cannot be bound to a single query's context.
 const DefaultWriteStallTimeout = 30 * time.Second
-
-func (s *Server) writeStall() time.Duration {
-	if s.WriteStallTimeout <= 0 {
-		return DefaultWriteStallTimeout
-	}
-	return s.WriteStallTimeout
-}
 
 // stallGuardConn arms a fresh write deadline before every write, so a peer
 // that stops reading fails the writer within the stall timeout instead of
@@ -75,11 +64,10 @@ func (s *Server) writeStall() time.Duration {
 // idles waiting for the next request).
 type stallGuardConn struct {
 	net.Conn
-	stall time.Duration
 }
 
 func (c *stallGuardConn) Write(p []byte) (int, error) {
-	_ = c.Conn.SetWriteDeadline(time.Now().Add(c.stall))
+	_ = c.Conn.SetWriteDeadline(time.Now().Add(DefaultWriteStallTimeout))
 	return c.Conn.Write(p)
 }
 
@@ -208,7 +196,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // handleConn is one requester connection's control loop.
 func (s *Server) handleConn(nc net.Conn) {
-	conn := wire.NewConn(&stallGuardConn{Conn: nc, stall: s.writeStall()})
+	conn := wire.NewConn(&stallGuardConn{Conn: nc})
 	owned := &connQueries{queries: make(map[uint64]*Query)}
 	// Prepared statements live for the connection; they hold no slots or
 	// sessions, so disconnect cleanup is just letting the map go.

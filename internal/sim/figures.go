@@ -6,8 +6,9 @@ import (
 )
 
 // This file parameterises the simulator with the exact setups of the paper's
-// evaluation section, so that every figure can be regenerated by
-// cmd/experiments and by the benchmark harness.
+// evaluation section. Each FigureN function regenerates one figure's curves;
+// the package's tests (TestFigure2, TestFigure8Shape, ...) regenerate every
+// figure and check the shape the paper reports.
 
 // Point is one (x, y) sample of a figure's series.
 type Point struct {

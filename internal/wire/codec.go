@@ -42,40 +42,12 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func readString(src []byte) (string, int, error) {
-	n, c := binary.Uvarint(src)
-	if c <= 0 || uint64(len(src)-c) < n {
-		return "", 0, fmt.Errorf("wire: bad string")
-	}
-	return string(src[c : c+int(n)]), c + int(n), nil
-}
-
 func appendInts(dst []byte, xs []int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(xs)))
 	for _, x := range xs {
 		dst = binary.AppendUvarint(dst, uint64(x))
 	}
 	return dst
-}
-
-func readInts(src []byte) ([]int, int, error) {
-	n, c := binary.Uvarint(src)
-	// Every entry takes at least one byte: a count the input cannot hold is
-	// refused before it sizes the list.
-	if c <= 0 || n > 1<<16 || n > uint64(len(src)-c) {
-		return nil, 0, fmt.Errorf("wire: bad int list length")
-	}
-	off := c
-	out := make([]int, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, c := binary.Uvarint(src[off:])
-		if c <= 0 {
-			return nil, 0, fmt.Errorf("wire: bad int list entry")
-		}
-		out = append(out, int(v))
-		off += c
-	}
-	return out, off, nil
 }
 
 // EncodeSetup serialises a SetupRequest.
@@ -108,60 +80,17 @@ func EncodeSetup(s *SetupRequest) ([]byte, error) {
 
 // DecodeSetup deserialises a SetupRequest.
 func DecodeSetup(src []byte) (*SetupRequest, error) {
-	if len(src) < 10 {
-		return nil, fmt.Errorf("wire: setup payload too short")
-	}
-	s := &SetupRequest{}
-	s.SessionID = binary.LittleEndian.Uint64(src)
-	s.Mode = Mode(src[8])
-	s.FinalDelivery = src[9]&1 != 0
-	s.DictBatches = src[9]&2 != 0
-	off := 10
-	schema, n, err := types.DecodeSchema(src[off:])
-	if err != nil {
-		return nil, fmt.Errorf("wire: setup schema: %w", err)
-	}
-	s.InputSchema = schema
-	off += n
-	count, c := binary.Uvarint(src[off:])
-	if c <= 0 || count > 256 {
-		return nil, fmt.Errorf("wire: setup: bad UDF count")
-	}
-	off += c
-	for i := uint64(0); i < count; i++ {
-		name, n, err := readString(src[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += n
-		ords, n, err := readInts(src[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += n
-		s.UDFs = append(s.UDFs, UDFSpec{Name: name, ArgOrdinals: ords})
-	}
-	predLen, c := binary.Uvarint(src[off:])
-	if c <= 0 || uint64(len(src)-off-c) < predLen {
-		return nil, fmt.Errorf("wire: setup: bad predicate length")
-	}
-	off += c
-	if predLen > 0 {
-		s.PushablePredicate = append([]byte(nil), src[off:off+int(predLen)]...)
-	}
-	off += int(predLen)
-	ords, n, err := readInts(src[off:])
-	if err != nil {
-		return nil, fmt.Errorf("wire: setup: projection: %w", err)
-	}
-	off += n
-	if len(ords) > 0 {
+	r := reader{msg: "setup", src: src}
+	s := &SetupRequest{SessionID: r.u64(), Mode: Mode(r.u8())}
+	flags := r.u8()
+	s.FinalDelivery, s.DictBatches = flags&1 != 0, flags&2 != 0
+	s.InputSchema = r.schema()
+	s.UDFs = r.udfs()
+	s.PushablePredicate = r.bytes()
+	if ords := r.ints(); len(ords) > 0 {
 		s.ProjectOrdinals = ords
 	}
-	if off != len(src) {
-		return nil, fmt.Errorf("wire: setup: %d trailing bytes", len(src)-off)
-	}
-	return s, nil
+	return decoded(s, r.end())
 }
 
 // EncodeSetupAck serialises a SetupAck. The capability flags ride in a
@@ -187,19 +116,12 @@ func EncodeSetupAck(a *SetupAck) []byte {
 // DecodeSetupAck deserialises a SetupAck. Acks from pre-dictionary clients
 // lack the trailing capability byte; every capability then reads as false.
 func DecodeSetupAck(src []byte) (*SetupAck, error) {
-	if len(src) < 9 {
-		return nil, fmt.Errorf("wire: setup ack too short")
+	r := reader{msg: "setup ack", src: src}
+	a := &SetupAck{SessionID: r.u64(), OK: r.u8() != 0, Error: r.str()}
+	if r.more() {
+		a.DictBatches = r.u8()&1 != 0
 	}
-	a := &SetupAck{SessionID: binary.LittleEndian.Uint64(src), OK: src[8] != 0}
-	msg, n, err := readString(src[9:])
-	if err != nil {
-		return nil, err
-	}
-	a.Error = msg
-	if len(src) > 9+n {
-		a.DictBatches = src[9+n]&1 != 0
-	}
-	return a, nil
+	return decoded(a, r.err)
 }
 
 // AppendTupleBatch appends the serialisation of a TupleBatch to dst and
@@ -408,16 +330,9 @@ func EncodeError(e *ErrorMsg) []byte {
 
 // DecodeError deserialises an ErrorMsg.
 func DecodeError(src []byte) (*ErrorMsg, error) {
-	if len(src) < 9 {
-		return nil, fmt.Errorf("wire: error message too short")
-	}
-	e := &ErrorMsg{SessionID: binary.LittleEndian.Uint64(src)}
-	msg, _, err := readString(src[8:])
-	if err != nil {
-		return nil, err
-	}
-	e.Message = msg
-	return e, nil
+	r := reader{msg: "error message", src: src}
+	e := &ErrorMsg{SessionID: r.u64(), Message: r.str()}
+	return decoded(e, r.err)
 }
 
 // EncodeEnd serialises an End marker.
@@ -430,13 +345,9 @@ func EncodeEnd(e *End) []byte {
 
 // DecodeEnd deserialises an End marker.
 func DecodeEnd(src []byte) (*End, error) {
-	if len(src) < 16 {
-		return nil, fmt.Errorf("wire: end message too short")
-	}
-	return &End{
-		SessionID: binary.LittleEndian.Uint64(src),
-		Rows:      binary.LittleEndian.Uint64(src[8:]),
-	}, nil
+	r := reader{msg: "end", src: src}
+	e := &End{SessionID: r.u64(), Rows: r.u64()}
+	return decoded(e, r.err)
 }
 
 // AppendProbe appends the serialisation of a Probe to dst. The payload is
@@ -450,14 +361,10 @@ func AppendProbe(dst []byte, p *Probe) []byte {
 
 // DecodeProbe deserialises a Probe. The returned payload aliases src.
 func DecodeProbe(src []byte) (*Probe, error) {
-	if len(src) < 8 {
-		return nil, fmt.Errorf("wire: probe too short")
-	}
-	return &Probe{
-		Seq:       binary.LittleEndian.Uint32(src),
-		EchoBytes: binary.LittleEndian.Uint32(src[4:]),
-		Payload:   src[8:],
-	}, nil
+	r := reader{msg: "probe", src: src}
+	p := &Probe{Seq: r.u32(), EchoBytes: r.u32()}
+	p.Payload = r.take(r.left())
+	return decoded(p, r.err)
 }
 
 // EncodeRegisterUDF serialises a RegisterUDF announcement.
@@ -480,41 +387,19 @@ func EncodeRegisterUDF(r *RegisterUDF) []byte {
 
 // DecodeRegisterUDF deserialises a RegisterUDF announcement.
 func DecodeRegisterUDF(src []byte) (*RegisterUDF, error) {
-	r := &RegisterUDF{}
-	name, off, err := readString(src)
-	if err != nil {
-		return nil, fmt.Errorf("wire: register udf: %w", err)
+	r := reader{msg: "register udf", src: src}
+	u := &RegisterUDF{Name: r.str()}
+	for n := r.count(64); n > 0; n-- {
+		u.ArgKinds = append(u.ArgKinds, types.Kind(r.u8()))
 	}
-	r.Name = name
-	n, c := binary.Uvarint(src[off:])
-	if c <= 0 || n > 64 || off+c+int(n) > len(src) {
-		return nil, fmt.Errorf("wire: register udf: bad arg kinds")
-	}
-	off += c
-	for i := uint64(0); i < n; i++ {
-		r.ArgKinds = append(r.ArgKinds, types.Kind(src[off]))
-		off++
-	}
-	if off >= len(src) {
-		return nil, fmt.Errorf("wire: register udf: truncated")
-	}
-	r.ResultKind = types.Kind(src[off])
-	off++
-	size, c := binary.Uvarint(src[off:])
-	if c <= 0 {
-		return nil, fmt.Errorf("wire: register udf: bad result size")
-	}
-	off += c
-	if len(src)-off < 16 {
-		return nil, fmt.Errorf("wire: register udf: truncated floats")
-	}
-	r.ResultSize = int(size)
-	r.Selectivity = math.Float64frombits(binary.LittleEndian.Uint64(src[off:]))
-	r.PerCallCost = math.Float64frombits(binary.LittleEndian.Uint64(src[off+8:]))
+	u.ResultKind = types.Kind(r.u8())
+	u.ResultSize = int(r.uvarint())
+	u.Selectivity = math.Float64frombits(r.u64())
+	u.PerCallCost = math.Float64frombits(r.u64())
 	// Optional trailing purity byte: announcements from pre-purity clients
 	// end at the floats and read as impure.
-	if off+16 < len(src) {
-		r.Pure = src[off+16] != 0
+	if r.more() {
+		u.Pure = r.u8() != 0
 	}
-	return r, nil
+	return decoded(u, r.err)
 }

@@ -169,19 +169,9 @@ func EncodeQueryReject(q *QueryReject) []byte {
 
 // DecodeQueryReject deserialises a QueryReject.
 func DecodeQueryReject(src []byte) (*QueryReject, error) {
-	if len(src) < 9 {
-		return nil, fmt.Errorf("wire: query reject too short")
-	}
-	q := &QueryReject{QueryID: binary.LittleEndian.Uint64(src), Reason: RejectReason(src[8])}
-	retry, c := binary.Uvarint(src[9:])
-	if c <= 0 {
-		return nil, fmt.Errorf("wire: query reject: bad retry-after")
-	}
-	if 9+c != len(src) {
-		return nil, fmt.Errorf("wire: query reject: %d trailing bytes", len(src)-9-c)
-	}
-	q.RetryAfterMillis = int64(retry)
-	return q, nil
+	r := reader{msg: "query reject", src: src}
+	q := &QueryReject{QueryID: r.u64(), Reason: RejectReason(r.u8()), RetryAfterMillis: int64(r.uvarint())}
+	return decoded(q, r.end())
 }
 
 // QuerySpec is the wire form of a service query: the common
@@ -279,103 +269,21 @@ func EncodeQuerySpec(q *QuerySpec) ([]byte, error) {
 
 // DecodeQuerySpec deserialises a QuerySpec.
 func DecodeQuerySpec(src []byte) (*QuerySpec, error) {
-	if len(src) < 12 {
-		return nil, fmt.Errorf("wire: query spec too short")
+	r := reader{msg: "query spec", src: src}
+	q := &QuerySpec{QueryID: r.u64(), Caps: r.u32(), Table: r.str(), Filter: r.bytes(), UDFs: r.udfs(), Pushable: r.bytes()}
+	if ords := r.ints(); len(ords) > 0 {
+		q.Project = ords
 	}
-	q := &QuerySpec{
-		QueryID: binary.LittleEndian.Uint64(src),
-		Caps:    binary.LittleEndian.Uint32(src[8:]),
+	q.ClientAddr = r.str()
+	q.MemBudget = int64(r.uvarint())
+	q.TimeoutMillis = int64(r.uvarint())
+	if r.more() {
+		q.Text = r.str()
 	}
-	off := 12
-	table, n, err := readString(src[off:])
-	if err != nil {
-		return nil, fmt.Errorf("wire: query spec table: %w", err)
+	if r.more() {
+		q.Tenant = r.str()
 	}
-	q.Table = table
-	off += n
-	readBytes := func(what string) ([]byte, error) {
-		ln, c := binary.Uvarint(src[off:])
-		if c <= 0 || uint64(len(src)-off-c) < ln {
-			return nil, fmt.Errorf("wire: query spec: bad %s length", what)
-		}
-		off += c
-		var out []byte
-		if ln > 0 {
-			out = append([]byte(nil), src[off:off+int(ln)]...)
-		}
-		off += int(ln)
-		return out, nil
-	}
-	if q.Filter, err = readBytes("filter"); err != nil {
-		return nil, err
-	}
-	count, c := binary.Uvarint(src[off:])
-	if c <= 0 || count > 256 {
-		return nil, fmt.Errorf("wire: query spec: bad UDF count")
-	}
-	off += c
-	for i := uint64(0); i < count; i++ {
-		name, n, err := readString(src[off:])
-		if err != nil {
-			return nil, fmt.Errorf("wire: query spec UDF: %w", err)
-		}
-		off += n
-		ords, n, err := readInts(src[off:])
-		if err != nil {
-			return nil, fmt.Errorf("wire: query spec UDF ordinals: %w", err)
-		}
-		off += n
-		q.UDFs = append(q.UDFs, UDFSpec{Name: name, ArgOrdinals: ords})
-	}
-	if q.Pushable, err = readBytes("pushable"); err != nil {
-		return nil, err
-	}
-	proj, n, err := readInts(src[off:])
-	if err != nil {
-		return nil, fmt.Errorf("wire: query spec projection: %w", err)
-	}
-	off += n
-	if len(proj) > 0 {
-		q.Project = proj
-	}
-	addr, n, err := readString(src[off:])
-	if err != nil {
-		return nil, fmt.Errorf("wire: query spec client addr: %w", err)
-	}
-	q.ClientAddr = addr
-	off += n
-	budget, c := binary.Uvarint(src[off:])
-	if c <= 0 {
-		return nil, fmt.Errorf("wire: query spec: bad budget")
-	}
-	off += c
-	q.MemBudget = int64(budget)
-	timeout, c := binary.Uvarint(src[off:])
-	if c <= 0 {
-		return nil, fmt.Errorf("wire: query spec: bad timeout")
-	}
-	off += c
-	q.TimeoutMillis = int64(timeout)
-	if off < len(src) {
-		text, n, err := readString(src[off:])
-		if err != nil {
-			return nil, fmt.Errorf("wire: query spec text: %w", err)
-		}
-		q.Text = text
-		off += n
-	}
-	if off < len(src) {
-		tenant, n, err := readString(src[off:])
-		if err != nil {
-			return nil, fmt.Errorf("wire: query spec tenant: %w", err)
-		}
-		q.Tenant = tenant
-		off += n
-	}
-	if off != len(src) {
-		return nil, fmt.Errorf("wire: query spec: %d trailing bytes", len(src)-off)
-	}
-	return q, nil
+	return decoded(q, r.end())
 }
 
 // EncodeQueryAck serialises a QueryAck.
@@ -395,19 +303,12 @@ func EncodeQueryAck(a *QueryAck) []byte {
 // DecodeQueryAck deserialises a QueryAck. Acks from older servers may lack
 // the trailing capability word; every capability then reads as absent.
 func DecodeQueryAck(src []byte) (*QueryAck, error) {
-	if len(src) < 9 {
-		return nil, fmt.Errorf("wire: query ack too short")
+	r := reader{msg: "query ack", src: src}
+	a := &QueryAck{QueryID: r.u64(), OK: r.u8() != 0, Error: r.str()}
+	if r.left() >= 4 {
+		a.Caps = r.u32()
 	}
-	a := &QueryAck{QueryID: binary.LittleEndian.Uint64(src), OK: src[8] != 0}
-	msg, n, err := readString(src[9:])
-	if err != nil {
-		return nil, err
-	}
-	a.Error = msg
-	if len(src) >= 9+n+4 {
-		a.Caps = binary.LittleEndian.Uint32(src[9+n:])
-	}
-	return a, nil
+	return decoded(a, r.err)
 }
 
 // ExecPrepared runs a previously prepared statement. Prepared statements are
@@ -441,36 +342,15 @@ func EncodeExecPrepared(e *ExecPrepared) []byte {
 
 // DecodeExecPrepared deserialises an ExecPrepared.
 func DecodeExecPrepared(src []byte) (*ExecPrepared, error) {
-	if len(src) < 16 {
-		return nil, fmt.Errorf("wire: exec prepared too short")
-	}
+	r := reader{msg: "exec prepared", src: src}
 	e := &ExecPrepared{
-		StatementID: binary.LittleEndian.Uint64(src),
-		QueryID:     binary.LittleEndian.Uint64(src[8:]),
+		StatementID:   r.u64(),
+		QueryID:       r.u64(),
+		MemBudget:     int64(r.uvarint()),
+		TimeoutMillis: int64(r.uvarint()),
+		Tenant:        r.str(),
 	}
-	off := 16
-	budget, c := binary.Uvarint(src[off:])
-	if c <= 0 {
-		return nil, fmt.Errorf("wire: exec prepared: bad budget")
-	}
-	off += c
-	e.MemBudget = int64(budget)
-	timeout, c := binary.Uvarint(src[off:])
-	if c <= 0 {
-		return nil, fmt.Errorf("wire: exec prepared: bad timeout")
-	}
-	off += c
-	e.TimeoutMillis = int64(timeout)
-	tenant, n, err := readString(src[off:])
-	if err != nil {
-		return nil, fmt.Errorf("wire: exec prepared tenant: %w", err)
-	}
-	e.Tenant = tenant
-	off += n
-	if off != len(src) {
-		return nil, fmt.Errorf("wire: exec prepared: %d trailing bytes", len(src)-off)
-	}
-	return e, nil
+	return decoded(e, r.end())
 }
 
 // EncodeCancel serialises a Cancel.
@@ -480,8 +360,7 @@ func EncodeCancel(c *Cancel) []byte {
 
 // DecodeCancel deserialises a Cancel.
 func DecodeCancel(src []byte) (*Cancel, error) {
-	if len(src) < 8 {
-		return nil, fmt.Errorf("wire: cancel too short")
-	}
-	return &Cancel{QueryID: binary.LittleEndian.Uint64(src)}, nil
+	r := reader{msg: "cancel", src: src}
+	c := &Cancel{QueryID: r.u64()}
+	return decoded(c, r.err)
 }
