@@ -25,7 +25,7 @@ const DefaultShipBatchSize = 8
 // result batches instead of one tuple per send.
 //
 // What goes down the shipping pool is one frame of ShipBatchSize whole
-// records, with no bound on a lane's unacked frames; the records a frame
+// records, with no window on the tuples in flight; the records a frame
 // holds are charged to the query's memory tracker until its reply is merged.
 // A reply (possibly empty after filtering) is dropped in its frame's one-shot
 // box, and the receiver opens the boxes in deal order — so with Sessions > 1
@@ -182,10 +182,7 @@ func (c *ClientJoin) Open(ctx context.Context) error {
 		}
 		req.PushablePredicate = data
 	}
-	// Unmerged in-flight frames are bounded by the per-session reply buffers
-	// plus the clients' turnaround, so a modest deal-order buffer suffices; a
-	// full channel just pauses the sender until the merge catches up.
-	c.order = make(chan dealtFrame, 4096)
+	c.order = make(chan dealtFrame, dealOrderDepth)
 	c.mem = memAccount{t: MemTrackerFrom(ctx)}
 	c.cur, c.curPos = nil, 0
 	c.pool = newShipPool(shipPolicy[replyBox]{

@@ -1,10 +1,10 @@
 // Package exec implements the execution engine of the server, including the
 // three client-site UDF execution strategies the paper studies: the
-// semi-join operator with a sender/receiver pipeline around a bounded buffer
-// (the pipeline concurrency factor) — whose factor-1 point is the naive
-// tuple-at-a-time remote invocation — and the client-site join that ships
-// full records and applies pushable predicates and projections at the
-// client.
+// semi-join operator with a sender/receiver pipeline that keeps at most the
+// pipeline concurrency factor's argument tuples unanswered — whose factor-1
+// point is the naive tuple-at-a-time remote invocation — and the client-site
+// join that ships full records and applies pushable predicates and
+// projections at the client.
 //
 // # Batch execution contract
 //

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"csq/internal/catalog"
@@ -204,6 +205,33 @@ func TestDistinct(t *testing.T) {
 	got, _ = Collect(context.Background(), d)
 	if len(got) != 2 {
 		t.Errorf("tuple duplicates = %d rows, want 2", len(got))
+	}
+}
+
+// TestDistinctFoldsEqualFloats feeds Distinct the FLOAT values that compare
+// equal with different bit patterns, the signed zeros and two NaN payloads:
+// each pair is one value. A hash join keyed on them must match them too.
+func TestDistinctFoldsEqualFloats(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "X", Kind: types.KindFloat})
+	rows := []types.Tuple{
+		types.NewTuple(types.NewFloat(0)),
+		types.NewTuple(types.NewFloat(math.Copysign(0, -1))),
+		types.NewTuple(types.NewFloat(math.NaN())),
+		types.NewTuple(types.NewFloat(math.Float64frombits(0x7ff8_0000_dead_beef))),
+	}
+	got, err := Collect(context.Background(), NewDistinct(NewValuesScan(schema, rows), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Errorf("distinct kept %d rows, want 2: %v", len(got), got)
+	}
+	join, err := NewHashJoin(NewValuesScan(schema, rows[:1]), NewValuesScan(schema, rows[1:2]), []int{0}, []int{0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Collect(context.Background(), join); err != nil || len(got) != 1 {
+		t.Errorf("join of 0 with -0 = %d rows, %v; want 1", len(got), err)
 	}
 }
 

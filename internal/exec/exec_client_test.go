@@ -80,7 +80,7 @@ func fastLink(t testing.TB) *InProcessLink {
 }
 
 // newNaive builds the paper's naive strategy: a semi-join at concurrency
-// factor 1, whose lanes each hold at most one unacknowledged frame.
+// factor 1, which has one frame of one argument tuple in flight at a time.
 func newNaive(input Operator, link ClientLink, udfs []UDFBinding) (*SemiJoin, error) {
 	op, err := NewSemiJoin(input, link, udfs)
 	if err != nil {
@@ -153,7 +153,7 @@ func TestNaiveUDFCache(t *testing.T) {
 }
 
 // TestNaiveOneFrameInFlight holds the first argument's UDF call at the
-// client: at concurrency factor 1 a lane holds one unacknowledged frame, so
+// client: at concurrency factor 1 one argument tuple is in flight, so
 // nothing else is dealt until the call returns, and afterwards every
 // distinct argument still gets exactly one 1-tuple frame.
 func TestNaiveOneFrameInFlight(t *testing.T) {
@@ -514,6 +514,63 @@ func TestClientJoinChargesFramesInFlight(t *testing.T) {
 	tracker.SetHardLimit(frame - 1)
 	if _, err := Collect(WithMemTracker(context.Background(), tracker), build(t)); !errors.Is(err, ErrMemoryLimit) {
 		t.Errorf("err = %v, want ErrMemoryLimit under a hard limit below one frame", err)
+	}
+	if tracker.Used() != 0 {
+		t.Errorf("tracker still charged %d B after the failed query", tracker.Used())
+	}
+}
+
+// TestSemiJoinChargesParkedRecords checks that the records a semi-join parks
+// between sender and receiver are charged to the query's memory tracker: at
+// least one parked batch's worth at the peak, nothing once the operator is
+// closed — after a clean drain or under a LIMIT that abandons the stream —
+// and a hard limit below one parked batch fails the query with the tracker's
+// error. Every argument repeats in 64 rows, so the dedup set and the result
+// table alone stay far below one batch of records.
+func TestSemiJoinChargesParkedRecords(t *testing.T) {
+	rows := repeatedRows(512, 64)
+	build := func(t *testing.T) *SemiJoin {
+		op, err := NewSemiJoin(NewValuesScan(stockSchema(), rows), fastLink(t), []UDFBinding{analysisBinding()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		op.ConcurrencyFactor = DefaultSendBatchSize
+		return op
+	}
+	// The sender parks one batch per frame it deals.
+	var batch int64
+	for _, r := range rows[:DefaultSendBatchSize] {
+		batch += tupleMemSize(r)
+	}
+
+	tracker := NewMemTracker(0)
+	got, err := Collect(WithMemTracker(context.Background(), tracker), build(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(rows) {
+		t.Fatalf("%d rows, want %d", len(got), len(rows))
+	}
+	if tracker.Peak() < batch {
+		t.Errorf("peak charge %d B, want at least one parked batch's records (%d B)", tracker.Peak(), batch)
+	}
+	if tracker.Used() != 0 {
+		t.Errorf("tracker still charged %d B after Close", tracker.Used())
+	}
+
+	tracker = NewMemTracker(0)
+	got, err = Collect(WithMemTracker(context.Background(), tracker), NewLimit(build(t), 3))
+	if err != nil || len(got) != 3 {
+		t.Fatalf("limit: %d rows, %v", len(got), err)
+	}
+	if tracker.Used() != 0 {
+		t.Errorf("tracker still charged %d B after an early Close", tracker.Used())
+	}
+
+	tracker = NewMemTracker(0)
+	tracker.SetHardLimit(batch - 1)
+	if _, err := Collect(WithMemTracker(context.Background(), tracker), build(t)); !errors.Is(err, ErrMemoryLimit) {
+		t.Errorf("err = %v, want ErrMemoryLimit under a hard limit below one parked batch", err)
 	}
 	if tracker.Used() != 0 {
 		t.Errorf("tracker still charged %d B after the failed query", tracker.Used())

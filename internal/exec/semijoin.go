@@ -24,40 +24,42 @@ const DefaultSendBatchSize = 32
 // SemiJoin executes a client-site UDF with the semi-join strategy of
 // Section 2.3.1: the sender ships duplicate-free argument columns on the
 // downlink while the receiver joins returned results with the buffered full
-// records. Sender and receiver run concurrently around a bounded buffer whose
-// capacity is the pipeline concurrency factor, which is what hides the
+// records. Sender and receiver run concurrently, and at most
+// ConcurrencyFactor argument tuples are dealt and not yet answered across all
+// sessions: the paper's pipeline concurrency factor, which is what hides the
 // network latency (Figure 2(b) / Figure 3 of the paper).
 //
 // Both halves of the pipeline are batched: the sender reads input batches,
 // ships argument tuples SendBatchSize at a time and parks full records in
 // whole-batch channel sends; the receiver drains one parked batch at a time.
-// Duplicate elimination and the result table are hash-keyed (collision chains
-// resolved by value comparison), so the steady state allocates no key strings.
+// Parked records are charged to the query's memory tracker until the
+// receiver has drained their batch. Duplicate elimination and the result
+// table are hash-keyed (collision chains resolved by value comparison), so
+// the steady state allocates no key strings.
 //
 // What goes down the shipping pool is one frame of duplicate-free argument
-// tuples per input batch, with no bound on a lane's unacked frames (the
-// buffer is what bounds the pipeline); a reply carries one result per
-// argument of its frame and is published in a shared result table, and the
-// receiver waits on the pool for the entry of the argument it needs — the
-// lane readers always drain their sessions, which is also what keeps a
-// multi-session client from ever blocking on an unread uplink write. With
-// Sessions > 1 the frames travel in parallel, yet output order stays exactly
-// the input order. DictBatches additionally negotiates the per-batch value
-// dictionary encoding for both directions of every session.
+// tuples per input batch, dealt once the pool's window has room for it; a
+// reply carries one result per argument of its frame and is published in a
+// shared result table, and the receiver waits on the pool for the entry of
+// the argument it needs — the lane readers always drain their sessions,
+// which is also what keeps a multi-session client from ever blocking on an
+// unread uplink write. With Sessions > 1 the frames travel in parallel, yet
+// output order stays exactly the input order. DictBatches additionally
+// negotiates the per-batch value dictionary encoding for both directions of
+// every session.
 //
 // A concurrency factor of 1 is the paper's naive strategy (Section 2.1): one
-// argument tuple per frame and at most one unacked frame per lane, so on a
-// single session every invocation is a blocking round trip; duplicates are
-// answered from the result table.
+// argument tuple per frame and one frame in flight, so every invocation is a
+// blocking round trip; duplicates are answered from the result table.
 type SemiJoin struct {
 	baseState
 	input Operator
 	udfs  []UDFBinding
 	link  ClientLink
 
-	// ConcurrencyFactor bounds the number of argument tuples in flight
-	// between sender and receiver. At 1 every lane also holds at most one
-	// unacknowledged frame: the naive strategy.
+	// ConcurrencyFactor bounds the number of argument tuples dealt to the
+	// client and not yet answered, across all sessions. At 1 one frame of
+	// one tuple is in flight at a time: the naive strategy.
 	ConcurrencyFactor int
 	// SendBatchSize is the number of duplicate-free argument tuples shipped
 	// per downlink frame. Values below 1 select DefaultSendBatchSize.
@@ -81,11 +83,18 @@ type SemiJoin struct {
 	pool    *shipPool[[]uint64] // a frame's tag is the hashes of its argument tuples
 	resMu   sync.Mutex
 	results *argCache // published results by argument tuple; guarded by resMu
-	buffer  chan []bufferedRecord
-	mem     memAccount // dedup-set and result-table memory charge
+	buffer  chan parkedBatch
+	mem     memAccount // dedup set, result table and parked records
 
-	cur    []bufferedRecord // receiver's current parked batch
+	cur    parkedBatch // receiver's current parked batch
 	curPos int
+}
+
+// parkedBatch is one input batch's records parked between sender and
+// receiver, with the memory charged for them.
+type parkedBatch struct {
+	records []bufferedRecord
+	charge  int64
 }
 
 // bufferedRecord is one full record parked between sender and receiver,
@@ -197,16 +206,10 @@ func (s *SemiJoin) Open(ctx context.Context) error {
 	}
 	s.mem = memAccount{t: MemTrackerFrom(ctx)}
 	s.results = newArgCache()
-	window := 0 // unbounded: the buffer bounds the pipeline
-	if s.ConcurrencyFactor == 1 {
-		window = 1 // naive: every shipped argument is a blocking round trip
-	}
-	// The buffer holds record batches; sizing it in batches of the sender's
-	// read granularity keeps roughly ConcurrencyFactor tuples in flight —
-	// which also bounds the lanes' unacked frames.
-	readBatch := s.senderReadBatch()
-	s.buffer = make(chan []bufferedRecord, (s.ConcurrencyFactor+readBatch-1)/readBatch)
-	s.cur, s.curPos = nil, 0
+	// The pool's window bounds the pipeline; the buffer only keeps the deal
+	// order of the records, and a full one just pauses the sender.
+	s.buffer = make(chan parkedBatch, dealOrderDepth)
+	s.cur, s.curPos = parkedBatch{}, 0
 	s.pool = newShipPool(shipPolicy[[]uint64]{
 		setup: &wire.SetupRequest{
 			Mode:        wire.ModeSemiJoin,
@@ -215,7 +218,7 @@ func (s *SemiJoin) Open(ctx context.Context) error {
 			DictBatches: s.DictBatches,
 		},
 		sessions: s.Sessions,
-		window:   window,
+		window:   s.ConcurrencyFactor,
 		retry:    s.Retry,
 		onReply:  s.publish,
 		send:     s.send,
@@ -241,9 +244,9 @@ func (s *SemiJoin) senderReadBatch() int {
 
 // send is the sender thread of Figure 3: it reads input record batches,
 // ships each batch's distinct argument tuples downlink in one frame and
-// parks the full records in the bounded buffer for the receiver. The pool's
-// readers always drain their sessions, so a deal can only block on link
-// transfer, never on an unread reply, however many frames are in flight.
+// parks the full records in the buffer for the receiver. A deal waits for
+// room in the pool's window, which the lane readers make as replies arrive,
+// and otherwise only on link transfer, never on an unread reply.
 func (s *SemiJoin) send(ctx context.Context) error {
 	seen := newTupleSet(nil)
 	batch := make([]types.Tuple, s.senderReadBatch())
@@ -255,7 +258,7 @@ func (s *SemiJoin) send(ctx context.Context) error {
 		if err != nil || n == 0 {
 			return err
 		}
-		records := make([]bufferedRecord, 0, n)
+		parked := parkedBatch{records: make([]bufferedRecord, 0, n)}
 		// The frame keeps its argument tuples until it is answered, so each
 		// input batch gets fresh slices. One arena backs every argument
 		// projection of the batch; the tuples escape into the dedup set, the
@@ -284,7 +287,12 @@ func (s *SemiJoin) send(ctx context.Context) error {
 				args = append(args, arg)
 				hashes = append(hashes, hash)
 			}
-			records = append(records, bufferedRecord{tuple: t, args: arg, hash: hash})
+			parked.records = append(parked.records, bufferedRecord{tuple: t, args: arg, hash: hash})
+			parked.charge += tupleMemSize(t)
+		}
+		// The records stay parked until the receiver has drained their batch.
+		if err := s.mem.grow(parked.charge); err != nil {
+			return err
 		}
 		if len(args) > 0 {
 			if err := s.pool.deal(args, hashes); err != nil {
@@ -292,7 +300,7 @@ func (s *SemiJoin) send(ctx context.Context) error {
 			}
 		}
 		select {
-		case s.buffer <- records:
+		case s.buffer <- parked:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
@@ -339,22 +347,24 @@ func (s *SemiJoin) result(rec bufferedRecord) (res types.Tuple, err error) {
 }
 
 // nextRecord returns the next parked record, pulling a new batch from the
-// sender when the current one is drained. ok is false when the input is
-// exhausted.
+// sender when the current one is drained, whose charge it then releases. ok
+// is false when the input is exhausted.
 func (s *SemiJoin) nextRecord() (bufferedRecord, bool, error) {
-	for s.curPos >= len(s.cur) {
+	for s.curPos >= len(s.cur.records) {
+		s.mem.shrink(s.cur.charge)
+		s.cur.charge = 0
 		select {
 		case <-s.pool.failed:
 			return bufferedRecord{}, false, s.pool.failure()
-		case recs, ok := <-s.buffer:
+		case batch, ok := <-s.buffer:
 			if !ok {
 				// Input exhausted, unless the sender stopped on an error.
 				return bufferedRecord{}, false, s.pool.failure()
 			}
-			s.cur, s.curPos = recs, 0
+			s.cur, s.curPos = batch, 0
 		}
 	}
-	rec := s.cur[s.curPos]
+	rec := s.cur.records[s.curPos]
 	s.curPos++
 	return rec, true, nil
 }
@@ -362,7 +372,8 @@ func (s *SemiJoin) nextRecord() (bufferedRecord, bool, error) {
 // NextBatch implements Operator: it is the receiver thread of Figure 3,
 // joining buffered records with the result stream the session readers
 // publish. All output tuples of one batch are carved out of a single backing
-// arena.
+// arena, sized for the rows left in the current parked batch, at whose end
+// the call returns.
 func (s *SemiJoin) NextBatch(dst []types.Tuple) (int, error) {
 	if err := s.checkOpen(); err != nil {
 		return 0, err
@@ -383,13 +394,14 @@ func (s *SemiJoin) NextBatch(dst []types.Tuple) (int, error) {
 			return out, err
 		}
 		if arena == nil {
-			arena = make([]types.Value, 0, len(dst)*width)
+			rows := min(len(dst), len(s.cur.records)-s.curPos+1) // rec included
+			arena = make([]types.Value, 0, rows*width)
 		}
 		arena, dst[out] = types.ConcatInto(arena, rec.tuple, results)
 		out++
 		// Returning at a parked-batch boundary keeps the pipeline moving
 		// instead of blocking on the sender for a full dst.
-		if s.curPos >= len(s.cur) && out > 0 {
+		if s.curPos >= len(s.cur.records) {
 			return out, nil
 		}
 	}

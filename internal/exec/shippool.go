@@ -22,13 +22,16 @@ type shipFrame[T any] struct {
 
 // shipPolicy is everything that distinguishes one client-site strategy from
 // another below the operator: what the client runs on each session, how many
-// lanes carry frames, how many unacknowledged frames a lane may hold, where a
-// reply goes and what feeds the pool.
+// lanes carry frames, how many argument tuples may await their answer across
+// all of them, where a reply goes and what feeds the pool.
 type shipPolicy[T any] struct {
 	setup    *wire.SetupRequest
-	sessions int         // lanes; values below 1 mean one
-	window   int         // unacked frames per lane; 0 is unbounded
-	retry    RetryConfig // mid-query session re-establishment
+	sessions int // lanes; values below 1 mean one
+	// window is the paper's pipeline concurrency factor: the most tuples
+	// dealt and not yet answered, across the whole pool. A frame is dealt
+	// when it fits, or when nothing is in flight; 0 is unbounded.
+	window int
+	retry  RetryConfig // mid-query session re-establishment
 	// onReply receives each frame with the client's reply to it, on the
 	// lane's reader goroutine, once per frame and in the lane's send order.
 	// The reply slice is recycled after the call; the tuples in it are not.
@@ -40,6 +43,14 @@ type shipPolicy[T any] struct {
 	send func(context.Context) error
 	done func()
 }
+
+// dealOrderDepth is the capacity of an operator's deal-order channel, which
+// hands what its sender has dealt or parked, in input order, to the receiver
+// that rejoins the replies with it. The pool's window and the query's memory
+// tracker bound what is held; the depth only decides how far the sender may
+// run ahead, and a full channel just pauses it until the receiver catches
+// up.
+const dealOrderDepth = 4096
 
 // shipLane is one lane of the session pool: the session currently serving it
 // and the FIFO of frames sent but not yet answered on it, which is exactly
@@ -85,15 +96,16 @@ type shipPool[T any] struct {
 	wg      sync.WaitGroup
 	next    int // deal cursor; deal and end are called from one goroutine
 
-	mu      sync.Mutex
-	cond    *sync.Cond // signalled on every ack, reader exit and failure
-	err     error
-	dealt   int64 // frames dealt
-	acked   int64 // frames answered
-	reading int   // lane readers still running
-	endRows uint64
-	stats   NetStats // frames and tuples dealt, bytes of retired sessions
-	live    int      // lanes still serving when the pool closed
+	mu       sync.Mutex
+	cond     *sync.Cond // signalled on every ack, reader exit and failure
+	err      error
+	dealt    int64 // frames dealt
+	acked    int64 // frames answered
+	inflight int   // tuples dealt and not yet answered; replay moves none
+	reading  int   // lane readers still running
+	endRows  uint64
+	stats    NetStats // frames and tuples dealt, bytes of retired sessions
+	live     int      // lanes still serving when the pool closed
 }
 
 // errShipPoolClosed is what close latches so that later errors (connection
@@ -235,32 +247,22 @@ func (p *shipPool[T]) start(send func(context.Context) error, done func()) {
 	}()
 }
 
-// Outcomes of shipLane.ship.
-const (
-	laneDead = iota
-	laneFull
-	laneShipped
-)
-
 // ship parks frames (and the End marker) on the lane's FIFO, runs parked
-// (when non-nil), and then sends them. The send runs outside mu — the reader
-// needs mu to drain replies, and a reply being drained is what unblocks this
-// send on an unbuffered link — but under sendMu, so park+send stays atomic
-// against recovery and migration. A send error is not reported: the frames are already parked, so
-// the reader's recovery replays them; aborting the captured session
-// (recovery may have swapped lane.sess already) is what kicks that reader
-// out of its blocked receive.
-func (lane *shipLane[T]) ship(frames []shipFrame[T], end bool, window int, parked func()) int {
+// (when non-nil), and then sends them; it reports false, parking nothing, on
+// a dead lane. The send runs outside mu — the reader needs mu to drain
+// replies, and a reply being drained is what unblocks this send on an
+// unbuffered link — but under sendMu, so park+send stays atomic against
+// recovery and migration. A send error is not reported: the frames are
+// already parked, so the reader's recovery replays them; aborting the
+// captured session (recovery may have swapped lane.sess already) is what
+// kicks that reader out of its blocked receive.
+func (lane *shipLane[T]) ship(frames []shipFrame[T], end bool, parked func()) bool {
 	lane.sendMu.Lock()
 	defer lane.sendMu.Unlock()
 	lane.mu.Lock()
-	switch {
-	case lane.dead:
+	if lane.dead {
 		lane.mu.Unlock()
-		return laneDead
-	case window > 0 && len(lane.unacked) >= window:
-		lane.mu.Unlock()
-		return laneFull
+		return false
 	}
 	lane.unacked = append(lane.unacked, frames...)
 	lane.endSent = lane.endSent || end
@@ -272,7 +274,7 @@ func (lane *shipLane[T]) ship(frames []shipFrame[T], end bool, window int, parke
 	if err := replay(sess, frames, end); err != nil {
 		sess.abort()
 	}
-	return laneShipped
+	return true
 }
 
 // replay sends frames, and the End marker when the lane's stream has ended,
@@ -289,45 +291,41 @@ func replay[T any](sess *udfSession, frames []shipFrame[T], end bool) error {
 	return nil
 }
 
-// deal ships one frame on the next live lane that has room, round-robin,
-// waiting for an acknowledgement when every live lane's window is full. The
-// frame counts as dealt once a lane has parked it, before its send, so a
-// send blocked on link transfer is counted and a frame waiting for room is
-// not. It fails only when the pool has failed or no live lane is left.
+// deal ships one frame on the next live lane, round-robin, once the pool's
+// window has room for its tuples: it waits until the frame fits beside the
+// tuples in flight, or nothing is in flight. The frame counts as dealt and in
+// flight once a lane has parked it, before its send, so a send blocked on
+// link transfer is counted and a frame waiting for room is not. Only the
+// dealer raises the count, so the room it waited for is still there when the
+// frame is parked. It fails only when the pool has failed or no live lane is
+// left.
 func (p *shipPool[T]) deal(tuples []types.Tuple, tag T) error {
+	if p.window > 0 {
+		room := func() bool { return p.inflight == 0 || p.inflight+len(tuples) <= p.window }
+		if err := p.await(room); err != nil {
+			return err
+		}
+	}
 	frame := []shipFrame[T]{{tuples: tuples, tag: tag}}
 	count := func() {
 		p.mu.Lock()
 		p.dealt++
+		p.inflight += len(tuples)
 		p.stats.Messages++
 		p.stats.Invocations += int64(len(tuples))
 		p.mu.Unlock()
 	}
-	for {
-		p.mu.Lock()
-		acked := p.acked
-		p.mu.Unlock()
-		live := false
-		for i := range p.lanes {
-			at := (p.next + i) % len(p.lanes)
-			switch p.lanes[at].ship(frame, false, p.window, count) {
-			case laneShipped:
-				p.next = at + 1
-				return nil
-			case laneFull:
-				live = true
-			}
-		}
-		if !live {
-			// Latched here so that end cannot wait for a frame nobody carries.
-			err := exhausted(fmt.Errorf("exec: no live session to send on"))
-			p.fail(err)
-			return err
-		}
-		if err := p.await(func() bool { return p.acked != acked }); err != nil {
-			return err
+	for i := range p.lanes {
+		at := (p.next + i) % len(p.lanes)
+		if p.lanes[at].ship(frame, false, count) {
+			p.next = at + 1
+			return nil
 		}
 	}
+	// Latched here so that end cannot wait for a frame nobody carries.
+	err := exhausted(fmt.Errorf("exec: no live session to send on"))
+	p.fail(err)
+	return err
 }
 
 // end runs the end-of-stream handshake: it waits until every dealt frame has
@@ -341,7 +339,7 @@ func (p *shipPool[T]) end() error {
 		return err
 	}
 	for _, lane := range p.lanes {
-		lane.ship(nil, true, 0, nil)
+		lane.ship(nil, true, nil)
 	}
 	return p.await(func() bool { return p.reading == 0 })
 }
@@ -458,6 +456,7 @@ func (p *shipPool[T]) read(lane *shipLane[T], resolve func(error)) {
 		}
 		p.mu.Lock()
 		p.acked++
+		p.inflight -= len(frame.tuples)
 		p.mu.Unlock()
 		p.cond.Broadcast()
 	}
@@ -555,7 +554,7 @@ func (p *shipPool[T]) migrate(orphans []shipFrame[T]) bool {
 		return true
 	}
 	for _, lane := range p.lanes {
-		if lane.ship(orphans, false, 0, nil) == laneShipped {
+		if lane.ship(orphans, false, nil) {
 			p.faults.replayed.Add(int64(len(orphans)))
 			return true
 		}

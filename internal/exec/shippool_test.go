@@ -442,16 +442,71 @@ func TestShipPoolOpenFailure(t *testing.T) {
 // message the server sent. The first hold sessions have their SetupAck
 // withheld until their first tuple frame has arrived, so a pool that waits
 // for an ack before it deals never gets one; where sever[i] is set, session i
-// is cut at that frame instead, its ack never sent.
+// is cut at that frame instead, its ack never sent. With window set, no
+// reply goes out until window argument tuples have once been outstanding
+// across all sessions — sent by the server and not yet answered to it.
 type relayClient struct {
-	rt    *client.Runtime
-	hold  int
-	sever map[int]bool
+	rt     *client.Runtime
+	hold   int
+	sever  map[int]bool
+	window int
 
 	mu     sync.Mutex
 	down   [][]wire.MsgType // server messages per session
 	preAck []int            // how many of them arrived before the ack went out
+	out    int              // argument tuples outstanding, under window
+	peak   int              // the most ever outstanding
+	filled chan struct{}    // closed once window tuples were outstanding
 	served sync.WaitGroup
+}
+
+// batchLen is the number of tuples in a tuple or result batch.
+func batchLen(msg wire.Message) (int, error) {
+	var b wire.TupleBatch
+	var err error
+	switch msg.Type {
+	case wire.MsgTupleBatchDict, wire.MsgResultBatchDict:
+		err = wire.DecodeDictBatchInto(&b, msg.Payload)
+	default:
+		err = wire.DecodeTupleBatchInto(&b, msg.Payload)
+	}
+	return len(b.Tuples), err
+}
+
+// outstanding adds n argument tuples to those outstanding, which a negative
+// n answers, and releases the replies once the window is full.
+func (c *relayClient) outstanding(n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.out += n
+	c.peak = max(c.peak, c.out)
+	select {
+	case <-c.filled:
+	default:
+		if c.out >= c.window {
+			close(c.filled)
+		}
+	}
+}
+
+// release waits until the window has been full, or the server has closed
+// the session (gone), which it reports as false; filled is the channel the
+// window closes.
+func release(filled, gone <-chan struct{}) bool {
+	select {
+	case <-filled:
+		return true
+	case <-gone:
+		return false
+	}
+}
+
+// peakOutstanding is the most argument tuples ever outstanding under the
+// window.
+func (c *relayClient) peakOutstanding() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.peak
 }
 
 func (c *relayClient) OpenSession(context.Context) (*wire.Conn, error) {
@@ -461,11 +516,15 @@ func (c *relayClient) OpenSession(context.Context) (*wire.Conn, error) {
 	sess := len(c.down)
 	c.down = append(c.down, nil)
 	c.preAck = append(c.preAck, -1)
+	if c.filled == nil {
+		c.filled = make(chan struct{})
+	}
+	filled, gone := c.filled, make(chan struct{})
 	c.mu.Unlock()
 	down, up, rt := wire.NewConn(relayDown), wire.NewConn(relayUp), wire.NewConn(runtimeEnd)
 	framed := make(chan struct{})
 	var once sync.Once
-	c.served.Add(3)
+	c.served.Add(4)
 	go func() {
 		defer c.served.Done()
 		_ = c.rt.ServeConn(rt)
@@ -475,6 +534,7 @@ func (c *relayClient) OpenSession(context.Context) (*wire.Conn, error) {
 		defer c.served.Done()
 		defer up.Close()
 		defer once.Do(func() { close(framed) })
+		defer close(gone)
 		for {
 			msg, err := down.Receive()
 			if err != nil {
@@ -489,15 +549,30 @@ func (c *relayClient) OpenSession(context.Context) (*wire.Conn, error) {
 					return
 				}
 				once.Do(func() { close(framed) })
+				if c.window > 0 {
+					n, err := batchLen(msg)
+					if err != nil {
+						return
+					}
+					c.outstanding(n)
+				}
 			}
 			if up.Send(msg.Type, msg.Payload) != nil {
 				return
 			}
 		}
 	}()
-	go func() { // runtime to server
+	// Under a window the client's messages queue, so the runtime never
+	// blocks writing a reply the relay withholds; otherwise the relay passes
+	// the client's backpressure on.
+	queue := 0
+	if c.window > 0 {
+		queue = 1024
+	}
+	replies := make(chan wire.Message, queue)
+	go func() { // runtime to relay
 		defer c.served.Done()
-		defer down.Close()
+		defer close(replies)
 		for {
 			msg, err := up.Receive()
 			if err != nil {
@@ -511,9 +586,25 @@ func (c *relayClient) OpenSession(context.Context) (*wire.Conn, error) {
 				c.preAck[sess] = len(c.down[sess])
 				c.mu.Unlock()
 			}
-			if down.Send(msg.Type, msg.Payload) != nil {
-				return
+			replies <- msg
+		}
+	}()
+	go func() { // relay to server
+		defer c.served.Done()
+		for msg := range replies {
+			if c.window > 0 && (msg.Type == wire.MsgResultBatch || msg.Type == wire.MsgResultBatchDict) {
+				n, err := batchLen(msg)
+				if err != nil || !release(filled, gone) {
+					break
+				}
+				c.outstanding(-n)
 			}
+			if down.Send(msg.Type, msg.Payload) != nil {
+				break
+			}
+		}
+		_ = down.Close()
+		for range replies {
 		}
 	}()
 	return wire.NewConn(serverEnd), nil
@@ -546,9 +637,10 @@ func checkRatings(t *testing.T, got, rows []types.Tuple) {
 	}
 }
 
-// semiJoinReach is a semi-join concurrency factor whose record buffer lets
-// the sender deal a frame on each of three lanes before the receiver drains
-// anything: the relay acks a lane only once it has a frame, and Open returns
+// semiJoinReach is a semi-join concurrency factor whose window lets the
+// sender reach each of three lanes with a frame before the receiver drains
+// anything: two 32-tuple frames at once, the third as soon as one is
+// answered. The relay acks a lane only once it has a frame, and Open returns
 // only once every lane is acked.
 const semiJoinReach = 64
 
@@ -696,4 +788,53 @@ func countType(msgs []wire.MsgType, typ wire.MsgType) int {
 		}
 	}
 	return n
+}
+
+// repeatedRows returns n stock rows whose argument series repeats for repeat
+// consecutive rows.
+func repeatedRows(n, repeat int) []types.Tuple {
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		rows[i] = types.NewTuple(types.NewString("X"), types.NewFloat(float64(i)),
+			types.NewTimeSeries(types.NewSeries(100, 100+float64(i/repeat))))
+	}
+	return rows
+}
+
+// TestShipPoolWindowCountsTuples runs a semi-join against a client that
+// answers nothing until ConcurrencyFactor argument tuples are outstanding.
+// Every argument repeats in 8 consecutive rows, so an input batch of 32
+// records carries only 4 of them: the query completes only if the window
+// counts the tuples on the link, whatever the records parked behind them.
+// The client must never see more than the factor outstanding, across every
+// session, and at factor 1, the naive strategy, one tuple at a time.
+func TestShipPoolWindowCountsTuples(t *testing.T) {
+	const repeat = 8
+	rows := repeatedRows(512, repeat)
+	for _, tc := range []struct{ factor, lanes int }{{32, 1}, {32, 3}, {1, 1}} {
+		t.Run(fmt.Sprintf("factor=%d/lanes=%d", tc.factor, tc.lanes), func(t *testing.T) {
+			baseline := grCount()
+			link := &relayClient{rt: newAnalysisRuntime(t), window: tc.factor}
+			op, err := NewSemiJoin(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			op.ConcurrencyFactor, op.Sessions = tc.factor, tc.lanes
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			got, err := Collect(ctx, op)
+			link.served.Wait()
+			assertNoLeak(t, baseline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRatings(t, got, rows)
+			if peak := link.peakOutstanding(); peak > tc.factor {
+				t.Errorf("%d argument tuples outstanding at the client, want at most %d", peak, tc.factor)
+			}
+			if st := op.NetStats(); st.Invocations != int64(len(rows)/repeat) {
+				t.Errorf("%d arguments shipped, want %d", st.Invocations, len(rows)/repeat)
+			}
+		})
+	}
 }

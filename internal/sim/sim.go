@@ -8,8 +8,8 @@
 // The model is the one the paper uses for its analysis: each link transfers
 // one message at a time at its bandwidth, each direction adds a fixed
 // propagation latency, the client processes one tuple at a time, and the
-// semi-join's bounded buffer allows at most W (the pipeline concurrency
-// factor) tuples to be in flight between the sender and the receiver.
+// semi-join's window allows at most W (the pipeline concurrency factor)
+// argument tuples to be in flight between the server and the client.
 package sim
 
 import (

@@ -282,6 +282,30 @@ func TestValueHashConsistency(t *testing.T) {
 	}
 }
 
+// TestValueHashAgreesWithCompare holds Hash to Compare on the values whose
+// bit patterns differ although they compare equal: the signed zeros, NaN
+// payloads, and the INT values beside them.
+func TestValueHashAgreesWithCompare(t *testing.T) {
+	values := []Value{
+		NewInt(0), NewFloat(0), NewFloat(math.Copysign(0, -1)),
+		NewFloat(math.NaN()),
+		NewFloat(math.Float64frombits(0x7ff8_0000_dead_beef)), // another payload
+		NewFloat(math.Float64frombits(0xfff8_0000_0000_0000)), // negative NaN
+		NewFloat(math.Float64frombits(0x7ff0_0000_0000_0001)), // signalling NaN
+		NewInt(1), NewFloat(1), NewInt(-1), NewFloat(-1),
+		NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)),
+		Null(KindInt), Null(KindFloat),
+	}
+	for _, a := range values {
+		for _, b := range values {
+			if c, err := Compare(a, b); err == nil && c == 0 && a.Hash() != b.Hash() {
+				t.Errorf("%v (bits %#x) and %v (bits %#x) compare equal but hash differently",
+					a, a.w, b, b.w)
+			}
+		}
+	}
+}
+
 func TestValueTruth(t *testing.T) {
 	cases := []struct {
 		v    Value

@@ -324,7 +324,8 @@ func compareFloat(a, b float64) int {
 // Hash returns a 64-bit FNV-1a style hash of the value, suitable for hash
 // joins and duplicate elimination. Equal values (per Compare == 0) hash
 // identically; numeric values hash by their float64 representation so that
-// INT 2 and FLOAT 2.0 collide as required by Compare.
+// INT 2 and FLOAT 2.0 collide as required by Compare, with the zeros and the
+// NaNs, which Compare also calls equal, each folded onto one bit pattern.
 func (v Value) Hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -350,7 +351,7 @@ func (v Value) Hash() uint64 {
 		mix8(math.Float64bits(float64(v.int())))
 	case KindFloat:
 		mix(1)
-		mix8(v.w)
+		mix8(numericBits(v.float()))
 	case KindBool:
 		mix(2)
 		mix(byte(v.w))
@@ -371,6 +372,18 @@ func (v Value) Hash() uint64 {
 		}
 	}
 	return h
+}
+
+// numericBits is the bit pattern a numeric value hashes by: that of f, but
+// +0 for -0 and one NaN for every NaN payload.
+func numericBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case math.IsNaN(f):
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
 }
 
 // Truth evaluates the value in a boolean context: BOOL values are themselves,
