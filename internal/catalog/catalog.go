@@ -1,13 +1,11 @@
 // Package catalog implements the system catalog: the registry of tables and
-// of user-defined functions (UDFs). The catalog is where a function is
-// declared to be server-site or client-site, and where the per-UDF metadata
-// needed by the cost model lives (typical argument size, result size, per-call
-// processing cost).
+// of the client-site user-defined functions (UDFs) the client runtime
+// announces, with the per-UDF metadata the cost model needs (result size,
+// selectivity, per-call processing cost).
 package catalog
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,43 +14,15 @@ import (
 	"csq/internal/wire"
 )
 
-// Site identifies where a UDF executes.
-type Site uint8
-
-const (
-	// SiteServer marks a conventional server-site UDF or built-in function.
-	SiteServer Site = iota
-	// SiteClient marks a client-site UDF: the function body is only available
-	// at the client and every invocation crosses the network.
-	SiteClient
-)
-
-// String implements fmt.Stringer.
-func (s Site) String() string {
-	if s == SiteClient {
-		return "client"
-	}
-	return "server"
-}
-
-// Function is the Go signature of a UDF body. Server-site UDFs registered in
-// the catalog carry their body; client-site UDFs registered at the server
-// usually have a nil body (the body lives in the client runtime) but tests and
-// in-process setups may provide one.
-type Function func(args []types.Value) (types.Value, error)
-
-// UDF describes a user-defined function known to the catalog.
+// UDF describes a client-site user-defined function: its body is only
+// available at the client, and every invocation crosses the network.
 type UDF struct {
 	// Name is the function's SQL name, case-insensitive.
 	Name string
-	// Site says where the function executes.
-	Site Site
 	// ArgKinds are the declared parameter types.
 	ArgKinds []types.Kind
 	// ResultKind is the declared return type.
 	ResultKind types.Kind
-	// Body is the executable implementation, when available at this site.
-	Body Function
 
 	// Cost metadata used by the optimizer and cost model. All sizes in bytes.
 
@@ -94,9 +64,6 @@ func (u *UDF) Validate() error {
 	return nil
 }
 
-// IsClientSite reports whether the UDF must execute at the client.
-func (u *UDF) IsClientSite() bool { return u.Site == SiteClient }
-
 // Table describes a stored relation.
 type Table struct {
 	// Name is the table's SQL name, case-insensitive.
@@ -125,9 +92,9 @@ type TableStats struct {
 }
 
 // Catalog is a thread-safe registry of tables and UDFs. Every mutation —
-// table or UDF registration, drop, statistics update — advances the catalog
-// version; the planner's cross-query statistics cache keys on it so cached
-// samples and cost metadata go stale the moment the catalog changes.
+// table or UDF registration — advances the catalog version; the planner's
+// cross-query statistics cache keys on it so cached samples and cost
+// metadata go stale the moment the catalog changes.
 type Catalog struct {
 	version atomic.Uint64
 
@@ -137,7 +104,7 @@ type Catalog struct {
 }
 
 // Version returns the catalog's mutation counter. It changes on every
-// AddTable/DropTable/AddUDF/RegisterClientUDF/DropUDF/UpdateStats call.
+// AddTable/RegisterClientUDF call.
 func (c *Catalog) Version() uint64 { return c.version.Load() }
 
 // New returns an empty catalog.
@@ -170,19 +137,6 @@ func (c *Catalog) AddTable(t *Table) error {
 	return nil
 }
 
-// DropTable removes a table.
-func (c *Catalog) DropTable(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := key(name)
-	if _, ok := c.tables[k]; !ok {
-		return fmt.Errorf("catalog: table %q does not exist", name)
-	}
-	delete(c.tables, k)
-	c.version.Add(1)
-	return nil
-}
-
 // Table looks up a table by name.
 func (c *Catalog) Table(name string) (*Table, error) {
 	c.mu.RLock()
@@ -194,50 +148,18 @@ func (c *Catalog) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// Tables returns all registered tables sorted by name.
-func (c *Catalog) Tables() []*Table {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*Table, 0, len(c.tables))
-	for _, t := range c.tables {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return key(out[i].Name) < key(out[j].Name) })
-	return out
-}
-
-// AddUDF registers a UDF after validating it. Re-registering a name fails.
-func (c *Catalog) AddUDF(u *UDF) error {
-	if u == nil {
-		return fmt.Errorf("catalog: nil UDF")
-	}
-	if err := u.Validate(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := key(u.Name)
-	if _, ok := c.udfs[k]; ok {
-		return fmt.Errorf("catalog: UDF %q already exists", u.Name)
-	}
-	c.udfs[k] = u
-	c.version.Add(1)
-	return nil
-}
-
 // RegisterClientUDF records (or refreshes) a client-site UDF from a wire
 // announcement. This is how the planner's cost metadata (result size,
 // selectivity, per-call cost) reaches the server without being hand-supplied:
 // the client declares it with MsgRegisterUDF and the server upserts it here.
-// Unlike AddUDF, re-announcing a name replaces the stored metadata, because a
-// reconnecting client is the authority on its own functions.
+// Re-announcing a name replaces the stored metadata, because a reconnecting
+// client is the authority on its own functions.
 func (c *Catalog) RegisterClientUDF(r *wire.RegisterUDF) (*UDF, error) {
 	if r == nil {
 		return nil, fmt.Errorf("catalog: nil UDF registration")
 	}
 	u := &UDF{
 		Name:        r.Name,
-		Site:        SiteClient,
 		ArgKinds:    append([]types.Kind(nil), r.ArgKinds...),
 		ResultKind:  r.ResultKind,
 		ResultSize:  r.ResultSize,
@@ -250,26 +172,9 @@ func (c *Catalog) RegisterClientUDF(r *wire.RegisterUDF) (*UDF, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := key(u.Name)
-	if have, ok := c.udfs[k]; ok && !have.IsClientSite() {
-		return nil, fmt.Errorf("catalog: %q is already a server-site UDF", u.Name)
-	}
-	c.udfs[k] = u
+	c.udfs[key(u.Name)] = u
 	c.version.Add(1)
 	return u, nil
-}
-
-// DropUDF removes a UDF.
-func (c *Catalog) DropUDF(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := key(name)
-	if _, ok := c.udfs[k]; !ok {
-		return fmt.Errorf("catalog: UDF %q does not exist", name)
-	}
-	delete(c.udfs, k)
-	c.version.Add(1)
-	return nil
 }
 
 // UDF looks up a UDF by name.
@@ -281,41 +186,4 @@ func (c *Catalog) UDF(name string) (*UDF, error) {
 		return nil, fmt.Errorf("catalog: UDF %q does not exist", name)
 	}
 	return u, nil
-}
-
-// UDFs returns all registered UDFs sorted by name.
-func (c *Catalog) UDFs() []*UDF {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*UDF, 0, len(c.udfs))
-	for _, u := range c.udfs {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return key(out[i].Name) < key(out[j].Name) })
-	return out
-}
-
-// ClientUDFs returns the registered client-site UDFs sorted by name.
-func (c *Catalog) ClientUDFs() []*UDF {
-	all := c.UDFs()
-	out := all[:0:0]
-	for _, u := range all {
-		if u.IsClientSite() {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// UpdateStats replaces the statistics for a table.
-func (c *Catalog) UpdateStats(name string, stats TableStats) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.tables[key(name)]
-	if !ok {
-		return fmt.Errorf("catalog: table %q does not exist", name)
-	}
-	t.Stats = stats
-	c.version.Add(1)
-	return nil
 }

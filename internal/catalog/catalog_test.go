@@ -1,11 +1,13 @@
 package catalog
 
 import (
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"csq/internal/types"
+	"csq/internal/wire"
 )
 
 func stockSchema() *types.Schema {
@@ -45,76 +47,36 @@ func TestTableRegistration(t *testing.T) {
 		t.Error("nil table should fail")
 	}
 
-	if err := c.AddTable(&Table{Name: "Estimations", Schema: stockSchema()}); err != nil {
-		t.Fatal(err)
-	}
-	names := []string{}
-	for _, tt := range c.Tables() {
-		names = append(names, tt.Name)
-	}
-	if strings.Join(names, ",") != "Estimations,StockQuotes" {
-		t.Errorf("Tables() order = %v", names)
-	}
-
-	if err := c.DropTable("StockQuotes"); err != nil {
-		t.Errorf("DropTable: %v", err)
-	}
-	if err := c.DropTable("StockQuotes"); err == nil {
-		t.Error("double DropTable should fail")
-	}
 }
 
 func TestUDFRegistration(t *testing.T) {
 	c := New()
-	udf := &UDF{
+	reg := &wire.RegisterUDF{
 		Name:        "ClientAnalysis",
-		Site:        SiteClient,
 		ArgKinds:    []types.Kind{types.KindTimeSeries},
 		ResultKind:  types.KindInt,
 		ResultSize:  100,
 		Selectivity: 0.5,
 	}
-	if err := c.AddUDF(udf); err != nil {
-		t.Fatalf("AddUDF: %v", err)
-	}
-	if err := c.AddUDF(udf); err == nil {
-		t.Error("duplicate AddUDF should fail")
+	udf, err := c.RegisterClientUDF(reg)
+	if err != nil {
+		t.Fatalf("RegisterClientUDF: %v", err)
 	}
 	got, err := c.UDF("clientanalysis")
-	if err != nil || got != udf {
+	if err != nil || got != udf || got.ResultSize != 100 {
 		t.Errorf("UDF lookup = %v, %v", got, err)
-	}
-	if !got.IsClientSite() {
-		t.Error("ClientAnalysis should be client-site")
 	}
 	if _, err := c.UDF("nothing"); err == nil {
 		t.Error("missing UDF lookup should fail")
 	}
-
-	server := &UDF{
-		Name:       "ServerFunc",
-		Site:       SiteServer,
-		ResultKind: types.KindInt,
-		Body:       func(args []types.Value) (types.Value, error) { return types.NewInt(1), nil },
-	}
-	if err := c.AddUDF(server); err != nil {
+	// A re-announcement replaces the metadata: the client is the authority.
+	again := *reg
+	again.ResultSize = 7
+	if _, err := c.RegisterClientUDF(&again); err != nil {
 		t.Fatal(err)
 	}
-	if server.IsClientSite() {
-		t.Error("ServerFunc should not be client-site")
-	}
-	clients := c.ClientUDFs()
-	if len(clients) != 1 || clients[0].Name != "ClientAnalysis" {
-		t.Errorf("ClientUDFs = %v", clients)
-	}
-	if len(c.UDFs()) != 2 {
-		t.Errorf("UDFs len = %d", len(c.UDFs()))
-	}
-	if err := c.DropUDF("serverfunc"); err != nil {
-		t.Errorf("DropUDF: %v", err)
-	}
-	if err := c.DropUDF("serverfunc"); err == nil {
-		t.Error("double DropUDF should fail")
+	if got, _ := c.UDF("ClientAnalysis"); got.ResultSize != 7 || len(c.UDFs()) != 1 {
+		t.Errorf("re-announced UDF = %+v, %d UDFs", got, len(c.UDFs()))
 	}
 }
 
@@ -139,35 +101,11 @@ func TestUDFValidation(t *testing.T) {
 		t.Errorf("valid UDF rejected: %v", err)
 	}
 	cat := New()
-	if err := cat.AddUDF(nil); err == nil {
-		t.Error("AddUDF(nil) should fail")
+	if _, err := cat.RegisterClientUDF(nil); err == nil {
+		t.Error("RegisterClientUDF(nil) should fail")
 	}
-	if err := cat.AddUDF(&UDF{Name: ""}); err == nil {
-		t.Error("AddUDF of invalid UDF should fail")
-	}
-}
-
-func TestSiteString(t *testing.T) {
-	if SiteServer.String() != "server" || SiteClient.String() != "client" {
-		t.Error("Site.String values wrong")
-	}
-}
-
-func TestUpdateStats(t *testing.T) {
-	c := New()
-	if err := c.AddTable(&Table{Name: "R", Schema: stockSchema()}); err != nil {
-		t.Fatal(err)
-	}
-	stats := TableStats{RowCount: 100, AvgRowSize: 1000, DistinctFraction: map[int]float64{1: 0.8}}
-	if err := c.UpdateStats("r", stats); err != nil {
-		t.Fatalf("UpdateStats: %v", err)
-	}
-	tbl, _ := c.Table("R")
-	if tbl.Stats.RowCount != 100 || tbl.Stats.DistinctFraction[1] != 0.8 {
-		t.Errorf("stats not applied: %+v", tbl.Stats)
-	}
-	if err := c.UpdateStats("missing", stats); err == nil {
-		t.Error("UpdateStats on missing table should fail")
+	if _, err := cat.RegisterClientUDF(&wire.RegisterUDF{Name: ""}); err == nil {
+		t.Error("RegisterClientUDF of an invalid UDF should fail")
 	}
 }
 
@@ -181,14 +119,30 @@ func TestCatalogConcurrency(t *testing.T) {
 			name := strings.Repeat("t", i+1)
 			_ = c.AddTable(&Table{Name: name, Schema: stockSchema()})
 			_, _ = c.Table(name)
-			_ = c.Tables()
-			_ = c.AddUDF(&UDF{Name: name, ResultKind: types.KindInt})
+			_, _ = c.RegisterClientUDF(&wire.RegisterUDF{Name: name, ResultKind: types.KindInt})
 			_, _ = c.UDF(name)
 			_ = c.UDFs()
 		}(i)
 	}
 	wg.Wait()
-	if len(c.Tables()) != 8 || len(c.UDFs()) != 8 {
-		t.Errorf("concurrent registration lost entries: %d tables, %d udfs", len(c.Tables()), len(c.UDFs()))
+	for i := 0; i < 8; i++ {
+		if _, err := c.Table(strings.Repeat("t", i+1)); err != nil {
+			t.Errorf("concurrent registration lost a table: %v", err)
+		}
 	}
+	if len(c.UDFs()) != 8 {
+		t.Errorf("concurrent registration lost UDFs: %d", len(c.UDFs()))
+	}
+}
+
+// UDFs returns all registered UDFs sorted by name.
+func (c *Catalog) UDFs() []*UDF {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := make([]*UDF, 0, len(c.udfs))
+	for _, u := range c.udfs {
+		out = append(out, u)
+	}
+	sort.Slice(out, func(i, j int) bool { return key(out[i].Name) < key(out[j].Name) })
+	return out
 }

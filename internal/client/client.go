@@ -2,14 +2,12 @@
 // the paper's Java client process. It owns the user's functions (which never
 // leave the client), executes them against argument tuples or full records
 // shipped by the server, applies pushable predicates and projections before
-// returning anything, and can act as the final result consumer when the plan
-// merges a client-site UDF group with the result operator.
+// returning anything.
 package client
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"strings"
@@ -59,35 +57,16 @@ func (f *Func) Validate() error {
 	return nil
 }
 
-// ResultRow is one final-result row delivered directly to the client (when
-// the plan merged the UDF group with the final result operator).
-type ResultRow struct {
-	SessionID uint64
-	Tuple     types.Tuple
-}
-
 // Runtime hosts client-site UDFs and serves UDF-execution sessions over a
 // wire connection.
 type Runtime struct {
 	mu    sync.RWMutex
 	funcs map[string]*Func
-
-	// ResultSink receives final-delivery rows; when nil, such rows are
-	// counted but discarded. A server that fans a query out across parallel
-	// sessions delivers rows on every session's serving goroutine, so the
-	// sink must be safe for concurrent calls.
-	ResultSink func(ResultRow)
-
-	// stats
-	invocations map[string]int64
 }
 
 // NewRuntime returns an empty client runtime.
 func NewRuntime() *Runtime {
-	return &Runtime{
-		funcs:       make(map[string]*Func),
-		invocations: make(map[string]int64),
-	}
+	return &Runtime{funcs: make(map[string]*Func)}
 }
 
 // Register adds a UDF implementation to the runtime.
@@ -127,19 +106,6 @@ func (r *Runtime) Functions() []*Func {
 	return out
 }
 
-// Invocations returns how many times the named function has been called.
-func (r *Runtime) Invocations(name string) int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.invocations[strings.ToLower(name)]
-}
-
-func (r *Runtime) recordInvocation(name string) {
-	r.mu.Lock()
-	r.invocations[strings.ToLower(name)]++
-	r.mu.Unlock()
-}
-
 // Call invokes a registered function directly (used by in-process setups).
 func (r *Runtime) Call(name string, args []types.Value) (types.Value, error) {
 	f, ok := r.Lookup(name)
@@ -149,7 +115,6 @@ func (r *Runtime) Call(name string, args []types.Value) (types.Value, error) {
 	if len(f.ArgKinds) > 0 && len(args) != len(f.ArgKinds) {
 		return types.Value{}, fmt.Errorf("client: %s expects %d arguments, got %d", f.Name, len(f.ArgKinds), len(args))
 	}
-	r.recordInvocation(name)
 	return f.Body(args)
 }
 
@@ -179,21 +144,9 @@ type session struct {
 	udfs      []*Func
 	predicate expr.Expr
 	eval      *expr.Evaluator
-	delivered uint64
 	dict      bool          // dictionary encoding negotiated for this session
 	out       []types.Tuple // reusable uplink batch
 	args      []types.Value // reusable UDF argument scratch
-}
-
-// Serve handles one server connection until it is closed or a fatal protocol
-// error occurs. It is the main loop of the client process.
-func (r *Runtime) Serve(rw io.ReadWriteCloser) error {
-	conn := wire.NewConn(rw)
-	defer conn.Close()
-	if err := r.Announce(conn); err != nil {
-		return err
-	}
-	return r.ServeConn(conn)
 }
 
 // ServeListener accepts connections on ln and serves each with ServeConn (no
@@ -283,35 +236,19 @@ func (r *Runtime) ServeConn(conn *wire.Conn) error {
 				continue
 			}
 			reply := wire.TupleBatch{SessionID: incoming.SessionID, Seq: incoming.Seq, Tuples: out}
-			dict := s.dict
-			if s.req.FinalDelivery {
-				for _, t := range out {
-					s.delivered++
-					if r.ResultSink != nil {
-						// Clone: the sink may retain the row, while out tuples
-						// share the batch's arena.
-						r.ResultSink(ResultRow{SessionID: incoming.SessionID, Tuple: t.Clone()})
-					}
-				}
-				// Acknowledge progress with an empty result batch so that the
-				// server's flow control (the semi-join buffer) keeps moving.
-				reply.Tuples = nil
-			}
-			if err := r.sendBatch(conn, &reply, dict); err != nil {
+			if err := r.sendBatch(conn, &reply, s.dict); err != nil {
 				return err
 			}
 		case wire.MsgEnd:
+			// Servers that predate ending a query by closing its sessions end
+			// each one with End and wait for the echo. The client keeps no
+			// rows, so the echo delivers none.
 			end, err := wire.DecodeEnd(msg.Payload)
 			if err != nil {
 				return fmt.Errorf("client: bad end: %w", err)
 			}
-			s := sessions[end.SessionID]
-			rows := uint64(0)
-			if s != nil {
-				rows = s.delivered
-			}
 			delete(sessions, end.SessionID)
-			if err := conn.Send(wire.MsgEnd, wire.EncodeEnd(&wire.End{SessionID: end.SessionID, Rows: rows})); err != nil {
+			if err := conn.Send(wire.MsgEnd, wire.EncodeEnd(&wire.End{SessionID: end.SessionID})); err != nil {
 				return err
 			}
 		case wire.MsgProbe:
@@ -361,6 +298,10 @@ func (r *Runtime) sendBatch(conn *wire.Conn, b *wire.TupleBatch, dict bool) erro
 func (r *Runtime) newSession(req *wire.SetupRequest) (*session, error) {
 	if req.InputSchema == nil || req.InputSchema.Len() == 0 {
 		return nil, fmt.Errorf("setup has no input schema")
+	}
+	if req.FinalDelivery {
+		// The rows would have nowhere to go: the client runtime keeps none.
+		return nil, fmt.Errorf("setup asks for final delivery (flag bit 0), which this client does not serve")
 	}
 	s := &session{req: req, eval: &expr.Evaluator{}}
 	for _, spec := range req.UDFs {
@@ -440,7 +381,6 @@ func (r *Runtime) processBatch(s *session, tuples []types.Tuple) (_ []types.Tupl
 			for j, o := range spec.ArgOrdinals {
 				args[j] = arena[start+o]
 			}
-			r.recordInvocation(f.Name)
 			v, err := f.Body(args)
 			if err != nil {
 				return nil, fmt.Errorf("UDF %s: %w", f.Name, err)

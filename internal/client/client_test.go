@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"csq/internal/expr"
@@ -80,7 +81,8 @@ func TestRegisterAndCall(t *testing.T) {
 	if _, ok := r.Lookup("clientanalysis"); !ok {
 		t.Error("case-insensitive lookup failed")
 	}
-	v, err := r.Call("ClientAnalysis", []types.Value{types.NewTimeSeries(types.NewSeries(100, 120))})
+	calls := countCalls(t, r, "ClientAnalysis")
+	v, err := r.Call("ClientAnalysis", []types.Value{types.NewTimeSeries(types.TimeSeries{100, 120})})
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
@@ -93,8 +95,8 @@ func TestRegisterAndCall(t *testing.T) {
 	if _, err := r.Call("ClientAnalysis", nil); err == nil {
 		t.Error("wrong arity should fail")
 	}
-	if r.Invocations("ClientAnalysis") != 1 {
-		t.Errorf("invocation count = %d", r.Invocations("ClientAnalysis"))
+	if calls.Load() != 1 {
+		t.Errorf("invocation count = %d", calls.Load())
 	}
 	if err := r.Register(volatilityFunc()); err != nil {
 		t.Fatal(err)
@@ -105,28 +107,15 @@ func TestRegisterAndCall(t *testing.T) {
 	}
 }
 
-// startRuntime wires a runtime to an in-process connection and returns the
-// server-side framed connection plus a cleanup function. It also consumes the
-// announcement preamble.
+// startRuntime wires a runtime to an in-process connection, served as a
+// session dialled by the server is, and returns the server-side framed
+// connection plus a cleanup function.
 func startRuntime(t *testing.T, r *Runtime) (*wire.Conn, func()) {
 	t.Helper()
 	serverRaw, clientRaw := net.Pipe()
 	done := make(chan error, 1)
-	go func() { done <- r.Serve(clientRaw) }()
+	go func() { done <- r.ServeConn(wire.NewConn(clientRaw)) }()
 	conn := wire.NewConn(serverRaw)
-	// Drain announcements until End(0).
-	for {
-		msg, err := conn.Receive()
-		if err != nil {
-			t.Fatalf("receive announcement: %v", err)
-		}
-		if msg.Type == wire.MsgEnd {
-			break
-		}
-		if msg.Type != wire.MsgRegisterUDF {
-			t.Fatalf("unexpected preamble message %s", msg.Type)
-		}
-	}
 	cleanup := func() {
 		_ = conn.Close()
 		_ = serverRaw.Close()
@@ -160,7 +149,7 @@ func setupSession(t *testing.T, conn *wire.Conn, req *wire.SetupRequest) *wire.S
 
 func sendBatch(t *testing.T, conn *wire.Conn, session, seq uint64, tuples []types.Tuple) *wire.TupleBatch {
 	t.Helper()
-	payload, err := wire.EncodeTupleBatch(&wire.TupleBatch{SessionID: session, Seq: seq, Tuples: tuples})
+	payload, err := wire.AppendTupleBatch(nil, &wire.TupleBatch{SessionID: session, Seq: seq, Tuples: tuples})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +167,8 @@ func sendBatch(t *testing.T, conn *wire.Conn, session, seq uint64, tuples []type
 	if msg.Type != wire.MsgResultBatch {
 		t.Fatalf("expected RESULT_BATCH, got %s", msg.Type)
 	}
-	batch, err := wire.DecodeTupleBatch(msg.Payload)
-	if err != nil {
+	batch := &wire.TupleBatch{}
+	if err := wire.DecodeTupleBatchInto(batch, msg.Payload); err != nil {
 		t.Fatal(err)
 	}
 	return batch
@@ -190,7 +179,7 @@ func TestAnnouncePreamble(t *testing.T) {
 	_ = r.Register(analysisFunc())
 	_ = r.Register(volatilityFunc())
 	serverRaw, clientRaw := net.Pipe()
-	go func() { _ = r.Serve(clientRaw) }()
+	go func() { _ = r.Announce(wire.NewConn(clientRaw)) }()
 	conn := wire.NewConn(serverRaw)
 	defer conn.Close()
 	names := []string{}
@@ -216,6 +205,7 @@ func TestAnnouncePreamble(t *testing.T) {
 func TestSemiJoinSession(t *testing.T) {
 	r := NewRuntime()
 	_ = r.Register(analysisFunc())
+	calls := countCalls(t, r, "ClientAnalysis")
 	conn, cleanup := startRuntime(t, r)
 	defer cleanup()
 
@@ -229,8 +219,8 @@ func TestSemiJoinSession(t *testing.T) {
 		t.Fatalf("setup rejected: %s", ack.Error)
 	}
 	args := []types.Tuple{
-		types.NewTuple(types.NewTimeSeries(types.NewSeries(100, 150))),
-		types.NewTuple(types.NewTimeSeries(types.NewSeries(100, 90))),
+		types.NewTuple(types.NewTimeSeries(types.TimeSeries{100, 150})),
+		types.NewTuple(types.NewTimeSeries(types.TimeSeries{100, 90})),
 	}
 	res := sendBatch(t, conn, 1, 0, args)
 	if len(res.Tuples) != 2 {
@@ -254,8 +244,8 @@ func TestSemiJoinSession(t *testing.T) {
 	if err != nil || msg.Type != wire.MsgEnd {
 		t.Fatalf("end handshake = %v, %v", msg.Type, err)
 	}
-	if r.Invocations("ClientAnalysis") != 2 {
-		t.Errorf("invocations = %d", r.Invocations("ClientAnalysis"))
+	if calls.Load() != 2 {
+		t.Errorf("invocations = %d", calls.Load())
 	}
 }
 
@@ -286,9 +276,9 @@ func TestClientJoinSessionWithPushableOps(t *testing.T) {
 		t.Fatalf("setup rejected: %s", ack.Error)
 	}
 	rows := []types.Tuple{
-		types.NewTuple(types.NewTimeSeries(types.NewSeries(100, 150)), types.NewString("UP")),
-		types.NewTuple(types.NewTimeSeries(types.NewSeries(100, 50)), types.NewString("DOWN")),
-		types.NewTuple(types.NewTimeSeries(types.NewSeries(100, 101)), types.NewString("FLATISH")),
+		types.NewTuple(types.NewTimeSeries(types.TimeSeries{100, 150}), types.NewString("UP")),
+		types.NewTuple(types.NewTimeSeries(types.TimeSeries{100, 50}), types.NewString("DOWN")),
+		types.NewTuple(types.NewTimeSeries(types.TimeSeries{100, 101}), types.NewString("FLATISH")),
 	}
 	res := sendBatch(t, conn, 2, 0, rows)
 	if len(res.Tuples) != 2 {
@@ -308,6 +298,7 @@ func TestClientJoinSessionWithPushableOps(t *testing.T) {
 func TestNaiveModeSession(t *testing.T) {
 	r := NewRuntime()
 	_ = r.Register(analysisFunc())
+	calls := countCalls(t, r, "ClientAnalysis")
 	conn, cleanup := startRuntime(t, r)
 	defer cleanup()
 	ack := setupSession(t, conn, &wire.SetupRequest{
@@ -322,14 +313,14 @@ func TestNaiveModeSession(t *testing.T) {
 	// Naive mode: one tuple per batch, many batches.
 	for seq := uint64(0); seq < 5; seq++ {
 		res := sendBatch(t, conn, 3, seq, []types.Tuple{
-			types.NewTuple(types.NewTimeSeries(types.NewSeries(100, 100+float64(seq)))),
+			types.NewTuple(types.NewTimeSeries(types.TimeSeries{100, 100 + float64(seq)})),
 		})
 		if len(res.Tuples) != 1 || res.Seq != seq {
 			t.Fatalf("naive batch %d: %d tuples, seq %d", seq, len(res.Tuples), res.Seq)
 		}
 	}
-	if r.Invocations("ClientAnalysis") != 5 {
-		t.Errorf("invocations = %d", r.Invocations("ClientAnalysis"))
+	if calls.Load() != 5 {
+		t.Errorf("invocations = %d", calls.Load())
 	}
 }
 
@@ -361,8 +352,8 @@ func TestMultiUDFAndChaining(t *testing.T) {
 	}
 	rows := []types.Tuple{
 		types.NewTuple(
-			types.NewTimeSeries(types.NewSeries(100, 120)),
-			types.NewTimeSeries(types.NewSeries(50, 55, 60)),
+			types.NewTimeSeries(types.TimeSeries{100, 120}),
+			types.NewTimeSeries(types.TimeSeries{50, 55, 60}),
 			types.NewString("ACME"),
 		),
 	}
@@ -382,11 +373,13 @@ func TestMultiUDFAndChaining(t *testing.T) {
 	}
 }
 
-func TestFinalDeliverySession(t *testing.T) {
+// TestRefusesFinalDelivery: the client keeps no rows, so a setup carrying
+// the retired final-delivery bit is refused by name, and an End (which
+// servers that predate ending a query by closing its sessions still send)
+// is echoed with no rows.
+func TestRefusesFinalDelivery(t *testing.T) {
 	r := NewRuntime()
 	_ = r.Register(analysisFunc())
-	var delivered []ResultRow
-	r.ResultSink = func(row ResultRow) { delivered = append(delivered, row) }
 	conn, cleanup := startRuntime(t, r)
 	defer cleanup()
 
@@ -397,21 +390,9 @@ func TestFinalDeliverySession(t *testing.T) {
 		UDFs:          []wire.UDFSpec{{Name: "ClientAnalysis", ArgOrdinals: []int{0}}},
 		FinalDelivery: true,
 	})
-	if !ack.OK {
-		t.Fatalf("setup rejected: %s", ack.Error)
+	if ack.OK || !strings.Contains(ack.Error, "final delivery (flag bit 0)") {
+		t.Errorf("final-delivery setup ack = %+v, want a refusal naming the bit", ack)
 	}
-	rows := []types.Tuple{
-		types.NewTuple(types.NewTimeSeries(types.NewSeries(1, 2)), types.NewString("A")),
-		types.NewTuple(types.NewTimeSeries(types.NewSeries(2, 3)), types.NewString("B")),
-	}
-	res := sendBatch(t, conn, 5, 0, rows)
-	if len(res.Tuples) != 0 {
-		t.Errorf("final delivery should return no tuples on the uplink, got %d", len(res.Tuples))
-	}
-	if len(delivered) != 2 {
-		t.Errorf("delivered %d rows to the sink, want 2", len(delivered))
-	}
-	// End reports the delivered row count.
 	if err := conn.Send(wire.MsgEnd, wire.EncodeEnd(&wire.End{SessionID: 5})); err != nil {
 		t.Fatal(err)
 	}
@@ -419,9 +400,8 @@ func TestFinalDeliverySession(t *testing.T) {
 	if err != nil || msg.Type != wire.MsgEnd {
 		t.Fatalf("end = %v, %v", msg, err)
 	}
-	end, _ := wire.DecodeEnd(msg.Payload)
-	if end.Rows != 2 {
-		t.Errorf("final row count = %d", end.Rows)
+	if end, err := wire.DecodeEnd(msg.Payload); err != nil || end.SessionID != 5 || end.Rows != 0 {
+		t.Errorf("end echo = %+v, %v; want session 5, 0 rows", end, err)
 	}
 }
 
@@ -494,9 +474,9 @@ func TestRuntimeErrorsDuringBatch(t *testing.T) {
 	if !ack.OK {
 		t.Fatalf("setup rejected: %s", ack.Error)
 	}
-	payload, _ := wire.EncodeTupleBatch(&wire.TupleBatch{
+	payload, _ := wire.AppendTupleBatch(nil, &wire.TupleBatch{
 		SessionID: 10, Seq: 0,
-		Tuples: []types.Tuple{types.NewTuple(types.NewTimeSeries(types.NewSeries(1)))},
+		Tuples: []types.Tuple{types.NewTuple(types.NewTimeSeries(types.TimeSeries{1}))},
 	})
 	if err := conn.Send(wire.MsgTupleBatch, payload); err != nil {
 		t.Fatal(err)
@@ -514,7 +494,7 @@ func TestRuntimeErrorsDuringBatch(t *testing.T) {
 	}
 
 	// A batch for a session that was never set up also yields an error.
-	payload, _ = wire.EncodeTupleBatch(&wire.TupleBatch{SessionID: 999, Seq: 0})
+	payload, _ = wire.AppendTupleBatch(nil, &wire.TupleBatch{SessionID: 999, Seq: 0})
 	if err := conn.Send(wire.MsgTupleBatch, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +511,7 @@ func TestRuntimeErrorsDuringBatch(t *testing.T) {
 	if !ack.OK {
 		t.Fatal("setup should succeed")
 	}
-	payload, _ = wire.EncodeTupleBatch(&wire.TupleBatch{
+	payload, _ = wire.AppendTupleBatch(nil, &wire.TupleBatch{
 		SessionID: 11, Seq: 0,
 		Tuples: []types.Tuple{types.NewTuple(types.NewInt(1))},
 	})
@@ -542,4 +522,20 @@ func TestRuntimeErrorsDuringBatch(t *testing.T) {
 	if err != nil || msg.Type != wire.MsgError {
 		t.Fatalf("arity mismatch should produce ERROR, got %v, %v", msg.Type, err)
 	}
+}
+
+// countCalls makes the registered function count its invocations.
+func countCalls(t *testing.T, r *Runtime, name string) *atomic.Int64 {
+	t.Helper()
+	f, ok := r.Lookup(name)
+	if !ok {
+		t.Fatalf("%s is not registered", name)
+	}
+	var n atomic.Int64
+	body := f.Body
+	f.Body = func(args []types.Value) (types.Value, error) {
+		n.Add(1)
+		return body(args)
+	}
+	return &n
 }

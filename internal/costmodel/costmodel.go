@@ -146,17 +146,6 @@ func Cost(s Strategy, p Params) LinkCost {
 	return SemiJoinCost(p)
 }
 
-// RelativeTime returns the execution time of the client-site join relative to
-// the semi-join (the quantity plotted on the y axis of Figures 8, 9 and 10).
-// Values below 1 mean the client-site join is faster.
-func RelativeTime(p Params) float64 {
-	sj := SemiJoinCost(p).Bottleneck()
-	if sj == 0 {
-		return math.Inf(1)
-	}
-	return ClientJoinCost(p).Bottleneck() / sj
-}
-
 // Choose returns the cheaper strategy under the model along with both costs.
 // Ties go to the semi-join (Choose picks the client-site join only when it is
 // strictly cheaper). Choose does not validate p; callers with untrusted or
@@ -183,25 +172,6 @@ func Decide(p Params) (Strategy, LinkCost, LinkCost, error) {
 	return s, sj, cj, nil
 }
 
-// CrossoverSelectivity returns the pushable-predicate selectivity at which
-// the client-site join's uplink cost equals the semi-join's bottleneck cost —
-// the knee of the curves in Figure 8. It returns +Inf when the client-site
-// join never becomes uplink-bound within [0,1].
-func CrossoverSelectivity(p Params) float64 {
-	// Uplink(CSJ) = N·S·P·(I+R); equate with max(downlink CSJ, bottleneck SJ)
-	// to find where the flat part of the relative-time curve ends.
-	denom := p.Asymmetry * p.ProjectionFraction * (p.InputSize + p.ResultSize)
-	if denom == 0 {
-		return math.Inf(1)
-	}
-	s := ClientJoinCost(Params{
-		Rows: p.Rows, InputSize: p.InputSize, ArgFraction: p.ArgFraction,
-		DistinctFraction: p.DistinctFraction, Selectivity: 0, ProjectionFraction: p.ProjectionFraction,
-		ResultSize: p.ResultSize, Asymmetry: p.Asymmetry, PerTupleOverhead: p.PerTupleOverhead,
-	}).Downlink / denom
-	return s
-}
-
 // TotalBytes scales the per-tuple costs to the whole relation, returning raw
 // (unweighted) downlink and uplink byte counts for a strategy. It is used to
 // validate the model against the implementation's byte counters. Because the
@@ -226,8 +196,6 @@ type PipelineParams struct {
 	UpBandwidth   float64
 	// Latency is the one-way network latency.
 	Latency time.Duration
-	// ClientTimePerTuple is the client processing time per tuple.
-	ClientTimePerTuple time.Duration
 	// ArgBytes and ResultBytes are the per-tuple payload sizes in each
 	// direction.
 	ArgBytes    float64
@@ -260,9 +228,6 @@ func (p PipelineParams) BottleneckBandwidth() float64 {
 	if p.UpBandwidth > 0 && p.ResultBytes > 0 {
 		stages = append(stages, t*p.UpBandwidth/p.ResultBytes)
 	}
-	if p.ClientTimePerTuple > 0 {
-		stages = append(stages, t/p.ClientTimePerTuple.Seconds())
-	}
 	if len(stages) == 0 {
 		return math.Inf(1)
 	}
@@ -286,7 +251,6 @@ func (p PipelineParams) RoundTripTime() time.Duration {
 	if p.UpBandwidth > 0 {
 		t += time.Duration(p.ResultBytes / p.UpBandwidth * float64(time.Second))
 	}
-	t += p.ClientTimePerTuple
 	return t
 }
 

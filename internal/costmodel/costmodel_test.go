@@ -148,35 +148,35 @@ func TestDecideValidates(t *testing.T) {
 // lower selectivities and deepen the flat part.
 func TestFigure8Shape(t *testing.T) {
 	for _, r := range []float64{100, 1000, 2000, 5000} {
-		atZero := RelativeTime(figure8Params(r, 0))
-		atOne := RelativeTime(figure8Params(r, 1))
+		atZero := relativeTime(figure8Params(r, 0))
+		atOne := relativeTime(figure8Params(r, 1))
 		if atOne < atZero {
 			t.Errorf("R=%g: relative time should not decrease with selectivity (%.3f -> %.3f)", r, atZero, atOne)
 		}
 	}
 	// Larger result sizes make the CSJ relatively cheaper at low selectivity
 	// (deeper flat part).
-	if !(RelativeTime(figure8Params(5000, 0.1)) < RelativeTime(figure8Params(1000, 0.1))) {
+	if !(relativeTime(figure8Params(5000, 0.1)) < relativeTime(figure8Params(1000, 0.1))) {
 		t.Error("larger results should favour the client-site join at low selectivity")
 	}
 	// The paper reports the knee for R=1000 at about S=0.6: below it the
 	// curve is flat (downlink-bound), above it it grows.
-	flatA := RelativeTime(figure8Params(1000, 0.2))
-	flatB := RelativeTime(figure8Params(1000, 0.5))
-	rising := RelativeTime(figure8Params(1000, 0.9))
+	flatA := relativeTime(figure8Params(1000, 0.2))
+	flatB := relativeTime(figure8Params(1000, 0.5))
+	rising := relativeTime(figure8Params(1000, 0.9))
 	if math.Abs(flatA-flatB) > 1e-9 {
 		t.Errorf("R=1000 curve should be flat below the knee: %.3f vs %.3f", flatA, flatB)
 	}
 	if rising <= flatB {
 		t.Errorf("R=1000 curve should rise beyond the knee: %.3f vs %.3f", rising, flatB)
 	}
-	knee := CrossoverSelectivity(figure8Params(1000, 0))
+	knee := crossoverSelectivity(figure8Params(1000, 0))
 	if knee < 0.5 || knee > 0.8 {
 		t.Errorf("R=1000 knee at selectivity %.3f, paper reports ≈0.6", knee)
 	}
 	// For the 2000-byte curve the flat level is about 0.5 (1000 bytes on the
 	// semi-join downlink vs 2000 on its uplink), per the paper's discussion.
-	level := RelativeTime(figure8Params(2000, 0.1))
+	level := relativeTime(figure8Params(2000, 0.1))
 	if math.Abs(level-0.5) > 0.1 {
 		t.Errorf("R=2000 flat level = %.3f, paper reports ≈0.5", level)
 	}
@@ -187,20 +187,20 @@ func TestFigure8Shape(t *testing.T) {
 // essentially linearly from very small selectivities.
 func TestFigure9Shape(t *testing.T) {
 	for _, r := range []float64{500, 1000, 5000} {
-		knee := CrossoverSelectivity(figure9Params(r, 0))
+		knee := crossoverSelectivity(figure9Params(r, 0))
 		if knee > 0.05 {
 			t.Errorf("R=%g: knee at %.4f; with N=100 the flat part should be almost absent", r, knee)
 		}
 		// Linearity: f(0.8) ≈ 2·f(0.4) once uplink-bound.
-		f4 := RelativeTime(figure9Params(r, 0.4))
-		f8 := RelativeTime(figure9Params(r, 0.8))
+		f4 := relativeTime(figure9Params(r, 0.4))
+		f8 := relativeTime(figure9Params(r, 0.8))
 		if math.Abs(f8/f4-2) > 0.05 {
 			t.Errorf("R=%g: relative time not linear in selectivity: f(0.8)/f(0.4) = %.3f", r, f8/f4)
 		}
 	}
 	// The paper's prediction for the lowest curve (R=5000): downlink becomes
 	// the bottleneck only below S ≈ I/(N·P·(R+I)) = 0.0083.
-	knee := CrossoverSelectivity(figure9Params(5000, 0))
+	knee := crossoverSelectivity(figure9Params(5000, 0))
 	if math.Abs(knee-0.0083) > 0.002 {
 		t.Errorf("R=5000 knee = %.4f, paper predicts ≈0.0083", knee)
 	}
@@ -223,14 +223,14 @@ func TestFigure10Shape(t *testing.T) {
 		// Decreasing in R.
 		prev := math.Inf(1)
 		for _, r := range []float64{50, 200, 800, 2000} {
-			v := RelativeTime(params(r, s))
+			v := relativeTime(params(r, s))
 			if v > prev+1e-9 {
 				t.Errorf("S=%g: relative time should fall with result size (R=%g: %.3f > %.3f)", s, r, v, prev)
 			}
 			prev = v
 		}
 		// Asymptotically approaches S for very large results.
-		asym := RelativeTime(params(1e7, s))
+		asym := relativeTime(params(1e7, s))
 		if math.Abs(asym-s) > 0.05 {
 			t.Errorf("S=%g: asymptote = %.3f, want ≈%g", s, asym, s)
 		}
@@ -238,15 +238,15 @@ func TestFigure10Shape(t *testing.T) {
 		// R = S·I·(1−A)/(1−S) (the paper's observation); the client-site
 		// join's downlink floor of I bytes caps how early it can happen.
 		rCross := math.Max(s*500*0.8/(1-s), 500)
-		below := RelativeTime(params(rCross*0.8, s))
-		above := RelativeTime(params(rCross*1.3, s))
+		below := relativeTime(params(rCross*0.8, s))
+		above := relativeTime(params(rCross*1.3, s))
 		if !(below > 1 && above < 1) {
 			t.Errorf("S=%g: crossover around R=%.0f not observed (%.3f, %.3f)", s, rCross, below, above)
 		}
 	}
 	// The S=1 curve never crosses the 1.0 line.
 	for _, r := range []float64{10, 500, 2000, 100000} {
-		if RelativeTime(params(r, 1)) < 1 {
+		if relativeTime(params(r, 1)) < 1 {
 			t.Errorf("S=1 curve crossed 1.0 at R=%g", r)
 		}
 	}
@@ -272,13 +272,13 @@ func TestRelativeTimeDegenerate(t *testing.T) {
 	p.ArgFraction = 1e-12
 	// Semi-join cost collapses towards zero; relative time explodes but must
 	// not panic.
-	if v := RelativeTime(Params{
+	if v := relativeTime(Params{
 		Rows: 1, InputSize: 1, ArgFraction: 1, DistinctFraction: 1e-300,
 		Selectivity: 1, ProjectionFraction: 1, ResultSize: 0, Asymmetry: 1,
 	}); !math.IsInf(v, 1) && v <= 0 {
 		t.Errorf("degenerate relative time = %g", v)
 	}
-	if !math.IsInf(CrossoverSelectivity(Params{InputSize: 1, Asymmetry: 1}), 1) {
+	if !math.IsInf(crossoverSelectivity(Params{InputSize: 1, Asymmetry: 1}), 1) {
 		t.Error("crossover with zero denominator should be +Inf")
 	}
 }
@@ -290,12 +290,11 @@ func TestPipelineModel(t *testing.T) {
 	// bandwidth·latency product of about 5000 bytes.
 	mk := func(objBytes float64) PipelineParams {
 		return PipelineParams{
-			DownBandwidth:      3600,
-			UpBandwidth:        3600,
-			Latency:            700 * time.Millisecond,
-			ClientTimePerTuple: 0,
-			ArgBytes:           objBytes,
-			ResultBytes:        objBytes,
+			DownBandwidth: 3600,
+			UpBandwidth:   3600,
+			Latency:       700 * time.Millisecond,
+			ArgBytes:      objBytes,
+			ResultBytes:   objBytes,
 		}
 	}
 	w1000 := OptimalConcurrency(mk(1000))
@@ -316,10 +315,6 @@ func TestPipelineModel(t *testing.T) {
 	// Degenerate pipelines.
 	if OptimalConcurrency(PipelineParams{}) != 1 {
 		t.Error("empty pipeline should default to concurrency 1")
-	}
-	slowClient := PipelineParams{ClientTimePerTuple: time.Second, Latency: time.Millisecond}
-	if OptimalConcurrency(slowClient) != 1 {
-		t.Errorf("client-bound pipeline should need no extra concurrency, got %d", OptimalConcurrency(slowClient))
 	}
 	if mk(1000).RoundTripTime() <= 2*700*time.Millisecond {
 		t.Error("round trip should include transfer time on top of latency")
@@ -373,12 +368,11 @@ func TestQuickCostModelInvariants(t *testing.T) {
 
 func TestPipelineSessions(t *testing.T) {
 	base := PipelineParams{
-		DownBandwidth:      3600,
-		UpBandwidth:        3600,
-		Latency:            50 * time.Millisecond,
-		ClientTimePerTuple: 2 * time.Millisecond,
-		ArgBytes:           100,
-		ResultBytes:        100,
+		DownBandwidth: 3600,
+		UpBandwidth:   3600,
+		Latency:       50 * time.Millisecond,
+		ArgBytes:      100,
+		ResultBytes:   100,
 	}
 	b1 := base.BottleneckBandwidth()
 	par := base
@@ -425,4 +419,34 @@ func TestOptimalSessions(t *testing.T) {
 	if got := OptimalSessions(216_000, 3600, rtt, 0); got != 1 {
 		t.Errorf("max < 1 sessions = %d, want 1", got)
 	}
+}
+
+// relativeTime returns the execution time of the client-site join relative to
+// the semi-join (the quantity plotted on the y axis of Figures 8, 9 and 10).
+// Values below 1 mean the client-site join is faster.
+func relativeTime(p Params) float64 {
+	sj := SemiJoinCost(p).Bottleneck()
+	if sj == 0 {
+		return math.Inf(1)
+	}
+	return ClientJoinCost(p).Bottleneck() / sj
+}
+
+// crossoverSelectivity returns the pushable-predicate selectivity at which
+// the client-site join's uplink cost equals the semi-join's bottleneck cost —
+// the knee of the curves in Figure 8. It returns +Inf when the client-site
+// join never becomes uplink-bound within [0,1].
+func crossoverSelectivity(p Params) float64 {
+	// Uplink(CSJ) = N·S·P·(I+R); equate with max(downlink CSJ, bottleneck SJ)
+	// to find where the flat part of the relative-time curve ends.
+	denom := p.Asymmetry * p.ProjectionFraction * (p.InputSize + p.ResultSize)
+	if denom == 0 {
+		return math.Inf(1)
+	}
+	s := ClientJoinCost(Params{
+		Rows: p.Rows, InputSize: p.InputSize, ArgFraction: p.ArgFraction,
+		DistinctFraction: p.DistinctFraction, Selectivity: 0, ProjectionFraction: p.ProjectionFraction,
+		ResultSize: p.ResultSize, Asymmetry: p.Asymmetry, PerTupleOverhead: p.PerTupleOverhead,
+	}).Downlink / denom
+	return s
 }

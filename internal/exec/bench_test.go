@@ -30,7 +30,7 @@ func benchRows(n, distinct int) []types.Tuple {
 		rows = append(rows, types.NewTuple(
 			types.NewString(fmt.Sprintf("C%03d", i%distinct)),
 			types.NewFloat(float64(10+i)),
-			types.NewTimeSeries(types.NewSeries(100, 100+float64(i%distinct))),
+			types.NewTimeSeries(types.TimeSeries{100, 100 + float64(i%distinct)}),
 		))
 	}
 	return rows
@@ -81,7 +81,7 @@ func BenchmarkSemiJoin(b *testing.B) {
 	rows := benchRows(1024, 128)
 	build := func() *SemiJoin {
 		op, err := NewSemiJoin(NewValuesScan(stockSchema(), rows),
-			NewInProcessLink(newAnalysisRuntime(b), netsim.Unlimited()),
+			NewInProcessLink(newAnalysisRuntime(b), netsim.LinkConfig{}),
 			[]UDFBinding{analysisBinding()})
 		if err != nil {
 			b.Fatal(err)
@@ -101,7 +101,7 @@ func BenchmarkClientJoin(b *testing.B) {
 	rows := benchRows(1024, 128)
 	build := func() *ClientJoin {
 		op, err := NewClientJoin(NewValuesScan(stockSchema(), rows),
-			NewInProcessLink(newAnalysisRuntime(b), netsim.Unlimited()),
+			NewInProcessLink(newAnalysisRuntime(b), netsim.LinkConfig{}),
 			[]UDFBinding{analysisBinding()})
 		if err != nil {
 			b.Fatal(err)
@@ -151,7 +151,7 @@ func BenchmarkSemiJoinParallel(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				op, err := NewSemiJoin(NewValuesScan(schema, rows),
-					NewInProcessLink(deriveRuntime(b, 64), netsim.Unlimited()),
+					NewInProcessLink(deriveRuntime(b, 64), netsim.LinkConfig{}),
 					[]UDFBinding{deriveBinding()})
 				if err != nil {
 					b.Fatal(err)
@@ -183,7 +183,7 @@ func BenchmarkClientJoinParallel(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				op, err := NewClientJoin(NewValuesScan(schema, rows),
-					NewInProcessLink(deriveRuntime(b, 64), netsim.Unlimited()),
+					NewInProcessLink(deriveRuntime(b, 64), netsim.LinkConfig{}),
 					[]UDFBinding{deriveBinding()})
 				if err != nil {
 					b.Fatal(err)
@@ -207,7 +207,7 @@ func BenchmarkSemiJoinParallelFaulty(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			link := NewInProcessLink(deriveRuntime(b, 64), netsim.Unlimited())
+			link := NewInProcessLink(deriveRuntime(b, 64), netsim.LinkConfig{})
 			link.Faults = netsim.NewFaultScript(1).
 				Set(1, netsim.FaultConfig{DropAfterBytes: 2000})
 			op, err := NewSemiJoin(NewValuesScan(schema, rows), link,

@@ -32,10 +32,8 @@ const DefaultShipBatchSize = 8
 // the frames travel in parallel and the global record order is reconstructed
 // without sequence bookkeeping on the wire, even for a frame replayed on a
 // different session. The stream ends when the input does and every box is
-// opened: every reply is in, and Close retires the sessions. Only under
-// FinalDelivery does the sender run the pool's End handshake once every
-// frame is answered, because that is how the delivered row counts come back.
-// DictBatches additionally negotiates the per-batch value dictionary
+// opened: every reply is in, and Close retires the sessions; no End crosses
+// the link. DictBatches additionally negotiates the per-batch value dictionary
 // encoding on every session.
 type ClientJoin struct {
 	baseState
@@ -51,10 +49,6 @@ type ClientJoin struct {
 	// projection); ordinals index the extended record. Empty returns
 	// everything. Invalid ordinals are rejected by Open.
 	ProjectOrdinals []int
-	// FinalDelivery merges this operator with the final result operator: the
-	// client keeps the qualifying rows and nothing flows back on the uplink
-	// except an acknowledgement and the final row count (Section 5.1.1(d)).
-	FinalDelivery bool
 	// ShipBatchSize is the number of records per downlink frame.
 	ShipBatchSize int
 	// Sessions is the number of concurrent wire sessions record frames are
@@ -139,12 +133,6 @@ func (c *ClientJoin) Schema() *types.Schema {
 	return s
 }
 
-// DeliveredRows reports how many rows the client kept when FinalDelivery is
-// in effect: the sum of the row counts the sessions' End replies carry. Only
-// meaningful after the stream has ended; zero without FinalDelivery, which
-// sends no End.
-func (c *ClientJoin) DeliveredRows() uint64 { return c.pool.delivered() }
-
 // Open implements Operator: it validates the pushable projection and opens
 // the shipping pool, which starts the sender.
 func (c *ClientJoin) Open(ctx context.Context) error {
@@ -171,7 +159,6 @@ func (c *ClientJoin) Open(ctx context.Context) error {
 		InputSchema:     c.input.Schema(),
 		UDFs:            specs,
 		ProjectOrdinals: c.ProjectOrdinals,
-		FinalDelivery:   c.FinalDelivery,
 		DictBatches:     c.DictBatches,
 	}
 	if c.Pushable != nil {
@@ -208,8 +195,7 @@ func (c *ClientJoin) Open(ctx context.Context) error {
 
 // send ships the full input stream downlink, one frame per ShipBatchSize
 // records, charging each frame's records and recording the deal order for
-// the merging receiver. Under FinalDelivery it ends the stream with the
-// pool's End handshake once the input is exhausted.
+// the merging receiver.
 func (c *ClientJoin) send(ctx context.Context) error {
 	batch := make([]types.Tuple, c.ShipBatchSize)
 	for {
@@ -221,9 +207,6 @@ func (c *ClientJoin) send(ctx context.Context) error {
 			return err
 		}
 		if n == 0 {
-			if c.FinalDelivery {
-				return c.pool.end()
-			}
 			return nil
 		}
 		// The frame keeps its own copy of the records until it is answered.
@@ -263,8 +246,7 @@ func (c *ClientJoin) nextResultBatch() ([]types.Tuple, bool, error) {
 			return nil, false, c.pool.failure()
 		case next, ok := <-c.order:
 			if !ok {
-				// All frames merged (and, under FinalDelivery, the End
-				// handshake over), unless the sender stopped on an error.
+				// All frames merged, unless the sender stopped on an error.
 				return nil, false, c.pool.failure()
 			}
 			f = next

@@ -47,7 +47,6 @@ type InProcessLink struct {
 	linkBreaker
 	mu     sync.Mutex
 	opened int
-	pairs  []*netsim.Pair
 }
 
 // NewInProcessLink builds an in-process link to the given runtime over the
@@ -81,7 +80,6 @@ func (l *InProcessLink) OpenSession(ctx context.Context) (*wire.Conn, error) {
 		return nil, fmt.Errorf("exec: open session %d: %w", ordinal, netsim.ErrDialRefused)
 	}
 	pair := netsim.NewPair(cfg)
-	l.pairs = append(l.pairs, pair)
 	l.mu.Unlock()
 	clientConn := wire.NewConn(pair.ClientSide)
 	go func() {
@@ -92,50 +90,27 @@ func (l *InProcessLink) OpenSession(ctx context.Context) (*wire.Conn, error) {
 	return wire.NewConn(pair.ServerSide), nil
 }
 
-// Stats sums the traffic of every session opened through this link.
-func (l *InProcessLink) Stats() netsim.Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var total netsim.Stats
-	for _, p := range l.pairs {
-		s := p.Stats()
-		total.BytesDown += s.BytesDown
-		total.BytesUp += s.BytesUp
-	}
-	return total
-}
-
 // DialLink connects to a remote client runtime listening on a TCP address
 // (client.Runtime.ServeConn behind an accept loop). Each session dials a fresh
-// connection, optionally shaped.
+// connection.
 type DialLink struct {
 	// Addr is the client runtime's listen address.
 	Addr string
-	// Shaping, when non-nil, throttles the dialled connection (and injects
-	// its faults, if any are configured).
-	Shaping *netsim.LinkConfig
-	// DialTimeout bounds connection establishment; zero means 5 seconds.
-	DialTimeout time.Duration
 
 	linkBreaker
 }
 
-// OpenSession implements ClientLink. The dial gives up at DialTimeout or when
-// ctx is done, whichever comes first.
+// dialTimeout bounds establishing a session's connection.
+const dialTimeout = 5 * time.Second
+
+// OpenSession implements ClientLink. The dial gives up after dialTimeout or
+// when ctx is done, whichever comes first.
 func (l *DialLink) OpenSession(ctx context.Context) (*wire.Conn, error) {
-	timeout := l.DialTimeout
-	if timeout == 0 {
-		timeout = 5 * time.Second
-	}
-	raw, err := (&net.Dialer{Timeout: timeout}).DialContext(ctx, "tcp", l.Addr)
+	raw, err := (&net.Dialer{Timeout: dialTimeout}).DialContext(ctx, "tcp", l.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("exec: dial client runtime: %w", err)
 	}
-	conn := net.Conn(raw)
-	if l.Shaping != nil {
-		conn = netsim.ShapeLink(conn, *l.Shaping, nil)
-	}
-	return wire.NewConn(conn), nil
+	return wire.NewConn(raw), nil
 }
 
 // UDFBinding names one client-site UDF an operator must apply, the ordinals

@@ -104,12 +104,6 @@ func pruneOp(op expr.Op) (colstore.PruneOp, bool) {
 // Schema implements Operator.
 func (s *ColumnarScan) Schema() *types.Schema { return s.schema }
 
-// Preds exposes the translated zone-map predicates (for explain output).
-func (s *ColumnarScan) Preds() []colstore.PrunePredicate { return s.preds }
-
-// Required exposes the materialized table ordinals, nil meaning all.
-func (s *ColumnarScan) Required() []int { return s.required }
-
 // Open implements Operator.
 func (s *ColumnarScan) Open(ctx context.Context) error {
 	if s.table == nil {

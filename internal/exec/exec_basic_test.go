@@ -10,6 +10,7 @@ import (
 	"csq/internal/expr"
 	"csq/internal/storage"
 	"csq/internal/types"
+	"csq/internal/wire"
 )
 
 // ---- shared fixtures ----
@@ -28,7 +29,7 @@ func stockRows(n int) []types.Tuple {
 		rows = append(rows, types.NewTuple(
 			types.NewString(fmt.Sprintf("C%02d", i%7)),
 			types.NewFloat(float64(10+i)),
-			types.NewTimeSeries(types.NewSeries(100, 100+float64(i))),
+			types.NewTimeSeries(types.TimeSeries{100, 100 + float64(i)}),
 		))
 	}
 	return rows
@@ -53,9 +54,8 @@ func stockTable(t *testing.T, n int) *storage.HeapTable {
 func serverCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
-	if err := cat.AddUDF(&catalog.UDF{
+	if _, err := cat.RegisterClientUDF(&wire.RegisterUDF{
 		Name:        "ClientAnalysis",
-		Site:        catalog.SiteClient,
 		ArgKinds:    []types.Kind{types.KindTimeSeries},
 		ResultKind:  types.KindInt,
 		ResultSize:  10,
@@ -124,7 +124,7 @@ func TestValuesScan(t *testing.T) {
 func TestFilter(t *testing.T) {
 	scan := NewValuesScan(stockSchema(), stockRows(20))
 	pred := mustBind(t, stockSchema(), nil,
-		expr.NewBinary(expr.OpGt, expr.NewColumnRef("S", "Close"), expr.NewConst(types.NewFloat(20))))
+		expr.NewBinary(expr.OpGt, &expr.ColumnRef{Name: "Close", Ordinal: -1}, expr.NewConst(types.NewFloat(20))))
 	f := NewFilter(scan, pred)
 	rows, err := Collect(context.Background(), f)
 	if err != nil {
@@ -142,7 +142,7 @@ func TestFilter(t *testing.T) {
 	// A filter with a client-site UDF predicate must refuse to open.
 	cat := serverCatalog(t)
 	cpred := mustBind(t, stockSchema(), cat,
-		expr.NewBinary(expr.OpGt, expr.NewFuncCall("ClientAnalysis", expr.NewColumnRef("S", "Quotes")), expr.NewConst(types.NewInt(0))))
+		expr.NewBinary(expr.OpGt, expr.NewFuncCall("ClientAnalysis", &expr.ColumnRef{Name: "Quotes", Ordinal: -1}), expr.NewConst(types.NewInt(0))))
 	bad := NewFilter(NewValuesScan(stockSchema(), stockRows(2)), cpred)
 	if err := bad.Open(context.Background()); err == nil {
 		t.Error("filter with client-site predicate should fail to open")
@@ -274,7 +274,7 @@ func TestHashJoin(t *testing.T) {
 	}
 	// Residual predicate.
 	resid := mustBind(t, stockSchema().Concat(estimationsSchema()), nil,
-		expr.NewBinary(expr.OpGe, expr.NewColumnRef("E", "Rating"), expr.NewConst(types.NewInt(4))))
+		expr.NewBinary(expr.OpGe, &expr.ColumnRef{Name: "Rating", Ordinal: -1}, expr.NewConst(types.NewInt(4))))
 	j2, _ := NewHashJoin(NewValuesScan(stockSchema(), stockRows(7)), NewValuesScan(estimationsSchema(), estimationRows()),
 		[]int{0}, []int{0}, resid)
 	rows, err = Collect(context.Background(), j2)
@@ -319,7 +319,7 @@ func TestLargeIntKeysStayDistinct(t *testing.T) {
 		t.Fatalf("join over keys 2^53 and 2^53+1 = %d rows, want 2: %v", len(joined), joined)
 	}
 	for _, r := range joined {
-		if !r[0].Equal(r[2]) || !r[1].Equal(r[3]) {
+		if !sameRow(r[0:2], r[2:4]) {
 			t.Errorf("joined a key with its neighbour: %v", r)
 		}
 	}
@@ -339,7 +339,7 @@ func TestLargeIntKeysStayDistinct(t *testing.T) {
 		{types.NewInt(k), types.NewInt(2), types.NewInt(2)},
 		{types.NewInt(k + 1), types.NewInt(2), types.NewInt(20)},
 	}
-	if len(groups) != 2 || !groups[0].Equal(want[0]) || !groups[1].Equal(want[1]) {
+	if len(groups) != 2 || !sameRow(groups[0], want[0]) || !sameRow(groups[1], want[1]) {
 		t.Errorf("aggregate over keys 2^53 and 2^53+1 = %v, want %v", groups, want)
 	}
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -54,7 +55,7 @@ func requireSameRows(t *testing.T, name string, want, got []types.Tuple, ordered
 		return
 	}
 	for i := range want {
-		if !want[i].Equal(got[i]) {
+		if !sameRow(want[i], got[i]) {
 			t.Fatalf("%s: row %d differs: want=%v got=%v", name, i, want[i], got[i])
 		}
 	}
@@ -69,7 +70,7 @@ func TestBatchScalarEquivalence(t *testing.T) {
 	ctx := context.Background()
 	gtPred := func(t *testing.T) expr.Expr {
 		return mustBind(t, stockSchema(), serverCatalog(t),
-			expr.NewBinary(expr.OpGt, expr.NewColumnRef("S", "Close"), expr.NewConst(types.NewFloat(14))))
+			expr.NewBinary(expr.OpGt, &expr.ColumnRef{Name: "Close", Ordinal: -1}, expr.NewConst(types.NewFloat(14))))
 	}
 	cases := []struct {
 		name    string
@@ -83,7 +84,7 @@ func TestBatchScalarEquivalence(t *testing.T) {
 		}, true},
 		{"FilterNone", func(t *testing.T) Operator {
 			none := mustBind(t, stockSchema(), serverCatalog(t),
-				expr.NewBinary(expr.OpGt, expr.NewColumnRef("S", "Close"), expr.NewConst(types.NewFloat(1e9))))
+				expr.NewBinary(expr.OpGt, &expr.ColumnRef{Name: "Close", Ordinal: -1}, expr.NewConst(types.NewFloat(1e9))))
 			return NewFilter(NewValuesScan(stockSchema(), stockRows(40)), none)
 		}, true},
 		{"ProjectOrdinals", func(t *testing.T) Operator {
@@ -201,7 +202,7 @@ func TestClientJoinInvalidProjection(t *testing.T) {
 // tuples are independent of the codec-owned batch a result arrived in: every
 // duplicate observes the one shipped argument's result.
 func TestNaiveUDFCacheIndependence(t *testing.T) {
-	ts := types.NewTimeSeries(types.NewSeries(100, 150))
+	ts := types.NewTimeSeries(types.TimeSeries{100, 150})
 	rows := make([]types.Tuple, 6)
 	for i := range rows {
 		rows[i] = types.NewTuple(types.NewString("X"), types.NewFloat(float64(i)), ts)
@@ -227,4 +228,12 @@ func TestNaiveUDFCacheIndependence(t *testing.T) {
 	if st := op.NetStats(); st.Messages != 1 || st.Invocations != 1 {
 		t.Errorf("messages = %d, invocations = %d, want 1 and 1", st.Messages, st.Invocations)
 	}
+}
+
+// sameRow reports whether two rows encode to the same bytes, which tells
+// apart NULL kinds and INT from FLOAT.
+func sameRow(a, b types.Tuple) bool {
+	ea, errA := types.EncodeTuple(nil, a)
+	eb, errB := types.EncodeTuple(nil, b)
+	return errA == nil && errB == nil && bytes.Equal(ea, eb)
 }

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -76,7 +77,7 @@ func expectedRating(ts types.TimeSeries) int64 {
 }
 
 func fastLink(t testing.TB) *InProcessLink {
-	return NewInProcessLink(newAnalysisRuntime(t), netsim.Unlimited())
+	return NewInProcessLink(newAnalysisRuntime(t), netsim.LinkConfig{})
 }
 
 // newNaive builds the paper's naive strategy: a semi-join at concurrency
@@ -126,13 +127,14 @@ func TestNaiveUDFOperator(t *testing.T) {
 func TestNaiveUDFCache(t *testing.T) {
 	// All rows share the same argument value: the result table answers the
 	// duplicates, so only one round trip happens.
-	ts := types.NewTimeSeries(types.NewSeries(100, 110))
+	ts := types.NewTimeSeries(types.TimeSeries{100, 110})
 	rows := make([]types.Tuple, 10)
 	for i := range rows {
 		rows[i] = types.NewTuple(types.NewString("X"), types.NewFloat(1), ts)
 	}
 	rt := newAnalysisRuntime(t)
-	link := NewInProcessLink(rt, netsim.Unlimited())
+	calls := countCalls(t, rt, "ClientAnalysis")
+	link := NewInProcessLink(rt, netsim.LinkConfig{})
 	op, err := newNaive(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +149,8 @@ func TestNaiveUDFCache(t *testing.T) {
 	if st := op.NetStats(); st.Messages != 1 || st.Invocations != 1 {
 		t.Errorf("cached naive messages = %d, invocations = %d, want 1 and 1", st.Messages, st.Invocations)
 	}
-	if rt.Invocations("ClientAnalysis") != 1 {
-		t.Errorf("client invocations = %d, want 1", rt.Invocations("ClientAnalysis"))
+	if calls.Load() != 1 {
+		t.Errorf("client invocations = %d, want 1", calls.Load())
 	}
 }
 
@@ -183,9 +185,9 @@ func TestNaiveOneFrameInFlight(t *testing.T) {
 	rows := make([]types.Tuple, 12)
 	for i := range rows {
 		rows[i] = types.NewTuple(types.NewString("X"), types.NewFloat(float64(i)),
-			types.NewTimeSeries(types.NewSeries(100, 100+float64(i%distinct))))
+			types.NewTimeSeries(types.TimeSeries{100, 100 + float64(i%distinct)}))
 	}
-	op, err := newNaive(NewValuesScan(stockSchema(), rows), NewInProcessLink(rt, netsim.Unlimited()), []UDFBinding{analysisBinding()})
+	op, err := newNaive(NewValuesScan(stockSchema(), rows), NewInProcessLink(rt, netsim.LinkConfig{}), []UDFBinding{analysisBinding()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +232,7 @@ func TestNaiveOneFrameInFlight(t *testing.T) {
 func TestSemiJoinOperator(t *testing.T) {
 	rows := stockRows(30)
 	rt := newAnalysisRuntime(t)
-	link := NewInProcessLink(rt, netsim.Unlimited())
+	link := NewInProcessLink(rt, netsim.LinkConfig{})
 	op, err := NewSemiJoin(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
 	if err != nil {
 		t.Fatal(err)
@@ -261,11 +263,12 @@ func TestSemiJoinDuplicateElimination(t *testing.T) {
 	// only 4 argument tuples and invoke the UDF 4 times.
 	rows := make([]types.Tuple, 40)
 	for i := range rows {
-		series := types.NewTimeSeries(types.NewSeries(100, 100+float64(i%4)))
+		series := types.NewTimeSeries(types.TimeSeries{100, 100 + float64(i%4)})
 		rows[i] = types.NewTuple(types.NewString(fmt.Sprintf("N%d", i)), types.NewFloat(float64(i)), series)
 	}
 	rt := newAnalysisRuntime(t)
-	link := NewInProcessLink(rt, netsim.Unlimited())
+	calls := countCalls(t, rt, "ClientAnalysis")
+	link := NewInProcessLink(rt, netsim.LinkConfig{})
 	op, err := NewSemiJoin(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
 	if err != nil {
 		t.Fatal(err)
@@ -277,8 +280,8 @@ func TestSemiJoinDuplicateElimination(t *testing.T) {
 	if len(got) != 40 {
 		t.Fatalf("rows = %d", len(got))
 	}
-	if rt.Invocations("ClientAnalysis") != 4 {
-		t.Errorf("client invocations = %d, want 4 (argument duplicates eliminated)", rt.Invocations("ClientAnalysis"))
+	if calls.Load() != 4 {
+		t.Errorf("client invocations = %d, want 4 (argument duplicates eliminated)", calls.Load())
 	}
 	if op.NetStats().Invocations != 4 {
 		t.Errorf("shipped arguments = %d, want 4", op.NetStats().Invocations)
@@ -445,36 +448,6 @@ func TestClientJoinPushableOps(t *testing.T) {
 	}
 }
 
-func TestClientJoinFinalDelivery(t *testing.T) {
-	rows := stockRows(9)
-	rt := newAnalysisRuntime(t)
-	var delivered int
-	rt.ResultSink = func(client.ResultRow) { delivered++ }
-	link := NewInProcessLink(rt, netsim.Unlimited())
-	op, err := NewClientJoin(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	op.FinalDelivery = true
-	got, err := Collect(context.Background(), op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("final delivery should return no rows to the server, got %d", len(got))
-	}
-	if delivered != 9 {
-		t.Errorf("client sink received %d rows, want 9", delivered)
-	}
-	if op.DeliveredRows() != 9 {
-		t.Errorf("DeliveredRows = %d, want 9", op.DeliveredRows())
-	}
-	// Uplink traffic should be tiny compared to a non-final-delivery run.
-	if op.NetStats().BytesUp > op.NetStats().BytesDown {
-		t.Errorf("final delivery uplink %d should be below downlink %d", op.NetStats().BytesUp, op.NetStats().BytesDown)
-	}
-}
-
 // TestClientJoinChargesFramesInFlight checks that the records a client-site
 // join holds in flight are charged to the query's memory tracker: at least
 // one frame's worth at the peak, nothing once the operator is closed, and a
@@ -617,17 +590,17 @@ func TestClientUDFErrorPropagation(t *testing.T) {
 	})
 	rows := stockRows(3)
 
-	semi, _ := NewSemiJoin(NewValuesScan(stockSchema(), rows), NewInProcessLink(rt, netsim.Unlimited()), []UDFBinding{analysisBinding()})
+	semi, _ := NewSemiJoin(NewValuesScan(stockSchema(), rows), NewInProcessLink(rt, netsim.LinkConfig{}), []UDFBinding{analysisBinding()})
 	if _, err := Collect(context.Background(), semi); err == nil {
 		t.Error("semi-join operator should propagate the client error")
 	}
-	cj, _ := NewClientJoin(NewValuesScan(stockSchema(), rows), NewInProcessLink(rt, netsim.Unlimited()), []UDFBinding{analysisBinding()})
+	cj, _ := NewClientJoin(NewValuesScan(stockSchema(), rows), NewInProcessLink(rt, netsim.LinkConfig{}), []UDFBinding{analysisBinding()})
 	if _, err := Collect(context.Background(), cj); err == nil {
 		t.Error("client-site join operator should propagate the client error")
 	}
 
 	// An unregistered UDF is rejected at setup time.
-	missing, _ := NewSemiJoin(NewValuesScan(stockSchema(), rows), NewInProcessLink(rt, netsim.Unlimited()),
+	missing, _ := NewSemiJoin(NewValuesScan(stockSchema(), rows), NewInProcessLink(rt, netsim.LinkConfig{}),
 		[]UDFBinding{{Name: "DoesNotExist", ArgOrdinals: []int{2}, ResultKind: types.KindInt}})
 	if err := missing.Open(context.Background()); err == nil {
 		t.Error("setup with an unregistered UDF should fail")
@@ -704,7 +677,7 @@ func TestDialLink(t *testing.T) {
 		t.Errorf("dial link semi-join = %d rows", len(got))
 	}
 	// Dialling a dead address fails.
-	dead := &DialLink{Addr: "127.0.0.1:1", DialTimeout: 200 * time.Millisecond}
+	dead := &DialLink{Addr: "127.0.0.1:1"}
 	if _, err := dead.OpenSession(context.Background()); err == nil {
 		t.Error("dialling a dead address should fail")
 	}
@@ -712,7 +685,7 @@ func TestDialLink(t *testing.T) {
 
 // TestDialLinkCancelledContext dials a listening address under a cancelled
 // context: the dial must give up at once with context.Canceled instead of
-// connecting (or waiting out DialTimeout).
+// connecting (or waiting out the dial timeout).
 func TestDialLinkCancelledContext(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -721,7 +694,7 @@ func TestDialLinkCancelledContext(t *testing.T) {
 	defer ln.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	link := &DialLink{Addr: ln.Addr().String(), DialTimeout: time.Minute}
+	link := &DialLink{Addr: ln.Addr().String()}
 	start := time.Now()
 	conn, err := link.OpenSession(ctx)
 	if err == nil {
@@ -745,7 +718,7 @@ func TestStrategyEquivalence(t *testing.T) {
 		n := 1 + r.Intn(25)
 		rows := make([]types.Tuple, n)
 		for i := range rows {
-			series := types.NewTimeSeries(types.NewSeries(100, 100+float64(r.Intn(5))))
+			series := types.NewTimeSeries(types.TimeSeries{100, 100 + float64(r.Intn(5))})
 			rows[i] = types.NewTuple(
 				types.NewString(fmt.Sprintf("N%d", r.Intn(6))),
 				types.NewFloat(float64(r.Intn(50))),
@@ -834,4 +807,20 @@ func TestContextCancellation(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close after cancellation deadlocked")
 	}
+}
+
+// countCalls makes the registered function count its invocations.
+func countCalls(t *testing.T, rt *client.Runtime, name string) *atomic.Int64 {
+	t.Helper()
+	f, ok := rt.Lookup(name)
+	if !ok {
+		t.Fatalf("%s is not registered", name)
+	}
+	var n atomic.Int64
+	body := f.Body
+	f.Body = func(args []types.Value) (types.Value, error) {
+		n.Add(1)
+		return body(args)
+	}
+	return &n
 }

@@ -13,8 +13,7 @@ import (
 
 // RetryConfig governs session re-establishment for the client-site
 // operators. The zero value enables fault tolerance with the defaults noted
-// on each field; set Disable for the pre-fault-tolerance behaviour where any
-// session error fails the query.
+// on each field.
 type RetryConfig struct {
 	// MaxRedials is the number of reconnection attempts per session loss.
 	// Zero selects DefaultMaxRedials; negative disables reconnection (a
@@ -23,9 +22,6 @@ type RetryConfig struct {
 	// Backoff is the base delay between redial attempts; it doubles per
 	// attempt, capped and jittered. Zero selects DefaultRedialBackoff.
 	Backoff time.Duration
-	// Disable turns fault tolerance off entirely: session errors are not
-	// classified, not retried, and fail the query immediately.
-	Disable bool
 }
 
 // DefaultMaxRedials is the reconnection-attempt budget per session loss.
@@ -39,9 +35,6 @@ const DefaultRedialBackoff = 20 * time.Millisecond
 const DefaultRedialMaxBackoff = 2 * time.Second
 
 func (c RetryConfig) maxRedials() int {
-	if c.Disable {
-		return 0
-	}
 	if c.MaxRedials == 0 {
 		return DefaultMaxRedials
 	}

@@ -162,23 +162,6 @@ func TestAllSessionsExhausted(t *testing.T) {
 	}
 }
 
-// TestRetryDisabledSurfacesError verifies the fault-tolerance kill switch:
-// with Retry.Disable set, a dropped session fails the query immediately.
-func TestRetryDisabledSurfacesError(t *testing.T) {
-	rows := stockRows(256)
-	script := netsim.NewFaultScript(1).Set(0, netsim.FaultConfig{DropAfterBytes: 900})
-	op, err := NewSemiJoin(NewValuesScan(stockSchema(), rows), faultyLink(t, script), []UDFBinding{analysisBinding()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	op.Sessions = 2
-	op.ConcurrencyFactor = 16
-	op.Retry.Disable = true
-	if _, err := Collect(context.Background(), op); err == nil {
-		t.Fatal("disabled retry still recovered from a session drop")
-	}
-}
-
 // TestProbeRespectsBreaker verifies the circuit breaker guards asymmetry
 // probing: after the link's breaker opens, ProbeAsymmetry fails fast instead
 // of dialling.

@@ -4,7 +4,7 @@ import "csq/internal/types"
 
 // Hash-chained tuple containers shared by the duplicate-eliminating and
 // caching operators. They key on types.Tuple.Hash and resolve collisions with
-// value comparison (types.EqualOn semantics: NULLs compare equal, numeric
+// value comparison (types.CompareOn == 0: NULLs compare equal, numeric
 // kinds compare by value), replacing the previous string-key maps that
 // re-encoded every key tuple per lookup.
 

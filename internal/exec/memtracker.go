@@ -117,14 +117,6 @@ func (t *MemTracker) TempDir() string {
 	return t.tempDir
 }
 
-// Budget returns the soft spill threshold (<= 0 means unlimited).
-func (t *MemTracker) Budget() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.budget
-}
-
 // Grow charges n bytes against the query. It fails only when the hard limit
 // would be exceeded; soft-budget pressure is reported by OverBudget so that
 // spilling operators can react.
@@ -175,14 +167,6 @@ func (t *MemTracker) NoteSpillBytes(n int64) {
 		return
 	}
 	t.spilledBytes.Add(n)
-}
-
-// Used returns the bytes currently charged.
-func (t *MemTracker) Used() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.used.Load()
 }
 
 // Peak returns the high-water mark of charged bytes.

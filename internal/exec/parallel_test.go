@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,7 +94,7 @@ func TestSemiJoinParallelSessions(t *testing.T) {
 	run := func(sessions int, dict bool) []string {
 		t.Helper()
 		rt := deriveRuntime(t, 48)
-		op, err := NewSemiJoin(NewValuesScan(schema, rows), NewInProcessLink(rt, netsim.Unlimited()), []UDFBinding{deriveBinding()})
+		op, err := NewSemiJoin(NewValuesScan(schema, rows), NewInProcessLink(rt, netsim.LinkConfig{}), []UDFBinding{deriveBinding()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +139,7 @@ func TestClientJoinParallelSessions(t *testing.T) {
 	run := func(sessions int, dict bool) []string {
 		t.Helper()
 		rt := deriveRuntime(t, 32)
-		op, err := NewClientJoin(NewValuesScan(schema, rows), NewInProcessLink(rt, netsim.Unlimited()), []UDFBinding{deriveBinding()})
+		op, err := NewClientJoin(NewValuesScan(schema, rows), NewInProcessLink(rt, netsim.LinkConfig{}), []UDFBinding{deriveBinding()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,34 +170,6 @@ func TestClientJoinParallelSessions(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestClientJoinParallelFinalDelivery: FinalDelivery row counts are summed
-// across the session pool.
-func TestClientJoinParallelFinalDelivery(t *testing.T) {
-	rows, schema := dupWorkload(60, 3, 12, 32)
-	rt := deriveRuntime(t, 16)
-	var delivered atomic.Int64
-	rt.ResultSink = func(client.ResultRow) { delivered.Add(1) }
-	op, err := NewClientJoin(NewValuesScan(schema, rows), NewInProcessLink(rt, netsim.Unlimited()), []UDFBinding{deriveBinding()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	op.Sessions = 4
-	op.FinalDelivery = true
-	got, err := Collect(context.Background(), op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("final delivery returned %d rows to the server", len(got))
-	}
-	if delivered.Load() != 60 {
-		t.Errorf("client sink received %d rows, want 60", delivered.Load())
-	}
-	if op.DeliveredRows() != 60 {
-		t.Errorf("DeliveredRows = %d, want 60 (summed across sessions)", op.DeliveredRows())
 	}
 }
 
@@ -293,7 +264,7 @@ func TestDialLinkConcurrentSessions(t *testing.T) {
 			go func() { _ = rt.ServeConn(wire.NewConn(conn)) }()
 		}
 	}()
-	link := &DialLink{Addr: ln.Addr().String(), DialTimeout: 5 * time.Second}
+	link := &DialLink{Addr: ln.Addr().String()}
 	rows, schema := dupWorkload(200, 5, 40, 64)
 
 	semi, err := NewSemiJoin(NewValuesScan(schema, rows), link, []UDFBinding{deriveBinding()})
@@ -327,7 +298,7 @@ func TestDialLinkConcurrentSessions(t *testing.T) {
 		t.Fatalf("TCP parallel client join returned %d rows", len(cjRows))
 	}
 	for i := range got {
-		if !got[i].Equal(cjRows[i]) {
+		if !sameRow(got[i], cjRows[i]) {
 			t.Fatalf("row %d differs between TCP semi-join and client join", i)
 		}
 	}
@@ -354,7 +325,7 @@ func TestDialLinkConcurrentSessions(t *testing.T) {
 func TestSemiJoinParallelEarlyClose(t *testing.T) {
 	rows, schema := dupWorkload(400, 4, 100, 64)
 	rt := deriveRuntime(t, 64)
-	op, err := NewSemiJoin(NewValuesScan(schema, rows), NewInProcessLink(rt, netsim.Unlimited()), []UDFBinding{deriveBinding()})
+	op, err := NewSemiJoin(NewValuesScan(schema, rows), NewInProcessLink(rt, netsim.LinkConfig{}), []UDFBinding{deriveBinding()})
 	if err != nil {
 		t.Fatal(err)
 	}

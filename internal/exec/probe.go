@@ -15,8 +15,8 @@ import (
 // measurement exists for; the absolute bandwidths and the round-trip time
 // additionally feed the pipeline concurrency factor (B·T of Section 3.1.2).
 
-// DefaultProbeBytes is the large-probe payload size used when none is
-// configured. Probes are differential (large minus small), so the value only
+// DefaultProbeBytes is the large-probe payload size the planner probes with.
+// Probes are differential (large minus small), so the value only
 // needs to dominate the fixed per-frame overhead, not saturate the link.
 const DefaultProbeBytes = 32 << 10
 

@@ -26,15 +26,6 @@ type ScanStats struct {
 	SegmentsShared int64
 }
 
-// Add accumulates other into s.
-func (s *ScanStats) Add(other ScanStats) {
-	s.SegmentsScanned += other.SegmentsScanned
-	s.SegmentsPruned += other.SegmentsPruned
-	s.BytesRead += other.BytesRead
-	s.DecodeNs += other.DecodeNs
-	s.SegmentsShared += other.SegmentsShared
-}
-
 // ScanStatsRecorder collects ScanStats across all scans of one query. Like the
 // MemTracker it travels through the Open-time context and is safe for
 // concurrent use (parallel scans of one query share it); a nil recorder is

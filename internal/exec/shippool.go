@@ -70,7 +70,6 @@ type shipLane[T any] struct {
 	mu      sync.Mutex
 	sess    *udfSession
 	unacked []shipFrame[T]
-	endSent bool // End has been sent on this lane
 	dead    bool // the lane is retired; no replacement could be dialled
 }
 
@@ -94,16 +93,14 @@ type shipPool[T any] struct {
 	cancel  context.CancelFunc
 	failed  chan struct{} // closed once err is set
 	wg      sync.WaitGroup
-	next    int // deal cursor; deal and end are called from one goroutine
+	next    int // deal cursor; deal is called from one goroutine
 
 	mu       sync.Mutex
-	cond     *sync.Cond // signalled on every ack, reader exit and failure
+	cond     *sync.Cond // signalled on every ack and failure
 	err      error
-	dealt    int64 // frames dealt
-	acked    int64 // frames answered
-	inflight int   // tuples dealt and not yet answered; replay moves none
-	reading  int   // lane readers still running
-	endRows  uint64
+	dealt    int64    // frames dealt
+	acked    int64    // frames answered
+	inflight int      // tuples dealt and not yet answered; replay moves none
 	stats    NetStats // frames and tuples dealt, bytes of retired sessions
 	live     int      // lanes still serving when the pool closed
 }
@@ -166,7 +163,6 @@ func (p *shipPool[T]) open(ctx context.Context, link ClientLink) error {
 		}()
 	}
 	sent.Wait()
-	p.reading = len(p.lanes)
 	p.wg.Add(len(p.lanes) + 1)
 	// Waiters park on cond or failed, not on the context.
 	go func() {
@@ -215,9 +211,9 @@ func (p *shipPool[T]) failure() error {
 }
 
 // await blocks until ready holds or the pool fails. ready runs under the
-// pool's lock after every acknowledged frame and reader exit, so it may read
-// the pool's counters, or anything a reply callback changed: a reply is
-// handed to the policy before its frame counts as acknowledged.
+// pool's lock after every acknowledged frame, so it may read the pool's
+// counters, or anything a reply callback changed: a reply is handed to the
+// policy before its frame counts as acknowledged.
 func (p *shipPool[T]) await(ready func() bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -247,16 +243,15 @@ func (p *shipPool[T]) start(send func(context.Context) error, done func()) {
 	}()
 }
 
-// ship parks frames (and the End marker) on the lane's FIFO, runs parked
-// (when non-nil), and then sends them; it reports false, parking nothing, on
-// a dead lane. The send runs outside mu — the reader needs mu to drain
+// ship parks frames on the lane's FIFO, runs parked (when non-nil), and then
+// sends them; it reports false, parking nothing, on a dead lane. The send runs outside mu — the reader needs mu to drain
 // replies, and a reply being drained is what unblocks this send on an
 // unbuffered link — but under sendMu, so park+send stays atomic against
 // recovery and migration. A send error is not reported: the frames are
 // already parked, so the reader's recovery replays them; aborting the
 // captured session (recovery may have swapped lane.sess already) is what
 // kicks that reader out of its blocked receive.
-func (lane *shipLane[T]) ship(frames []shipFrame[T], end bool, parked func()) bool {
+func (lane *shipLane[T]) ship(frames []shipFrame[T], parked func()) bool {
 	lane.sendMu.Lock()
 	defer lane.sendMu.Unlock()
 	lane.mu.Lock()
@@ -265,28 +260,23 @@ func (lane *shipLane[T]) ship(frames []shipFrame[T], end bool, parked func()) bo
 		return false
 	}
 	lane.unacked = append(lane.unacked, frames...)
-	lane.endSent = lane.endSent || end
 	sess := lane.sess
 	lane.mu.Unlock()
 	if parked != nil {
 		parked()
 	}
-	if err := replay(sess, frames, end); err != nil {
+	if err := replay(sess, frames); err != nil {
 		sess.abort()
 	}
 	return true
 }
 
-// replay sends frames, and the End marker when the lane's stream has ended,
-// on sess.
-func replay[T any](sess *udfSession, frames []shipFrame[T], end bool) error {
+// replay sends frames on sess.
+func replay[T any](sess *udfSession, frames []shipFrame[T]) error {
 	for _, f := range frames {
 		if err := sess.sendBatch(f.tuples); err != nil {
 			return err
 		}
-	}
-	if end {
-		return sess.conn.Send(wire.MsgEnd, wire.EncodeEnd(&wire.End{SessionID: sess.id}))
 	}
 	return nil
 }
@@ -317,50 +307,23 @@ func (p *shipPool[T]) deal(tuples []types.Tuple, tag T) error {
 	}
 	for i := range p.lanes {
 		at := (p.next + i) % len(p.lanes)
-		if p.lanes[at].ship(frame, false, count) {
+		if p.lanes[at].ship(frame, count) {
 			p.next = at + 1
 			return nil
 		}
 	}
-	// Latched here so that end cannot wait for a frame nobody carries.
+	// Latched here so that no waiter waits for a frame nobody carries.
 	err := exhausted(fmt.Errorf("exec: no live session to send on"))
 	p.fail(err)
 	return err
 }
 
-// end runs the end-of-stream handshake: it waits until every dealt frame has
-// been answered — so no lane ever carries a tuple frame after its End, and
-// recovery never has to replay one onto a lane whose client already tore its
-// session down — then sends End on every surviving lane and waits for each
-// client-side session's own End, which carries its delivered row count. A
-// lane lost during the handshake orphans nothing but that count.
-func (p *shipPool[T]) end() error {
-	if err := p.await(func() bool { return p.acked == p.dealt }); err != nil {
-		return err
-	}
-	for _, lane := range p.lanes {
-		lane.ship(nil, true, nil)
-	}
-	return p.await(func() bool { return p.reading == 0 })
-}
-
-// delivered sums the row counts the clients reported in their End replies.
-// Like the stats below, it reports zero on a nil pool (operator not opened).
-func (p *shipPool[T]) delivered() uint64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.endRows
-}
-
 // read drains one lane's reply stream, handing each reply to the policy with
 // the lane's oldest unacknowledged frame — empty replies included, they keep
-// the FIFO aligned — until the lane's End arrives. The first message of the
-// lane's first session is its SetupAck; resolve reports the lane's setup
-// exactly once: nil once the ack is in, the session replaced or the lane
-// retired, else the error that stopped it. When the session dies mid-query —
+// the FIFO aligned — until the lane is retired or the pool fails. The first
+// message of the lane's first session is its SetupAck; resolve reports the
+// lane's setup exactly once: nil once the ack is in, the session replaced or
+// the lane retired, else the error that stopped it. When the session dies mid-query —
 // before its ack or after — the reader is also the recovery agent: being
 // the sole consumer of the lane's FIFO, it can replay the unacked tail with
 // no risk of racing its own pops.
@@ -373,10 +336,6 @@ func (p *shipPool[T]) read(lane *shipLane[T], resolve func(error)) {
 		if resolve != nil {
 			resolve(p.failure())
 		}
-		p.mu.Lock()
-		p.reading--
-		p.mu.Unlock()
-		p.cond.Broadcast()
 	}()
 	// The Tuples slice is recycled across frames; the decoded values live in
 	// per-frame arenas and stay valid.
@@ -415,19 +374,6 @@ func (p *shipPool[T]) read(lane *shipLane[T], resolve func(error)) {
 			err = wire.DecodeTupleBatchInto(&recv, msg.Payload)
 		case wire.MsgResultBatchDict:
 			err = wire.DecodeDictBatchInto(&recv, msg.Payload)
-		case wire.MsgEnd:
-			lane.mu.Lock()
-			endSent := lane.endSent
-			lane.mu.Unlock()
-			var end *wire.End
-			if !endSent {
-				err = fmt.Errorf("exec: unexpected END from client")
-			} else if end, err = wire.DecodeEnd(msg.Payload); err == nil {
-				p.mu.Lock()
-				p.endRows += end.Rows
-				p.mu.Unlock()
-				return
-			}
 		case wire.MsgError:
 			var e *wire.ErrorMsg
 			if e, err = wire.DecodeError(msg.Payload); err == nil {
@@ -466,10 +412,9 @@ func (p *shipPool[T]) read(lane *shipLane[T], resolve func(error)) {
 // link that keeps flapping cannot make recovery loop forever.
 func (p *shipPool[T]) failoverBudget() int64 { return int64(4*len(p.lanes) + 16) }
 
-// recoverLane handles a dead session on lane: replay the unacked FIFO (and
-// the End marker, if it was already sent) on a redialled replacement, or
-// degrade by migrating the FIFO to a surviving lane. It returns whether the
-// lane's reader should keep reading.
+// recoverLane handles a dead session on lane: replay the unacked FIFO on a
+// redialled replacement, or degrade by migrating the FIFO to a surviving
+// lane. It returns whether the lane's reader should keep reading.
 func (p *shipPool[T]) recoverLane(lane *shipLane[T], failed *udfSession, cause error) bool {
 	// First unblock anyone mid-send on the dead connection: recovery below
 	// waits on the lane's send lock, and its holder can only release it once
@@ -480,7 +425,7 @@ func (p *shipPool[T]) recoverLane(lane *shipLane[T], failed *udfSession, cause e
 		p.fail(err)
 		return false
 	}
-	if p.retry.Disable || wire.Classify(cause) != wire.ClassRetryable {
+	if wire.Classify(cause) != wire.ClassRetryable {
 		p.fail(cause)
 		return false
 	}
@@ -505,7 +450,7 @@ func (p *shipPool[T]) recoverLane(lane *shipLane[T], failed *udfSession, cause e
 	}
 	if rerr == nil {
 		lane.sess = repl
-		frames, endSent := slices.Clone(lane.unacked), lane.endSent
+		frames := slices.Clone(lane.unacked)
 		lane.mu.Unlock()
 		// Replay in its own goroutine while this reader resumes draining the
 		// replacement: over an unbuffered link the client blocks writing its
@@ -518,7 +463,7 @@ func (p *shipPool[T]) recoverLane(lane *shipLane[T], failed *udfSession, cause e
 		go func() {
 			defer p.wg.Done()
 			defer lane.sendMu.Unlock()
-			if err := replay(repl, frames, endSent); err != nil {
+			if err := replay(repl, frames); err != nil {
 				// The replacement died during replay; the reader's next
 				// receive errors and recovery runs again, bounded by the
 				// budget.
@@ -554,7 +499,7 @@ func (p *shipPool[T]) migrate(orphans []shipFrame[T]) bool {
 		return true
 	}
 	for _, lane := range p.lanes {
-		if lane.ship(orphans, false, nil) {
+		if lane.ship(orphans, nil) {
 			p.faults.replayed.Add(int64(len(orphans)))
 			return true
 		}

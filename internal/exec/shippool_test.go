@@ -37,7 +37,7 @@ func rigFrame(tag int) []types.Tuple {
 	for i := range frame {
 		samples := make([]float64, 32)
 		samples[0], samples[31] = 100, 101+float64(tag*rigFrameTuples+i)
-		frame[i] = types.NewTuple(types.NewTimeSeries(types.NewSeries(samples...)))
+		frame[i] = types.NewTuple(types.NewTimeSeries(types.TimeSeries(samples)))
 	}
 	return frame
 }
@@ -150,7 +150,7 @@ func TestShipPoolSendPathInvariant(t *testing.T) {
 	if err := errors.Join(rig.deal(0, half), rig.answered()); err != nil {
 		t.Fatalf("first half: %v", err)
 	}
-	if err := errors.Join(rig.deal(half, 2*half), rig.pool.end()); err != nil {
+	if err := errors.Join(rig.deal(half, 2*half), rig.answered()); err != nil {
 		t.Fatalf("second half: %v", err)
 	}
 	stats := rig.pool.faultStats()
@@ -201,7 +201,7 @@ func TestShipPoolFailoverBudget(t *testing.T) {
 		Set(0, netsim.FaultConfig{}).
 		SetDefault(netsim.FaultConfig{DropAfterBytes: setup + frame/2})
 	rig := openRig(t, faultyLink(t, script), 2)
-	err := errors.Join(rig.deal(0, 4), rig.pool.end())
+	err := errors.Join(rig.deal(0, 4), rig.answered())
 	stats := rig.pool.faultStats()
 	rig.pool.close()
 	assertNoLeak(t, baseline)
@@ -216,30 +216,6 @@ func TestShipPoolFailoverBudget(t *testing.T) {
 		if tag%2 == 1 {
 			t.Errorf("frame %d was answered on a lane that never carried a whole frame", tag)
 		}
-	}
-}
-
-// TestShipPoolReplaysEnd severs the only session in the middle of its End
-// marker, after every frame was answered: the replacement has nothing to
-// replay but the marker, and the handshake must still complete.
-func TestShipPoolReplaysEnd(t *testing.T) {
-	baseline := grCount()
-	setup, frame := rigSizes(t)
-	script := netsim.NewFaultScript(1).Set(0, netsim.FaultConfig{DropAfterBytes: setup + 2*frame + 2})
-	rig := openRig(t, faultyLink(t, script), 1)
-	err := errors.Join(rig.deal(0, 2), rig.pool.end())
-	stats := rig.pool.faultStats()
-	rig.pool.close()
-	assertNoLeak(t, baseline)
-
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Failovers != 1 || stats.Redials != 1 || stats.ReplayedFrames != 0 || stats.FinalSessions != 1 {
-		t.Errorf("fault stats = %+v, want 1 failover, 1 redial, nothing replayed, 1 final session", stats)
-	}
-	if len(rig.tags) != 2 {
-		t.Errorf("callbacks = %v, want each of 2 frames once", rig.tags)
 	}
 }
 
@@ -738,42 +714,48 @@ func TestShipPoolRecoversSessionLostBeforeAck(t *testing.T) {
 	}
 }
 
-// TestShipPoolEndsOnlyForFinalDelivery counts the End markers a client-site
-// join sends: none when the client returns rows (every reply arriving is the
-// end of the stream), one per session when the End reply carries the
-// delivered row count.
+// TestShipPoolEndsOnlyForFinalDelivery counts the End markers each
+// client-site operator sends: none on any lane. Every reply arriving is the
+// end of the stream, and closing the pool ends the sessions.
 func TestShipPoolEndsOnlyForFinalDelivery(t *testing.T) {
 	const lanes = 3
 	rows := stockRows(60)
-	for _, final := range []bool{false, true} {
-		t.Run(fmt.Sprintf("FinalDelivery=%v", final), func(t *testing.T) {
+	operators := map[string]func(Operator, ClientLink) (Operator, error){
+		"ClientJoin": func(in Operator, link ClientLink) (Operator, error) {
+			op, err := NewClientJoin(in, link, []UDFBinding{analysisBinding()})
+			if err == nil {
+				op.Sessions = lanes
+			}
+			return op, err
+		},
+		"SemiJoin": func(in Operator, link ClientLink) (Operator, error) {
+			op, err := NewSemiJoin(in, link, []UDFBinding{analysisBinding()})
+			if err == nil {
+				op.Sessions = lanes
+			}
+			return op, err
+		},
+	}
+	for name, build := range operators {
+		t.Run(name, func(t *testing.T) {
 			link := &relayClient{rt: newAnalysisRuntime(t)}
-			op, err := NewClientJoin(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
+			op, err := build(NewValuesScan(stockSchema(), rows), link)
 			if err != nil {
 				t.Fatal(err)
 			}
-			op.Sessions, op.FinalDelivery = lanes, final
 			got, err := Collect(context.Background(), op)
 			if err != nil {
 				t.Fatal(err)
 			}
 			link.served.Wait()
-			want, delivered := 0, uint64(0)
-			if final {
-				want, delivered = 1, uint64(len(rows))
-			} else {
-				checkRatings(t, got, rows)
-			}
-			if op.DeliveredRows() != delivered {
-				t.Errorf("DeliveredRows = %d, want %d", op.DeliveredRows(), delivered)
-			}
+			checkRatings(t, got, rows)
 			down, _ := link.sent()
 			if len(down) != lanes {
 				t.Fatalf("%d sessions, want %d", len(down), lanes)
 			}
 			for i, msgs := range down {
-				if ends := countType(msgs, wire.MsgEnd); ends != want {
-					t.Errorf("session %d: %d End markers, want %d: %v", i, ends, want, msgs)
+				if ends := countType(msgs, wire.MsgEnd); ends != 0 {
+					t.Errorf("session %d: %d End markers, want none: %v", i, ends, msgs)
 				}
 			}
 		})
@@ -796,7 +778,7 @@ func repeatedRows(n, repeat int) []types.Tuple {
 	rows := make([]types.Tuple, n)
 	for i := range rows {
 		rows[i] = types.NewTuple(types.NewString("X"), types.NewFloat(float64(i)),
-			types.NewTimeSeries(types.NewSeries(100, 100+float64(i/repeat))))
+			types.NewTimeSeries(types.TimeSeries{100, 100 + float64(i/repeat)}))
 	}
 	return rows
 }

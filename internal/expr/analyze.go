@@ -88,8 +88,8 @@ func mirrorComparison(op Op) Op {
 //
 // An expression is pushable when every column it reads is available, every
 // client-site UDF it calls is in availableUDFResults (or will be evaluated as
-// part of the same client round trip), and it calls no server-site UDF (whose
-// body only exists at the server).
+// part of the same client round trip), and every other function it calls is
+// a built-in.
 func PushableToClient(e Expr, availableCols map[int]bool, availableUDFResults map[string]bool) bool {
 	ok := true
 	Walk(e, func(n Expr) bool {
@@ -106,15 +106,10 @@ func PushableToClient(e Expr, availableCols map[int]bool, availableUDFResults ma
 				ok = false
 				return false
 			}
-			if c.UDF.IsClientSite() {
-				if availableUDFResults != nil && !availableUDFResults[lower(c.Name)] {
-					ok = false
-				}
-				return true
+			if availableUDFResults != nil && !availableUDFResults[lower(c.Name)] {
+				ok = false
 			}
-			// Server-site UDF bodies are not available at the client.
-			ok = false
-			return false
+			return true
 		}
 		return true
 	})
@@ -124,20 +119,6 @@ func PushableToClient(e Expr, availableCols map[int]bool, availableUDFResults ma
 // ServerOnly reports whether the expression can be evaluated entirely at the
 // server, i.e. it contains no client-site UDF call.
 func ServerOnly(e Expr) bool { return !HasClientCall(e) }
-
-// SplitPredicate partitions the conjuncts of a predicate into those that are
-// free of client-site UDFs (evaluable at the server before any shipping) and
-// those that reference at least one client-site UDF.
-func SplitPredicate(e Expr) (serverSide, clientDependent []Expr) {
-	for _, c := range Conjuncts(e) {
-		if ServerOnly(c) {
-			serverSide = append(serverSide, c)
-		} else {
-			clientDependent = append(clientDependent, c)
-		}
-	}
-	return serverSide, clientDependent
-}
 
 // EstimateSelectivity returns a heuristic selectivity for a bound predicate,
 // mirroring the classic System-R defaults. Client-site UDF predicates use the
@@ -236,24 +217,6 @@ func lower(s string) string {
 		}
 	}
 	return string(b)
-}
-
-// ResultSize estimates the encoded size in bytes of the expression's result,
-// used by the cost model when sizing uplink traffic (R in the paper).
-func ResultSize(e Expr) int {
-	switch n := e.(type) {
-	case *ColumnRef:
-		return kindSize(n.Kind)
-	case *Const:
-		return n.Value.Size()
-	case *FuncCall:
-		if n.UDF != nil && n.UDF.ResultSize > 0 {
-			return n.UDF.ResultSize
-		}
-		return kindSize(n.ResultKind())
-	default:
-		return kindSize(e.ResultKind())
-	}
 }
 
 // KindSize returns the default encoded-size estimate for a value of the given

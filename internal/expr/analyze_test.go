@@ -9,9 +9,9 @@ import (
 )
 
 func TestConjunctsAndConjoin(t *testing.T) {
-	a := NewBinary(OpGt, NewColumnRef("S", "Change"), NewConst(types.NewFloat(0)))
-	b := NewBinary(OpLt, NewColumnRef("S", "Close"), NewConst(types.NewFloat(100)))
-	c := NewBinary(OpEq, NewColumnRef("S", "Name"), NewConst(types.NewString("ACME")))
+	a := NewBinary(OpGt, colRef("Change"), NewConst(types.NewFloat(0)))
+	b := NewBinary(OpLt, colRef("Close"), NewConst(types.NewFloat(100)))
+	c := NewBinary(OpEq, colRef("Name"), NewConst(types.NewString("ACME")))
 	e := NewBinary(OpAnd, NewBinary(OpAnd, a, b), c)
 	cs := Conjuncts(e)
 	if len(cs) != 3 {
@@ -41,16 +41,12 @@ func TestColumnsAndCalls(t *testing.T) {
 	cat := testCatalog(t)
 	b := NewBinder(testSchema(), cat)
 	e := b.MustBind(NewBinary(OpAnd,
-		NewBinary(OpGt, NewBinary(OpDiv, NewColumnRef("S", "Change"), NewColumnRef("S", "Close")), NewConst(types.NewFloat(0.2))),
-		NewBinary(OpGt, NewFuncCall("ClientAnalysis", NewColumnRef("S", "Quotes")), NewConst(types.NewInt(500)))))
+		NewBinary(OpGt, NewBinary(OpDiv, colRef("Change"), colRef("Close")), NewConst(types.NewFloat(0.2))),
+		NewBinary(OpGt, NewFuncCall("ClientAnalysis", colRef("Quotes")), NewConst(types.NewInt(500)))))
 
 	cols := Columns(e)
 	if len(cols) != 3 || cols[0] != 1 || cols[1] != 2 || cols[2] != 3 {
 		t.Errorf("Columns = %v", cols)
-	}
-	names := ColumnNames(e)
-	if len(names) != 3 {
-		t.Errorf("ColumnNames = %v", names)
 	}
 	calls := ClientCalls(e)
 	if len(calls) != 1 || calls[0].Name != "ClientAnalysis" {
@@ -59,36 +55,9 @@ func TestColumnsAndCalls(t *testing.T) {
 	if !HasClientCall(e) {
 		t.Error("HasClientCall should be true")
 	}
-	serverExpr := b.MustBind(NewFuncCall("ServerScore", NewColumnRef("S", "Change")))
-	if HasClientCall(serverExpr) {
-		t.Error("server UDF should not count as client call")
-	}
-	if len(ServerCalls(serverExpr)) != 1 {
-		t.Error("ServerCalls should find the server UDF")
-	}
-	if len(ServerCalls(e)) != 0 {
-		t.Error("no server calls expected in the client predicate")
-	}
-}
-
-func TestSplitPredicate(t *testing.T) {
-	cat := testCatalog(t)
-	b := NewBinder(testSchema(), cat)
-	e := b.MustBind(NewBinary(OpAnd,
-		NewBinary(OpGt, NewBinary(OpDiv, NewColumnRef("S", "Change"), NewColumnRef("S", "Close")), NewConst(types.NewFloat(0.2))),
-		NewBinary(OpGt, NewFuncCall("ClientAnalysis", NewColumnRef("S", "Quotes")), NewConst(types.NewInt(500)))))
-	server, client := SplitPredicate(e)
-	if len(server) != 1 || len(client) != 1 {
-		t.Fatalf("SplitPredicate = %d server, %d client", len(server), len(client))
-	}
-	if HasClientCall(server[0]) {
-		t.Error("server conjunct should have no client call")
-	}
-	if !HasClientCall(client[0]) {
-		t.Error("client conjunct should have a client call")
-	}
-	if !ServerOnly(server[0]) || ServerOnly(client[0]) {
-		t.Error("ServerOnly classification wrong")
+	builtin := b.MustBind(NewFuncCall("ts_last", colRef("Quotes")))
+	if HasClientCall(builtin) || !ServerOnly(builtin) {
+		t.Error("a built-in should not count as a client call")
 	}
 }
 
@@ -96,7 +65,7 @@ func TestPushableToClient(t *testing.T) {
 	cat := testCatalog(t)
 	b := NewBinder(testSchema(), cat)
 	// Predicate on the UDF result: ClientAnalysis(S.Quotes) > 500
-	p := b.MustBind(NewBinary(OpGt, NewFuncCall("ClientAnalysis", NewColumnRef("S", "Quotes")), NewConst(types.NewInt(500))))
+	p := b.MustBind(NewBinary(OpGt, NewFuncCall("ClientAnalysis", colRef("Quotes")), NewConst(types.NewInt(500))))
 	avail := map[int]bool{3: true} // Quotes shipped to the client
 	udfs := map[string]bool{"clientanalysis": true}
 	if !PushableToClient(p, avail, udfs) {
@@ -108,13 +77,8 @@ func TestPushableToClient(t *testing.T) {
 	if PushableToClient(p, avail, map[string]bool{}) {
 		t.Error("predicate should not be pushable when the UDF result is not available")
 	}
-	// Predicate using a server-site UDF is never pushable.
-	sp := b.MustBind(NewBinary(OpGt, NewFuncCall("ServerScore", NewColumnRef("S", "Change")), NewConst(types.NewFloat(0))))
-	if PushableToClient(sp, map[int]bool{1: true}, nil) {
-		t.Error("server UDF predicate must not be pushable")
-	}
 	// Plain column predicate is pushable when its columns are shipped.
-	cp := b.MustBind(NewBinary(OpGt, NewColumnRef("S", "Change"), NewConst(types.NewFloat(0))))
+	cp := b.MustBind(NewBinary(OpGt, colRef("Change"), NewConst(types.NewFloat(0))))
 	if !PushableToClient(cp, map[int]bool{1: true}, nil) {
 		t.Error("column predicate should be pushable when the column is shipped")
 	}
@@ -122,7 +86,7 @@ func TestPushableToClient(t *testing.T) {
 		t.Error("column predicate should not be pushable without its column")
 	}
 	// Builtin-only expressions are pushable given their columns.
-	bp := b.MustBind(NewBinary(OpGt, NewFuncCall("ts_last", NewColumnRef("S", "Quotes")), NewConst(types.NewFloat(1))))
+	bp := b.MustBind(NewBinary(OpGt, NewFuncCall("ts_last", colRef("Quotes")), NewConst(types.NewFloat(1))))
 	if !PushableToClient(bp, map[int]bool{3: true}, nil) {
 		t.Error("builtin predicate should be pushable")
 	}
@@ -132,20 +96,20 @@ func TestEstimateSelectivity(t *testing.T) {
 	cat := testCatalog(t)
 	b := NewBinder(testSchema(), cat)
 
-	eq := b.MustBind(NewBinary(OpEq, NewColumnRef("S", "Name"), NewConst(types.NewString("ACME"))))
+	eq := b.MustBind(NewBinary(OpEq, colRef("Name"), NewConst(types.NewString("ACME"))))
 	if s := EstimateSelectivity(eq); s != 0.1 {
 		t.Errorf("equality selectivity = %g", s)
 	}
-	rng := b.MustBind(NewBinary(OpGt, NewColumnRef("S", "Change"), NewConst(types.NewFloat(0))))
+	rng := b.MustBind(NewBinary(OpGt, colRef("Change"), NewConst(types.NewFloat(0))))
 	if s := EstimateSelectivity(rng); math.Abs(s-1.0/3.0) > 1e-9 {
 		t.Errorf("range selectivity = %g", s)
 	}
-	ne := b.MustBind(NewBinary(OpNe, NewColumnRef("S", "Change"), NewConst(types.NewFloat(0))))
+	ne := b.MustBind(NewBinary(OpNe, colRef("Change"), NewConst(types.NewFloat(0))))
 	if s := EstimateSelectivity(ne); s != 0.9 {
 		t.Errorf("inequality selectivity = %g", s)
 	}
 	// UDF predicate takes catalog selectivity (0.4 for ClientAnalysis).
-	udfPred := b.MustBind(NewBinary(OpGt, NewFuncCall("ClientAnalysis", NewColumnRef("S", "Quotes")), NewConst(types.NewInt(500))))
+	udfPred := b.MustBind(NewBinary(OpGt, NewFuncCall("ClientAnalysis", colRef("Quotes")), NewConst(types.NewInt(500))))
 	if s := EstimateSelectivity(udfPred); s != 0.4 {
 		t.Errorf("UDF predicate selectivity = %g, want 0.4", s)
 	}
@@ -174,39 +138,14 @@ func TestEstimateSelectivity(t *testing.T) {
 	}
 }
 
-func TestResultSize(t *testing.T) {
-	cat := testCatalog(t)
-	b := NewBinder(testSchema(), cat)
-	udfCall := b.MustBind(NewFuncCall("ClientAnalysis", NewColumnRef("S", "Quotes"))).(*FuncCall)
-	if ResultSize(udfCall) != 100 {
-		t.Errorf("UDF ResultSize = %d, want 100 (from catalog)", ResultSize(udfCall))
-	}
-	col := b.MustBind(NewColumnRef("S", "Change"))
-	if ResultSize(col) != 10 {
-		t.Errorf("FLOAT column ResultSize = %d", ResultSize(col))
-	}
-	strCol := b.MustBind(NewColumnRef("S", "Name"))
-	if ResultSize(strCol) != 24 {
-		t.Errorf("STRING column ResultSize = %d", ResultSize(strCol))
-	}
-	tsCol := b.MustBind(NewColumnRef("S", "Quotes"))
-	if ResultSize(tsCol) != 256 {
-		t.Errorf("TIMESERIES column ResultSize = %d", ResultSize(tsCol))
-	}
-	c := NewConst(types.NewString("hello"))
-	if ResultSize(c) != c.Value.Size() {
-		t.Errorf("const ResultSize = %d", ResultSize(c))
-	}
-}
-
 // TestQuickSelectivityBounds property: estimated selectivities always lie in
 // [0,1] no matter how predicates are combined.
 func TestQuickSelectivityBounds(t *testing.T) {
 	b := NewBinder(testSchema(), nil)
 	atoms := []Expr{
-		b.MustBind(NewBinary(OpEq, NewColumnRef("S", "Change"), NewConst(types.NewFloat(1)))),
-		b.MustBind(NewBinary(OpGt, NewColumnRef("S", "Close"), NewConst(types.NewFloat(1)))),
-		b.MustBind(NewBinary(OpNe, NewColumnRef("S", "Change"), NewConst(types.NewFloat(0)))),
+		b.MustBind(NewBinary(OpEq, colRef("Change"), NewConst(types.NewFloat(1)))),
+		b.MustBind(NewBinary(OpGt, colRef("Close"), NewConst(types.NewFloat(1)))),
+		b.MustBind(NewBinary(OpNe, colRef("Change"), NewConst(types.NewFloat(0)))),
 		NewConst(types.NewBool(true)),
 		NewConst(types.NewBool(false)),
 	}

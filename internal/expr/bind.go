@@ -35,7 +35,7 @@ func (b *Binder) Bind(e Expr) (Expr, error) {
 		if n.bound {
 			return n, nil
 		}
-		ord, err := b.Schema.Ordinal(n.Qualifier, n.Name)
+		ord, err := b.Schema.Ordinal(n.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -171,14 +171,4 @@ func arithmeticKind(a, bK types.Kind) (types.Kind, error) {
 		return types.KindFloat, nil
 	}
 	return types.KindInt, nil
-}
-
-// MustBind binds the expression and panics on error; intended for tests and
-// static plan construction where the expression is known to be valid.
-func (b *Binder) MustBind(e Expr) Expr {
-	out, err := b.Bind(e)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }

@@ -36,15 +36,6 @@ func LookupBuiltin(name string) (*BuiltinFunc, bool) {
 	return b, ok
 }
 
-// Builtins returns the names of all registered built-in functions.
-func Builtins() []string {
-	out := make([]string, 0, len(builtins))
-	for name := range builtins {
-		out = append(out, name)
-	}
-	return out
-}
-
 func fixedKind(k types.Kind) func([]types.Kind) (types.Kind, error) {
 	return func([]types.Kind) (types.Kind, error) { return k, nil }
 }

@@ -7,10 +7,9 @@ import (
 )
 
 // UDFInvoker evaluates a UDF call when the evaluator reaches a FuncCall whose
-// body is not locally available. The execution operators install invokers that
-// either call the registered Go body (server-site UDFs, or the client runtime
-// evaluating its own functions) or fail loudly (a client-site UDF reached by a
-// plain server-side evaluator indicates a planning bug).
+// body is not locally available. The client runtime installs one that calls
+// its registered Go bodies; without one, a UDF call fails loudly (a
+// client-site UDF reached by a server-side evaluator is a planning bug).
 type UDFInvoker func(name string, args []types.Value) (types.Value, error)
 
 // Evaluator evaluates bound expressions against tuples.
@@ -217,8 +216,6 @@ func (ev *Evaluator) evalCall(n *FuncCall, t types.Tuple) (types.Value, error) {
 	switch {
 	case n.Builtin != nil:
 		return n.Builtin.Eval(args)
-	case n.UDF != nil && n.UDF.Body != nil:
-		return n.UDF.Body(args)
 	case ev.Invoke != nil:
 		return ev.Invoke(n.Name, args)
 	default:

@@ -114,19 +114,13 @@ func (c *Const) children() []Expr { return nil }
 
 // ColumnRef references a column by name; Bind resolves it to an ordinal.
 type ColumnRef struct {
-	Qualifier string
-	Name      string
+	Name string
 
 	// Ordinal is the resolved position in the input schema; -1 before Bind.
 	Ordinal int
 	// Kind is the resolved column kind.
 	Kind  types.Kind
 	bound bool
-}
-
-// NewColumnRef returns an unbound column reference.
-func NewColumnRef(qualifier, name string) *ColumnRef {
-	return &ColumnRef{Qualifier: qualifier, Name: name, Ordinal: -1}
 }
 
 // BindColumnRef returns a pre-bound column reference carrying a display
@@ -143,12 +137,7 @@ func (c *ColumnRef) ResultKind() types.Kind { return c.Kind }
 func (c *ColumnRef) Bound() bool { return c.bound }
 
 // String implements fmt.Stringer.
-func (c *ColumnRef) String() string {
-	if c.Qualifier == "" {
-		return c.Name
-	}
-	return c.Qualifier + "." + c.Name
-}
+func (c *ColumnRef) String() string { return c.Name }
 
 func (c *ColumnRef) children() []Expr { return nil }
 
@@ -219,8 +208,9 @@ func NewFuncCall(name string, args ...Expr) *FuncCall {
 // ResultKind implements Expr.
 func (f *FuncCall) ResultKind() types.Kind { return f.kind }
 
-// IsClientSite reports whether the call resolves to a client-site UDF.
-func (f *FuncCall) IsClientSite() bool { return f.UDF != nil && f.UDF.IsClientSite() }
+// IsClientSite reports whether the call resolves to a catalog UDF, all of
+// which run at the client, rather than to a built-in.
+func (f *FuncCall) IsClientSite() bool { return f.UDF != nil }
 
 // String implements fmt.Stringer.
 func (f *FuncCall) String() string {
@@ -238,9 +228,6 @@ type Cast struct {
 	Input  Expr
 	Target types.Kind
 }
-
-// NewCast returns a cast node.
-func NewCast(input Expr, target types.Kind) *Cast { return &Cast{Input: input, Target: target} }
 
 // ResultKind implements Expr.
 func (c *Cast) ResultKind() types.Kind { return c.Target }
@@ -282,24 +269,6 @@ func Columns(e Expr) []int {
 	return out
 }
 
-// ColumnNames returns the distinct (qualifier, name) references in the
-// expression, useful before binding.
-func ColumnNames(e Expr) []string {
-	seen := map[string]bool{}
-	var out []string
-	Walk(e, func(n Expr) bool {
-		if c, ok := n.(*ColumnRef); ok {
-			s := c.String()
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-		return true
-	})
-	return out
-}
-
 // ClientCalls returns every client-site UDF call in the expression, in
 // pre-order.
 func ClientCalls(e Expr) []*FuncCall {
@@ -315,19 +284,6 @@ func ClientCalls(e Expr) []*FuncCall {
 
 // HasClientCall reports whether the expression contains a client-site UDF.
 func HasClientCall(e Expr) bool { return len(ClientCalls(e)) > 0 }
-
-// ServerCalls returns every server-site UDF or built-in call in the
-// expression.
-func ServerCalls(e Expr) []*FuncCall {
-	var out []*FuncCall
-	Walk(e, func(n Expr) bool {
-		if f, ok := n.(*FuncCall); ok && !f.IsClientSite() {
-			out = append(out, f)
-		}
-		return true
-	})
-	return out
-}
 
 func sortInts(xs []int) {
 	for i := 1; i < len(xs); i++ {

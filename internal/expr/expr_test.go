@@ -6,6 +6,7 @@ import (
 
 	"csq/internal/catalog"
 	"csq/internal/types"
+	"csq/internal/wire"
 )
 
 // testSchema mirrors the paper's StockQuotes relation.
@@ -22,9 +23,8 @@ func testSchema() *types.Schema {
 func testCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
-	err := cat.AddUDF(&catalog.UDF{
+	_, err := cat.RegisterClientUDF(&wire.RegisterUDF{
 		Name:        "ClientAnalysis",
-		Site:        catalog.SiteClient,
 		ArgKinds:    []types.Kind{types.KindTimeSeries},
 		ResultKind:  types.KindInt,
 		ResultSize:  100,
@@ -33,23 +33,21 @@ func testCatalog(t *testing.T) *catalog.Catalog {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = cat.AddUDF(&catalog.UDF{
-		Name:       "ServerScore",
-		Site:       catalog.SiteServer,
-		ArgKinds:   []types.Kind{types.KindFloat},
-		ResultKind: types.KindFloat,
-		Body: func(args []types.Value) (types.Value, error) {
-			f, err := args[0].Float()
-			if err != nil {
-				return types.Value{}, err
-			}
-			return types.NewFloat(f * 2), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return cat
+}
+
+// colRef returns an unbound column reference.
+func colRef(name string) *ColumnRef {
+	return &ColumnRef{Name: name, Ordinal: -1}
+}
+
+// MustBind binds e and panics on error.
+func (b *Binder) MustBind(e Expr) Expr {
+	out, err := b.Bind(e)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 func testTuple() types.Tuple {
@@ -57,7 +55,7 @@ func testTuple() types.Tuple {
 		types.NewString("ACME"),
 		types.NewFloat(5),
 		types.NewFloat(20),
-		types.NewTimeSeries(types.NewSeries(10, 11, 12)),
+		types.NewTimeSeries(types.TimeSeries{10, 11, 12}),
 		types.NewBytes([]byte("report")),
 	)
 }
@@ -73,12 +71,12 @@ func bindOK(t *testing.T, e Expr) Expr {
 }
 
 func TestBindColumnRef(t *testing.T) {
-	c := NewColumnRef("S", "Quotes")
+	c := colRef("Quotes")
 	bindOK(t, c)
 	if !c.Bound() || c.Ordinal != 3 || c.Kind != types.KindTimeSeries {
 		t.Errorf("bound column = %+v", c)
 	}
-	bad := NewColumnRef("", "Nope")
+	bad := colRef("Nope")
 	b := NewBinder(testSchema(), nil)
 	if _, err := b.Bind(bad); err == nil {
 		t.Error("binding unknown column should fail")
@@ -88,7 +86,7 @@ func TestBindColumnRef(t *testing.T) {
 func TestBindArithmeticAndComparison(t *testing.T) {
 	// S.Change / S.Close > 0.2  — the paper's uptick predicate.
 	e := NewBinary(OpGt,
-		NewBinary(OpDiv, NewColumnRef("S", "Change"), NewColumnRef("S", "Close")),
+		NewBinary(OpDiv, colRef("Change"), colRef("Close")),
 		NewConst(types.NewFloat(0.2)))
 	bindOK(t, e)
 	if e.ResultKind() != types.KindBool {
@@ -101,25 +99,25 @@ func TestBindArithmeticAndComparison(t *testing.T) {
 	}
 
 	// Mixing string with float in arithmetic must fail to bind.
-	bad := NewBinary(OpAdd, NewColumnRef("S", "Name"), NewConst(types.NewFloat(1)))
+	bad := NewBinary(OpAdd, colRef("Name"), NewConst(types.NewFloat(1)))
 	b := NewBinder(testSchema(), nil)
 	if _, err := b.Bind(bad); err == nil {
 		t.Error("string+float should fail to bind")
 	}
 	// Comparing string with float must fail to bind.
-	bad2 := NewBinary(OpLt, NewColumnRef("S", "Name"), NewConst(types.NewFloat(1)))
+	bad2 := NewBinary(OpLt, colRef("Name"), NewConst(types.NewFloat(1)))
 	if _, err := b.Bind(bad2); err == nil {
 		t.Error("string<float should fail to bind")
 	}
 }
 
 func TestBindFunctions(t *testing.T) {
-	udfCall := NewFuncCall("ClientAnalysis", NewColumnRef("S", "Quotes"))
+	udfCall := NewFuncCall("ClientAnalysis", colRef("Quotes"))
 	bindOK(t, udfCall)
 	if udfCall.UDF == nil || !udfCall.IsClientSite() || udfCall.ResultKind() != types.KindInt {
 		t.Errorf("UDF call not resolved: %+v", udfCall)
 	}
-	builtinCall := NewFuncCall("ts_last", NewColumnRef("S", "Quotes"))
+	builtinCall := NewFuncCall("ts_last", colRef("Quotes"))
 	bindOK(t, builtinCall)
 	if builtinCall.Builtin == nil || builtinCall.ResultKind() != types.KindFloat {
 		t.Errorf("builtin call not resolved: %+v", builtinCall)
@@ -172,7 +170,7 @@ func TestEvalOperators(t *testing.T) {
 			t.Errorf("%s: eval: %v", c.name, err)
 			continue
 		}
-		if !got.Equal(c.want) {
+		if cmp, err := types.Compare(got, c.want); err != nil || cmp != 0 || got.IsNull() {
 			t.Errorf("%s = %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -201,7 +199,7 @@ func TestEvalErrorsAndNulls(t *testing.T) {
 		t.Errorf("NULL arithmetic = %v, %v", v, err)
 	}
 	// Unbound column evaluation fails.
-	if _, err := ev.Eval(NewColumnRef("S", "Name"), testTuple()); err == nil {
+	if _, err := ev.Eval(colRef("Name"), testTuple()); err == nil {
 		t.Error("evaluating unbound column should fail")
 	}
 	// EvalBool on NULL collapses to false.
@@ -216,7 +214,7 @@ func TestShortCircuit(t *testing.T) {
 	// avoid evaluating it.
 	ev := &Evaluator{}
 	b := NewBinder(testSchema(), testCatalog(t))
-	rhs := b.MustBind(NewBinary(OpGt, NewFuncCall("ClientAnalysis", NewColumnRef("S", "Quotes")), NewConst(types.NewInt(0))))
+	rhs := b.MustBind(NewBinary(OpGt, NewFuncCall("ClientAnalysis", colRef("Quotes")), NewConst(types.NewInt(0))))
 	e := &Binary{Op: OpAnd, Left: NewConst(types.NewBool(false)), Right: rhs, kind: types.KindBool}
 	got, err := ev.EvalBool(e, testTuple())
 	if err != nil || got {
@@ -241,27 +239,18 @@ func TestShortCircuit(t *testing.T) {
 	}
 }
 
-func TestServerUDFAndBuiltins(t *testing.T) {
+func TestBuiltins(t *testing.T) {
 	ev := &Evaluator{}
 	b := NewBinder(testSchema(), testCatalog(t))
-	call := b.MustBind(NewFuncCall("ServerScore", NewColumnRef("S", "Change")))
-	v, err := ev.Eval(call, testTuple())
-	if err != nil {
-		t.Fatalf("server UDF eval: %v", err)
-	}
-	if f, _ := v.Float(); f != 10 {
-		t.Errorf("ServerScore = %v", v)
-	}
-
 	builtinCases := []struct {
 		call Expr
 		want float64
 	}{
-		{NewFuncCall("ts_first", NewColumnRef("S", "Quotes")), 10},
-		{NewFuncCall("ts_last", NewColumnRef("S", "Quotes")), 12},
-		{NewFuncCall("ts_min", NewColumnRef("S", "Quotes")), 10},
-		{NewFuncCall("ts_max", NewColumnRef("S", "Quotes")), 12},
-		{NewFuncCall("ts_change", NewColumnRef("S", "Quotes")), 0.2},
+		{NewFuncCall("ts_first", colRef("Quotes")), 10},
+		{NewFuncCall("ts_last", colRef("Quotes")), 12},
+		{NewFuncCall("ts_min", colRef("Quotes")), 10},
+		{NewFuncCall("ts_max", colRef("Quotes")), 12},
+		{NewFuncCall("ts_change", colRef("Quotes")), 0.2},
 		{NewFuncCall("abs", NewConst(types.NewFloat(-3))), 3},
 		{NewFuncCall("sqrt", NewConst(types.NewFloat(9))), 3},
 	}
@@ -278,15 +267,15 @@ func TestServerUDFAndBuiltins(t *testing.T) {
 	}
 
 	// String builtins.
-	up := b.MustBind(NewFuncCall("upper", NewColumnRef("S", "Name")))
+	up := b.MustBind(NewFuncCall("upper", colRef("Name")))
 	if v, err := ev.Eval(up, testTuple()); err != nil || v.String() != "ACME" {
 		t.Errorf("upper = %v, %v", v, err)
 	}
-	lo := b.MustBind(NewFuncCall("lower", NewColumnRef("S", "Name")))
+	lo := b.MustBind(NewFuncCall("lower", colRef("Name")))
 	if v, err := ev.Eval(lo, testTuple()); err != nil || v.String() != "acme" {
 		t.Errorf("lower = %v, %v", v, err)
 	}
-	ln := b.MustBind(NewFuncCall("length", NewColumnRef("S", "Report")))
+	ln := b.MustBind(NewFuncCall("length", colRef("Report")))
 	if v, err := ev.Eval(ln, testTuple()); err != nil {
 		t.Errorf("length: %v", err)
 	} else if i, _ := v.Int(); i != 6 {
@@ -302,15 +291,12 @@ func TestServerUDFAndBuiltins(t *testing.T) {
 	if v, _ := ev.Eval(ai, testTuple()); v.Kind() != types.KindInt {
 		t.Errorf("abs(INT) kind = %v", v.Kind())
 	}
-	if len(Builtins()) < 10 {
-		t.Errorf("expected a healthy builtin registry, got %d", len(Builtins()))
-	}
 }
 
 func TestCastExpr(t *testing.T) {
 	ev := &Evaluator{}
 	b := NewBinder(testSchema(), nil)
-	c := b.MustBind(NewCast(NewColumnRef("S", "Change"), types.KindInt))
+	c := b.MustBind(&Cast{Input: colRef("Change"), Target: types.KindInt})
 	v, err := ev.Eval(c, testTuple())
 	if err != nil {
 		t.Fatalf("cast: %v", err)
@@ -328,10 +314,10 @@ func TestCastExpr(t *testing.T) {
 
 func TestStringRendering(t *testing.T) {
 	e := NewBinary(OpAnd,
-		NewBinary(OpGt, NewBinary(OpDiv, NewColumnRef("S", "Change"), NewColumnRef("S", "Close")), NewConst(types.NewFloat(0.2))),
-		NewBinary(OpGt, NewFuncCall("ClientAnalysis", NewColumnRef("S", "Quotes")), NewConst(types.NewInt(500))))
+		NewBinary(OpGt, NewBinary(OpDiv, colRef("Change"), colRef("Close")), NewConst(types.NewFloat(0.2))),
+		NewBinary(OpGt, NewFuncCall("ClientAnalysis", colRef("Quotes")), NewConst(types.NewInt(500))))
 	s := e.String()
-	for _, want := range []string{"S.Change", "S.Close", "ClientAnalysis(S.Quotes)", "AND", "500", "0.2"} {
+	for _, want := range []string{"Change", "Close", "ClientAnalysis(Quotes)", "AND", "500", "0.2"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"csq/internal/catalog"
 	"csq/internal/types"
+	"csq/internal/wire"
 )
 
 func TestMarshalRoundTrip(t *testing.T) {
@@ -12,14 +13,14 @@ func TestMarshalRoundTrip(t *testing.T) {
 	b := NewBinder(testSchema(), cat)
 	exprs := []Expr{
 		b.MustBind(NewConst(types.NewInt(42))),
-		b.MustBind(NewColumnRef("S", "Quotes")),
+		b.MustBind(colRef("Quotes")),
 		b.MustBind(NewBinary(OpGt,
-			NewBinary(OpDiv, NewColumnRef("S", "Change"), NewColumnRef("S", "Close")),
+			NewBinary(OpDiv, colRef("Change"), colRef("Close")),
 			NewConst(types.NewFloat(0.2)))),
 		b.MustBind(NewUnary(OpNot, NewConst(types.NewBool(false)))),
-		b.MustBind(NewBinary(OpGt, NewFuncCall("ClientAnalysis", NewColumnRef("S", "Quotes")), NewConst(types.NewInt(500)))),
-		b.MustBind(NewCast(NewColumnRef("S", "Change"), types.KindInt)),
-		b.MustBind(NewFuncCall("ts_last", NewColumnRef("S", "Quotes"))),
+		b.MustBind(NewBinary(OpGt, NewFuncCall("ClientAnalysis", colRef("Quotes")), NewConst(types.NewInt(500)))),
+		b.MustBind(&Cast{Input: colRef("Change"), Target: types.KindInt}),
+		b.MustBind(NewFuncCall("ts_last", colRef("Quotes"))),
 	}
 	tup := testTuple()
 	ev := &Evaluator{Invoke: func(name string, args []types.Value) (types.Value, error) {
@@ -51,14 +52,14 @@ func TestMarshalRoundTrip(t *testing.T) {
 			t.Errorf("%s: eval error mismatch: %v vs %v", e, err1, err2)
 			continue
 		}
-		if err1 == nil && !want.IsNull() && !want.Equal(gotV) {
+		if cmp, err := types.Compare(want, gotV); err1 == nil && !want.IsNull() && (err != nil || cmp != 0) {
 			t.Errorf("%s: eval %v != %v after round trip", e, gotV, want)
 		}
 	}
 }
 
 func TestMarshalUnboundColumnFails(t *testing.T) {
-	if _, err := Marshal(NewColumnRef("S", "Name")); err == nil {
+	if _, err := Marshal(colRef("Name")); err == nil {
 		t.Error("marshalling an unbound column should fail")
 	}
 }
@@ -133,22 +134,13 @@ func TestMarshalPreservesCatalogIndependence(t *testing.T) {
 	// *different* catalog at the client as long as the UDF name exists there.
 	serverCat := testCatalog(t)
 	b := NewBinder(testSchema(), serverCat)
-	pred := b.MustBind(NewBinary(OpGt, NewFuncCall("ClientAnalysis", NewColumnRef("S", "Quotes")), NewConst(types.NewInt(500))))
+	pred := b.MustBind(NewBinary(OpGt, NewFuncCall("ClientAnalysis", colRef("Quotes")), NewConst(types.NewInt(500))))
 	data, err := Marshal(pred)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clientCat := catalog.New()
-	calls := 0
-	err = clientCat.AddUDF(&catalog.UDF{
-		Name:       "ClientAnalysis",
-		Site:       catalog.SiteClient,
-		ResultKind: types.KindInt,
-		Body: func(args []types.Value) (types.Value, error) {
-			calls++
-			return types.NewInt(1000), nil
-		},
-	})
+	_, err = clientCat.RegisterClientUDF(&wire.RegisterUDF{Name: "ClientAnalysis", ResultKind: types.KindInt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +151,11 @@ func TestMarshalPreservesCatalogIndependence(t *testing.T) {
 	if err := ResolveFunctions(decoded, clientCat); err != nil {
 		t.Fatal(err)
 	}
-	ev := &Evaluator{}
+	calls := 0
+	ev := &Evaluator{Invoke: func(string, []types.Value) (types.Value, error) {
+		calls++
+		return types.NewInt(1000), nil
+	}}
 	ok, err := ev.EvalBool(decoded, testTuple())
 	if err != nil || !ok {
 		t.Errorf("client-side evaluation = %v, %v", ok, err)

@@ -107,7 +107,7 @@ func ShiftColumns(e Expr, lo, delta int) Expr {
 // "$<ordinal>" display name NewBoundColumnRef gives nameless references so
 // that EXPLAIN renderings show the reference's actual position.
 func setOrdinal(c *ColumnRef, to int) {
-	if c.Qualifier == "" && c.Name == fmt.Sprintf("$%d", c.Ordinal) {
+	if c.Name == fmt.Sprintf("$%d", c.Ordinal) {
 		c.Name = fmt.Sprintf("$%d", to)
 	}
 	c.Ordinal = to

@@ -262,9 +262,6 @@ func (c *compiler) compileUDFClauses(clauses []*UDFClause) error {
 		if err != nil {
 			return c.errf(cl.NamePos, "unknown udf %q; the client runtime must announce it before it can be applied", cl.Name)
 		}
-		if !udf.IsClientSite() {
-			return c.errf(cl.NamePos, "%q is a server-site function; call it in a predicate expression instead of a udf clause", cl.Name)
-		}
 		// An argument produced inside the current run forces a new UDFApply
 		// below this clause.
 		for _, a := range cl.Args {
@@ -404,21 +401,8 @@ func (c *compiler) compileExpr(n ExprNode) (expr.Expr, types.Kind, error) {
 			kinds[i] = kind
 		}
 		// UDFs shadow built-ins, mirroring expr.Binder's resolution order.
-		if udf, err := c.cat.UDF(e.Name); err == nil {
-			if udf.IsClientSite() {
-				return nil, 0, c.errf(e.Pos, "%q is a client-site UDF; apply it with a 'udf %s(...) as Var' clause, then use the result variable", e.Name, e.Name)
-			}
-			if len(udf.ArgKinds) > 0 {
-				if len(udf.ArgKinds) != len(e.Args) {
-					return nil, 0, c.errf(e.Pos, "%q expects %d arguments, got %d", udf.Name, len(udf.ArgKinds), len(e.Args))
-				}
-				for i, want := range udf.ArgKinds {
-					if kinds[i] != want {
-						return nil, 0, c.errf(e.Args[i].exprPos(), "%q argument %d wants %s, got %s", udf.Name, i+1, want, kinds[i])
-					}
-				}
-			}
-			return expr.NewFuncCall(e.Name, args...), udf.ResultKind, nil
+		if _, err := c.cat.UDF(e.Name); err == nil {
+			return nil, 0, c.errf(e.Pos, "%q is a client-site UDF; apply it with a 'udf %s(...) as Var' clause, then use the result variable", e.Name, e.Name)
 		}
 		bi, ok := expr.LookupBuiltin(e.Name)
 		if !ok {

@@ -51,7 +51,11 @@ func extractDatalogFences(t *testing.T) []string {
 func handBuilt(t *testing.T, cat *catalog.Catalog, query string) logical.Node {
 	t.Helper()
 	scan := func(table string) logical.Node {
-		n, err := logical.NewScanByName(cat, table, "")
+		tbl, err := cat.Table(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := logical.NewScan(tbl, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,11 @@ func ExampleRewrite() {
 	if err != nil {
 		panic(err)
 	}
-	scan, err := logical.NewScanByName(cat, "stocks", "")
+	stocks, err := cat.Table("stocks")
+	if err != nil {
+		panic(err)
+	}
+	scan, err := logical.NewScan(stocks, "")
 	if err != nil {
 		panic(err)
 	}

@@ -1,5 +1,5 @@
 // Package logical implements the logical plan IR: an algebraic tree of
-// relational operators (Scan, Values, Filter, Project, Join, Aggregate,
+// relational operators (Scan, Filter, Project, Join, Aggregate,
 // Distinct, Limit, UDFApply) that describes *what* a query computes,
 // independent of the physical strategy used to compute it. The planner
 // pipeline is
@@ -101,18 +101,6 @@ func NewScan(t *catalog.Table, alias string) (*Scan, error) {
 	return &Scan{Table: t, Alias: alias, schema: schema}, nil
 }
 
-// NewScanByName looks the table up in the catalog and builds a scan over it.
-func NewScanByName(cat *catalog.Catalog, name, alias string) (*Scan, error) {
-	if cat == nil {
-		return nil, fmt.Errorf("logical: scan %q needs a catalog", name)
-	}
-	t, err := cat.Table(name)
-	if err != nil {
-		return nil, fmt.Errorf("logical: scan: %w", err)
-	}
-	return NewScan(t, alias)
-}
-
 // Schema implements Node.
 func (s *Scan) Schema() *types.Schema { return s.schema }
 
@@ -137,33 +125,6 @@ func (s *Scan) String() string {
 		fmt.Fprintf(&b, " prune=[%s]", strings.Join(parts, " "))
 	}
 	return b.String()
-}
-
-// Values produces an in-memory relation; it is the logical counterpart of
-// exec.ValuesScan and the natural source for tests and VALUES clauses.
-type Values struct {
-	Rows []types.Tuple
-
-	schema *types.Schema
-}
-
-// NewValues builds an in-memory relation node.
-func NewValues(schema *types.Schema, rows []types.Tuple) (*Values, error) {
-	if schema == nil || schema.Len() == 0 {
-		return nil, fmt.Errorf("logical: values node needs a schema")
-	}
-	return &Values{Rows: rows, schema: schema}, nil
-}
-
-// Schema implements Node.
-func (v *Values) Schema() *types.Schema { return v.schema }
-
-// Children implements Node.
-func (v *Values) Children() []Node { return nil }
-
-// String implements Node.
-func (v *Values) String() string {
-	return fmt.Sprintf("values (%d rows, %d cols)", len(v.Rows), v.schema.Len())
 }
 
 // Filter keeps the input rows satisfying a predicate bound against the input

@@ -18,13 +18,14 @@ func testSchema() *types.Schema {
 	)
 }
 
-func values(t *testing.T) *Values {
+// source is a scan over a table T of testSchema.
+func source(t *testing.T) *Scan {
 	t.Helper()
-	v, err := NewValues(testSchema(), nil)
+	s, err := NewScan(&catalog.Table{Name: "T", Schema: testSchema()}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v
+	return s
 }
 
 func bindings() []exec.UDFBinding {
@@ -39,32 +40,32 @@ func bindings() []exec.UDFBinding {
 // read the source schema.
 func TestNewApplyQuery(t *testing.T) {
 	filter := expr.NewBoundColumnRef(0, types.KindString)
-	full, err := NewApplyQuery(values(t), filter, bindings(), expr.NewBoundColumnRef(4, types.KindBool), []int{0, 3})
+	full, err := NewApplyQuery(source(t), filter, bindings(), expr.NewBoundColumnRef(4, types.KindBool), []int{0, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "project [0 3]\n  filter $4\n    udf-apply [Score(1) Qualify(1)]\n      filter $0\n        values (0 rows, 3 cols)\n"
+	want := "project [0 3]\n  filter $4\n    udf-apply [Score(1) Qualify(1)]\n      filter $0\n        scan T\n"
 	if got := Format(full); got != want {
 		t.Errorf("full shape:\n%s\nwant:\n%s", got, want)
 	}
-	noUDFs, err := NewApplyQuery(values(t), nil, nil, expr.NewBoundColumnRef(2, types.KindBytes), []int{1})
+	noUDFs, err := NewApplyQuery(source(t), nil, nil, expr.NewBoundColumnRef(2, types.KindBytes), []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = "project [1]\n  filter $2\n    values (0 rows, 3 cols)\n"
+	want = "project [1]\n  filter $2\n    scan T\n"
 	if got := Format(noUDFs); got != want {
 		t.Errorf("UDF-free shape:\n%s\nwant:\n%s", got, want)
 	}
 	if _, err := NewApplyQuery(nil, nil, bindings(), nil, nil); err == nil {
 		t.Error("a query without input should fail")
 	}
-	if _, err := NewApplyQuery(values(t), nil, nil, expr.NewBoundColumnRef(4, types.KindBool), nil); err == nil {
+	if _, err := NewApplyQuery(source(t), nil, nil, expr.NewBoundColumnRef(4, types.KindBool), nil); err == nil {
 		t.Error("a UDF-free pushable past the source schema should fail")
 	}
 }
 
 func TestSchemaInference(t *testing.T) {
-	v := values(t)
+	v := source(t)
 
 	f, err := NewFilter(v, expr.NewBoundColumnRef(0, types.KindString))
 	if err != nil {
@@ -96,7 +97,7 @@ func TestSchemaInference(t *testing.T) {
 		t.Errorf("arg ordinal union = %v, want [1]", ords)
 	}
 
-	j, err := NewJoin(v, values(t), []int{0}, []int{0}, nil)
+	j, err := NewJoin(v, source(t), []int{0}, []int{0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestSchemaInference(t *testing.T) {
 }
 
 func TestConstructorValidation(t *testing.T) {
-	v := values(t)
+	v := source(t)
 	if _, err := NewProject(v, []int{7}); err == nil {
 		t.Error("out-of-range projection accepted")
 	}
@@ -127,7 +128,7 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewUDFApply(v, nil); err == nil {
 		t.Error("UDF application without UDFs accepted")
 	}
-	if _, err := NewJoin(v, values(t), nil, nil, nil); err == nil {
+	if _, err := NewJoin(v, source(t), nil, nil, nil); err == nil {
 		t.Error("join without keys accepted")
 	}
 	if _, err := NewLimit(v, -1); err == nil {
@@ -138,11 +139,11 @@ func TestConstructorValidation(t *testing.T) {
 	}
 }
 
-// rewriteTestTree builds Project{Filter{UDFApply{Values}}} — the canonical
+// rewriteTestTree builds Project{Filter{UDFApply{Scan}}} — the canonical
 // single-application query shape.
 func rewriteTestTree(t *testing.T, pushableOrd int, project []int) Node {
 	t.Helper()
-	u, err := NewUDFApply(values(t), bindings())
+	u, err := NewUDFApply(source(t), bindings())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestRewriteLeavesOriginalUntouched(t *testing.T) {
 }
 
 func TestRewritePushesServerConjunctBelowApply(t *testing.T) {
-	u, err := NewUDFApply(values(t), bindings())
+	u, err := NewUDFApply(source(t), bindings())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +239,8 @@ func TestRewritePushesServerConjunctBelowApply(t *testing.T) {
 }
 
 func TestRewritePushesFilterThroughJoin(t *testing.T) {
-	left := values(t)
-	right := values(t)
+	left := source(t)
+	right := source(t)
 	j, err := NewJoin(left, right, []int{0}, []int{0}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +285,7 @@ func TestRewritePushesFilterThroughJoin(t *testing.T) {
 }
 
 func TestRewriteComposesAndDropsProjects(t *testing.T) {
-	p1, err := NewProject(values(t), []int{2, 1, 0})
+	p1, err := NewProject(source(t), []int{2, 1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestRewriteComposesAndDropsProjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	// reverse ∘ reverse = identity → both projects vanish.
-	if _, ok := out.(*Values); !ok {
+	if _, ok := out.(*Scan); !ok {
 		t.Errorf("double reverse should collapse to the source, got %T\n%s", out, Format(out))
 	}
 }
@@ -305,18 +306,18 @@ func TestRewriteComposesAndDropsProjects(t *testing.T) {
 func TestFormatRendersTree(t *testing.T) {
 	root := rewriteTestTree(t, 4, []int{0, 3})
 	s := Format(root)
-	for _, want := range []string{"project [0 3]", "filter", "udf-apply [Score(1) Qualify(1)]", "values (0 rows, 3 cols)"} {
+	for _, want := range []string{"project [0 3]", "filter", "udf-apply [Score(1) Qualify(1)]", "scan T"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Format output missing %q:\n%s", want, s)
 		}
 	}
-	if !strings.Contains(s, "\n  filter") || !strings.Contains(s, "\n      values") {
+	if !strings.Contains(s, "\n  filter") || !strings.Contains(s, "\n      scan") {
 		t.Errorf("Format output not indented by depth:\n%s", s)
 	}
 }
 
 func TestAppliesPostOrder(t *testing.T) {
-	u1, err := NewUDFApply(values(t), bindings())
+	u1, err := NewUDFApply(source(t), bindings())
 	if err != nil {
 		t.Fatal(err)
 	}

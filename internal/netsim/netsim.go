@@ -4,14 +4,10 @@
 // substitute a software link with configurable per-direction bandwidth and
 // latency.
 //
-// Two facilities are provided:
-//
-//   - Pair: an in-process duplex connection (built on net.Pipe) whose two
-//     directions are independently shaped by bandwidth and latency, with byte
-//     counters. This is the "real" transport used by the execution operators
-//     and the integration tests.
-//   - ShapeLink, which shapes one direction of an arbitrary net.Conn (e.g. a
-//     TCP connection from exec.DialLink) the same way, faults included.
+// The link is a Pair: an in-process duplex connection (built on net.Pipe)
+// whose two directions are independently shaped by bandwidth and latency,
+// with faults injectable on the downlink. This is the "real" transport used
+// by the execution operators and the integration tests.
 //
 // The deterministic discrete-event simulator used to regenerate the paper's
 // figures lives in package sim, not here.
@@ -22,7 +18,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -48,15 +43,6 @@ type LinkConfig struct {
 	// Fault optionally injects deterministic failures into the connection;
 	// the zero value injects nothing. See FaultConfig.
 	Fault FaultConfig
-}
-
-// Asymmetry returns N = downlink bandwidth / uplink bandwidth, the paper's
-// network asymmetricity. Unlimited directions yield 1.
-func (c LinkConfig) Asymmetry() float64 {
-	if c.DownBandwidth <= 0 || c.UpBandwidth <= 0 {
-		return 1
-	}
-	return c.DownBandwidth / c.UpBandwidth
 }
 
 // scale returns the effective time divisor.
@@ -87,34 +73,18 @@ func AsymmetricCable(n float64) LinkConfig {
 	}
 }
 
-// Unlimited returns a link with no shaping at all.
-func Unlimited() LinkConfig { return LinkConfig{} }
-
-// Stats exposes the byte counters of a shaped link.
-type Stats struct {
-	// BytesDown is the number of payload bytes sent server→client.
-	BytesDown int64
-	// BytesUp is the number of payload bytes sent client→server.
-	BytesUp int64
-}
-
 // Pair is an in-process, shaped, duplex connection between a server endpoint
 // and a client endpoint.
 type Pair struct {
-	cfg LinkConfig
-
 	// ServerSide is the connection the server reads/writes.
 	ServerSide io.ReadWriteCloser
 	// ClientSide is the connection the client reads/writes.
 	ClientSide io.ReadWriteCloser
-
-	bytesDown atomic.Int64
-	bytesUp   atomic.Int64
 }
 
 // NewPair builds a shaped duplex pair with the given link configuration.
 func NewPair(cfg LinkConfig) *Pair {
-	p := &Pair{cfg: cfg}
+	p := &Pair{}
 	serverRaw, clientRaw := net.Pipe()
 	// Faults observe the downlink (server-side writes); a drop severs both
 	// raw pipe ends so the peer sees the failure too.
@@ -132,30 +102,20 @@ func NewPair(cfg LinkConfig) *Pair {
 	// Writes from the server side travel on the downlink; writes from the
 	// client side travel on the uplink.
 	p.ServerSide = &shapedConn{
-		Conn:     serverRaw,
-		writeBW:  cfg.DownBandwidth,
-		latency:  cfg.Latency,
-		scale:    cfg.scale(),
-		writeCtr: &p.bytesDown,
-		fault:    fault,
+		Conn:    serverRaw,
+		writeBW: cfg.DownBandwidth,
+		latency: cfg.Latency,
+		scale:   cfg.scale(),
+		fault:   fault,
 	}
 	p.ClientSide = &shapedConn{
-		Conn:     clientRaw,
-		writeBW:  cfg.UpBandwidth,
-		latency:  cfg.Latency,
-		scale:    cfg.scale(),
-		writeCtr: &p.bytesUp,
+		Conn:    clientRaw,
+		writeBW: cfg.UpBandwidth,
+		latency: cfg.Latency,
+		scale:   cfg.scale(),
 	}
 	return p
 }
-
-// Stats returns the bytes transferred so far in each direction.
-func (p *Pair) Stats() Stats {
-	return Stats{BytesDown: p.bytesDown.Load(), BytesUp: p.bytesUp.Load()}
-}
-
-// Config returns the link configuration of the pair.
-func (p *Pair) Config() LinkConfig { return p.cfg }
 
 // Close closes both sides.
 func (p *Pair) Close() error {
@@ -173,11 +133,10 @@ func (p *Pair) Close() error {
 // after an idle period. Reads are unshaped (the peer's writes already paid).
 type shapedConn struct {
 	net.Conn
-	writeBW  float64
-	latency  time.Duration
-	scale    float64
-	writeCtr *atomic.Int64
-	fault    *faultState
+	writeBW float64
+	latency time.Duration
+	scale   float64
+	fault   *faultState
 
 	mu       sync.Mutex
 	lastSend time.Time
@@ -187,11 +146,7 @@ type shapedConn struct {
 func (c *shapedConn) Write(p []byte) (int, error) {
 	if c.fault == nil {
 		c.delay(len(p))
-		n, err := c.Conn.Write(p)
-		if c.writeCtr != nil {
-			c.writeCtr.Add(int64(n))
-		}
-		return n, err
+		return c.Conn.Write(p)
 	}
 	out, stall, faultErr := c.fault.admit(p)
 	if stall > 0 {
@@ -202,9 +157,6 @@ func (c *shapedConn) Write(p []byte) (int, error) {
 	if len(out) > 0 {
 		c.delay(len(out))
 		n, err = c.Conn.Write(out)
-		if c.writeCtr != nil {
-			c.writeCtr.Add(int64(n))
-		}
 	}
 	if faultErr != nil {
 		c.fault.drop()
@@ -252,26 +204,4 @@ func (c LinkConfig) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// ShapeLink wraps conn so that its writes are shaped by cfg's downlink
-// bandwidth, latency, and scale, with cfg.Fault injected; a drop closes the
-// wrapped conn. Written bytes are counted into ctr when non-nil.
-func ShapeLink(conn net.Conn, cfg LinkConfig, ctr *atomic.Int64) net.Conn {
-	var fault *faultState
-	if cfg.Fault.active() {
-		fault = &faultState{
-			cfg:      cfg.Fault,
-			scale:    cfg.scale(),
-			closeAll: func() { conn.Close() },
-		}
-	}
-	return &shapedConn{
-		Conn:     conn,
-		writeBW:  cfg.DownBandwidth,
-		latency:  cfg.Latency,
-		scale:    cfg.scale(),
-		writeCtr: ctr,
-		fault:    fault,
-	}
 }

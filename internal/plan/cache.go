@@ -166,8 +166,8 @@ func (c *Cache[V]) count(read func() int64) int64 {
 // same result (same shape over same data), which is what every cache keys on.
 //
 // ok is false when the identity cannot be established: some leaf of the tree
-// is not a Scan over version-reporting storage (e.g. a Values literal, which
-// renders only its size), so staleness could not be detected.
+// is not a Scan over version-reporting storage, so staleness could not be
+// detected.
 func TreeVersionKey(root logical.Node, cat *catalog.Catalog) (key string, ok bool) {
 	versions, ok := leafVersions(root)
 	if !ok {
@@ -251,8 +251,7 @@ func PlanCacheKey(root logical.Node, cat *catalog.Catalog, cfg Config) (key stri
 	}
 	var b strings.Builder
 	b.WriteString(base)
-	fmt.Fprintf(&b, "|probe=%d|sessions=%d|budget=%d|link=%s",
-		cfg.ProbeBytes, cfg.maxSessions(), cfg.MemBudget, cfg.LinkKey)
+	fmt.Fprintf(&b, "|budget=%d|link=%s", cfg.MemBudget, cfg.LinkKey)
 	if cfg.Link != nil {
 		fmt.Fprintf(&b, "|obs=%v", *cfg.Link)
 	}

@@ -30,7 +30,7 @@ func versionKeyFixture(t *testing.T) (*storage.HeapTable, *catalog.Catalog, logi
 	if err := cat.AddTable(&catalog.Table{Name: "objects", Schema: testSchema(), Stats: heap.Stats(), Data: heap}); err != nil {
 		t.Fatal(err)
 	}
-	scan, err := logical.NewScanByName(cat, "objects", "")
+	scan, err := scanByName(cat, "objects", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,10 @@ func TestTreeVersionKeyTracksWrites(t *testing.T) {
 	}
 }
 
-// TestTreeVersionKeyRejectsUnversionedLeaves: a Values literal has no data
-// version, so the tree must be reported uncacheable rather than silently
-// cached forever.
+// TestTreeVersionKeyRejectsUnversionedLeaves: a relation with no data
+// version makes the tree uncacheable rather than silently cached forever.
 func TestTreeVersionKeyRejectsUnversionedLeaves(t *testing.T) {
-	vals := testValues(t, []types.Tuple{rowWithKey(0, 0)})
+	vals := unversionedScan(t, []types.Tuple{rowWithKey(0, 0)})
 	if _, ok := TreeVersionKey(vals, catalog.New()); ok {
 		t.Fatal("unversioned leaf must not produce a version key")
 	}

@@ -132,7 +132,7 @@ func colPropJoin(r *rand.Rand, node logical.Node, ints []int, scan func() logica
 				types.NewString(fmt.Sprintf("t%d", i%3)),
 			)
 		}
-		leaf, err := logical.NewValues(types.NewSchema(
+		leaf, err := rowsScan("v", types.NewSchema(
 			types.Column{Name: "K", Kind: types.KindInt},
 			types.Column{Name: "V", Kind: types.KindInt},
 			types.Column{Name: "T", Kind: types.KindString},
@@ -268,7 +268,7 @@ var colPropStrategies = []Strategy{StrategyNaive, StrategySemiJoin, StrategyClie
 
 func TestColumnarMatchesHeapProperty(t *testing.T) {
 	rt := propRuntime(t)
-	link := exec.NewInProcessLink(rt, netsim.Unlimited())
+	link := exec.NewInProcessLink(rt, netsim.LinkConfig{})
 	heapCat, colCat := colPropCatalogs(t, rt)
 
 	const trees = 30
@@ -294,7 +294,7 @@ func TestColumnarMatchesHeapProperty(t *testing.T) {
 // column a scan was told not to read holds a non-NULL sentinel.
 func TestColumnDemandProperty(t *testing.T) {
 	rt := propRuntime(t)
-	link := exec.NewInProcessLink(rt, netsim.Unlimited())
+	link := exec.NewInProcessLink(rt, netsim.LinkConfig{})
 	_, cat := colPropCatalogs(t, rt)
 	fillUnread(t)
 
@@ -376,7 +376,7 @@ func colPropBuild(t *testing.T, cat *catalog.Catalog, seed int) logical.Node {
 	t.Helper()
 	r := rand.New(rand.NewSource(int64(seed)))
 	scan := func() logical.Node {
-		sc, err := logical.NewScanByName(cat, "t", "")
+		sc, err := scanByName(cat, "t", "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,8 +57,6 @@ func (tp *TreePlan) physicalInto(b *strings.Builder, n logical.Node, depth int) 
 		}
 		line += fmt.Sprintf(" [segments %d/%d after pruning]", pe.Survive, pe.Total)
 		writeLine(b, depth, line)
-	case *logical.Values:
-		writeLine(b, depth, fmt.Sprintf("values-scan (%d rows)", len(t.Rows)))
 	case *logical.Filter:
 		writeLine(b, depth, fmt.Sprintf("filter %s", t.Pred))
 		tp.physicalInto(b, t.Input, depth+1)

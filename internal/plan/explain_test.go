@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"csq/internal/catalog"
-	"csq/internal/logical"
 	"csq/internal/netsim"
 	"csq/internal/storage"
 	"csq/internal/types"
@@ -33,11 +32,11 @@ func TestExplainRendersAllThreeLayers(t *testing.T) {
 	if err := cat.AddTable(&catalog.Table{Name: "events", Schema: testSchema(), Stats: table.Stats(), Data: table}); err != nil {
 		t.Fatal(err)
 	}
-	scan, err := logical.NewScanByName(cat, "events", "e")
+	scan, err := scanByName(cat, "events", "e")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newTestPlanner(t, rt, netsim.Unlimited())
+	p := newTestPlanner(t, rt, netsim.LinkConfig{})
 
 	tp, d := planOne(t, p, testQuery(t, scan), cat)
 	if d.Strategy != StrategySemiJoin {
@@ -80,12 +79,12 @@ func TestLowerScanWithoutHandle(t *testing.T) {
 	if err := cat.AddTable(&catalog.Table{Name: "ghost", Schema: testSchema()}); err != nil {
 		t.Fatal(err)
 	}
-	scan, err := logical.NewScanByName(cat, "ghost", "")
+	scan, err := scanByName(cat, "ghost", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt := testRuntime(t)
-	p := newTestPlanner(t, rt, netsim.Unlimited())
+	p := newTestPlanner(t, rt, netsim.LinkConfig{})
 	_, err = p.PlanTree(context.Background(), applyQuery(t, scan, testBindings(), nil, nil), testCatalog(t, rt))
 	if err == nil || !strings.Contains(err.Error(), "no storage handle") {
 		t.Errorf("planning a handle-less scan = %v, want storage-handle error", err)
@@ -97,7 +96,7 @@ func TestLowerScanWithoutHandle(t *testing.T) {
 // any cardinality) instead of failing, and executes to an empty result.
 func TestPlanEmptyInputFallsBackToNaive(t *testing.T) {
 	rt := testRuntime(t)
-	p := newTestPlanner(t, rt, netsim.Unlimited())
+	p := newTestPlanner(t, rt, netsim.LinkConfig{})
 	tp, d := planOne(t, p, testQuery(t, testValues(t, nil)), testCatalog(t, rt))
 	if d.Strategy != StrategyNaive || !d.Fallback {
 		t.Fatalf("empty input planned as %s (fallback=%v), want naive fallback", d.Strategy, d.Fallback)

@@ -54,13 +54,6 @@ type TreePlan struct {
 	mem       map[logical.Node]memEstimate
 }
 
-// MemEstimate returns the planner's estimate of the retained operator state
-// (in bytes) for a node of the rewritten tree, and whether one exists.
-func (tp *TreePlan) MemEstimate(n logical.Node) (int64, bool) {
-	est, ok := tp.mem[n]
-	return est.OpBytes, ok
-}
-
 // PlanTree rewrites the logical tree and makes a strategy decision for every
 // UDFApply node in it, in post-order (so an outer application's sampling pass
 // can instantiate its already-planned inputs). The catalog supplies UDF cost
@@ -167,8 +160,6 @@ func (lw *lowerer) lower(n logical.Node) (exec.Operator, error) {
 			return nil, fmt.Errorf("plan: scan of %q: catalog entry has no storage handle", t.Table.Name)
 		}
 		return exec.NewTableScan(data, t.Alias), nil
-	case *logical.Values:
-		return exec.NewValuesScan(t.Schema(), t.Rows), nil
 	case *logical.Filter:
 		in, err := lw.lower(t.Input)
 		if err != nil {
@@ -312,7 +303,7 @@ func (p *Planner) planApply(ctx context.Context, lw *lowerer, spec applySpec) (*
 			break
 		}
 		var err error
-		link, err = exec.ProbeAsymmetry(ctx, p.Link, p.Config.ProbeBytes)
+		link, err = exec.ProbeAsymmetry(ctx, p.Link, exec.DefaultProbeBytes)
 		if err != nil {
 			return nil, fmt.Errorf("plan: link probe: %w", err)
 		}
@@ -341,7 +332,7 @@ func (p *Planner) planApply(ctx context.Context, lw *lowerer, spec applySpec) (*
 	if err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}
-	finalizeLinkKnobs(d, spec, p.Config.maxSessions())
+	finalizeLinkKnobs(d, spec)
 	return d, nil
 }
 

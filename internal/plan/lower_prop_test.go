@@ -87,13 +87,13 @@ func (g *propGen) leaf() pair {
 			types.NewString(tags[g.r.Intn(len(tags))]),
 		)
 	}
-	v, err := logical.NewValues(schema, rows)
+	v, err := rowsScan("v", schema, rows)
 	if err != nil {
 		panic(err)
 	}
 	return pair{
 		node:   v,
-		direct: func() (exec.Operator, error) { return exec.NewValuesScan(schema, rows), nil },
+		direct: func() (exec.Operator, error) { return rowsOp(schema, rows), nil },
 	}
 }
 
@@ -277,7 +277,7 @@ func collectOneByOne(t *testing.T, op exec.Operator) []string {
 func TestLoweringMatchesDirectConstructionProperty(t *testing.T) {
 	rt := propRuntime(t)
 	cat := testCatalog(t, rt)
-	link := exec.NewInProcessLink(rt, netsim.Unlimited())
+	link := exec.NewInProcessLink(rt, netsim.LinkConfig{})
 	p := NewPlanner(link)
 	// A fixed observation keeps the property deterministic and skips per-tree
 	// probing; an unmeasured link would do too, it just exercises less.

@@ -63,7 +63,7 @@ func newNaive(input exec.Operator, link exec.ClientLink, udfs []exec.UDFBinding)
 
 // joinWorkload builds two relations joined on an int key, with the UDF
 // argument payload on the left side.
-func joinWorkload(t *testing.T) (left, right *logical.Values, leftRows, rightRows []types.Tuple, leftSchema, rightSchema *types.Schema) {
+func joinWorkload(t *testing.T) (left, right *logical.Scan, leftRows, rightRows []types.Tuple, leftSchema, rightSchema *types.Schema) {
 	t.Helper()
 	leftSchema = types.NewSchema(
 		types.Column{Name: "K", Kind: types.KindInt},
@@ -84,10 +84,10 @@ func joinWorkload(t *testing.T) (left, right *logical.Values, leftRows, rightRow
 		rightRows = append(rightRows, types.NewTuple(types.NewInt(int64(i)), types.NewString(tag)))
 	}
 	var err error
-	if left, err = logical.NewValues(leftSchema, leftRows); err != nil {
+	if left, err = rowsScan("l", leftSchema, leftRows); err != nil {
 		t.Fatal(err)
 	}
-	if right, err = logical.NewValues(rightSchema, rightRows); err != nil {
+	if right, err = rowsScan("r", rightSchema, rightRows); err != nil {
 		t.Fatal(err)
 	}
 	return
@@ -100,7 +100,7 @@ func TestLowerUDFAboveJoin(t *testing.T) {
 	left, right, leftRows, rightRows, leftSchema, rightSchema := joinWorkload(t)
 	rt := testRuntime(t)
 	cat := testCatalog(t, rt)
-	p := newTestPlanner(t, rt, netsim.Unlimited())
+	p := newTestPlanner(t, rt, netsim.LinkConfig{})
 
 	// Joined schema: 0 K, 1 Payload, 2 K, 3 Tag; extended adds 4 Score, 5
 	// Qualify. Keep qualifying rows, return (Tag, Score).
@@ -140,8 +140,8 @@ func TestLowerUDFAboveJoin(t *testing.T) {
 
 	// Hand-built equivalent: join → naive → filter → project.
 	hj, err := exec.NewHashJoin(
-		exec.NewValuesScan(leftSchema, leftRows),
-		exec.NewValuesScan(rightSchema, rightRows),
+		rowsOp(leftSchema, leftRows),
+		rowsOp(rightSchema, rightRows),
 		[]int{0}, []int{0}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestLowerTwoUDFApplies(t *testing.T) {
 	}
 	rt := testRuntime(t)
 	cat := testCatalog(t, rt)
-	p := newTestPlanner(t, rt, netsim.Unlimited())
+	p := newTestPlanner(t, rt, netsim.LinkConfig{})
 
 	score := []exec.UDFBinding{{Name: "Score", ArgOrdinals: []int{1}, ResultKind: types.KindBytes}}
 	qualify := []exec.UDFBinding{{Name: "Qualify", ArgOrdinals: []int{1}, ResultKind: types.KindBool}}
@@ -205,7 +205,7 @@ func TestLowerTwoUDFApplies(t *testing.T) {
 	}
 	got := mustCollect(t, op)
 
-	n1, err := newNaive(exec.NewValuesScan(testSchema(), rows), p.Link, score)
+	n1, err := newNaive(rowsOp(testSchema(), rows), p.Link, score)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestLowerAggregateOverUDF(t *testing.T) {
 	}
 	rt := testRuntime(t)
 	cat := testCatalog(t, rt)
-	p := newTestPlanner(t, rt, netsim.Unlimited())
+	p := newTestPlanner(t, rt, netsim.LinkConfig{})
 
 	qualify := []exec.UDFBinding{{Name: "Qualify", ArgOrdinals: []int{1}, ResultKind: types.KindBool}}
 	apply, err := logical.NewUDFApply(testValues(t, rows), qualify)
@@ -253,7 +253,7 @@ func TestLowerAggregateOverUDF(t *testing.T) {
 	}
 	got := mustCollect(t, op)
 
-	nu, err := newNaive(exec.NewValuesScan(testSchema(), rows), p.Link, qualify)
+	nu, err := newNaive(rowsOp(testSchema(), rows), p.Link, qualify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestLowerPrunesProjectedQuery(t *testing.T) {
 		rows[i] = rowWithKey(i, uint32(5000+i)) // all distinct: client join
 	}
 	rt := testRuntime(t)
-	p := newTestPlanner(t, rt, netsim.Unlimited())
+	p := newTestPlanner(t, rt, netsim.LinkConfig{})
 
 	tp, d := planOne(t, p, testQuery(t, testValues(t, rows)), testCatalog(t, rt))
 	apply := tp.Applies[0].Apply
@@ -309,7 +309,7 @@ func TestLowerPrunesProjectedQuery(t *testing.T) {
 	prunedDown := exec.NetStatsOf(op).BytesDown
 
 	udfs := testBindings()
-	cj, err := exec.NewClientJoin(exec.NewValuesScan(testSchema(), rows), p.Link, udfs)
+	cj, err := exec.NewClientJoin(rowsOp(testSchema(), rows), p.Link, udfs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,14 +104,6 @@ func estimateMem(root logical.Node, decisions map[*logical.UDFApply]*Decision) m
 			if pe, ok := scanPruneEstimate(t); ok && len(t.Prunable) > 0 {
 				est.Rows *= pe.rowFraction()
 			}
-		case *logical.Values:
-			est.Rows = float64(len(t.Rows))
-			for _, r := range t.Rows {
-				est.RowBytes += float64(r.Size())
-			}
-			if est.Rows > 0 {
-				est.RowBytes /= est.Rows
-			}
 		case *logical.Filter:
 			in := walk(t.Input)
 			// Selectivity is unknown pre-sampling; stay conservative so the

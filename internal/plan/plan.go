@@ -57,8 +57,7 @@ const (
 	perTupleOverhead = 4
 	// maxConcurrency caps the derived pipeline concurrency factor.
 	maxConcurrency = 1024
-	// DefaultMaxSessions caps the derived parallel session fan-out when the
-	// config does not override it.
+	// DefaultMaxSessions caps the derived parallel session fan-out.
 	DefaultMaxSessions = 8
 	// minDictSavings is the predicted fractional byte saving below which the
 	// planner leaves the dictionary encoding off: the encoder's auto
@@ -100,12 +99,6 @@ func (s Strategy) String() string {
 
 // Config tunes the planner. The zero value selects the defaults above.
 type Config struct {
-	// ProbeBytes is the large-probe payload for link measurement; < 1 selects
-	// exec.DefaultProbeBytes.
-	ProbeBytes int
-	// MaxSessions caps the parallel session fan-out the planner derives from
-	// the measured link. Values < 1 select DefaultMaxSessions.
-	MaxSessions int
 	// Link, when non-nil, is a pre-measured link observation; the planner
 	// skips the probe. Useful when many plans share one physical link.
 	Link *exec.LinkObservation
@@ -129,13 +122,6 @@ type Config struct {
 	// tolerance altogether). The zero value enables fault tolerance with the
 	// exec package defaults.
 	Retry exec.RetryConfig
-}
-
-func (c Config) maxSessions() int {
-	if c.MaxSessions < 1 {
-		return DefaultMaxSessions
-	}
-	return c.MaxSessions
 }
 
 // applySpec bundles one rewritten UDFApply node with the metadata context its
@@ -233,8 +219,8 @@ func ChooseStrategy(p costmodel.Params) (Strategy, costmodel.LinkCost, costmodel
 // finalizeLinkKnobs derives the decision's link-level knobs — session
 // fan-out, pipeline concurrency factor and dictionary choice — from its
 // strategy, parameters, link observation and sample statistics.
-func finalizeLinkKnobs(d *Decision, spec applySpec, maxSessions int) {
-	d.Sessions = sessionsFor(d, maxSessions)
+func finalizeLinkKnobs(d *Decision, spec applySpec) {
+	d.Sessions = sessionsFor(d)
 	d.Concurrency = concurrencyFor(d.Params, d.Link, d.Sessions)
 	if d.Strategy == StrategyNaive {
 		d.Concurrency = 1 // naive is the semi-join at factor 1
@@ -256,7 +242,7 @@ func finalizeLinkKnobs(d *Decision, spec applySpec, maxSessions int) {
 // session — its defining behaviour is the synchronous round trip, and the
 // planner only selects it for workloads with at most one expected
 // invocation anyway.
-func sessionsFor(d *Decision, max int) int {
+func sessionsFor(d *Decision) int {
 	if d.Strategy == StrategyNaive {
 		return 1
 	}
@@ -279,7 +265,7 @@ func sessionsFor(d *Decision, max int) int {
 	if tUp > tDown {
 		transferBytes, bw = up, d.Link.UpBytesPerSec
 	}
-	return costmodel.OptimalSessions(transferBytes, bw, d.Link.RTT, max)
+	return costmodel.OptimalSessions(transferBytes, bw, d.Link.RTT, DefaultMaxSessions)
 }
 
 // dictSavings predicts the fractional downlink byte saving of the per-batch

@@ -14,6 +14,7 @@ import (
 	"csq/internal/expr"
 	"csq/internal/logical"
 	"csq/internal/netsim"
+	"csq/internal/storage"
 	"csq/internal/types"
 	"csq/internal/wire"
 )
@@ -127,7 +128,47 @@ func testBindings() []exec.UDFBinding {
 // testValues builds the declarative source node over the rows.
 func testValues(t testing.TB, rows []types.Tuple) logical.Node {
 	t.Helper()
-	src, err := logical.NewValues(testSchema(), rows)
+	src, err := rowsScan("objects", testSchema(), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// rowsScan is a scan over a heap table holding rows, outside any catalog.
+func rowsScan(name string, schema *types.Schema, rows []types.Tuple) (*logical.Scan, error) {
+	heap, err := storage.NewHeapTable(name, schema)
+	if err != nil {
+		return nil, err
+	}
+	if err := heap.InsertBatch(rows); err != nil {
+		return nil, err
+	}
+	return logical.NewScan(&catalog.Table{Name: name, Schema: schema, Stats: heap.Stats(), Data: heap}, "")
+}
+
+// rowsOp is a table scan operator over a heap table holding rows.
+func rowsOp(schema *types.Schema, rows []types.Tuple) exec.Operator {
+	scan, err := rowsScan("v", schema, rows)
+	if err != nil {
+		panic(err)
+	}
+	return exec.NewTableScan(scan.Table.Data.(storage.Relation), "")
+}
+
+// unversioned hides its relation's data version.
+type unversioned struct{ storage.Relation }
+
+// unversionedScan is testValues over a relation that reports no data version.
+func unversionedScan(t testing.TB, rows []types.Tuple) logical.Node {
+	t.Helper()
+	scan, err := rowsScan("objects", testSchema(), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := *scan.Table
+	tbl.Data = unversioned{tbl.Data.(storage.Relation)}
+	src, err := logical.NewScan(&tbl, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +263,7 @@ func TestSampleInputMeasures(t *testing.T) {
 	for i := range rows {
 		rows[i] = rowWithKey(i, uint32(i%20)) // 10% distinct arguments
 	}
-	src := exec.NewValuesScan(testSchema(), rows)
+	src := rowsOp(testSchema(), rows)
 	// Server filter: ID >= "N0100" keeps the second half.
 	filter := expr.NewBinary(expr.OpGe,
 		expr.NewBoundColumnRef(0, types.KindString),
@@ -336,7 +377,7 @@ func TestPlanPicksSemiJoinForDuplicateHeavyInput(t *testing.T) {
 		rows[i] = rowWithKey(i, uint32(i%8)) // 2% distinct
 	}
 	rt := testRuntime(t)
-	p := newTestPlanner(t, rt, netsim.Unlimited())
+	p := newTestPlanner(t, rt, netsim.LinkConfig{})
 	tp, d := planOne(t, p, testQuery(t, testValues(t, rows)), testCatalog(t, rt))
 	if d.Strategy != StrategySemiJoin {
 		t.Fatalf("duplicate-heavy input planned as %s, want semi-join (params %+v)", d.Strategy, d.Params)
@@ -371,7 +412,7 @@ func TestPlanPicksClientJoinForDistinctInput(t *testing.T) {
 		rows[i] = rowWithKey(i, uint32(1000+i)) // all distinct
 	}
 	rt := testRuntime(t)
-	p := newTestPlanner(t, rt, netsim.Unlimited())
+	p := newTestPlanner(t, rt, netsim.LinkConfig{})
 	tp, d := planOne(t, p, testQuery(t, testValues(t, rows)), testCatalog(t, rt))
 	if d.Strategy != StrategyClientJoin {
 		t.Fatalf("distinct input planned as %s, want client-site join (params %+v)", d.Strategy, d.Params)
@@ -387,7 +428,7 @@ func TestPlanPicksClientJoinForDistinctInput(t *testing.T) {
 func TestPlanNaiveDegenerateCase(t *testing.T) {
 	rows := []types.Tuple{rowWithKey(0, 3)}
 	rt := testRuntime(t)
-	p := newTestPlanner(t, rt, netsim.Unlimited())
+	p := newTestPlanner(t, rt, netsim.LinkConfig{})
 	// A small-result UDF keeps the semi-join side of the argmin, which the
 	// single-row input then degrades to naive.
 	qualify := []exec.UDFBinding{{Name: "Qualify", ArgOrdinals: []int{1}, ResultKind: types.KindBool}}
@@ -421,7 +462,7 @@ func TestPlanNaiveDegenerateCase(t *testing.T) {
 
 func TestPlanQueryValidation(t *testing.T) {
 	rt := testRuntime(t)
-	p := newTestPlanner(t, rt, netsim.Unlimited())
+	p := newTestPlanner(t, rt, netsim.LinkConfig{})
 	if _, err := p.PlanTree(context.Background(), nil, testCatalog(t, rt)); err == nil {
 		t.Error("a nil tree should fail")
 	}
@@ -447,7 +488,7 @@ func TestPlanDerivesSessionsAndDict(t *testing.T) {
 	}
 	rt := testRuntime(t)
 	cat := testCatalog(t, rt)
-	p := newTestPlanner(t, rt, netsim.Unlimited())
+	p := newTestPlanner(t, rt, netsim.LinkConfig{})
 	p.Config.Link = &exec.LinkObservation{
 		DownBytesPerSec: 180_000,
 		UpBytesPerSec:   3_600,
@@ -487,12 +528,6 @@ func TestPlanDerivesSessionsAndDict(t *testing.T) {
 	if len(got) != want {
 		t.Errorf("parallel dict client join returned %d rows, want %d", len(got), want)
 	}
-
-	// The session cap is configurable.
-	p.Config.MaxSessions = 2
-	if _, d2 := planOne(t, p, q, cat); d2.Sessions > 2 {
-		t.Errorf("sessions = %d exceeds the configured cap 2", d2.Sessions)
-	}
 }
 
 // TestPlanSingleSessionOnUnmeasuredLink: without measured bandwidths the
@@ -503,7 +538,7 @@ func TestPlanSingleSessionOnUnmeasuredLink(t *testing.T) {
 		rows[i] = rowWithKey(i, uint32(i%8))
 	}
 	rt := testRuntime(t)
-	p := newTestPlanner(t, rt, netsim.Unlimited())
+	p := newTestPlanner(t, rt, netsim.LinkConfig{})
 	if _, d := planOne(t, p, testQuery(t, testValues(t, rows)), testCatalog(t, rt)); d.Sessions != 1 {
 		t.Errorf("unmeasured link derived %d sessions, want 1", d.Sessions)
 	}
@@ -541,4 +576,14 @@ func TestDictSavingsPrediction(t *testing.T) {
 	if s := dictSavings(SampleStats{}, spec, StrategyClientJoin); s != 0 {
 		t.Errorf("empty-sample savings = %.3f, want 0", s)
 	}
+}
+
+// scanByName builds a scan over the catalog's table name, as the query
+// compiler does.
+func scanByName(cat *catalog.Catalog, name, alias string) (*logical.Scan, error) {
+	t, err := cat.Table(name)
+	if err != nil {
+		return nil, err
+	}
+	return logical.NewScan(t, alias)
 }

@@ -47,9 +47,6 @@ func (s *DistinctSketch) Add(h uint64) {
 	s.mins[i] = h
 }
 
-// Rows returns how many elements have been added (including duplicates).
-func (s *DistinctSketch) Rows() int { return s.rows }
-
 // Estimate returns the estimated number of distinct elements added.
 func (s *DistinctSketch) Estimate() float64 {
 	if len(s.mins) < s.k {

@@ -65,7 +65,7 @@ func statsCacheFixture(t *testing.T) (*countingRelation, *catalog.Catalog, *Plan
 
 func statsCacheQuery(t *testing.T, cat *catalog.Catalog) logical.Node {
 	t.Helper()
-	scan, err := logical.NewScanByName(cat, "objects", "")
+	scan, err := scanByName(cat, "objects", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,6 @@ func TestStatsCacheLinkReuse(t *testing.T) {
 	})
 	p.Config.StatsCache = cache
 	p.Config.LinkKey = "inproc-test-link"
-	p.Config.ProbeBytes = 8 << 10
 	q := statsCacheQuery(t, cat)
 
 	first, err := p.PlanTree(context.Background(), q, cat)
@@ -188,15 +187,15 @@ func TestStatsCacheLinkReuse(t *testing.T) {
 	}
 }
 
-// TestValuesInputsAreNotCached ensures unversioned (Values-backed) inputs
-// bypass the cache entirely rather than serving stale samples.
+// TestValuesInputsAreNotCached ensures inputs with no data version bypass
+// the cache entirely rather than serving stale samples.
 func TestValuesInputsAreNotCached(t *testing.T) {
 	_, cat, p, cache := statsCacheFixture(t)
 	rows := make([]types.Tuple, 50)
 	for i := range rows {
 		rows[i] = rowWithKey(i, uint32(i))
 	}
-	q := testQuery(t, testValues(t, rows))
+	q := testQuery(t, unversionedScan(t, rows))
 	if _, err := p.PlanTree(context.Background(), q, cat); err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -204,16 +203,16 @@ func TestValuesInputsAreNotCached(t *testing.T) {
 		t.Fatalf("second plan: %v", err)
 	}
 	if cache.Hits() != 0 {
-		t.Fatalf("values-backed query hit the cache (%d hits)", cache.Hits())
+		t.Fatalf("unversioned query hit the cache (%d hits)", cache.Hits())
 	}
 }
 
 // TestSampleCacheKeyNeedsEveryLeafVersioned: a sampled input that joins a
-// versioned scan with a literal has no version stamp, because a literal
-// renders only its size and two literals of one size would share a key.
+// versioned scan with an unversioned relation has no version stamp, because
+// the tree's rendering alone cannot tell two of its states apart.
 func TestSampleCacheKeyNeedsEveryLeafVersioned(t *testing.T) {
 	_, cat, scan := versionKeyFixture(t)
-	join, err := logical.NewJoin(scan, testValues(t, []types.Tuple{rowWithKey(0, 0)}), []int{0}, []int{0}, nil)
+	join, err := logical.NewJoin(scan, unversionedScan(t, []types.Tuple{rowWithKey(0, 0)}), []int{0}, []int{0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +227,7 @@ func TestSampleCacheKeyNeedsEveryLeafVersioned(t *testing.T) {
 		t.Fatal("a sample over a versioned scan must be cacheable")
 	}
 	if key := keyOf(join); key != "" {
-		t.Fatalf("a sample over a scan joined with a literal got the key %q", key)
+		t.Fatalf("a sample over a scan joined with an unversioned relation got the key %q", key)
 	}
 }
 

@@ -55,11 +55,11 @@ func benchCatalog(b *testing.B, rows int) *catalog.Catalog {
 
 func benchTree(b *testing.B, cat *catalog.Catalog) logical.Node {
 	b.Helper()
-	dimsScan, err := logical.NewScanByName(cat, "dims", "")
+	dimsScan, err := scanByName(cat, "dims", "")
 	if err != nil {
 		b.Fatal(err)
 	}
-	eventsScan, err := logical.NewScanByName(cat, "events", "")
+	eventsScan, err := scanByName(cat, "events", "")
 	if err != nil {
 		b.Fatal(err)
 	}

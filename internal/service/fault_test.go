@@ -7,7 +7,6 @@ import (
 
 	"csq/internal/catalog"
 	"csq/internal/exec"
-	"csq/internal/logical"
 	"csq/internal/netsim"
 	"csq/internal/plan"
 	"csq/internal/storage"
@@ -44,7 +43,7 @@ func TestServicePanicIsolation(t *testing.T) {
 	svc := New(fx.cat, Config{Planner: plan.Config{Link: fixedLink()}})
 	defer svc.Close()
 
-	boomScan, err := logical.NewScanByName(fx.cat, "boom", "")
+	boomScan, err := scanByName(fx.cat, "boom", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestServiceQueryStatsRecordFaults(t *testing.T) {
 
 	// In-process link so the fault script can kill exactly one pooled session
 	// (ordinal 1) and let its redial succeed.
-	link := exec.NewInProcessLink(fx.runtime, netsim.Unlimited())
+	link := exec.NewInProcessLink(fx.runtime, netsim.LinkConfig{})
 	link.Faults = netsim.NewFaultScript(1).Set(1, netsim.FaultConfig{DropAfterBytes: 1500})
 	res, err := svc.Execute(context.Background(), Request{Tree: tree, Link: link})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -126,7 +127,7 @@ func TestRequesterDamagedFrameEndsQuery(t *testing.T) {
 	if len(got) != exec.DefaultBatchSize {
 		t.Fatalf("collected %d rows before the damaged frame, want the %d of the one good frame", len(got), exec.DefaultBatchSize)
 	}
-	if q1.ch.dec.DictBytes() != 0 {
+	if !reflect.DeepEqual(q1.ch.dec, wire.ResultDecoder{}) {
 		t.Fatal("the failed stream's dictionaries outlived it")
 	}
 
@@ -551,7 +552,7 @@ func TestResultStreamStateFreedWithQuery(t *testing.T) {
 	if err != nil || len(rows) != eventRows {
 		t.Fatalf("collected %d rows, error %v", len(rows), err)
 	}
-	if q.ch.dec.DictBytes() != 0 {
+	if !reflect.DeepEqual(q.ch.dec, wire.ResultDecoder{}) {
 		t.Error("End: the requester kept the stream's dictionaries")
 	}
 	if n := srv.svc.Stats().Caches.ResultEntries; n != 0 {
@@ -566,7 +567,7 @@ func TestResultStreamStateFreedWithQuery(t *testing.T) {
 	if _, err := q.Collect(); err == nil {
 		t.Fatal("a query past its deadline succeeded")
 	}
-	if q.ch.dec.DictBytes() != 0 {
+	if !reflect.DeepEqual(q.ch.dec, wire.ResultDecoder{}) {
 		t.Error("Error: the requester kept the stream's dictionaries")
 	}
 	awaitServer()
@@ -591,10 +592,10 @@ func TestResultStreamStateFreedWithQuery(t *testing.T) {
 	if err := running.Cancel(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := running.Collect(); !ErrIsCanceled(err) {
+	if _, err := running.Collect(); !isCanceled(err) {
 		t.Fatalf("cancelled query ended with %v", err)
 	}
-	if running.ch.dec.DictBytes() != 0 {
+	if !reflect.DeepEqual(running.ch.dec, wire.ResultDecoder{}) {
 		t.Error("cancel: the requester kept the stream's dictionaries")
 	}
 	awaitServer()

@@ -52,7 +52,7 @@ func miniCatalog(t testing.TB, rows int) *catalog.Catalog {
 // submission gets its own tree.
 func numsTree(t testing.TB, cat *catalog.Catalog) logical.Node {
 	t.Helper()
-	scan, err := logical.NewScanByName(cat, "nums", "")
+	scan, err := scanByName(cat, "nums", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func newHangFixture(t *testing.T) *hangFixture {
 
 func (h *hangFixture) tree(t *testing.T) logical.Node {
 	t.Helper()
-	scan, err := logical.NewScanByName(h.cat, "rows", "")
+	scan, err := scanByName(h.cat, "rows", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,10 +596,9 @@ func TestServiceShutdownTimeoutCancels(t *testing.T) {
 func TestServiceWatchdogCancelsStalled(t *testing.T) {
 	h := newHangFixture(t)
 	svc := New(h.cat, Config{
-		MaxConcurrent:    2,
-		StallTimeout:     200 * time.Millisecond,
-		WatchdogInterval: 25 * time.Millisecond,
-		Planner:          plan.Config{Link: fixedLink()},
+		MaxConcurrent: 2,
+		StallTimeout:  200 * time.Millisecond,
+		Planner:       plan.Config{Link: fixedLink()},
 	})
 	defer svc.Close()
 
@@ -610,7 +609,7 @@ func TestServiceWatchdogCancelsStalled(t *testing.T) {
 		t.Fatal(err)
 	}
 	healthyTree := func() logical.Node {
-		scan, err := logical.NewScanByName(h.cat, "rows", "")
+		scan, err := scanByName(h.cat, "rows", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -639,7 +638,7 @@ func TestServiceWatchdogCancelsStalled(t *testing.T) {
 // TestServerShedTypedOverWire saturates a one-slot server through the framed
 // protocol and checks the shed crosses the wire as a typed MsgQueryReject the
 // requester surfaces as wire.ErrOverloaded — then relieves the pressure and
-// checks ExecuteWithRetry rides the typed reject to success.
+// checks that resubmitting after the reject's retry-after hint succeeds.
 func TestServerShedTypedOverWire(t *testing.T) {
 	h := newHangFixture(t)
 	svc := New(h.cat, Config{MaxConcurrent: 1, MaxQueued: 1, Planner: plan.Config{Link: fixedLink()}})
@@ -688,17 +687,25 @@ func TestServerShedTypedOverWire(t *testing.T) {
 		t.Fatalf("wire shed classified %v, want retryable", wire.Classify(cerr))
 	}
 
-	// Relieve the hang shortly; the retrying submit must eventually land.
+	// Relieve the hang shortly; resubmitting after each typed reject's
+	// retry-after hint must eventually land.
 	go func() {
 		time.Sleep(60 * time.Millisecond)
 		h.unblock()
 	}()
-	rows, err := r.ExecuteWithRetry(context.Background(), wire.QuerySpec{Table: "rows"}, RetryPolicy{
-		MaxAttempts: 10,
-		Backoff:     wire.Backoff{Base: 25 * time.Millisecond, Max: 250 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatalf("ExecuteWithRetry failed: %v", err)
+	var rows []types.Tuple
+	for attempt := 1; ; attempt++ {
+		q, err := r.Submit(wire.QuerySpec{Table: "rows"})
+		if err == nil {
+			rows, err = q.Collect()
+		}
+		if err == nil {
+			break
+		}
+		if !errors.As(err, &re) || wire.Classify(err) != wire.ClassRetryable || attempt == 10 {
+			t.Fatalf("resubmitted query failed on attempt %d: %v", attempt, err)
+		}
+		time.Sleep(re.RetryAfter)
 	}
 	if len(rows) != 64 {
 		t.Fatalf("retried query returned %d rows, want 64", len(rows))
@@ -708,9 +715,6 @@ func TestServerShedTypedOverWire(t *testing.T) {
 	}
 	if _, err := q2.Collect(); err != nil {
 		t.Fatalf("second hang query failed after release: %v", err)
-	}
-	if qs := r.QueueStats(); qs.HighWater < 1 {
-		t.Fatalf("requester queue high-water mark never moved: %+v", qs)
 	}
 }
 
@@ -832,7 +836,7 @@ func TestServerShutdownRacesWireSubmissions(t *testing.T) {
 					switch {
 					case err == nil && len(got) != rows:
 						errs <- fmt.Errorf("completed query returned %d rows, want %d", len(got), rows)
-					case err != nil && !wire.IsRetryable(err):
+					case err != nil && wire.Classify(err) != wire.ClassRetryable:
 						errs <- fmt.Errorf("submission failed untyped: %w", err)
 					}
 				}()

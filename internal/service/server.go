@@ -8,7 +8,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"csq/internal/exec"
@@ -36,9 +35,6 @@ import (
 // gracefully against older peers.
 type Server struct {
 	svc *Service
-
-	// DialTimeout bounds UDF-session connection establishment.
-	DialTimeout time.Duration
 
 	// streams counts in-flight result-stream goroutines, so Shutdown can
 	// wait for every admitted query's terminal frame to flush before the
@@ -404,7 +400,7 @@ func (s *Server) buildStatementTemplate(spec *wire.QuerySpec) (Request, error) {
 		req.Timeout = time.Duration(spec.TimeoutMillis) * time.Millisecond
 	}
 	if spec.ClientAddr != "" {
-		req.Link = &exec.DialLink{Addr: spec.ClientAddr, DialTimeout: s.DialTimeout}
+		req.Link = &exec.DialLink{Addr: spec.ClientAddr}
 		req.LinkKey = spec.ClientAddr
 	}
 	return req, nil
@@ -521,38 +517,11 @@ func unmarshalPredicate(b []byte) (expr.Expr, error) {
 type Requester struct {
 	conn *wire.Conn
 
-	queueHWM atomic.Int64 // deepest any query's event queue ever got
-	queueHot atomic.Int64 // deliveries that found a queue past the warn depth
-
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]*eventQueue
 	readErr error
 	started bool
-}
-
-// EventQueueWarnDepth is the per-query event-buffer depth past which the
-// requester counts deliveries as hot (QueueStats.HotDeliveries). The buffer
-// stays unbounded — dropping or blocking would wedge the shared read loop —
-// but a depth this deep means a collector is badly behind its stream.
-const EventQueueWarnDepth = 1024
-
-// RequesterQueueStats reports the pressure on the requester's per-query event
-// buffers.
-type RequesterQueueStats struct {
-	// HighWater is the deepest any query's event buffer ever got.
-	HighWater int
-	// HotDeliveries counts frames delivered to a buffer already deeper than
-	// EventQueueWarnDepth.
-	HotDeliveries int64
-}
-
-// QueueStats returns the event-buffer pressure counters.
-func (r *Requester) QueueStats() RequesterQueueStats {
-	return RequesterQueueStats{
-		HighWater:     int(r.queueHWM.Load()),
-		HotDeliveries: r.queueHot.Load(),
-	}
 }
 
 type requesterEvent struct {
@@ -587,16 +556,14 @@ func newEventQueue() *eventQueue {
 	return q
 }
 
-// push appends an event and returns the resulting depth; it never blocks.
-func (q *eventQueue) push(ev requesterEvent) int {
+// push appends an event; it never blocks.
+func (q *eventQueue) push(ev requesterEvent) {
 	q.mu.Lock()
 	if !q.closed {
 		q.evs = append(q.evs, ev)
 	}
-	depth := len(q.evs)
 	q.mu.Unlock()
 	q.cond.Signal()
-	return depth
 }
 
 // close wakes every waiter; pending events stay readable.
@@ -694,7 +661,7 @@ func (r *Requester) readLoop() {
 			// collector gets round to dropping the query.
 			q.ended, q.dec = true, wire.ResultDecoder{}
 		}
-		r.deliver(q, ev)
+		q.push(ev)
 	}
 }
 
@@ -740,19 +707,6 @@ func (r *Requester) fail(err error) {
 	r.mu.Unlock()
 	for _, q := range pending {
 		q.close()
-	}
-}
-
-func (r *Requester) deliver(q *eventQueue, ev requesterEvent) {
-	depth := int64(q.push(ev))
-	for {
-		hwm := r.queueHWM.Load()
-		if depth <= hwm || r.queueHWM.CompareAndSwap(hwm, depth) {
-			break
-		}
-	}
-	if depth > EventQueueWarnDepth {
-		r.queueHot.Add(1)
 	}
 }
 
@@ -908,14 +862,6 @@ func (r *Requester) drop(id uint64) {
 	r.mu.Unlock()
 }
 
-// Cancel sends a MsgCancel — only when the server's ack granted CapCancel.
-func (q *RemoteQuery) Cancel() error {
-	if q.caps&wire.CapCancel == 0 {
-		return fmt.Errorf("service: server did not negotiate cancellation")
-	}
-	return q.r.conn.Send(wire.MsgCancel, wire.EncodeCancel(&wire.Cancel{QueryID: q.id}))
-}
-
 // Collect drains the query's result stream into memory. A stream whose End
 // frame counts other rows than arrived is an error: a frame went missing.
 func (q *RemoteQuery) Collect() ([]types.Tuple, error) {
@@ -943,72 +889,4 @@ func (q *RemoteQuery) Collect() ([]types.Tuple, error) {
 		err = io.ErrUnexpectedEOF
 	}
 	return rows, err
-}
-
-// ErrIsCanceled reports whether a server-side error string describes a
-// cancelled query (the error crosses the wire as text).
-func ErrIsCanceled(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "context canceled")
-}
-
-// RetryPolicy governs ExecuteWithRetry: how many submit attempts a shed query
-// gets, and how the waits between them are computed.
-type RetryPolicy struct {
-	// MaxAttempts is the total attempt budget (first try included). Values
-	// < 1 select DefaultRetryAttempts.
-	MaxAttempts int
-	// Backoff shapes the waits between attempts; the zero value selects the
-	// wire package's defaults (20ms base, 2s cap, jittered).
-	Backoff wire.Backoff
-}
-
-// DefaultRetryAttempts is the attempt budget when RetryPolicy leaves it zero.
-const DefaultRetryAttempts = 4
-
-func (p RetryPolicy) maxAttempts() int {
-	if p.MaxAttempts < 1 {
-		return DefaultRetryAttempts
-	}
-	return p.MaxAttempts
-}
-
-// ExecuteWithRetry submits the spec and collects its rows, resubmitting under
-// the policy's budget while the failure is retryable (wire.Classify): a typed
-// overload or draining shed, or a tripped client-side circuit breaker.
-// Resubmission is safe — a shed query never held a slot and never executed,
-// so no partial effects exist to duplicate. When the server's reject carried
-// a retry-after hint longer than the backoff's next delay, the hint wins.
-// Fatal errors and cancellations return immediately.
-func (r *Requester) ExecuteWithRetry(ctx context.Context, spec wire.QuerySpec, pol RetryPolicy) ([]types.Tuple, error) {
-	attempts := pol.maxAttempts()
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			d := pol.Backoff.Delay(attempt - 1)
-			var re *wire.RejectError
-			if errors.As(lastErr, &re) && re.RetryAfter > d {
-				d = re.RetryAfter
-			}
-			if err := wire.SleepCtx(ctx, d); err != nil {
-				return nil, err
-			}
-		}
-		q, err := r.Submit(spec)
-		if err != nil {
-			if wire.Classify(err) == wire.ClassRetryable {
-				lastErr = err
-				continue
-			}
-			return nil, err
-		}
-		rows, err := q.Collect()
-		if err == nil {
-			return rows, nil
-		}
-		if wire.Classify(err) != wire.ClassRetryable {
-			return rows, err
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("service: retry budget exhausted after %d attempts: %w", attempts, lastErr)
 }

@@ -2,17 +2,26 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"csq/internal/catalog"
 	"csq/internal/exec"
 	"csq/internal/expr"
 	"csq/internal/plan"
 	"csq/internal/types"
 	"csq/internal/wire"
 )
+
+// isCanceled reports whether a query error, which crosses the wire as text,
+// describes a cancelled query.
+func isCanceled(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "context canceled")
+}
 
 // startServer runs a wire front-end over a fresh service on TCP loopback.
 func startServer(t *testing.T, fx *serviceFixture, cfg Config) (*Server, string) {
@@ -128,7 +137,7 @@ func TestServerCancelOverWire(t *testing.T) {
 	}
 	select {
 	case err := <-done:
-		if !ErrIsCanceled(err) {
+		if !isCanceled(err) {
 			t.Fatalf("cancelled wire query returned %v, want a canceled error", err)
 		}
 		if d := time.Since(cancelAt); d > time.Second {
@@ -149,7 +158,12 @@ func TestServerCancelOverWire(t *testing.T) {
 func TestServerRegisterUDFsOverWire(t *testing.T) {
 	fx := newServiceFixture(t)
 	defer fx.cleanup()
-	if err := fx.cat.DropUDF("score"); err != nil {
+	events, err := fx.cat.Table("events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx.cat = catalog.New()
+	if err := fx.cat.AddTable(events); err != nil {
 		t.Fatal(err)
 	}
 	_, addr := startServer(t, fx, Config{Planner: plan.Config{Link: fixedLink()}})
@@ -271,7 +285,7 @@ func TestQuerySpecRoundTrip(t *testing.T) {
 		t.Fatalf("ack round trip mismatch: %+v", back)
 	}
 
-	c, err := wire.DecodeCancel(wire.EncodeCancel(&wire.Cancel{QueryID: 42}))
+	c, err := wire.DecodeCancel(binary.LittleEndian.AppendUint64(nil, 42))
 	if err != nil {
 		t.Fatal(err)
 	}

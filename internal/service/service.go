@@ -104,9 +104,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// TempDir is where spill runs are created ("" = system temp dir).
 	TempDir string
-	// KeepFinished bounds how many finished queries stay visible in Queries.
-	// Values < 1 select DefaultKeepFinished.
-	KeepFinished int
 	// MaxQueued bounds how many queries may wait for an admission slot before
 	// further submissions are shed as overloaded. Values < 1 select
 	// DefaultMaxQueued.
@@ -118,13 +115,9 @@ type Config struct {
 	// query whose progress heartbeat does not advance for this long is
 	// cancelled with ErrStalled. 0 disables the watchdog.
 	StallTimeout time.Duration
-	// WatchdogInterval is how often the watchdog sweeps. Values <= 0 select
-	// a quarter of StallTimeout.
-	WatchdogInterval time.Duration
-	// Planner carries base planner knobs (sample rows, sketch size, probe
-	// size, session caps, session retry policy, a fixed link observation for
-	// tests). The service manages StatsCache, LinkKey and MemBudget per query
-	// on top of it.
+	// Planner carries the base planner config (session retry policy, a
+	// fixed link observation for tests). The service manages StatsCache,
+	// LinkKey and MemBudget per query on top of it.
 	Planner plan.Config
 
 	// Hot-query serving knobs. All three default to off so a zero Config
@@ -152,13 +145,6 @@ func (c Config) maxConcurrent() int {
 		return DefaultMaxConcurrent
 	}
 	return c.MaxConcurrent
-}
-
-func (c Config) keepFinished() int {
-	if c.KeepFinished < 1 {
-		return DefaultKeepFinished
-	}
-	return c.KeepFinished
 }
 
 // Request describes one query.
@@ -319,10 +305,6 @@ func New(cat *catalog.Catalog, cfg Config) *Service {
 	return s
 }
 
-// StatsCache exposes the cross-query statistics cache (shared by every
-// query's planner).
-func (s *Service) StatsCache() *plan.StatsCache { return s.cache }
-
 // Query is the handle of one submitted query.
 type Query struct {
 	id          uint64
@@ -371,9 +353,6 @@ type Query struct {
 	planFromCache   bool
 	resultFromCache bool
 }
-
-// ID returns the query's service-wide identifier.
-func (q *Query) ID() uint64 { return q.id }
 
 // cancelWith terminates the query's context, recording cause (nil means plain
 // cancellation) so finish can classify why the query died.
@@ -502,14 +481,6 @@ func (s *Service) Execute(ctx context.Context, req Request) (*Result, error) {
 	return q.Wait()
 }
 
-// Lookup returns a live or recently finished query handle.
-func (s *Service) Lookup(id uint64) (*Query, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q, ok := s.queries[id]
-	return q, ok
-}
-
 // Queries returns lifecycle snapshots of every tracked query, oldest first.
 func (s *Service) Queries() []QueryStats {
 	s.mu.Lock()
@@ -606,10 +577,9 @@ func (s *Service) stopWatchdog() {
 // watchdog periodically sweeps active queries for frozen progress heartbeats.
 func (s *Service) watchdog() {
 	defer close(s.wdDone)
-	interval := s.cfg.WatchdogInterval
-	if interval <= 0 {
-		interval = s.cfg.StallTimeout / 4
-	}
+	// A quarter of the stall window: a frozen query is caught within 1.25
+	// windows of its last heartbeat.
+	interval := s.cfg.StallTimeout / 4
 	if interval < time.Millisecond {
 		interval = time.Millisecond
 	}
@@ -1059,7 +1029,7 @@ func (s *Service) retire(q *Query) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.finished = append(s.finished, q.id)
-	keep := s.cfg.keepFinished()
+	keep := DefaultKeepFinished
 	for len(s.finished) > keep {
 		victim := s.finished[0]
 		s.finished = s.finished[1:]

@@ -170,11 +170,11 @@ func fixedLink() *exec.LinkObservation {
 // small per-query budget.
 func joinAggTree(t testing.TB, cat *catalog.Catalog, groupOrdinal int) logical.Node {
 	t.Helper()
-	dimsScan, err := logical.NewScanByName(cat, "dims", "")
+	dimsScan, err := scanByName(cat, "dims", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	eventsScan, err := logical.NewScanByName(cat, "events", "")
+	eventsScan, err := scanByName(cat, "events", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func joinAggTree(t testing.TB, cat *catalog.Catalog, groupOrdinal int) logical.N
 // udfQueryTree builds a client-site UDF query over events.
 func udfQueryTree(t testing.TB, fx *serviceFixture, udfs []exec.UDFBinding, filter, pushable expr.Expr, project []int) logical.Node {
 	t.Helper()
-	scan, err := logical.NewScanByName(fx.cat, "events", "")
+	scan, err := scanByName(fx.cat, "events", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,14 +521,11 @@ func TestServiceHandlesAndStates(t *testing.T) {
 
 	fx := newServiceFixture(t)
 	defer fx.cleanup()
-	svc := New(fx.cat, Config{
-		KeepFinished: 2,
-		Planner:      plan.Config{Link: fixedLink()},
-	})
+	svc := New(fx.cat, Config{Planner: plan.Config{Link: fixedLink()}})
 	defer svc.Close()
 
 	var handles []*Query
-	for i := 0; i < 4; i++ {
+	for i := 0; i < DefaultKeepFinished+2; i++ {
 		q, err := svc.Submit(context.Background(), Request{Tree: joinAggTree(t, fx.cat, 2)})
 		if err != nil {
 			t.Fatal(err)
@@ -547,10 +544,10 @@ func TestServiceHandlesAndStates(t *testing.T) {
 		t.Fatalf("recent query not visible in Lookup")
 	}
 	if _, ok := svc.Lookup(handles[0].ID()); ok {
-		t.Fatalf("pruned query still visible (KeepFinished=2)")
+		t.Fatalf("pruned query still visible (DefaultKeepFinished=%d)", DefaultKeepFinished)
 	}
-	if got := len(svc.Queries()); got != 2 {
-		t.Fatalf("Queries() tracks %d, want 2 after pruning", got)
+	if got := len(svc.Queries()); got != DefaultKeepFinished {
+		t.Fatalf("Queries() tracks %d, want %d after pruning", got, DefaultKeepFinished)
 	}
 
 	// Submitting with no tree is rejected; submitting after Close too.
@@ -601,4 +598,14 @@ func TestServerAddrAndListenAndServe(t *testing.T) {
 	if err := srv.Serve(nil); err == nil {
 		t.Fatalf("Serve after Close must fail")
 	}
+}
+
+// scanByName builds a scan over the catalog's table name, as the query
+// compiler does.
+func scanByName(cat *catalog.Catalog, name, alias string) (*logical.Scan, error) {
+	t, err := cat.Table(name)
+	if err != nil {
+		return nil, err
+	}
+	return logical.NewScan(t, alias)
 }

@@ -40,7 +40,7 @@ func TestServerTextQueryServerSide(t *testing.T) {
 		t.Fatalf("collect: %v", err)
 	}
 
-	scan, err := logical.NewScanByName(fx.cat, "dims", "")
+	scan, err := scanByName(fx.cat, "dims", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestServerTextQueryWithUDF(t *testing.T) {
 
 	// The equivalent tree, hand-built exactly as the compiler lowers the rule:
 	// scan → udf-apply → filter → project.
-	scan, err := logical.NewScanByName(fx.cat, "events", "")
+	scan, err := scanByName(fx.cat, "events", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +181,8 @@ func TestServerOldClientWithoutTextCap(t *testing.T) {
 				t.Fatalf("ack caps = %#x, want only CapCancel: the server must not grant unrequested capabilities", ack.Caps)
 			}
 		case wire.MsgResultBatch:
-			batch, err := wire.DecodeTupleBatch(msg.Payload)
-			if err != nil {
+			var batch wire.TupleBatch
+			if err := wire.DecodeTupleBatchInto(&batch, msg.Payload); err != nil {
 				t.Fatal(err)
 			}
 			rows += len(batch.Tuples)

@@ -255,9 +255,6 @@ func (t *Table) SegmentSetVersion() string {
 	return fmt.Sprintf("%d.%d+%d", segs, t.flushGen.Load(), tail)
 }
 
-// SegmentRows returns the configured rows per segment.
-func (t *Table) SegmentRows() int { return t.segmentRows }
-
 // RowCount returns the number of stored rows (flushed and buffered).
 func (t *Table) RowCount() int {
 	t.mu.RLock()

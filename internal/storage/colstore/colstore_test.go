@@ -112,7 +112,7 @@ func TestReopen(t *testing.T) {
 	if re.Name() != "quotes" {
 		t.Fatalf("reopened name = %q", re.Name())
 	}
-	if !re.Schema().Equal(testSchema()) {
+	if re.Schema().String() != testSchema().String() {
 		t.Fatalf("reopened schema = %v", re.Schema())
 	}
 	if re.RowCount() != 30 {
@@ -271,3 +271,6 @@ func TestDictCodecFallback(t *testing.T) {
 		t.Errorf("5-distinct string column used codec %d, want dict", c)
 	}
 }
+
+// ZoneMap returns the zone map of column col of segment i.
+func (s *Snapshot) ZoneMap(i, col int) ZoneMap { return s.segs[i].cols[col].zm }

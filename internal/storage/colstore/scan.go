@@ -74,9 +74,6 @@ func (s *Snapshot) SegmentBytes(i int, cols []int) int64 {
 	return n
 }
 
-// ZoneMap returns the zone map of column col of segment i.
-func (s *Snapshot) ZoneMap(i, col int) ZoneMap { return s.segs[i].cols[col].zm }
-
 // Tail returns the buffered rows not yet flushed to a segment. Zone maps do
 // not cover them; a scan emits them after the segments.
 func (s *Snapshot) Tail() []types.Tuple { return s.tail }

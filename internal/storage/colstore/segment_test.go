@@ -5,29 +5,41 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"csq/internal/types"
 	"csq/internal/wire"
 )
 
-// encodeChunk encodes vals as a column chunk in the given codec, as
-// encodeSegment does when the auto choice lands on that codec.
-func encodeChunk(t testing.TB, vals []types.Value, codec byte) []byte {
+// encodeChunk encodes vals as a column chunk: in the plain codec, or with
+// the auto choice encodeSegment makes, which takes the dictionary codec only
+// where it is the smaller encoding.
+func encodeChunk(t testing.TB, vals []types.Value, auto bool) []byte {
 	t.Helper()
 	b := &wire.TupleBatch{Tuples: make([]types.Tuple, len(vals))}
 	for i := range vals {
 		b.Tuples[i] = vals[i : i+1 : i+1]
 	}
-	var chunk []byte
-	var err error
-	if codec == codecDict {
-		chunk, err = wire.AppendTupleBatchDict([]byte{codecDict}, b)
-	} else {
-		chunk, err = wire.AppendTupleBatch([]byte{codecPlain}, b)
+	return encodeBatch(t, b, auto)
+}
+
+// encodeBatch encodes b behind its codec's tag byte, plain or auto.
+func encodeBatch(t testing.TB, b *wire.TupleBatch, auto bool) []byte {
+	t.Helper()
+	if !auto {
+		chunk, err := wire.AppendTupleBatch([]byte{codecPlain}, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return chunk
 	}
+	chunk, usedDict, err := wire.AppendTupleBatchAuto([]byte{codecPlain}, b)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if usedDict {
+		chunk[0] = codecDict
 	}
 	return chunk
 }
@@ -121,16 +133,19 @@ func randomColumnValue(rng *rand.Rand, kind types.Kind, distinct int) types.Valu
 		if x == 0 {
 			return types.NewTimeSeries(nil)
 		}
-		return types.NewTimeSeries(types.NewSeries(float64(x), float64(x%3)))
+		return types.NewTimeSeries(types.TimeSeries{float64(x), float64(x % 3)})
 	}
 }
 
 // TestDecodeColumnChunkMatchesScatter holds the strided decode to the path it
-// replaced: for random columns of every kind, under both codecs, it writes
-// the same values into the column's slots and leaves every other slot alone.
+// replaced: for random columns of every kind, in the plain codec and as the
+// auto choice encodes them, it writes the same values into the column's slots
+// and leaves every other slot alone. The dictionary decoder on columns the
+// auto choice keeps plain is held to the row decoders in package wire.
 func TestDecodeColumnChunkMatchesScatter(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	kinds := []types.Kind{types.KindInt, types.KindFloat, types.KindBool, types.KindString, types.KindBytes, types.KindTimeSeries}
+	dictChunks := 0
 	for round := 0; round < 300; round++ {
 		kind := kinds[round%len(kinds)]
 		rows, width := rng.Intn(70), 1+rng.Intn(5)
@@ -139,14 +154,17 @@ func TestDecodeColumnChunkMatchesScatter(t *testing.T) {
 		for i := range vals {
 			vals[i] = randomColumnValue(rng, kind, 1+rng.Intn(8))
 		}
-		for _, codec := range []byte{codecPlain, codecDict} {
-			chunk := encodeChunk(t, vals, codec)
+		for _, auto := range []bool{false, true} {
+			chunk := encodeChunk(t, vals, auto)
+			if chunk[0] == codecDict {
+				dictChunks++
+			}
 			want, got := sentinelArena(rows*width), sentinelArena(rows*width)
 			if err := scatterChunk(chunk, want[min(col, len(want)):], width, rows); err != nil {
-				t.Fatalf("round %d codec %d: scatter: %v", round, codec, err)
+				t.Fatalf("round %d codec %d: scatter: %v", round, chunk[0], err)
 			}
 			if err := decodeColumnChunk(chunk, got[min(col, len(got)):], width, rows); err != nil {
-				t.Fatalf("round %d codec %d: %v", round, codec, err)
+				t.Fatalf("round %d codec %d: %v", round, chunk[0], err)
 			}
 			requireSameValues(t, want, got)
 			for r, v := range vals {
@@ -154,21 +172,22 @@ func TestDecodeColumnChunkMatchesScatter(t *testing.T) {
 			}
 		}
 	}
+	if dictChunks == 0 {
+		t.Error("the auto choice took the dictionary codec for none of 300 columns")
+	}
 }
 
 // TestDecodeColumnChunkMalformed feeds damaged chunks to the decoder: each
 // must be refused with an error.
 func TestDecodeColumnChunkMalformed(t *testing.T) {
-	vals := []types.Value{types.NewString("a"), types.NewString("b"), types.NewString("a"), types.Null(types.KindString)}
-	plain, dict := encodeChunk(t, vals, codecPlain), encodeChunk(t, vals, codecDict)
+	// Long repeated strings, so that the dictionary encoding is the smaller.
+	a, b := types.NewString(strings.Repeat("a", 32)), types.NewString(strings.Repeat("b", 32))
+	vals := []types.Value{a, b, a, types.Null(types.KindString)}
+	plain, dict := encodeChunk(t, vals, false), encodeChunk(t, vals, true)
 	twoValue := &wire.TupleBatch{Tuples: []types.Tuple{vals[:1], vals[:2], vals[:1], vals[:1]}}
-	twoPlain, err := wire.AppendTupleBatch([]byte{codecPlain}, twoValue)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twoDict, err := wire.AppendTupleBatchDict([]byte{codecDict}, twoValue)
-	if err != nil {
-		t.Fatal(err)
+	twoPlain, twoDict := encodeBatch(t, twoValue, false), encodeBatch(t, twoValue, true)
+	if dict[0] != codecDict || twoDict[0] != codecDict {
+		t.Fatal("the auto choice keeps the malformed-chunk seeds plain")
 	}
 	badIndex := append([]byte(nil), dict...)
 	badIndex[len(badIndex)-1] = 0x7f

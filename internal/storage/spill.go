@@ -31,7 +31,6 @@ type RunWriter struct {
 	bw   *bufio.Writer
 	path string // non-empty for retained runs; removed on Discard/reader Close
 	size int64
-	recs int64
 }
 
 // NewRunWriter creates a spill run in dir (the system temp directory when
@@ -74,15 +73,11 @@ func (w *RunWriter) Append(rec []byte) error {
 		return fmt.Errorf("storage: spill write: %w", err)
 	}
 	w.size += int64(n + len(rec))
-	w.recs++
 	return nil
 }
 
 // Bytes returns the number of bytes appended so far (including prefixes).
 func (w *RunWriter) Bytes() int64 { return w.size }
-
-// Records returns the number of records appended so far.
-func (w *RunWriter) Records() int64 { return w.recs }
 
 // Finish flushes the run and rewinds it into a reader. The writer must not be
 // used afterwards; closing the reader releases the file.
@@ -93,7 +88,7 @@ func (w *RunWriter) Finish() (*RunReader, error) {
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("storage: spill rewind: %w", err)
 	}
-	r := &RunReader{f: w.f, br: bufio.NewReaderSize(w.f, 64<<10), path: w.path, recs: w.recs}
+	r := &RunReader{f: w.f, br: bufio.NewReaderSize(w.f, 64<<10), path: w.path}
 	w.f, w.bw, w.path = nil, nil, ""
 	return r, nil
 }
@@ -118,7 +113,6 @@ type RunReader struct {
 	br   *bufio.Reader
 	path string
 	buf  []byte
-	recs int64
 }
 
 // Next returns the next record, or io.EOF at the end of the run. The returned
@@ -143,9 +137,6 @@ func (r *RunReader) Next() ([]byte, error) {
 	}
 	return buf, nil
 }
-
-// Records returns the total number of records in the run.
-func (r *RunReader) Records() int64 { return r.recs }
 
 // Close releases the run's file; retained runs are removed from disk.
 func (r *RunReader) Close() error {

@@ -156,13 +156,6 @@ func (h *HeapTable) validate(t types.Tuple) error {
 	return nil
 }
 
-// RowCount returns the number of stored rows.
-func (h *HeapTable) RowCount() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.rows
-}
-
 // AvgRowSize returns the mean encoded row size in bytes (0 for empty tables).
 func (h *HeapTable) AvgRowSize() int {
 	h.mu.RLock()
@@ -192,16 +185,6 @@ func (h *HeapTable) Iterator() RowIterator {
 	return newChunkIterator(h.snapshot())
 }
 
-// Truncate removes all rows.
-func (h *HeapTable) Truncate() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.sealed, h.active = nil, nil
-	h.rows = 0
-	h.size = 0
-	h.version.Add(1)
-}
-
 // Stats computes the statistics the catalog and the optimizer need: row count,
 // average row size and the per-column distinct fraction (the paper's D when
 // restricted to the UDF argument columns).
@@ -229,27 +212,6 @@ func (h *HeapTable) Stats() catalog.TableStats {
 		stats.DistinctFraction[col] = float64(len(seen)) / float64(rows)
 	}
 	return stats
-}
-
-// DistinctFractionOn computes the fraction of rows that are distinct when
-// projected onto the given columns — the paper's D parameter for a UDF whose
-// argument columns are ordinals.
-func (h *HeapTable) DistinctFractionOn(ordinals []int) float64 {
-	chunks := h.snapshot()
-	rows := 0
-	for _, c := range chunks {
-		rows += len(c)
-	}
-	if rows == 0 {
-		return 1
-	}
-	seen := make(map[string]struct{}, rows)
-	for _, c := range chunks {
-		for _, r := range c {
-			seen[r.Key(ordinals)] = struct{}{}
-		}
-	}
-	return float64(len(seen)) / float64(rows)
 }
 
 // TableIterator iterates over a snapshot of a heap table's chunk list.

@@ -39,7 +39,7 @@ func TestValueEncodeRoundTrip(t *testing.T) {
 		NewBool(true), NewBool(false),
 		NewString(""), NewString("hello world"), NewString("日本語"),
 		NewBytes(nil), NewBytes([]byte{0, 1, 2, 255}),
-		NewTimeSeries(nil), NewTimeSeries(NewSeries(1.5, -2, 0)),
+		NewTimeSeries(nil), NewTimeSeries(TimeSeries{1.5, -2, 0}),
 		Null(KindInt), Null(KindString), Null(KindTimeSeries),
 	}
 	for _, v := range values {
@@ -72,7 +72,7 @@ func TestTupleEncodeRoundTrip(t *testing.T) {
 	tup := NewTuple(
 		NewInt(7),
 		NewString("acme"),
-		NewTimeSeries(NewSeries(10, 11, 12.5)),
+		NewTimeSeries(TimeSeries{10, 11, 12.5}),
 		Null(KindFloat),
 		NewBytes([]byte("payload")),
 		NewBool(true),
@@ -95,7 +95,7 @@ func TestTupleEncodeRoundTrip(t *testing.T) {
 		if tup[i].IsNull() != got[i].IsNull() {
 			t.Errorf("column %d null mismatch", i)
 		}
-		if !tup[i].IsNull() && !tup[i].Equal(got[i]) {
+		if c, err := Compare(tup[i], got[i]); err != nil || c != 0 {
 			t.Errorf("column %d: %v != %v", i, tup[i], got[i])
 		}
 	}
@@ -255,7 +255,7 @@ func TestQuickCompareTotalOrder(t *testing.T) {
 		if ab != -ba {
 			return false
 		}
-		if (ab == 0) != (a == b) || va.Equal(vb) != (a == b) {
+		if (ab == 0) != (a == b) {
 			return false
 		}
 		ac, _ := Compare(va, vc)

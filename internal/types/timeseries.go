@@ -1,7 +1,6 @@
 package types
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -13,18 +12,8 @@ import (
 // argument type for the ClientAnalysis and Volatility client-site UDFs.
 type TimeSeries []float64
 
-// NewSeries copies the samples into a fresh TimeSeries.
-func NewSeries(samples ...float64) TimeSeries {
-	ts := make(TimeSeries, len(samples))
-	copy(ts, samples)
-	return ts
-}
-
 // Len returns the number of samples.
 func (ts TimeSeries) Len() int { return len(ts) }
-
-// At returns the i-th sample.
-func (ts TimeSeries) At(i int) float64 { return ts[i] }
 
 // First returns the first sample, or 0 for an empty series.
 func (ts TimeSeries) First() float64 {
@@ -115,13 +104,6 @@ func (ts TimeSeries) Volatility() float64 {
 	return ts.Returns().StdDev()
 }
 
-// Clone returns a deep copy of the series.
-func (ts TimeSeries) Clone() TimeSeries {
-	out := make(TimeSeries, len(ts))
-	copy(out, ts)
-	return out
-}
-
 // String renders a short, human-readable preview of the series.
 func (ts TimeSeries) String() string {
 	var sb strings.Builder
@@ -140,21 +122,10 @@ func (ts TimeSeries) String() string {
 	return sb.String()
 }
 
-// encode serialises the series to little-endian float64s; used for hashing and
-// ordering only (the wire encoding lives in encode.go and is equivalent).
-func (ts TimeSeries) encode() []byte {
-	buf := make([]byte, 8*len(ts))
-	for i, v := range ts {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return buf
-}
-
 // compare orders two series deterministically without allocating. The order
-// is byte-lexicographic over the little-endian encoding — identical to
-// comparing the encode() outputs, which is what hash tables relied on before
-// this allocation-free path — so compare == 0 exactly when the bit patterns
-// (and therefore the hashes) match.
+// is byte-lexicographic over the samples' little-endian float64 bits, so
+// compare == 0 exactly when the bit patterns (and therefore the hashes)
+// match.
 func (ts TimeSeries) compare(other TimeSeries) int {
 	n := len(ts)
 	if len(other) < n {

@@ -151,28 +151,6 @@ func CompareOn(a, b Tuple, ordinals []int) (int, error) {
 	return 0, nil
 }
 
-// EqualOn reports whether two tuples agree on the given key ordinals.
-// NULLs are considered equal to each other here (grouping semantics), which is
-// what duplicate elimination needs.
-func EqualOn(a, b Tuple, ordinals []int) bool {
-	c, err := CompareOn(a, b, ordinals)
-	return err == nil && c == 0
-}
-
-// Equal reports whether the two tuples are identical in every column
-// (the paper's "tuple duplicates"); EqualOn over argument columns captures
-// "argument duplicates".
-func (t Tuple) Equal(other Tuple) bool {
-	if len(t) != len(other) {
-		return false
-	}
-	all := make([]int, len(t))
-	for i := range all {
-		all[i] = i
-	}
-	return EqualOn(t, other, all)
-}
-
 // Key renders the values at the given ordinals as a canonical string, usable
 // as a map key for duplicate elimination and result caching. It relies on the
 // deterministic binary encoding so distinct values produce distinct keys.

@@ -59,27 +59,6 @@ func (k Kind) String() string {
 	}
 }
 
-// KindFromName parses a type name as it appears in CREATE TABLE statements.
-// It accepts a few aliases so that common SQL spellings work.
-func KindFromName(name string) (Kind, error) {
-	switch strings.ToUpper(strings.TrimSpace(name)) {
-	case "INT", "INTEGER", "BIGINT":
-		return KindInt, nil
-	case "FLOAT", "DOUBLE", "REAL":
-		return KindFloat, nil
-	case "STRING", "VARCHAR", "TEXT", "CHAR":
-		return KindString, nil
-	case "BOOL", "BOOLEAN":
-		return KindBool, nil
-	case "BYTES", "BLOB", "DATAOBJECT":
-		return KindBytes, nil
-	case "TIMESERIES", "TIME_SERIES":
-		return KindTimeSeries, nil
-	default:
-		return KindInvalid, fmt.Errorf("types: unknown type name %q", name)
-	}
-}
-
 // Numeric reports whether the kind is an arithmetic type.
 func (k Kind) Numeric() bool {
 	return k == KindInt || k == KindFloat
@@ -158,49 +137,24 @@ func (s *Schema) Concat(other *Schema) *Schema {
 	return &Schema{Columns: cols}
 }
 
-// Ordinal resolves a possibly-qualified column reference to its position.
-// Matching is case-insensitive. It returns an error when the reference is
-// ambiguous or not found.
-func (s *Schema) Ordinal(qualifier, name string) (int, error) {
+// Ordinal resolves a column name to its position. Matching is
+// case-insensitive. It returns an error when the name is ambiguous or not
+// found.
+func (s *Schema) Ordinal(name string) (int, error) {
 	found := -1
 	for i, c := range s.Columns {
 		if !strings.EqualFold(c.Name, name) {
 			continue
 		}
-		if qualifier != "" && !strings.EqualFold(c.Qualifier, qualifier) {
-			continue
-		}
 		if found >= 0 {
-			return 0, fmt.Errorf("types: ambiguous column reference %q", joinRef(qualifier, name))
+			return 0, fmt.Errorf("types: ambiguous column reference %q", name)
 		}
 		found = i
 	}
 	if found < 0 {
-		return 0, fmt.Errorf("types: column %q not found in schema %s", joinRef(qualifier, name), s)
+		return 0, fmt.Errorf("types: column %q not found in schema %s", name, s)
 	}
 	return found, nil
-}
-
-func joinRef(qualifier, name string) string {
-	if qualifier == "" {
-		return name
-	}
-	return qualifier + "." + name
-}
-
-// Equal reports whether the two schemas have the same column kinds in the same
-// order. Column names are ignored: result compatibility in the executor is
-// positional.
-func (s *Schema) Equal(other *Schema) bool {
-	if s.Len() != other.Len() {
-		return false
-	}
-	for i := range s.Columns {
-		if s.Columns[i].Kind != other.Columns[i].Kind {
-			return false
-		}
-	}
-	return true
 }
 
 // String implements fmt.Stringer.
@@ -210,15 +164,6 @@ func (s *Schema) String() string {
 		parts[i] = c.String()
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-// Kinds returns the column kinds in order.
-func (s *Schema) Kinds() []Kind {
-	ks := make([]Kind, len(s.Columns))
-	for i, c := range s.Columns {
-		ks[i] = c.Kind
-	}
-	return ks
 }
 
 // WithQualifier returns a copy of the schema in which every column's qualifier

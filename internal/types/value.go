@@ -248,16 +248,6 @@ func (v Value) String() string {
 	}
 }
 
-// Equal reports whether two values are equal. NULL equals nothing, including
-// another NULL (SQL semantics); use Compare for sorting NULLs.
-func (v Value) Equal(o Value) bool {
-	if v.IsNull() || o.IsNull() {
-		return false
-	}
-	c, err := Compare(v, o)
-	return err == nil && c == 0
-}
-
 // Compare orders two values. NULL sorts before every non-NULL value and equal
 // to another NULL (total order for sorting, unlike Equal). Values of different
 // numeric kinds are compared numerically; other kind mismatches are an error.

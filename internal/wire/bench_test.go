@@ -7,8 +7,9 @@ import (
 	"csq/internal/types"
 )
 
-// The codec benchmarks compare the allocating encode/decode entry points with
-// the pooled/arena-based ones the operators use. cmd/benchrun runs them and
+// The codec benchmarks compare encoding into a fresh buffer and decoding
+// into a fresh batch with the pooled buffers and reused batch the operators
+// use. cmd/benchrun runs them and
 // folds the numbers into BENCH_exec.json.
 
 func benchBatch(n int) *TupleBatch {
@@ -18,7 +19,7 @@ func benchBatch(n int) *TupleBatch {
 			types.NewString(fmt.Sprintf("C%03d", i)),
 			types.NewFloat(float64(i)),
 			types.NewInt(int64(i)),
-			types.NewTimeSeries(types.NewSeries(100, 100+float64(i))),
+			types.NewTimeSeries(types.TimeSeries{100, 100 + float64(i)}),
 		))
 	}
 	return b
@@ -29,7 +30,7 @@ func BenchmarkEncodeTupleBatch(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := EncodeTupleBatch(batch); err != nil {
+			if _, err := AppendTupleBatch(nil, batch); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -58,7 +59,7 @@ func benchDupBatch(distinct int) *TupleBatch {
 			types.NewString(fmt.Sprintf("C%03d-abcdefghijklmnopqrstuvwxyz", i%distinct)),
 			types.NewFloat(float64(i%distinct)),
 			types.NewInt(int64(i%distinct)),
-			types.NewTimeSeries(types.NewSeries(100, 100+float64(i%distinct))),
+			types.NewTimeSeries(types.TimeSeries{100, 100 + float64(i%distinct)}),
 		))
 	}
 	return b
@@ -67,7 +68,7 @@ func benchDupBatch(distinct int) *TupleBatch {
 func BenchmarkDictBatchEncode(b *testing.B) {
 	for _, distinct := range []int{4, 16, 64} {
 		batch := benchDupBatch(distinct)
-		plain, err := EncodeTupleBatch(batch)
+		plain, err := AppendTupleBatch(nil, batch)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +93,7 @@ func BenchmarkDictBatchEncode(b *testing.B) {
 
 func BenchmarkDictBatchDecode(b *testing.B) {
 	for _, distinct := range []int{4, 64} {
-		payload, err := AppendTupleBatchDict(nil, benchDupBatch(distinct))
+		payload, _, err := appendTupleBatchChoosing(nil, benchDupBatch(distinct), false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,14 +110,14 @@ func BenchmarkDictBatchDecode(b *testing.B) {
 }
 
 func BenchmarkDecodeTupleBatch(b *testing.B) {
-	payload, err := EncodeTupleBatch(benchBatch(64))
+	payload, err := AppendTupleBatch(nil, benchBatch(64))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeTupleBatch(payload); err != nil {
+			if err := DecodeTupleBatchInto(&TupleBatch{}, payload); err != nil {
 				b.Fatal(err)
 			}
 		}

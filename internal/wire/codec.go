@@ -147,11 +147,6 @@ func appendBatchBody(dst []byte, seq uint64, tuples []types.Tuple) ([]byte, erro
 	return dst, nil
 }
 
-// EncodeTupleBatch serialises a TupleBatch into a fresh buffer.
-func EncodeTupleBatch(b *TupleBatch) ([]byte, error) {
-	return AppendTupleBatch(nil, b)
-}
-
 // DecodeTupleBatchInto deserialises a TupleBatch into b, reusing b.Tuples'
 // capacity. All decoded values of the frame share one freshly allocated
 // backing arena, so decoding costs O(1) allocations per frame instead of one
@@ -309,15 +304,6 @@ func DecodeColumnInto(dst []types.Value, stride, rows int, src []byte, dict bool
 		return fmt.Errorf("wire: column batch: %d trailing bytes", len(src)-off)
 	}
 	return nil
-}
-
-// DecodeTupleBatch deserialises a TupleBatch.
-func DecodeTupleBatch(src []byte) (*TupleBatch, error) {
-	b := &TupleBatch{}
-	if err := DecodeTupleBatchInto(b, src); err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // EncodeError serialises an ErrorMsg.

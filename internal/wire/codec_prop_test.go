@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -49,23 +51,17 @@ func randomBatch(rng *rand.Rand) *TupleBatch {
 	return b
 }
 
-func requireBatchEqual(t *testing.T, want, got *TupleBatch) {
-	t.Helper()
-	if got.SessionID != want.SessionID || got.Seq != want.Seq {
-		t.Fatalf("header mismatch: got (%d,%d), want (%d,%d)", got.SessionID, got.Seq, want.SessionID, want.Seq)
-	}
-	if len(got.Tuples) != len(want.Tuples) {
-		t.Fatalf("tuple count = %d, want %d", len(got.Tuples), len(want.Tuples))
-	}
-	for i := range want.Tuples {
-		if !want.Tuples[i].Equal(got.Tuples[i]) {
-			t.Fatalf("tuple %d = %v, want %v", i, got.Tuples[i], want.Tuples[i])
-		}
-	}
+// sameTuple reports whether a and b encode to the same bytes, which tells
+// apart NULL kinds and INT from FLOAT.
+func sameTuple(a, b types.Tuple) bool {
+	ea, errA := types.EncodeTuple(nil, a)
+	eb, errB := types.EncodeTuple(nil, b)
+	return errA == nil && errB == nil && bytes.Equal(ea, eb)
 }
 
-// TestTupleBatchRoundTripProperty encodes random batches and asserts both
-// decode paths (fresh and arena-reusing) reproduce them exactly.
+// TestTupleBatchRoundTripProperty encodes random batches and asserts that
+// decoding into one reused batch, as the lane readers and the client do,
+// reproduces them exactly.
 func TestTupleBatchRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	var reused TupleBatch
@@ -77,20 +73,15 @@ func TestTupleBatchRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: encode: %v", round, err)
 		}
-		fresh, err := DecodeTupleBatch(payload)
-		if err != nil {
-			t.Fatalf("round %d: decode: %v", round, err)
-		}
-		requireBatchEqual(t, want, fresh)
 		if err := DecodeTupleBatchInto(&reused, payload); err != nil {
 			t.Fatalf("round %d: decode into: %v", round, err)
 		}
-		requireBatchEqual(t, want, &reused)
+		requireSameBatch(t, want, &reused)
 		// Tuples handed out by the previous DecodeTupleBatchInto must stay
 		// valid after the scratch batch is reused for this round.
 		if prev != nil {
 			for i := range prev {
-				if !prev[i].Equal(prevBatch.Tuples[i]) {
+				if !sameTuple(prev[i], prevBatch.Tuples[i]) {
 					t.Fatalf("round %d: reuse clobbered tuple %d of previous frame", round, i)
 				}
 			}
@@ -110,11 +101,11 @@ func TestTupleBatchAppendComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTupleBatch(payload[len(prefix):])
-	if err != nil {
+	var got TupleBatch
+	if err := DecodeTupleBatchInto(&got, payload[len(prefix):]); err != nil {
 		t.Fatal(err)
 	}
-	requireBatchEqual(t, want, got)
+	requireSameBatch(t, want, &got)
 }
 
 // TestDecodeTupleBatchErrors asserts corrupt payloads are rejected, not
@@ -126,15 +117,74 @@ func TestDecodeTupleBatchErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeTupleBatch(payload[:10]); err == nil {
+	var got TupleBatch
+	if err := DecodeTupleBatchInto(&got, payload[:10]); err == nil {
 		t.Error("short payload should fail")
 	}
-	if _, err := DecodeTupleBatch(append(payload, 0xaa)); err == nil {
+	if err := DecodeTupleBatchInto(&got, append(payload, 0xaa)); err == nil {
 		t.Error("trailing bytes should fail")
 	}
 	if len(want.Tuples) > 0 {
-		if _, err := DecodeTupleBatch(payload[:len(payload)-1]); err == nil {
+		if err := DecodeTupleBatchInto(&got, payload[:len(payload)-1]); err == nil {
 			t.Error("truncated payload should fail")
+		}
+	}
+}
+
+// TestDecodeColumnIntoMatchesRows holds the strided column decoder to the row
+// decoders on random one-value columns of any length (empty and single-row
+// ones included) and any cardinality, in the plain encoding and with the
+// dictionary forced whether or not it is the smaller: each row's value lands
+// in its slot at the stride, and no other slot is written.
+func TestDecodeColumnIntoMatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	// randomColumn never draws an infinity, so a slot still holding it was
+	// not written.
+	untouched := types.NewFloat(math.Inf(-1))
+	var rows TupleBatch
+	for round := 0; round < 300; round++ {
+		next := randomColumn(rng)
+		b := &TupleBatch{SessionID: rng.Uint64(), Seq: rng.Uint64()}
+		for n := rng.Intn(70); len(b.Tuples) < n; {
+			b.Tuples = append(b.Tuples, types.Tuple{next()})
+		}
+		stride := 1 + rng.Intn(5)
+		for _, dict := range []bool{false, true} {
+			var payload []byte
+			var err error
+			if dict {
+				payload, _, err = appendTupleBatchChoosing(nil, b, false)
+			} else {
+				payload, err = AppendTupleBatch(nil, b)
+			}
+			if err != nil {
+				t.Fatalf("round %d dict=%v: encode: %v", round, dict, err)
+			}
+			if dict {
+				err = DecodeDictBatchInto(&rows, payload)
+			} else {
+				err = DecodeTupleBatchInto(&rows, payload)
+			}
+			if err != nil {
+				t.Fatalf("round %d dict=%v: row decode: %v", round, dict, err)
+			}
+			requireRowsEqual(t, b.Tuples, rows.Tuples)
+			dst := make([]types.Value, len(b.Tuples)*stride)
+			for i := range dst {
+				dst[i] = untouched
+			}
+			if err := DecodeColumnInto(dst, stride, len(b.Tuples), payload, dict); err != nil {
+				t.Fatalf("round %d dict=%v: column decode: %v", round, dict, err)
+			}
+			for i, v := range dst {
+				want := untouched
+				if i%stride == 0 {
+					want = rows.Tuples[i/stride][0]
+				}
+				if !sameTuple(types.Tuple{want}, types.Tuple{v}) {
+					t.Fatalf("round %d dict=%v stride %d: slot %d = %v, want %v", round, dict, stride, i, v, want)
+				}
+			}
 		}
 	}
 }

@@ -84,12 +84,6 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// AppendTupleBatchDict appends the dictionary encoding of b to dst.
-func AppendTupleBatchDict(dst []byte, b *TupleBatch) ([]byte, error) {
-	out, _, err := appendTupleBatchChoosing(dst, b, false)
-	return out, err
-}
-
 // AppendTupleBatchAuto appends whichever of the dictionary and plain
 // encodings of b is smaller and reports whether the dictionary form was used
 // (the caller picks the matching message type). Pair it with
@@ -237,13 +231,4 @@ func badIndex(idx uint64, c, entries int) error {
 		return fmt.Errorf("bad index")
 	}
 	return fmt.Errorf("index %d outside dictionary of %d", idx, entries)
-}
-
-// DecodeDictBatch deserialises a dictionary-encoded TupleBatch.
-func DecodeDictBatch(src []byte) (*TupleBatch, error) {
-	b := &TupleBatch{}
-	if err := DecodeDictBatchInto(b, src); err != nil {
-		return nil, err
-	}
-	return b, nil
 }

@@ -24,8 +24,8 @@ func dupBatch(n, distinct int) *TupleBatch {
 }
 
 // TestDictBatchRoundTripProperty mirrors the plain-batch property test for
-// the dictionary encoding: random batches survive both decode paths, and
-// tuples from a previous frame stay valid after the scratch is reused.
+// the dictionary encoding: random batches survive decoding into one reused
+// batch, and tuples from a previous frame stay valid after it is reused.
 func TestDictBatchRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var reused TupleBatch
@@ -33,19 +33,14 @@ func TestDictBatchRoundTripProperty(t *testing.T) {
 	var prevBatch *TupleBatch
 	for round := 0; round < 200; round++ {
 		want := randomBatch(rng)
-		payload, err := AppendTupleBatchDict(nil, want)
+		payload, _, err := appendTupleBatchChoosing(nil, want, false)
 		if err != nil {
 			t.Fatalf("round %d: encode: %v", round, err)
 		}
-		fresh, err := DecodeDictBatch(payload)
-		if err != nil {
-			t.Fatalf("round %d: decode: %v", round, err)
-		}
-		requireBatchEqual(t, want, fresh)
 		if err := DecodeDictBatchInto(&reused, payload); err != nil {
 			t.Fatalf("round %d: decode into: %v", round, err)
 		}
-		requireBatchEqual(t, want, &reused)
+		requireSameBatch(t, want, &reused)
 		// The auto encoder must emit either a valid dictionary frame or the
 		// exact plain encoding, whichever is smaller.
 		auto, usedDict, err := AppendTupleBatchAuto(nil, want)
@@ -53,11 +48,10 @@ func TestDictBatchRoundTripProperty(t *testing.T) {
 			t.Fatalf("round %d: auto encode: %v", round, err)
 		}
 		if usedDict {
-			got, err := DecodeDictBatch(auto)
-			if err != nil {
+			if err := DecodeDictBatchInto(&reused, auto); err != nil {
 				t.Fatalf("round %d: decode auto dict: %v", round, err)
 			}
-			requireBatchEqual(t, want, got)
+			requireSameBatch(t, want, &reused)
 			if len(auto) > len(payload) {
 				t.Fatalf("round %d: auto dict frame larger than direct dict encoding", round)
 			}
@@ -72,7 +66,7 @@ func TestDictBatchRoundTripProperty(t *testing.T) {
 		}
 		if prev != nil {
 			for i := range prev {
-				if !prev[i].Equal(prevBatch.Tuples[i]) {
+				if !sameTuple(prev[i], prevBatch.Tuples[i]) {
 					t.Fatalf("round %d: reuse clobbered tuple %d of previous frame", round, i)
 				}
 			}
@@ -101,11 +95,11 @@ func TestDictBatchShrinksDuplicates(t *testing.T) {
 	if len(payload)*2 > len(plain) {
 		t.Errorf("dict batch = %d bytes, plain = %d; want at least 2x smaller", len(payload), len(plain))
 	}
-	got, err := DecodeDictBatch(payload)
-	if err != nil {
+	var got TupleBatch
+	if err := DecodeDictBatchInto(&got, payload); err != nil {
 		t.Fatal(err)
 	}
-	requireBatchEqual(t, b, got)
+	requireSameBatch(t, b, &got)
 }
 
 // TestDictBatchAutoFallsBack asserts the auto encoder never loses bytes: on
@@ -128,53 +122,53 @@ func TestDictBatchAutoFallsBack(t *testing.T) {
 	if !bytes.Equal(payload, plain) {
 		t.Errorf("fallback payload (%d bytes) differs from AppendTupleBatch output (%d bytes)", len(payload), len(plain))
 	}
-	if _, err := DecodeTupleBatch(payload); err != nil {
+	var got TupleBatch
+	if err := DecodeTupleBatchInto(&got, payload); err != nil {
 		t.Errorf("fallback payload must be a valid plain batch: %v", err)
 	}
 
-	// Empty batches (the client's FinalDelivery acknowledgements) must work
-	// in both encodings.
+	// Empty batches (a reply whose rows the pushable predicate all dropped)
+	// must work in both encodings.
 	empty := &TupleBatch{SessionID: 1, Seq: 2}
 	payload, _, err = AppendTupleBatchAuto(nil, empty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTupleBatch(payload)
+	if err := DecodeTupleBatchInto(&got, payload); err != nil {
+		t.Fatal(err)
+	}
+	requireSameBatch(t, empty, &got)
+	payload, _, err = appendTupleBatchChoosing(nil, empty, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireBatchEqual(t, empty, got)
-	payload, err = AppendTupleBatchDict(nil, empty)
-	if err != nil {
+	if err := DecodeDictBatchInto(&got, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err = DecodeDictBatch(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBatchEqual(t, empty, got)
+	requireSameBatch(t, empty, &got)
 }
 
 // TestDecodeDictBatchErrors asserts corrupt dictionary payloads are rejected.
 func TestDecodeDictBatchErrors(t *testing.T) {
-	payload, err := AppendTupleBatchDict(nil, dupBatch(8, 2))
+	payload, _, err := appendTupleBatchChoosing(nil, dupBatch(8, 2), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeDictBatch(payload[:10]); err == nil {
+	var got TupleBatch
+	if err := DecodeDictBatchInto(&got, payload[:10]); err == nil {
 		t.Error("short payload should fail")
 	}
-	if _, err := DecodeDictBatch(append(append([]byte(nil), payload...), 0xaa)); err == nil {
+	if err := DecodeDictBatchInto(&got, append(append([]byte(nil), payload...), 0xaa)); err == nil {
 		t.Error("trailing bytes should fail")
 	}
-	if _, err := DecodeDictBatch(payload[:len(payload)-1]); err == nil {
+	if err := DecodeDictBatchInto(&got, payload[:len(payload)-1]); err == nil {
 		t.Error("truncated payload should fail")
 	}
 	// An out-of-range dictionary index must be caught, not read past the
 	// dictionary: flip the last row's last index to a large varint.
 	bad := append([]byte(nil), payload...)
 	bad[len(bad)-1] = 0x7f
-	if _, err := DecodeDictBatch(bad); err == nil {
+	if err := DecodeDictBatchInto(&got, bad); err == nil {
 		t.Error("out-of-range dictionary index should fail")
 	}
 }

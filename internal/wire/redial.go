@@ -92,9 +92,6 @@ func Classify(err error) ErrClass {
 	return ClassFatal
 }
 
-// IsRetryable reports whether err is worth a reconnection attempt.
-func IsRetryable(err error) bool { return Classify(err) == ClassRetryable }
-
 // Backoff computes a capped exponential backoff schedule with proportional
 // jitter. The zero value uses the defaults noted on each field.
 type Backoff struct {

@@ -263,10 +263,6 @@ type decColumn struct {
 	charge int
 }
 
-// DictBytes returns the charge of the dictionary entries the decoder holds,
-// at most ResultStreamDictBytes.
-func (d *ResultDecoder) DictBytes() int { return d.charge }
-
 // DecodeFrame decodes the stream's next frame from its body (the payload
 // after the query ID). The tuples share one freshly allocated arena, and
 // repeated values share the dictionary's entry, so they stay valid for as

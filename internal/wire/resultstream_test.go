@@ -66,7 +66,7 @@ func requireRowsEqual(t testing.TB, want, got []types.Tuple) {
 		t.Fatalf("decoded %d rows, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if !want[i].Equal(got[i]) {
+		if !sameTuple(want[i], got[i]) {
 			t.Fatalf("row %d = %v, want %v", i, got[i], want[i])
 		}
 	}
@@ -482,3 +482,7 @@ func TestCapabilityTable(t *testing.T) {
 		t.Fatal("retired bit 1 is offered")
 	}
 }
+
+// DictBytes returns the charge of the dictionary entries the decoder holds,
+// at most ResultStreamDictBytes.
+func (d *ResultDecoder) DictBytes() int { return d.charge }

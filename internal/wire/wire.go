@@ -448,9 +448,9 @@ type SetupRequest struct {
 	// tuple extended with UDF results) returned to the server. Empty means
 	// return everything (semi-join returns only results regardless).
 	ProjectOrdinals []int
-	// FinalDelivery indicates the results are for the end user at the client
-	// (the plan merged the UDF with the final result operator), so nothing
-	// needs to be returned to the server except a row count.
+	// FinalDelivery is the retired flag bit 0. It asked the client to keep
+	// the result rows itself (Section 5.1.1(d)); no client does, and a
+	// client refuses a setup that sets it. The bit stays reserved.
 	FinalDelivery bool
 	// DictBatches requests the per-batch value dictionary encoding for this
 	// session's tuple traffic (both directions). It is carried as a flag bit
@@ -503,7 +503,7 @@ type RegisterUDF struct {
 // End signals the end of a stream for a session.
 type End struct {
 	SessionID uint64
-	// Rows is the number of tuples delivered in total (used by FinalDelivery
-	// sessions to report the result cardinality back to the server).
+	// Rows is the row count of a query result stream the server ends; a
+	// client's echo of a session End carries 0.
 	Rows uint64
 }

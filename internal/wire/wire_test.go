@@ -160,38 +160,37 @@ func TestTupleBatchRoundTrip(t *testing.T) {
 		SessionID: 11,
 		Seq:       4,
 		Tuples: []types.Tuple{
-			types.NewTuple(types.NewTimeSeries(types.NewSeries(1, 2, 3)), types.NewString("ACME")),
-			types.NewTuple(types.NewTimeSeries(types.NewSeries(9)), types.Null(types.KindString)),
+			types.NewTuple(types.NewTimeSeries(types.TimeSeries{1, 2, 3}), types.NewString("ACME")),
+			types.NewTuple(types.NewTimeSeries(types.TimeSeries{9}), types.Null(types.KindString)),
 		},
 	}
-	data, err := EncodeTupleBatch(b)
+	data, err := AppendTupleBatch(nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTupleBatch(data)
-	if err != nil {
+	var got TupleBatch
+	if err := DecodeTupleBatchInto(&got, data); err != nil {
 		t.Fatal(err)
 	}
 	if got.SessionID != 11 || got.Seq != 4 || len(got.Tuples) != 2 {
 		t.Errorf("batch header round trip = %+v", got)
 	}
-	if got.Tuples[0].Len() != 2 || !got.Tuples[0][1].Equal(types.NewString("ACME")) {
+	if got.Tuples[0].Len() != 2 || !sameTuple(got.Tuples[0][1:], types.NewTuple(types.NewString("ACME"))) {
 		t.Errorf("batch tuple 0 = %v", got.Tuples[0])
 	}
 	if !got.Tuples[1][1].IsNull() {
 		t.Errorf("batch tuple 1 = %v", got.Tuples[1])
 	}
-	// Empty batch is legal (used as a keep-alive).
+	// Empty batch is legal (a reply whose rows were all filtered out).
 	empty := &TupleBatch{SessionID: 1, Seq: 0}
-	data, _ = EncodeTupleBatch(empty)
-	got, err = DecodeTupleBatch(data)
-	if err != nil || len(got.Tuples) != 0 {
+	data, _ = AppendTupleBatch(nil, empty)
+	if err := DecodeTupleBatchInto(&got, data); err != nil || len(got.Tuples) != 0 {
 		t.Errorf("empty batch round trip = %+v, %v", got, err)
 	}
-	if _, err := DecodeTupleBatch([]byte{1, 2, 3}); err == nil {
+	if err := DecodeTupleBatchInto(&got, []byte{1, 2, 3}); err == nil {
 		t.Error("truncated batch should fail")
 	}
-	if _, err := DecodeTupleBatch(append(data, 0x01)); err == nil {
+	if err := DecodeTupleBatchInto(&got, append(data, 0x01)); err == nil {
 		t.Error("trailing bytes should fail")
 	}
 }
@@ -252,16 +251,16 @@ func TestQuickTupleBatchRoundTrip(t *testing.T) {
 		b := &TupleBatch{SessionID: session, Seq: seq}
 		for i := 0; i < n; i++ {
 			b.Tuples = append(b.Tuples, types.NewTuple(
-				types.NewTimeSeries(types.NewSeries(r.Float64(), r.Float64())),
+				types.NewTimeSeries(types.TimeSeries{r.Float64(), r.Float64()}),
 				types.NewString(strings.Repeat("x", r.Intn(32))),
 			))
 		}
-		data, err := EncodeTupleBatch(b)
+		data, err := AppendTupleBatch(nil, b)
 		if err != nil {
 			return false
 		}
-		got, err := DecodeTupleBatch(data)
-		if err != nil {
+		var got TupleBatch
+		if err := DecodeTupleBatchInto(&got, data); err != nil {
 			return false
 		}
 		return got.SessionID == session && got.Seq == seq && len(got.Tuples) == n
