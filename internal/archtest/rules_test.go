@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -29,6 +30,7 @@ func TestDesignRules(t *testing.T) {
 		{"OneColumnDemandPass", "which columns a scan reads is decided by pruneColumns alone", oneColumnDemandPass},
 		{"OneControlMessageReader", "control messages decode through the one bounded reader in internal/wire/reader.go", oneControlMessageReader},
 		{"OneUnsafeFile", "types.Value's unsafe.Pointer payload stays in the file that defines it", oneUnsafeFile},
+		{"OneQueryPipeline", "every service entry runs one pipeline: admission, planning, lowering and the result cache are each reached from one function, and a query's state changes in one method", oneQueryPipeline},
 	}
 	for _, r := range rules {
 		t.Run(r.name, func(t *testing.T) {
@@ -340,4 +342,89 @@ func oneUnsafeFile(m *module) []string {
 		out = append(out, "internal/types/value.go no longer imports unsafe: move this rule with the payload")
 	}
 	return out
+}
+
+func oneQueryPipeline(m *module) []string {
+	svc := m.pkgAt("internal/service")
+	stats := svc.types.Scope().Lookup("QueryStats").Type().Underlying().(*types.Struct)
+	var state types.Object
+	for i := 0; i < stats.NumFields(); i++ {
+		if stats.Field(i).Name() == "State" {
+			state = stats.Field(i)
+		}
+	}
+	// callee names a pipeline step the selection calls, or "".
+	callee := func(sel *types.Selection) string {
+		t := sel.Recv()
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		named, ok := t.(*types.Named)
+		if !ok || named.Obj().Pkg() == nil {
+			return ""
+		}
+		recv, method := named.Obj().Name(), sel.Obj().Name()
+		switch path := named.Obj().Pkg().Path(); {
+		case path == svc.path && recv == "admission" && method == "acquire",
+			path == modulePath+"/internal/plan" && (recv == "Planner" && method == "PlanTree" || recv == "TreePlan" && method == "NewOperator"):
+			return recv + "." + method
+		case path == modulePath+"/internal/plan" && recv == "Cache" && (method == "Lookup" || method == "Store"):
+			if arg, ok := named.TypeArgs().At(0).(*types.Pointer); ok && types.TypeString(arg.Elem(), nil) == svc.path+".cachedResult" {
+				return "the result cache's " + method
+			}
+		}
+		return ""
+	}
+	callers := map[string]map[string]bool{}
+	for _, step := range []string{"admission.acquire", "Planner.PlanTree", "TreePlan.NewOperator", "the result cache's Lookup", "the result cache's Store"} {
+		callers[step] = map[string]bool{}
+	}
+	writers := map[string]bool{}
+	funcName := func(f *ast.File, at token.Pos) string {
+		fd := enclosingFunc(f, at)
+		switch {
+		case fd == nil:
+			return m.pos(at)
+		case fd.Recv != nil:
+			return recvName(fd) + "." + fd.Name.Name
+		}
+		return fd.Name.Name
+	}
+	for _, f := range svc.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if s := svc.info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+					if step := callee(s); step != "" {
+						callers[step][funcName(f, sel.Pos())] = true
+					}
+				}
+			}
+			return true
+		})
+		fieldWrites(svc, f, func(field *types.Var, at token.Pos) {
+			if field.Origin() == state {
+				writers[funcName(f, at)] = true
+			}
+		})
+	}
+	var out []string
+	for step, fns := range callers {
+		if len(fns) != 1 {
+			out = append(out, step+" is called from "+strconv.Itoa(len(fns))+" functions of internal/service, want one: "+strings.Join(sortedKeys(fns), ", "))
+		}
+	}
+	if len(writers) != 1 || !strings.HasPrefix(sortedKeys(writers)[0], "Query.") {
+		out = append(out, "QueryStats.State is assigned in "+strings.Join(sortedKeys(writers), ", ")+", want one method of Query")
+	}
+	sort.Strings(out)
+	return out
+}
+
+func sortedKeys(set map[string]bool) []string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -43,11 +43,6 @@ func (b *Binder) Bind(e Expr) (Expr, error) {
 		n.Kind = b.Schema.Columns[ord].Kind
 		n.bound = true
 		return n, nil
-	case *Cast:
-		if _, err := b.Bind(n.Input); err != nil {
-			return nil, err
-		}
-		return n, nil
 	case *Unary:
 		if _, err := b.Bind(n.Input); err != nil {
 			return nil, err

@@ -32,12 +32,6 @@ func (ev *Evaluator) Eval(e Expr, t types.Tuple) (types.Value, error) {
 			return types.Value{}, fmt.Errorf("expr: column ordinal %d out of range for tuple of %d", n.Ordinal, len(t))
 		}
 		return t[n.Ordinal], nil
-	case *Cast:
-		v, err := ev.Eval(n.Input, t)
-		if err != nil {
-			return types.Value{}, err
-		}
-		return v.Cast(n.Target)
 	case *Unary:
 		return ev.evalUnary(n, t)
 	case *Binary:

@@ -223,20 +223,6 @@ func (f *FuncCall) String() string {
 
 func (f *FuncCall) children() []Expr { return f.Args }
 
-// Cast converts its input to a target kind.
-type Cast struct {
-	Input  Expr
-	Target types.Kind
-}
-
-// ResultKind implements Expr.
-func (c *Cast) ResultKind() types.Kind { return c.Target }
-
-// String implements fmt.Stringer.
-func (c *Cast) String() string { return fmt.Sprintf("CAST(%s AS %s)", c.Input, c.Target) }
-
-func (c *Cast) children() []Expr { return []Expr{c.Input} }
-
 // Walk visits every node of the expression tree in pre-order. The visitor may
 // return false to skip a node's children.
 func Walk(e Expr, visit func(Expr) bool) {

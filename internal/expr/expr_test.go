@@ -293,25 +293,6 @@ func TestBuiltins(t *testing.T) {
 	}
 }
 
-func TestCastExpr(t *testing.T) {
-	ev := &Evaluator{}
-	b := NewBinder(testSchema(), nil)
-	c := b.MustBind(&Cast{Input: colRef("Change"), Target: types.KindInt})
-	v, err := ev.Eval(c, testTuple())
-	if err != nil {
-		t.Fatalf("cast: %v", err)
-	}
-	if i, _ := v.Int(); i != 5 {
-		t.Errorf("cast = %v", v)
-	}
-	if c.ResultKind() != types.KindInt {
-		t.Errorf("cast kind = %v", c.ResultKind())
-	}
-	if !strings.Contains(c.String(), "CAST") {
-		t.Errorf("cast String = %q", c.String())
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	e := NewBinary(OpAnd,
 		NewBinary(OpGt, NewBinary(OpDiv, colRef("Change"), colRef("Close")), NewConst(types.NewFloat(0.2))),

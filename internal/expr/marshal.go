@@ -32,7 +32,6 @@ const (
 	tagBinary
 	tagUnary
 	tagCall
-	tagCast
 )
 
 // NewBoundColumnRef constructs a column reference already resolved to an
@@ -81,9 +80,6 @@ func marshalInto(dst []byte, e Expr) ([]byte, error) {
 			}
 		}
 		return dst, nil
-	case *Cast:
-		dst = append(dst, tagCast, byte(n.Target))
-		return marshalInto(dst, n.Input)
 	default:
 		return nil, fmt.Errorf("expr: cannot marshal node %T", e)
 	}
@@ -179,16 +175,6 @@ func unmarshalFrom(src []byte, depth int) (Expr, int, error) {
 			off += an
 		}
 		return &FuncCall{Name: name, Args: args, kind: kind}, off, nil
-	case tagCast:
-		if len(src) < 2 {
-			return nil, 0, fmt.Errorf("expr: unmarshal cast: truncated")
-		}
-		target := types.Kind(src[1])
-		in, n, err := unmarshalFrom(src[2:], depth+1)
-		if err != nil {
-			return nil, 0, err
-		}
-		return &Cast{Input: in, Target: target}, 2 + n, nil
 	default:
 		return nil, 0, fmt.Errorf("expr: unmarshal: unknown tag %#x", src[0])
 	}

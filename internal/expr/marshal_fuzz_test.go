@@ -6,13 +6,13 @@ import (
 	"csq/internal/types"
 )
 
-// nestedCasts encodes an expression depth levels deep: depth-1 casts over one
+// nestedNots encodes an expression depth levels deep: depth-1 NOTs over one
 // constant.
-func nestedCasts(depth int) []byte {
-	leaf, _ := Marshal(NewConst(types.NewInt(1)))
-	b := make([]byte, 0, 2*depth+len(leaf))
+func nestedNots(depth int) []byte {
+	leaf, _ := Marshal(NewConst(types.NewBool(true)))
+	b := make([]byte, 0, 3*depth+len(leaf))
 	for i := 1; i < depth; i++ {
-		b = append(b, tagCast, byte(types.KindInt))
+		b = append(b, tagUnary, byte(OpNot), byte(types.KindBool))
 	}
 	return append(b, leaf...)
 }
@@ -21,14 +21,14 @@ func nestedCasts(depth int) []byte {
 // level deeper is an error, and so is a multi-MiB nest that would otherwise
 // recurse the decoder off the end of its stack.
 func TestUnmarshalDepthBound(t *testing.T) {
-	if _, err := Unmarshal(nestedCasts(MaxDepth)); err != nil {
+	if _, err := Unmarshal(nestedNots(MaxDepth)); err != nil {
 		t.Fatalf("an expression %d levels deep: %v", MaxDepth, err)
 	}
-	if _, err := Unmarshal(nestedCasts(MaxDepth + 1)); err == nil {
+	if _, err := Unmarshal(nestedNots(MaxDepth + 1)); err == nil {
 		t.Fatalf("an expression %d levels deep decoded", MaxDepth+1)
 	}
-	if _, err := Unmarshal(nestedCasts(3 << 20)); err == nil {
-		t.Fatalf("a 6 MiB nest of casts decoded")
+	if _, err := Unmarshal(nestedNots(3 << 20)); err == nil {
+		t.Fatalf("a 9 MiB nest of NOTs decoded")
 	}
 }
 

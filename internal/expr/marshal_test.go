@@ -19,7 +19,6 @@ func TestMarshalRoundTrip(t *testing.T) {
 			NewConst(types.NewFloat(0.2)))),
 		b.MustBind(NewUnary(OpNot, NewConst(types.NewBool(false)))),
 		b.MustBind(NewBinary(OpGt, NewFuncCall("ClientAnalysis", colRef("Quotes")), NewConst(types.NewInt(500)))),
-		b.MustBind(&Cast{Input: colRef("Change"), Target: types.KindInt}),
 		b.MustBind(NewFuncCall("ts_last", colRef("Quotes"))),
 	}
 	tup := testTuple()
@@ -74,7 +73,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		{tagCall},
 		// A name length that overflows int once converted.
 		{tagCall, byte(types.KindInt), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 'f', 0x00},
-		{tagCast},
+		{tagCall + 1}, // past the last tag: the retired cast's
 		{tagConst},
 	}
 	for _, b := range bad {

@@ -34,10 +34,6 @@ func Clone(e Expr) Expr {
 		c := *n
 		c.Input = Clone(n.Input)
 		return &c
-	case *Cast:
-		c := *n
-		c.Input = Clone(n.Input)
-		return &c
 	case *FuncCall:
 		c := *n
 		c.Args = make([]Expr, len(n.Args))

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,14 +57,13 @@ type admission struct {
 	drainCh  chan struct{} // closed on drain
 	drained  bool
 
-	admitted      atomic.Int64
-	shedOverload  atomic.Int64
-	shedDeadline  atomic.Int64 // subset of overload sheds caused by the queue-time budget
-	shedDraining  atomic.Int64
-	waits         waitHistogram
-	queuedPeak    atomic.Int64
-	waitMaxNanos  atomic.Int64
-	retryAfterCap time.Duration
+	admitted     atomic.Int64
+	shedOverload atomic.Int64
+	shedDeadline atomic.Int64 // subset of overload sheds caused by the queue-time budget
+	shedDraining atomic.Int64
+	waits        waitHistogram
+	queuedPeak   atomic.Int64
+	waitMaxNanos atomic.Int64
 }
 
 // DefaultTenant is the accounting principal of queries that name none.
@@ -79,12 +79,7 @@ type TenantPolicy struct {
 	MaxConcurrent int
 }
 
-func (p TenantPolicy) weight() int {
-	if p.Weight < 1 {
-		return 1
-	}
-	return p.Weight
-}
+func (p TenantPolicy) weight() int { return max(p.Weight, 1) }
 
 // tenantQueue is one tenant's scheduler state. waiters is strictly FIFO:
 // arrivals append at the tail, dispatch pops the head — so two queries of one
@@ -126,6 +121,9 @@ const (
 )
 
 func newAdmission(maxConcurrent, maxQueued int, maxWait time.Duration, policies map[string]TenantPolicy) *admission {
+	if maxConcurrent < 1 {
+		maxConcurrent = DefaultMaxConcurrent
+	}
 	if maxQueued < 1 {
 		maxQueued = DefaultMaxQueued
 	}
@@ -136,7 +134,6 @@ func newAdmission(maxConcurrent, maxQueued int, maxWait time.Duration, policies 
 		tenants:       make(map[string]*tenantQueue),
 		policies:      policies,
 		drainCh:       make(chan struct{}),
-		retryAfterCap: defaultRetryAfterCap,
 	}
 }
 
@@ -156,16 +153,6 @@ func (a *admission) tenantFor(name string) *tenantQueue {
 	a.tenants[name] = tq
 	a.order = append(a.order, tq)
 	return tq
-}
-
-// retryAfter estimates how long a shed submitter should back off: proportional
-// to the queue pressure at shed time, bounded by the cap.
-func (a *admission) retryAfter(queued int) time.Duration {
-	d := defaultRetryAfterBase * time.Duration(queued+1)
-	if d > a.retryAfterCap {
-		d = a.retryAfterCap
-	}
-	return d
 }
 
 // eligible reports whether the tenant has a dispatchable waiter.
@@ -236,12 +223,9 @@ func (a *admission) abandon(w *waiter) {
 		a.releaseSlot(w.tq)
 		return
 	}
-	for i, q := range w.tq.waiters {
-		if q == w {
-			w.tq.waiters = append(w.tq.waiters[:i], w.tq.waiters[i+1:]...)
-			a.queued--
-			break
-		}
+	if i := slices.Index(w.tq.waiters, w); i >= 0 {
+		w.tq.waiters = slices.Delete(w.tq.waiters, i, i+1)
+		a.queued--
 	}
 }
 
@@ -251,12 +235,11 @@ func (a *admission) abandon(w *waiter) {
 // and no slot.
 func (a *admission) acquire(ctx context.Context, tenant string) (release func(), wait time.Duration, err error) {
 	start := time.Now()
-
 	a.mu.Lock()
+	// Unlocked while the query waits, and locked again to settle how it ended.
+	defer a.mu.Unlock()
 	if a.drained {
-		a.mu.Unlock()
-		a.shedDraining.Add(1)
-		return nil, 0, &wire.RejectError{Reason: wire.RejectDraining}
+		return a.shed(nil, wire.RejectDraining, 0, false)
 	}
 	tq := a.tenantFor(tenant)
 
@@ -265,19 +248,10 @@ func (a *admission) acquire(ctx context.Context, tenant string) (release func(),
 	if a.queued == 0 && a.running < a.maxConcurrent && (tq.quota <= 0 || tq.running < tq.quota) {
 		a.running++
 		tq.running++
-		tq.admittedTotal++
-		a.mu.Unlock()
-		a.admitted.Add(1)
-		a.waits.observe(0)
-		return func() { a.mu.Lock(); a.releaseSlot(tq); a.mu.Unlock() }, 0, nil
+		return a.admit(tq, 0)
 	}
-
 	if a.queued >= a.maxQueued {
-		hint := a.retryAfter(a.queued)
-		tq.shedTotal++
-		a.mu.Unlock()
-		a.shedOverload.Add(1)
-		return nil, 0, &wire.RejectError{Reason: wire.RejectOverloaded, RetryAfter: hint}
+		return a.shed(tq, wire.RejectOverloaded, 0, false)
 	}
 
 	// The queue-time budget: a deadline query may burn at most queueFraction
@@ -288,12 +262,7 @@ func (a *admission) acquire(ctx context.Context, tenant string) (release func(),
 	if dl, ok := ctx.Deadline(); ok {
 		b := time.Duration(float64(time.Until(dl)) * queueFraction)
 		if b <= 0 {
-			hint := a.retryAfter(a.queued)
-			tq.shedTotal++
-			a.mu.Unlock()
-			a.shedOverload.Add(1)
-			a.shedDeadline.Add(1)
-			return nil, 0, &wire.RejectError{Reason: wire.RejectOverloaded, RetryAfter: hint}
+			return a.shed(tq, wire.RejectOverloaded, 0, true)
 		}
 		if budget <= 0 || b < budget {
 			budget = b
@@ -317,57 +286,60 @@ func (a *admission) acquire(ctx context.Context, tenant string) (release func(),
 		defer t.Stop()
 		timeout = t.C
 	}
-
-	granted := func() (func(), time.Duration, error) {
-		wait = time.Since(start)
-		a.mu.Lock()
-		tq.admittedTotal++
-		a.mu.Unlock()
-		a.admitted.Add(1)
-		a.waits.observe(wait)
-		for {
-			max := a.waitMaxNanos.Load()
-			if int64(wait) <= max || a.waitMaxNanos.CompareAndSwap(max, int64(wait)) {
-				break
-			}
-		}
-		return func() { a.mu.Lock(); a.releaseSlot(tq); a.mu.Unlock() }, wait, nil
-	}
-
+	cancelled, reason := false, wire.RejectOverloaded
 	select {
 	case <-w.grant:
-		return granted()
 	case <-ctx.Done():
-		a.mu.Lock()
-		a.abandon(w)
-		a.mu.Unlock()
-		return nil, time.Since(start), ctx.Err()
+		cancelled = true
 	case <-timeout:
-		a.mu.Lock()
-		// The grant may have raced the timer; a granted waiter keeps its slot.
-		if w.granted {
-			a.mu.Unlock()
-			return granted()
-		}
-		a.abandon(w)
-		hint := a.retryAfter(a.queued)
-		tq.shedTotal++
-		a.mu.Unlock()
-		a.shedOverload.Add(1)
-		a.shedDeadline.Add(1)
-		return nil, time.Since(start), &wire.RejectError{Reason: wire.RejectOverloaded, RetryAfter: hint}
 	case <-drainCh:
-		a.mu.Lock()
-		if w.granted {
-			a.mu.Unlock()
-			return granted()
-		}
-		a.abandon(w)
-		tq.shedTotal++
-		a.mu.Unlock()
-		a.shedDraining.Add(1)
-		return nil, time.Since(start), &wire.RejectError{Reason: wire.RejectDraining}
+		reason = wire.RejectDraining
 	}
+	a.mu.Lock()
+	wait = time.Since(start)
+	// A grant that raced the timer or the drain keeps its slot.
+	if w.granted && !cancelled {
+		return a.admit(tq, wait)
+	}
+	a.abandon(w)
+	if cancelled {
+		return nil, wait, ctx.Err()
+	}
+	return a.shed(tq, reason, wait, reason == wire.RejectOverloaded)
+}
+
+// admit counts a query granted the slot it now holds and returns the slot's
+// release. Caller holds a.mu.
+func (a *admission) admit(tq *tenantQueue, wait time.Duration) (func(), time.Duration, error) {
+	tq.admittedTotal++
+	a.admitted.Add(1)
+	a.waits.observe(wait)
+	if int64(wait) > a.waitMaxNanos.Load() {
+		a.waitMaxNanos.Store(int64(wait))
+	}
+	return func() { a.mu.Lock(); a.releaseSlot(tq); a.mu.Unlock() }, wait, nil
+}
+
+// shed refuses a query with a typed reject, charged to its tenant when it got
+// as far as naming one. An overload carries a retry-after hint scaled by the
+// queue depth; deadline marks the sheds a queue-time budget caused. Caller
+// holds a.mu.
+func (a *admission) shed(tq *tenantQueue, reason wire.RejectReason, wait time.Duration, deadline bool) (func(), time.Duration, error) {
+	if tq != nil {
+		tq.shedTotal++
+	}
+	re := &wire.RejectError{Reason: reason}
+	if reason == wire.RejectDraining {
+		a.shedDraining.Add(1)
+	} else {
+		a.shedOverload.Add(1)
+		// Back off in proportion to the queue pressure at shed time.
+		re.RetryAfter = min(defaultRetryAfterBase*time.Duration(a.queued+1), defaultRetryAfterCap)
+	}
+	if deadline {
+		a.shedDeadline.Add(1)
+	}
+	return nil, wait, re
 }
 
 // drain sheds every queued query and refuses later submissions; running
@@ -410,10 +382,7 @@ func (h *waitHistogram) quantile(q float64) time.Duration {
 	if total == 0 {
 		return 0
 	}
-	target := int64(float64(total) * q)
-	if target < 1 {
-		target = 1
-	}
+	target := max(int64(float64(total)*q), 1)
 	var seen int64
 	for i := range h.buckets {
 		seen += h.buckets[i].Load()

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -27,6 +28,7 @@ type PreparedStatement struct {
 
 // Prepare registers a statement for repeated execution. The tree is validated
 // by a trial rewrite so malformed statements fail here, not on first execute.
+// A closed or draining service refuses, as Submit does.
 func (s *Service) Prepare(req Request) (*PreparedStatement, error) {
 	if req.Tree == nil {
 		return nil, fmt.Errorf("service: prepared statement has no logical tree")
@@ -34,11 +36,12 @@ func (s *Service) Prepare(req Request) (*PreparedStatement, error) {
 	if _, err := logical.Rewrite(req.Tree); err != nil {
 		return nil, fmt.Errorf("service: prepare: %w", err)
 	}
+	// A statement prepared during a drain could only ever be shed.
 	s.mu.Lock()
-	closed := s.closed
+	err := s.refusal()
 	s.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("service: closed")
+	if err != nil {
+		return nil, err
 	}
 	return &PreparedStatement{svc: s, req: req, plans: plan.NewPlanCache(1)}, nil
 }
@@ -48,21 +51,13 @@ func (s *Service) Prepare(req Request) (*PreparedStatement, error) {
 // template). The returned handle behaves exactly like an ad-hoc query's.
 func (ps *PreparedStatement) Submit(ctx context.Context, over Request) (*Query, error) {
 	req := ps.req
-	req.stmt = ps
-	if over.MemBudget != 0 {
-		req.MemBudget = over.MemBudget
-	}
-	if over.Timeout != 0 {
-		req.Timeout = over.Timeout
-	}
-	if over.Tenant != "" {
-		req.Tenant = over.Tenant
-	}
+	req.stmtPlans = ps.plans
+	req.MemBudget = cmp.Or(over.MemBudget, req.MemBudget)
+	req.Timeout = cmp.Or(over.Timeout, req.Timeout)
+	req.Tenant = cmp.Or(over.Tenant, req.Tenant)
+	req.Frames = cmp.Or(over.Frames, req.Frames)
 	if over.OnBatch != nil {
 		req.OnBatch = over.OnBatch
-	}
-	if over.Frames != nil {
-		req.Frames = over.Frames
 	}
 	if over.Link != nil {
 		req.Link = over.Link
@@ -73,9 +68,5 @@ func (ps *PreparedStatement) Submit(ctx context.Context, over Request) (*Query, 
 
 // Execute runs the statement once and waits for its result.
 func (ps *PreparedStatement) Execute(ctx context.Context, over Request) (*Result, error) {
-	q, err := ps.Submit(ctx, over)
-	if err != nil {
-		return nil, err
-	}
-	return q.Wait()
+	return awaitResult(ps.Submit(ctx, over))
 }

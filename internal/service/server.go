@@ -1,11 +1,12 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -125,25 +126,9 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Close stops accepting, closes every requester connection (cancelling the
-// queries they own) and shuts the service down.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	s.svc.Close()
-}
+// Close stops accepting, cancels every query and closes every requester
+// connection: Shutdown with no grace period.
+func (s *Server) Close() { _ = s.Shutdown(expired) }
 
 // Shutdown drains the server gracefully: it stops accepting connections,
 // drains the service (running queries finish, queued and new ones are shed
@@ -153,15 +138,17 @@ func (s *Server) Close() {
 // closed anyway. It returns ctx's error when the drain timed out.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	alreadyClosed := s.closed
 	s.closed = true
 	ln := s.ln
 	s.mu.Unlock()
 	if ln != nil {
 		_ = ln.Close()
 	}
-	if alreadyClosed {
-		return nil
+	if ctx.Err() != nil {
+		// No grace: no stream is owed its terminal frame, and a closed
+		// connection unblocks a result write stuck on a peer that stopped
+		// reading.
+		s.closeConns()
 	}
 	err := s.svc.Shutdown(ctx)
 	// Every query is terminal now; its stream goroutine only has the End (or
@@ -174,41 +161,37 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-flushed:
 	case <-ctx.Done():
-		if err == nil {
-			err = ctx.Err()
-		}
+		err = cmp.Or(err, ctx.Err())
 	}
+	s.closeConns()
+	return err
+}
+
+// closeConns closes every requester connection; each one's control loop then
+// cancels the queries it owns.
+func (s *Server) closeConns() {
 	s.mu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
+	defer s.mu.Unlock()
 	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, c := range conns {
 		_ = c.Close()
 	}
-	return err
 }
 
 // handleConn is one requester connection's control loop.
 func (s *Server) handleConn(nc net.Conn) {
 	conn := wire.NewConn(&stallGuardConn{Conn: nc})
-	owned := &connQueries{queries: make(map[uint64]*Query)}
+	// The queries in flight on the connection, by their peer-chosen IDs.
+	owned := &sync.Map{}
 	// Prepared statements live for the connection; they hold no slots or
 	// sessions, so disconnect cleanup is just letting the map go.
 	stmts := make(map[uint64]*connStatement)
 	defer func() {
 		// A dying requester connection cancels every query it owns; the
 		// per-query contexts tear their UDF sessions down.
-		owned.Lock()
-		qs := make([]*Query, 0, len(owned.queries))
-		for _, q := range owned.queries {
-			qs = append(qs, q)
-		}
-		owned.Unlock()
-		for _, q := range qs {
-			q.Cancel()
-		}
+		owned.Range(func(_, q any) bool {
+			q.(*Query).Cancel()
+			return true
+		})
 		_ = conn.Close()
 		s.mu.Lock()
 		delete(s.conns, nc)
@@ -233,102 +216,18 @@ func (s *Server) handleConn(nc net.Conn) {
 		case wire.MsgEnd:
 			// End of an announcement burst (client.Runtime.Announce sends
 			// one); nothing to do.
-		case wire.MsgQuery:
-			spec, err := wire.DecodeQuerySpec(msg.Payload)
-			if err != nil {
-				_ = s.sendError(conn, 0, fmt.Sprintf("bad query: %v", err))
-				continue
-			}
-			// A peer-chosen QueryID that is already in flight on this
-			// connection would interleave two result streams under one ID
-			// and orphan the earlier query; reject it up front.
-			owned.Lock()
-			_, dup := owned.queries[spec.QueryID]
-			owned.Unlock()
-			var req Request
-			if dup {
-				err = fmt.Errorf("query ID %d is already in flight on this connection", spec.QueryID)
-			} else {
-				req, err = s.buildRequest(conn, spec)
-			}
-			ack := &wire.QueryAck{QueryID: spec.QueryID, OK: err == nil, Caps: spec.Caps & serverCaps}
-			if err != nil {
-				ack.Error = err.Error()
-			}
-			// The ack goes out before the query is submitted, so no result
-			// batch can beat it onto the wire.
-			if sendErr := conn.Send(wire.MsgQueryAck, wire.EncodeQueryAck(ack)); sendErr != nil {
+		case wire.MsgQuery, wire.MsgPrepare, wire.MsgExecPrepared:
+			if !s.serveQuery(conn, owned, stmts, msg) {
 				return
 			}
-			if err != nil {
-				continue
-			}
-			s.submitStream(conn, owned, ack.Caps, spec.QueryID, func() (*Query, error) {
-				return s.svc.Submit(context.Background(), req)
-			})
-		case wire.MsgPrepare:
-			// A prepared statement arrives as a QuerySpec whose QueryID is the
-			// statement ID; the tree is built (and a textual query compiled)
-			// once, here, and executions reference the statement by ID.
-			spec, err := wire.DecodeQuerySpec(msg.Payload)
-			if err != nil {
-				_ = s.sendError(conn, 0, fmt.Sprintf("bad prepare: %v", err))
-				continue
-			}
-			var ps *PreparedStatement
-			if _, dup := stmts[spec.QueryID]; dup {
-				err = fmt.Errorf("statement ID %d is already prepared on this connection", spec.QueryID)
-			} else {
-				var req Request
-				if req, err = s.buildStatementTemplate(spec); err == nil {
-					ps, err = s.svc.Prepare(req)
-				}
-			}
-			ack := &wire.QueryAck{QueryID: spec.QueryID, OK: err == nil, Caps: spec.Caps & serverCaps}
-			if err != nil {
-				ack.Error = err.Error()
-			} else {
-				stmts[spec.QueryID] = &connStatement{ps: ps, caps: ack.Caps}
-			}
-			if sendErr := conn.Send(wire.MsgPrepareAck, wire.EncodeQueryAck(ack)); sendErr != nil {
-				return
-			}
-		case wire.MsgExecPrepared:
-			ep, err := wire.DecodeExecPrepared(msg.Payload)
-			if err != nil {
-				_ = s.sendError(conn, 0, fmt.Sprintf("bad exec prepared: %v", err))
-				continue
-			}
-			st := stmts[ep.StatementID]
-			if st == nil {
-				_ = s.sendError(conn, ep.QueryID, fmt.Sprintf("statement %d is not prepared on this connection", ep.StatementID))
-				continue
-			}
-			owned.Lock()
-			_, dup := owned.queries[ep.QueryID]
-			owned.Unlock()
-			if dup {
-				_ = s.sendError(conn, ep.QueryID, fmt.Sprintf("query ID %d is already in flight on this connection", ep.QueryID))
-				continue
-			}
-			over := Request{Tenant: ep.Tenant, MemBudget: ep.MemBudget, Frames: frameSink(conn, ep.QueryID, st.caps)}
-			if ep.TimeoutMillis > 0 {
-				over.Timeout = time.Duration(ep.TimeoutMillis) * time.Millisecond
-			}
-			s.submitStream(conn, owned, st.caps, ep.QueryID, func() (*Query, error) {
-				return st.ps.Submit(context.Background(), over)
-			})
 		case wire.MsgCancel:
 			c, err := wire.DecodeCancel(msg.Payload)
 			if err != nil {
 				_ = s.sendError(conn, 0, fmt.Sprintf("bad cancel: %v", err))
 				continue
 			}
-			owned.Lock()
-			q := owned.queries[c.QueryID]
-			owned.Unlock()
-			if q != nil {
-				q.Cancel()
+			if q, ok := owned.Load(c.QueryID); ok {
+				q.(*Query).Cancel()
 			}
 		default:
 			_ = s.sendError(conn, 0, fmt.Sprintf("unexpected message %s", msg.Type))
@@ -336,43 +235,131 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 }
 
-// connQueries is the set of in-flight queries one requester connection owns,
-// by their peer-chosen query IDs.
-type connQueries struct {
-	sync.Mutex
-	queries map[uint64]*Query
+// inFlight refuses a peer-chosen query ID already in flight on the
+// connection: two result streams under one ID would interleave and orphan
+// the earlier query.
+func inFlight(owned *sync.Map, id uint64) error {
+	if _, dup := owned.Load(id); dup {
+		return fmt.Errorf("query ID %d is already in flight on this connection", id)
+	}
+	return nil
 }
 
-// submitStream submits one query for a requester connection and, once it is
-// admitted, streams its result from a goroutine that Shutdown waits for. The
-// stream is counted before the submission, under s.mu, so it never races
-// Shutdown's wait from a zero count: once the server is closed no stream is
-// counted any more, and the query is refused with a typed draining reject.
-func (s *Server) submitStream(conn *wire.Conn, owned *connQueries, caps uint32, id uint64, submit func() (*Query, error)) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.sendFailure(conn, caps, id, &wire.RejectError{Reason: wire.RejectDraining})
-		return
+// serveQuery is the one wire entry of a query, ad hoc (MsgQuery) or an
+// execution of a prepared statement (MsgExecPrepared): refuse a query ID in
+// flight, build the request, attach the frame sink of the negotiated
+// encoding and submit. A MsgPrepare takes the ad-hoc path as far as its ack:
+// its QuerySpec's QueryID is the statement ID, and the tree is built (a
+// textual query compiled) once, here. A spec is acknowledged before its
+// query is submitted, so no result frame can beat the ack onto the wire; an
+// execution learns of a refusal from its stream. It reports false once the
+// connection is gone.
+func (s *Server) serveQuery(conn *wire.Conn, owned *sync.Map, stmts map[uint64]*connStatement, msg wire.Message) bool {
+	var (
+		id     uint64
+		caps   uint32
+		req    Request
+		submit = s.svc.Submit
+	)
+	if prepare := msg.Type == wire.MsgPrepare; prepare || msg.Type == wire.MsgQuery {
+		what, ackType := "query", wire.MsgQueryAck
+		if prepare {
+			what, ackType = "prepare", wire.MsgPrepareAck
+		}
+		spec, err := wire.DecodeQuerySpec(msg.Payload)
+		if err != nil {
+			_ = s.sendError(conn, 0, fmt.Sprintf("bad %s: %v", what, err))
+			return true
+		}
+		id, caps = spec.QueryID, spec.Caps&serverCaps
+		switch {
+		case !prepare:
+			err = inFlight(owned, id)
+		case stmts[id] != nil:
+			err = fmt.Errorf("statement ID %d is already prepared on this connection", id)
+		}
+		if err == nil {
+			req, err = s.requestFor(spec)
+		}
+		if err == nil && prepare {
+			var ps *PreparedStatement
+			if ps, err = s.svc.Prepare(req); err == nil {
+				stmts[id] = &connStatement{ps: ps, caps: caps}
+			}
+		}
+		ack := &wire.QueryAck{QueryID: id, OK: err == nil, Caps: caps}
+		if err != nil {
+			ack.Error = err.Error()
+		}
+		if conn.Send(ackType, wire.EncodeQueryAck(ack)) != nil {
+			return false
+		}
+		if err != nil || prepare {
+			return true
+		}
+	} else {
+		ep, err := wire.DecodeExecPrepared(msg.Payload)
+		if err != nil {
+			_ = s.sendError(conn, 0, fmt.Sprintf("bad exec prepared: %v", err))
+			return true
+		}
+		st := stmts[ep.StatementID]
+		if st == nil {
+			err = fmt.Errorf("statement %d is not prepared on this connection", ep.StatementID)
+		} else {
+			err = inFlight(owned, ep.QueryID)
+		}
+		if err != nil {
+			_ = s.sendError(conn, ep.QueryID, err.Error())
+			return true
+		}
+		id, caps, submit = ep.QueryID, st.caps, st.ps.Submit
+		req = Request{Tenant: ep.Tenant, MemBudget: ep.MemBudget, Timeout: millis(ep.TimeoutMillis)}
 	}
-	s.streams.Add(1)
+	// Results stream straight onto the control connection as they are
+	// produced; the connection serialises concurrent queries' frames.
+	req.Frames = &FrameSink{
+		Stream: caps&wire.CapResultStream != 0,
+		Write:  func(frames []wire.ResultFrame) error { return conn.SendResultFrames(id, frames) },
+	}
+	// The stream is counted before the submission, under s.mu, so it never
+	// races Shutdown's wait from a zero count: once the server is closed no
+	// stream is counted any more, and the query is refused with a typed
+	// draining reject.
+	s.mu.Lock()
+	closed := s.closed
+	if !closed {
+		s.streams.Add(1)
+	}
 	s.mu.Unlock()
-	q, err := submit()
+	if closed {
+		s.sendFailure(conn, caps, id, &wire.RejectError{Reason: wire.RejectDraining})
+		return true
+	}
+	q, err := submit(context.Background(), req)
 	if err != nil {
 		s.streams.Done()
 		s.sendFailure(conn, caps, id, err)
-		return
+		return true
 	}
-	owned.Lock()
-	owned.queries[id] = q
-	owned.Unlock()
+	owned.Store(id, q)
+	// The stream ends with an End (row count), a typed QueryReject (shed
+	// queries, when the requester negotiated CapReject) or an Error frame.
 	go func() {
 		defer s.streams.Done()
-		s.streamResult(conn, caps, id, q)
-		owned.Lock()
-		delete(owned.queries, id)
-		owned.Unlock()
+		if res, err := q.Wait(); err != nil {
+			s.sendFailure(conn, caps, id, err)
+		} else {
+			_ = conn.Send(wire.MsgEnd, wire.EncodeEnd(&wire.End{SessionID: id, Rows: uint64(res.RowCount)}))
+		}
+		owned.Delete(id)
 	}()
+	return true
+}
+
+// millis is a wire timeout: > 0 bounds the query, anything else inherits.
+func millis(ms int64) time.Duration {
+	return time.Duration(max(ms, 0)) * time.Millisecond
 }
 
 // connStatement is a prepared statement owned by one requester connection,
@@ -381,63 +368,6 @@ func (s *Server) submitStream(conn *wire.Conn, owned *connQueries, caps uint32, 
 type connStatement struct {
 	ps   *PreparedStatement
 	caps uint32
-}
-
-// buildStatementTemplate translates a QuerySpec into a prepared statement's
-// request template: the tree and resource envelope, but no per-execution
-// result sink — each execution attaches its own, keyed by its own query ID.
-func (s *Server) buildStatementTemplate(spec *wire.QuerySpec) (Request, error) {
-	tree, err := s.buildTree(spec)
-	if err != nil {
-		return Request{}, err
-	}
-	req := Request{
-		Tree:      tree,
-		MemBudget: spec.MemBudget,
-		Tenant:    spec.Tenant,
-	}
-	if spec.TimeoutMillis > 0 {
-		req.Timeout = time.Duration(spec.TimeoutMillis) * time.Millisecond
-	}
-	if spec.ClientAddr != "" {
-		req.Link = &exec.DialLink{Addr: spec.ClientAddr}
-		req.LinkKey = spec.ClientAddr
-	}
-	return req, nil
-}
-
-// buildRequest translates a QuerySpec into a service request; the caller
-// submits it after acknowledging, and streams results via streamResult.
-func (s *Server) buildRequest(conn *wire.Conn, spec *wire.QuerySpec) (Request, error) {
-	req, err := s.buildStatementTemplate(spec)
-	if err != nil {
-		return Request{}, err
-	}
-	// Results are streamed straight onto the control connection as they are
-	// produced; the connection serialises concurrent queries' frames.
-	req.Frames = frameSink(conn, spec.QueryID, spec.Caps&serverCaps)
-	return req, nil
-}
-
-// frameSink returns the sink that sends a query's result frames under id on
-// the shared control connection, in the encoding caps negotiated.
-func frameSink(conn *wire.Conn, id uint64, caps uint32) *FrameSink {
-	return &FrameSink{
-		Stream: caps&wire.CapResultStream != 0,
-		Write:  func(frames []wire.ResultFrame) error { return conn.SendResultFrames(id, frames) },
-	}
-}
-
-// streamResult waits the query out and terminates its result stream with an
-// End (row count), a typed QueryReject (shed queries, when the requester
-// negotiated CapReject) or an Error frame.
-func (s *Server) streamResult(conn *wire.Conn, caps uint32, id uint64, q *Query) {
-	res, err := q.Wait()
-	if err != nil {
-		s.sendFailure(conn, caps, id, err)
-		return
-	}
-	_ = conn.Send(wire.MsgEnd, wire.EncodeEnd(&wire.End{SessionID: id, Rows: uint64(res.RowCount)}))
 }
 
 // sendFailure terminates a query's stream: sheds travel as typed MsgQueryReject
@@ -460,6 +390,27 @@ func (s *Server) sendFailure(conn *wire.Conn, caps uint32, id uint64, err error)
 
 func (s *Server) sendError(conn *wire.Conn, session uint64, msg string) error {
 	return conn.Send(wire.MsgError, wire.EncodeError(&wire.ErrorMsg{SessionID: session, Message: msg}))
+}
+
+// requestFor translates a QuerySpec into a request: the tree and resource
+// envelope of an ad-hoc query or of a prepared statement's template. The
+// result sink is attached per query, keyed by the query's own ID.
+func (s *Server) requestFor(spec *wire.QuerySpec) (Request, error) {
+	tree, err := s.buildTree(spec)
+	if err != nil {
+		return Request{}, err
+	}
+	req := Request{
+		Tree:      tree,
+		MemBudget: spec.MemBudget,
+		Tenant:    spec.Tenant,
+		Timeout:   millis(spec.TimeoutMillis),
+	}
+	if spec.ClientAddr != "" {
+		req.Link = &exec.DialLink{Addr: spec.ClientAddr}
+		req.LinkKey = spec.ClientAddr
+	}
+	return req, nil
 }
 
 // buildTree assembles the spec's logical tree. A textual query (spec.Text) is
@@ -519,82 +470,32 @@ type Requester struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]*eventQueue
+	pending map[uint64]*resultStream
 	readErr error
 	started bool
 }
 
-type requesterEvent struct {
-	batch []types.Tuple
-	rows  uint64
+// resultStream is one pending query as its requester sees it. The read loop
+// fills it and never blocks on it: a collector that is slow or gone cannot
+// wedge the other queries of the connection, and what a stream holds is
+// bounded by the query's own answer, which Collect holds anyway.
+type resultStream struct {
+	ack  chan *wire.QueryAck // the server's ack to a Submit or Prepare
+	done chan struct{}       // closed once the stream has ended
+
+	// Written by the read loop, read by the collector once done is closed.
+	dec   wire.ResultDecoder // the stream's dictionaries, dropped at its end
+	rows  [][]types.Tuple    // one batch per frame; Collect joins them
+	sent  uint64             // the End frame's row count
 	err   error
-	done  bool
-	ack   *wire.QueryAck
-}
-
-// eventQueue is an unbounded per-query event buffer. Unbounded matters: the
-// read loop demultiplexes all queries of one connection, so a delivery that
-// could block (a full fixed-size channel of an abandoned or slow collector)
-// would wedge every other query's stream. Memory stays bounded by the
-// query's own result size — the same bound Collect imposes anyway.
-type eventQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	evs    []requesterEvent
-	closed bool
-
-	// Owned by the read loop: the dictionaries of the query's result stream,
-	// and whether the stream has ended (a terminal frame arrived, or one that
-	// would not decode).
-	dec   wire.ResultDecoder
-	ended bool
-}
-
-func newEventQueue() *eventQueue {
-	q := &eventQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// push appends an event; it never blocks.
-func (q *eventQueue) push(ev requesterEvent) {
-	q.mu.Lock()
-	if !q.closed {
-		q.evs = append(q.evs, ev)
-	}
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-// close wakes every waiter; pending events stay readable.
-func (q *eventQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-// pop blocks for the next event; ok is false once the queue is closed and
-// drained.
-func (q *eventQueue) pop() (requesterEvent, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.evs) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.evs) == 0 {
-		return requesterEvent{}, false
-	}
-	ev := q.evs[0]
-	q.evs = q.evs[1:]
-	return ev, true
+	ended bool // done is closed; read by the read loop alone
 }
 
 // NewRequester wraps an established connection to a query server.
 func NewRequester(nc net.Conn) *Requester {
 	return &Requester{
 		conn:    wire.NewConn(nc),
-		pending: make(map[uint64]*eventQueue),
+		pending: make(map[uint64]*resultStream),
 	}
 }
 
@@ -622,7 +523,7 @@ func (r *Requester) RegisterUDFs(regs []*wire.RegisterUDF) error {
 	return r.conn.Send(wire.MsgEnd, wire.EncodeEnd(&wire.End{}))
 }
 
-// readLoop demultiplexes server frames to per-query queues. A frame that does
+// readLoop demultiplexes server frames to per-query streams. A frame that does
 // not decode ends the query it names with an error — delivering the rest of
 // the stream without it would hand out a short answer, and every later frame
 // would be read against the wrong dictionaries. A frame too short to name a
@@ -652,61 +553,74 @@ func (r *Requester) readLoop() {
 		if q == nil || q.ended {
 			continue
 		}
-		ev, err := q.decode(msg)
-		if err != nil {
-			ev = requesterEvent{err: fmt.Errorf("service: query %d: damaged %s frame: %w", id, msg.Type, err), done: true}
+		if err := q.deliver(msg); err != nil {
+			q.end(fmt.Errorf("service: query %d: damaged %s frame: %w", id, msg.Type, err))
 		}
-		if ev.done {
-			// The dictionaries go with the stream, not with whenever the
-			// collector gets round to dropping the query.
-			q.ended, q.dec = true, wire.ResultDecoder{}
-		}
-		q.push(ev)
 	}
 }
 
-// decode turns one frame of the query's stream into its event.
-func (q *eventQueue) decode(msg wire.Message) (requesterEvent, error) {
+// deliver applies one frame of the query's stream. Only the read loop calls
+// it, and end.
+func (q *resultStream) deliver(msg wire.Message) error {
 	switch msg.Type {
 	case wire.MsgResultBatch, wire.MsgResultStream:
 		rows, err := q.dec.DecodeFrame(wire.ResultFrame{Type: msg.Type, Body: msg.Payload[8:]})
-		return requesterEvent{batch: rows}, err
+		if err == nil {
+			q.rows = append(q.rows, rows)
+		}
+		return err
 	case wire.MsgEnd:
 		end, err := wire.DecodeEnd(msg.Payload)
-		if err != nil {
-			return requesterEvent{}, err
+		if err == nil {
+			q.sent = end.Rows
+			q.end(nil)
 		}
-		return requesterEvent{rows: end.Rows, done: true}, nil
+		return err
 	case wire.MsgError:
 		e, err := wire.DecodeError(msg.Payload)
-		if err != nil {
-			return requesterEvent{}, err
+		if err == nil {
+			q.end(fmt.Errorf("service: %s", e.Message))
 		}
-		return requesterEvent{err: fmt.Errorf("service: %s", e.Message), done: true}, nil
+		return err
 	case wire.MsgQueryReject:
-		rej, err := wire.DecodeQueryReject(msg.Payload)
-		if err != nil {
-			return requesterEvent{}, err
-		}
 		// The typed error wraps wire.ErrOverloaded / wire.ErrServerDraining,
 		// so wire.Classify sees it as retryable.
-		return requesterEvent{err: rej.Err(), done: true}, nil
+		rej, err := wire.DecodeQueryReject(msg.Payload)
+		if err == nil {
+			q.end(rej.Err())
+		}
+		return err
 	default: // MsgQueryAck, MsgPrepareAck
 		ack, err := wire.DecodeQueryAck(msg.Payload)
-		return requesterEvent{ack: ack}, err
+		if err == nil {
+			select {
+			case q.ack <- ack:
+			default: // a second ack: nobody waits for it
+			}
+		}
+		return err
 	}
 }
 
-// fail ends every pending query with err. Closing the per-query queues wakes
-// every collector; collectors read the terminal error from readErr.
+// end ends the stream with err, nil after an End frame. The dictionaries go
+// with the stream, not with whenever the collector gets round to dropping it.
+func (q *resultStream) end(err error) {
+	q.err, q.dec, q.ended = err, wire.ResultDecoder{}, true
+	close(q.done)
+}
+
+// fail ends every pending query with err, and the requester takes no further
+// work.
 func (r *Requester) fail(err error) {
 	r.mu.Lock()
 	r.readErr = err
 	pending := r.pending
-	r.pending = make(map[uint64]*eventQueue)
+	r.pending = make(map[uint64]*resultStream)
 	r.mu.Unlock()
 	for _, q := range pending {
-		q.close()
+		if !q.ended {
+			q.end(err)
+		}
 	}
 }
 
@@ -715,7 +629,7 @@ type RemoteQuery struct {
 	r    *Requester
 	id   uint64
 	caps uint32
-	ch   *eventQueue
+	ch   *resultStream
 }
 
 // Submit sends a QuerySpec (its QueryID and Caps are managed by the
@@ -728,59 +642,69 @@ func (r *Requester) Submit(spec wire.QuerySpec) (*RemoteQuery, error) {
 	return &RemoteQuery{r: r, id: spec.QueryID, caps: ack.Caps, ch: ch}, nil
 }
 
-// request is the one request path of Submit and Prepare: it starts the read
-// loop, gives the spec a fresh query ID and the requester's caps, registers
-// the ID's event queue, sends the spec as one msg frame and waits for the
-// server's ack to what ("query" or "prepare"). On any failure, a rejecting
-// ack included, the ID is dropped again; on success its queue stays
-// registered for the caller.
-func (r *Requester) request(msg wire.MsgType, what string, spec *wire.QuerySpec) (_ *eventQueue, _ *wire.QueryAck, err error) {
+// request is the one request path of Submit and Prepare: it gives the spec a
+// fresh query ID and the requester's caps, sends it as one msg frame and
+// waits for the server's ack to what ("query" or "prepare"). On any failure,
+// a rejecting ack included, the ID is dropped again; on success its stream
+// stays registered for the caller.
+func (r *Requester) request(msg wire.MsgType, what string, spec *wire.QuerySpec) (*resultStream, *wire.QueryAck, error) {
+	spec.Caps = serverCaps
+	ch, err := r.send(&spec.QueryID, msg, func() ([]byte, error) { return wire.EncodeQuerySpec(spec) })
+	if err != nil {
+		return nil, nil, err
+	}
+	// The ack is a query's first frame: when the stream is already over, an
+	// ack that came before its end is waiting.
+	var ack *wire.QueryAck
+	select {
+	case ack = <-ch.ack:
+	case <-ch.done:
+		select {
+		case ack = <-ch.ack:
+		default:
+		}
+	}
+	switch {
+	case ack == nil:
+		err = cmp.Or(ch.err, fmt.Errorf("service: expected %s_ACK", strings.ToUpper(what)))
+	case !ack.OK:
+		err = fmt.Errorf("service: %s rejected: %s", what, ack.Error)
+	}
+	if err != nil {
+		r.drop(spec.QueryID)
+		return nil, nil, err
+	}
+	return ch, ack, nil
+}
+
+// send is the one way a query ID comes to be pending: it starts the read
+// loop on first use, takes the next query ID into *id, registers the ID's
+// result stream and sends the encoded request. On failure the ID is dropped
+// again.
+func (r *Requester) send(id *uint64, msg wire.MsgType, encode func() ([]byte, error)) (*resultStream, error) {
 	r.mu.Lock()
 	if !r.started {
 		r.started = true
 		go r.readLoop()
 	}
-	if r.readErr != nil {
-		err := r.readErr
+	if err := r.readErr; err != nil {
 		r.mu.Unlock()
-		return nil, nil, err
+		return nil, err
 	}
 	r.nextID++
-	spec.QueryID = r.nextID
-	spec.Caps = serverCaps
-	ch := newEventQueue()
-	r.pending[spec.QueryID] = ch
+	*id = r.nextID
+	ch := &resultStream{ack: make(chan *wire.QueryAck, 1), done: make(chan struct{})}
+	r.pending[*id] = ch
 	r.mu.Unlock()
-	defer func() {
-		if err != nil {
-			r.drop(spec.QueryID)
-		}
-	}()
-
-	payload, err := wire.EncodeQuerySpec(spec)
+	payload, err := encode()
+	if err == nil {
+		err = r.conn.Send(msg, payload)
+	}
 	if err != nil {
-		return nil, nil, err
+		r.drop(*id)
+		return nil, err
 	}
-	if err := r.conn.Send(msg, payload); err != nil {
-		return nil, nil, err
-	}
-	ev, ok := ch.pop()
-	if ev.err != nil {
-		return nil, nil, ev.err
-	}
-	if !ok || ev.ack == nil {
-		r.mu.Lock()
-		err := r.readErr
-		r.mu.Unlock()
-		if err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, fmt.Errorf("service: expected %s_ACK", strings.ToUpper(what))
-	}
-	if !ev.ack.OK {
-		return nil, nil, fmt.Errorf("service: %s rejected: %s", what, ev.ack.Error)
-	}
-	return ch, ev.ack, nil
+	return ch, nil
 }
 
 // SubmitText submits a textual query (see docs/QUERYLANG.md) for server-side
@@ -836,24 +760,12 @@ func (r *Requester) PrepareText(text string, spec wire.QuerySpec) (*RemoteStatem
 // template (zero values inherit). Unlike Submit there is no per-execution
 // admission ack — rejections surface from Collect as typed reject errors.
 func (st *RemoteStatement) Exec(over wire.ExecPrepared) (*RemoteQuery, error) {
-	r := st.r
-	r.mu.Lock()
-	if r.readErr != nil {
-		err := r.readErr
-		r.mu.Unlock()
-		return nil, err
-	}
-	r.nextID++
 	over.StatementID = st.id
-	over.QueryID = r.nextID
-	ch := newEventQueue()
-	r.pending[over.QueryID] = ch
-	r.mu.Unlock()
-	if err := r.conn.Send(wire.MsgExecPrepared, wire.EncodeExecPrepared(&over)); err != nil {
-		r.drop(over.QueryID)
+	ch, err := st.r.send(&over.QueryID, wire.MsgExecPrepared, func() ([]byte, error) { return wire.EncodeExecPrepared(&over), nil })
+	if err != nil {
 		return nil, err
 	}
-	return &RemoteQuery{r: r, id: over.QueryID, caps: st.caps, ch: ch}, nil
+	return &RemoteQuery{r: st.r, id: over.QueryID, caps: st.caps, ch: ch}, nil
 }
 
 func (r *Requester) drop(id uint64) {
@@ -862,31 +774,15 @@ func (r *Requester) drop(id uint64) {
 	r.mu.Unlock()
 }
 
-// Collect drains the query's result stream into memory. A stream whose End
-// frame counts other rows than arrived is an error: a frame went missing.
+// Collect waits for the query's result stream to end and returns its rows. A
+// stream whose End frame counts other rows than arrived is an error: a frame
+// went missing.
 func (q *RemoteQuery) Collect() ([]types.Tuple, error) {
 	defer q.r.drop(q.id)
-	var rows []types.Tuple
-	for {
-		ev, ok := q.ch.pop()
-		if !ok {
-			break
-		}
-		rows = append(rows, ev.batch...)
-		if !ev.done {
-			continue
-		}
-		if ev.err == nil && ev.rows != uint64(len(rows)) {
-			return rows, fmt.Errorf("service: query %d: result stream ended after %d rows, the server sent %d", q.id, len(rows), ev.rows)
-		}
-		return rows, ev.err
-	}
-	// The queue was closed by a dying read loop; surface its error.
-	q.r.mu.Lock()
-	err := q.r.readErr
-	q.r.mu.Unlock()
-	if err == nil {
-		err = io.ErrUnexpectedEOF
+	<-q.ch.done
+	rows, err := slices.Concat(q.ch.rows...), q.ch.err
+	if err == nil && q.ch.sent != uint64(len(rows)) {
+		return rows, fmt.Errorf("service: query %d: result stream ended after %d rows, the server sent %d", q.id, len(rows), q.ch.sent)
 	}
 	return rows, err
 }

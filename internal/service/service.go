@@ -1,12 +1,13 @@
 // Package service turns the single-query planning and execution stack into a
 // governed multi-query service: it accepts concurrent queries (each a logical
-// tree plus a client link), runs the plan→lower→execute pipeline for each one
-// under a per-query context with deadline and cancellation, enforces a global
-// admission limit, governs memory through a per-query exec.MemTracker (soft
-// budget → Grace spilling in HashJoin/HashAggregate, hard limit → query
-// failure), shares one cross-query plan.StatsCache so repeated queries reuse
-// sampled statistics and probe-measured link observations, and exposes
-// per-query lifecycle statistics.
+// tree plus a client link), runs each through one pipeline (resolve → answer
+// from cache? → admit → plan → execute and emit → finish) under a per-query
+// context with deadline and cancellation, enforces a global admission
+// limit, governs memory through a per-query exec.MemTracker (soft budget →
+// Grace spilling in HashJoin/HashAggregate, hard limit → query failure),
+// shares one cross-query plan.StatsCache so repeated queries reuse sampled
+// statistics and probe-measured link observations, and exposes per-query
+// lifecycle statistics.
 //
 // The wire front-end (Server, cmd/udfserverd) speaks the MsgQuery/MsgCancel
 // framing extension on top of this.
@@ -14,9 +15,11 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,26 +55,14 @@ const (
 	StateShed
 )
 
+var stateNames = [...]string{"queued", "planning", "running", "done", "failed", "canceled", "shed"}
+
 // String implements fmt.Stringer.
 func (s State) String() string {
-	switch s {
-	case StateQueued:
-		return "queued"
-	case StatePlanning:
-		return "planning"
-	case StateRunning:
-		return "running"
-	case StateDone:
-		return "done"
-	case StateFailed:
-		return "failed"
-	case StateCanceled:
-		return "canceled"
-	case StateShed:
-		return "shed"
-	default:
-		return "unknown"
+	if int(s) < len(stateNames) {
+		return stateNames[s]
 	}
+	return "unknown"
 }
 
 // Terminal reports whether the state is final.
@@ -140,13 +131,6 @@ type Config struct {
 	Tenants map[string]TenantPolicy
 }
 
-func (c Config) maxConcurrent() int {
-	if c.MaxConcurrent < 1 {
-		return DefaultMaxConcurrent
-	}
-	return c.MaxConcurrent
-}
-
 // Request describes one query.
 type Request struct {
 	// Tree is the query's logical plan. Trees without UDF applications are
@@ -175,9 +159,9 @@ type Request struct {
 	// scheduler queues and meters per tenant. Empty selects DefaultTenant.
 	Tenant string
 
-	// stmt attaches the query to a prepared statement's plan slot; set by
-	// PreparedStatement.Submit.
-	stmt *PreparedStatement
+	// stmtPlans is the plan slot of the prepared statement the query
+	// executes; set by PreparedStatement.Submit.
+	stmtPlans *plan.Cache[*plan.TreePlan]
 }
 
 // FrameSink receives a query's result as the frames of a wire result stream
@@ -268,9 +252,8 @@ type Service struct {
 	nextID       atomic.Uint64
 	stallCancels atomic.Int64
 
-	wdStop chan struct{} // nil when the watchdog is disabled
+	wdStop context.CancelFunc // nil when the watchdog is disabled
 	wdDone chan struct{}
-	wdOnce sync.Once
 
 	mu       sync.Mutex
 	queries  map[uint64]*Query
@@ -285,22 +268,23 @@ func New(cat *catalog.Catalog, cfg Config) *Service {
 		cat:     cat,
 		cfg:     cfg,
 		cache:   plan.NewStatsCache(),
-		adm:     newAdmission(cfg.maxConcurrent(), cfg.MaxQueued, cfg.MaxQueueWait, cfg.Tenants),
+		adm:     newAdmission(cfg.MaxConcurrent, cfg.MaxQueued, cfg.MaxQueueWait, cfg.Tenants),
 		queries: make(map[uint64]*Query),
 	}
 	if cfg.PlanCacheEntries > 0 {
 		s.planCache = plan.NewPlanCache(cfg.PlanCacheEntries)
 	}
 	if cfg.ResultCacheBytes > 0 {
-		s.resultCache = newResultCache(cfg.ResultCacheBytes)
+		s.resultCache = plan.NewCache(cfg.ResultCacheBytes, func(r *cachedResult) int64 { return r.bytes })
 	}
 	if cfg.SharedScans {
 		s.scanShare = exec.NewScanShare()
 	}
 	if cfg.StallTimeout > 0 {
-		s.wdStop = make(chan struct{})
+		ctx, stop := context.WithCancel(context.Background())
+		s.wdStop = stop
 		s.wdDone = make(chan struct{})
-		go s.watchdog()
+		go s.watchdog(ctx)
 	}
 	return s
 }
@@ -318,40 +302,31 @@ type Query struct {
 	wdCount int64
 	wdSince time.Time
 
-	collect bool
-	onBatch func([]types.Tuple) error
-	frames  *FrameSink
+	// sink is where the answer goes; owned by the run goroutine.
+	sink
+	rows []types.Tuple // the answer Wait returns, when the sink collects it
 
-	// Owned by the run goroutine. enc encodes the result for the frame sink
-	// and for the result cache; it is nil when neither wants frames, and
-	// dropped, with its dictionaries, when the query finishes. keep holds the
-	// frames of a cacheable answer until it is stored, and is let go as soon
-	// as they outgrow what the cache would take.
-	enc       *wire.ResultEncoder
-	keep      []wire.ResultFrame
+	mu sync.Mutex
+	// st is the query's lifecycle record, updated in place; its State and
+	// the times that go with it change only in advance.
+	st        QueryStats
+	err       error
+	tracker   *exec.MemTracker
+	scanStats *exec.ScanStatsRecorder
+}
+
+// sink is where a query's answer goes, chosen at Submit: tuples to Wait's
+// rows or to Request.OnBatch, frames to Request.Frames. The answer is encoded
+// once, for the frame sink and for the result cache, whose kept frames are a
+// tee on the one encoder.
+type sink struct {
+	tuples func([]types.Tuple) error // nil for a frame sink alone
+	frames *FrameSink
+
+	enc       *wire.ResultEncoder // in the frame sink's encoding, else the compact one
+	keep      []wire.ResultFrame  // the tee, until the answer is stored
 	keepBytes int64
 	keepLimit int64 // > 0 while the answer is being kept
-
-	tenant string
-
-	mu              sync.Mutex
-	state           State
-	err             error
-	rows            []types.Tuple
-	rowCount        int64
-	submitted       time.Time
-	started         time.Time
-	finished        time.Time
-	admissionWait   time.Duration
-	stalled         bool
-	tracker         *exec.MemTracker
-	scanStats       *exec.ScanStatsRecorder
-	strategies      []string
-	sessionsPlanned []int
-	faults          exec.FaultStats
-	statsFromCache  bool
-	planFromCache   bool
-	resultFromCache bool
 }
 
 // cancelWith terminates the query's context, recording cause (nil means plain
@@ -377,7 +352,7 @@ func (q *Query) Wait() (*Result, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
-	return &Result{Rows: q.rows, RowCount: q.rowCount, Stats: q.statsLocked()}, nil
+	return &Result{Rows: q.rows, RowCount: q.st.Rows, Stats: q.statsLocked()}, nil
 }
 
 // Stats returns a point-in-time lifecycle snapshot.
@@ -387,34 +362,43 @@ func (q *Query) Stats() QueryStats {
 	return q.statsLocked()
 }
 
+// statsLocked copies the lifecycle record and reads the live counters into
+// it. Caller holds q.mu.
 func (q *Query) statsLocked() QueryStats {
-	st := QueryStats{
-		ID:              q.id,
-		State:           q.state,
-		Submitted:       q.submitted,
-		Started:         q.started,
-		Finished:        q.finished,
-		Rows:            q.rowCount,
-		AdmissionWait:   q.admissionWait,
-		Stalled:         q.stalled,
-		Strategies:      append([]string(nil), q.strategies...),
-		SessionsPlanned: append([]int(nil), q.sessionsPlanned...),
-		Faults:          q.faults,
-		StatsFromCache:  q.statsFromCache,
-		Tenant:          q.tenant,
-		PlanFromCache:   q.planFromCache,
-		ResultFromCache: q.resultFromCache,
-	}
-	if q.err != nil {
-		st.Err = q.err.Error()
-	}
-	if q.tracker != nil {
-		st.MemPeakBytes = q.tracker.Peak()
-		st.SpillEvents = q.tracker.SpillEvents()
-		st.SpilledBytes = q.tracker.SpilledBytes()
-	}
+	st := q.st
+	st.Strategies = slices.Clone(st.Strategies)
+	st.SessionsPlanned = slices.Clone(st.SessionsPlanned)
+	st.MemPeakBytes, st.SpillEvents, st.SpilledBytes = q.tracker.Peak(), q.tracker.SpillEvents(), q.tracker.SpilledBytes()
 	st.Scan = q.scanStats.Stats()
 	return st
+}
+
+func (q *Query) state() State {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.st.State
+}
+
+// advance is the one place a query's state changes. It stamps what each move
+// means, so no stage can forget it: leaving the queue records wait, what
+// admission measured (zero for a query it never answered, such as a cache
+// hit), starting work stamps Started, and a terminal state stamps Finished.
+// note records what the stage learned in the same critical section.
+func (q *Query) advance(to State, wait time.Duration, note func()) {
+	now := time.Now()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.st.State == StateQueued {
+		q.st.AdmissionWait = wait
+	}
+	if q.st.Started.IsZero() && (to == StatePlanning || to == StateRunning) {
+		q.st.Started = now
+	}
+	if to.Terminal() {
+		q.st.Finished = now
+	}
+	q.st.State = to
+	note()
 }
 
 // Submit registers a query and starts it asynchronously; the returned handle
@@ -424,12 +408,8 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Query, error) {
 	if req.Tree == nil {
 		return nil, fmt.Errorf("service: query has no logical tree")
 	}
-	timeout := req.Timeout
-	if timeout == 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
 	var timerCancel context.CancelFunc
-	if timeout > 0 {
+	if timeout := cmp.Or(req.Timeout, s.cfg.DefaultTimeout); timeout > 0 {
 		ctx, timerCancel = context.WithTimeout(ctx, timeout)
 	}
 	qctx, cancel := context.WithCancelCause(ctx)
@@ -440,49 +420,64 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Query, error) {
 		cancelTimer: timerCancel,
 		done:        make(chan struct{}),
 		prog:        &exec.Progress{},
-		collect:     req.OnBatch == nil && req.Frames == nil,
-		onBatch:     req.OnBatch,
-		frames:      req.Frames,
-		state:       StateQueued,
-		submitted:   time.Now(),
+		sink:        sink{tuples: req.OnBatch, frames: req.Frames},
 	}
-	q.tenant = req.Tenant
-	if q.tenant == "" {
-		q.tenant = DefaultTenant
+	if req.Frames != nil {
+		q.enc = wire.NewResultEncoder(req.Frames.Stream)
 	}
-	// The closed/draining check and the registration share one critical
-	// section, so a Submit racing Close or Shutdown either registers before
-	// their snapshot (and is cancelled or awaited by it) or observes the flag
-	// and is refused — a query can never start against a service that has
-	// finished closing or begun draining.
+	q.st = QueryStats{ID: q.id, Tenant: cmp.Or(req.Tenant, DefaultTenant), Submitted: time.Now()}
+	if req.OnBatch == nil && req.Frames == nil {
+		q.tuples = func(rows []types.Tuple) error {
+			q.rows = append(q.rows, rows...)
+			return nil
+		}
+	}
+	// The refusal check and the registration share one critical section, so
+	// a Submit racing Close or Shutdown either registers before their
+	// snapshot (and is cancelled or awaited by it) or is refused.
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		q.cancelWith(nil)
-		return nil, fmt.Errorf("service: closed")
+	err := s.refusal()
+	if err == nil {
+		s.queries[q.id] = q
 	}
-	if s.draining {
-		s.mu.Unlock()
-		q.cancelWith(nil)
-		return nil, &wire.RejectError{Reason: wire.RejectDraining}
-	}
-	s.queries[q.id] = q
 	s.mu.Unlock()
+	if err != nil {
+		q.cancelWith(nil)
+		return nil, err
+	}
 	go q.run(qctx, req)
 	return q, nil
 }
 
+// refusal is why the service takes no new work, or nil: closed, or draining
+// (a typed reject the peer may retry elsewhere). Caller holds s.mu.
+func (s *Service) refusal() error {
+	if s.closed {
+		return errors.New("service: closed")
+	}
+	if s.draining {
+		return &wire.RejectError{Reason: wire.RejectDraining}
+	}
+	return nil
+}
+
 // Execute submits the query and waits for its result.
 func (s *Service) Execute(ctx context.Context, req Request) (*Result, error) {
-	q, err := s.Submit(ctx, req)
+	return awaitResult(s.Submit(ctx, req))
+}
+
+// awaitResult is Wait on a query just submitted, unless the submission
+// failed.
+func awaitResult(q *Query, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
 	return q.Wait()
 }
 
-// Queries returns lifecycle snapshots of every tracked query, oldest first.
-func (s *Service) Queries() []QueryStats {
+// tracked returns every query the service tracks, active or retained after
+// finishing, oldest first.
+func (s *Service) tracked() []*Query {
 	s.mu.Lock()
 	qs := make([]*Query, 0, len(s.queries))
 	for _, q := range s.queries {
@@ -490,6 +485,12 @@ func (s *Service) Queries() []QueryStats {
 	}
 	s.mu.Unlock()
 	sort.Slice(qs, func(i, j int) bool { return qs[i].id < qs[j].id })
+	return qs
+}
+
+// Queries returns lifecycle snapshots of every tracked query, oldest first.
+func (s *Service) Queries() []QueryStats {
+	qs := s.tracked()
 	out := make([]QueryStats, len(qs))
 	for i, q := range qs {
 		out[i] = q.Stats()
@@ -497,44 +498,46 @@ func (s *Service) Queries() []QueryStats {
 	return out
 }
 
-// Close cancels every active query and refuses new submissions. It is the
-// abrupt counterpart of Shutdown: in-flight queries are cancelled, not given
-// time to finish.
-func (s *Service) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.draining = true
-	active := make([]*Query, 0, len(s.queries))
-	for _, q := range s.queries {
-		active = append(active, q)
-	}
-	s.mu.Unlock()
-	s.adm.drain()
-	for _, q := range active {
-		q.cancelWith(nil)
-		<-q.done
-	}
-	s.stopWatchdog()
-}
+// Close cancels every active query and refuses new submissions: Shutdown
+// with no grace period.
+func (s *Service) Close() { _ = s.Shutdown(expired) }
+
+// expired is a context that is already over: a drain with no grace period.
+var expired = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
 
 // Shutdown drains the service gracefully: new submissions and queued queries
 // are shed as draining (typed, retryable elsewhere), while queries already
 // holding a slot run to completion. If ctx expires first the stragglers are
 // cancelled. The watchdog is stopped; the service refuses all work afterwards.
 // It returns ctx's error when the drain timed out, nil on a clean drain.
-func (s *Service) Shutdown(ctx context.Context) error {
+func (s *Service) Shutdown(ctx context.Context) (err error) {
 	s.mu.Lock()
 	alreadyClosed := s.closed
 	s.draining = true
-	active := make([]*Query, 0, len(s.queries))
-	for _, q := range s.queries {
-		active = append(active, q)
-	}
 	s.mu.Unlock()
 	s.adm.drain()
-	var err error
+	var qs []*Query
 	if !alreadyClosed {
-		err = awaitOrCancel(ctx, active)
+		qs = s.tracked()
+	}
+	// Wait for every query to finish; when ctx expires first, cancel them
+	// all and still wait, so no query goroutine outlives the drain.
+	for _, q := range qs {
+		select {
+		case <-q.done:
+		case <-ctx.Done():
+			if err == nil {
+				err = ctx.Err()
+				for _, r := range qs {
+					r.cancelWith(nil)
+				}
+			}
+			<-q.done
+		}
 	}
 	s.mu.Lock()
 	s.closed = true
@@ -543,51 +546,25 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// awaitOrCancel waits for every query to finish; when ctx expires it cancels
-// them all and still waits, so no query goroutine outlives the drain.
-func awaitOrCancel(ctx context.Context, qs []*Query) error {
-	var err error
-	for _, q := range qs {
-		if err == nil {
-			select {
-			case <-q.done:
-				continue
-			case <-ctx.Done():
-				err = ctx.Err()
-				for _, r := range qs {
-					r.cancelWith(nil)
-				}
-			}
-		}
-		<-q.done
-	}
-	return err
-}
-
 // stopWatchdog stops the watchdog goroutine and waits for it. Idempotent,
 // no-op when the watchdog was never started.
 func (s *Service) stopWatchdog() {
-	if s.wdStop == nil {
-		return
+	if s.wdStop != nil {
+		s.wdStop()
+		<-s.wdDone
 	}
-	s.wdOnce.Do(func() { close(s.wdStop) })
-	<-s.wdDone
 }
 
 // watchdog periodically sweeps active queries for frozen progress heartbeats.
-func (s *Service) watchdog() {
+func (s *Service) watchdog(ctx context.Context) {
 	defer close(s.wdDone)
 	// A quarter of the stall window: a frozen query is caught within 1.25
 	// windows of its last heartbeat.
-	interval := s.cfg.StallTimeout / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(max(s.cfg.StallTimeout/4, time.Millisecond))
 	defer ticker.Stop()
 	for {
 		select {
-		case <-s.wdStop:
+		case <-ctx.Done():
 			return
 		case <-ticker.C:
 			s.sweepStalled(time.Now())
@@ -599,17 +576,8 @@ func (s *Service) watchdog() {
 // heartbeat count has not advanced for the stall window. The per-query
 // bookkeeping (wdCount/wdSince) is owned by this goroutine alone.
 func (s *Service) sweepStalled(now time.Time) {
-	s.mu.Lock()
-	active := make([]*Query, 0, len(s.queries))
-	for _, q := range s.queries {
-		active = append(active, q)
-	}
-	s.mu.Unlock()
-	for _, q := range active {
-		q.mu.Lock()
-		state := q.state
-		q.mu.Unlock()
-		if state != StatePlanning && state != StateRunning {
+	for _, q := range s.tracked() {
+		if state := q.state(); state != StatePlanning && state != StateRunning {
 			q.wdSince = time.Time{}
 			continue
 		}
@@ -666,15 +634,13 @@ type ServiceStats struct {
 
 // Stats returns a point-in-time snapshot of the service's health.
 func (s *Service) Stats() ServiceStats {
-	s.mu.Lock()
 	active := 0
-	for _, q := range s.queries {
-		q.mu.Lock()
-		if !q.state.Terminal() {
+	for _, q := range s.tracked() {
+		if !q.state().Terminal() {
 			active++
 		}
-		q.mu.Unlock()
 	}
+	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
 	return ServiceStats{
@@ -697,185 +663,162 @@ func (s *Service) Stats() ServiceStats {
 	}
 }
 
-// budgetFor resolves the request's memory budget against the service default.
-func (s *Service) budgetFor(req Request) (budget, hard int64) {
-	budget, hard = s.cfg.MemBudget, s.cfg.HardMemLimit
-	if req.MemBudget > 0 {
-		budget = req.MemBudget
-	} else if req.MemBudget < 0 {
-		budget = 0
-	}
-	return budget, hard
-}
-
-// run is the query's lifecycle: admission → plan → lower → execute.
+// run is the query's pipeline, the same for every entry (Execute, a wire
+// MsgQuery or MsgExecPrepared, a prepared statement); entries differ only in
+// the request and the sink. Submit has resolved the deadline, the tenant and
+// the sink; run goes on from there:
+//
+//	answer from cache? → admit → plan → execute and emit → finish
 func (q *Query) run(ctx context.Context, req Request) {
 	var err error
+	var wait time.Duration // what admission measured, once it answered
 	defer func() {
 		// A panicking operator (or planner) fails this query, not the
 		// process: the service keeps serving its other queries.
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("service: query panicked: %v", rec)
 		}
-		q.finish(ctx, err)
+		q.finish(ctx, err, wait)
 	}()
-
+	svc := q.svc
 	// The heartbeat counter rides the context into every operator's Open, so
 	// the watchdog sees progress from whatever the query ends up running.
 	ctx = exec.WithProgress(ctx, q.prog)
 
-	// Result-cache fast path: a deterministic query over unchanged data is
-	// answered from memory before it ever competes for an admission slot —
-	// a hit consumes no scheduler capacity at all. The key embeds every
-	// scanned table's data version and the catalog version, so a concurrent
-	// write simply makes the lookup miss; a hit can never be stale.
+	// Answer from cache: a deterministic query over unchanged data is
+	// answered from memory before it competes for an admission slot. The key
+	// embeds every scanned table's data version and the catalog version, so
+	// a concurrent write makes the lookup miss; a hit is never stale.
 	var resultKey string
-	if rc := q.svc.resultCache; rc != nil {
-		if key, ok := plan.TreeVersionKey(req.Tree, q.svc.cat); ok && plan.PureTree(req.Tree, q.svc.cat) {
+	if rc := svc.resultCache; rc != nil {
+		if key, ok := plan.TreeVersionKey(req.Tree, svc.cat); ok && plan.PureTree(req.Tree, svc.cat) {
 			if res, hit := rc.Lookup(key); hit {
-				err = q.serveCached(ctx, res)
+				q.advance(StateRunning, wait, func() { q.st.ResultFromCache = true })
+				err = q.replay(ctx, res)
 				return
 			}
-			resultKey = key
-			q.keepLimit = rc.MaxEntry()
+			resultKey, q.keepLimit = key, rc.MaxEntry()
+			if q.enc == nil {
+				q.enc = wire.NewResultEncoder(true)
+			}
 		}
 	}
-	// The answer is encoded once, for whoever wants frames: for the sink in
-	// its peer's encoding and for the cache in the same one — or, when the
-	// query hands out tuples, in the compact one.
-	if q.frames != nil || q.keepLimit > 0 {
-		q.enc = wire.NewResultEncoder(q.frames == nil || q.frames.Stream)
-	}
 
-	// Admission: the scheduler bounds global and per-tenant concurrency and
-	// queueing, dealing slots to tenants by deficit round robin and shedding
-	// queries (typed, retryable) rather than queueing them past their
-	// deadline's usefulness; a cancelled query leaves the queue immediately.
-	release, wait, aerr := q.svc.adm.acquire(ctx, q.tenant)
-	q.mu.Lock()
-	q.admissionWait = wait // also when shed or cancelled in the queue
-	q.mu.Unlock()
-	if aerr != nil {
-		err = aerr
+	// Admit: the scheduler bounds global and per-tenant concurrency and
+	// queueing, dealing slots by deficit round robin and shedding (typed,
+	// retryable) rather than queueing past a deadline's usefulness; a
+	// cancelled query leaves the queue at once.
+	release, wait, err := svc.adm.acquire(ctx, q.st.Tenant)
+	if err != nil {
 		return
 	}
 	defer release()
-
-	q.mu.Lock()
-	q.started = time.Now()
-	q.state = StatePlanning
-	q.mu.Unlock()
-
-	budget, hard := q.svc.budgetFor(req)
+	// The request's budget overrides the service default; < 0 disables it.
+	budget := cmp.Or(req.MemBudget, svc.cfg.MemBudget)
+	if req.MemBudget < 0 {
+		budget = 0
+	}
 	tracker := exec.NewMemTracker(budget)
-	tracker.SetHardLimit(hard)
-	tracker.SetTempDir(q.svc.cfg.TempDir)
+	tracker.SetHardLimit(svc.cfg.HardMemLimit)
+	tracker.SetTempDir(svc.cfg.TempDir)
 	tracker.BindSpillNamespace(q.id)
 	scanStats := &exec.ScanStatsRecorder{}
-	q.mu.Lock()
-	q.tracker = tracker
-	q.scanStats = scanStats
-	q.mu.Unlock()
+	q.advance(StatePlanning, wait, func() { q.tracker, q.scanStats = tracker, scanStats })
 
+	// Plan, reusing a plan where one is kept: the prepared statement's own
+	// slot (which works with the global cache off), then the plan cache. Both
+	// are keyed on the version-stamped tree plus the planning configuration,
+	// so a write re-plans. A TreePlan is read-only and NewOperator builds
+	// fresh operators, so sharing one across queries is safe.
 	planner := plan.NewPlanner(req.Link)
-	planner.Config = q.svc.cfg.Planner
-	planner.Config.StatsCache = q.svc.cache
+	planner.Config = svc.cfg.Planner
+	planner.Config.StatsCache = svc.cache
 	planner.Config.LinkKey = req.LinkKey
 	planner.Config.MemBudget = budget
-
-	// Plan reuse, in preference order: the prepared statement's own one-entry
-	// cache (works even with the global cache off), then the cross-query plan
-	// cache. Both are keyed on the version-stamped tree identity plus the
-	// planning configuration, so a write re-plans instead of reusing
-	// decisions made over different data. A reused TreePlan is read-only and
-	// NewOperator builds fresh operators, so sharing across queries is safe.
-	var stmtPlans *plan.Cache[*plan.TreePlan]
-	if req.stmt != nil {
-		stmtPlans = req.stmt.plans
-	}
 	var planKey string
-	if stmtPlans != nil || q.svc.planCache != nil {
-		planKey, _ = plan.PlanCacheKey(req.Tree, q.svc.cat, planner.Config)
+	if req.stmtPlans != nil || svc.planCache != nil {
+		planKey, _ = plan.PlanCacheKey(req.Tree, svc.cat, planner.Config)
 	}
-	tp, hit := stmtPlans.Lookup(planKey)
-	if !hit {
-		tp, hit = q.svc.planCache.Lookup(planKey)
+	tp, reused := req.stmtPlans.Lookup(planKey)
+	if !reused {
+		tp, reused = svc.planCache.Lookup(planKey)
 	}
-	if hit {
-		q.mu.Lock()
-		q.planFromCache = true
-		q.mu.Unlock()
-	} else {
-		var perr error
-		tp, perr = planner.PlanTree(ctx, req.Tree, q.svc.cat)
-		if perr != nil {
-			err = perr
+	if !reused {
+		if tp, err = planner.PlanTree(ctx, req.Tree, svc.cat); err != nil {
 			return
 		}
-		stmtPlans.Store(planKey, tp)
-		q.svc.planCache.Store(planKey, tp)
+		req.stmtPlans.Store(planKey, tp)
+		svc.planCache.Store(planKey, tp)
 	}
-	strategies := make([]string, 0, len(tp.Applies))
-	planned := make([]int, 0, len(tp.Applies))
-	fromCache := false
-	for _, ap := range tp.Applies {
-		strategies = append(strategies, ap.Decision.Strategy.String())
-		planned = append(planned, ap.Decision.Sessions)
-		fromCache = fromCache || ap.Decision.StatsFromCache
-	}
-	q.mu.Lock()
-	q.strategies = strategies
-	q.sessionsPlanned = planned
-	q.statsFromCache = fromCache
-	q.state = StateRunning
-	q.mu.Unlock()
+	q.advance(StateRunning, wait, func() {
+		q.st.PlanFromCache = reused
+		for _, ap := range tp.Applies {
+			q.st.Strategies = append(q.st.Strategies, ap.Decision.Strategy.String())
+			q.st.SessionsPlanned = append(q.st.SessionsPlanned, ap.Decision.Sessions)
+			q.st.StatsFromCache = q.st.StatsFromCache || ap.Decision.StatsFromCache
+		}
+	})
 
-	op, lerr := tp.NewOperator()
-	if lerr != nil {
-		err = lerr
+	// Execute and emit.
+	op, err := tp.NewOperator()
+	if err != nil {
 		return
 	}
 	ectx := exec.WithScanStats(exec.WithMemTracker(ctx, tracker), scanStats)
-	if q.svc.scanShare != nil {
-		ectx = exec.WithScanShare(ectx, q.svc.scanShare)
+	if svc.scanShare != nil {
+		ectx = exec.WithScanShare(ectx, svc.scanShare)
 	}
-	err = q.drive(ectx, op)
-
-	// Store the result only if the version-stamped key still matches: a write
-	// that landed anywhere between the key computation and now may or may not
-	// be reflected in what the operators read, so the answer is only known to
-	// correspond to the keyed versions when nothing changed underneath it.
-	if err == nil && q.keepLimit > 0 {
-		if key, ok := plan.TreeVersionKey(req.Tree, q.svc.cat); ok && key == resultKey {
-			q.svc.resultCache.Store(resultKey, &cachedResult{
-				frames: q.keep, stream: q.enc.Stream(), rows: q.rowCount, bytes: q.keepBytes,
-			})
-		}
+	if err = q.drive(ectx, op); err != nil || q.keepLimit == 0 {
+		return
+	}
+	// Store the answer only if the version-stamped key still matches: a
+	// write that landed while the query ran may or may not be reflected in
+	// what the operators read.
+	if key, ok := plan.TreeVersionKey(req.Tree, svc.cat); ok && key == resultKey {
+		svc.resultCache.Store(resultKey, &cachedResult{frames: q.keep, stream: q.enc.Stream(), rows: q.st.Rows, bytes: q.keepBytes})
 	}
 }
 
-// serveCached answers the query from a stored result. A frame sink whose
-// peer speaks the encoding the answer was stored in gets the stored bytes as
-// they are; anyone else gets the frames decoded, and from there on what a
-// freshly computed answer gets.
-func (q *Query) serveCached(ctx context.Context, res *cachedResult) error {
-	q.mu.Lock()
-	q.started = time.Now()
-	q.state = StateRunning
-	q.resultFromCache = true
-	q.mu.Unlock()
-	if q.frames != nil && q.onBatch == nil && q.frames.Stream == res.stream {
+// cachedResult is one stored answer of the result cache, a plan.Cache
+// bounded to Config.ResultCacheBytes of frames: a deterministic query whose
+// UDFs are all catalog-declared pure can serve its entire result from memory
+// when an identical query ran before over unchanged data. Keys come from
+// plan.TreeVersionKey, so any write or catalog mutation invalidates
+// implicitly: the stale entry simply stops being found and ages out of the
+// LRU.
+//
+// What is stored is the answer as it left the server: the encoded frames of
+// its result stream, minus the query ID each payload starts with. A stream
+// starts with empty dictionaries, so the sequence is self-contained, and a
+// hit on the wire path is a write of the stored bytes under the new query's
+// ID — nothing is encoded. Callers that want tuples decode the frames.
+//
+// Every stored result is charged the exact length of its frames; a result
+// larger than the cache's MaxEntry is not cached at all. An entry is
+// immutable once stored and shared by every query it serves.
+type cachedResult struct {
+	// frames is the result stream, in order.
+	frames []wire.ResultFrame
+	// stream tells which encoder produced frames: the stream-dictionary one,
+	// or the plain one (the query that filled the entry came from a peer
+	// without wire.CapResultStream).
+	stream bool
+	// rows is the answer's row count, what the stream's End frame reports.
+	rows int64
+	// bytes is the summed length of the frame bodies: the entry's charge.
+	bytes int64
+}
+
+// replay answers the query from a stored result: a frame sink of the
+// encoding it was stored in gets the stored bytes as they are, every other
+// sink gets them decoded, through emit, as a fresh answer would.
+func (q *Query) replay(ctx context.Context, res *cachedResult) error {
+	if q.tuples == nil && q.enc.Stream() == res.stream {
 		q.mu.Lock()
-		q.rowCount = res.rows
+		q.st.Rows = res.rows
 		q.mu.Unlock()
 		q.prog.Tick()
-		if err := q.frames.Write(res.frames); err != nil {
-			return fmt.Errorf("service: result sink: %w", err)
-		}
-		return nil
-	}
-	if q.frames != nil {
-		q.enc = wire.NewResultEncoder(q.frames.Stream)
+		return q.write(res.frames)
 	}
 	var dec wire.ResultDecoder
 	for _, f := range res.frames {
@@ -894,94 +837,80 @@ func (q *Query) serveCached(ctx context.Context, res *cachedResult) error {
 	return nil
 }
 
-// emit hands the result's next rows to everything that consumes them: the
-// accumulated result, the tuple sink, and — encoded once — the frame sink and
-// the frames kept for the result cache.
+// emit hands the answer's next rows to the sink: encoded once for the frame
+// sink and the result cache's tee, as tuples to everyone else.
 func (q *Query) emit(rows []types.Tuple) error {
 	q.mu.Lock()
-	q.rowCount += int64(len(rows))
-	if q.collect {
-		q.rows = append(q.rows, rows...)
-	}
+	q.st.Rows += int64(len(rows))
 	q.mu.Unlock()
-	if q.enc != nil {
-		if err := q.emitFrame(rows); err != nil {
+	if q.frames != nil || q.keepLimit > 0 {
+		buf := wire.GetBuffer()
+		defer wire.PutBuffer(buf)
+		f, err := q.enc.AppendFrame(*buf, rows)
+		if err != nil {
 			return err
 		}
+		*buf = f.Body
+		// The tee: a copy while the answer is still a candidate for the cache.
+		if q.keepLimit > 0 {
+			if q.keepBytes += int64(len(f.Body)); q.keepBytes <= q.keepLimit {
+				q.keep = append(q.keep, wire.ResultFrame{Type: f.Type, Body: bytes.Clone(f.Body)})
+			} else {
+				q.keep, q.keepLimit = nil, 0 // more than the cache would store
+			}
+		}
+		if q.frames != nil {
+			if err := q.write([]wire.ResultFrame{f}); err != nil {
+				return err
+			}
+		}
 	}
-	if q.onBatch != nil {
-		if err := q.onBatch(rows); err != nil {
+	if q.tuples != nil {
+		if err := q.tuples(rows); err != nil {
 			return fmt.Errorf("service: result sink: %w", err)
 		}
 	}
 	return nil
 }
 
-// emitFrame encodes rows as the stream's next frame, hands it to the frame
-// sink, and keeps a copy while the answer is still a candidate for the cache.
-func (q *Query) emitFrame(rows []types.Tuple) error {
-	buf := wire.GetBuffer()
-	defer wire.PutBuffer(buf)
-	f, err := q.enc.AppendFrame(*buf, rows)
-	if err != nil {
-		return err
-	}
-	*buf = f.Body
-	if q.keepLimit > 0 {
-		if q.keepBytes += int64(len(f.Body)); q.keepBytes <= q.keepLimit {
-			q.keep = append(q.keep, wire.ResultFrame{Type: f.Type, Body: bytes.Clone(f.Body)})
-		} else {
-			q.keep, q.keepLimit = nil, 0 // more than the cache would store
-		}
-	}
-	if q.frames != nil {
-		if err := q.frames.Write([]wire.ResultFrame{f}); err != nil {
-			return fmt.Errorf("service: result sink: %w", err)
-		}
+func (q *Query) write(frames []wire.ResultFrame) error {
+	if err := q.frames.Write(frames); err != nil {
+		return fmt.Errorf("service: result sink: %w", err)
 	}
 	return nil
 }
 
-// drive executes the operator tree, streaming or accumulating batches. The
-// operator is closed exactly once on every path (including panics unwinding
-// through here), and its fault-tolerance counters are snapshotted after the
-// close so QueryStats reports redials, failovers and pool degradation.
-func (q *Query) drive(ctx context.Context, op exec.Operator) error {
-	closed := false
-	closeOp := func() error {
-		if closed {
-			return nil
+// drive executes the operator tree, emitting its batches. The operator is
+// closed exactly once on every path (including panics unwinding through
+// here), and its fault-tolerance counters are recorded after the close so
+// QueryStats reports redials, failovers and pool degradation.
+func (q *Query) drive(ctx context.Context, op exec.Operator) (err error) {
+	defer func() {
+		if cerr := op.Close(); err == nil {
+			err = cerr
 		}
-		closed = true
-		cerr := op.Close()
 		faults := exec.FaultStatsOf(op)
 		q.mu.Lock()
-		q.faults = faults
+		q.st.Faults = faults
 		q.mu.Unlock()
-		return cerr
-	}
-	defer func() { _ = closeOp() }()
+	}()
 	if err := op.Open(ctx); err != nil {
 		return err
 	}
 	batch := make([]types.Tuple, exec.DefaultBatchSize)
 	for {
 		n, err := op.NextBatch(batch)
-		if err != nil {
+		if err != nil || n == 0 {
 			return err
-		}
-		if n == 0 {
-			break
 		}
 		if err := q.emit(batch[:n]); err != nil {
 			return err
 		}
 	}
-	return closeOp()
 }
 
 // finish records the terminal state and releases the handle's bookkeeping.
-func (q *Query) finish(ctx context.Context, err error) {
+func (q *Query) finish(ctx context.Context, err error, wait time.Duration) {
 	// A context that ended takes over the error classification: whatever
 	// low-level failure the teardown surfaced (a slammed connection deadline,
 	// a torn-down session), the query was cancelled, timed out or stall-killed,
@@ -989,34 +918,31 @@ func (q *Query) finish(ctx context.Context, err error) {
 	// preserves the reason (ErrStalled from the watchdog, DeadlineExceeded
 	// from a timeout, Canceled from a plain cancel). A query that completed
 	// cleanly before the context ended keeps its success.
-	if cerr := ctx.Err(); cerr != nil && err != nil {
+	if ctx.Err() != nil && err != nil {
 		err = context.Cause(ctx)
 	}
 	var reject *wire.RejectError
-	q.mu.Lock()
-	q.err = err
-	q.finished = time.Now()
+	state := StateFailed
 	switch {
 	case err == nil:
-		q.state = StateDone
+		state = StateDone
 	case errors.As(err, &reject):
-		q.state = StateShed
-	case errors.Is(err, ErrStalled):
-		q.state = StateFailed
-		q.stalled = true
+		state = StateShed
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		q.state = StateCanceled
-	default:
-		q.state = StateFailed
+		state = StateCanceled
 	}
-	tracker := q.tracker
-	q.mu.Unlock()
+	q.advance(state, wait, func() {
+		if q.err = err; err != nil {
+			q.st.Err = err.Error()
+		}
+		q.st.Stalled = errors.Is(err, ErrStalled)
+	})
 	// The handle outlives the query in Service.queries; the stream's
 	// dictionaries and any frames not handed to the cache must not.
 	q.enc, q.keep = nil, nil
 	// Whatever retained spill runs the query's namespace still holds (a
 	// failed query's half-written partitions) go with it.
-	tracker.CleanupSpill()
+	q.tracker.CleanupSpill()
 	q.cancelWith(nil) // release the context's resources
 	// Retire before signalling Done, so a waiter that then lists Queries sees
 	// the retention bound already applied.
@@ -1029,10 +955,8 @@ func (s *Service) retire(q *Query) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.finished = append(s.finished, q.id)
-	keep := DefaultKeepFinished
-	for len(s.finished) > keep {
-		victim := s.finished[0]
+	for len(s.finished) > DefaultKeepFinished {
+		delete(s.queries, s.finished[0])
 		s.finished = s.finished[1:]
-		delete(s.queries, victim)
 	}
 }

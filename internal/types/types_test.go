@@ -278,52 +278,6 @@ func TestValueTruth(t *testing.T) {
 	}
 }
 
-func TestValueCast(t *testing.T) {
-	if v, err := NewFloat(3.7).Cast(KindInt); err != nil {
-		t.Errorf("cast FLOAT->INT: %v", err)
-	} else if i, _ := v.Int(); i != 3 {
-		t.Errorf("cast FLOAT->INT = %d", i)
-	}
-	if v, err := NewString("12").Cast(KindInt); err != nil {
-		t.Errorf("cast STRING->INT: %v", err)
-	} else if i, _ := v.Int(); i != 12 {
-		t.Errorf("cast STRING->INT = %d", i)
-	}
-	if v, err := NewString("2.5").Cast(KindFloat); err != nil {
-		t.Errorf("cast STRING->FLOAT: %v", err)
-	} else if f, _ := v.Float(); f != 2.5 {
-		t.Errorf("cast STRING->FLOAT = %g", f)
-	}
-	if v, err := NewInt(1).Cast(KindBool); err != nil {
-		t.Errorf("cast INT->BOOL: %v", err)
-	} else if b, _ := v.Bool(); !b {
-		t.Errorf("cast INT(1)->BOOL = %v", b)
-	}
-	if v, err := NewInt(7).Cast(KindString); err != nil {
-		t.Errorf("cast INT->STRING: %v", err)
-	} else if s, _ := v.Str(); s != "7" {
-		t.Errorf("cast INT->STRING = %q", s)
-	}
-	if v, err := NewString("abc").Cast(KindBytes); err != nil {
-		t.Errorf("cast STRING->BYTES: %v", err)
-	} else if b, _ := v.Bytes(); string(b) != "abc" {
-		t.Errorf("cast STRING->BYTES = %q", b)
-	}
-	if _, err := NewString("oops").Cast(KindInt); err == nil {
-		t.Error("cast of non-numeric string to INT should error")
-	}
-	if _, err := NewBytes([]byte{1}).Cast(KindTimeSeries); err == nil {
-		t.Error("unsupported cast should error")
-	}
-	if v, err := Null(KindString).Cast(KindInt); err != nil || !v.IsNull() || v.Kind() != KindInt {
-		t.Errorf("cast of NULL = %v, %v", v, err)
-	}
-	// Identity cast.
-	if v, err := NewInt(5).Cast(KindInt); err != nil || v.Kind() != KindInt || v.String() != "5" {
-		t.Errorf("identity cast = %v, %v", v, err)
-	}
-}
-
 func TestValueSizeAndString(t *testing.T) {
 	if NewInt(1).Size() != 10 {
 		t.Errorf("INT size = %d", NewInt(1).Size())

@@ -391,58 +391,3 @@ func (v Value) Truth() (bool, error) {
 		return false, fmt.Errorf("%w: %s used in boolean context", ErrKindMismatch, v.kind)
 	}
 }
-
-// Cast converts the value to the target kind where a lossless or conventional
-// conversion exists (int<->float, anything->string, string->numeric).
-func (v Value) Cast(target Kind) (Value, error) {
-	if v.IsNull() {
-		return Null(target), nil
-	}
-	if v.kind == target {
-		return v, nil
-	}
-	switch target {
-	case KindInt:
-		switch v.kind {
-		case KindFloat:
-			return NewInt(int64(v.float())), nil
-		case KindBool:
-			return NewInt(v.int()), nil
-		case KindString:
-			i, err := strconv.ParseInt(strings.TrimSpace(v.str()), 10, 64)
-			if err != nil {
-				return Value{}, fmt.Errorf("types: cannot cast %q to INT: %w", v.str(), err)
-			}
-			return NewInt(i), nil
-		}
-	case KindFloat:
-		switch v.kind {
-		case KindInt:
-			return NewFloat(float64(v.int())), nil
-		case KindString:
-			f, err := strconv.ParseFloat(strings.TrimSpace(v.str()), 64)
-			if err != nil {
-				return Value{}, fmt.Errorf("types: cannot cast %q to FLOAT: %w", v.str(), err)
-			}
-			return NewFloat(f), nil
-		}
-	case KindString:
-		return NewString(v.String()), nil
-	case KindBool:
-		switch v.kind {
-		case KindInt:
-			return NewBool(v.w != 0), nil
-		case KindString:
-			b, err := strconv.ParseBool(strings.TrimSpace(strings.ToLower(v.str())))
-			if err != nil {
-				return Value{}, fmt.Errorf("types: cannot cast %q to BOOL: %w", v.str(), err)
-			}
-			return NewBool(b), nil
-		}
-	case KindBytes:
-		if v.kind == KindString {
-			return NewBytes([]byte(v.str())), nil
-		}
-	}
-	return Value{}, fmt.Errorf("types: unsupported cast from %s to %s", v.kind, target)
-}
