@@ -12,7 +12,7 @@ import (
 // explainFigure8 plans one Figure-8-style workload point (I=1000B, A=50%,
 // R=2000B, S=0.5 on a symmetric modem) and renders all three planning layers:
 // the logical tree, the rewritten tree, and the lowered physical plan with
-// the chosen strategy, session fan-out and dictionary decision. The link
+// the chosen strategy and session fan-out. The link
 // observation is fixed (N=1 modem numbers) instead of probed, so the output
 // is deterministic — it backs the -explain flag and the golden-file test.
 func explainFigure8() (string, error) {

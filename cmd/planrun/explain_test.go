@@ -11,8 +11,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the EXPLAIN golden file")
 // TestExplainFigure8Golden pins the three-layer EXPLAIN rendering for the
 // Figure-8 workload: the logical tree, the rewritten tree (pushable predicate
 // and projection absorbed into the UDF application), and the lowered physical
-// plan with the chosen strategy, session fan-out and dictionary decision. The
-// plan is fully deterministic — fixed link observation, deterministic sample
+// plan with the chosen strategy and session fan-out. The plan is fully deterministic — fixed link observation, deterministic sample
 // — so any drift in planning or rendering shows up as a diff.
 //
 // Regenerate with: go test ./cmd/planrun -run TestExplainFigure8Golden -update

@@ -27,12 +27,12 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"time"
 
 	"csq/internal/catalog"
 	"csq/internal/client"
+	"csq/internal/demo"
 	"csq/internal/exec"
 	"csq/internal/expr"
 	"csq/internal/logical"
@@ -41,7 +41,6 @@ import (
 	"csq/internal/sim"
 	"csq/internal/storage"
 	"csq/internal/types"
-	"csq/internal/wire"
 )
 
 // point is one sample of a sweep: the workload for the simulator and the
@@ -226,36 +225,6 @@ func newRuntime(pt point) (*client.Runtime, error) {
 	return rt, nil
 }
 
-// announceIntoCatalog carries the runtime's UDF metadata into the server
-// catalog over the real announcement protocol.
-func announceIntoCatalog(rt *client.Runtime, cat *catalog.Catalog) error {
-	serverRaw, clientRaw := net.Pipe()
-	serverConn := wire.NewConn(serverRaw)
-	errCh := make(chan error, 1)
-	go func() { errCh <- rt.Announce(wire.NewConn(clientRaw)) }()
-	for {
-		msg, err := serverConn.Receive()
-		if err != nil {
-			return err
-		}
-		switch msg.Type {
-		case wire.MsgRegisterUDF:
-			reg, err := wire.DecodeRegisterUDF(msg.Payload)
-			if err != nil {
-				return err
-			}
-			if _, err := cat.RegisterClientUDF(reg); err != nil {
-				return err
-			}
-		case wire.MsgEnd:
-			_ = serverConn.Close()
-			return <-errCh
-		default:
-			return fmt.Errorf("unexpected %s during announcement", msg.Type)
-		}
-	}
-}
-
 // expectedRows is how many rows the query should deliver under the point's
 // deterministic Keep predicate.
 func expectedRows(s sweep, pt point) int {
@@ -299,7 +268,7 @@ func newPointQuery(s sweep, pt point) (*pointQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := announceIntoCatalog(rt, cat); err != nil {
+	if err := demo.Announce(rt, cat); err != nil {
 		return nil, err
 	}
 	scan, err := logical.NewScan(catTable, "")
@@ -496,8 +465,8 @@ func main() {
 		}
 		if !*noexec {
 			// Per-strategy link traffic of the executed plans: the end-to-end
-			// bandwidth picture the byte-level optimisations (batching, the
-			// wire dictionary) show up in.
+			// bandwidth picture the byte-level optimisations (batching,
+			// deduplication) show up in.
 			for _, st := range []plan.Strategy{plan.StrategySemiJoin, plan.StrategyClientJoin, plan.StrategyNaive} {
 				if points[st] == 0 {
 					continue

@@ -12,7 +12,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -101,7 +103,10 @@ func loadModule(root string) (*module, error) {
 		}
 	}
 
-	std := importer.Default()
+	std, err := stdImporter(imports, byPath)
+	if err != nil {
+		return nil, err
+	}
 	imp := importerFunc(func(path string) (*types.Package, error) {
 		if p, ok := byPath[path]; ok {
 			if p.types == nil {
@@ -150,6 +155,40 @@ func loadModule(root string) (*module, error) {
 		}
 	}
 	return m, nil
+}
+
+// stdImporter imports the standard-library packages the module's code
+// names from their export data, found with one `go list -export` for all of
+// them: importer.Default runs `go list` once per package, which costs seconds
+// of CPU beside the rest of the suite.
+func stdImporter(imports map[string][]string, byPath map[string]*pkg) (types.Importer, error) {
+	args := []string{"list", "-export", "-f", "{{.ImportPath}}={{.Export}}"}
+	seen := map[string]bool{}
+	for _, deps := range imports {
+		for _, dep := range deps {
+			if _, ok := byPath[dep]; !ok && dep != "C" && !seen[dep] {
+				seen[dep] = true
+				args = append(args, dep)
+			}
+		}
+	}
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %w", err)
+	}
+	export := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, "="); ok {
+			export[path] = file
+		}
+	}
+	return importer.ForCompiler(token.NewFileSet(), "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := export[path]
+		if !ok || file == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(file)
+	}), nil
 }
 
 func (m *module) parse(dir string, names []string) ([]*ast.File, error) {

@@ -86,9 +86,6 @@ type TableStats struct {
 	RowCount int
 	// AvgRowSize is the average encoded row size in bytes (I in the paper).
 	AvgRowSize int
-	// DistinctFraction estimates, per column ordinal, the fraction of
-	// distinct values (D in the paper when computed over argument columns).
-	DistinctFraction map[int]float64
 }
 
 // Catalog is a thread-safe registry of tables and UDFs. Every mutation —

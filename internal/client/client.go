@@ -144,7 +144,6 @@ type session struct {
 	udfs      []*Func
 	predicate expr.Expr
 	eval      *expr.Evaluator
-	dict      bool          // dictionary encoding negotiated for this session
 	out       []types.Tuple // reusable uplink batch
 	args      []types.Value // reusable UDF argument scratch
 }
@@ -202,24 +201,14 @@ func (r *Runtime) ServeConn(conn *wire.Conn) error {
 			if setupErr != nil {
 				ack.Error = setupErr.Error()
 			} else {
-				// Accept the dictionary encoding whenever the server asks; the
-				// echoed capability is what arms it on both ends.
-				ack.DictBatches = req.DictBatches
-				s.dict = req.DictBatches
 				sessions[req.SessionID] = s
 			}
 			if err := conn.Send(wire.MsgSetupAck, wire.EncodeSetupAck(ack)); err != nil {
 				return err
 			}
-		case wire.MsgTupleBatch, wire.MsgTupleBatchDict:
-			var decErr error
-			if msg.Type == wire.MsgTupleBatchDict {
-				decErr = wire.DecodeDictBatchInto(&incoming, msg.Payload)
-			} else {
-				decErr = wire.DecodeTupleBatchInto(&incoming, msg.Payload)
-			}
-			if decErr != nil {
-				return fmt.Errorf("client: bad tuple batch: %w", decErr)
+		case wire.MsgTupleBatch:
+			if err := wire.DecodeTupleBatchInto(&incoming, msg.Payload); err != nil {
+				return fmt.Errorf("client: bad tuple batch: %w", err)
 			}
 			s, ok := sessions[incoming.SessionID]
 			if !ok {
@@ -236,7 +225,7 @@ func (r *Runtime) ServeConn(conn *wire.Conn) error {
 				continue
 			}
 			reply := wire.TupleBatch{SessionID: incoming.SessionID, Seq: incoming.Seq, Tuples: out}
-			if err := r.sendBatch(conn, &reply, s.dict); err != nil {
+			if err := wire.SendBatch(conn, &reply, wire.MsgResultBatch); err != nil {
 				return err
 			}
 		case wire.MsgEnd:
@@ -285,17 +274,12 @@ func (r *Runtime) sendError(conn *wire.Conn, session uint64, msg string) error {
 	return conn.Send(wire.MsgError, wire.EncodeError(&wire.ErrorMsg{SessionID: session, Message: msg}))
 }
 
-// sendBatch sends a result batch through the shared pooled encode path. On a
-// session that negotiated the dictionary encoding the frame is
-// dictionary-encoded when that is smaller, with the message type signalling
-// which decoder the server must use.
-func (r *Runtime) sendBatch(conn *wire.Conn, b *wire.TupleBatch, dict bool) error {
-	return wire.SendBatch(conn, b, dict, wire.MsgResultBatch, wire.MsgResultBatchDict)
-}
-
 // newSession validates a setup request against the registry and prepares the
 // evaluation state.
 func (r *Runtime) newSession(req *wire.SetupRequest) (*session, error) {
+	if req.Mode != wire.ModeSemiJoin && req.Mode != wire.ModeClientJoin {
+		return nil, fmt.Errorf("unknown execution mode %d", req.Mode)
+	}
 	if req.InputSchema == nil || req.InputSchema.Len() == 0 {
 		return nil, fmt.Errorf("setup has no input schema")
 	}
@@ -399,24 +383,20 @@ func (r *Runtime) processBatch(s *session, tuples []types.Tuple) (_ []types.Tupl
 				continue
 			}
 		}
-		switch s.req.Mode {
-		case wire.ModeSemiJoin, wire.ModeNaive:
+		switch {
+		case s.req.Mode == wire.ModeSemiJoin:
 			// Return only the UDF results; the server joins them back.
 			out = append(out, extended[inWidth:])
-		case wire.ModeClientJoin:
-			ret := extended
-			if len(s.req.ProjectOrdinals) > 0 {
-				var projected types.Tuple
-				var err error
-				arena, projected, err = types.ProjectInto(arena, extended, s.req.ProjectOrdinals)
-				if err != nil {
-					return nil, fmt.Errorf("pushable projection: %w", err)
-				}
-				ret = projected
+		case len(s.req.ProjectOrdinals) > 0:
+			var projected types.Tuple
+			var err error
+			arena, projected, err = types.ProjectInto(arena, extended, s.req.ProjectOrdinals)
+			if err != nil {
+				return nil, fmt.Errorf("pushable projection: %w", err)
 			}
-			out = append(out, ret)
+			out = append(out, projected)
 		default:
-			return nil, fmt.Errorf("unknown execution mode %d", s.req.Mode)
+			out = append(out, extended)
 		}
 	}
 	s.out = out

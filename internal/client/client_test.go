@@ -295,6 +295,8 @@ func TestClientJoinSessionWithPushableOps(t *testing.T) {
 	}
 }
 
+// TestNaiveModeSession: the naive strategy is a semi-join session that ships
+// one tuple per frame and waits for each reply.
 func TestNaiveModeSession(t *testing.T) {
 	r := NewRuntime()
 	_ = r.Register(analysisFunc())
@@ -303,14 +305,14 @@ func TestNaiveModeSession(t *testing.T) {
 	defer cleanup()
 	ack := setupSession(t, conn, &wire.SetupRequest{
 		SessionID:   3,
-		Mode:        wire.ModeNaive,
+		Mode:        wire.ModeSemiJoin,
 		InputSchema: types.NewSchema(types.Column{Name: "Quotes", Kind: types.KindTimeSeries}),
 		UDFs:        []wire.UDFSpec{{Name: "ClientAnalysis", ArgOrdinals: []int{0}}},
 	})
 	if !ack.OK {
 		t.Fatalf("setup rejected: %s", ack.Error)
 	}
-	// Naive mode: one tuple per batch, many batches.
+	// One tuple per batch, many batches.
 	for seq := uint64(0); seq < 5; seq++ {
 		res := sendBatch(t, conn, 3, seq, []types.Tuple{
 			types.NewTuple(types.NewTimeSeries(types.TimeSeries{100, 100 + float64(seq)})),
@@ -402,6 +404,64 @@ func TestRefusesFinalDelivery(t *testing.T) {
 	}
 	if end, err := wire.DecodeEnd(msg.Payload); err != nil || end.SessionID != 5 || end.Rows != 0 {
 		t.Errorf("end echo = %+v, %v; want session 5, 0 rows", end, err)
+	}
+}
+
+// TestRefusesUnknownMode: a setup whose mode is neither the semi-join nor
+// the client-site join, the retired naive code 0 included, is refused at
+// setup rather than failing its first batch.
+func TestRefusesUnknownMode(t *testing.T) {
+	r := NewRuntime()
+	_ = r.Register(analysisFunc())
+	conn, cleanup := startRuntime(t, r)
+	defer cleanup()
+	for _, mode := range []wire.Mode{0, 9} {
+		ack := setupSession(t, conn, &wire.SetupRequest{
+			SessionID:   uint64(20 + mode),
+			Mode:        mode,
+			InputSchema: shippedSchema(),
+			UDFs:        []wire.UDFSpec{{Name: "ClientAnalysis", ArgOrdinals: []int{0}}},
+		})
+		if ack.OK || !strings.Contains(ack.Error, "unknown execution mode") {
+			t.Errorf("mode %d: ack = %+v, want a refusal naming the mode", mode, ack)
+		}
+	}
+}
+
+// TestServesDictionarySetupPlain: a server that still asks for the retired
+// per-frame dictionary (Setup flag bit 1) gets an ack without the capability
+// byte that accepted it, which it reads as declined, and plain result frames.
+func TestServesDictionarySetupPlain(t *testing.T) {
+	r := NewRuntime()
+	_ = r.Register(analysisFunc())
+	conn, cleanup := startRuntime(t, r)
+	defer cleanup()
+	payload, err := wire.EncodeSetup(&wire.SetupRequest{
+		SessionID:   4,
+		Mode:        wire.ModeSemiJoin,
+		InputSchema: types.NewSchema(types.Column{Name: "Quotes", Kind: types.KindTimeSeries}),
+		UDFs:        []wire.UDFSpec{{Name: "ClientAnalysis", ArgOrdinals: []int{0}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload[9] |= 2 // the flags byte follows the session ID and the mode
+	if err := conn.Send(wire.MsgSetup, payload); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := conn.Receive()
+	if err != nil || msg.Type != wire.MsgSetupAck {
+		t.Fatalf("ack = %v, %v", msg, err)
+	}
+	// Session ID, OK byte and an empty error string: nothing after it.
+	if len(msg.Payload) != 10 || msg.Payload[8] != 1 {
+		t.Fatalf("ack payload = %x, want an OK ack with no capability byte", msg.Payload)
+	}
+	// The same value fourfold: a frame a per-frame dictionary would shrink.
+	series := types.NewTimeSeries(types.TimeSeries{100, 120, 140, 160, 180, 200, 220, 240})
+	res := sendBatch(t, conn, 4, 0, []types.Tuple{{series}, {series}, {series}, {series}})
+	if len(res.Tuples) != 4 {
+		t.Fatalf("reply holds %d tuples, want 4", len(res.Tuples))
 	}
 }
 

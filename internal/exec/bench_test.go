@@ -131,22 +131,19 @@ func parallelBenchRows(b *testing.B, rows int, dup float64) ([]types.Tuple, *typ
 }
 
 // BenchmarkSemiJoinParallel measures the session fan-out T against the
-// duplicate ratio D: T1/dup100 is the PR-2 single-session path, the other
-// variants add parallel sessions and the wire dictionary.
+// duplicate ratio D: T1/dup100 is the single-session path without
+// duplicates, the other variants add duplicates and parallel sessions.
 func BenchmarkSemiJoinParallel(b *testing.B) {
 	for _, cfg := range []struct {
 		sessions int
 		dup      float64
-		dict     bool
 	}{
-		{1, 1.0, false},
-		{1, 0.25, false},
-		{1, 0.25, true},
-		{4, 0.25, false},
-		{4, 0.25, true},
+		{1, 1.0},
+		{1, 0.25},
+		{4, 0.25},
 	} {
 		rows, schema := parallelBenchRows(b, 1024, cfg.dup)
-		name := fmt.Sprintf("T%d_dup%.0f_dict%v", cfg.sessions, cfg.dup*100, cfg.dict)
+		name := fmt.Sprintf("T%d_dup%.0f", cfg.sessions, cfg.dup*100)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -157,7 +154,6 @@ func BenchmarkSemiJoinParallel(b *testing.B) {
 					b.Fatal(err)
 				}
 				op.Sessions = cfg.sessions
-				op.DictBatches = cfg.dict
 				op.ConcurrencyFactor = 64
 				drainBatch(b, op)
 			}
@@ -166,19 +162,11 @@ func BenchmarkSemiJoinParallel(b *testing.B) {
 }
 
 // BenchmarkClientJoinParallel mirrors BenchmarkSemiJoinParallel for the
-// client-site join, whose full records duplicate even more on the wire.
+// client-site join, which ships full records.
 func BenchmarkClientJoinParallel(b *testing.B) {
-	for _, cfg := range []struct {
-		sessions int
-		dict     bool
-	}{
-		{1, false},
-		{1, true},
-		{4, false},
-		{4, true},
-	} {
+	for _, sessions := range []int{1, 4} {
 		rows, schema := parallelBenchRows(b, 1024, 0.25)
-		name := fmt.Sprintf("T%d_dict%v", cfg.sessions, cfg.dict)
+		name := fmt.Sprintf("T%d", sessions)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -188,8 +176,7 @@ func BenchmarkClientJoinParallel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				op.Sessions = cfg.sessions
-				op.DictBatches = cfg.dict
+				op.Sessions = sessions
 				op.ShipBatchSize = DefaultBatchSize
 				drainBatch(b, op)
 			}

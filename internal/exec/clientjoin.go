@@ -33,8 +33,7 @@ const DefaultShipBatchSize = 8
 // without sequence bookkeeping on the wire, even for a frame replayed on a
 // different session. The stream ends when the input does and every box is
 // opened: every reply is in, and Close retires the sessions; no End crosses
-// the link. DictBatches additionally negotiates the per-batch value dictionary
-// encoding on every session.
+// the link.
 type ClientJoin struct {
 	baseState
 	input Operator
@@ -54,9 +53,6 @@ type ClientJoin struct {
 	// Sessions is the number of concurrent wire sessions record frames are
 	// dealt across. Values below 2 keep the single-session pipeline.
 	Sessions int
-	// DictBatches requests the wire-level per-batch value dictionary
-	// encoding; used only when the client acknowledges support.
-	DictBatches bool
 	// Retry governs mid-query session re-establishment; the zero value
 	// enables fault tolerance with defaults.
 	Retry RetryConfig
@@ -159,7 +155,6 @@ func (c *ClientJoin) Open(ctx context.Context) error {
 		InputSchema:     c.input.Schema(),
 		UDFs:            specs,
 		ProjectOrdinals: c.ProjectOrdinals,
-		DictBatches:     c.DictBatches,
 	}
 	if c.Pushable != nil {
 		data, err := expr.Marshal(c.Pushable)

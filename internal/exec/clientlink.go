@@ -135,13 +135,6 @@ type udfSession struct {
 	// unbind releases the connection's query-context binding (set when the
 	// session was opened under a cancellable context).
 	unbind func()
-	// wantDict records that the session's Setup asked for the per-batch value
-	// dictionary encoding. dict is armed by the client's ack confirming it;
-	// from then on sendBatch dictionary-encodes the frames it shrinks. Frames
-	// may be sent before the ack arrives, so the lane reader arms dict while
-	// a sender reads it.
-	wantDict bool
-	dict     atomic.Bool
 }
 
 // openUDFSession opens a connection through the link and performs the setup
@@ -181,14 +174,12 @@ func (s *udfSession) setup(template *wire.SetupRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.id, s.wantDict = req.SessionID, req.DictBatches
+	s.id = req.SessionID
 	return payload, nil
 }
 
 // acknowledge checks that msg, the session's first message from the client,
-// is a SetupAck accepting the Setup. The dictionary encoding is armed only
-// when the Setup asked for it and the ack confirmed support, so
-// pre-dictionary clients keep receiving plain batches.
+// is a SetupAck accepting the Setup.
 func (s *udfSession) acknowledge(msg wire.Message) error {
 	if msg.Type != wire.MsgSetupAck {
 		return fmt.Errorf("exec: expected SETUP_ACK, got %s", msg.Type)
@@ -200,7 +191,6 @@ func (s *udfSession) acknowledge(msg wire.Message) error {
 	if !ack.OK {
 		return fmt.Errorf("exec: client rejected setup: %s", ack.Error)
 	}
-	s.dict.Store(s.wantDict && ack.DictBatches)
 	return nil
 }
 
@@ -223,12 +213,11 @@ func (s *udfSession) handshake(template *wire.SetupRequest) error {
 }
 
 // sendBatch ships a batch of tuples downlink through the shared pooled
-// encode path; on dictionary sessions the frame uses the per-batch value
-// dictionary whenever that is smaller.
+// encode path.
 func (s *udfSession) sendBatch(tuples []types.Tuple) error {
 	batch := wire.TupleBatch{SessionID: s.id, Seq: s.seq, Tuples: tuples}
 	s.seq++
-	return wire.SendBatch(s.conn, &batch, s.dict.Load(), wire.MsgTupleBatch, wire.MsgTupleBatchDict)
+	return wire.SendBatch(s.conn, &batch, wire.MsgTupleBatch)
 }
 
 // abort slams the session's transport shut without releasing the context

@@ -153,8 +153,7 @@ func TestBatchScalarEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			op.ConcurrencyFactor = 3
-			op.SendBatchSize = 2
+			op.ConcurrencyFactor = 2
 			return op
 		}, true},
 		{"ClientJoin", func(t *testing.T) Operator {

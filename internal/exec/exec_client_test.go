@@ -507,12 +507,12 @@ func TestSemiJoinChargesParkedRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		op.ConcurrencyFactor = DefaultSendBatchSize
+		op.ConcurrencyFactor = sendBatchSize
 		return op
 	}
 	// The sender parks one batch per frame it deals.
 	var batch int64
-	for _, r := range rows[:DefaultSendBatchSize] {
+	for _, r := range rows[:sendBatchSize] {
 		batch += tupleMemSize(r)
 	}
 
@@ -730,10 +730,7 @@ func TestStrategyEquivalence(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			keys := make([]string, len(out))
-			for i, tup := range out {
-				keys[i] = tup.Key(allOrdinals(tup.Len()))
-			}
+			keys := keysOf(out)
 			sort.Strings(keys)
 			return keys, nil
 		}

@@ -16,10 +16,10 @@ import (
 // speeds in the evaluation.
 const DefaultConcurrencyFactor = 16
 
-// DefaultSendBatchSize is how many duplicate-free argument tuples the sender
-// packs per downlink frame when not configured otherwise. Batching amortises
-// frame headers, encode buffers and channel operations across tuples.
-const DefaultSendBatchSize = 32
+// sendBatchSize is the most duplicate-free argument tuples the sender packs
+// per downlink frame. Batching amortises frame headers, encode buffers and
+// channel operations across tuples.
+const sendBatchSize = 32
 
 // SemiJoin executes a client-site UDF with the semi-join strategy of
 // Section 2.3.1: the sender ships duplicate-free argument columns on the
@@ -30,7 +30,7 @@ const DefaultSendBatchSize = 32
 // network latency (Figure 2(b) / Figure 3 of the paper).
 //
 // Both halves of the pipeline are batched: the sender reads input batches,
-// ships argument tuples SendBatchSize at a time and parks full records in
+// ships argument tuples sendBatchSize at a time and parks full records in
 // whole-batch channel sends; the receiver drains one parked batch at a time.
 // Parked records are charged to the query's memory tracker until the
 // receiver has drained their batch. Duplicate elimination and the result
@@ -44,9 +44,7 @@ const DefaultSendBatchSize = 32
 // the argument it needs — the lane readers always drain their sessions,
 // which is also what keeps a multi-session client from ever blocking on an
 // unread uplink write. With Sessions > 1 the frames travel in parallel, yet
-// output order stays exactly the input order. DictBatches additionally
-// negotiates the per-batch value dictionary encoding for both directions of
-// every session.
+// output order stays exactly the input order.
 //
 // A concurrency factor of 1 is the paper's naive strategy (Section 2.1): one
 // argument tuple per frame and one frame in flight, so every invocation is a
@@ -61,17 +59,10 @@ type SemiJoin struct {
 	// client and not yet answered, across all sessions. At 1 one frame of
 	// one tuple is in flight at a time: the naive strategy.
 	ConcurrencyFactor int
-	// SendBatchSize is the number of duplicate-free argument tuples shipped
-	// per downlink frame. Values below 1 select DefaultSendBatchSize.
-	SendBatchSize int
 	// Sessions is the number of concurrent wire sessions (the paper's T
 	// parallel channels) argument frames are fanned out across. Values below
 	// 2 keep the classic single-session pipeline.
 	Sessions int
-	// DictBatches requests the wire-level per-batch value dictionary
-	// encoding for the operator's sessions; it is used only when the client
-	// acknowledges support and only on frames it shrinks.
-	DictBatches bool
 	// Retry governs mid-query session re-establishment; the zero value
 	// enables fault tolerance with defaults.
 	Retry RetryConfig
@@ -194,9 +185,6 @@ func (s *SemiJoin) Open(ctx context.Context) error {
 	if s.ConcurrencyFactor < 1 {
 		return fmt.Errorf("exec: concurrency factor must be at least 1, got %d", s.ConcurrencyFactor)
 	}
-	if s.SendBatchSize < 1 {
-		s.SendBatchSize = DefaultSendBatchSize
-	}
 	if err := s.input.Open(ctx); err != nil {
 		return err
 	}
@@ -215,7 +203,6 @@ func (s *SemiJoin) Open(ctx context.Context) error {
 			Mode:        wire.ModeSemiJoin,
 			InputSchema: shipped,
 			UDFs:        s.remapped,
-			DictBatches: s.DictBatches,
 		},
 		sessions: s.Sessions,
 		window:   s.ConcurrencyFactor,
@@ -235,11 +222,10 @@ func (s *SemiJoin) Open(ctx context.Context) error {
 
 // senderReadBatch is how many input records the sender moves per channel
 // send, and therefore also the maximum argument tuples per downlink frame.
-// It never exceeds the concurrency factor or the configured frame size, so a
-// factor (or SendBatchSize) of 1 degrades to the tuple-at-a-time pipeline of
-// the paper's Figure 3.
+// It never exceeds the concurrency factor or sendBatchSize, so a factor of 1
+// degrades to the tuple-at-a-time pipeline of the paper's Figure 3.
 func (s *SemiJoin) senderReadBatch() int {
-	return min(DefaultBatchSize, s.ConcurrencyFactor, s.SendBatchSize)
+	return min(DefaultBatchSize, s.ConcurrencyFactor, sendBatchSize)
 }
 
 // send is the sender thread of Figure 3: it reads input record batches,

@@ -372,8 +372,6 @@ func (p *shipPool[T]) read(lane *shipLane[T], resolve func(error)) {
 		switch msg.Type {
 		case wire.MsgResultBatch:
 			err = wire.DecodeTupleBatchInto(&recv, msg.Payload)
-		case wire.MsgResultBatchDict:
-			err = wire.DecodeDictBatchInto(&recv, msg.Payload)
 		case wire.MsgError:
 			var e *wire.ErrorMsg
 			if e, err = wire.DecodeError(msg.Payload); err == nil {

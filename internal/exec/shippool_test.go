@@ -439,13 +439,7 @@ type relayClient struct {
 // batchLen is the number of tuples in a tuple or result batch.
 func batchLen(msg wire.Message) (int, error) {
 	var b wire.TupleBatch
-	var err error
-	switch msg.Type {
-	case wire.MsgTupleBatchDict, wire.MsgResultBatchDict:
-		err = wire.DecodeDictBatchInto(&b, msg.Payload)
-	default:
-		err = wire.DecodeTupleBatchInto(&b, msg.Payload)
-	}
+	err := wire.DecodeTupleBatchInto(&b, msg.Payload)
 	return len(b.Tuples), err
 }
 
@@ -519,7 +513,7 @@ func (c *relayClient) OpenSession(context.Context) (*wire.Conn, error) {
 			c.mu.Lock()
 			c.down[sess] = append(c.down[sess], msg.Type)
 			c.mu.Unlock()
-			if msg.Type == wire.MsgTupleBatch || msg.Type == wire.MsgTupleBatchDict {
+			if msg.Type == wire.MsgTupleBatch {
 				if c.sever[sess] {
 					_ = down.Close()
 					return
@@ -568,7 +562,7 @@ func (c *relayClient) OpenSession(context.Context) (*wire.Conn, error) {
 	go func() { // relay to server
 		defer c.served.Done()
 		for msg := range replies {
-			if c.window > 0 && (msg.Type == wire.MsgResultBatch || msg.Type == wire.MsgResultBatchDict) {
+			if c.window > 0 && msg.Type == wire.MsgResultBatch {
 				n, err := batchLen(msg)
 				if err != nil || !release(filled, gone) {
 					break
@@ -622,22 +616,16 @@ const semiJoinReach = 64
 
 // TestShipPoolFramesBeforeAck runs both strategies against a client that
 // acks no Setup until the session's first tuple frame has arrived: the query
-// completes only if frames follow the Setup without waiting for its ack.
-// Frames sent before the ack are plain, even with the dictionary encoding
-// requested, because only the ack says the client decodes it.
+// completes only if frames follow the Setup without waiting for its ack, and
+// what precedes the ack is the Setup and tuple batches only.
 func TestShipPoolFramesBeforeAck(t *testing.T) {
 	const lanes = 3
-	// One long name on every row: a client-site join frame shrinks under the
-	// dictionary encoding, so it would be sent dictionary-encoded if it could.
 	rows := stockRows(96)
-	for _, r := range rows {
-		r[0] = types.NewString(strings.Repeat("Consolidated Holdings ", 4))
-	}
 	builders := map[string]func(link ClientLink) (Operator, error){
 		"SemiJoin": func(link ClientLink) (Operator, error) {
 			op, err := NewSemiJoin(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
 			if err == nil {
-				op.Sessions, op.DictBatches = lanes, true
+				op.Sessions = lanes
 				op.ConcurrencyFactor = semiJoinReach
 			}
 			return op, err
@@ -645,7 +633,7 @@ func TestShipPoolFramesBeforeAck(t *testing.T) {
 		"ClientJoin": func(link ClientLink) (Operator, error) {
 			op, err := NewClientJoin(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
 			if err == nil {
-				op.Sessions, op.DictBatches = lanes, true
+				op.Sessions = lanes
 			}
 			return op, err
 		},
@@ -678,7 +666,7 @@ func TestShipPoolFramesBeforeAck(t *testing.T) {
 				}
 				for _, m := range msgs[1:preAck[i]] {
 					if m != wire.MsgTupleBatch {
-						t.Errorf("session %d: %s before the ack, want plain tuple batches only: %v", i, m, msgs)
+						t.Errorf("session %d: %s before the ack, want tuple batches only: %v", i, m, msgs)
 					}
 				}
 			}
@@ -714,10 +702,10 @@ func TestShipPoolRecoversSessionLostBeforeAck(t *testing.T) {
 	}
 }
 
-// TestShipPoolEndsOnlyForFinalDelivery counts the End markers each
-// client-site operator sends: none on any lane. Every reply arriving is the
-// end of the stream, and closing the pool ends the sessions.
-func TestShipPoolEndsOnlyForFinalDelivery(t *testing.T) {
+// TestShipPoolSendsNoEnd counts the End markers each client-site operator
+// sends: none on any lane. Every reply arriving is the end of the stream, and
+// closing the pool ends the sessions.
+func TestShipPoolSendsNoEnd(t *testing.T) {
 	const lanes = 3
 	rows := stockRows(60)
 	operators := map[string]func(Operator, ClientLink) (Operator, error){

@@ -9,8 +9,7 @@ import (
 
 // Explain renders the planned tree in all three layers: the logical tree as
 // constructed, the tree after rule-based rewriting, and the lowered physical
-// plan with the chosen strategy, session fan-out and dictionary decision per
-// UDF application.
+// plan with the chosen strategy and session fan-out per UDF application.
 func (tp *TreePlan) Explain() string {
 	var b strings.Builder
 	b.WriteString("logical plan:\n")
@@ -106,7 +105,7 @@ func (tp *TreePlan) applyInto(b *strings.Builder, u *logical.UDFApply, depth int
 		writeLine(b, depth, fmt.Sprintf("filter %s (server side, above join-back)", u.Pushable))
 		depth++
 	}
-	line := fmt.Sprintf("%s [%s] sessions=%d dict=%s", d.Strategy, strings.Join(names, " "), d.Sessions, onOff(d.DictBatches, d.DictSavings))
+	line := fmt.Sprintf("%s [%s] sessions=%d", d.Strategy, strings.Join(names, " "), d.Sessions)
 	if d.Strategy == StrategySemiJoin {
 		line += fmt.Sprintf(" concurrency=%d", d.Concurrency)
 	}
@@ -130,13 +129,6 @@ func (tp *TreePlan) applyInto(b *strings.Builder, u *logical.UDFApply, depth int
 			d.SemiJoinCost.Bottleneck(), d.ClientJoinCost.Bottleneck()))
 	}
 	tp.physicalInto(b, u.Input, depth+1)
-}
-
-func onOff(on bool, savings float64) string {
-	if on {
-		return fmt.Sprintf("on(%.2f)", savings)
-	}
-	return "off"
 }
 
 func yesNo(b bool) string {

@@ -241,7 +241,6 @@ func (lw *lowerer) applyOperator(apply *logical.UDFApply, d *Decision) (exec.Ope
 			return nil, err
 		}
 		cj.Sessions = d.Sessions
-		cj.DictBatches = d.DictBatches
 		cj.Retry = p.Config.Retry
 		cj.Pushable = apply.Pushable
 		cj.ProjectOrdinals = apply.Project
@@ -256,7 +255,6 @@ func (lw *lowerer) applyOperator(apply *logical.UDFApply, d *Decision) (exec.Ope
 			sj.ConcurrencyFactor = d.Concurrency
 		}
 		sj.Sessions = d.Sessions
-		sj.DictBatches = d.DictBatches
 		sj.Retry = p.Config.Retry
 		op = sj
 	default:
@@ -332,7 +330,7 @@ func (p *Planner) planApply(ctx context.Context, lw *lowerer, spec applySpec) (*
 	if err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}
-	finalizeLinkKnobs(d, spec)
+	finalizeLinkKnobs(d)
 	return d, nil
 }
 
@@ -366,5 +364,5 @@ func (p *Planner) sampleApply(ctx context.Context, lw *lowerer, apply *logical.U
 		}
 		argOrds = mapped
 	}
-	return sampleInput(ctx, src, argOrds, pred, projection, sampleRows, sketchSize)
+	return sampleInput(ctx, src, argOrds, pred, projection, sampleRows)
 }

@@ -20,11 +20,11 @@ func tupleKeys(t *testing.T, out []types.Tuple) []string {
 	t.Helper()
 	keys := make([]string, len(out))
 	for i, tup := range out {
-		ords := make([]int, tup.Len())
-		for j := range ords {
-			ords[j] = j
+		enc, err := types.EncodeTuple(nil, tup)
+		if err != nil {
+			t.Fatal(err)
 		}
-		keys[i] = tup.Key(ords)
+		keys[i] = string(enc)
 	}
 	return keys
 }

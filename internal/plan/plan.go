@@ -16,7 +16,7 @@
 //
 //   - A, D, S, P and I come from catalog metadata plus a bounded sampling
 //     pass over a fresh instantiation of the node's input subtree (package
-//     internal sampleInput), with D estimated by a streaming KMV sketch;
+//     internal sampleInput), with D counted exactly over the sample;
 //   - R comes from the catalog's client-UDF announcements;
 //   - N is measured live by probing the query's own client link
 //     (exec.ProbeAsymmetry), once per plan;
@@ -49,8 +49,6 @@ var errEmptySample = errors.New("plan: cannot size input records (empty sample a
 const (
 	// sampleRows bounds the statistics sampling pass.
 	sampleRows = 256
-	// sketchSize is the KMV sketch capacity used for D.
-	sketchSize = 256
 	// perTupleOverhead is the encoder's fixed per-tuple header (types
 	// encoding: a 4-byte column count), fed to the cost model so its byte
 	// accounting matches the implementation's.
@@ -59,11 +57,6 @@ const (
 	maxConcurrency = 1024
 	// DefaultMaxSessions caps the derived parallel session fan-out.
 	DefaultMaxSessions = 8
-	// minDictSavings is the predicted fractional byte saving below which the
-	// planner leaves the dictionary encoding off: the encoder's auto
-	// fallback makes a wrong "on" harmless, but skipping the negotiation
-	// avoids paying the per-frame dictionary construction for nothing.
-	minDictSavings = 0.02
 )
 
 // Strategy identifies the execution strategy the planner instantiates. It
@@ -154,13 +147,6 @@ type Decision struct {
 	// sessions the operator deals its frames across, from the measured
 	// bottleneck transfer time and round trip (costmodel.OptimalSessions).
 	Sessions int
-	// DictBatches enables the wire-level per-batch value dictionary when the
-	// sampled per-column duplicate structure predicts it pays.
-	DictBatches bool
-	// DictSavings is the predicted fractional downlink byte saving of the
-	// dictionary encoding on the shipped columns (0 when DictBatches is
-	// off).
-	DictSavings float64
 	// Fallback reports that the decision is the degenerate-input fallback: an
 	// empty sample with no catalog priors cannot feed the cost model, so the
 	// naive strategy (correct for any cardinality, least in flight for
@@ -217,21 +203,13 @@ func ChooseStrategy(p costmodel.Params) (Strategy, costmodel.LinkCost, costmodel
 }
 
 // finalizeLinkKnobs derives the decision's link-level knobs — session
-// fan-out, pipeline concurrency factor and dictionary choice — from its
-// strategy, parameters, link observation and sample statistics.
-func finalizeLinkKnobs(d *Decision, spec applySpec) {
+// fan-out and pipeline concurrency factor — from its strategy, parameters
+// and link observation.
+func finalizeLinkKnobs(d *Decision) {
 	d.Sessions = sessionsFor(d)
 	d.Concurrency = concurrencyFor(d.Params, d.Link, d.Sessions)
 	if d.Strategy == StrategyNaive {
 		d.Concurrency = 1 // naive is the semi-join at factor 1
-	}
-	// The naive strategy ships one tuple per frame, where a per-batch
-	// dictionary can never shrink anything; the decision must describe the
-	// plan that actually executes.
-	d.DictSavings, d.DictBatches = 0, false
-	if d.Strategy != StrategyNaive {
-		d.DictSavings = dictSavings(d.Stats, spec, d.Strategy)
-		d.DictBatches = d.DictSavings >= minDictSavings
 	}
 }
 
@@ -266,48 +244,6 @@ func sessionsFor(d *Decision) int {
 		transferBytes, bw = up, d.Link.UpBytesPerSec
 	}
 	return costmodel.OptimalSessions(transferBytes, bw, d.Link.RTT, DefaultMaxSessions)
-}
-
-// dictSavings predicts the fractional downlink byte saving of the per-batch
-// value dictionary over the columns the strategy ships: a column whose
-// sampled distinct-value fraction is f re-encodes only ~f of its occurrences
-// per batch, at the price of one index byte per occurrence. For the
-// semi-join (and naive) strategies the shipped stream is the distinct
-// argument tuples, so each column's fraction is rescaled by the tuple-level
-// D — the distinct values survive dedup while the row count shrinks.
-func dictSavings(stats SampleStats, spec applySpec, s Strategy) float64 {
-	if len(stats.ColDistinctFraction) == 0 {
-		return 0
-	}
-	cols := spec.apply.ArgOrdinals()
-	rescale := stats.DistinctFraction
-	if s == StrategyClientJoin {
-		cols = cols[:0]
-		for o := range stats.ColDistinctFraction {
-			cols = append(cols, o)
-		}
-		rescale = 1
-	}
-	var total, saved float64
-	for _, o := range cols {
-		if o < 0 || o >= len(stats.AvgColBytes) {
-			continue
-		}
-		f := stats.ColDistinctFraction[o]
-		if rescale > 0 && rescale < 1 {
-			f /= rescale
-		}
-		if f > 1 {
-			f = 1
-		}
-		b := stats.AvgColBytes[o]
-		total += b
-		saved += (1-f)*b - 1
-	}
-	if total <= 0 || saved <= 0 {
-		return 0
-	}
-	return saved / total
 }
 
 // estimateRows combines the sample with catalog priors: an exhausted sample is

@@ -222,42 +222,6 @@ func collectPlan(t testing.TB, tp *TreePlan) (exec.Operator, []types.Tuple) {
 	return op, got
 }
 
-func TestSketchExactAndEstimated(t *testing.T) {
-	s := NewDistinctSketch(64)
-	for i := 0; i < 1000; i++ {
-		s.Add(splitmix(uint64(i % 40)))
-	}
-	if got := s.Estimate(); got != 40 {
-		t.Errorf("below-capacity estimate = %g, want exactly 40", got)
-	}
-	if f := s.DistinctFraction(); f < 0.039 || f > 0.041 {
-		t.Errorf("distinct fraction = %g, want 0.04", f)
-	}
-
-	big := NewDistinctSketch(256)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		big.Add(splitmix(uint64(i)))
-	}
-	est := big.Estimate()
-	if est < n*0.80 || est > n*1.20 {
-		t.Errorf("KMV estimate = %g for %d distinct, want within 20%%", est, n)
-	}
-	empty := NewDistinctSketch(16)
-	if empty.DistinctFraction() != 1 {
-		t.Error("empty sketch should report fraction 1")
-	}
-}
-
-// splitmix scrambles sequential integers into well-distributed hashes, which
-// is what the KMV estimator assumes of its input.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 func TestSampleInputMeasures(t *testing.T) {
 	rows := make([]types.Tuple, 200)
 	for i := range rows {
@@ -268,7 +232,7 @@ func TestSampleInputMeasures(t *testing.T) {
 	filter := expr.NewBinary(expr.OpGe,
 		expr.NewBoundColumnRef(0, types.KindString),
 		expr.NewConst(types.NewString("N0100")))
-	stats, err := sampleInput(context.Background(), src, []int{1}, filter, nil, 500, 256)
+	stats, err := sampleInput(context.Background(), src, []int{1}, filter, nil, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +250,7 @@ func TestSampleInputMeasures(t *testing.T) {
 		t.Errorf("record bytes %g should exceed arg bytes", stats.AvgRecordBytes)
 	}
 	// The filtered half still cycles through all 20 keys: D = 20/100.
-	if stats.DistinctFraction < 0.19 || stats.DistinctFraction > 0.21 {
+	if stats.DistinctFraction != 0.2 {
 		t.Errorf("distinct fraction = %g, want 0.2", stats.DistinctFraction)
 	}
 }
@@ -475,13 +439,11 @@ func TestPlanQueryValidation(t *testing.T) {
 	}
 }
 
-// TestPlanDerivesSessionsAndDict: with a measured asymmetric link the planner
-// fans the winning operator out across parallel sessions sized by the
-// bottleneck transfer, and enables the wire dictionary when the sampled
-// per-column duplicate structure predicts savings.
-func TestPlanDerivesSessionsAndDict(t *testing.T) {
-	// All-distinct payloads force the client-site join; the Extra column is
-	// identical across rows, so shipping full records is dictionary-friendly.
+// TestPlanDerivesSessions: with a measured asymmetric link the planner fans
+// the winning operator out across parallel sessions sized by the bottleneck
+// transfer.
+func TestPlanDerivesSessions(t *testing.T) {
+	// All-distinct payloads force the client-site join.
 	rows := make([]types.Tuple, 400)
 	for i := range rows {
 		rows[i] = rowWithKey(i, uint32(1000+i))
@@ -495,9 +457,8 @@ func TestPlanDerivesSessionsAndDict(t *testing.T) {
 		Asymmetry:       50,
 		RTT:             100 * time.Millisecond,
 	}
-	// Return (Extra, Score): the duplicate-heavy Extra column survives the
-	// rewriter's projection pruning, so the shipped records keep the
-	// dictionary-friendly structure this test is about.
+	// Return (Extra, Score), so the shipped records keep a column beside
+	// the UDF's argument.
 	q := applyQuery(t, testValues(t, rows), testBindings(), expr.NewBoundColumnRef(4, types.KindBool), []int{2, 3})
 	tp, d := planOne(t, p, q, cat)
 	if d.Strategy != StrategyClientJoin {
@@ -506,18 +467,15 @@ func TestPlanDerivesSessionsAndDict(t *testing.T) {
 	if d.Sessions < 2 || d.Sessions > DefaultMaxSessions {
 		t.Errorf("derived sessions = %d, want parallel fan-out within [2, %d]", d.Sessions, DefaultMaxSessions)
 	}
-	if !d.DictBatches || d.DictSavings < 0.3 {
-		t.Errorf("dict = %v savings = %.2f; the constant Extra column should predict >= 0.3", d.DictBatches, d.DictSavings)
-	}
-	// The derived fan-out and encoding must reach the instantiated operator,
-	// and the parallel dictionary-encoded plan must stay correct.
+	// The derived fan-out must reach the instantiated operator, and the
+	// parallel plan must stay correct.
 	op, got := collectPlan(t, tp)
 	cj, ok := op.(*exec.ClientJoin)
 	if !ok {
 		t.Fatalf("planned operator is %T, want *exec.ClientJoin", op)
 	}
-	if cj.Sessions != d.Sessions || cj.DictBatches != d.DictBatches {
-		t.Errorf("operator got sessions=%d dict=%v, decision says %d/%v", cj.Sessions, cj.DictBatches, d.Sessions, d.DictBatches)
+	if cj.Sessions != d.Sessions {
+		t.Errorf("operator got sessions=%d, decision says %d", cj.Sessions, d.Sessions)
 	}
 	want := 0
 	for i := range rows {
@@ -526,7 +484,7 @@ func TestPlanDerivesSessionsAndDict(t *testing.T) {
 		}
 	}
 	if len(got) != want {
-		t.Errorf("parallel dict client join returned %d rows, want %d", len(got), want)
+		t.Errorf("parallel client join returned %d rows, want %d", len(got), want)
 	}
 }
 
@@ -541,40 +499,6 @@ func TestPlanSingleSessionOnUnmeasuredLink(t *testing.T) {
 	p := newTestPlanner(t, rt, netsim.LinkConfig{})
 	if _, d := planOne(t, p, testQuery(t, testValues(t, rows)), testCatalog(t, rt)); d.Sessions != 1 {
 		t.Errorf("unmeasured link derived %d sessions, want 1", d.Sessions)
-	}
-}
-
-// TestDictSavingsPrediction pins the per-strategy dictionary model: the
-// semi-join ships distinct argument tuples, so a single-column argument whose
-// every distinct value survives dedup predicts no savings, while the
-// client-site join's full records keep their duplicate columns.
-func TestDictSavingsPrediction(t *testing.T) {
-	stats := SampleStats{
-		PassingRows:         400,
-		AvgColBytes:         []float64{11, 106, 106},
-		ColDistinctFraction: []float64{1, 0.02, 1.0 / 400},
-		DistinctFraction:    0.02, // argument tuples are the payload column
-	}
-	apply, err := logical.NewUDFApply(testValues(t, nil), testBindings())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := applySpec{apply: apply}
-	// Semi-join: the shipped stream is the 8 distinct payloads — within it
-	// every value is distinct (0.02/0.02 = 1), so the dictionary cannot help.
-	if s := dictSavings(stats, spec, StrategySemiJoin); s != 0 {
-		t.Errorf("semi-join savings = %.3f, want 0 (distinct args stay distinct)", s)
-	}
-	// Client-site join: full records keep both duplicate-heavy columns (the
-	// 2%-distinct Payload and the near-constant Extra), so nearly all of
-	// their bytes are predicted away: (0.98·106-1 + (1-1/400)·106-1) / 223.
-	s := dictSavings(stats, spec, StrategyClientJoin)
-	if s < 0.85 || s > 0.97 {
-		t.Errorf("client-join savings = %.3f, want ~0.93", s)
-	}
-	// An empty sample predicts nothing.
-	if s := dictSavings(SampleStats{}, spec, StrategyClientJoin); s != 0 {
-		t.Errorf("empty-sample savings = %.3f, want 0", s)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 // SampleStats are the statistics the planner measures with one bounded pass
 // over the query's input subtree. Everything the cost model needs that is not
 // declared in the catalog is derived from here: the record size I, the
-// argument fraction A, the distinct-argument fraction D (via a streaming
-// sketch) and the selectivity of the server-evaluable predicate (which scales
-// the input cardinality seen by the client-site operator).
+// argument fraction A, the distinct-argument fraction D (counted exactly over
+// the sample) and the selectivity of the server-evaluable predicate (which
+// scales the input cardinality seen by the client-site operator).
 type SampleStats struct {
 	// ScannedRows is how many input rows the sampling pass read.
 	ScannedRows int
@@ -33,27 +33,21 @@ type SampleStats struct {
 	// AvgColBytes is the average encoded size per input column ordinal, used
 	// to size pushable projections.
 	AvgColBytes []float64
-	// DistinctFraction is the sketch's estimate of D over the argument
-	// columns of passing rows.
+	// DistinctFraction is D over the argument columns of passing rows: the
+	// distinct argument hashes of the sample divided by its passing rows.
 	DistinctFraction float64
-	// ColDistinctFraction estimates, per input column ordinal, the fraction
-	// of passing rows carrying a distinct value in that column — the
-	// duplicate structure the wire dictionary encoding exploits (a column
-	// with fraction f is encoded ~f times per batch plus an index per row).
-	// Measured exactly over the sample via per-column value-hash sets.
-	ColDistinctFraction []float64
 }
 
 // sampleInput drives the sampling pass: it opens a fresh input subtree, reads
 // up to maxRows rows in batches, evaluates the server filter, and accumulates
-// sizes and the distinct-argument sketch over the rows that pass.
+// sizes and the argument hashes' frequencies over the rows that pass.
 //
 // projection, when non-nil, re-expresses the column statistics positionally:
 // the measured record is t[projection[0]], t[projection[1]], … — the shape a
 // Project node between the filter and the UDF application (inserted by the
 // rewriter's pruning rule) gives the operator. argOrdinals always index the
 // source tuple directly; the caller pre-maps them through the projection.
-func sampleInput(ctx context.Context, src exec.Operator, argOrdinals []int, serverFilter expr.Expr, projection []int, maxRows, sketchK int) (SampleStats, error) {
+func sampleInput(ctx context.Context, src exec.Operator, argOrdinals []int, serverFilter expr.Expr, projection []int, maxRows int) (SampleStats, error) {
 	srcWidth := src.Schema().Len()
 	cols := projection
 	if cols == nil {
@@ -74,13 +68,9 @@ func sampleInput(ctx context.Context, src exec.Operator, argOrdinals []int, serv
 	}
 	defer func() { _ = src.Close() }()
 
-	sketch := NewDistinctSketch(sketchK)
+	argCounts := make(map[uint64]int) // argument hash → passing rows carrying it
 	ev := &expr.Evaluator{}
 	colBytes := make([]int64, width)
-	colSeen := make([]map[uint64]struct{}, width)
-	for i := range colSeen {
-		colSeen[i] = make(map[uint64]struct{})
-	}
 	batch := make([]types.Tuple, exec.DefaultBatchSize)
 	for stats.ScannedRows < maxRows {
 		want := maxRows - stats.ScannedRows
@@ -109,12 +99,10 @@ func sampleInput(ctx context.Context, src exec.Operator, argOrdinals []int, serv
 			stats.PassingRows++
 			for i, o := range cols {
 				if o >= 0 && o < t.Len() {
-					v := t[o]
-					colBytes[i] += int64(v.Size())
-					colSeen[i][v.Hash()] = struct{}{}
+					colBytes[i] += int64(t[o].Size())
 				}
 			}
-			sketch.Add(t.Hash(argOrdinals))
+			argCounts[t.Hash(argOrdinals)]++
 		}
 	}
 	if stats.ScannedRows > 0 {
@@ -136,11 +124,7 @@ func sampleInput(ctx context.Context, src exec.Operator, argOrdinals []int, serv
 		}
 		stats.AvgRecordBytes = float64(record) / float64(stats.PassingRows)
 		stats.AvgArgBytes = float64(args) / float64(stats.PassingRows)
-		stats.DistinctFraction = sketch.DistinctFraction()
-		stats.ColDistinctFraction = make([]float64, width)
-		for i := range colSeen {
-			stats.ColDistinctFraction[i] = float64(len(colSeen[i])) / float64(stats.PassingRows)
-		}
+		stats.DistinctFraction = float64(len(argCounts)) / float64(stats.PassingRows)
 	}
 	return stats, nil
 }

@@ -1,8 +1,8 @@
 // Package colstore implements the disk-backed columnar storage engine: an
 // append-only table stored as fixed-size per-column segments on disk, each
-// segment compressed with the wire layer's dictionary codec (with a plain
-// fallback, like the wire's AppendTupleBatchAuto) and summarized by a zone
-// map (min/max, row count, null count).
+// column chunk compressed with the per-batch dictionary codec the wire
+// package keeps for it (wire.AppendTupleBatchAuto, with a plain fallback)
+// and summarized by a zone map (min/max, row count, null count).
 //
 // The execution engine reads a columnar table only through its vectorized
 // ColumnarScan, over the Snapshot surface: it materializes only the columns a

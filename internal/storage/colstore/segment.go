@@ -15,10 +15,11 @@ import (
 //	codecPlain: wire plain tuple-batch encoding
 //	codecDict:  wire per-batch dictionary encoding
 //
-// The choice is made per chunk by wire.AppendTupleBatchAuto — exactly the
-// auto fallback the wire uses per frame — so a low-cardinality column pays
-// one value encoding per distinct value while a high-cardinality one never
-// pays dictionary overhead. The 16-byte SessionID/Seq header of the wire
+// The choice is made per chunk by wire.AppendTupleBatchAuto, which keeps the
+// smaller of the two forms, so a low-cardinality column pays one value
+// encoding per distinct value while a high-cardinality one never pays
+// dictionary overhead. The dictionary form is this codec's alone: no wire
+// conversation sends it. The 16-byte SessionID/Seq header of the wire
 // format is written as zeros and ignored on read. Reading builds no tuples:
 // wire.DecodeColumnInto writes each value straight into its row's slot of the
 // segment arena.

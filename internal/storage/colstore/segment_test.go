@@ -46,6 +46,8 @@ func encodeBatch(t testing.TB, b *wire.TupleBatch, auto bool) []byte {
 
 // scatterChunk is the read path decodeColumnChunk replaced: decode the chunk
 // as a batch of one-value tuples, then copy each value into its row's slot.
+// The dictionary codec has no row decoder, so a dictionary chunk is decoded
+// densely, at stride 1, and scattered from there.
 func scatterChunk(raw []byte, dst []types.Value, stride, rows int) error {
 	if len(raw) < 1 {
 		return fmt.Errorf("empty chunk")
@@ -56,7 +58,11 @@ func scatterChunk(raw []byte, dst []types.Value, stride, rows int) error {
 	case codecPlain:
 		err = wire.DecodeTupleBatchInto(&b, raw[1:])
 	case codecDict:
-		err = wire.DecodeDictBatchInto(&b, raw[1:])
+		dense := make([]types.Value, rows)
+		err = wire.DecodeColumnInto(dense, 1, rows, raw[1:], true)
+		for i := range dense {
+			b.Tuples = append(b.Tuples, dense[i:i+1])
+		}
 	default:
 		return fmt.Errorf("unknown codec %d", raw[0])
 	}
@@ -141,7 +147,7 @@ func randomColumnValue(rng *rand.Rand, kind types.Kind, distinct int) types.Valu
 // replaced: for random columns of every kind, in the plain codec and as the
 // auto choice encodes them, it writes the same values into the column's slots
 // and leaves every other slot alone. The dictionary decoder on columns the
-// auto choice keeps plain is held to the row decoders in package wire.
+// auto choice keeps plain is held to the encoded values in package wire.
 func TestDecodeColumnChunkMatchesScatter(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	kinds := []types.Kind{types.KindInt, types.KindFloat, types.KindBool, types.KindString, types.KindBytes, types.KindTimeSeries}

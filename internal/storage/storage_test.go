@@ -42,7 +42,7 @@ func TestHeapTableBasics(t *testing.T) {
 	if tbl.Name() != "StockQuotes" {
 		t.Errorf("Name = %q", tbl.Name())
 	}
-	if tbl.RowCount() != 0 || tbl.AvgRowSize() != 0 {
+	if tbl.RowCount() != 0 || tbl.Stats().AvgRowSize != 0 {
 		t.Error("new table should be empty")
 	}
 	rows := []types.Tuple{sampleRow("ACME", 20), sampleRow("BOLT", 31), sampleRow("ACME", 20)}
@@ -52,7 +52,7 @@ func TestHeapTableBasics(t *testing.T) {
 	if tbl.RowCount() != 3 {
 		t.Errorf("RowCount = %d", tbl.RowCount())
 	}
-	if tbl.AvgRowSize() <= 0 {
+	if tbl.Stats().AvgRowSize <= 0 {
 		t.Error("AvgRowSize should be positive")
 	}
 	if count := countRows(tbl.Iterator()); count != 3 {
@@ -95,19 +95,18 @@ func TestHeapTableSnapshotIsolation(t *testing.T) {
 
 func TestHeapTableStats(t *testing.T) {
 	tbl, _ := NewHeapTable("R", quotesSchema())
+	size := 0
 	for i := 0; i < 10; i++ {
-		// 5 distinct names, all-distinct closes.
-		_ = tbl.Insert(sampleRow(fmt.Sprintf("N%d", i%5), float64(i)))
+		row := sampleRow(fmt.Sprintf("N%d", i%5), float64(i))
+		size += row.Size()
+		_ = tbl.Insert(row)
 	}
 	stats := tbl.Stats()
 	if stats.RowCount != 10 {
 		t.Errorf("RowCount = %d", stats.RowCount)
 	}
-	if stats.DistinctFraction[0] != 0.5 {
-		t.Errorf("name distinct fraction = %g, want 0.5", stats.DistinctFraction[0])
-	}
-	if stats.DistinctFraction[1] != 1.0 {
-		t.Errorf("close distinct fraction = %g, want 1", stats.DistinctFraction[1])
+	if stats.AvgRowSize != size/10 {
+		t.Errorf("AvgRowSize = %d, want %d", stats.AvgRowSize, size/10)
 	}
 	empty, _ := NewHeapTable("E", quotesSchema())
 	if empty.Stats().RowCount != 0 {

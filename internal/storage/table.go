@@ -1,8 +1,9 @@
-// Package storage implements the storage engines: in-memory heap tables with
-// tuple iterators, hash and ordered indexes, and the statistics maintenance
-// the optimizer's cost model relies on (row counts, average row sizes and
-// distinct-value fractions). The disk-backed columnar engine lives in the
-// colstore subpackage and plugs in behind the same Relation seam.
+// Package storage implements the in-memory heap table with its snapshot
+// iterators and the statistics the planner reads from the catalog (row count
+// and average row size), and the spill files and spill namespaces operators
+// overflow into. The planner measures D itself, by sampling. The
+// disk-backed columnar engine lives in the colstore subpackage and plugs in
+// behind the same Relation seam.
 package storage
 
 import (
@@ -156,16 +157,6 @@ func (h *HeapTable) validate(t types.Tuple) error {
 	return nil
 }
 
-// AvgRowSize returns the mean encoded row size in bytes (0 for empty tables).
-func (h *HeapTable) AvgRowSize() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	if h.rows == 0 {
-		return 0
-	}
-	return int(h.size / int64(h.rows))
-}
-
 // snapshot returns the chunk list as of now. Sealed chunks are immutable and
 // the active chunk's occupied prefix is immutable, so copying the chunk-list
 // header and capping the active chunk at its current length yields a
@@ -185,31 +176,14 @@ func (h *HeapTable) Iterator() RowIterator {
 	return newChunkIterator(h.snapshot())
 }
 
-// Stats computes the statistics the catalog and the optimizer need: row count,
-// average row size and the per-column distinct fraction (the paper's D when
-// restricted to the UDF argument columns).
+// Stats computes the statistics the catalog and the optimizer need: row count
+// and average row size.
 func (h *HeapTable) Stats() catalog.TableStats {
-	chunks := h.snapshot()
-	rows := 0
-	for _, c := range chunks {
-		rows += len(c)
-	}
-	stats := catalog.TableStats{
-		RowCount:         rows,
-		AvgRowSize:       h.AvgRowSize(),
-		DistinctFraction: make(map[int]float64, h.schema.Len()),
-	}
-	if rows == 0 {
-		return stats
-	}
-	for col := 0; col < h.schema.Len(); col++ {
-		seen := make(map[string]struct{}, rows)
-		for _, c := range chunks {
-			for _, r := range c {
-				seen[r.Key([]int{col})] = struct{}{}
-			}
-		}
-		stats.DistinctFraction[col] = float64(len(seen)) / float64(rows)
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	stats := catalog.TableStats{RowCount: h.rows}
+	if h.rows > 0 {
+		stats.AvgRowSize = int(h.size / int64(h.rows))
 	}
 	return stats
 }

@@ -151,22 +151,6 @@ func CompareOn(a, b Tuple, ordinals []int) (int, error) {
 	return 0, nil
 }
 
-// Key renders the values at the given ordinals as a canonical string, usable
-// as a map key for duplicate elimination and result caching. It relies on the
-// deterministic binary encoding so distinct values produce distinct keys.
-func (t Tuple) Key(ordinals []int) string {
-	var sb strings.Builder
-	for _, i := range ordinals {
-		if i < 0 || i >= len(t) {
-			continue
-		}
-		b, _ := EncodeValue(nil, t[i])
-		sb.Write(b)
-		sb.WriteByte(0xff)
-	}
-	return sb.String()
-}
-
 // String renders the tuple for display.
 func (t Tuple) String() string {
 	parts := make([]string, len(t))

@@ -402,12 +402,6 @@ func TestTupleCompareAndKeys(t *testing.T) {
 	if _, err := CompareOn(a, b, []int{7}); err == nil {
 		t.Error("out-of-range CompareOn should error")
 	}
-	if a.Key([]int{0, 1}) != b.Key([]int{0, 1}) {
-		t.Error("keys over equal columns must match")
-	}
-	if a.Key([]int{0, 1, 2}) == b.Key([]int{0, 1, 2}) {
-		t.Error("keys over differing columns must differ")
-	}
 	if a.Hash([]int{0, 1}) != b.Hash([]int{0, 1}) {
 		t.Error("hashes over equal columns must match")
 	}

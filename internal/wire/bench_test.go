@@ -91,24 +91,6 @@ func BenchmarkDictBatchEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkDictBatchDecode(b *testing.B) {
-	for _, distinct := range []int{4, 64} {
-		payload, _, err := appendTupleBatchChoosing(nil, benchDupBatch(distinct), false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("distinct%d", distinct), func(b *testing.B) {
-			b.ReportAllocs()
-			var batch TupleBatch
-			for i := 0; i < b.N; i++ {
-				if err := DecodeDictBatchInto(&batch, payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkDecodeTupleBatch(b *testing.B) {
 	payload, err := AppendTupleBatch(nil, benchBatch(64))
 	if err != nil {

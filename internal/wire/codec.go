@@ -62,9 +62,6 @@ func EncodeSetup(s *SetupRequest) ([]byte, error) {
 	if s.FinalDelivery {
 		flags |= 1
 	}
-	if s.DictBatches {
-		flags |= 2
-	}
 	dst = append(dst, flags)
 	dst = types.EncodeSchema(dst, s.InputSchema)
 	dst = binary.AppendUvarint(dst, uint64(len(s.UDFs)))
@@ -82,8 +79,7 @@ func EncodeSetup(s *SetupRequest) ([]byte, error) {
 func DecodeSetup(src []byte) (*SetupRequest, error) {
 	r := reader{msg: "setup", src: src}
 	s := &SetupRequest{SessionID: r.u64(), Mode: Mode(r.u8())}
-	flags := r.u8()
-	s.FinalDelivery, s.DictBatches = flags&1 != 0, flags&2 != 0
+	s.FinalDelivery = r.u8()&1 != 0 // bit 1, the retired dictionary request, is ignored
 	s.InputSchema = r.schema()
 	s.UDFs = r.udfs()
 	s.PushablePredicate = r.bytes()
@@ -93,9 +89,7 @@ func DecodeSetup(src []byte) (*SetupRequest, error) {
 	return decoded(s, r.end())
 }
 
-// EncodeSetupAck serialises a SetupAck. The capability flags ride in a
-// trailing byte that pre-dictionary decoders (which stop after the error
-// string) simply never look at.
+// EncodeSetupAck serialises a SetupAck.
 func EncodeSetupAck(a *SetupAck) []byte {
 	var dst []byte
 	dst = binary.LittleEndian.AppendUint64(dst, a.SessionID)
@@ -104,23 +98,15 @@ func EncodeSetupAck(a *SetupAck) []byte {
 	} else {
 		dst = append(dst, 0)
 	}
-	dst = appendString(dst, a.Error)
-	caps := byte(0)
-	if a.DictBatches {
-		caps |= 1
-	}
-	dst = append(dst, caps)
-	return dst
+	return appendString(dst, a.Error)
 }
 
-// DecodeSetupAck deserialises a SetupAck. Acks from pre-dictionary clients
-// lack the trailing capability byte; every capability then reads as false.
+// DecodeSetupAck deserialises a SetupAck. What follows the error string is
+// the capability byte of clients that accepted the retired per-frame
+// dictionary; it is skipped.
 func DecodeSetupAck(src []byte) (*SetupAck, error) {
 	r := reader{msg: "setup ack", src: src}
 	a := &SetupAck{SessionID: r.u64(), OK: r.u8() != 0, Error: r.str()}
-	if r.more() {
-		a.DictBatches = r.u8()&1 != 0
-	}
 	return decoded(a, r.err)
 }
 
@@ -130,6 +116,21 @@ func DecodeSetupAck(src []byte) (*SetupAck, error) {
 func AppendTupleBatch(dst []byte, b *TupleBatch) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint64(dst, b.SessionID)
 	return appendBatchBody(dst, b.Seq, b.Tuples)
+}
+
+// SendBatch encodes b and sends it on conn as a msgType frame. Encoding goes
+// through a pooled buffer so the steady state allocates nothing per frame. It
+// is the single send path shared by the server operators (tuple frames) and
+// the client runtime (result frames).
+func SendBatch(conn *Conn, b *TupleBatch, msgType MsgType) error {
+	buf := GetBuffer()
+	defer PutBuffer(buf)
+	payload, err := AppendTupleBatch(*buf, b)
+	if err != nil {
+		return err
+	}
+	*buf = payload
+	return conn.Send(msgType, payload)
 }
 
 // appendBatchBody appends what follows the session ID in a plain tuple batch:
@@ -170,7 +171,7 @@ func decodeBatchRows(tuples []types.Tuple, src []byte) ([]types.Tuple, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: tuple batch: %w", err)
 	}
-	tuples, used, err := decodeRows(tuples, src[off:], n, nil)
+	tuples, used, err := decodeRows(tuples, src[off:], n)
 	if err != nil {
 		return nil, fmt.Errorf("wire: tuple batch: %w", err)
 	}
@@ -191,13 +192,12 @@ func readRowCount(src []byte) (n, used int, err error) {
 	return int(u), c, nil
 }
 
-// decodeRows decodes n rows, each a column count and that many cells, into
-// tuples, reusing its capacity. A cell is a value encoding, or with a non-nil
-// dict an index into it. Every value lands in one arena, sized from the first
-// row's column count and capped by the bytes left (a cell takes at least one
-// byte), so a uniform batch decodes without regrowing it. It returns the bytes
-// consumed.
-func decodeRows(tuples []types.Tuple, src []byte, n int, dict []types.Value) ([]types.Tuple, int, error) {
+// decodeRows decodes n rows, each a column count and that many value
+// encodings, into tuples, reusing its capacity. Every value lands in one
+// arena, sized from the first row's column count and capped by the bytes left
+// (a value takes at least one byte), so a uniform batch decodes without
+// regrowing it. It returns the bytes consumed.
+func decodeRows(tuples []types.Tuple, src []byte, n int) ([]types.Tuple, int, error) {
 	if tuples == nil || cap(tuples) < n {
 		tuples = make([]types.Tuple, 0, n)
 	}
@@ -216,15 +216,6 @@ func decodeRows(tuples []types.Tuple, src []byte, n int, dict []types.Value) ([]
 		}
 		start := len(arena)
 		for j := uint64(0); j < cols; j++ {
-			if dict != nil {
-				idx, c := binary.Uvarint(src[off:])
-				if c <= 0 || idx >= uint64(len(dict)) {
-					return nil, 0, fmt.Errorf("row %d column %d: %w", i, j, badIndex(idx, c, len(dict)))
-				}
-				arena = append(arena, dict[idx])
-				off += c
-				continue
-			}
 			v, used, err := types.DecodeValue(src[off:])
 			if err != nil {
 				return nil, 0, fmt.Errorf("row %d column %d: %w", i, j, err)

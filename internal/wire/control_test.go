@@ -29,7 +29,8 @@ func must(b []byte, err error) []byte {
 // controlCases holds two values of each of the ten control messages: one
 // with every optional trailer (or every field) set and one with none. The hex
 // is the encoding the protocol has always had; the cost model counts these
-// bytes, so none may move.
+// bytes, so none may move. The Setup and SetupAck lost what negotiated the
+// retired per-frame dictionary; oldPeerHex keeps what peers sent before.
 func controlCases() []controlCase {
 	schema := types.NewSchema(
 		types.Column{Qualifier: "s", Name: "id", Kind: types.KindInt},
@@ -39,10 +40,10 @@ func controlCases() []controlCase {
 		SessionID: 0x0102030405060708, Mode: ModeSemiJoin, InputSchema: schema,
 		UDFs:              []UDFSpec{{Name: "f", ArgOrdinals: []int{1, 300}}, {Name: "g", ArgOrdinals: []int{}}},
 		PushablePredicate: []byte{9, 8, 7}, ProjectOrdinals: []int{0, 2},
-		FinalDelivery: true, DictBatches: true,
+		FinalDelivery: true,
 	}
 	setupMin := &SetupRequest{SessionID: 1, InputSchema: types.NewSchema(types.Column{Name: "a", Kind: types.KindInt})}
-	ackFull := &SetupAck{SessionID: 7, OK: false, Error: "no such udf", DictBatches: true}
+	ackFull := &SetupAck{SessionID: 7, OK: false, Error: "no such udf"}
 	ackMin := &SetupAck{SessionID: 7, OK: true}
 	errFull := &ErrorMsg{SessionID: 1 << 40, Message: "boom"}
 	errMin := &ErrorMsg{}
@@ -81,10 +82,10 @@ func controlCases() []controlCase {
 	decCancel := func(b []byte) (any, error) { return DecodeCancel(b) }
 
 	return []controlCase{
-		{"setup/full", setupFull, func() []byte { return must(EncodeSetup(setupFull)) }, decSetup, "0807060504030201010302010173026964050003696d670201660201ac0201670003090807020002"},
+		{"setup/full", setupFull, func() []byte { return must(EncodeSetup(setupFull)) }, decSetup, "0807060504030201010102010173026964050003696d670201660201ac0201670003090807020002"},
 		{"setup/none", setupMin, func() []byte { return must(EncodeSetup(setupMin)) }, decSetup, "010000000000000000000101000161000000"},
-		{"setup-ack/full", ackFull, func() []byte { return EncodeSetupAck(ackFull) }, decAck, "0700000000000000000b6e6f20737563682075646601"},
-		{"setup-ack/none", ackMin, func() []byte { return EncodeSetupAck(ackMin) }, decAck, "0700000000000000010000"},
+		{"setup-ack/full", ackFull, func() []byte { return EncodeSetupAck(ackFull) }, decAck, "0700000000000000000b6e6f207375636820756466"},
+		{"setup-ack/none", ackMin, func() []byte { return EncodeSetupAck(ackMin) }, decAck, "07000000000000000100"},
 		{"error/full", errFull, func() []byte { return EncodeError(errFull) }, decErr, "000000000001000004626f6f6d"},
 		{"error/none", errMin, func() []byte { return EncodeError(errMin) }, decErr, "000000000000000000"},
 		{"end/full", endFull, func() []byte { return EncodeEnd(endFull) }, decEnd, "03000000000000000000000002000000"},
@@ -104,8 +105,18 @@ func controlCases() []controlCase {
 	}
 }
 
+// oldPeerHex holds, by case name, what peers that negotiated the retired
+// per-frame dictionary sent for the value: a Setup with flag bit 1 set, and
+// acks ending in the capability byte. Each must still decode to the value.
+var oldPeerHex = map[string]string{
+	"setup/full":     "0807060504030201010302010173026964050003696d670201660201ac0201670003090807020002",
+	"setup-ack/full": "0700000000000000000b6e6f20737563682075646601",
+	"setup-ack/none": "0700000000000000010000",
+}
+
 // TestControlEncodingsPinned holds every control message to its established
-// bytes, and its decoder to reading those bytes back as the value.
+// bytes, and its decoder to reading those bytes, and what older peers sent,
+// back as the value.
 func TestControlEncodingsPinned(t *testing.T) {
 	for _, c := range controlCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -113,12 +124,22 @@ func TestControlEncodingsPinned(t *testing.T) {
 			if got := hex.EncodeToString(enc); got != c.hex {
 				t.Fatalf("encodes as\n\t%s\nwant\n\t%s", got, c.hex)
 			}
-			got, err := c.dec(enc)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
+			inputs := [][]byte{enc}
+			if old, ok := oldPeerHex[c.name]; ok {
+				b, err := hex.DecodeString(old)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inputs = append(inputs, b)
 			}
-			if !reflect.DeepEqual(got, c.val) {
-				t.Fatalf("decoded %+v, want %+v", got, c.val)
+			for _, in := range inputs {
+				got, err := c.dec(in)
+				if err != nil {
+					t.Fatalf("decode %x: %v", in, err)
+				}
+				if !reflect.DeepEqual(got, c.val) {
+					t.Fatalf("%x decoded %+v, want %+v", in, got, c.val)
+				}
 			}
 		})
 	}

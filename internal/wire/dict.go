@@ -9,10 +9,11 @@ import (
 	"csq/internal/types"
 )
 
-// Per-batch value dictionary encoding of tuple batches.
+// Per-batch value dictionary encoding of tuple batches: colstore's chunk
+// codec.
 //
-// A dictionary frame encodes each distinct column value of the batch exactly
-// once and represents rows as uvarint indices into that dictionary, so a
+// A dictionary batch encodes each distinct column value exactly once and
+// represents rows as uvarint indices into that dictionary, so a
 // duplicate-heavy batch costs one encoding per distinct value plus one or two
 // index bytes per occurrence instead of re-encoding every occurrence. The
 // layout is:
@@ -23,10 +24,11 @@ import (
 //
 // Distinctness is byte-level: the value encoding is deterministic, so equal
 // values produce equal encodings and the encoder dedups by comparing encoded
-// bytes (hash-chained). The encoding is only used on sessions that negotiated
-// it (SetupRequest.DictBatches echoed by SetupAck.DictBatches), and only for
-// frames it actually shrinks — AppendTupleBatchAuto falls back to the plain
-// encoding otherwise, so the dictionary never costs bytes.
+// bytes (hash-chained). AppendTupleBatchAuto emits it only for batches it
+// actually shrinks and falls back to the plain encoding otherwise, so the
+// dictionary never costs bytes. colstore writes every column chunk this way
+// and reads it back with DecodeColumnInto; UDF sessions and result streams
+// do not use it.
 
 // dictEncoder is the reusable state of one dictionary encoding pass.
 type dictEncoder struct {
@@ -139,68 +141,6 @@ func appendTupleBatchChoosing(dst []byte, b *TupleBatch, auto bool) ([]byte, boo
 	dst = binary.AppendUvarint(dst, uint64(len(b.Tuples)))
 	dst = append(dst, e.rows...)
 	return dst, true, nil
-}
-
-// SendBatch encodes b — with the per-batch value dictionary when dict is set
-// and it shrinks the frame — and sends it on conn, using plainType or
-// dictType to match the encoding actually emitted. Encoding goes through a
-// pooled buffer so the steady state allocates nothing per frame. It is the
-// single send path shared by the server operators (tuple frames) and the
-// client runtime (result frames).
-func SendBatch(conn *Conn, b *TupleBatch, dict bool, plainType, dictType MsgType) error {
-	buf := GetBuffer()
-	var payload []byte
-	var err error
-	msgType := plainType
-	if dict {
-		var usedDict bool
-		payload, usedDict, err = AppendTupleBatchAuto(*buf, b)
-		if usedDict {
-			msgType = dictType
-		}
-	} else {
-		payload, err = AppendTupleBatch(*buf, b)
-	}
-	if err != nil {
-		PutBuffer(buf)
-		return err
-	}
-	err = conn.Send(msgType, payload)
-	*buf = payload
-	PutBuffer(buf)
-	return err
-}
-
-// DecodeDictBatchInto deserialises a dictionary-encoded TupleBatch into b,
-// reusing b.Tuples' capacity. Like DecodeTupleBatchInto, all decoded values
-// of the frame live in freshly allocated arenas that are never recycled, so
-// the tuples handed out stay valid indefinitely; rows share the dictionary's
-// value entries rather than carrying copies.
-func DecodeDictBatchInto(b *TupleBatch, src []byte) error {
-	if len(src) < 16 {
-		return fmt.Errorf("wire: dict batch too short")
-	}
-	b.SessionID = binary.LittleEndian.Uint64(src)
-	b.Seq = binary.LittleEndian.Uint64(src[8:])
-	off := 16
-	dict, used, err := readDict(src[off:])
-	if err != nil {
-		return fmt.Errorf("wire: dict batch: %w", err)
-	}
-	off += used
-	n, used, err := readRowCount(src[off:])
-	if err != nil {
-		return fmt.Errorf("wire: dict batch: %w", err)
-	}
-	off += used
-	b.Tuples, used, err = decodeRows(b.Tuples, src[off:], n, dict)
-	if err != nil {
-		return fmt.Errorf("wire: dict batch: %w", err)
-	}
-	if off += used; off != len(src) {
-		return fmt.Errorf("wire: dict batch: %d trailing bytes", len(src)-off)
-	}
-	return nil
 }
 
 // readDict reads the dictionary section of a dictionary batch: an entry count,

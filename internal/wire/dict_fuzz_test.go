@@ -18,9 +18,9 @@ func bytesAllocated(f func()) uint64 {
 }
 
 // hostileFrames are the two smallest frames whose counts used to size the
-// decoder's buffers: a 16-byte header, an empty dictionary and a claim of
+// decoders' buffers: a 16-byte header, an empty dictionary and a claim of
 // 1<<24 rows (21 bytes), and a header with a claim of 1<<24 dictionary entries
-// and nothing after it (20 bytes).
+// (or rows, to the plain decoder) and nothing after it (20 bytes).
 func hostileFrames() map[string][]byte {
 	header := make([]byte, 16)
 	return map[string][]byte{
@@ -38,7 +38,6 @@ func TestDecodeHostileCounts(t *testing.T) {
 		t.Fatalf("frames of %d and %d bytes, want 21 and 20", len(frames["rows"]), len(frames["entries"]))
 	}
 	decoders := map[string]func([]byte) error{
-		"dict batch":  func(f []byte) error { var b TupleBatch; return DecodeDictBatchInto(&b, f) },
 		"plain batch": func(f []byte) error { var b TupleBatch; return DecodeTupleBatchInto(&b, f) },
 		"dict column": func(f []byte) error { return DecodeColumnInto(make([]types.Value, 1), 1, 1, f, true) },
 	}
@@ -56,46 +55,85 @@ func TestDecodeHostileCounts(t *testing.T) {
 	}
 }
 
-// FuzzDecodeDictBatch feeds arbitrary bytes to the dictionary and the plain
-// tuple-batch decoders, as a peer's frame of either type. Neither may panic or
-// allocate more than a fixed multiple of the input, and a batch either one
-// accepts must encode again and decode to the same values. Every decode goes
-// into one reused batch, as the lane readers and the client decode frames.
-// Seeds live in testdata/fuzz/FuzzDecodeDictBatch.
+// FuzzDecodeDictBatch feeds arbitrary bytes to the decoders of the batch
+// encodings that remain: the plain tuple-batch decoder a peer's frame meets,
+// and the plain and dictionary column decoders a colstore chunk meets, each
+// asked for the row count the bytes claim. None may panic or allocate more
+// than a fixed multiple of the input, and what one accepts must encode again
+// and decode to the same values. Batch decodes go into one reused batch, as
+// the lane readers and the client decode frames. Seeds live in
+// testdata/fuzz/FuzzDecodeDictBatch.
 func FuzzDecodeDictBatch(f *testing.F) {
-	codecs := []struct {
-		decode func(*TupleBatch, []byte) error
-		encode func([]byte, *TupleBatch) ([]byte, error)
-	}{
-		{DecodeDictBatchInto, func(dst []byte, b *TupleBatch) ([]byte, error) {
-			enc, _, err := appendTupleBatchChoosing(dst, b, false)
-			return enc, err
-		}},
-		{DecodeTupleBatchInto, AppendTupleBatch},
+	// A row, an entry and a cell each take at least one input byte and at
+	// most a tuple header or a Value, plus payload copies and arena regrowth
+	// on ragged rows.
+	bound := func(t *testing.T, data []byte, decode func()) {
+		if n := bytesAllocated(decode); n > uint64(128*len(data)+64<<10) {
+			t.Fatalf("%d input bytes made the decoder allocate %d", len(data), n)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var b, again TupleBatch
-		for _, c := range codecs {
-			var err error
-			// A row, an entry and a cell each take at least one input byte and
-			// at most a tuple header or a Value, plus payload copies and arena
-			// regrowth on ragged rows.
-			if n := bytesAllocated(func() { err = c.decode(&b, data) }); n > uint64(128*len(data)+64<<10) {
-				t.Fatalf("%d input bytes made the decoder allocate %d", len(data), n)
-			}
-			if err != nil {
-				continue
-			}
-			enc, err := c.encode(nil, &b)
+		var err error
+		if bound(t, data, func() { err = DecodeTupleBatchInto(&b, data) }); err == nil {
+			enc, err := AppendTupleBatch(nil, &b)
 			if err != nil {
 				t.Fatalf("decoded a batch that does not encode: %v", err)
 			}
-			if err := c.decode(&again, enc); err != nil {
+			if err := DecodeTupleBatchInto(&again, enc); err != nil {
 				t.Fatalf("re-decode: %v", err)
 			}
 			requireSameBatch(t, &b, &again)
 		}
+		for _, dict := range []bool{false, true} {
+			rows := claimedRows(data, dict)
+			col := make([]types.Value, rows)
+			if bound(t, data, func() { err = DecodeColumnInto(col, 1, rows, data, dict) }); err != nil {
+				continue
+			}
+			rowsOf := &TupleBatch{SessionID: binary.LittleEndian.Uint64(data), Seq: binary.LittleEndian.Uint64(data[8:])}
+			for _, v := range col {
+				rowsOf.Tuples = append(rowsOf.Tuples, types.Tuple{v})
+			}
+			enc, err := AppendTupleBatch(nil, rowsOf)
+			if dict {
+				enc, _, err = appendTupleBatchChoosing(nil, rowsOf, false)
+			}
+			if err != nil {
+				t.Fatalf("decoded a column that does not encode: %v", err)
+			}
+			back := make([]types.Value, rows)
+			if err := DecodeColumnInto(back, 1, rows, enc, dict); err != nil {
+				t.Fatalf("re-decode (dict=%v): %v", dict, err)
+			}
+			for r := range col {
+				if !sameTuple(types.Tuple{col[r]}, types.Tuple{back[r]}) {
+					t.Fatalf("row %d = %v, re-decoded as %v", r, col[r], back[r])
+				}
+			}
+		}
 	})
+}
+
+// claimedRows returns the row count a column batch's bytes claim, past its
+// header and, with dict, its dictionary; 0 when they claim none.
+func claimedRows(data []byte, dict bool) int {
+	if len(data) < 16 {
+		return 0
+	}
+	off := 16
+	if dict {
+		_, used, err := readDict(data[off:])
+		if err != nil {
+			return 0
+		}
+		off += used
+	}
+	n, _, err := readRowCount(data[off:])
+	if err != nil {
+		return 0
+	}
+	return n
 }
 
 // requireSameBatch compares two batches value by value through their

@@ -23,64 +23,77 @@ func dupBatch(n, distinct int) *TupleBatch {
 	return b
 }
 
-// TestDictBatchRoundTripProperty mirrors the plain-batch property test for
-// the dictionary encoding: random batches survive decoding into one reused
-// batch, and tuples from a previous frame stay valid after it is reused.
+// dupColumn is the first column of dupBatch as one-value rows, the shape
+// colstore encodes a column chunk in.
+func dupColumn(n, distinct int) *TupleBatch {
+	b := dupBatch(n, distinct)
+	for i, t := range b.Tuples {
+		b.Tuples[i] = t[:1]
+	}
+	return b
+}
+
+// decodeColumn decodes a column batch of b's length and checks it holds b's
+// values.
+func decodeColumn(t *testing.T, b *TupleBatch, payload []byte, dict bool) {
+	t.Helper()
+	got := make([]types.Value, len(b.Tuples))
+	if err := DecodeColumnInto(got, 1, len(got), payload, dict); err != nil {
+		t.Fatalf("decode (dict=%v): %v", dict, err)
+	}
+	for i, v := range got {
+		if !sameTuple(b.Tuples[i], types.Tuple{v}) {
+			t.Fatalf("row %d = %v, want %v", i, v, b.Tuples[i])
+		}
+	}
+}
+
+// TestDictBatchRoundTripProperty checks the auto encoder's choice on random
+// batches of any width: it emits the forced dictionary encoding only when
+// that is smaller than the plain one, and the exact plain encoding otherwise.
+// Random one-value columns survive the forced dictionary encoding through
+// DecodeColumnInto.
 func TestDictBatchRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	var reused TupleBatch
-	var prev []types.Tuple
-	var prevBatch *TupleBatch
 	for round := 0; round < 200; round++ {
 		want := randomBatch(rng)
-		payload, _, err := appendTupleBatchChoosing(nil, want, false)
+		forced, _, err := appendTupleBatchChoosing(nil, want, false)
 		if err != nil {
 			t.Fatalf("round %d: encode: %v", round, err)
 		}
-		if err := DecodeDictBatchInto(&reused, payload); err != nil {
-			t.Fatalf("round %d: decode into: %v", round, err)
+		plain, err := AppendTupleBatch(nil, want)
+		if err != nil {
+			t.Fatal(err)
 		}
-		requireSameBatch(t, want, &reused)
-		// The auto encoder must emit either a valid dictionary frame or the
-		// exact plain encoding, whichever is smaller.
 		auto, usedDict, err := AppendTupleBatchAuto(nil, want)
 		if err != nil {
 			t.Fatalf("round %d: auto encode: %v", round, err)
 		}
-		if usedDict {
-			if err := DecodeDictBatchInto(&reused, auto); err != nil {
-				t.Fatalf("round %d: decode auto dict: %v", round, err)
-			}
-			requireSameBatch(t, want, &reused)
-			if len(auto) > len(payload) {
-				t.Fatalf("round %d: auto dict frame larger than direct dict encoding", round)
-			}
-		} else {
-			plain, err := AppendTupleBatch(nil, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(auto, plain) {
-				t.Fatalf("round %d: auto fallback differs from plain encoding", round)
-			}
+		if usedDict && (!bytes.Equal(auto, forced) || len(auto) >= len(plain)) {
+			t.Fatalf("round %d: auto picked a dictionary frame of %d B over a plain one of %d B", round, len(auto), len(plain))
 		}
-		if prev != nil {
-			for i := range prev {
-				if !sameTuple(prev[i], prevBatch.Tuples[i]) {
-					t.Fatalf("round %d: reuse clobbered tuple %d of previous frame", round, i)
-				}
-			}
+		if !usedDict && (!bytes.Equal(auto, plain) || len(forced) < len(plain)) {
+			t.Fatalf("round %d: auto fallback is not the smaller plain encoding", round)
 		}
-		prev = append(prev[:0], reused.Tuples...)
-		prevBatch = want
+
+		next := randomColumn(rng)
+		col := &TupleBatch{SessionID: rng.Uint64(), Seq: rng.Uint64()}
+		for n := rng.Intn(40); len(col.Tuples) < n; {
+			col.Tuples = append(col.Tuples, types.Tuple{next()})
+		}
+		payload, _, err := appendTupleBatchChoosing(nil, col, false)
+		if err != nil {
+			t.Fatalf("round %d: column encode: %v", round, err)
+		}
+		decodeColumn(t, col, payload, true)
 	}
 }
 
 // TestDictBatchShrinksDuplicates pins the point of the encoding: a
-// duplicate-heavy batch must get substantially smaller, and the auto encoder
-// must pick the dictionary form for it.
+// duplicate-heavy column must get substantially smaller, and the auto
+// encoder must pick the dictionary form for it.
 func TestDictBatchShrinksDuplicates(t *testing.T) {
-	b := dupBatch(64, 4)
+	b := dupColumn(64, 4)
 	plain, err := AppendTupleBatch(nil, b)
 	if err != nil {
 		t.Fatal(err)
@@ -95,11 +108,7 @@ func TestDictBatchShrinksDuplicates(t *testing.T) {
 	if len(payload)*2 > len(plain) {
 		t.Errorf("dict batch = %d bytes, plain = %d; want at least 2x smaller", len(payload), len(plain))
 	}
-	var got TupleBatch
-	if err := DecodeDictBatchInto(&got, payload); err != nil {
-		t.Fatal(err)
-	}
-	requireSameBatch(t, b, &got)
+	decodeColumn(t, b, payload, true)
 }
 
 // TestDictBatchAutoFallsBack asserts the auto encoder never loses bytes: on
@@ -127,8 +136,7 @@ func TestDictBatchAutoFallsBack(t *testing.T) {
 		t.Errorf("fallback payload must be a valid plain batch: %v", err)
 	}
 
-	// Empty batches (a reply whose rows the pushable predicate all dropped)
-	// must work in both encodings.
+	// Empty batches (a chunk of no rows) must work in both encodings.
 	empty := &TupleBatch{SessionID: 1, Seq: 2}
 	payload, _, err = AppendTupleBatchAuto(nil, empty)
 	if err != nil {
@@ -142,71 +150,32 @@ func TestDictBatchAutoFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := DecodeDictBatchInto(&got, payload); err != nil {
-		t.Fatal(err)
-	}
-	requireSameBatch(t, empty, &got)
+	decodeColumn(t, empty, payload, true)
 }
 
-// TestDecodeDictBatchErrors asserts corrupt dictionary payloads are rejected.
+// TestDecodeDictBatchErrors asserts corrupt dictionary payloads are rejected
+// by the dictionary column decoder.
 func TestDecodeDictBatchErrors(t *testing.T) {
-	payload, _, err := appendTupleBatchChoosing(nil, dupBatch(8, 2), false)
+	b := dupColumn(8, 2)
+	payload, _, err := appendTupleBatchChoosing(nil, b, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got TupleBatch
-	if err := DecodeDictBatchInto(&got, payload[:10]); err == nil {
+	decode := func(p []byte) error { return DecodeColumnInto(make([]types.Value, 8), 1, 8, p, true) }
+	if err := decode(payload[:10]); err == nil {
 		t.Error("short payload should fail")
 	}
-	if err := DecodeDictBatchInto(&got, append(append([]byte(nil), payload...), 0xaa)); err == nil {
+	if err := decode(append(append([]byte(nil), payload...), 0xaa)); err == nil {
 		t.Error("trailing bytes should fail")
 	}
-	if err := DecodeDictBatchInto(&got, payload[:len(payload)-1]); err == nil {
+	if err := decode(payload[:len(payload)-1]); err == nil {
 		t.Error("truncated payload should fail")
 	}
 	// An out-of-range dictionary index must be caught, not read past the
-	// dictionary: flip the last row's last index to a large varint.
+	// dictionary: flip the last row's index to a large varint.
 	bad := append([]byte(nil), payload...)
 	bad[len(bad)-1] = 0x7f
-	if err := DecodeDictBatchInto(&got, bad); err == nil {
+	if err := decode(bad); err == nil {
 		t.Error("out-of-range dictionary index should fail")
-	}
-}
-
-// TestSetupDictNegotiation pins the negotiation bits: the request flag and
-// the ack capability byte round-trip, and an old-format ack (without the
-// capability byte) reads as "no dictionary support".
-func TestSetupDictNegotiation(t *testing.T) {
-	req := &SetupRequest{SessionID: 2, Mode: ModeSemiJoin, InputSchema: shippedSchema(), DictBatches: true}
-	data, err := EncodeSetup(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSetup(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.DictBatches {
-		t.Error("DictBatches flag lost in setup round trip")
-	}
-
-	ack := &SetupAck{SessionID: 2, OK: true, DictBatches: true}
-	back, err := DecodeSetupAck(EncodeSetupAck(ack))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.DictBatches {
-		t.Error("DictBatches capability lost in ack round trip")
-	}
-	// Pre-dictionary ack: sessionID + ok + empty error string, no capability
-	// byte. Must decode cleanly with DictBatches false.
-	old := EncodeSetupAck(&SetupAck{SessionID: 2, OK: true})
-	old = old[:len(old)-1]
-	back, err = DecodeSetupAck(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.DictBatches {
-		t.Error("old-format ack must read as no dictionary support")
 	}
 }

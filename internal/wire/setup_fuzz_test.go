@@ -9,7 +9,7 @@ import (
 // FuzzDecodeSetup feeds arbitrary bytes to both halves of the session
 // handshake: DecodeSetup, which a client runtime runs on the server's
 // MsgSetup, and DecodeSetupAck, which the server runs on the client's reply,
-// with or without its trailing capability byte. Neither may panic, and a value
+// with or without the trailing capability byte older clients sent. Neither may panic, and a value
 // either accepts must encode to bytes that decode to the same value. Seeds live
 // in testdata/fuzz/FuzzDecodeSetup.
 func FuzzDecodeSetup(f *testing.F) {

@@ -8,11 +8,11 @@
 // predictions.
 //
 // A session is established with a SetupRequest describing the execution mode
-// (naive, semi-join, or client-site join), the schema of the tuples that will
-// be shipped, the UDFs to apply, and any pushable predicate / projection to
-// run at the client. Tuples then flow down in TupleBatch messages and results
-// flow back in ResultBatch messages, terminated by End messages in both
-// directions.
+// (semi-join or client-site join), the schema of the tuples that will be
+// shipped, the UDFs to apply, and any pushable predicate / projection to run
+// at the client. Tuples then flow down in TupleBatch messages and results
+// flow back in ResultBatch messages, one reply per batch, until the server
+// closes the session's connection.
 package wire
 
 import (
@@ -50,29 +50,25 @@ const (
 	MsgError
 	// MsgRegisterUDF announces a client-registered UDF (client→server).
 	MsgRegisterUDF
-	// MsgFinalResult carries final query results destined for the client's
-	// result consumer (server→client), used when the final result operator is
-	// merged with a client-site UDF group.
-	MsgFinalResult
+	// Code 8 is retired: it carried final query results to the client's
+	// result consumer, a mode no client serves. It stays reserved.
+	_
 	// MsgProbe carries an opaque padding payload in either direction; the
 	// client answers a probe with a probe whose payload has the size the server
 	// requested. The planner uses probe pairs of different sizes to measure the
 	// live bandwidth of each link direction and hence the network asymmetry N,
 	// without relying on configured values.
 	MsgProbe
-	// MsgTupleBatchDict is a TupleBatch (server→client) in the per-batch value
-	// dictionary encoding: each distinct column value is encoded once and rows
-	// reference it by index. Only sent on sessions that negotiated
-	// DictBatches in the setup handshake.
-	MsgTupleBatchDict
-	// MsgResultBatchDict is a ResultBatch (client→server) in the dictionary
-	// encoding, under the same negotiation.
-	MsgResultBatchDict
+	// Codes 10 and 11 are retired: they carried tuple and result batches in
+	// a per-frame value dictionary that sessions no longer negotiate. They
+	// stay reserved, so no later message code moves.
+	_
+	_
 	// MsgQuery submits a query to the query service (requester→server). The
 	// payload is a QuerySpec; the spec's Caps field requests optional protocol
-	// features (capability-negotiated like the dict-batch flag: the server
-	// echoes the subset it supports in the MsgQueryAck, and the requester only
-	// uses a feature the ack confirmed, so old peers keep working).
+	// features (capability-negotiated: the server echoes the subset it
+	// supports in the MsgQueryAck, and the requester only uses a feature the
+	// ack confirmed, so old peers keep working).
 	MsgQuery
 	// MsgQueryAck answers a MsgQuery (server→requester) with admission status
 	// and the supported capability subset. Result rows then stream back as
@@ -130,14 +126,8 @@ func (t MsgType) String() string {
 		return "ERROR"
 	case MsgRegisterUDF:
 		return "REGISTER_UDF"
-	case MsgFinalResult:
-		return "FINAL_RESULT"
 	case MsgProbe:
 		return "PROBE"
-	case MsgTupleBatchDict:
-		return "TUPLE_BATCH_DICT"
-	case MsgResultBatchDict:
-		return "RESULT_BATCH_DICT"
 	case MsgQuery:
 		return "QUERY"
 	case MsgQueryAck:
@@ -395,13 +385,13 @@ type Probe struct {
 // Mode selects the client-side execution strategy for a session.
 type Mode uint8
 
-// Execution modes, mirroring the three strategies of the paper.
+// Execution modes. Mode 0 is retired: it was the naive strategy, which the
+// server now runs as a semi-join shipping one tuple at a time. It stays
+// reserved, and a client refuses it like any other unknown mode.
 const (
-	// ModeNaive ships one argument tuple per round trip (tuple-at-a-time).
-	ModeNaive Mode = iota
 	// ModeSemiJoin ships duplicate-free argument columns and receives bare
 	// results.
-	ModeSemiJoin
+	ModeSemiJoin Mode = iota + 1
 	// ModeClientJoin ships full records and receives filtered, projected
 	// records with the UDF results appended.
 	ModeClientJoin
@@ -410,8 +400,6 @@ const (
 // String implements fmt.Stringer.
 func (m Mode) String() string {
 	switch m {
-	case ModeNaive:
-		return "naive"
 	case ModeSemiJoin:
 		return "semijoin"
 	case ModeClientJoin:
@@ -452,23 +440,19 @@ type SetupRequest struct {
 	// the result rows itself (Section 5.1.1(d)); no client does, and a
 	// client refuses a setup that sets it. The bit stays reserved.
 	FinalDelivery bool
-	// DictBatches requests the per-batch value dictionary encoding for this
-	// session's tuple traffic (both directions). It is carried as a flag bit
-	// that pre-dictionary clients ignore; the encoding is only used once the
-	// client echoes acceptance in its SetupAck, so old peers keep working on
-	// plain batches.
-	DictBatches bool
+	// Flag bit 1 is retired: it asked for a per-frame value dictionary on
+	// the session's batches. A client ignores it, and acks without the
+	// trailing capability byte that accepted it, which a server that still
+	// sets the bit reads as declined.
 }
 
-// SetupAck is the client's answer to a SetupRequest.
+// SetupAck is the client's answer to a SetupRequest. Acks from clients that
+// accepted the retired per-frame dictionary end in a capability byte; the
+// decoder skips it.
 type SetupAck struct {
 	SessionID uint64
 	OK        bool
 	Error     string
-	// DictBatches confirms the dictionary-encoding request of the setup. It
-	// is encoded as a trailing capability byte that pre-dictionary servers
-	// ignore; its absence reads as false, disabling the encoding.
-	DictBatches bool
 }
 
 // TupleBatch is a batch of shipped tuples (downlink) or returned tuples

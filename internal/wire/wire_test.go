@@ -71,15 +71,23 @@ func TestConnReceiveAfterClose(t *testing.T) {
 }
 
 func TestMsgTypeAndModeStrings(t *testing.T) {
-	for _, mt := range []MsgType{MsgSetup, MsgSetupAck, MsgTupleBatch, MsgResultBatch, MsgEnd, MsgError, MsgRegisterUDF, MsgFinalResult, MsgInvalid} {
-		if mt.String() == "" {
-			t.Errorf("MsgType(%d) has empty string", mt)
+	// Every code a peer may send keeps its number; the retired ones (8, 10
+	// and 11) stay reserved and print as INVALID.
+	codes := []MsgType{MsgInvalid, MsgSetup, MsgSetupAck, MsgTupleBatch, MsgResultBatch, MsgEnd, MsgError, MsgRegisterUDF,
+		8, MsgProbe, 10, 11, MsgQuery, MsgQueryAck, MsgCancel, MsgQueryReject, MsgPrepare, MsgPrepareAck,
+		MsgExecPrepared, MsgResultStream}
+	for code, mt := range codes {
+		if int(mt) != code {
+			t.Errorf("%s is code %d, want %d", mt, mt, code)
+		}
+		if retired := code == 0 || code == 8 || code == 10 || code == 11; retired != (mt.String() == "INVALID") {
+			t.Errorf("MsgType(%d) prints as %s", mt, mt)
 		}
 	}
-	if ModeNaive.String() != "naive" || ModeSemiJoin.String() != "semijoin" || ModeClientJoin.String() != "clientjoin" {
-		t.Error("Mode strings wrong")
+	if ModeSemiJoin != 1 || ModeClientJoin != 2 || ModeSemiJoin.String() != "semijoin" || ModeClientJoin.String() != "clientjoin" {
+		t.Error("Mode codes or strings wrong")
 	}
-	if Mode(99).String() != "unknown" {
+	if Mode(0).String() != "unknown" || Mode(99).String() != "unknown" {
 		t.Error("unknown mode string wrong")
 	}
 	if !strings.Contains(MsgTupleBatch.String(), "TUPLE") {
