@@ -51,7 +51,7 @@ func TestCheckCapabilitiesFindsDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, edit := range []struct{ old, new string }{
-		{"| 5 | `result-stream` |", "| 5 | `result-streams` |"},
+		{"| 6 | `result-vectors` |", "| 6 | `result-vector` |"},
 		{"| 1 | `stats` (retired) |", "| 1 | `stats` |"},
 		{"| 0 | `cancel` |", "0 cancel"},
 	} {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -16,9 +17,13 @@ import (
 	"csq/internal/wire"
 )
 
-// parentCaps is what a requester built before the result-stream encoding
-// asks for.
-const parentCaps = wire.CapCancel | wire.CapTextQuery | wire.CapReject | wire.CapPrepared
+// plainCaps is what a requester built before any result-stream encoding
+// asks for; rowStreamCaps what one of the retired row-major stream encoding
+// asks for, and what such a server echoes at most.
+const (
+	plainCaps     = wire.CapCancel | wire.CapTextQuery | wire.CapReject | wire.CapPrepared
+	rowStreamCaps = plainCaps | 1<<5
+)
 
 // ---- a scripted peer for the requester -------------------------------------
 
@@ -97,7 +102,7 @@ func TestRequesterDamagedFrameEndsQuery(t *testing.T) {
 		// outside the dictionary.
 		1: func(frames []wire.ResultFrame) []wire.ResultFrame {
 			body := bytes.Clone(frames[1].Body)
-			body[3] = 0x7f // the first cell's code
+			body[5] = 0x7f // the first cell's code, after the header and the vector head
 			frames[1] = wire.ResultFrame{Type: frames[1].Type, Body: body}
 			return frames
 		},
@@ -121,7 +126,7 @@ func TestRequesterDamagedFrameEndsQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := q1.Collect()
-	if err == nil || !strings.Contains(err.Error(), "damaged RESULT_STREAM frame") {
+	if err == nil || !strings.Contains(err.Error(), "damaged RESULT_VECTORS frame") {
 		t.Fatalf("collect over a corrupted stream returned %d rows and error %v, want a damaged-frame error", len(got), err)
 	}
 	if len(got) != exec.DefaultBatchSize {
@@ -158,7 +163,7 @@ func TestRequesterDamagedFrameEndsQuery(t *testing.T) {
 func TestRequesterUnreadableFrameFailsConnection(t *testing.T) {
 	r := scriptedServer(t, serverCaps, func(conn *wire.Conn, id uint64) {
 		if id == 2 {
-			_ = conn.Send(wire.MsgResultStream, []byte{1, 2, 3})
+			_ = conn.Send(wire.MsgResultVectors, []byte{1, 2, 3})
 		}
 	})
 	q1, err := r.Submit(wire.QuerySpec{Table: "t"})
@@ -181,11 +186,12 @@ func TestRequesterUnreadableFrameFailsConnection(t *testing.T) {
 
 // TestCollectDetectsMissingFrame is a server that drops one frame of its
 // answer but still reports the full row count: the collector must notice. The
-// server is also one that never echoes the result-stream capability, so the
-// same run pins that a new requester takes plain frames from an old server.
+// server is also one of the row-major stream encoding, which never echoes the
+// column-vector capability, so the same run pins that a new requester takes
+// plain frames from an old server.
 func TestCollectDetectsMissingFrame(t *testing.T) {
 	rows := labelRows(200)
-	r := scriptedServer(t, parentCaps, func(conn *wire.Conn, id uint64) {
+	r := scriptedServer(t, rowStreamCaps, func(conn *wire.Conn, id uint64) {
 		frames := streamOf(t, false, rows)
 		if id == 2 {
 			frames = append(frames[:1:1], frames[2:]...)
@@ -197,7 +203,7 @@ func TestCollectDetectsMissingFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.caps&wire.CapResultStream != 0 {
+	if q.caps != plainCaps {
 		t.Fatal("requester believes a capability the server did not echo")
 	}
 	got, err := q.Collect()
@@ -220,22 +226,24 @@ func TestCollectDetectsMissingFrame(t *testing.T) {
 
 // ---- an old requester against the real server ------------------------------
 
-// oldPeer is a requester from before the result-stream encoding, on a raw
-// connection: it never asks for the capability and fails the test if the
-// server uses it anyway.
+// oldPeer is a requester from before the column-vector encoding, on a raw
+// connection: it asks for caps, which never include the column-vector
+// capability, and fails the test if the server sends anything but plain
+// frames or echoes a bit outside plainCaps.
 type oldPeer struct {
 	t    *testing.T
 	conn *wire.Conn
+	caps uint32
 }
 
-func dialOldPeer(t *testing.T, addr string) *oldPeer {
+func dialOldPeer(t *testing.T, addr string, caps uint32) *oldPeer {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = nc.Close() })
-	return &oldPeer{t: t, conn: wire.NewConn(nc)}
+	return &oldPeer{t: t, conn: wire.NewConn(nc), caps: caps}
 }
 
 func (p *oldPeer) send(typ wire.MsgType, payload []byte) {
@@ -247,7 +255,7 @@ func (p *oldPeer) send(typ wire.MsgType, payload []byte) {
 
 func (p *oldPeer) spec(spec wire.QuerySpec) []byte {
 	p.t.Helper()
-	spec.Caps = parentCaps
+	spec.Caps = p.caps
 	payload, err := wire.EncodeQuerySpec(&spec)
 	if err != nil {
 		p.t.Fatal(err)
@@ -271,8 +279,8 @@ func (p *oldPeer) answer(id uint64) [][]byte {
 			if err != nil || !ack.OK {
 				p.t.Fatalf("ack: %+v, %v", ack, err)
 			}
-			if ack.Caps != parentCaps {
-				p.t.Fatalf("ack caps = %#x, want the requested %#x", ack.Caps, uint32(parentCaps))
+			if want := p.caps & plainCaps; ack.Caps != want {
+				p.t.Fatalf("ack caps = %#x for a request of %#x, want %#x", ack.Caps, p.caps, want)
 			}
 		case wire.MsgResultBatch:
 			payloads = append(payloads, msg.Payload)
@@ -315,9 +323,11 @@ func requireFramesEqual(t *testing.T, what string, got, want [][]byte) {
 }
 
 // TestServerOldRequesterGetsParentBytes pins what a peer without the
-// capability receives: frame for frame the bytes the parent commit sent — for
-// an ad-hoc query, a prepared execution, and a result-cache hit on an answer
-// a new requester's query stored in the stream encoding. The reverse
+// column-vector capability receives, whether it asks for nothing, for the
+// retired row-major stream bit 5 alone, or for everything a requester of the
+// row-major encoding did: frame for frame the plain bytes an old server sent
+// — for ad-hoc queries, a prepared execution, and a result-cache hit on an
+// answer a new requester's query stored as vector frames. The reverse
 // transcoding — a new requester hitting an answer an old peer's query stored
 // plain — gets the same stream bytes as a fresh answer.
 func TestServerOldRequesterGetsParentBytes(t *testing.T) {
@@ -331,7 +341,7 @@ func TestServerOldRequesterGetsParentBytes(t *testing.T) {
 	}
 	want := referenceRun(t, fx, dimsTree)
 
-	// A new requester fills the cache with the stream encoding.
+	// A new requester fills the cache with vector frames.
 	nr, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -355,23 +365,38 @@ func TestServerOldRequesterGetsParentBytes(t *testing.T) {
 		t.Fatal("a new requester's answer was cached in the plain encoding")
 	}
 
-	old := dialOldPeer(t, addr)
-	dims.QueryID = 11
-	old.send(wire.MsgQuery, old.spec(dims))
-	requireFramesEqual(t, "cache hit transcoded for an old peer", old.answer(11), parentFrames(t, 11, want))
-	if hits := srv.svc.Stats().Caches.ResultHits; hits != 1 {
-		t.Fatalf("old peer's query hit the cache %d times, want 1", hits)
+	// Old peers: one that asks for nothing, one that asks only for the
+	// retired row-major stream bit, and one that asks for all the row-major
+	// encoding's requester did. Each is sent the plain bytes, both for a
+	// cache hit on the vector-encoded entry and for a fresh answer.
+	peers := []*oldPeer{dialOldPeer(t, addr, 0), dialOldPeer(t, addr, 1<<5), dialOldPeer(t, addr, rowStreamCaps)}
+	for i, old := range peers {
+		id := uint64(11 + i)
+		dims.QueryID = id
+		old.send(wire.MsgQuery, old.spec(dims))
+		requireFramesEqual(t, fmt.Sprintf("cache hit transcoded for a peer asking for %#x", old.caps), old.answer(id), parentFrames(t, id, want))
+	}
+	if hits := srv.svc.Stats().Caches.ResultHits; hits != int64(len(peers)) {
+		t.Fatalf("old peers' queries hit the cache %d times, want %d", hits, len(peers))
+	}
+	// Uncached ad-hoc queries, one per peer; the last is the labels answer.
+	var wantLabels []types.Tuple
+	for i, project := range [][]int{{0}, {1, 0}, {1}} {
+		spec := wire.QuerySpec{QueryID: uint64(21 + i), Table: "dims", Project: project}
+		tree, err := srv.buildTree(&spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLabels = referenceRun(t, fx, tree)
+		peers[i].send(wire.MsgQuery, peers[i].spec(spec))
+		requireFramesEqual(t, fmt.Sprintf("fresh answer for a peer asking for %#x", peers[i].caps), peers[i].answer(spec.QueryID), parentFrames(t, spec.QueryID, wantLabels))
+	}
+	if misses := srv.svc.Stats().Caches.ResultMisses; misses != 4 {
+		t.Fatalf("%d result cache misses, want the new requester's and the three fresh answers", misses)
 	}
 
-	// An uncached ad-hoc query and a prepared execution, both plain.
-	labels := wire.QuerySpec{QueryID: 12, Table: "dims", Project: []int{1}}
-	labelsTree, err := srv.buildTree(&labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLabels := referenceRun(t, fx, labelsTree)
-	old.send(wire.MsgQuery, old.spec(labels))
-	requireFramesEqual(t, "ad-hoc query", old.answer(12), parentFrames(t, 12, wantLabels))
+	// A prepared execution, plain: a hit on the old peer's own plain entry.
+	old, labels := peers[2], wire.QuerySpec{Table: "dims", Project: []int{1}}
 	labels.QueryID = 13
 	old.send(wire.MsgPrepare, old.spec(labels))
 	old.send(wire.MsgExecPrepared, wire.EncodeExecPrepared(&wire.ExecPrepared{StatementID: 13, QueryID: 14}))

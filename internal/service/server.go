@@ -22,8 +22,8 @@ import (
 // Server is the wire front-end of a Service: it listens for requester
 // connections speaking the framed protocol's MsgQuery/MsgCancel extension and
 // streams query results back as result frames (SessionID = query ID; in the
-// stream-dictionary encoding for requesters that negotiated
-// wire.CapResultStream, as plain MsgResultBatch frames otherwise) terminated
+// column-vector encoding for requesters that negotiated
+// wire.CapResultVectors, as plain MsgResultBatch frames otherwise) terminated
 // by MsgEnd, or MsgError on failure.
 //
 // One connection multiplexes any number of concurrent queries. A requester
@@ -319,7 +319,7 @@ func (s *Server) serveQuery(conn *wire.Conn, owned *sync.Map, stmts map[uint64]*
 	// Results stream straight onto the control connection as they are
 	// produced; the connection serialises concurrent queries' frames.
 	req.Frames = &FrameSink{
-		Stream: caps&wire.CapResultStream != 0,
+		Stream: caps&wire.CapResultVectors != 0,
 		Write:  func(frames []wire.ResultFrame) error { return conn.SendResultFrames(id, frames) },
 	}
 	// The stream is counted before the submission, under s.mu, so it never
@@ -536,7 +536,7 @@ func (r *Requester) readLoop() {
 			return
 		}
 		switch msg.Type {
-		case wire.MsgQueryAck, wire.MsgPrepareAck, wire.MsgResultBatch, wire.MsgResultStream,
+		case wire.MsgQueryAck, wire.MsgPrepareAck, wire.MsgResultBatch, wire.MsgResultVectors,
 			wire.MsgEnd, wire.MsgError, wire.MsgQueryReject:
 		default:
 			continue // not part of any query's stream
@@ -563,7 +563,7 @@ func (r *Requester) readLoop() {
 // it, and end.
 func (q *resultStream) deliver(msg wire.Message) error {
 	switch msg.Type {
-	case wire.MsgResultBatch, wire.MsgResultStream:
+	case wire.MsgResultBatch, wire.MsgResultVectors:
 		rows, err := q.dec.DecodeFrame(wire.ResultFrame{Type: msg.Type, Body: msg.Payload[8:]})
 		if err == nil {
 			q.rows = append(q.rows, rows)

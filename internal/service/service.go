@@ -168,9 +168,9 @@ type Request struct {
 // (see wire.ResultEncoder), each without the query ID its payload starts
 // with: the sink stamps its own.
 type FrameSink struct {
-	// Stream selects the stream-dictionary encoding. False yields plain
+	// Stream selects the column-vector encoding. False yields plain
 	// MsgResultBatch frames only: what a peer that did not negotiate
-	// wire.CapResultStream must be sent.
+	// wire.CapResultVectors must be sent.
 	Stream bool
 	// Write receives the result's next frames, in order: one at a time as
 	// they are produced, or a cached answer's all at once. The bodies are
@@ -799,9 +799,9 @@ func (q *Query) run(ctx context.Context, req Request) {
 type cachedResult struct {
 	// frames is the result stream, in order.
 	frames []wire.ResultFrame
-	// stream tells which encoder produced frames: the stream-dictionary one,
+	// stream tells which encoder produced frames: the column-vector one,
 	// or the plain one (the query that filled the entry came from a peer
-	// without wire.CapResultStream).
+	// without wire.CapResultVectors).
 	stream bool
 	// rows is the answer's row count, what the stream's End frame reports.
 	rows int64

@@ -101,13 +101,16 @@ func EncodeSetupAck(a *SetupAck) []byte {
 	return appendString(dst, a.Error)
 }
 
-// DecodeSetupAck deserialises a SetupAck. What follows the error string is
-// the capability byte of clients that accepted the retired per-frame
-// dictionary; it is skipped.
+// DecodeSetupAck deserialises a SetupAck. One byte may follow the error
+// string: the capability byte of clients that accepted the retired per-frame
+// dictionary, which is skipped. Anything longer is refused.
 func DecodeSetupAck(src []byte) (*SetupAck, error) {
 	r := reader{msg: "setup ack", src: src}
 	a := &SetupAck{SessionID: r.u64(), OK: r.u8() != 0, Error: r.str()}
-	return decoded(a, r.err)
+	if r.more() {
+		r.u8()
+	}
+	return decoded(a, r.end())
 }
 
 // AppendTupleBatch appends the serialisation of a TupleBatch to dst and

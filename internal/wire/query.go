@@ -14,7 +14,7 @@ import (
 //	requester → server   MsgRegisterUDF*  (optional: announce client UDFs)
 //	requester → server   MsgQuery{QuerySpec}
 //	server → requester   MsgQueryAck{OK, Caps}
-//	server → requester   MsgResultBatch* | MsgResultStream*  (SessionID = QueryID)
+//	server → requester   MsgResultBatch* | MsgResultVectors*  (SessionID = QueryID)
 //	server → requester   MsgEnd{Rows}  |  MsgError
 //	requester → server   MsgCancel{QueryID}  (any time after an ack with CapCancel)
 //
@@ -45,10 +45,14 @@ const (
 	// statement frames. Requesters must not send them to a server that has not
 	// echoed this bit in a MsgQueryAck or MsgPrepareAck.
 	CapPrepared uint32 = 1 << 4
-	// CapResultStream: the requester decodes MsgResultStream frames, so the
-	// server may send the query's result in the stream-dictionary encoding.
-	// Without the echo the result arrives as plain MsgResultBatch frames.
-	CapResultStream uint32 = 1 << 5
+	// Bit 5 is retired: it asked for the row-major stream-dictionary encoding
+	// of results (message code 19). A server no longer echoes it, so
+	// a requester that asks only for it gets plain MsgResultBatch frames.
+
+	// CapResultVectors: the requester decodes MsgResultVectors frames, so the
+	// server may send the query's result as column vectors. Without the echo
+	// the result arrives as plain MsgResultBatch frames.
+	CapResultVectors uint32 = 1 << 6
 )
 
 // Capability names one bit of the capability words.
@@ -69,7 +73,8 @@ var Capabilities = []Capability{
 	{Bit: CapTextQuery, Name: "text-query"},
 	{Bit: CapReject, Name: "reject"},
 	{Bit: CapPrepared, Name: "prepared"},
-	{Bit: CapResultStream, Name: "result-stream"},
+	{Bit: 1 << 5, Name: "result-stream", Retired: true},
+	{Bit: CapResultVectors, Name: "result-vectors"},
 }
 
 // AllCaps is every capability this build implements, on either side of the

@@ -13,7 +13,7 @@ import (
 // after it returns its zero value, so a decoder reads its whole layout and
 // looks at the error once. An optional trailer is read when more() says bytes
 // remain; end() refuses trailing bytes. The hot decoders (tuple, dictionary,
-// result-stream and column batches) keep their inline loops instead.
+// result-vector and column batches) keep their inline loops instead.
 type reader struct {
 	msg string // the message's name, for errors
 	src []byte

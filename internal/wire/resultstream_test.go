@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"strings"
@@ -120,12 +122,33 @@ func randomColumn(rng *rand.Rand) func() types.Value {
 	}
 }
 
+// typedNulls makes gen's NULLs take the kind of its first non-NULL value,
+// as a column of a schema would; a NULL drawn before that is an INT.
+func typedNulls(gen func() types.Value) func() types.Value {
+	kind := types.KindInt
+	seen := false
+	return func() types.Value {
+		v := gen()
+		if v.IsNull() {
+			return types.Null(kind)
+		}
+		if !seen {
+			kind, seen = v.Kind(), true
+		}
+		return v
+	}
+}
+
 // randomStream draws a schema and a result over it, split into frames of
-// random sizes that include empty and single-row ones.
+// random sizes that include empty and single-row ones. Most columns have
+// NULLs of their own kind; the rest, and the columns of any kind, go plain.
 func randomStream(rng *rand.Rand) streamFixture {
 	cols := make([]func() types.Value, rng.Intn(6))
 	for c := range cols {
 		cols[c] = randomColumn(rng)
+		if rng.Intn(4) > 0 {
+			cols[c] = typedNulls(cols[c])
+		}
 	}
 	var fx streamFixture
 	for f, frames := 0, 1+rng.Intn(12); f < frames; f++ {
@@ -142,13 +165,29 @@ func randomStream(rng *rand.Rand) streamFixture {
 	return fx
 }
 
+// vectorShaped reports whether every column of rows holds one kind, NULLs
+// included, with no NULL at all: such a frame must go out as vectors.
+func vectorShaped(rows []types.Tuple) bool {
+	for _, r := range rows {
+		for c, v := range r {
+			if v.IsNull() || v.Kind() != rows[0][c].Kind() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestResultStreamRoundTripProperty is the codec's contract on random
 // results: the stream decodes to the rows that went in, the same rows in the
-// same frames give the same bytes, the plain twin is AppendTupleBatch's, and
-// the stream costs no more than plain plus one byte per cell of each column's
-// last probe window.
+// same frames give the same bytes, the plain twin is AppendTupleBatch's, a
+// vector frame never has fewer bytes than cells, and the stream costs no more
+// than plain plus one byte per INT cell (a delta past 2⁶³ takes ten), a
+// vector head and bitmap per column and frame, and one byte per cell of each
+// column's last probe window.
 func TestResultStreamRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	vectors, plains := 0, 0
 	for round := 0; round < 300; round++ {
 		fx := randomStream(rng)
 		frames := encodeStream(t, true, fx)
@@ -163,7 +202,7 @@ func TestResultStreamRoundTripProperty(t *testing.T) {
 
 		plain := encodeStream(t, false, fx)
 		requireRowsEqual(t, fx.rows(), decodeStream(t, plain))
-		maxFrame, width := 0, 0
+		maxFrame, width, allowance := 0, 0, 0
 		for i, rows := range fx {
 			want, err := AppendTupleBatch(nil, &TupleBatch{SessionID: 9, Tuples: rows})
 			if err != nil {
@@ -175,15 +214,35 @@ func TestResultStreamRoundTripProperty(t *testing.T) {
 			if len(rows) > 0 {
 				maxFrame, width = max(maxFrame, len(rows)), len(rows[0])
 			}
-			if want := len(rows) == 0 || width > 0; (frames[i].Type == MsgResultStream) != want {
-				t.Fatalf("round %d: frame %d (%d rows × %d columns) is %s", round, i, len(rows), width, frames[i].Type)
+			switch frames[i].Type {
+			case MsgResultVectors:
+				vectors++
+				if cells := len(rows) * width; len(frames[i].Body) < cells {
+					t.Fatalf("round %d: vector frame %d has %d cells in %d bytes", round, i, cells, len(frames[i].Body))
+				}
+			case MsgResultBatch:
+				plains++
+				if len(rows) == 0 || (width > 0 && vectorShaped(rows)) {
+					t.Fatalf("round %d: frame %d (%d rows × %d columns) went plain", round, i, len(rows), width)
+				}
+			}
+			allowance += width * (2 + (len(rows)+7)/8)
+			for _, r := range rows {
+				for _, v := range r {
+					if v.Kind() == types.KindInt {
+						allowance++
+					}
+				}
 			}
 		}
 		// A window closes at the first frame boundary past the probe length.
-		probe := width * (ResultStreamProbeCells + maxFrame)
-		if got, bound := streamBytes(frames), streamBytes(plain)+probe; got > bound {
-			t.Fatalf("round %d: stream is %d B, plain %d B + probe allowance %d B", round, got, streamBytes(plain), probe)
+		allowance += width * (ResultStreamProbeCells + maxFrame)
+		if got, bound := streamBytes(frames), streamBytes(plain)+allowance; got > bound {
+			t.Fatalf("round %d: stream is %d B, plain %d B + allowance %d B", round, got, streamBytes(plain), allowance)
 		}
+	}
+	if vectors < 300 || plains < 100 {
+		t.Fatalf("%d vector and %d plain frames: the generator no longer reaches both", vectors, plains)
 	}
 }
 
@@ -240,7 +299,10 @@ func TestResultStreamRawSwitch(t *testing.T) {
 		return types.Tuple{types.NewInt(int64(i)), types.NewString("same")}
 	}
 	const frameRows = 64
-	cellBytes := 9 + 1 // a raw INT and a one-byte reference
+	// Raw, the Id column is its head, a two-byte delta from 0 to the frame's
+	// first Id, and one-byte deltas of 1; the constant column its head and
+	// one-byte references.
+	rawFrame := 3 + (2 + 2 + frameRows - 1) + (2 + frameRows)
 	switched := -1
 	for f := 0; f < 8; f++ {
 		rows := make([]types.Tuple, frameRows)
@@ -258,11 +320,11 @@ func TestResultStreamRawSwitch(t *testing.T) {
 		requireRowsEqual(t, rows, got)
 		if enc.cols[0].raw && switched < 0 {
 			switched = f
-			if len(frame.Body) != 3+1+frameRows*cellBytes {
-				t.Fatalf("switching frame is %d B, want header+ordinal+%d", len(frame.Body), frameRows*cellBytes)
+			if len(frame.Body) != rawFrame+1 {
+				t.Fatalf("switching frame is %d B, want %d and the switched ordinal", len(frame.Body), rawFrame)
 			}
-		} else if switched >= 0 && len(frame.Body) != 3+frameRows*cellBytes {
-			t.Fatalf("frame %d after the switch is %d B, want %d", f, len(frame.Body), 3+frameRows*cellBytes)
+		} else if switched >= 0 && len(frame.Body) != rawFrame {
+			t.Fatalf("frame %d after the switch is %d B, want %d", f, len(frame.Body), rawFrame)
 		}
 	}
 	if want := ResultStreamProbeCells / frameRows; switched != want {
@@ -323,50 +385,154 @@ func TestResultStreamDictionaryCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first.Body) != 3+1 {
-		t.Fatalf("value retained before the cap costs %d B after it, want a one-byte reference", len(first.Body)-3)
+	if len(first.Body) != 3+2+1 {
+		t.Fatalf("value retained before the cap costs %d B after it, want a one-byte reference", len(first.Body)-3-2)
 	}
 }
 
-// TestResultStreamFallsBackPlain feeds the encoder what a stream frame cannot
-// express: the frame goes out plain, decodes, and disturbs neither side.
+// TestResultStreamFallsBackPlain feeds the encoder what a vector frame
+// cannot express: the frame goes out plain, decodes, and disturbs neither
+// side.
 func TestResultStreamFallsBackPlain(t *testing.T) {
 	a, b := types.NewString("a"), types.NewString("b")
+	nullInt := types.Null(types.KindInt)
+	allNull := make([]types.Tuple, 64)
+	for r := range allNull {
+		allNull[r] = types.Tuple{nullInt, types.Null(types.KindString)}
+	}
 	fx := streamFixture{
 		{{a, b}, {a, b}},
-		{{a}, {a, b, b}}, // ragged
-		{{a, b, a}},      // not the stream's width
+		{{a}, {a, b, b}},               // ragged
+		{{a, b, a}},                    // not the stream's width
+		{{a, b}, {types.NewInt(1), b}}, // a column of two kinds
+		{{a, b}, {nullInt, b}},         // a NULL of another kind
+		allNull,                        // 20 bytes of vectors for 128 cells
 		{{a, b}},
 	}
 	frames := encodeStream(t, true, fx)
-	for i, want := range []MsgType{MsgResultStream, MsgResultBatch, MsgResultBatch, MsgResultStream} {
+	for i, want := range []MsgType{MsgResultVectors, MsgResultBatch, MsgResultBatch, MsgResultBatch, MsgResultBatch, MsgResultBatch, MsgResultVectors} {
 		if frames[i].Type != want {
 			t.Fatalf("frame %d is %s, want %s", i, frames[i].Type, want)
 		}
 	}
 	requireRowsEqual(t, fx.rows(), decodeStream(t, frames))
-	if want := []byte{2, 1, 0, streamFirstRef, streamFirstRef}; !bytes.Equal(frames[3].Body, want) {
-		t.Fatalf("frame after the plain ones = %v, want references %v into the untouched dictionary", frames[3].Body, want)
+	str := byte(types.KindString)
+	if want := []byte{2, 1, 0, str, 0, streamFirstRef, str, 0, streamFirstRef}; !bytes.Equal(frames[6].Body, want) {
+		t.Fatalf("frame after the plain ones = %v, want references %v into the untouched dictionary", frames[6].Body, want)
+	}
+}
+
+// hotAnswer is the hot_rw answer's shape: rows × (K, K%97, K*0.5).
+func hotAnswer(rows int) streamFixture {
+	var fx streamFixture
+	for off := 0; off < rows; off += 64 {
+		frame := make([]types.Tuple, 0, 64)
+		for k := off; k < min(off+64, rows); k++ {
+			frame = append(frame, types.Tuple{types.NewInt(int64(k)), types.NewInt(int64(k % 97)), types.NewFloat(float64(k) * 0.5)})
+		}
+		fx = append(fx, frame)
+	}
+	return fx
+}
+
+// wireBytes is what frames cost on a connection: each frame's 5-byte header
+// and 8-byte query ID besides its body.
+func wireBytes(frames []ResultFrame) int { return streamBytes(frames) + len(frames)*(5+8) }
+
+// TestResultVectorBytes pins the encoding's size on the two answers it was
+// built for, in 64-row frames, against what the row-major stream-dictionary
+// encoding it replaced sent for the same frames.
+func TestResultVectorBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		fx             streamFixture
+		want, rowMajor int
+	}{
+		// udf_semijoin_lan: Id and a 64-byte T with 800 distinct values.
+		{"semijoin", dupAnswer(8000, 800), 76860, 141036},
+		// hot_rw: K, K%97, K*0.5.
+		{"hot", hotAnswer(4000), 42120, 78395},
+	} {
+		frames := encodeStream(t, true, tc.fx)
+		requireRowsEqual(t, tc.fx.rows(), decodeStream(t, frames))
+		got := wireBytes(frames)
+		t.Logf("%s: %d B, row-major %d B (%.1f%%)", tc.name, got, tc.rowMajor, 100*float64(got)/float64(tc.rowMajor))
+		if got != tc.want {
+			t.Errorf("%s: %d B on the wire, want %d", tc.name, got, tc.want)
+		}
+		if got*100 > tc.rowMajor*56 {
+			t.Errorf("%s: %d B is more than 56%% of the row-major encoding's %d B", tc.name, got, tc.rowMajor)
+		}
+	}
+}
+
+// TestResultVectorEdgeCases round-trips the cells a column vector codes
+// specially — an INT delta that wraps, NULLs of every kind, −0 and NaN bits —
+// and a raw switch in the middle of a stream, in one stream.
+func TestResultVectorEdgeCases(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+	kinds := []types.Kind{types.KindInt, types.KindFloat, types.KindString, types.KindBool, types.KindBytes, types.KindTimeSeries}
+	sample := []types.Value{types.NewInt(3), types.NewFloat(1.5), types.NewString("s"), types.NewBool(true),
+		types.NewBytes([]byte{1, 2}), types.NewTimeSeries(types.TimeSeries{1, 2})}
+	// Wrapping deltas, both ways, beside −0 and two NaNs.
+	wrap := streamFixture{{
+		{types.NewInt(math.MaxInt64), types.NewFloat(math.Copysign(0, -1))},
+		{types.NewInt(math.MinInt64), types.NewFloat(0)},
+		{types.NewInt(math.MaxInt64), types.NewFloat(nan)},
+		{types.NewInt(math.MinInt64), types.NewFloat(math.NaN())},
+	}}
+	// Every kind with a NULL in it, beside enough values to pay for the bitmap.
+	row := make(types.Tuple, 0, 2*len(kinds))
+	nullRow := make(types.Tuple, 0, 2*len(kinds))
+	for i, k := range kinds {
+		row = append(row, sample[i], types.NewInt(int64(i)))
+		nullRow = append(nullRow, types.Null(k), types.NewInt(int64(i)))
+	}
+	for _, fx := range []streamFixture{wrap, {{row, nullRow, row}}} {
+		frames := encodeStream(t, true, fx)
+		if frames[0].Type != MsgResultVectors {
+			t.Fatalf("%v went %s", fx[0][0], frames[0].Type)
+		}
+		requireRowsEqual(t, fx.rows(), decodeStream(t, frames))
+	}
+
+	// A raw switch mid-stream: a unique column leaves dictionary coding after
+	// its probe window, a repeating one stays, and every frame decodes.
+	enc := NewResultEncoder(true)
+	var dec ResultDecoder
+	for f := 0; f < 12; f++ {
+		rows := make([]types.Tuple, 40)
+		for r := range rows {
+			i := f*len(rows) + r
+			rows[r] = types.Tuple{types.NewString(fmt.Sprint(i * 7919)), types.NewString([]string{"red", "green", "blue"}[i%3]), types.NewInt(int64(-i))}
+		}
+		frame, err := enc.AppendFrame(nil, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dec.DecodeFrame(frame)
+		if err != nil {
+			t.Fatalf("frame %d: %v", f, err)
+		}
+		requireRowsEqual(t, rows, got)
+	}
+	if !enc.cols[0].raw || !dec.cols[0].raw || enc.cols[1].raw || dec.cols[1].raw {
+		t.Fatalf("raw columns: encoder %v %v, decoder %v %v; want the unique one only", enc.cols[0].raw, enc.cols[1].raw, dec.cols[0].raw, dec.cols[1].raw)
 	}
 }
 
 // TestResultStreamDecodeRejects walks the decoder's limits: every malformed
 // frame is an error, never a panic or a silent short answer.
 func TestResultStreamDecodeRejects(t *testing.T) {
-	val := func(v types.Value) []byte {
-		b, err := types.EncodeValue(nil, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	one := val(types.NewInt(1))
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	uv := func(x uint64) []byte { return binary.AppendUvarint(nil, x) }
+	intVec := []byte{byte(types.KindInt), 0}
+	strVec := []byte{byte(types.KindString), 0}
+	one := []byte{2} // the INT 1, a zigzag delta from 0
 	// primed has decoded one frame: column 0 holds one entry, column 1 is raw.
 	primed := func() *ResultDecoder {
 		d := &ResultDecoder{}
-		if _, err := d.DecodeFrame(ResultFrame{MsgResultStream, cat([]byte{2, 1, 1, 1, streamLiteralRetained}, one, one)}); err != nil {
+		if _, err := d.DecodeFrame(ResultFrame{MsgResultVectors, cat([]byte{2, 1, 1, 1}, intVec, []byte{streamLiteralRetained}, one, intVec, one)}); err != nil {
 			t.Fatal(err)
 		}
 		return d
@@ -383,26 +549,35 @@ func TestResultStreamDecodeRejects(t *testing.T) {
 		{"row count over the limit", &ResultDecoder{}, cat([]byte{1}, uv(maxResultStreamRows+1), []byte{0})},
 		{"column count over the limit", &ResultDecoder{}, cat(uv(maxResultStreamColumns+1), []byte{1, 0})},
 		{"rows without columns", &ResultDecoder{}, []byte{0, 5, 0}},
-		{"more cells than bytes", &ResultDecoder{}, cat([]byte{4}, uv(1000), []byte{0, 1})},
-		{"width differs from the stream's", primed(), cat([]byte{1, 1, 0, streamLiteral}, one)},
+		{"more cells than bytes", &ResultDecoder{}, cat([]byte{4}, uv(1000), []byte{0}, intVec)},
+		{"width differs from the stream's", primed(), cat([]byte{1, 1, 0}, intVec, []byte{streamLiteral}, one)},
 		{"more raw switches than columns", primed(), []byte{2, 1, 3}},
 		{"raw switch of a missing column", primed(), []byte{2, 1, 1, 2}},
 		{"raw switch of a raw column", primed(), []byte{2, 1, 1, 1}},
-		{"raw switches out of order", &ResultDecoder{}, cat([]byte{2, 1, 2, 1, 0}, one, one)},
-		{"reference past the dictionary", primed(), cat([]byte{2, 1, 0, streamFirstRef + 1}, one)},
-		{"reference into an empty dictionary", &ResultDecoder{}, []byte{1, 1, 0, streamFirstRef}},
-		{"truncated literal", primed(), cat([]byte{2, 1, 0, streamLiteral}, one[:4])},
-		{"unknown value kind", primed(), cat([]byte{2, 1, 0, streamLiteral, 0x7f}, one)},
-		{"missing cell", primed(), cat([]byte{2, 2, 0, streamFirstRef}, one, []byte{streamFirstRef})},
-		{"trailing bytes", primed(), cat([]byte{2, 1, 0, streamFirstRef}, one, []byte{0})},
+		{"raw switches out of order", &ResultDecoder{}, cat([]byte{2, 1, 2, 1, 0}, intVec, one, intVec, one)},
+		{"reference past the dictionary", primed(), cat([]byte{2, 1, 0}, intVec, []byte{streamFirstRef + 1}, intVec, one)},
+		{"reference into an empty dictionary", &ResultDecoder{}, cat([]byte{1, 1, 0}, intVec, []byte{streamFirstRef})},
+		{"reference to an entry of another kind", primed(), cat([]byte{2, 1, 0}, strVec, []byte{streamFirstRef}, intVec, one)},
+		{"truncated literal", primed(), cat([]byte{2, 1, 0}, strVec, []byte{streamLiteral, 5, 'a', 'b'})},
+		{"unterminated INT delta", primed(), cat([]byte{2, 1, 0}, intVec, []byte{streamLiteral, 0x80, 0x80})},
+		{"unknown vector kind", primed(), cat([]byte{2, 1, 0}, []byte{0x7f, 0}, []byte{streamLiteral}, one, intVec, one)},
+		{"unknown vector flags", primed(), cat([]byte{2, 1, 0}, []byte{byte(types.KindInt), 2}, []byte{streamLiteral}, one, intVec, one)},
+		{"short null bitmap", &ResultDecoder{}, cat([]byte{1, 1, 0}, []byte{byte(types.KindInt), 1})},
+		{"payload in a vector of NULLs", &ResultDecoder{}, cat([]byte{1, 1, 0}, []byte{byte(types.KindNull), 0}, []byte{streamLiteral, 0})},
+		{"missing column", primed(), cat([]byte{2, 1, 0}, intVec, []byte{streamFirstRef})},
+		{"missing cell", primed(), cat([]byte{2, 2, 0}, intVec, []byte{streamFirstRef, streamFirstRef}, intVec, one)},
+		{"trailing bytes", primed(), cat([]byte{2, 1, 0}, intVec, []byte{streamFirstRef}, intVec, one, []byte{0})},
 	}
 	for _, tc := range cases {
-		if rows, err := tc.dec.DecodeFrame(ResultFrame{MsgResultStream, tc.body}); err == nil {
+		if rows, err := tc.dec.DecodeFrame(ResultFrame{MsgResultVectors, tc.body}); err == nil {
 			t.Errorf("%s: decoded %d rows, want an error", tc.name, len(rows))
 		}
 	}
 	if _, err := (&ResultDecoder{}).DecodeFrame(ResultFrame{MsgEnd, make([]byte, 16)}); err == nil {
 		t.Error("a MsgEnd payload decoded as a result frame")
+	}
+	if _, err := (&ResultDecoder{}).DecodeFrame(ResultFrame{19, []byte{0, 0, 0}}); err == nil {
+		t.Error("a frame of the retired row-major stream code decoded")
 	}
 	if _, err := (&ResultDecoder{}).DecodeFrame(ResultFrame{MsgResultBatch, []byte{0, 0, 0}}); err == nil {
 		t.Error("a plain frame shorter than its sequence number decoded")
@@ -410,12 +585,12 @@ func TestResultStreamDecodeRejects(t *testing.T) {
 
 	// A frame that retains past the cap is refused even though each literal
 	// is well-formed.
-	big := val(types.NewBytes(make([]byte, ResultStreamDictBytes/2)))
+	big := cat([]byte{byte(types.KindBytes), 0, streamLiteralRetained}, uv(ResultStreamDictBytes/2), make([]byte, ResultStreamDictBytes/2))
 	d := &ResultDecoder{}
-	if _, err := d.DecodeFrame(ResultFrame{MsgResultStream, cat([]byte{1, 1, 0, streamLiteralRetained}, big)}); err != nil {
+	if _, err := d.DecodeFrame(ResultFrame{MsgResultVectors, cat([]byte{1, 1, 0}, big)}); err != nil {
 		t.Fatalf("first half-cap entry: %v", err)
 	}
-	if _, err := d.DecodeFrame(ResultFrame{MsgResultStream, cat([]byte{1, 1, 0, streamLiteralRetained}, big)}); err == nil {
+	if _, err := d.DecodeFrame(ResultFrame{MsgResultVectors, cat([]byte{1, 1, 0}, big)}); err == nil {
 		t.Fatal("decoder retained past ResultStreamDictBytes")
 	}
 }
@@ -463,7 +638,8 @@ func TestSendResultFrames(t *testing.T) {
 }
 
 // TestCapabilityTable pins the table every capability user reads: distinct
-// single bits, the retired one left out of AllCaps.
+// single bits, the retired ones (1 and 5) kept in the table and left out of
+// AllCaps.
 func TestCapabilityTable(t *testing.T) {
 	seen := uint32(0)
 	names := map[string]bool{}
@@ -474,12 +650,17 @@ func TestCapabilityTable(t *testing.T) {
 		seen |= c.Bit
 		names[c.Name] = true
 	}
-	want := CapCancel | CapTextQuery | CapReject | CapPrepared | CapResultStream
+	want := CapCancel | CapTextQuery | CapReject | CapPrepared | CapResultVectors
 	if AllCaps() != want {
 		t.Fatalf("AllCaps = %#x, want %#x", AllCaps(), want)
 	}
-	if AllCaps()&(1<<1) != 0 {
-		t.Fatal("retired bit 1 is offered")
+	for _, bit := range []uint32{1 << 1, 1 << 5} {
+		if AllCaps()&bit != 0 || seen&bit == 0 {
+			t.Fatalf("retired bit %#x is offered, or left out of the table", bit)
+		}
+	}
+	if CapResultVectors != 1<<6 {
+		t.Fatalf("CapResultVectors is %#x, want bit 6", CapResultVectors)
 	}
 }
 

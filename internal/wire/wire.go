@@ -72,7 +72,7 @@ const (
 	MsgQuery
 	// MsgQueryAck answers a MsgQuery (server→requester) with admission status
 	// and the supported capability subset. Result rows then stream back as
-	// MsgResultBatch (or, with CapResultStream, MsgResultStream) frames whose
+	// MsgResultBatch (or, with CapResultVectors, MsgResultVectors) frames whose
 	// SessionID is the query ID, terminated by a MsgEnd carrying the row count
 	// (or a MsgError).
 	MsgQueryAck
@@ -101,12 +101,16 @@ const (
 	// payload names the statement ID plus a fresh per-execution QueryID;
 	// results stream back exactly as for MsgQuery.
 	MsgExecPrepared
-	// MsgResultStream carries query result rows (server→requester) in the
-	// stream-dictionary encoding (see ResultEncoder): cells reference values
-	// earlier frames of the same query's stream introduced. Only sent for
-	// queries whose ack (or whose statement's MsgPrepareAck) confirmed
-	// CapResultStream; it may be interleaved with plain MsgResultBatch frames.
-	MsgResultStream
+	// Code 19 is retired: it carried query result rows in a row-major
+	// stream-dictionary encoding, negotiated by the retired capability bit 5.
+	// It stays reserved.
+	_
+	// MsgResultVectors carries query result rows (server→requester) as column
+	// vectors (see ResultEncoder): cells may reference values earlier frames
+	// of the same query's stream introduced. Only sent for queries whose ack
+	// (or whose statement's MsgPrepareAck) confirmed CapResultVectors; it may
+	// be interleaved with plain MsgResultBatch frames.
+	MsgResultVectors
 )
 
 // String implements fmt.Stringer.
@@ -142,8 +146,8 @@ func (t MsgType) String() string {
 		return "PREPARE_ACK"
 	case MsgExecPrepared:
 		return "EXEC_PREPARED"
-	case MsgResultStream:
-		return "RESULT_STREAM"
+	case MsgResultVectors:
+		return "RESULT_VECTORS"
 	default:
 		return "INVALID"
 	}

@@ -71,16 +71,16 @@ func TestConnReceiveAfterClose(t *testing.T) {
 }
 
 func TestMsgTypeAndModeStrings(t *testing.T) {
-	// Every code a peer may send keeps its number; the retired ones (8, 10
-	// and 11) stay reserved and print as INVALID.
+	// Every code a peer may send keeps its number; the retired ones (8, 10,
+	// 11 and 19) stay reserved and print as INVALID.
 	codes := []MsgType{MsgInvalid, MsgSetup, MsgSetupAck, MsgTupleBatch, MsgResultBatch, MsgEnd, MsgError, MsgRegisterUDF,
 		8, MsgProbe, 10, 11, MsgQuery, MsgQueryAck, MsgCancel, MsgQueryReject, MsgPrepare, MsgPrepareAck,
-		MsgExecPrepared, MsgResultStream}
+		MsgExecPrepared, 19, MsgResultVectors}
 	for code, mt := range codes {
 		if int(mt) != code {
 			t.Errorf("%s is code %d, want %d", mt, mt, code)
 		}
-		if retired := code == 0 || code == 8 || code == 10 || code == 11; retired != (mt.String() == "INVALID") {
+		if retired := code == 0 || code == 8 || code == 10 || code == 11 || code == 19; retired != (mt.String() == "INVALID") {
 			t.Errorf("MsgType(%d) prints as %s", mt, mt)
 		}
 	}
@@ -160,6 +160,18 @@ func TestSetupAckRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeSetupAck([]byte{1}); err == nil {
 		t.Error("truncated ack should fail")
+	}
+}
+
+// TestSetupAckRefusesTrailingBytes: an ack may end in the one capability byte
+// older clients sent, and no more.
+func TestSetupAckRefusesTrailingBytes(t *testing.T) {
+	ack := EncodeSetupAck(&SetupAck{SessionID: 7, OK: true})
+	if _, err := DecodeSetupAck(append(ack, 1)); err != nil {
+		t.Fatalf("ack with the old capability byte: %v", err)
+	}
+	if a, err := DecodeSetupAck(append(ack, 1, 0)); err == nil {
+		t.Fatalf("ack with two trailing bytes decoded as %+v", a)
 	}
 }
 
