@@ -30,6 +30,7 @@ func TestDesignRules(t *testing.T) {
 		{"OneColumnDemandPass", "which columns a scan reads is decided by pruneColumns alone", oneColumnDemandPass},
 		{"OneControlMessageReader", "control messages decode through the one bounded reader in internal/wire/reader.go", oneControlMessageReader},
 		{"OneUnsafeFile", "types.Value's unsafe.Pointer payload stays in the file that defines it", oneUnsafeFile},
+		{"OneColumnCodec", "columns at rest are types vectors or dictionaries of types values: storage has no wire batch codec", oneColumnCodec},
 		{"OneQueryPipeline", "every service entry runs one pipeline: admission, planning, lowering and the result cache are each reached from one function, and a query's state changes in one method", oneQueryPipeline},
 	}
 	for _, r := range rules {
@@ -342,6 +343,18 @@ func oneUnsafeFile(m *module) []string {
 		out = append(out, "internal/types/value.go no longer imports unsafe: move this rule with the payload")
 	}
 	return out
+}
+
+func oneColumnCodec(m *module) []string {
+	var out []string
+	m.allFiles([]string{"internal/storage"}, func(p *pkg, f *ast.File) {
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == "csq/internal/wire" {
+				out = append(out, m.pos(imp.Pos())+": storage imports internal/wire")
+			}
+		}
+	})
+	return append(out, m.forbidNames([]string{"internal", "cmd", "bench"}, "AppendTupleBatchAuto", "DecodeColumnInto", "dictEncoder")...)
 }
 
 func oneQueryPipeline(m *module) []string {

@@ -310,17 +310,17 @@ type Query struct {
 	// st is the query's lifecycle record, updated in place; its State and
 	// the times that go with it change only in advance.
 	st        QueryStats
-	err       error
+	err       error // the terminal error; Stats formats it into st.Err
 	tracker   *exec.MemTracker
 	scanStats *exec.ScanStatsRecorder
 }
 
-// sink is where a query's answer goes, chosen at Submit: tuples to Wait's
-// rows or to Request.OnBatch, frames to Request.Frames. The answer is encoded
-// once, for the frame sink and for the result cache, whose kept frames are a
-// tee on the one encoder.
+// sink is where a query's answer goes, chosen at Submit: tuples to
+// Request.OnBatch, frames to Request.Frames, and with neither, tuples to
+// Wait's rows. The answer is encoded once, for the frame sink and for the
+// result cache, whose kept frames are a tee on the one encoder.
 type sink struct {
-	tuples func([]types.Tuple) error // nil for a frame sink alone
+	tuples func([]types.Tuple) error // Request.OnBatch
 	frames *FrameSink
 
 	enc       *wire.ResultEncoder // in the frame sink's encoding, else the compact one
@@ -370,6 +370,9 @@ func (q *Query) statsLocked() QueryStats {
 	st.SessionsPlanned = slices.Clone(st.SessionsPlanned)
 	st.MemPeakBytes, st.SpillEvents, st.SpilledBytes = q.tracker.Peak(), q.tracker.SpillEvents(), q.tracker.SpilledBytes()
 	st.Scan = q.scanStats.Stats()
+	if q.err != nil {
+		st.Err = q.err.Error()
+	}
 	return st
 }
 
@@ -426,12 +429,6 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Query, error) {
 		q.enc = wire.NewResultEncoder(req.Frames.Stream)
 	}
 	q.st = QueryStats{ID: q.id, Tenant: cmp.Or(req.Tenant, DefaultTenant), Submitted: time.Now()}
-	if req.OnBatch == nil && req.Frames == nil {
-		q.tuples = func(rows []types.Tuple) error {
-			q.rows = append(q.rows, rows...)
-			return nil
-		}
-	}
 	// The refusal check and the registration share one critical section, so
 	// a Submit racing Close or Shutdown either registers before their
 	// snapshot (and is cancelled or awaited by it) or is refused.
@@ -813,7 +810,7 @@ type cachedResult struct {
 // encoding it was stored in gets the stored bytes as they are, every other
 // sink gets them decoded, through emit, as a fresh answer would.
 func (q *Query) replay(ctx context.Context, res *cachedResult) error {
-	if q.tuples == nil && q.enc.Stream() == res.stream {
+	if q.frames != nil && q.tuples == nil && q.enc.Stream() == res.stream {
 		q.mu.Lock()
 		q.st.Rows = res.rows
 		q.mu.Unlock()
@@ -865,10 +862,13 @@ func (q *Query) emit(rows []types.Tuple) error {
 			}
 		}
 	}
-	if q.tuples != nil {
+	switch {
+	case q.tuples != nil:
 		if err := q.tuples(rows); err != nil {
 			return fmt.Errorf("service: result sink: %w", err)
 		}
+	case q.frames == nil:
+		q.rows = append(q.rows, rows...)
 	}
 	return nil
 }
@@ -932,9 +932,7 @@ func (q *Query) finish(ctx context.Context, err error, wait time.Duration) {
 		state = StateCanceled
 	}
 	q.advance(state, wait, func() {
-		if q.err = err; err != nil {
-			q.st.Err = err.Error()
-		}
+		q.err = err
 		q.st.Stalled = errors.Is(err, ErrStalled)
 	})
 	// The handle outlives the query in Service.queries; the stream's

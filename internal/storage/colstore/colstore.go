@@ -1,8 +1,8 @@
 // Package colstore implements the disk-backed columnar storage engine: an
 // append-only table stored as fixed-size per-column segments on disk, each
-// column chunk compressed with the per-batch dictionary codec the wire
-// package keeps for it (wire.AppendTupleBatchAuto, with a plain fallback)
-// and summarized by a zone map (min/max, row count, null count).
+// column chunk stored as a types column vector or, where that is smaller or
+// the column mixes kinds, as a dictionary of types value encodings, and
+// summarized by a zone map (min/max, row count, null count).
 //
 // The execution engine reads a columnar table only through its vectorized
 // ColumnarScan, over the Snapshot surface: it materializes only the columns a
@@ -14,17 +14,18 @@
 //
 // A table is a directory of three files:
 //
-//	meta.csq     magic, table name, schema (types.EncodeSchema), segment rows
+//	meta.csq     magic ("CSQCOL2\n"), table name, schema
+//	             (types.EncodeSchema), segment rows
 //	segments.csq column chunks, appended segment by segment
 //	zonemaps.csq one length-prefixed index record per segment: per column the
 //	             chunk offset/size in segments.csq, null count and min/max
 //
-// Each column chunk in segments.csq is one tag byte (codecPlain or codecDict)
-// followed by the wire encoding of the column's values as a batch of
-// one-column tuples. Segments are immutable once written; a crash mid-flush
-// leaves at worst a trailing partial index record, which Open ignores (the
-// matching data bytes are unreferenced and simply overwritten by reuse of the
-// offset bookkeeping on the next append).
+// Each column chunk in segments.csq is one tag byte (codecVector or
+// codecDict) followed by the column's values in that form (see segment.go).
+// Segments are immutable once written; a crash mid-flush leaves at worst a
+// trailing partial index record, which Open ignores (the matching data bytes
+// are unreferenced and simply overwritten by reuse of the offset bookkeeping
+// on the next append).
 package colstore
 
 import (
@@ -52,7 +53,10 @@ const (
 	maxMetaEntry = 1 << 24
 )
 
-var metaMagic = [8]byte{'C', 'S', 'Q', 'C', 'O', 'L', '1', '\n'}
+// metaMagic opens meta.csq: "CSQCOL", the format version, a newline. Version
+// 2 stores column chunks as types vectors or dictionaries; version 1 (the
+// wire package's batch codecs) is refused, not read.
+var metaMagic = [8]byte{'C', 'S', 'Q', 'C', 'O', 'L', '2', '\n'}
 
 // Options configures table creation.
 type Options struct {
@@ -153,8 +157,11 @@ func Open(dir string) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("colstore: open %q: %w", dir, err)
 	}
-	if len(meta) < len(metaMagic) || string(meta[:len(metaMagic)]) != string(metaMagic[:]) {
+	if len(meta) < len(metaMagic) || string(meta[:6]) != string(metaMagic[:6]) || meta[7] != '\n' {
 		return nil, fmt.Errorf("colstore: %q is not a columnar table (bad magic)", dir)
+	}
+	if meta[6] != metaMagic[6] {
+		return nil, fmt.Errorf("colstore: %q is a version %c table; this build reads version %c only", dir, meta[6], metaMagic[6])
 	}
 	src := meta[len(metaMagic):]
 	nameLen, c := binary.Uvarint(src)

@@ -3,6 +3,9 @@ package colstore
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"csq/internal/types"
@@ -243,9 +246,9 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestDictCodecFallback checks both codecs appear on a table whose columns
+// TestDictCodecFallback checks both forms appear on a table whose columns
 // differ in redundancy: the low-cardinality string column should pick the
-// dictionary form, the dense unique int column the plain form.
+// dictionary form, the dense unique int column the vector form.
 func TestDictCodecFallback(t *testing.T) {
 	tbl, err := Create(t.TempDir(), "quotes", testSchema(), Options{SegmentRows: 64})
 	if err != nil {
@@ -264,11 +267,93 @@ func TestDictCodecFallback(t *testing.T) {
 		}
 		return tag[0]
 	}
-	if c := codec(0); c != codecPlain {
-		t.Errorf("unique int column used codec %d, want plain", c)
+	if c := codec(0); c != codecVector {
+		t.Errorf("unique int column used codec %d, want vector", c)
 	}
 	if c := codec(2); c != codecDict {
 		t.Errorf("5-distinct string column used codec %d, want dict", c)
+	}
+}
+
+// TestMixedKindColumnsReopen writes, through Close and Open, the columns the
+// vector form cannot hold: an all-NULL column, a FLOAT column that holds
+// INTs, and a STRING column with NULLs of another kind. Every value must
+// come back with its kind, and every chunk spends at least a byte per row.
+func TestMixedKindColumnsReopen(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "Empty", Kind: types.KindString},
+		types.Column{Name: "Price", Kind: types.KindFloat},
+		types.Column{Name: "Sym", Kind: types.KindString},
+	)
+	rows := make([]types.Tuple, 48)
+	for i := range rows {
+		price := types.NewInt(int64(i)) // the first segment's prices are all INTs
+		if i >= 16 && i%3 != 0 {
+			price = types.NewFloat(float64(i) / 2)
+		}
+		sym := types.NewString(fmt.Sprintf("SYM%d", i%3))
+		if i%5 == 0 {
+			sym = types.Null(types.KindInt)
+		}
+		rows[i] = types.Tuple{types.Null(types.KindString), price, sym}
+	}
+	dir := t.TempDir()
+	tbl, err := Create(dir, "mixed", schema, Options{SegmentRows: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	snap := re.Snapshot()
+	requireSameRows(t, rows, readAll(t, snap))
+	for i := 0; i < snap.NumSegments(); i++ {
+		for col, cm := range snap.segs[i].cols {
+			if cm.size <= int64(snap.segs[i].rows) {
+				t.Errorf("segment %d column %d: %d rows in a %d-byte chunk", i, col, snap.segs[i].rows, cm.size)
+			}
+			var tag [1]byte
+			if _, err := re.dataF.ReadAt(tag[:], cm.off); err != nil {
+				t.Fatal(err)
+			}
+			if mixed := col == 0 || col == 2 || (col == 1 && i > 0); mixed && tag[0] != codecDict {
+				t.Errorf("segment %d column %d is in form %d, want the dictionary", i, col, tag[0])
+			}
+		}
+	}
+}
+
+// TestOpenRefusesVersion1 checks a table in the first format, whose chunks
+// were the wire package's batches, fails to open with an error naming the
+// version.
+func TestOpenRefusesVersion1(t *testing.T) {
+	dir := t.TempDir()
+	tbl, err := Create(dir, "old", testSchema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, metaFile)
+	meta, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(meta, "CSQCOL1\n")
+	if err := os.WriteFile(path, meta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Open of a CSQCOL1 table: %v, want an error naming version 1", err)
 	}
 }
 

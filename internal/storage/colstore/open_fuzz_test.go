@@ -15,7 +15,7 @@ import (
 // Regenerate it with: go test ./internal/storage/colstore -run TestFuzzTableFiles -regenerate
 const fuzzTableDir = "testdata/table"
 
-var regenerate = flag.Bool("regenerate", false, "rewrite the committed table under testdata/table")
+var regenerate = flag.Bool("regenerate", false, "rewrite the committed table under testdata/table and the FuzzDecodeColumnChunk seeds")
 
 var fuzzTableFiles = []string{metaFile, dataFile, idxFile}
 

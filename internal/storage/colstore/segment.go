@@ -3,29 +3,32 @@ package colstore
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"csq/internal/types"
-	"csq/internal/wire"
 )
 
-// Column-chunk codec. Each column of a segment is encoded independently as
-// one tag byte followed by the wire layer's batch encoding of the column
-// values, viewed as a batch of one-column tuples:
+// Column-chunk codec. Each column of a segment is stored as one chunk: a tag
+// byte, then the column's values in one of two forms, both written with the
+// types package's value layouts:
 //
-//	codecPlain: wire plain tuple-batch encoding
-//	codecDict:  wire per-batch dictionary encoding
+//	codecVector  the column as one column vector (types.AppendVector): its
+//	             kind once, a null bitmap if a cell is NULL, then untagged
+//	             payloads, INTs as delta varints
+//	codecDict    an entry count (uvarint), the distinct values
+//	             (types.EncodeValue each), then one uvarint code per row
 //
-// The choice is made per chunk by wire.AppendTupleBatchAuto, which keeps the
-// smaller of the two forms, so a low-cardinality column pays one value
-// encoding per distinct value while a high-cardinality one never pays
-// dictionary overhead. The dictionary form is this codec's alone: no wire
-// conversation sends it. The 16-byte SessionID/Seq header of the wire
-// format is written as zeros and ignored on read. Reading builds no tuples:
-// wire.DecodeColumnInto writes each value straight into its row's slot of the
-// segment arena.
+// The encoder keeps the smaller form. The vector form is written only for a
+// column of one vector kind whose vector spends at least a byte per row
+// (types.MinVectorSize), the rule the result stream applies to its frames;
+// a mixed-kind column (validate lets INTs into a FLOAT column and NULLs of
+// any kind anywhere) and a mostly-NULL one always take the dictionary form.
+// So every chunk spends at least a byte per row, which bounds what a corrupt
+// row count can make a read allocate. Reading builds no tuples: each value is
+// decoded straight into its row's slot of the segment arena.
 const (
-	codecPlain byte = 0
-	codecDict  byte = 1
+	codecVector byte = 0
+	codecDict   byte = 1
 )
 
 // encodeSegment encodes the rows as one segment starting at dataOff in the
@@ -36,15 +39,12 @@ func encodeSegment(schema *types.Schema, rows []types.Tuple, dataOff int64) (seg
 	width := schema.Len()
 	seg := segmentMeta{rows: len(rows), cols: make([]colMeta, width)}
 	var data []byte
-	colVals := make([]types.Value, len(rows))
-	colTuples := make([]types.Tuple, len(rows))
+	var enc chunkEncoder
 	for col := 0; col < width; col++ {
 		zm := ZoneMap{Rows: len(rows)}
 		comparable := schema.Columns[col].Kind.Comparable()
-		for i, r := range rows {
+		for _, r := range rows {
 			v := r[col]
-			colVals[i] = v
-			colTuples[i] = colVals[i : i+1 : i+1]
 			switch {
 			case v.IsNull():
 				zm.Nulls++
@@ -71,14 +71,9 @@ func encodeSegment(schema *types.Schema, rows []types.Tuple, dataOff int64) (seg
 			}
 		}
 		start := len(data)
-		data = append(data, codecPlain) // placeholder, patched below
-		payload, usedDict, err := wire.AppendTupleBatchAuto(data, &wire.TupleBatch{Tuples: colTuples})
-		if err != nil {
+		var err error
+		if data, err = enc.appendChunk(data, rows, col); err != nil {
 			return segmentMeta{}, nil, nil, fmt.Errorf("colstore: encode column %d: %w", col, err)
-		}
-		data = payload
-		if usedDict {
-			data[start] = codecDict
 		}
 		seg.cols[col] = colMeta{
 			off:  dataOff + int64(start),
@@ -93,20 +88,131 @@ func encodeSegment(schema *types.Schema, rows []types.Tuple, dataOff int64) (seg
 	return seg, data, idxRec, nil
 }
 
-// decodeColumnChunk decodes one column chunk (tag byte + wire batch) of rows
-// values straight into a row-major arena: row r lands at dst[r*stride]. The
-// values stay valid indefinitely.
+// chunkEncoder is the scratch of the dictionary form, reused across the
+// columns of a segment.
+type chunkEncoder struct {
+	codes map[string]uint64 // a distinct value's encoding → its code
+	vals  []byte            // the distinct values' encodings, in code order
+	rows  []byte            // one code per row
+	key   []byte
+	out   []byte
+}
+
+// appendChunk appends the chunk of column col of rows (at least one) in
+// whichever form is smaller.
+func (e *chunkEncoder) appendChunk(dst []byte, rows []types.Tuple, col int) ([]byte, error) {
+	start := len(dst)
+	limit := math.MaxInt
+	if n, ok := types.MinVectorSize(rows, col); ok && n >= len(rows) {
+		dst = types.AppendVector(append(dst, codecVector), rows, col)
+		limit = len(dst) - start
+	}
+	dict, err := e.dictionary(rows, col, limit)
+	if err != nil || dict == nil {
+		return dst, err
+	}
+	return append(dst[:start], dict...), nil
+}
+
+// dictionary returns the dictionary-form chunk of column col of rows, or nil
+// as soon as it cannot come in under limit bytes.
+func (e *chunkEncoder) dictionary(rows []types.Tuple, col, limit int) ([]byte, error) {
+	if e.codes == nil {
+		e.codes = make(map[string]uint64)
+	}
+	clear(e.codes)
+	e.vals, e.rows = e.vals[:0], e.rows[:0]
+	for i, r := range rows {
+		var err error
+		if e.key, err = types.EncodeValue(e.key[:0], r[col]); err != nil {
+			return nil, err
+		}
+		code, ok := e.codes[string(e.key)]
+		if !ok {
+			code = uint64(len(e.codes))
+			e.codes[string(e.key)] = code
+			e.vals = append(e.vals, e.key...)
+		}
+		e.rows = binary.AppendUvarint(e.rows, code)
+		// The tag, the entry count and a code for each row left are to come.
+		if 2+len(e.vals)+len(e.rows)+len(rows)-1-i >= limit {
+			return nil, nil
+		}
+	}
+	e.out = binary.AppendUvarint(append(e.out[:0], codecDict), uint64(len(e.codes)))
+	e.out = append(append(e.out, e.vals...), e.rows...)
+	if len(e.out) >= limit {
+		return nil, nil
+	}
+	return e.out, nil
+}
+
+// decodeColumnChunk decodes one column chunk of rows values straight into a
+// row-major arena: row r lands at dst[r*stride], and no other slot is
+// written. The values stay valid indefinitely; a dictionary chunk's rows
+// share its entries.
 func decodeColumnChunk(raw []byte, dst []types.Value, stride, rows int) error {
 	if len(raw) < 1 {
 		return fmt.Errorf("colstore: empty column chunk")
 	}
-	if raw[0] != codecPlain && raw[0] != codecDict {
+	src := raw[1:]
+	if len(src) < rows {
+		return fmt.Errorf("colstore: %d rows do not fit a %d-byte column chunk", rows, len(raw))
+	}
+	var off int
+	var err error
+	switch raw[0] {
+	case codecVector:
+		off, err = decodeVector(src, dst, stride, rows)
+	case codecDict:
+		off, err = decodeDict(src, dst, stride, rows)
+	default:
 		return fmt.Errorf("colstore: unknown column codec %d", raw[0])
 	}
-	if err := wire.DecodeColumnInto(dst, stride, rows, raw[1:], raw[0] == codecDict); err != nil {
+	if err == nil && off != len(src) {
+		err = fmt.Errorf("%d trailing bytes", len(src)-off)
+	}
+	if err != nil {
 		return fmt.Errorf("colstore: decode column chunk: %w", err)
 	}
 	return nil
+}
+
+// decodeVector decodes a vector-form chunk body and returns the bytes it
+// consumed.
+func decodeVector(src []byte, dst []types.Value, stride, rows int) (int, error) {
+	h, n, err := types.DecodeVectorHead(src, rows)
+	if err != nil {
+		return 0, err
+	}
+	m, err := h.DecodeInto(src[n:], rows, dst, stride)
+	return n + m, err
+}
+
+// decodeDict decodes a dictionary-form chunk body and returns the bytes it
+// consumed. An entry takes at least its tag byte, so a count beyond the bytes
+// left is refused before it sizes the dictionary.
+func decodeDict(src []byte, dst []types.Value, stride, rows int) (int, error) {
+	entries, off := binary.Uvarint(src)
+	if off <= 0 || entries > uint64(len(src)-off) {
+		return 0, fmt.Errorf("bad dictionary size")
+	}
+	dict := make([]types.Value, entries)
+	for i := range dict {
+		v, n, err := types.DecodeValue(src[off:])
+		if err != nil {
+			return 0, fmt.Errorf("entry %d: %w", i, err)
+		}
+		dict[i], off = v, off+n
+	}
+	for r := 0; r < rows; r++ {
+		code, n := binary.Uvarint(src[off:])
+		if n <= 0 || code >= entries {
+			return 0, fmt.Errorf("row %d: bad dictionary code", r)
+		}
+		dst[r*stride], off = dict[code], off+n
+	}
+	return off, nil
 }
 
 // encodeSegmentMeta renders one zone-map index record (without its length
@@ -162,11 +268,11 @@ func decodeSegmentMeta(raw []byte, width int, dataEnd int64) (segmentMeta, error
 			return segmentMeta{}, fmt.Errorf("column %d extent [%d,%d) outside data file of %d bytes",
 				col, cm.off, cm.off+cm.size, dataEnd)
 		}
-		// Each row costs a chunk at least two bytes (its value count and a
-		// value), and a segment's chunks do not overlap: this keeps the
-		// arena a read allocates, rows × width values, within a constant
+		// Each row costs a chunk at least a byte (a vector payload or a
+		// dictionary code), and a segment's chunks do not overlap: this keeps
+		// the arena a read allocates, rows × width values, within a constant
 		// factor of the data file.
-		if int64(rows) > cm.size/2 {
+		if int64(rows) > cm.size {
 			return segmentMeta{}, fmt.Errorf("%d rows do not fit column %d's %d-byte chunk", rows, col, cm.size)
 		}
 		if chunks += cm.size; chunks > dataEnd {

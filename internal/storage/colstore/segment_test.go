@@ -2,81 +2,69 @@ package colstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
 	"csq/internal/types"
-	"csq/internal/wire"
 )
 
-// encodeChunk encodes vals as a column chunk: in the plain codec, or with
-// the auto choice encodeSegment makes, which takes the dictionary codec only
-// where it is the smaller encoding.
-func encodeChunk(t testing.TB, vals []types.Value, auto bool) []byte {
-	t.Helper()
-	b := &wire.TupleBatch{Tuples: make([]types.Tuple, len(vals))}
+// oneColumn wraps vals as one-column rows.
+func oneColumn(vals []types.Value) []types.Tuple {
+	rows := make([]types.Tuple, len(vals))
 	for i := range vals {
-		b.Tuples[i] = vals[i : i+1 : i+1]
+		rows[i] = vals[i : i+1 : i+1]
 	}
-	return encodeBatch(t, b, auto)
+	return rows
 }
 
-// encodeBatch encodes b behind its codec's tag byte, plain or auto.
-func encodeBatch(t testing.TB, b *wire.TupleBatch, auto bool) []byte {
+// chunkOf encodes vals (at least one) as encodeSegment does, in the smaller
+// form.
+func chunkOf(t testing.TB, vals []types.Value) []byte {
 	t.Helper()
-	if !auto {
-		chunk, err := wire.AppendTupleBatch([]byte{codecPlain}, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return chunk
-	}
-	chunk, usedDict, err := wire.AppendTupleBatchAuto([]byte{codecPlain}, b)
+	var e chunkEncoder
+	chunk, err := e.appendChunk(nil, oneColumn(vals), 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if usedDict {
-		chunk[0] = codecDict
 	}
 	return chunk
 }
 
-// scatterChunk is the read path decodeColumnChunk replaced: decode the chunk
-// as a batch of one-value tuples, then copy each value into its row's slot.
-// The dictionary codec has no row decoder, so a dictionary chunk is decoded
-// densely, at stride 1, and scattered from there.
-func scatterChunk(raw []byte, dst []types.Value, stride, rows int) error {
-	if len(raw) < 1 {
-		return fmt.Errorf("empty chunk")
-	}
-	var b wire.TupleBatch
-	var err error
-	switch raw[0] {
-	case codecPlain:
-		err = wire.DecodeTupleBatchInto(&b, raw[1:])
-	case codecDict:
-		dense := make([]types.Value, rows)
-		err = wire.DecodeColumnInto(dense, 1, rows, raw[1:], true)
-		for i := range dense {
-			b.Tuples = append(b.Tuples, dense[i:i+1])
-		}
-	default:
-		return fmt.Errorf("unknown codec %d", raw[0])
-	}
+// chunkForms returns vals encoded in each form the encoder may write for
+// them: the dictionary form always, the vector form when the column is of
+// one kind and spends a byte per row.
+func chunkForms(t testing.TB, vals []types.Value) map[byte][]byte {
+	t.Helper()
+	var e chunkEncoder
+	dict, err := e.dictionary(oneColumn(vals), 0, math.MaxInt)
 	if err != nil {
+		t.Fatal(err)
+	}
+	forms := map[byte][]byte{codecDict: bytes.Clone(dict)}
+	if len(vals) == 0 {
+		return forms
+	}
+	if n, ok := types.MinVectorSize(oneColumn(vals), 0); ok && n >= len(vals) {
+		forms[codecVector] = types.AppendVector([]byte{codecVector}, oneColumn(vals), 0)
+	}
+	return forms
+}
+
+// scatterChunk is the reference read path: decode the chunk densely, at
+// stride 1, then copy each value into its row's slot.
+func scatterChunk(raw []byte, dst []types.Value, stride, rows int) error {
+	dense := make([]types.Value, rows)
+	if err := decodeColumnChunk(raw, dense, 1, rows); err != nil {
 		return err
 	}
-	if len(b.Tuples) != rows {
-		return fmt.Errorf("%d rows, want %d", len(b.Tuples), rows)
-	}
-	for r, tup := range b.Tuples {
-		if len(tup) != 1 {
-			return fmt.Errorf("row %d has %d values", r, len(tup))
-		}
-		dst[r*stride] = tup[0]
+	for r, v := range dense {
+		dst[r*stride] = v
 	}
 	return nil
 }
@@ -115,9 +103,14 @@ func requireSameValues(t testing.TB, want, got []types.Value) {
 }
 
 // randomColumnValue draws a value of the given kind: NULL about one time in
-// five, and the variable-width kinds sometimes empty or nil.
-func randomColumnValue(rng *rand.Rand, kind types.Kind, distinct int) types.Value {
+// five, and the variable-width kinds sometimes empty or nil. With mixed, it
+// also draws what validate lets into a column beside its own kind: INTs
+// among FLOATs, and NULLs of another kind.
+func randomColumnValue(rng *rand.Rand, kind types.Kind, distinct int, mixed bool) types.Value {
 	if rng.Intn(5) == 0 {
+		if mixed && rng.Intn(2) == 0 {
+			return types.Null(types.KindInt)
+		}
 		return types.Null(kind)
 	}
 	x := rng.Intn(distinct)
@@ -125,6 +118,9 @@ func randomColumnValue(rng *rand.Rand, kind types.Kind, distinct int) types.Valu
 	case types.KindInt:
 		return types.NewInt(int64(x) - 3)
 	case types.KindFloat:
+		if mixed && x%2 == 0 {
+			return types.NewInt(int64(x))
+		}
 		return types.NewFloat(float64(x) / 3)
 	case types.KindBool:
 		return types.NewBool(x%2 == 0)
@@ -143,34 +139,47 @@ func randomColumnValue(rng *rand.Rand, kind types.Kind, distinct int) types.Valu
 	}
 }
 
-// TestDecodeColumnChunkMatchesScatter holds the strided decode to the path it
-// replaced: for random columns of every kind, in the plain codec and as the
-// auto choice encodes them, it writes the same values into the column's slots
-// and leaves every other slot alone. The dictionary decoder on columns the
-// auto choice keeps plain is held to the encoded values in package wire.
+// TestDecodeColumnChunkMatchesScatter holds the strided decode to the dense
+// one: for random columns of every kind, some of them mixing kinds, in every
+// form the encoder may write them, it writes the encoded values into the
+// column's slots and leaves every other slot alone. The encoder's choice is
+// the smallest of those forms, and every chunk spends a byte per row.
 func TestDecodeColumnChunkMatchesScatter(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	kinds := []types.Kind{types.KindInt, types.KindFloat, types.KindBool, types.KindString, types.KindBytes, types.KindTimeSeries}
-	dictChunks := 0
+	chosen := map[byte]int{}
 	for round := 0; round < 300; round++ {
 		kind := kinds[round%len(kinds)]
 		rows, width := rng.Intn(70), 1+rng.Intn(5)
 		col := rng.Intn(width)
 		vals := make([]types.Value, rows)
+		mixed := rng.Intn(3) == 0
 		for i := range vals {
-			vals[i] = randomColumnValue(rng, kind, 1+rng.Intn(8))
+			vals[i] = randomColumnValue(rng, kind, 1+rng.Intn(8), mixed)
 		}
-		for _, auto := range []bool{false, true} {
-			chunk := encodeChunk(t, vals, auto)
-			if chunk[0] == codecDict {
-				dictChunks++
+		forms := chunkForms(t, vals)
+		if rows > 0 {
+			chunk := chunkOf(t, vals)
+			chosen[chunk[0]]++
+			for _, f := range forms {
+				if len(f) < len(chunk) {
+					t.Fatalf("round %d: the encoder kept a %d-byte chunk over a %d-byte one", round, len(chunk), len(f))
+				}
+			}
+			if !bytes.Equal(chunk, forms[chunk[0]]) {
+				t.Fatalf("round %d: the encoder's chunk is not its form %d", round, chunk[0])
+			}
+		}
+		for form, chunk := range forms {
+			if len(chunk) <= rows {
+				t.Fatalf("round %d form %d: %d rows in %d bytes", round, form, rows, len(chunk))
 			}
 			want, got := sentinelArena(rows*width), sentinelArena(rows*width)
 			if err := scatterChunk(chunk, want[min(col, len(want)):], width, rows); err != nil {
-				t.Fatalf("round %d codec %d: scatter: %v", round, chunk[0], err)
+				t.Fatalf("round %d form %d: scatter: %v", round, form, err)
 			}
 			if err := decodeColumnChunk(chunk, got[min(col, len(got)):], width, rows); err != nil {
-				t.Fatalf("round %d codec %d: %v", round, chunk[0], err)
+				t.Fatalf("round %d form %d: %v", round, form, err)
 			}
 			requireSameValues(t, want, got)
 			for r, v := range vals {
@@ -178,42 +187,48 @@ func TestDecodeColumnChunkMatchesScatter(t *testing.T) {
 			}
 		}
 	}
-	if dictChunks == 0 {
-		t.Error("the auto choice took the dictionary codec for none of 300 columns")
+	if chosen[codecVector] == 0 || chosen[codecDict] == 0 {
+		t.Errorf("the encoder chose the forms %v times over 300 columns, want both", chosen)
 	}
 }
 
 // TestDecodeColumnChunkMalformed feeds damaged chunks to the decoder: each
 // must be refused with an error.
 func TestDecodeColumnChunkMalformed(t *testing.T) {
-	// Long repeated strings, so that the dictionary encoding is the smaller.
+	// Long repeated strings, so that the dictionary form is the smaller.
 	a, b := types.NewString(strings.Repeat("a", 32)), types.NewString(strings.Repeat("b", 32))
 	vals := []types.Value{a, b, a, types.Null(types.KindString)}
-	plain, dict := encodeChunk(t, vals, false), encodeChunk(t, vals, true)
-	twoValue := &wire.TupleBatch{Tuples: []types.Tuple{vals[:1], vals[:2], vals[:1], vals[:1]}}
-	twoPlain, twoDict := encodeBatch(t, twoValue, false), encodeBatch(t, twoValue, true)
-	if dict[0] != codecDict || twoDict[0] != codecDict {
-		t.Fatal("the auto choice keeps the malformed-chunk seeds plain")
+	forms := chunkForms(t, vals)
+	vector, dict := forms[codecVector], forms[codecDict]
+	if chunk := chunkOf(t, vals); !bytes.Equal(chunk, dict) {
+		t.Fatal("the encoder keeps the malformed-chunk seeds in vector form")
 	}
-	badIndex := append([]byte(nil), dict...)
-	badIndex[len(badIndex)-1] = 0x7f
+	badCode := bytes.Clone(dict)
+	badCode[len(badCode)-1] = 0x7f
+	badKind := bytes.Clone(vector)
+	badKind[1] = 0x7f
+	badFlags := bytes.Clone(vector)
+	badFlags[2] = 0x02
 	cases := []struct {
 		name  string
 		chunk []byte
 		rows  int
 	}{
 		{"empty chunk", nil, 4},
-		{"unknown codec", append([]byte{7}, plain[1:]...), 4},
-		{"plain fewer rows than the segment", plain, 5},
-		{"plain more rows than the segment", plain, 3},
-		{"dict wrong row count", dict, 3},
-		{"plain two-value row", twoPlain, 4},
-		{"dict two-value row", twoDict, 4},
-		{"index outside the dictionary", badIndex, 4},
-		{"plain trailing bytes", append(append([]byte(nil), plain...), 0), 4},
-		{"dict trailing bytes", append(append([]byte(nil), dict...), 0), 4},
+		{"unknown codec", append([]byte{7}, dict[1:]...), 4},
+		{"vector fewer rows than the segment", vector, 5},
+		{"vector more rows than the segment", vector, 3},
+		{"dict fewer rows than the segment", dict, 5},
+		{"dict more rows than the segment", dict, 3},
+		{"more rows than chunk bytes", dict, len(dict)},
+		{"code outside the dictionary", badCode, 4},
+		{"entries beyond the bytes left", binary.AppendUvarint([]byte{codecDict}, 1<<24), 4},
+		{"unknown vector kind", badKind, 4},
+		{"unknown vector flags", badFlags, 4},
+		{"vector trailing bytes", append(bytes.Clone(vector), 0), 4},
+		{"dict trailing bytes", append(bytes.Clone(dict), 0), 4},
 	}
-	for _, chunk := range [][]byte{plain, dict} {
+	for _, chunk := range [][]byte{vector, dict} {
 		for cut := 0; cut < len(chunk); cut++ {
 			cases = append(cases, struct {
 				name  string
@@ -234,14 +249,14 @@ func TestDecodeColumnChunkMalformed(t *testing.T) {
 // of 1–4 values. It must never panic, never allocate more than a fixed
 // multiple of the chunk, agree with the decode-then-scatter path, and decode
 // what it accepts to values that encode again unchanged. Seeds live in
-// testdata/fuzz/FuzzDecodeColumnChunk.
+// testdata/fuzz/FuzzDecodeColumnChunk; TestColumnChunkFuzzSeeds builds them.
 func FuzzDecodeColumnChunk(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, rows uint16, stride uint8) {
 		n, s := int(rows%1024), int(stride%4)+1
 		got, want := sentinelArena(n*s), sentinelArena(n*s)
 		var err error
-		// An entry or a row takes at least one chunk byte and yields at most
-		// one Value; payloads are no longer than their encodings.
+		// An entry takes at least one chunk byte and yields one Value;
+		// payloads are no longer than their encodings.
 		if a := bytesAllocatedBy(func() { err = decodeColumnChunk(raw, got, s, n) }); a > uint64(64*len(raw)+64<<10) {
 			t.Fatalf("a %d-byte chunk made the decoder allocate %d bytes", len(raw), a)
 		}
@@ -266,6 +281,102 @@ func FuzzDecodeColumnChunk(f *testing.F) {
 			requireSameValues(t, []types.Value{v}, []types.Value{again})
 		}
 	})
+}
+
+// columnChunkSeed is one FuzzDecodeColumnChunk input: a chunk, the rows of
+// its segment and the fuzzer's stride byte.
+type columnChunkSeed struct {
+	chunk  []byte
+	rows   uint16
+	stride byte
+}
+
+// columnChunkSeeds builds the FuzzDecodeColumnChunk corpus from the
+// encoder's two forms: "dict-<kind>" seeds hold the dictionary form of a
+// column of one kind, "plain-<kind>" seeds its vector form (the values
+// themselves, no dictionary), and the rest damage the dictionary chunk of a
+// STRING column or ask it for the wrong number of rows.
+func columnChunkSeeds(t testing.TB) map[string]columnChunkSeed {
+	samples := map[string][2]types.Value{
+		"bool":   {types.NewBool(true), types.NewBool(false)},
+		"bytes":  {types.NewBytes([]byte{1, 2}), types.NewBytes(nil)},
+		"float":  {types.NewFloat(2.5), types.NewFloat(math.NaN())},
+		"int":    {types.NewInt(-7), types.NewInt(1 << 53)},
+		"series": {types.NewTimeSeries(types.TimeSeries{1, 2.5}), types.NewTimeSeries(nil)},
+		"string": {types.NewString("hello"), types.NewString("")},
+	}
+	kindOf := map[string]types.Kind{"bool": types.KindBool, "bytes": types.KindBytes, "float": types.KindFloat,
+		"int": types.KindInt, "series": types.KindTimeSeries, "string": types.KindString}
+	seeds := map[string]columnChunkSeed{}
+	for name, s := range samples {
+		vals := []types.Value{s[0], s[1], types.Null(kindOf[name]), s[0]}
+		forms := chunkForms(t, vals)
+		seeds["dict-"+name] = columnChunkSeed{forms[codecDict], 4, 1}
+		seeds["plain-"+name] = columnChunkSeed{forms[codecVector], 4, 3}
+	}
+	nulls := []types.Value{types.Null(types.KindNull), types.Null(types.KindNull)}
+	seeds["dict-null"] = columnChunkSeed{chunkForms(t, append(nulls, nulls...))[codecDict], 4, 1}
+	seeds["plain-null"] = columnChunkSeed{chunkForms(t, nulls)[codecVector], 2, 3}
+	seeds["dict-empty"] = columnChunkSeed{chunkForms(t, nil)[codecDict], 0, 2}
+	// No column of no rows is written in vector form: this is the head of
+	// one, a kind and no flags.
+	seeds["plain-empty"] = columnChunkSeed{[]byte{codecVector, byte(types.KindInt), 0}, 0, 2}
+
+	str := seeds["dict-string"].chunk
+	damaged := func(chunk []byte, rows uint16) columnChunkSeed { return columnChunkSeed{chunk, rows, 2} }
+	seeds["hostile-entries"] = damaged(binary.AppendUvarint([]byte{codecDict}, 1<<24), 4)
+	seeds["hostile-rows"] = damaged(str, 1000)
+	seeds["index-outside-dictionary"] = damaged(append(bytes.Clone(str[:len(str)-1]), 0x7f), 4)
+	seeds["trailing-bytes"] = damaged(append(bytes.Clone(str), 0), 4)
+	seeds["truncated"] = damaged(str[:len(str)-1], 4)
+	seeds["unknown-codec"] = damaged(append([]byte{9}, str[1:]...), 4)
+	seeds["wrong-row-count"] = damaged(str, 5)
+	return seeds
+}
+
+// TestColumnChunkFuzzSeeds holds the committed FuzzDecodeColumnChunk seeds
+// to what columnChunkSeeds builds from the encoder, and rewrites them when
+// run with -regenerate:
+// go test ./internal/storage/colstore -run TestColumnChunkFuzzSeeds -regenerate
+// The "dict-" and "plain-" seeds must decode; every other seed must not.
+func TestColumnChunkFuzzSeeds(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeColumnChunk")
+	seeds := columnChunkSeeds(t)
+	for name, s := range seeds {
+		err := decodeColumnChunk(s.chunk, make([]types.Value, s.rows), 1, int(s.rows))
+		if valid := strings.HasPrefix(name, "dict-") || strings.HasPrefix(name, "plain-"); valid != (err == nil) {
+			t.Errorf("seed %s decodes with error %v", name, err)
+		}
+	}
+	if *regenerate {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, s := range seeds {
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nuint16(%d)\nbyte(%q)\n", s.chunk, s.rows, s.stride)
+		path := filepath.Join(dir, name)
+		if *regenerate {
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Errorf("seed %s is not what the encoder gives (%v); rerun with -regenerate", name, err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(seeds) {
+		t.Errorf("%s holds %d seeds, the builder makes %d", dir, len(entries), len(seeds))
+	}
 }
 
 func bytesAllocatedBy(f func()) uint64 {

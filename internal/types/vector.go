@@ -13,7 +13,8 @@ import (
 //
 //	kind   u8           the kind of every cell, NULLs included
 //	flags  u8           bit 0: a null bitmap follows
-//	bitmap ⌈rows/8⌉ B   bit i (least significant first) set when cell i is NULL
+//	bitmap ⌈rows/8⌉ B   bit i (least significant first) set when cell i is
+//	                    NULL; the bits past the last cell are zero
 //	payloads            one per non-NULL cell, in row order
 //
 // A payload carries no tag, the kind being the vector's:
@@ -131,6 +132,10 @@ func DecodeVectorHead(src []byte, rows int) (VectorHead, int, error) {
 			return VectorHead{}, 0, fmt.Errorf("types: vector head: short null bitmap")
 		}
 		h.nulls = src[vectorHeadBytes:n]
+		// A NULL past the last cell is a damaged row count, not padding.
+		if rows%8 != 0 && h.nulls[len(h.nulls)-1]>>(rows%8) != 0 {
+			return VectorHead{}, 0, fmt.Errorf("types: vector head: null bits past the last of %d rows", rows)
+		}
 		return h, n, nil
 	default:
 		return VectorHead{}, 0, fmt.Errorf("types: vector head: unknown flags %#x", src[1])

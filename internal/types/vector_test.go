@@ -78,7 +78,8 @@ func TestMinVectorSize(t *testing.T) {
 
 // TestDecodeVectorRejects: a malformed head or payload is an error.
 func TestDecodeVectorRejects(t *testing.T) {
-	for _, src := range [][]byte{nil, {byte(KindInt)}, {0x40, 0}, {byte(KindInt), 2}, {byte(KindInt), vectorNulls}} {
+	for _, src := range [][]byte{nil, {byte(KindInt)}, {0x40, 0}, {byte(KindInt), 2}, {byte(KindInt), vectorNulls},
+		{byte(KindInt), vectorNulls, 0, 0x02}} { // a NULL tenth cell of nine
 		if _, _, err := DecodeVectorHead(src, 9); err == nil {
 			t.Errorf("head % x decoded", src)
 		}

@@ -49,48 +49,6 @@ func BenchmarkEncodeTupleBatch(b *testing.B) {
 	})
 }
 
-// benchDupBatch is a 64-row batch whose values cycle through `distinct`
-// variants per column — the duplicate-heavy shape the dictionary encoding is
-// built for.
-func benchDupBatch(distinct int) *TupleBatch {
-	b := &TupleBatch{SessionID: 7, Seq: 3}
-	for i := 0; i < 64; i++ {
-		b.Tuples = append(b.Tuples, types.NewTuple(
-			types.NewString(fmt.Sprintf("C%03d-abcdefghijklmnopqrstuvwxyz", i%distinct)),
-			types.NewFloat(float64(i%distinct)),
-			types.NewInt(int64(i%distinct)),
-			types.NewTimeSeries(types.TimeSeries{100, 100 + float64(i%distinct)}),
-		))
-	}
-	return b
-}
-
-func BenchmarkDictBatchEncode(b *testing.B) {
-	for _, distinct := range []int{4, 16, 64} {
-		batch := benchDupBatch(distinct)
-		plain, err := AppendTupleBatch(nil, batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("distinct%d", distinct), func(b *testing.B) {
-			b.ReportAllocs()
-			var wireBytes int
-			for i := 0; i < b.N; i++ {
-				buf := GetBuffer()
-				payload, _, err := AppendTupleBatchAuto(*buf, batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				wireBytes = len(payload)
-				*buf = payload
-				PutBuffer(buf)
-			}
-			b.ReportMetric(float64(wireBytes), "wire-B/frame")
-			b.ReportMetric(float64(len(plain)), "plain-B/frame")
-		})
-	}
-}
-
 func BenchmarkDecodeTupleBatch(b *testing.B) {
 	payload, err := AppendTupleBatch(nil, benchBatch(64))
 	if err != nil {

@@ -239,67 +239,6 @@ func decodeRows(tuples []types.Tuple, src []byte, n int) ([]types.Tuple, int, er
 	return tuples, off, nil
 }
 
-// DecodeColumnInto decodes a batch of one-value rows, plain or dictionary
-// encoded as dict says, writing row r's value to dst[r*stride]; no other
-// element of dst is touched. The batch must hold exactly rows rows of exactly
-// one value each. It makes every check the row-batch decoders make, and like
-// them hands out values that stay valid indefinitely: a dictionary batch's
-// rows share the dictionary's entries.
-func DecodeColumnInto(dst []types.Value, stride, rows int, src []byte, dict bool) error {
-	if stride < 1 || rows < 0 || (rows > 0 && (rows-1)*stride >= len(dst)) {
-		return fmt.Errorf("wire: column of %d rows does not fit %d slots at stride %d", rows, len(dst), stride)
-	}
-	if len(src) < 16 {
-		return fmt.Errorf("wire: column batch too short")
-	}
-	off := 16
-	var entries []types.Value
-	if dict {
-		var used int
-		var err error
-		if entries, used, err = readDict(src[off:]); err != nil {
-			return fmt.Errorf("wire: column batch: %w", err)
-		}
-		off += used
-	}
-	n, used, err := readRowCount(src[off:])
-	if err != nil {
-		return fmt.Errorf("wire: column batch: %w", err)
-	}
-	if n != rows {
-		return fmt.Errorf("wire: column batch has %d rows, want %d", n, rows)
-	}
-	off += used
-	for r := 0; r < rows; r++ {
-		cols, c := binary.Uvarint(src[off:])
-		if c <= 0 || cols != 1 {
-			return fmt.Errorf("wire: column batch row %d: want one value", r)
-		}
-		off += c
-		// The cell is read inline, as in decodeRows: a helper would cost a
-		// call per value on the scan's hottest loop.
-		var v types.Value
-		var used int
-		var err error
-		if entries == nil {
-			v, used, err = types.DecodeValue(src[off:])
-		} else if idx, c := binary.Uvarint(src[off:]); c > 0 && idx < uint64(len(entries)) {
-			v, used = entries[idx], c
-		} else {
-			err = badIndex(idx, c, len(entries))
-		}
-		if err != nil {
-			return fmt.Errorf("wire: column batch row %d: %w", r, err)
-		}
-		dst[r*stride] = v
-		off += used
-	}
-	if off != len(src) {
-		return fmt.Errorf("wire: column batch: %d trailing bytes", len(src)-off)
-	}
-	return nil
-}
-
 // EncodeError serialises an ErrorMsg.
 func EncodeError(e *ErrorMsg) []byte {
 	var dst []byte

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -127,54 +126,6 @@ func TestDecodeTupleBatchErrors(t *testing.T) {
 	if len(want.Tuples) > 0 {
 		if err := DecodeTupleBatchInto(&got, payload[:len(payload)-1]); err == nil {
 			t.Error("truncated payload should fail")
-		}
-	}
-}
-
-// TestDecodeColumnIntoMatchesRows holds the strided column decoder to the
-// rows that were encoded, on random one-value columns of any length (empty
-// and single-row ones included) and any cardinality, in the plain encoding
-// and with the dictionary forced whether or not it is the smaller: each row's
-// value lands in its slot at the stride, and no other slot is written.
-func TestDecodeColumnIntoMatchesRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	// randomColumn never draws an infinity, so a slot still holding it was
-	// not written.
-	untouched := types.NewFloat(math.Inf(-1))
-	for round := 0; round < 300; round++ {
-		next := randomColumn(rng)
-		b := &TupleBatch{SessionID: rng.Uint64(), Seq: rng.Uint64()}
-		for n := rng.Intn(70); len(b.Tuples) < n; {
-			b.Tuples = append(b.Tuples, types.Tuple{next()})
-		}
-		stride := 1 + rng.Intn(5)
-		for _, dict := range []bool{false, true} {
-			var payload []byte
-			var err error
-			if dict {
-				payload, _, err = appendTupleBatchChoosing(nil, b, false)
-			} else {
-				payload, err = AppendTupleBatch(nil, b)
-			}
-			if err != nil {
-				t.Fatalf("round %d dict=%v: encode: %v", round, dict, err)
-			}
-			dst := make([]types.Value, len(b.Tuples)*stride)
-			for i := range dst {
-				dst[i] = untouched
-			}
-			if err := DecodeColumnInto(dst, stride, len(b.Tuples), payload, dict); err != nil {
-				t.Fatalf("round %d dict=%v: column decode: %v", round, dict, err)
-			}
-			for i, v := range dst {
-				want := untouched
-				if i%stride == 0 {
-					want = b.Tuples[i/stride][0]
-				}
-				if !sameTuple(types.Tuple{want}, types.Tuple{v}) {
-					t.Fatalf("round %d dict=%v stride %d: slot %d = %v, want %v", round, dict, stride, i, v, want)
-				}
-			}
 		}
 	}
 }
