@@ -34,7 +34,7 @@ import (
 	"csq/internal/client"
 	"csq/internal/demo"
 	"csq/internal/exec"
-	"csq/internal/expr"
+	"csq/internal/lang"
 	"csq/internal/logical"
 	"csq/internal/netsim"
 	"csq/internal/plan"
@@ -174,7 +174,7 @@ func simWinner(s sweep, pt point) (plan.Strategy, error) {
 
 // buildRows materialises the point's relation: every argument distinct (the
 // figures set D=1), record sizes matching the workload exactly, and the row
-// index embedded in the argument so the Keep UDF can realise the configured
+// index embedded in the argument so the keep UDF can realise the configured
 // selectivity deterministically.
 func buildRows(s sweep, pt point) []types.Tuple {
 	rows := make([]types.Tuple, s.rows)
@@ -187,14 +187,14 @@ func buildRows(s sweep, pt point) []types.Tuple {
 	return rows
 }
 
-// newRuntime hosts the point's two client UDFs: Produce returns the derived
-// data object of the configured size, Keep is the pushable predicate with the
+// newRuntime hosts the point's two client UDFs: produce returns the derived
+// data object of the configured size, keep is the pushable predicate with the
 // configured selectivity (deterministic in the row index carried by the
 // argument).
 func newRuntime(pt point) (*client.Runtime, error) {
 	rt := client.NewRuntime()
 	if err := rt.Register(&client.Func{
-		Name:       "Produce",
+		Name:       "produce",
 		ArgKinds:   []types.Kind{types.KindBytes},
 		ResultKind: types.KindBytes,
 		ResultSize: pt.resultBytes,
@@ -206,7 +206,7 @@ func newRuntime(pt point) (*client.Runtime, error) {
 	}
 	sel := pt.selectivity
 	if err := rt.Register(&client.Func{
-		Name:        "Keep",
+		Name:        "keep",
 		ArgKinds:    []types.Kind{types.KindBytes},
 		ResultKind:  types.KindBool,
 		ResultSize:  3,
@@ -226,7 +226,7 @@ func newRuntime(pt point) (*client.Runtime, error) {
 }
 
 // expectedRows is how many rows the query should deliver under the point's
-// deterministic Keep predicate.
+// deterministic keep predicate.
 func expectedRows(s sweep, pt point) int {
 	n := 0
 	for i := 0; i < s.rows; i++ {
@@ -236,6 +236,10 @@ func expectedRows(s sweep, pt point) int {
 	}
 	return n
 }
+
+// pointQueryText is every sweep point's query: produce's object and the
+// non-argument column of each row that keep accepts.
+const pointQueryText = "r(Extra, P) :- objects(Arg, Extra), udf produce(Arg) as P, udf keep(Arg) as K, K."
 
 // pointQuery is one sweep point's planner input: the client runtime hosting
 // the point's UDFs, a catalog holding the point's heap table and the
@@ -271,19 +275,10 @@ func newPointQuery(s sweep, pt point) (*pointQuery, error) {
 	if err := demo.Announce(rt, cat); err != nil {
 		return nil, err
 	}
-	scan, err := logical.NewScan(catTable, "")
-	if err != nil {
-		return nil, err
-	}
-	udfs := []exec.UDFBinding{
-		{Name: "Produce", ArgOrdinals: []int{0}, ResultKind: types.KindBytes},
-		{Name: "Keep", ArgOrdinals: []int{0}, ResultKind: types.KindBool},
-	}
-	// Extended schema: 0 Arg, 1 Extra, 2 Produce, 3 Keep. The pushable
-	// predicate keeps qualifying rows; the pushable projection returns the
+	// The pushable predicate keeps qualifying rows; the head returns the
 	// non-argument column plus the produced object, i.e. P·(I+R) = I·(1−A)+R
 	// as in the figures.
-	tree, err := logical.NewApplyQuery(scan, nil, udfs, expr.NewBoundColumnRef(3, types.KindBool), []int{1, 2})
+	tree, err := lang.Compile(cat, pointQueryText)
 	if err != nil {
 		return nil, err
 	}

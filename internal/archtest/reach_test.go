@@ -19,7 +19,7 @@ var allowlist = map[string]string{
 	"internal/netsim.NewFaultScript":     "fault fixture: builds a FaultScript",
 	"internal/netsim.FaultConfig":        "fault fixture: the drop, stall, corrupt and refuse faults a session carries",
 	"internal/exec.InProcessLink.Faults": "fault fixture: where the chaos tests attach a FaultScript",
-	"internal/wire.Backoff":              "injected jitter source (Rand) and shape, so tests replay a schedule",
+	"internal/wire.Backoff":              "injected jitter source (Rand), so tests replay a schedule exactly",
 	"internal/wire.Breaker":              "injected clock (Now), so tests step the cooldown",
 	"internal/wire.Redialer":             "injected sleep, so tests run the redial ladder without waiting",
 	"internal/sim":                       "the discrete-event model behind the paper's figures; only its tests run it (ROADMAP item 19)",

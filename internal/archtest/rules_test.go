@@ -32,6 +32,7 @@ func TestDesignRules(t *testing.T) {
 		{"OneUnsafeFile", "types.Value's unsafe.Pointer payload stays in the file that defines it", oneUnsafeFile},
 		{"OneColumnCodec", "columns at rest are types vectors or dictionaries of types values: storage has no wire batch codec", oneColumnCodec},
 		{"OneQueryPipeline", "every service entry runs one pipeline: admission, planning, lowering and the result cache are each reached from one function, and a query's state changes in one method", oneQueryPipeline},
+		{"OneQueryFrontEnd", "query text is the one way into a logical tree: outside lang and logical, no program code builds one with a logical.New* constructor", oneQueryFrontEnd},
 	}
 	for _, r := range rules {
 		t.Run(r.name, func(t *testing.T) {
@@ -430,6 +431,30 @@ func oneQueryPipeline(m *module) []string {
 		out = append(out, "QueryStats.State is assigned in "+strings.Join(sortedKeys(writers), ", ")+", want one method of Query")
 	}
 	sort.Strings(out)
+	return out
+}
+
+func oneQueryFrontEnd(m *module) []string {
+	logical := modulePath + "/internal/logical"
+	var out []string
+	for _, p := range m.pkgs {
+		if p.under("internal/lang") || p.under("internal/logical") {
+			continue
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				fn, ok := p.info.Uses[id].(*types.Func)
+				if ok && fn.Pkg() != nil && fn.Pkg().Path() == logical && strings.HasPrefix(fn.Name(), "New") && fn.Type().(*types.Signature).Recv() == nil {
+					out = append(out, m.pos(id.Pos())+": calls logical."+fn.Name())
+				}
+				return true
+			})
+		}
+	}
 	return out
 }
 

@@ -20,19 +20,13 @@ type RetryConfig struct {
 	// lost session immediately degrades onto the surviving pool).
 	MaxRedials int
 	// Backoff is the base delay between redial attempts; it doubles per
-	// attempt, capped and jittered. Zero selects DefaultRedialBackoff.
+	// attempt, capped and jittered (see wire.Backoff). Zero selects the wire
+	// package's default.
 	Backoff time.Duration
 }
 
 // DefaultMaxRedials is the reconnection-attempt budget per session loss.
 const DefaultMaxRedials = 3
-
-// DefaultRedialBackoff is the base redial backoff; it doubles per attempt
-// up to DefaultRedialMaxBackoff.
-const DefaultRedialBackoff = 20 * time.Millisecond
-
-// DefaultRedialMaxBackoff caps the per-attempt redial backoff.
-const DefaultRedialMaxBackoff = 2 * time.Second
 
 func (c RetryConfig) maxRedials() int {
 	if c.MaxRedials == 0 {
@@ -42,14 +36,6 @@ func (c RetryConfig) maxRedials() int {
 		return 0
 	}
 	return c.MaxRedials
-}
-
-func (c RetryConfig) wireBackoff() wire.Backoff {
-	base := c.Backoff
-	if base <= 0 {
-		base = DefaultRedialBackoff
-	}
-	return wire.Backoff{Base: base, Max: DefaultRedialMaxBackoff}
 }
 
 // ErrSessionsExhausted is wrapped into the error a client-site operator
@@ -184,7 +170,7 @@ func (f *sessionFactory) redial(ctx context.Context) (*udfSession, error) {
 			return openUDFSession(ctx, f.link, f.req)
 		},
 		MaxAttempts: attempts,
-		Backoff:     f.retry.wireBackoff(),
+		Backoff:     wire.Backoff{Base: f.retry.Backoff},
 		Breaker:     BreakerOf(f.link),
 	}
 	s, err := r.Redial(ctx)

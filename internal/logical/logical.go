@@ -462,44 +462,6 @@ func newUDFApply(input Node, udfs []exec.UDFBinding, pushable expr.Expr, project
 	}, nil
 }
 
-// NewApplyQuery assembles the structural query shape, pre-rewrite:
-//
-//	source → [filter] → [udf-apply] → [pushable filter] → [project]
-//
-// filter is over the source schema; pushable and project are over the
-// extended schema (source columns followed by one result column per UDF),
-// which with no UDFs is the source schema itself. A nil predicate, an empty
-// UDF list and an empty projection each leave their node out. Splitting the
-// pushable predicate and pruning the projection are the rewriter's job.
-func NewApplyQuery(source Node, filter expr.Expr, udfs []exec.UDFBinding, pushable expr.Expr, project []int) (Node, error) {
-	if source == nil {
-		return nil, fmt.Errorf("logical: query has no input")
-	}
-	n := source
-	var err error
-	if filter != nil {
-		if n, err = NewFilter(n, filter); err != nil {
-			return nil, err
-		}
-	}
-	if len(udfs) > 0 {
-		if n, err = NewUDFApply(n, udfs); err != nil {
-			return nil, err
-		}
-	}
-	if pushable != nil {
-		if n, err = NewFilter(n, pushable); err != nil {
-			return nil, err
-		}
-	}
-	if len(project) > 0 {
-		if n, err = NewProject(n, project); err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
-}
-
 // Schema implements Node.
 func (u *UDFApply) Schema() *types.Schema { return u.schema }
 

@@ -35,35 +35,6 @@ func bindings() []exec.UDFBinding {
 	}
 }
 
-// TestNewApplyQuery pins the structural query shape: each part present adds
-// its node in order, and with no UDFs the pushable predicate and projection
-// read the source schema.
-func TestNewApplyQuery(t *testing.T) {
-	filter := expr.NewBoundColumnRef(0, types.KindString)
-	full, err := NewApplyQuery(source(t), filter, bindings(), expr.NewBoundColumnRef(4, types.KindBool), []int{0, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "project [0 3]\n  filter $4\n    udf-apply [Score(1) Qualify(1)]\n      filter $0\n        scan T\n"
-	if got := Format(full); got != want {
-		t.Errorf("full shape:\n%s\nwant:\n%s", got, want)
-	}
-	noUDFs, err := NewApplyQuery(source(t), nil, nil, expr.NewBoundColumnRef(2, types.KindBytes), []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = "project [1]\n  filter $2\n    scan T\n"
-	if got := Format(noUDFs); got != want {
-		t.Errorf("UDF-free shape:\n%s\nwant:\n%s", got, want)
-	}
-	if _, err := NewApplyQuery(nil, nil, bindings(), nil, nil); err == nil {
-		t.Error("a query without input should fail")
-	}
-	if _, err := NewApplyQuery(source(t), nil, nil, expr.NewBoundColumnRef(4, types.KindBool), nil); err == nil {
-		t.Error("a UDF-free pushable past the source schema should fail")
-	}
-}
-
 func TestSchemaInference(t *testing.T) {
 	v := source(t)
 

@@ -175,15 +175,27 @@ func unversionedScan(t testing.TB, rows []types.Tuple) logical.Node {
 	return src
 }
 
-// applyQuery builds a structural query over src through the shared
-// constructor.
+// applyQuery applies udfs to src, keeps the rows pushable accepts and
+// projects the extended schema, leaving out the filter and projection when
+// nil: the tree a text query with one run of udf clauses compiles to.
 func applyQuery(t testing.TB, src logical.Node, udfs []exec.UDFBinding, pushable expr.Expr, project []int) logical.Node {
 	t.Helper()
-	root, err := logical.NewApplyQuery(src, nil, udfs, pushable, project)
+	root, err := logical.NewUDFApply(src, udfs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return root
+	var n logical.Node = root
+	if pushable != nil {
+		if n, err = logical.NewFilter(n, pushable); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(project) > 0 {
+		if n, err = logical.NewProject(n, project); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
 }
 
 // testQuery applies both UDFs to src, keeps the rows Qualify accepts and
@@ -430,11 +442,11 @@ func TestPlanQueryValidation(t *testing.T) {
 	if _, err := p.PlanTree(context.Background(), nil, testCatalog(t, rt)); err == nil {
 		t.Error("a nil tree should fail")
 	}
-	if _, err := logical.NewApplyQuery(nil, nil, testBindings(), nil, nil); err == nil {
+	if _, err := logical.NewUDFApply(nil, testBindings()); err == nil {
 		t.Error("a query without input should fail")
 	}
 	bad := []exec.UDFBinding{{Name: "Score", ArgOrdinals: []int{9}, ResultKind: types.KindBytes}}
-	if _, err := logical.NewApplyQuery(testValues(t, nil), nil, bad, nil, nil); err == nil {
+	if _, err := logical.NewUDFApply(testValues(t, nil), bad); err == nil {
 		t.Error("out-of-range argument ordinal should fail")
 	}
 }

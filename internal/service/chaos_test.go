@@ -259,7 +259,7 @@ func TestChaosDrainRestartCycles(t *testing.T) {
 				}
 				defer r.Close()
 				for j := 0; j < 6; j++ {
-					q, err := r.Submit(wire.QuerySpec{Table: "nums", TimeoutMillis: 5000})
+					q, err := r.SubmitText(numsQuery, wire.QuerySpec{TimeoutMillis: 5000})
 					if err != nil {
 						if cerr := classifyStormErr(err, &out, true); cerr != nil {
 							errCh <- fmt.Errorf("requester %d submit: %w", i, cerr)

@@ -358,7 +358,7 @@ func TestServerPreparedOverWire(t *testing.T) {
 	}
 	defer req.Close()
 
-	st, err := req.Prepare(wire.QuerySpec{Table: "dims", Project: []int{1}})
+	st, err := req.PrepareText(labelsQuery, wire.QuerySpec{})
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
@@ -378,11 +378,7 @@ func TestServerPreparedOverWire(t *testing.T) {
 
 	// A UDF-bearing statement prepared on the same connection, checked
 	// byte-for-byte against the unbudgeted in-process reference.
-	udfStmt, err := req.Prepare(wire.QuerySpec{
-		Table:      "events",
-		UDFs:       []wire.UDFSpec{{Name: "score", ArgOrdinals: []int{1}}},
-		ClientAddr: fx.clientAddr,
-	})
+	udfStmt, err := req.PrepareText(scoreQuery, wire.QuerySpec{ClientAddr: fx.clientAddr})
 	if err != nil {
 		t.Fatalf("prepare udf statement: %v", err)
 	}

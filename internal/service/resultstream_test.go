@@ -62,6 +62,10 @@ func scriptedServer(t *testing.T, caps uint32, script func(conn *wire.Conn, id u
 	return r
 }
 
+// scriptedQuery is what tests submit to a scripted server, which answers
+// whatever it is asked with its script.
+const scriptedQuery = "q(X) :- t(X)."
+
 // streamOf encodes rows as a result stream in 64-row frames.
 func streamOf(t *testing.T, stream bool, rows []types.Tuple) []wire.ResultFrame {
 	t.Helper()
@@ -121,7 +125,7 @@ func TestRequesterDamagedFrameEndsQuery(t *testing.T) {
 		}
 	})
 
-	q1, err := r.Submit(wire.QuerySpec{Table: "t"})
+	q1, err := r.SubmitText(scriptedQuery, wire.QuerySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +140,7 @@ func TestRequesterDamagedFrameEndsQuery(t *testing.T) {
 		t.Fatal("the failed stream's dictionaries outlived it")
 	}
 
-	q2, err := r.Submit(wire.QuerySpec{Table: "t"})
+	q2, err := r.SubmitText(scriptedQuery, wire.QuerySpec{})
 	if err != nil {
 		t.Fatalf("submit after a damaged stream: %v", err)
 	}
@@ -148,7 +152,7 @@ func TestRequesterDamagedFrameEndsQuery(t *testing.T) {
 		t.Fatal("the connection's next query decoded to other rows")
 	}
 
-	q3, err := r.Submit(wire.QuerySpec{Table: "t"})
+	q3, err := r.SubmitText(scriptedQuery, wire.QuerySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +170,11 @@ func TestRequesterUnreadableFrameFailsConnection(t *testing.T) {
 			_ = conn.Send(wire.MsgResultVectors, []byte{1, 2, 3})
 		}
 	})
-	q1, err := r.Submit(wire.QuerySpec{Table: "t"})
+	q1, err := r.SubmitText(scriptedQuery, wire.QuerySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := r.Submit(wire.QuerySpec{Table: "t"})
+	q2, err := r.SubmitText(scriptedQuery, wire.QuerySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +183,7 @@ func TestRequesterUnreadableFrameFailsConnection(t *testing.T) {
 			t.Fatalf("query %d ended with %v, want the connection's failure", i+1, err)
 		}
 	}
-	if _, err := r.Submit(wire.QuerySpec{Table: "t"}); err == nil {
+	if _, err := r.SubmitText(scriptedQuery, wire.QuerySpec{}); err == nil {
 		t.Fatal("submit on a failed connection succeeded")
 	}
 }
@@ -199,7 +203,7 @@ func TestCollectDetectsMissingFrame(t *testing.T) {
 		_ = conn.SendResultFrames(id, frames)
 		sendEnd(conn, id, len(rows))
 	})
-	q, err := r.Submit(wire.QuerySpec{Table: "t"})
+	q, err := r.SubmitText(scriptedQuery, wire.QuerySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +218,7 @@ func TestCollectDetectsMissingFrame(t *testing.T) {
 		t.Fatal("plain stream from an old server decoded to other rows")
 	}
 
-	q, err = r.Submit(wire.QuerySpec{Table: "t"})
+	q, err = r.SubmitText(scriptedQuery, wire.QuerySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,12 +338,8 @@ func TestServerOldRequesterGetsParentBytes(t *testing.T) {
 	fx := newServiceFixture(t)
 	defer fx.cleanup()
 	srv, addr := startServer(t, fx, Config{Planner: plan.Config{Link: fixedLink()}, ResultCacheBytes: 16 << 20})
-	dims := wire.QuerySpec{Table: "dims"}
-	dimsTree, err := srv.buildTree(&dims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := referenceRun(t, fx, dimsTree)
+	dims := wire.QuerySpec{Text: "d(K, L) :- dims(K, L)."}
+	want := referenceRun(t, fx, compileText(t, fx, dims.Text))
 
 	// A new requester fills the cache with vector frames.
 	nr, err := Dial(addr)
@@ -358,7 +358,7 @@ func TestServerOldRequesterGetsParentBytes(t *testing.T) {
 		}
 		return rows
 	}
-	if got := collect(nr.Submit(dims)); !bytes.Equal(encodeRows(t, got), encodeRows(t, want)) {
+	if got := collect(nr.SubmitText(dims.Text, dims)); !bytes.Equal(encodeRows(t, got), encodeRows(t, want)) {
 		t.Fatal("new requester's answer differs from the reference")
 	}
 	if e := onlyCachedResult(t, srv.svc); !e.stream {
@@ -381,13 +381,9 @@ func TestServerOldRequesterGetsParentBytes(t *testing.T) {
 	}
 	// Uncached ad-hoc queries, one per peer; the last is the labels answer.
 	var wantLabels []types.Tuple
-	for i, project := range [][]int{{0}, {1, 0}, {1}} {
-		spec := wire.QuerySpec{QueryID: uint64(21 + i), Table: "dims", Project: project}
-		tree, err := srv.buildTree(&spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantLabels = referenceRun(t, fx, tree)
+	for i, text := range []string{"k(K) :- dims(K, _).", "lk(L, K) :- dims(K, L).", labelsQuery} {
+		spec := wire.QuerySpec{QueryID: uint64(21 + i), Text: text}
+		wantLabels = referenceRun(t, fx, compileText(t, fx, text))
 		peers[i].send(wire.MsgQuery, peers[i].spec(spec))
 		requireFramesEqual(t, fmt.Sprintf("fresh answer for a peer asking for %#x", peers[i].caps), peers[i].answer(spec.QueryID), parentFrames(t, spec.QueryID, wantLabels))
 	}
@@ -396,7 +392,7 @@ func TestServerOldRequesterGetsParentBytes(t *testing.T) {
 	}
 
 	// A prepared execution, plain: a hit on the old peer's own plain entry.
-	old, labels := peers[2], wire.QuerySpec{Table: "dims", Project: []int{1}}
+	old, labels := peers[2], wire.QuerySpec{Text: labelsQuery}
 	labels.QueryID = 13
 	old.send(wire.MsgPrepare, old.spec(labels))
 	old.send(wire.MsgExecPrepared, wire.EncodeExecPrepared(&wire.ExecPrepared{StatementID: 13, QueryID: 14}))
@@ -405,7 +401,7 @@ func TestServerOldRequesterGetsParentBytes(t *testing.T) {
 	// The labels answer was stored plain by the old peer; a new requester's
 	// hit is transcoded to exactly what it would have been sent fresh.
 	before := nr.conn.BytesReceived()
-	if got := collect(nr.Submit(wire.QuerySpec{Table: "dims", Project: []int{1}})); !bytes.Equal(encodeRows(t, got), encodeRows(t, wantLabels)) {
+	if got := collect(nr.SubmitText(labelsQuery, wire.QuerySpec{})); !bytes.Equal(encodeRows(t, got), encodeRows(t, wantLabels)) {
 		t.Fatal("transcoded answer differs from the reference")
 	}
 	received := nr.conn.BytesReceived() - before
@@ -447,7 +443,7 @@ func TestResultCacheChargesExactFrameBytes(t *testing.T) {
 	run := func() int64 {
 		t.Helper()
 		before := r.conn.BytesReceived()
-		q, err := r.Submit(wire.QuerySpec{Table: "events", Project: []int{0, 2}})
+		q, err := r.SubmitText("gp(G, P) :- events(G, _, P, _).", wire.QuerySpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -540,12 +536,10 @@ func TestResultStreamStateFreedWithQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	slow := wire.QuerySpec{
-		Table: "events", UDFs: []wire.UDFSpec{{Name: "slowscore", ArgOrdinals: []int{1}}}, ClientAddr: fx.clientAddr,
-	}
+	slow := wire.QuerySpec{Text: slowQuery, ClientAddr: fx.clientAddr}
 	submit := func(spec wire.QuerySpec) *RemoteQuery {
 		t.Helper()
-		q, err := r.Submit(spec)
+		q, err := r.SubmitText(spec.Text, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -572,7 +566,7 @@ func TestResultStreamStateFreedWithQuery(t *testing.T) {
 
 	// End: a cacheable answer larger than the cache takes, so the kept frames
 	// are abandoned mid-stream and the rest must go too.
-	q := submit(wire.QuerySpec{Table: "events"})
+	q := submit(wire.QuerySpec{Text: eventsQuery})
 	rows, err := q.Collect()
 	if err != nil || len(rows) != eventRows {
 		t.Fatalf("collected %d rows, error %v", len(rows), err)
@@ -604,7 +598,7 @@ func TestResultStreamStateFreedWithQuery(t *testing.T) {
 	running := submit(slow)
 	queued := submit(slow)
 	waitForQueued(t, srv.svc.adm, 1)
-	shed := submit(wire.QuerySpec{Table: "dims"})
+	shed := submit(wire.QuerySpec{Text: labelsQuery})
 	var re *wire.RejectError
 	if _, err := shed.Collect(); !errors.As(err, &re) {
 		t.Fatalf("third query ended with %v, want a typed reject", err)

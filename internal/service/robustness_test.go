@@ -48,6 +48,9 @@ func miniCatalog(t testing.TB, rows int) *catalog.Catalog {
 	return cat
 }
 
+// numsQuery reads every row of the mini catalog's table over the wire.
+const numsQuery = "n(K, V) :- nums(K, V)."
+
 // numsTree builds a fresh filter tree over the mini catalog's table; each
 // submission gets its own tree.
 func numsTree(t testing.TB, cat *catalog.Catalog) logical.Node {
@@ -134,12 +137,18 @@ func (h *hangFixture) tree(t *testing.T) logical.Node {
 		t.Fatal(err)
 	}
 	udfs := []exec.UDFBinding{{Name: "hang", ArgOrdinals: []int{0}, ResultKind: types.KindFloat}}
-	tree, err := logical.NewApplyQuery(scan, nil, udfs, nil, nil)
+	tree, err := logical.NewUDFApply(scan, udfs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tree
 }
+
+// Queries over the hang fixture's table, as the wire tests submit them.
+const (
+	rowsQuery = "r(K) :- rows(K)."
+	hangQuery = "h(K, H) :- rows(K), udf hang(K) as H."
+)
 
 // awaitLeakFree fails the test if the goroutine count does not return to the
 // baseline within 5s.
@@ -656,22 +665,18 @@ func TestServerShedTypedOverWire(t *testing.T) {
 	}
 	defer r.Close()
 
-	hangSpec := wire.QuerySpec{
-		Table:      "rows",
-		UDFs:       []wire.UDFSpec{{Name: "hang", ArgOrdinals: []int{0}}},
-		ClientAddr: h.addr,
-	}
-	q1, err := r.Submit(hangSpec)
+	hangSpec := wire.QuerySpec{ClientAddr: h.addr}
+	q1, err := r.SubmitText(hangQuery, hangSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := r.Submit(hangSpec)
+	q2, err := r.SubmitText(hangQuery, hangSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitForQueued(t, svc.adm, 1)
 
-	q3, err := r.Submit(wire.QuerySpec{Table: "rows"})
+	q3, err := r.SubmitText(rowsQuery, wire.QuerySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -695,7 +700,7 @@ func TestServerShedTypedOverWire(t *testing.T) {
 	}()
 	var rows []types.Tuple
 	for attempt := 1; ; attempt++ {
-		q, err := r.Submit(wire.QuerySpec{Table: "rows"})
+		q, err := r.SubmitText(rowsQuery, wire.QuerySpec{})
 		if err == nil {
 			rows, err = q.Collect()
 		}
@@ -739,11 +744,7 @@ func TestServerShutdownOverWire(t *testing.T) {
 	}
 	defer r.Close()
 
-	inflight, err := r.Submit(wire.QuerySpec{
-		Table:      "rows",
-		UDFs:       []wire.UDFSpec{{Name: "hang", ArgOrdinals: []int{0}}},
-		ClientAddr: h.addr,
-	})
+	inflight, err := r.SubmitText(hangQuery, wire.QuerySpec{ClientAddr: h.addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -759,7 +760,7 @@ func TestServerShutdownOverWire(t *testing.T) {
 
 	// A submission during the drain is shed, typed.
 	waitDraining(t, svc)
-	shed, err := r.Submit(wire.QuerySpec{Table: "rows"})
+	shed, err := r.SubmitText(rowsQuery, wire.QuerySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -828,7 +829,7 @@ func TestServerShutdownRacesWireSubmissions(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					<-start
-					q, err := r.Submit(wire.QuerySpec{Table: "nums"})
+					q, err := r.SubmitText(numsQuery, wire.QuerySpec{})
 					var got []types.Tuple
 					if err == nil {
 						got, err = q.Collect()

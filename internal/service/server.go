@@ -12,9 +12,7 @@ import (
 	"time"
 
 	"csq/internal/exec"
-	"csq/internal/expr"
 	"csq/internal/lang"
-	"csq/internal/logical"
 	"csq/internal/types"
 	"csq/internal/wire"
 )
@@ -249,11 +247,11 @@ func inFlight(owned *sync.Map, id uint64) error {
 // execution of a prepared statement (MsgExecPrepared): refuse a query ID in
 // flight, build the request, attach the frame sink of the negotiated
 // encoding and submit. A MsgPrepare takes the ad-hoc path as far as its ack:
-// its QuerySpec's QueryID is the statement ID, and the tree is built (a
-// textual query compiled) once, here. A spec is acknowledged before its
-// query is submitted, so no result frame can beat the ack onto the wire; an
-// execution learns of a refusal from its stream. It reports false once the
-// connection is gone.
+// its QuerySpec's QueryID is the statement ID, and its text is compiled
+// once, here. A spec is acknowledged before its query is submitted, so no
+// result frame can beat the ack onto the wire; a spec that does not decode is
+// refused in the ack to the ID it leads with. An execution learns of a
+// refusal from its stream. It reports false once the connection is gone.
 func (s *Server) serveQuery(conn *wire.Conn, owned *sync.Map, stmts map[uint64]*connStatement, msg wire.Message) bool {
 	var (
 		id     uint64
@@ -268,15 +266,22 @@ func (s *Server) serveQuery(conn *wire.Conn, owned *sync.Map, stmts map[uint64]*
 		}
 		spec, err := wire.DecodeQuerySpec(msg.Payload)
 		if err != nil {
-			_ = s.sendError(conn, 0, fmt.Sprintf("bad %s: %v", what, err))
-			return true
-		}
-		id, caps = spec.QueryID, spec.Caps&serverCaps
-		switch {
-		case !prepare:
-			err = inFlight(owned, id)
-		case stmts[id] != nil:
-			err = fmt.Errorf("statement ID %d is already prepared on this connection", id)
+			// The requester waits on the ack for its own ID; the spec leads
+			// with it even when the rest does not decode.
+			var named bool
+			if id, named = wire.StreamID(msg.Payload); !named {
+				_ = s.sendError(conn, 0, fmt.Sprintf("bad %s: %v", what, err))
+				return true
+			}
+			err = fmt.Errorf("bad %s: %w", what, err)
+		} else {
+			id, caps = spec.QueryID, spec.Caps&serverCaps
+			switch {
+			case !prepare:
+				err = inFlight(owned, id)
+			case stmts[id] != nil:
+				err = fmt.Errorf("statement ID %d is already prepared on this connection", id)
+			}
 		}
 		if err == nil {
 			req, err = s.requestFor(spec)
@@ -300,7 +305,10 @@ func (s *Server) serveQuery(conn *wire.Conn, owned *sync.Map, stmts map[uint64]*
 	} else {
 		ep, err := wire.DecodeExecPrepared(msg.Payload)
 		if err != nil {
-			_ = s.sendError(conn, 0, fmt.Sprintf("bad exec prepared: %v", err))
+			// The execution's ID follows the statement ID; session 0 answers
+			// a frame too short to name one.
+			id, _ = wire.StreamID(msg.Payload[min(8, len(msg.Payload)):])
+			_ = s.sendError(conn, id, fmt.Sprintf("bad exec prepared: %v", err))
 			return true
 		}
 		st := stmts[ep.StatementID]
@@ -392,11 +400,12 @@ func (s *Server) sendError(conn *wire.Conn, session uint64, msg string) error {
 	return conn.Send(wire.MsgError, wire.EncodeError(&wire.ErrorMsg{SessionID: session, Message: msg}))
 }
 
-// requestFor translates a QuerySpec into a request: the tree and resource
-// envelope of an ad-hoc query or of a prepared statement's template. The
-// result sink is attached per query, keyed by the query's own ID.
+// requestFor translates a QuerySpec into a request: its text compiled against
+// the service catalog, and the resource envelope of an ad-hoc query or of a
+// prepared statement's template. The result sink is attached per query, keyed
+// by the query's own ID.
 func (s *Server) requestFor(spec *wire.QuerySpec) (Request, error) {
-	tree, err := s.buildTree(spec)
+	tree, err := lang.Compile(s.svc.cat, spec.Text)
 	if err != nil {
 		return Request{}, err
 	}
@@ -411,54 +420,6 @@ func (s *Server) requestFor(spec *wire.QuerySpec) (Request, error) {
 		req.LinkKey = spec.ClientAddr
 	}
 	return req, nil
-}
-
-// buildTree assembles the spec's logical tree. A textual query (spec.Text) is
-// parsed, resolved and compiled server-side against the service catalog;
-// otherwise the structural fields describe the scan → [filter] → [udf-apply]
-// → [pushable filter] → [project] shape over one named table.
-func (s *Server) buildTree(spec *wire.QuerySpec) (logical.Node, error) {
-	if spec.Text != "" {
-		return lang.Compile(s.svc.cat, spec.Text)
-	}
-	table, err := s.svc.cat.Table(spec.Table)
-	if err != nil {
-		return nil, err
-	}
-	scan, err := logical.NewScan(table, "")
-	if err != nil {
-		return nil, err
-	}
-	filter, err := unmarshalPredicate(spec.Filter)
-	if err != nil {
-		return nil, fmt.Errorf("service: query filter: %w", err)
-	}
-	bindings := make([]exec.UDFBinding, 0, len(spec.UDFs))
-	for _, u := range spec.UDFs {
-		udf, err := s.svc.cat.UDF(u.Name)
-		if err != nil {
-			return nil, fmt.Errorf("service: query UDF %q is not registered", u.Name)
-		}
-		bindings = append(bindings, exec.UDFBinding{
-			Name:        udf.Name,
-			ArgOrdinals: append([]int(nil), u.ArgOrdinals...),
-			ResultKind:  udf.ResultKind,
-		})
-	}
-	pushable, err := unmarshalPredicate(spec.Pushable)
-	if err != nil {
-		return nil, fmt.Errorf("service: pushable predicate: %w", err)
-	}
-	return logical.NewApplyQuery(scan, filter, bindings, pushable, spec.Project)
-}
-
-// unmarshalPredicate decodes an optional marshalled predicate; no bytes mean
-// no predicate.
-func unmarshalPredicate(b []byte) (expr.Expr, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	return expr.Unmarshal(b)
 }
 
 // Requester is the client side of the MsgQuery protocol: a thin helper that
@@ -632,9 +593,12 @@ type RemoteQuery struct {
 	ch   *resultStream
 }
 
-// Submit sends a QuerySpec (its QueryID and Caps are managed by the
-// requester) and waits for the server's admission ack.
-func (r *Requester) Submit(spec wire.QuerySpec) (*RemoteQuery, error) {
+// SubmitText submits a query (see docs/QUERYLANG.md) for server-side
+// parsing and planning, and waits for the server's admission ack. The spec
+// carries the query's envelope — ClientAddr, MemBudget, TimeoutMillis,
+// Tenant; its QueryID, Caps and Text are managed by the requester.
+func (r *Requester) SubmitText(text string, spec wire.QuerySpec) (*RemoteQuery, error) {
+	spec.Text = text
 	ch, ack, err := r.request(wire.MsgQuery, "query", &spec)
 	if err != nil {
 		return nil, err
@@ -642,11 +606,11 @@ func (r *Requester) Submit(spec wire.QuerySpec) (*RemoteQuery, error) {
 	return &RemoteQuery{r: r, id: spec.QueryID, caps: ack.Caps, ch: ch}, nil
 }
 
-// request is the one request path of Submit and Prepare: it gives the spec a
-// fresh query ID and the requester's caps, sends it as one msg frame and
-// waits for the server's ack to what ("query" or "prepare"). On any failure,
-// a rejecting ack included, the ID is dropped again; on success its stream
-// stays registered for the caller.
+// request is the one request path of SubmitText and PrepareText: it gives the
+// spec a fresh query ID and the requester's caps, sends it as one msg frame
+// and waits for the server's ack to what ("query" or "prepare"). On any
+// failure, a rejecting ack included, the ID is dropped again; on success its
+// stream stays registered for the caller.
 func (r *Requester) request(msg wire.MsgType, what string, spec *wire.QuerySpec) (*resultStream, *wire.QueryAck, error) {
 	spec.Caps = serverCaps
 	ch, err := r.send(&spec.QueryID, msg, func() ([]byte, error) { return wire.EncodeQuerySpec(spec) })
@@ -707,38 +671,23 @@ func (r *Requester) send(id *uint64, msg wire.MsgType, encode func() ([]byte, er
 	return ch, nil
 }
 
-// SubmitText submits a textual query (see docs/QUERYLANG.md) for server-side
-// parsing and planning. The spec carries the query's envelope — ClientAddr,
-// MemBudget, TimeoutMillis — while its structural fields are ignored. A server
-// too old to understand query text rejects the spec at decode time, so the
-// submission fails cleanly rather than misbehaving.
-func (r *Requester) SubmitText(text string, spec wire.QuerySpec) (*RemoteQuery, error) {
-	return r.Submit(textSpec(text, spec))
-}
-
-// textSpec is spec carrying the query text in place of its structural fields.
-func textSpec(text string, spec wire.QuerySpec) wire.QuerySpec {
-	spec.Text = text
-	spec.Table, spec.Filter, spec.UDFs, spec.Pushable, spec.Project = "", nil, nil, nil, nil
-	return spec
-}
-
 // RemoteStatement is a statement prepared on the server over this requester's
-// connection: the tree was built (or the text compiled) and validated once,
-// and each Exec ships only a statement ID plus per-execution overrides. It is
-// only handed out when the server echoed CapPrepared.
+// connection: the text was compiled and validated once, and each Exec ships
+// only a statement ID plus per-execution overrides. It is only handed out
+// when the server echoed CapPrepared.
 type RemoteStatement struct {
 	r    *Requester
 	id   uint64
 	caps uint32
 }
 
-// Prepare registers the spec as a server-side prepared statement. The spec's
-// QueryID and Caps are managed by the requester; the resource envelope
-// (ClientAddr, MemBudget, TimeoutMillis, Tenant) becomes the statement's
-// template, overridable per execution. Servers that have not negotiated
-// CapPrepared fail the call cleanly.
-func (r *Requester) Prepare(spec wire.QuerySpec) (*RemoteStatement, error) {
+// PrepareText prepares a query (see docs/QUERYLANG.md) as a server-side
+// statement. The spec's QueryID, Caps and Text are managed by the requester;
+// the resource envelope (ClientAddr, MemBudget, TimeoutMillis, Tenant)
+// becomes the statement's template, overridable per execution. Servers that
+// have not negotiated CapPrepared fail the call cleanly.
+func (r *Requester) PrepareText(text string, spec wire.QuerySpec) (*RemoteStatement, error) {
+	spec.Text = text
 	_, ack, err := r.request(wire.MsgPrepare, "prepare", &spec)
 	if err != nil {
 		return nil, err
@@ -750,14 +699,9 @@ func (r *Requester) Prepare(spec wire.QuerySpec) (*RemoteStatement, error) {
 	return &RemoteStatement{r: r, id: spec.QueryID, caps: ack.Caps}, nil
 }
 
-// PrepareText prepares a textual query (see docs/QUERYLANG.md) server-side.
-func (r *Requester) PrepareText(text string, spec wire.QuerySpec) (*RemoteStatement, error) {
-	return r.Prepare(textSpec(text, spec))
-}
-
 // Exec starts one execution of the statement. over's StatementID and QueryID
 // are managed by the requester; its remaining fields override the statement's
-// template (zero values inherit). Unlike Submit there is no per-execution
+// template (zero values inherit). Unlike SubmitText there is no per-execution
 // admission ack — rejections surface from Collect as typed reject errors.
 func (st *RemoteStatement) Exec(over wire.ExecPrepared) (*RemoteQuery, error) {
 	over.StatementID = st.id

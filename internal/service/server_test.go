@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"csq/internal/catalog"
-	"csq/internal/exec"
-	"csq/internal/expr"
 	"csq/internal/plan"
 	"csq/internal/types"
 	"csq/internal/wire"
@@ -53,19 +51,8 @@ func TestServerQueryOverWire(t *testing.T) {
 	defer req.Close()
 
 	// UDF query: score over events, filtered server-side.
-	filter := expr.NewBinary(expr.OpLt,
-		expr.NewBoundColumnRef(0, types.KindInt),
-		expr.NewConst(types.NewInt(5)))
-	filterBytes, err := expr.Marshal(filter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := req.Submit(wire.QuerySpec{
-		Table:      "events",
-		Filter:     filterBytes,
-		UDFs:       []wire.UDFSpec{{Name: "score", ArgOrdinals: []int{1}}},
-		ClientAddr: fx.clientAddr,
-	})
+	const text = "s(G, K, P, V, S) :- events(G, K, P, V), udf score(K) as S, G < 5."
+	q, err := req.SubmitText(text, wire.QuerySpec{ClientAddr: fx.clientAddr})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -73,14 +60,13 @@ func TestServerQueryOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("collect: %v", err)
 	}
-	wantTree := udfQueryTree(t, fx, []exec.UDFBinding{scoreBinding()}, filter, nil, nil)
-	want := referenceRun(t, fx, wantTree)
+	want := referenceRun(t, fx, compileText(t, fx, text))
 	if !bytes.Equal(encodeRows(t, got), encodeRows(t, want)) {
 		t.Fatalf("wire query result differs: %d rows vs %d", len(got), len(want))
 	}
 
 	// Pure server-side query on the same connection: no UDFs, no client addr.
-	q2, err := req.Submit(wire.QuerySpec{Table: "dims", Project: []int{1}})
+	q2, err := req.SubmitText(labelsQuery, wire.QuerySpec{})
 	if err != nil {
 		t.Fatalf("submit server-side: %v", err)
 	}
@@ -107,11 +93,7 @@ func TestServerCancelOverWire(t *testing.T) {
 	}
 	defer req.Close()
 
-	q, err := req.Submit(wire.QuerySpec{
-		Table:      "events",
-		UDFs:       []wire.UDFSpec{{Name: "slowscore", ArgOrdinals: []int{1}}},
-		ClientAddr: fx.clientAddr,
-	})
+	q, err := req.SubmitText(slowQuery, wire.QuerySpec{ClientAddr: fx.clientAddr})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -178,11 +160,7 @@ func TestServerRegisterUDFsOverWire(t *testing.T) {
 	}}); err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	q, err := req.Submit(wire.QuerySpec{
-		Table:      "events",
-		UDFs:       []wire.UDFSpec{{Name: "score", ArgOrdinals: []int{1}}},
-		ClientAddr: fx.clientAddr,
-	})
+	q, err := req.SubmitText(scoreQuery, wire.QuerySpec{ClientAddr: fx.clientAddr})
 	if err != nil {
 		t.Fatalf("submit after register: %v", err)
 	}
@@ -206,43 +184,8 @@ func TestServerRejectsUnknownTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer req.Close()
-	if _, err := req.Submit(wire.QuerySpec{Table: "no-such-table"}); err == nil {
+	if _, err := req.SubmitText("x(A) :- nosuch(A).", wire.QuerySpec{}); err == nil {
 		t.Fatalf("expected a rejection for an unknown table")
-	}
-}
-
-// TestServerPushableWithoutUDFs: with no UDFs the extended schema is the
-// table schema, so a structural query's pushable predicate filters the table
-// like Filter does, and malformed predicate bytes are rejected.
-func TestServerPushableWithoutUDFs(t *testing.T) {
-	fx := newServiceFixture(t)
-	defer fx.cleanup()
-	_, addr := startServer(t, fx, Config{Planner: plan.Config{Link: fixedLink()}})
-
-	req, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer req.Close()
-	pushable, err := expr.Marshal(expr.NewBinary(expr.OpLt,
-		expr.NewBoundColumnRef(0, types.KindInt),
-		expr.NewConst(types.NewInt(3))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := req.Submit(wire.QuerySpec{Table: "dims", Pushable: pushable})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	rows, err := q.Collect()
-	if err != nil {
-		t.Fatalf("collect: %v", err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("pushable $0 < 3 over dims returned %d rows, want 3", len(rows))
-	}
-	if _, err := req.Submit(wire.QuerySpec{Table: "dims", Pushable: []byte{0xff, 0xff}}); err == nil {
-		t.Fatalf("malformed pushable bytes were accepted")
 	}
 }
 
@@ -251,14 +194,11 @@ func TestQuerySpecRoundTrip(t *testing.T) {
 	spec := &wire.QuerySpec{
 		QueryID:       42,
 		Caps:          wire.CapCancel,
-		Table:         "events",
-		Filter:        []byte{1, 2, 3},
-		UDFs:          []wire.UDFSpec{{Name: "score", ArgOrdinals: []int{1, 2}}},
-		Pushable:      []byte{9},
-		Project:       []int{0, 4},
 		ClientAddr:    "127.0.0.1:9999",
 		MemBudget:     1 << 20,
 		TimeoutMillis: 2500,
+		Text:          scoreQuery,
+		Tenant:        "acme",
 	}
 	data, err := wire.EncodeQuerySpec(spec)
 	if err != nil {
@@ -268,11 +208,7 @@ func TestQuerySpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.QueryID != spec.QueryID || got.Caps != spec.Caps || got.Table != spec.Table ||
-		got.ClientAddr != spec.ClientAddr || got.MemBudget != spec.MemBudget ||
-		got.TimeoutMillis != spec.TimeoutMillis ||
-		len(got.UDFs) != 1 || got.UDFs[0].Name != "score" ||
-		len(got.Project) != 2 || !bytes.Equal(got.Filter, spec.Filter) || !bytes.Equal(got.Pushable, spec.Pushable) {
+	if *got != *spec {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, spec)
 	}
 
@@ -310,12 +246,7 @@ func TestServerRejectsDuplicateQueryID(t *testing.T) {
 	conn := wire.NewConn(nc)
 	send := func() {
 		t.Helper()
-		spec := &wire.QuerySpec{
-			QueryID:    7,
-			Table:      "events",
-			UDFs:       []wire.UDFSpec{{Name: "slowscore", ArgOrdinals: []int{1}}},
-			ClientAddr: fx.clientAddr,
-		}
+		spec := &wire.QuerySpec{QueryID: 7, Text: slowQuery, ClientAddr: fx.clientAddr}
 		payload, err := wire.EncodeQuerySpec(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -362,17 +293,15 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	}
 	defer req.Close()
 	// Unregistered UDF.
-	if _, err := req.Submit(wire.QuerySpec{
-		Table: "events", UDFs: []wire.UDFSpec{{Name: "nope", ArgOrdinals: []int{1}}},
-	}); err == nil {
+	if _, err := req.SubmitText("s(S) :- events(_, K, _, _), udf nope(K) as S.", wire.QuerySpec{}); err == nil {
 		t.Fatalf("unregistered UDF accepted")
 	}
-	// Garbage filter bytes.
-	if _, err := req.Submit(wire.QuerySpec{Table: "events", Filter: []byte{0xff, 0xff}}); err == nil {
+	// A filter that does not parse.
+	if _, err := req.SubmitText("s(K) :- events(_, K, _, _), K <.", wire.QuerySpec{}); err == nil {
 		t.Fatalf("garbage filter accepted")
 	}
 	// Budget and timeout plumbing (accept path with overrides).
-	q, err := req.Submit(wire.QuerySpec{Table: "dims", MemBudget: 1 << 20, TimeoutMillis: 60_000})
+	q, err := req.SubmitText(dimsQuery, wire.QuerySpec{MemBudget: 1 << 20, TimeoutMillis: 60_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +322,7 @@ func TestRequesterSurfacesConnectionDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := req.Submit(wire.QuerySpec{
-		Table:      "events",
-		UDFs:       []wire.UDFSpec{{Name: "slowscore", ArgOrdinals: []int{1}}},
-		ClientAddr: fx.clientAddr,
-	})
+	q, err := req.SubmitText(slowQuery, wire.QuerySpec{ClientAddr: fx.clientAddr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +343,7 @@ func TestRequesterSurfacesConnectionDeath(t *testing.T) {
 	}
 	_ = req.Close()
 	// Submitting on a dead requester fails fast.
-	if _, err := req.Submit(wire.QuerySpec{Table: "dims"}); err == nil {
+	if _, err := req.SubmitText(dimsQuery, wire.QuerySpec{}); err == nil {
 		t.Fatalf("submit on a dead connection succeeded")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"csq/internal/client"
 	"csq/internal/exec"
 	"csq/internal/expr"
+	"csq/internal/lang"
 	"csq/internal/logical"
 	"csq/internal/plan"
 	"csq/internal/storage"
@@ -45,6 +46,26 @@ func dimsSchema() *types.Schema {
 		types.Column{Name: "Key", Kind: types.KindInt},
 		types.Column{Name: "Label", Kind: types.KindString},
 	)
+}
+
+// Queries over the fixture's tables, as the wire tests submit them.
+const (
+	eventsQuery = "e(G, K, P, V) :- events(G, K, P, V)."
+	dimsQuery   = "d(K, L) :- dims(K, L)."
+	labelsQuery = "l(L) :- dims(_, L)."
+	scoreQuery  = "s(G, K, P, V, S) :- events(G, K, P, V), udf score(K) as S."
+	slowQuery   = "s(G, K, P, V, S) :- events(G, K, P, V), udf slowscore(K) as S."
+)
+
+// compileText compiles a query against the fixture's catalog, as the server
+// does for a wire spec.
+func compileText(t testing.TB, fx *serviceFixture, text string) logical.Node {
+	t.Helper()
+	tree, err := lang.Compile(fx.cat, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
 }
 
 // serviceFixture is everything one acceptance test run needs: a catalog with
@@ -201,9 +222,24 @@ func udfQueryTree(t testing.TB, fx *serviceFixture, udfs []exec.UDFBinding, filt
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := logical.NewApplyQuery(scan, filter, udfs, pushable, project)
-	if err != nil {
+	var tree logical.Node = scan
+	if filter != nil {
+		if tree, err = logical.NewFilter(tree, filter); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tree, err = logical.NewUDFApply(tree, udfs); err != nil {
 		t.Fatal(err)
+	}
+	if pushable != nil {
+		if tree, err = logical.NewFilter(tree, pushable); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(project) > 0 {
+		if tree, err = logical.NewProject(tree, project); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return tree
 }
@@ -582,7 +618,7 @@ func TestServerAddrAndListenAndServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := req.Submit(wire.QuerySpec{Table: "dims"})
+	q, err := req.SubmitText(dimsQuery, wire.QuerySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

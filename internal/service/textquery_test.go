@@ -2,9 +2,12 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"csq/internal/exec"
 	"csq/internal/expr"
@@ -134,9 +137,9 @@ func TestServerTextQueryError(t *testing.T) {
 }
 
 // TestServerOldClientWithoutTextCap plays an old requester on a raw
-// connection: a pre-text QuerySpec encoding (no trailing Text field, only
-// CapCancel requested) must keep working, and the ack must echo only the
-// requested capabilities.
+// connection that asks only for CapCancel, never for CapTextQuery: its text
+// query must keep working, and the ack must echo only the requested
+// capabilities.
 func TestServerOldClientWithoutTextCap(t *testing.T) {
 	fx := newServiceFixture(t)
 	defer fx.cleanup()
@@ -149,12 +152,7 @@ func TestServerOldClientWithoutTextCap(t *testing.T) {
 	defer nc.Close()
 	conn := wire.NewConn(nc)
 
-	payload, err := wire.EncodeQuerySpec(&wire.QuerySpec{
-		QueryID: 3,
-		Caps:    wire.CapCancel,
-		Table:   "dims",
-		Project: []int{1},
-	})
+	payload, err := wire.EncodeQuerySpec(&wire.QuerySpec{QueryID: 3, Caps: wire.CapCancel, Text: labelsQuery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +196,14 @@ func TestServerOldClientWithoutTextCap(t *testing.T) {
 	}
 }
 
-// TestQuerySpecTextRoundTrip pins the optional trailing Text field: specs
-// without it must encode byte-identically to the pre-text layout, and specs
-// with it must round-trip.
+// TestQuerySpecTextRoundTrip pins the text field: a spec round-trips through
+// the codec, and a spec without text is refused by the encoder and the
+// decoder alike.
 func TestQuerySpecTextRoundTrip(t *testing.T) {
 	withText := &wire.QuerySpec{
 		QueryID: 9,
 		Caps:    wire.CapCancel | wire.CapTextQuery,
-		Text:    "labels(Label) :- dims(_, Label).",
+		Text:    labelsQuery,
 	}
 	data, err := wire.EncodeQuerySpec(withText)
 	if err != nil {
@@ -215,36 +213,155 @@ func TestQuerySpecTextRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Text != withText.Text || got.Table != "" {
+	if *got != *withText {
 		t.Fatalf("text round trip mismatch: %+v", got)
 	}
-
-	// Without text, the trailing field is absent entirely.
-	plain := &wire.QuerySpec{QueryID: 9, Caps: wire.CapCancel, Table: "dims"}
-	plainData, err := wire.EncodeQuerySpec(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	textless := *withText
-	textless.Text = ""
-	textless.Table = "dims"
-	textlessData, err := wire.EncodeQuerySpec(&textless)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(textlessData) >= len(data) {
-		t.Fatalf("empty Text must not be encoded: %d bytes vs %d with text", len(textlessData), len(data))
-	}
-	back, err := wire.DecodeQuerySpec(plainData)
-	if err != nil {
-		t.Fatalf("pre-text layout must keep decoding: %v", err)
-	}
-	if back.Text != "" || back.Table != "dims" {
-		t.Fatalf("pre-text decode mismatch: %+v", back)
-	}
-
-	// A spec with neither a table nor text is unsendable.
 	if _, err := wire.EncodeQuerySpec(&wire.QuerySpec{QueryID: 1}); err == nil {
-		t.Fatalf("expected an error for a spec with no table and no text")
+		t.Fatalf("encoded a spec with no text")
+	}
+	textless := bytes.Clone(data)
+	textless = append(textless[:len(textless)-len(labelsQuery)-1], 0)
+	if _, err := wire.DecodeQuerySpec(textless); err == nil {
+		t.Fatalf("decoded a spec with no text")
+	}
+}
+
+// Structured query specs as requesters before the query language sent them,
+// each with query ID 7: the whole of dims, and a projection of dims whose
+// ordinal count (65 536) the structured decoder refused, leaving such a
+// requester waiting on an ack that never came.
+const (
+	structuredDimsHex    = "0700000000000000010000000464696d7300000000000000"
+	structuredHostileHex = "0700000000000000010000000464696d73000000808004"
+)
+
+// TestServerRefusesStructuredSpec plays requesters from before the query
+// language on raw connections: a structured query or prepare is refused in
+// the ack to its own query ID, naming the retirement, and the connection
+// keeps serving text.
+func TestServerRefusesStructuredSpec(t *testing.T) {
+	fx := newServiceFixture(t)
+	defer fx.cleanup()
+	_, addr := startServer(t, fx, Config{Planner: plan.Config{Link: fixedLink()}})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+	conn := wire.NewConn(nc)
+
+	for _, c := range []struct {
+		msg, ack wire.MsgType
+		hex      string
+	}{
+		{wire.MsgQuery, wire.MsgQueryAck, structuredDimsHex},
+		{wire.MsgQuery, wire.MsgQueryAck, structuredHostileHex},
+		{wire.MsgPrepare, wire.MsgPrepareAck, structuredDimsHex},
+	} {
+		payload, err := hex.DecodeString(c.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send(c.msg, payload); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := conn.Receive()
+		if err != nil {
+			t.Fatalf("%s of %s: no answer: %v", c.msg, c.hex, err)
+		}
+		if msg.Type != c.ack {
+			t.Fatalf("%s of %s answered with %s, want %s", c.msg, c.hex, msg.Type, c.ack)
+		}
+		ack, err := wire.DecodeQueryAck(msg.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack.QueryID != 7 || ack.OK || !strings.Contains(ack.Error, "structured query specs are retired; send query text") {
+			t.Fatalf("%s of %s acked %+v, want a refusal of query 7 naming the retirement", c.msg, c.hex, ack)
+		}
+	}
+
+	payload, err := wire.EncodeQuerySpec(&wire.QuerySpec{QueryID: 7, Text: labelsQuery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Send(wire.MsgQuery, payload); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		msg, err := conn.Receive()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg.Type == wire.MsgEnd {
+			break
+		}
+		if msg.Type == wire.MsgQueryAck {
+			if ack, err := wire.DecodeQueryAck(msg.Payload); err != nil || !ack.OK {
+				t.Fatalf("text query after the refusals acked %+v, %v", ack, err)
+			}
+		}
+	}
+}
+
+// TestRequesterUndecodableRequestAnswered sends requests the server cannot
+// decode through a live Requester: structured specs of older requesters, and
+// a prepared execution cut short after its query ID. Each must end with an
+// error for its own query ID within a bounded time, not leave the requester
+// waiting on a frame that never comes.
+func TestRequesterUndecodableRequestAnswered(t *testing.T) {
+	fx := newServiceFixture(t)
+	defer fx.cleanup()
+	_, addr := startServer(t, fx, Config{Planner: plan.Config{Link: fixedLink()}})
+	r, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	// send hands payload to the requester as a msg request, its query ID
+	// (at offset idAt) replaced by the one the requester assigns.
+	send := func(msg wire.MsgType, payload []byte, idAt int) *resultStream {
+		t.Helper()
+		var id uint64
+		ch, err := r.send(&id, msg, func() ([]byte, error) {
+			b := bytes.Clone(payload)
+			binary.LittleEndian.PutUint64(b[idAt:], id)
+			return b, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ch
+	}
+	for _, h := range []string{structuredDimsHex, structuredHostileHex} {
+		payload, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case ack := <-send(wire.MsgQuery, payload, 0).ack:
+			if ack.OK || !strings.Contains(ack.Error, "structured query specs are retired; send query text") {
+				t.Fatalf("structured spec %s acked %+v, want the retirement refusal", h, ack)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("structured spec %s: no ack within 5s", h)
+		}
+	}
+
+	st, err := r.PrepareText(labelsQuery, wire.QuerySpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := wire.EncodeExecPrepared(&wire.ExecPrepared{StatementID: st.id})
+	ch := send(wire.MsgExecPrepared, frame[:len(frame)-1], 8)
+	select {
+	case <-ch.done:
+		if ch.err == nil || !strings.Contains(ch.err.Error(), "bad exec prepared") {
+			t.Fatalf("truncated execution ended with %v, want the decode error", ch.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("truncated execution: no answer within 5s")
 	}
 }

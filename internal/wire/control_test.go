@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/hex"
 	"reflect"
+	"strings"
 	"testing"
 
 	"csq/internal/types"
@@ -30,7 +31,10 @@ func must(b []byte, err error) []byte {
 // with every optional trailer (or every field) set and one with none. The hex
 // is the encoding the protocol has always had; the cost model counts these
 // bytes, so none may move. The Setup and SetupAck lost what negotiated the
-// retired per-frame dictionary; oldPeerHex keeps what peers sent before.
+// retired per-frame dictionary; oldPeerHex keeps what peers sent before. A
+// query spec is text only: its hex is what every release has sent for the
+// same text, tenant trailer or not, with the retired structured fields
+// written empty (see TestQuerySpecStructuredRetired).
 func controlCases() []controlCase {
 	schema := types.NewSchema(
 		types.Column{Qualifier: "s", Name: "id", Kind: types.KindInt},
@@ -57,12 +61,11 @@ func controlCases() []controlCase {
 	rejFull := &QueryReject{QueryID: 11, Reason: RejectDraining, RetryAfterMillis: 1500}
 	rejMin := &QueryReject{}
 	specFull := &QuerySpec{
-		QueryID: 42, Caps: CapCancel | CapTextQuery, Table: "objects", Filter: []byte{1, 2},
-		UDFs: []UDFSpec{{Name: "f", ArgOrdinals: []int{0}}}, Pushable: []byte{3}, Project: []int{1, 0},
+		QueryID: 42, Caps: CapCancel | CapTextQuery,
 		ClientAddr: "127.0.0.1:9", MemBudget: 1 << 20, TimeoutMillis: 5000,
 		Text: "q(X) :- t(X).", Tenant: "acme",
 	}
-	specMin := &QuerySpec{QueryID: 1, Table: "t"}
+	specMin := &QuerySpec{QueryID: 1, Text: "q(X) :- t(X)."}
 	queryAckFull := &QueryAck{QueryID: 5, OK: true, Error: "", Caps: CapCancel | CapReject}
 	queryAckMin := &QueryAck{QueryID: 5, Error: "bad"}
 	execFull := &ExecPrepared{StatementID: 4, QueryID: 9, MemBudget: 4096, TimeoutMillis: 250, Tenant: "acme"}
@@ -94,8 +97,8 @@ func controlCases() []controlCase {
 		{"register-udf/none", regMin, func() []byte { return EncodeRegisterUDF(regMin) }, decReg, "016600010000000000000000000000000000000000"},
 		{"query-reject/full", rejFull, func() []byte { return EncodeQueryReject(rejFull) }, decRej, "0b0000000000000001dc0b"},
 		{"query-reject/none", rejMin, func() []byte { return EncodeQueryReject(rejMin) }, decRej, "00000000000000000000"},
-		{"query-spec/full", specFull, func() []byte { return must(EncodeQuerySpec(specFull)) }, decSpec, "2a0000000000000005000000076f626a65637473020102010166010001030201000b3132372e302e302e313a3980804088270d71285829203a2d20742858292e0461636d65"},
-		{"query-spec/none", specMin, func() []byte { return must(EncodeQuerySpec(specMin)) }, decSpec, "010000000000000000000000017400000000000000"},
+		{"query-spec/full", specFull, func() []byte { return must(EncodeQuerySpec(specFull)) }, decSpec, "2a000000000000000500000000000000000b3132372e302e302e313a3980804088270d71285829203a2d20742858292e0461636d65"},
+		{"query-spec/none", specMin, func() []byte { return must(EncodeQuerySpec(specMin)) }, decSpec, "01000000000000000000000000000000000000000d71285829203a2d20742858292e"},
 		{"query-ack/full", queryAckFull, func() []byte { return EncodeQueryAck(queryAckFull) }, decQAck, "0500000000000000010009000000"},
 		{"query-ack/none", queryAckMin, func() []byte { return EncodeQueryAck(queryAckMin) }, decQAck, "0500000000000000000362616400000000"},
 		{"exec-prepared/full", execFull, func() []byte { return EncodeExecPrepared(execFull) }, decExec, "040000000000000009000000000000008020fa010461636d65"},
@@ -142,5 +145,36 @@ func TestControlEncodingsPinned(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestQuerySpecStructuredRetired pins the refusal of the structured query
+// form (table, filter, UDF ordinals, pushable predicate, projection) that
+// older requesters sent in the five positions after Caps: each spec below is
+// one an older requester encoded, and each is refused naming the retirement.
+// A spec with no text at all is refused too.
+func TestQuerySpecStructuredRetired(t *testing.T) {
+	for name, h := range map[string]string{
+		"table only":            "010000000000000000000000017400000000000000",
+		"table and projection":  "0700000000000000010000000464696d730000000101000000",
+		"every field, and text": "2a0000000000000005000000076f626a65637473020102010166010001030201000b3132372e302e302e313a3980804088270d71285829203a2d20742858292e0461636d65",
+	} {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q, err := DecodeQuerySpec(b); err == nil || !strings.Contains(err.Error(), "structured query specs are retired; send query text") {
+			t.Errorf("%s: decoded as (%+v, %v), want the retirement refusal", name, q, err)
+		}
+	}
+	noText, err := hex.DecodeString("0100000000000000000000000000000000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeQuerySpec(noText); err == nil {
+		t.Error("decoded a spec without query text")
+	}
+	if _, err := EncodeQuerySpec(&QuerySpec{QueryID: 1}); err == nil {
+		t.Error("encoded a spec without query text")
 	}
 }

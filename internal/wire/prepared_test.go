@@ -48,33 +48,24 @@ func TestExecPreparedDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestQuerySpecTenantTrailer pins the optional-trailer compatibility scheme:
-// a spec without text or tenant encodes byte-identically to the pre-trailer
-// format (so old servers still parse it), and the tenant trailer always rides
-// behind an explicit text field so the trailer order is unambiguous.
+// TestQuerySpecTenantTrailer pins the optional tenant trailer: a spec without
+// a tenant ends at its text (the layout old servers parse), and a tenant is
+// appended after it as a pure extension that round-trips.
 func TestQuerySpecTenantTrailer(t *testing.T) {
-	base := &QuerySpec{QueryID: 11, Caps: CapCancel, Table: "trades", ClientAddr: "127.0.0.1:9"}
+	base := &QuerySpec{QueryID: 11, Caps: CapCancel, ClientAddr: "127.0.0.1:9", Text: "q(X) :- trades(X, _, _, _)."}
 
-	// No text, no tenant: decoding must yield both empty, and appending the
-	// trailers must be the only difference from the tenant-bearing form.
-	plain, err := EncodeQuerySpec(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := mustEncodeSpec(t, base)
 	got, err := DecodeQuerySpec(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Text != "" || got.Tenant != "" {
-		t.Fatalf("plain spec decoded with trailers: text=%q tenant=%q", got.Text, got.Tenant)
+	if got.Text != base.Text || got.Tenant != "" {
+		t.Fatalf("plain spec decoded as text=%q tenant=%q", got.Text, got.Tenant)
 	}
 
 	withTenant := *base
 	withTenant.Tenant = "acme"
-	enc, err := EncodeQuerySpec(&withTenant)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := mustEncodeSpec(t, &withTenant)
 	if len(enc) <= len(plain) {
 		t.Fatal("tenant trailer did not extend the encoding")
 	}
@@ -85,32 +76,8 @@ func TestQuerySpecTenantTrailer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Tenant != "acme" || got.Text != "" {
+	if got.Tenant != "acme" || got.Text != base.Text {
 		t.Fatalf("tenant round trip = text %q tenant %q", got.Text, got.Tenant)
-	}
-
-	// Text and tenant together.
-	both := *base
-	both.Text = "q(X) :- trades(X, _, _, _)."
-	both.Tenant = "beta"
-	got, err = DecodeQuerySpec(mustEncodeSpec(t, &both))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Text != both.Text || got.Tenant != both.Tenant {
-		t.Fatalf("text+tenant round trip = text %q tenant %q", got.Text, got.Tenant)
-	}
-
-	// An old requester's encoding (text trailer only) reads as the default
-	// tenant, never an error.
-	textOnly := *base
-	textOnly.Text = "q(X) :- trades(X, _, _, _)."
-	got, err = DecodeQuerySpec(mustEncodeSpec(t, &textOnly))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Tenant != "" {
-		t.Fatalf("text-only spec decoded tenant %q, want empty", got.Tenant)
 	}
 }
 

@@ -33,9 +33,9 @@ const (
 	// release ever sent or echoed. It stays unassigned so that a peer setting
 	// it is never mistaken for one asking for something newer.
 
-	// CapTextQuery: the server parses, resolves and plans textual queries
-	// carried in QuerySpec.Text. Requesters must not send Text to a server
-	// that has not echoed this bit.
+	// CapTextQuery: the server parses, resolves and plans the query text
+	// carried in QuerySpec.Text. Text is the only query form, so a server
+	// always echoes it.
 	CapTextQuery uint32 = 1 << 2
 	// CapReject: the server terminates shed or drained queries with a typed
 	// MsgQueryReject (reason + retry-after hint) instead of a generic
@@ -179,29 +179,15 @@ func DecodeQueryReject(src []byte) (*QueryReject, error) {
 	return decoded(q, r.end())
 }
 
-// QuerySpec is the wire form of a service query: the common
-// filter→UDF-apply→pushable-filter→project shape over one stored table, plus
-// the client runtime address the UDF sessions should dial and the query's
-// resource envelope. UDFs may be empty for pure server-side queries.
+// QuerySpec is the wire form of a service query: its text (see
+// docs/QUERYLANG.md), the client runtime address the UDF sessions should dial
+// and the query's resource envelope.
 type QuerySpec struct {
 	// QueryID identifies the query on this connection; result batches carry
 	// it as their SessionID.
 	QueryID uint64
 	// Caps requests optional protocol features (see the Cap constants).
 	Caps uint32
-	// Table is the stored relation to scan, by catalog name.
-	Table string
-	// Filter, when non-empty, is a marshalled server-evaluable predicate over
-	// the table schema.
-	Filter []byte
-	// UDFs are the client-site UDFs to apply; ordinals reference the table
-	// schema. Result kinds and cost metadata come from the server catalog.
-	UDFs []UDFSpec
-	// Pushable, when non-empty, is a marshalled predicate over the extended
-	// schema (table columns + one result column per UDF).
-	Pushable []byte
-	// Project optionally narrows the output to these extended-schema ordinals.
-	Project []int
 	// ClientAddr is the address of the client UDF runtime the server should
 	// dial for UDF sessions. Empty is valid for UDF-free queries.
 	ClientAddr string
@@ -210,19 +196,12 @@ type QuerySpec struct {
 	MemBudget int64
 	// TimeoutMillis, when > 0, bounds the query's wall-clock time.
 	TimeoutMillis int64
-	// Text, when non-empty, is a textual query (see docs/QUERYLANG.md) the
-	// server parses and plans; Table, Filter, UDFs, Pushable and Project are
-	// then ignored. Text is encoded as an optional trailing field — specs
-	// without it are byte-identical to the pre-text encoding, and decoders
-	// treat a missing trailer as empty — so old requesters and old servers
-	// interoperate; the feature is gated on CapTextQuery.
+	// Text is the query the server parses and plans; it must not be empty.
 	Text string
 	// Tenant names the accounting principal the query runs under; the
 	// service's fair scheduler queues and meters per tenant. Empty means the
-	// shared default tenant. Like Text it is an optional trailing field (a
-	// spec with a tenant always encodes the Text field, even when empty, so
-	// the trailer order is unambiguous); old servers ignore it and schedule
-	// the query under the default tenant.
+	// shared default tenant. It is an optional trailing field, so old servers
+	// ignore it and schedule the query under the default tenant.
 	Tenant string
 }
 
@@ -241,49 +220,47 @@ type Cancel struct {
 	QueryID uint64
 }
 
+// retiredSpecFields is the width of the five positions after Caps where a
+// spec once carried a structured query (table, filter, UDFs, pushable
+// predicate, projection). Each is written as its empty encoding, one zero
+// byte, so a text spec keeps the bytes it always had.
+const retiredSpecFields = 5
+
 // EncodeQuerySpec serialises a QuerySpec.
 func EncodeQuerySpec(q *QuerySpec) ([]byte, error) {
-	if q.Table == "" && q.Text == "" {
-		return nil, fmt.Errorf("wire: query spec needs a table or query text")
+	if q.Text == "" {
+		return nil, fmt.Errorf("wire: query spec needs query text")
 	}
 	var dst []byte
 	dst = binary.LittleEndian.AppendUint64(dst, q.QueryID)
 	dst = binary.LittleEndian.AppendUint32(dst, q.Caps)
-	dst = appendString(dst, q.Table)
-	dst = binary.AppendUvarint(dst, uint64(len(q.Filter)))
-	dst = append(dst, q.Filter...)
-	dst = binary.AppendUvarint(dst, uint64(len(q.UDFs)))
-	for _, u := range q.UDFs {
-		dst = appendString(dst, u.Name)
-		dst = appendInts(dst, u.ArgOrdinals)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(q.Pushable)))
-	dst = append(dst, q.Pushable...)
-	dst = appendInts(dst, q.Project)
+	dst = append(dst, make([]byte, retiredSpecFields)...)
 	dst = appendString(dst, q.ClientAddr)
 	dst = binary.AppendUvarint(dst, uint64(q.MemBudget))
 	dst = binary.AppendUvarint(dst, uint64(q.TimeoutMillis))
-	if q.Text != "" || q.Tenant != "" {
-		dst = appendString(dst, q.Text)
-	}
+	dst = appendString(dst, q.Text)
 	if q.Tenant != "" {
 		dst = appendString(dst, q.Tenant)
 	}
 	return dst, nil
 }
 
-// DecodeQuerySpec deserialises a QuerySpec.
+// DecodeQuerySpec deserialises a QuerySpec. A non-zero byte where the
+// structured fields were is a structured spec from an old requester; it is
+// refused, as is a spec without query text.
 func DecodeQuerySpec(src []byte) (*QuerySpec, error) {
 	r := reader{msg: "query spec", src: src}
-	q := &QuerySpec{QueryID: r.u64(), Caps: r.u32(), Table: r.str(), Filter: r.bytes(), UDFs: r.udfs(), Pushable: r.bytes()}
-	if ords := r.ints(); len(ords) > 0 {
-		q.Project = ords
+	q := &QuerySpec{QueryID: r.u64(), Caps: r.u32()}
+	for range retiredSpecFields {
+		if r.u8() != 0 {
+			r.fail("structured query specs are retired; send query text")
+		}
 	}
 	q.ClientAddr = r.str()
 	q.MemBudget = int64(r.uvarint())
 	q.TimeoutMillis = int64(r.uvarint())
-	if r.more() {
-		q.Text = r.str()
+	if q.Text = r.str(); q.Text == "" {
+		r.fail("no query text")
 	}
 	if r.more() {
 		q.Tenant = r.str()

@@ -109,7 +109,7 @@ func (r *reader) ints() []int {
 	return out
 }
 
-// udfs reads a setup's or query spec's UDF list: a count of at most 256, then
+// udfs reads a setup's UDF list: a count of at most 256, then
 // each UDF's name and argument ordinals.
 func (r *reader) udfs() []UDFSpec {
 	var out []UDFSpec

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -92,18 +93,27 @@ func Classify(err error) ErrClass {
 	return ClassFatal
 }
 
+// The redial policy, stated once: a delay that starts at Backoff.Base
+// (defaultBackoffBase when zero), grows by backoffFactor per attempt up to
+// backoffMax and loses up to backoffJitter of itself to a random draw; and a
+// breaker that opens for breakerCooldown after breakerThreshold consecutive
+// failures.
+const (
+	defaultBackoffBase = 20 * time.Millisecond
+	backoffMax         = 2 * time.Second
+	backoffFactor      = 2
+	backoffJitter      = 0.2
+	breakerThreshold   = 5
+	breakerCooldown    = 3 * time.Second
+)
+
 // Backoff computes a capped exponential backoff schedule with proportional
-// jitter. The zero value uses the defaults noted on each field.
+// jitter: the delay before retry n is Base·backoffFactor^n, capped at
+// backoffMax, then uniform in [d·(1−backoffJitter), d].
 type Backoff struct {
-	// Base is the delay before the first retry. Default 20ms.
+	// Base is the delay before the first retry; zero selects
+	// defaultBackoffBase.
 	Base time.Duration
-	// Max caps the delay. Default 2s.
-	Max time.Duration
-	// Factor multiplies the delay each attempt. Default 2.
-	Factor float64
-	// Jitter is the fraction of each delay that is randomized: the returned
-	// delay is uniform in [d·(1−Jitter), d]. Default 0.2; negative disables.
-	Jitter float64
 	// Rand supplies the jitter draw in [0,1); nil uses math/rand. Tests
 	// inject a deterministic source here.
 	Rand func() float64
@@ -112,55 +122,23 @@ type Backoff struct {
 // Delay returns the backoff before retry attempt n (0-based: n=0 is the
 // delay after the first failure).
 func (b Backoff) Delay(n int) time.Duration {
-	base := b.Base
-	if base <= 0 {
-		base = 20 * time.Millisecond
+	d := float64(cmp.Or(max(b.Base, 0), defaultBackoffBase))
+	for i := 0; i < n && d < float64(backoffMax); i++ {
+		d *= backoffFactor
 	}
-	max := b.Max
-	if max <= 0 {
-		max = 2 * time.Second
+	d = min(d, float64(backoffMax))
+	draw := b.Rand
+	if draw == nil {
+		draw = rand.Float64
 	}
-	factor := b.Factor
-	if factor < 1 {
-		factor = 2
-	}
-	d := float64(base)
-	for i := 0; i < n; i++ {
-		d *= factor
-		if d >= float64(max) {
-			break
-		}
-	}
-	if d > float64(max) {
-		d = float64(max)
-	}
-	jitter := b.Jitter
-	if jitter == 0 {
-		jitter = 0.2
-	}
-	if jitter > 0 {
-		if jitter > 1 {
-			jitter = 1
-		}
-		draw := b.Rand
-		if draw == nil {
-			draw = rand.Float64
-		}
-		d -= d * jitter * draw()
-	}
-	return time.Duration(d)
+	return time.Duration(d - d*backoffJitter*draw())
 }
 
-// Breaker is a per-link circuit breaker: after Threshold consecutive
-// failures it opens for Cooldown, during which Allow fails fast with
-// ErrCircuitOpen. After the cooldown one trial is allowed through
+// Breaker is a per-link circuit breaker: after breakerThreshold
+// consecutive failures it opens for breakerCooldown, during which Allow fails
+// fast with ErrCircuitOpen. After the cooldown one trial is allowed through
 // (half-open); success closes the circuit, failure re-opens it.
 type Breaker struct {
-	// Threshold is the number of consecutive failures that opens the
-	// circuit. Default 5.
-	Threshold int
-	// Cooldown is how long the circuit stays open. Default 3s.
-	Cooldown time.Duration
 	// Now supplies the clock; nil uses time.Now. Tests inject a fake.
 	Now func() time.Time
 
@@ -204,16 +182,8 @@ func (b *Breaker) Failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails++
-	threshold := b.Threshold
-	if threshold <= 0 {
-		threshold = 5
-	}
-	if b.fails >= threshold {
-		cooldown := b.Cooldown
-		if cooldown <= 0 {
-			cooldown = 3 * time.Second
-		}
-		b.openUntil = b.now().Add(cooldown)
+	if b.fails >= breakerThreshold {
+		b.openUntil = b.now().Add(breakerCooldown)
 		b.trips++
 	}
 }
@@ -231,7 +201,7 @@ func (b *Breaker) Trips() int64 {
 type Redialer[T any] struct {
 	// Dial performs one connection + handshake attempt.
 	Dial func(ctx context.Context) (T, error)
-	// MaxAttempts bounds the attempts per Redial call. Default 4.
+	// MaxAttempts bounds the attempts per Redial call.
 	MaxAttempts int
 	// Backoff schedules the delay between attempts.
 	Backoff Backoff
@@ -263,16 +233,12 @@ func SleepCtx(ctx context.Context, d time.Duration) error {
 // error surfaces.
 func (r *Redialer[T]) Redial(ctx context.Context) (T, error) {
 	var zero T
-	attempts := r.MaxAttempts
-	if attempts <= 0 {
-		attempts = 4
-	}
 	sleep := r.Sleep
 	if sleep == nil {
 		sleep = SleepCtx
 	}
 	var last error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < r.MaxAttempts; i++ {
 		if err := ctx.Err(); err != nil {
 			return zero, err
 		}
@@ -307,5 +273,5 @@ func (r *Redialer[T]) Redial(ctx context.Context) (T, error) {
 		}
 		last = err
 	}
-	return zero, fmt.Errorf("wire: redial gave up after %d attempts: %w", attempts, last)
+	return zero, fmt.Errorf("wire: redial gave up after %d attempts: %w", r.MaxAttempts, last)
 }

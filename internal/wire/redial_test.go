@@ -10,30 +10,35 @@ import (
 	"time"
 )
 
+// noJitter is a jitter draw that takes nothing off a delay.
+func noJitter() float64 { return 0 }
+
 func TestBackoffSchedule(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Jitter: -1}
+	b := Backoff{Base: 500 * time.Millisecond, Rand: noJitter}
 	want := []time.Duration{
-		10 * time.Millisecond,
-		20 * time.Millisecond,
-		40 * time.Millisecond,
-		80 * time.Millisecond,
-		80 * time.Millisecond, // capped
-		80 * time.Millisecond,
+		500 * time.Millisecond,
+		time.Second,
+		2 * time.Second,
+		2 * time.Second, // capped
+		2 * time.Second,
 	}
 	for n, w := range want {
 		if got := b.Delay(n); got != w {
 			t.Errorf("Delay(%d) = %v, want %v", n, got, w)
 		}
 	}
+	if got := (Backoff{Rand: noJitter}).Delay(0); got != 20*time.Millisecond {
+		t.Errorf("zero Base: Delay(0) = %v, want 20ms", got)
+	}
 }
 
 func TestBackoffJitterRange(t *testing.T) {
 	base := 100 * time.Millisecond
-	full := Backoff{Base: base, Jitter: 0.5, Rand: func() float64 { return 1 }}
-	if got := full.Delay(0); got != base/2 {
-		t.Errorf("full jitter draw: Delay(0) = %v, want %v", got, base/2)
+	full := Backoff{Base: base, Rand: func() float64 { return 1 }}
+	if got := full.Delay(0); got != 80*time.Millisecond {
+		t.Errorf("full jitter draw: Delay(0) = %v, want 80ms", got)
 	}
-	none := Backoff{Base: base, Jitter: 0.5, Rand: func() float64 { return 0 }}
+	none := Backoff{Base: base, Rand: noJitter}
 	if got := none.Delay(0); got != base {
 		t.Errorf("zero jitter draw: Delay(0) = %v, want %v", got, base)
 	}
@@ -60,7 +65,7 @@ func TestRedialerBackoffScheduleWithFakeClock(t *testing.T) {
 			return 7, nil
 		},
 		MaxAttempts: 6,
-		Backoff:     Backoff{Base: 10 * time.Millisecond, Max: 40 * time.Millisecond, Factor: 2, Jitter: -1},
+		Backoff:     Backoff{Base: 10 * time.Millisecond, Rand: noJitter},
 		Sleep:       clock.sleep,
 	}
 	start := time.Now()
@@ -108,8 +113,9 @@ func TestRedialerStopsOnFatalError(t *testing.T) {
 	attempts := 0
 	appErr := errors.New("client rejected setup")
 	r := Redialer[int]{
-		Dial:  func(ctx context.Context) (int, error) { attempts++; return 0, appErr },
-		Sleep: (&fakeSleeper{}).sleep,
+		Dial:        func(ctx context.Context) (int, error) { attempts++; return 0, appErr },
+		MaxAttempts: 4,
+		Sleep:       (&fakeSleeper{}).sleep,
 	}
 	if _, err := r.Redial(context.Background()); !errors.Is(err, appErr) {
 		t.Fatalf("Redial error = %v, want wrapped fatal error", err)
@@ -123,8 +129,9 @@ func TestRedialerHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := Redialer[int]{
-		Dial:  func(ctx context.Context) (int, error) { return 0, io.ErrClosedPipe },
-		Sleep: (&fakeSleeper{}).sleep,
+		Dial:        func(ctx context.Context) (int, error) { return 0, io.ErrClosedPipe },
+		MaxAttempts: 4,
+		Sleep:       (&fakeSleeper{}).sleep,
 	}
 	if _, err := r.Redial(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Redial on a cancelled context = %v, want context.Canceled", err)
@@ -133,7 +140,7 @@ func TestRedialerHonoursCancellation(t *testing.T) {
 
 func TestRedialerBreakerFailsFast(t *testing.T) {
 	now := time.Unix(0, 0)
-	br := &Breaker{Threshold: 2, Cooldown: time.Minute, Now: func() time.Time { return now }}
+	br := &Breaker{Now: func() time.Time { return now }}
 	r := Redialer[int]{
 		Dial:        func(ctx context.Context) (int, error) { return 0, io.ErrClosedPipe },
 		MaxAttempts: 10,
@@ -153,8 +160,10 @@ func TestRedialerBreakerFailsFast(t *testing.T) {
 
 func TestBreakerHalfOpenRecovery(t *testing.T) {
 	now := time.Unix(0, 0)
-	br := &Breaker{Threshold: 2, Cooldown: time.Minute, Now: func() time.Time { return now }}
-	br.Failure()
+	br := &Breaker{Now: func() time.Time { return now }}
+	for range breakerThreshold - 1 {
+		br.Failure()
+	}
 	if err := br.Allow(); err != nil {
 		t.Fatalf("Allow below threshold = %v", err)
 	}
@@ -162,7 +171,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	if err := br.Allow(); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("Allow after threshold = %v, want ErrCircuitOpen", err)
 	}
-	now = now.Add(2 * time.Minute)
+	now = now.Add(breakerCooldown)
 	if err := br.Allow(); err != nil {
 		t.Fatalf("Allow after cooldown (half-open) = %v, want nil", err)
 	}
