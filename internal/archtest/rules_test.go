@@ -24,7 +24,7 @@ func TestDesignRules(t *testing.T) {
 		{"OneFailoverBudget", "session recovery lives once, in the shipping pool", oneFailoverBudget},
 		{"OneSetupValidator", "a session's SetupAck is checked in one place, udfSession.acknowledge", oneSetupValidator},
 		{"OneWayToPlan", "Planner.PlanTree is the planner's only exported method", oneWayToPlan},
-		{"OneIteratorContract", "NextBatch is the only way to pull rows: no tuple-at-a-time Next, no adapter", oneIteratorContract},
+		{"OneIteratorContract", "NextBatch(*types.Batch) is the only way to pull rows: no tuple-at-a-time Next, no row-slice NextBatch, no second pull method on exec.Operator, no adapter", oneIteratorContract},
 		{"NaiveIsTheSemiJoin", "the naive strategy is exec.SemiJoin at concurrency factor 1: no second operator, no unreached Sort or table store", naiveIsTheSemiJoin},
 		{"OneLRU", "every cross-query cache is a plan.Cache, the only importer of container/list", oneLRU},
 		{"OneColumnDemandPass", "which columns a scan reads is decided by pruneColumns alone", oneColumnDemandPass},
@@ -190,6 +190,17 @@ func oneIteratorContract(m *module) []string {
 		id, ok := last.(*ast.Ident)
 		return ok && id.Name == "bool"
 	}
+	// takesRows matches a parameter list with a []types.Tuple in it.
+	takesRows := func(ft *ast.FuncType) bool {
+		for _, fl := range ft.Params.List {
+			if at, ok := fl.Type.(*ast.ArrayType); ok && at.Len == nil {
+				if sel, ok := at.Elt.(*ast.SelectorExpr); ok && sel.Sel.Name == "Tuple" {
+					return true
+				}
+			}
+		}
+		return false
+	}
 	m.allFiles(dirs, func(p *pkg, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
@@ -197,16 +208,39 @@ func oneIteratorContract(m *module) []string {
 				if x.Name.Name == "Next" && isTupleNext(x.Type) {
 					out = append(out, m.pos(x.Pos())+": a tuple-at-a-time Next is back")
 				}
+				if x.Name.Name == "NextBatch" && takesRows(x.Type) {
+					out = append(out, m.pos(x.Pos())+": a NextBatch over a row slice is back")
+				}
 			case *ast.InterfaceType:
 				for _, fl := range x.Methods.List {
-					if ft, ok := fl.Type.(*ast.FuncType); ok && len(fl.Names) == 1 && fl.Names[0].Name == "Next" && isTupleNext(ft) {
+					ft, ok := fl.Type.(*ast.FuncType)
+					if !ok || len(fl.Names) != 1 {
+						continue
+					}
+					if name := fl.Names[0].Name; name == "Next" && isTupleNext(ft) {
 						out = append(out, m.pos(fl.Pos())+": a tuple-at-a-time Next is back in an interface")
+					} else if name == "NextBatch" && takesRows(ft) {
+						out = append(out, m.pos(fl.Pos())+": a NextBatch over a row slice is back in an interface")
 					}
 				}
 			}
 			return true
 		})
 	})
+	// exec.Operator pulls through NextBatch alone.
+	if p := m.pkgAt("internal/exec"); p != nil {
+		if obj, ok := p.types.Scope().Lookup("Operator").(*types.TypeName); ok {
+			if it, ok := obj.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					if name := it.Method(i).Name(); name != "Schema" && name != "Open" && name != "NextBatch" && name != "Close" {
+						out = append(out, m.pos(it.Method(i).Pos())+": exec.Operator has a second pull method, "+name)
+					}
+				}
+			}
+		} else {
+			out = append(out, "internal/exec: no Operator interface to check")
+		}
+	}
 	return out
 }
 

@@ -388,13 +388,14 @@ func (r *Runtime) processBatch(s *session, tuples []types.Tuple) (_ []types.Tupl
 			// Return only the UDF results; the server joins them back.
 			out = append(out, extended[inWidth:])
 		case len(s.req.ProjectOrdinals) > 0:
-			var projected types.Tuple
-			var err error
-			arena, projected, err = types.ProjectInto(arena, extended, s.req.ProjectOrdinals)
-			if err != nil {
-				return nil, fmt.Errorf("pushable projection: %w", err)
+			from := len(arena)
+			for _, o := range s.req.ProjectOrdinals {
+				if o < 0 || o >= len(extended) {
+					return nil, fmt.Errorf("pushable projection: types: projection ordinal %d out of range [0,%d)", o, len(extended))
+				}
+				arena = append(arena, extended[o])
 			}
-			out = append(out, projected)
+			out = append(out, types.Tuple(arena[from:len(arena):len(arena)]))
 		default:
 			out = append(out, extended)
 		}

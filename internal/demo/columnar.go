@@ -35,7 +35,7 @@ func AddColumnarTrades(cat *catalog.Catalog, dir string) (*colstore.Table, error
 	}
 	it := rel.Iterator()
 	batch := make([]types.Tuple, 64)
-	for n := it.NextBatch(batch); n > 0; n = it.NextBatch(batch) {
+	for n := it.Read(batch); n > 0; n = it.Read(batch) {
 		for _, row := range batch[:n] {
 			if err := ct.Insert(row); err != nil {
 				ct.Close()

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -48,12 +49,17 @@ type Aggregate struct {
 	Name string
 }
 
+// ErrSumOverflow fails a query whose INT SUM leaves the int64
+// range.
+var ErrSumOverflow = errors.New("exec: INT SUM overflows int64")
+
 // HashAggregate groups its input on the group-by ordinals and computes the
 // aggregates per group. Output columns are the group-by columns followed by
 // the aggregates. Groups are emitted in a deterministic (group-value-sorted)
-// order so results are reproducible. The group table is keyed on tuple hashes
-// with collision chains resolved by value comparison, so probing allocates no
-// key strings.
+// order so results are reproducible. The group table is keyed on the hashes
+// of the key cells, with collision chains resolved by value comparison; a
+// batch is folded an aggregate at a time, straight from its column's cells.
+// SUM over an INT column adds in int64 and fails on overflow.
 type HashAggregate struct {
 	baseState
 	input   Operator
@@ -66,20 +72,33 @@ type HashAggregate struct {
 	// DefaultSpillPartitions. The planner sizes it from its memory estimate.
 	SpillPartitions int
 
-	mem       memAccount
-	spill     *aggSpill // non-nil once the operator has spilled
-	groupOrds []int     // ordinals of the key within stored group rows
-	results   []types.Tuple
-	pos       int
+	mem     memAccount
+	spill   *aggSpill   // non-nil once the operator has spilled
+	of      []*aggState // the group of each live row of the batch being folded
+	hashes  []uint64    // and its key hash
+	results []types.Tuple
+	pos     int
+	out     types.Batch
+}
+
+// aggTable is a group table: states by key hash, and in insertion order.
+type aggTable struct {
+	groups map[uint64][]*aggState
+	states []*aggState
 }
 
 type aggState struct {
 	groupRow types.Tuple
 	count    int64
-	sums     []float64
-	mins     []types.Value
-	maxs     []types.Value
-	counts   []int64
+	accs     []aggAcc
+}
+
+// aggAcc is one aggregate's running state within a group.
+type aggAcc struct {
+	sum      float64 // FLOAT cells, and every cell of an AVG
+	isum     int64   // the INT cells of a SUM with an INT result
+	min, max types.Value
+	count    int64 // non-NULL cells
 }
 
 // NewHashAggregate builds an aggregation operator.
@@ -121,8 +140,7 @@ func NewHashAggregate(input Operator, groupBy []int, aggs []Aggregate) (*HashAgg
 	}
 	return &HashAggregate{
 		input: input, groupBy: groupBy, aggs: aggs,
-		schema:    types.NewSchema(cols...),
-		groupOrds: allOrdinals(len(groupBy)),
+		schema: types.NewSchema(cols...),
 	}, nil
 }
 
@@ -142,9 +160,9 @@ func (h *HashAggregate) Open(ctx context.Context) error {
 	}
 	h.mem = memAccount{t: MemTrackerFrom(ctx)}
 	h.spill = nil
-	groups := make(map[uint64][]*aggState)
-	var states []*aggState // insertion-ordered view of all groups
-	batch := make([]types.Tuple, DefaultBatchSize)
+	table := &aggTable{groups: make(map[uint64][]*aggState)}
+	batch := &types.Batch{Max: DefaultBatchSize}
+	var row types.Tuple
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -157,31 +175,29 @@ func (h *HashAggregate) Open(ctx context.Context) error {
 			break
 		}
 		if h.spill != nil {
-			for _, t := range batch[:n] {
-				if err := h.spill.addRaw(t); err != nil {
+			for _, r := range batch.Live() {
+				if err := h.spill.addRaw(batch.Row(r, row[:0])); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		for _, t := range batch[:n] {
-			n, err := h.foldTuple(groups, &states, t)
-			if err != nil {
-				return err
-			}
-			if err := h.mem.grow(n); err != nil {
-				return err
-			}
+		charge, err := h.fold(table, batch)
+		if err != nil {
+			return err
+		}
+		if err := h.mem.grow(charge); err != nil {
+			return err
 		}
 		if len(h.groupBy) > 0 && h.mem.t.OverBudget() {
-			sp, err := beginAggSpill(h, states)
+			sp, err := beginAggSpill(h, table.states)
 			if err != nil {
 				return err
 			}
 			// The operator owns the spill from here: Close releases its runs
 			// even when Open later fails (input error, cancellation).
 			h.spill = sp
-			groups, states = nil, nil
+			table = nil
 			h.mem.releaseAll()
 		}
 	}
@@ -194,11 +210,7 @@ func (h *HashAggregate) Open(ctx context.Context) error {
 		}
 		h.results = rows
 	} else {
-		rows, err := h.materialize(states)
-		if err != nil {
-			return err
-		}
-		h.results = rows
+		h.results = h.materialize(table.states)
 	}
 	if err := h.finalizeResults(); err != nil {
 		return err
@@ -208,73 +220,91 @@ func (h *HashAggregate) Open(ctx context.Context) error {
 	return nil
 }
 
-// foldTuple folds one input tuple into its group's state, creating the state
-// on first sight. It returns the memory charge of a newly created state (0
-// when the group already existed).
-func (h *HashAggregate) foldTuple(groups map[uint64][]*aggState, states *[]*aggState, t types.Tuple) (int64, error) {
-	hash := t.Hash(h.groupBy)
-	var st *aggState
-	for _, cand := range groups[hash] {
-		if crossEqual(t, h.groupBy, cand.groupRow, h.groupOrds) {
+// fold folds the live rows of b into their groups' states, creating a state
+// on a group's first sight. It returns the memory charge of the new states.
+func (h *HashAggregate) fold(t *aggTable, b *types.Batch) (int64, error) {
+	live := b.Live()
+	h.of, h.hashes = h.of[:0], b.HashRows(live, h.groupBy, h.hashes)
+	var charge int64
+	for i, r := range live {
+		hash := h.hashes[i]
+		var st *aggState
+	chain:
+		for _, cand := range t.groups[hash] {
+			for k, g := range h.groupBy {
+				if !b.Cols[g].Equal(r, cand.groupRow[k]) {
+					continue chain
+				}
+			}
 			st = cand
 			break
 		}
-	}
-	var charge int64
-	if st == nil {
-		groupRow, err := t.Project(h.groupBy)
-		if err != nil {
-			return 0, err
+		if st == nil {
+			st = &aggState{groupRow: make(types.Tuple, len(h.groupBy)), accs: make([]aggAcc, len(h.aggs))}
+			for i, g := range h.groupBy {
+				st.groupRow[i] = b.Cols[g].Value(r)
+			}
+			t.groups[hash] = append(t.groups[hash], st)
+			t.states = append(t.states, st)
+			charge += int64(st.groupRow.MemSize()) + AggStateMemSize(len(h.aggs))
 		}
-		st = &aggState{
-			groupRow: groupRow,
-			sums:     make([]float64, len(h.aggs)),
-			mins:     make([]types.Value, len(h.aggs)),
-			maxs:     make([]types.Value, len(h.aggs)),
-			counts:   make([]int64, len(h.aggs)),
-		}
-		groups[hash] = append(groups[hash], st)
-		*states = append(*states, st)
-		charge = tupleMemSize(groupRow) + AggStateMemSize(len(h.aggs))
+		st.count++
+		h.of = append(h.of, st)
 	}
-	if err := h.accumulate(st, t); err != nil {
-		return 0, err
+	for a, agg := range h.aggs {
+		if agg.Func == AggCount && agg.Ordinal < 0 {
+			continue
+		}
+		exact := agg.Func == AggSum && h.schema.Columns[len(h.groupBy)+a].Kind == types.KindInt
+		v := &b.Cols[agg.Ordinal]
+		for i, r := range live {
+			if v.Null(r) {
+				continue
+			}
+			acc := &h.of[i].accs[a]
+			acc.count++
+			switch agg.Func {
+			case AggSum, AggAvg:
+				if err := acc.add(v, r, exact); err == ErrSumOverflow {
+					return 0, err
+				} else if err != nil {
+					return 0, fmt.Errorf("exec: %s over non-numeric column: %w", agg.Func, err)
+				}
+			case AggMin, AggMax:
+				m, sign := &acc.min, -1
+				if agg.Func == AggMax {
+					m, sign = &acc.max, 1
+				}
+				if x := v.Value(r); m.IsNull() {
+					*m = x
+				} else if c, err := types.Compare(x, *m); err == nil && c*sign > 0 {
+					*m = x
+				}
+			}
+		}
 	}
 	return charge, nil
 }
 
-// accumulate folds one input tuple into its group's state.
-func (h *HashAggregate) accumulate(st *aggState, t types.Tuple) error {
-	st.count++
-	for i, a := range h.aggs {
-		if a.Func == AggCount && a.Ordinal < 0 {
-			continue
+// add folds the non-NULL cell r of v into a SUM or AVG: an INT cell into
+// the int64 sum when exact, every other number into the float64 sum.
+func (acc *aggAcc) add(v *types.Vec, r int, exact bool) error {
+	switch x := v.Value(r); {
+	case v.Kind == types.KindFloat:
+		acc.sum += v.Floats[r]
+	case v.Kind == types.KindInt && !exact:
+		acc.sum += float64(v.Ints[r])
+	case exact && x.Kind() == types.KindInt:
+		i, _ := x.Int()
+		if s := acc.isum + i; (s > acc.isum) == (i > 0) {
+			acc.isum = s
+		} else {
+			return ErrSumOverflow
 		}
-		v := t[a.Ordinal]
-		if v.IsNull() {
-			continue
-		}
-		st.counts[i]++
-		switch a.Func {
-		case AggSum, AggAvg:
-			f, err := v.Float()
-			if err != nil {
-				return fmt.Errorf("exec: %s over non-numeric column: %w", a.Func, err)
-			}
-			st.sums[i] += f
-		case AggMin:
-			if st.mins[i].IsNull() {
-				st.mins[i] = v
-			} else if c, err := types.Compare(v, st.mins[i]); err == nil && c < 0 {
-				st.mins[i] = v
-			}
-		case AggMax:
-			if st.maxs[i].IsNull() {
-				st.maxs[i] = v
-			} else if c, err := types.Compare(v, st.maxs[i]); err == nil && c > 0 {
-				st.maxs[i] = v
-			}
-		}
+	default:
+		f, err := x.Float()
+		acc.sum += f
+		return err
 	}
 	return nil
 }
@@ -282,41 +312,42 @@ func (h *HashAggregate) accumulate(st *aggState, t types.Tuple) error {
 // materialize turns aggregation states into result rows, in state order. The
 // deterministic output ordering is applied afterwards by finalizeResults, so
 // the in-memory and spilled paths (which materialise per partition) share it.
-func (h *HashAggregate) materialize(states []*aggState) ([]types.Tuple, error) {
+func (h *HashAggregate) materialize(states []*aggState) []types.Tuple {
 	results := make([]types.Tuple, 0, len(states))
 	for _, st := range states {
 		row := st.groupRow.Clone()
 		for i, a := range h.aggs {
+			acc := st.accs[i]
 			var v types.Value
 			switch a.Func {
 			case AggCount:
 				if a.Ordinal < 0 {
 					v = types.NewInt(st.count)
 				} else {
-					v = types.NewInt(st.counts[i])
+					v = types.NewInt(acc.count)
 				}
 			case AggSum:
 				if h.schema.Columns[len(h.groupBy)+i].Kind == types.KindInt {
-					v = types.NewInt(int64(st.sums[i]))
+					v = types.NewInt(acc.isum + int64(acc.sum))
 				} else {
-					v = types.NewFloat(st.sums[i])
+					v = types.NewFloat(acc.sum)
 				}
 			case AggAvg:
-				if st.counts[i] == 0 {
+				if acc.count == 0 {
 					v = types.Null(types.KindFloat)
 				} else {
-					v = types.NewFloat(st.sums[i] / float64(st.counts[i]))
+					v = types.NewFloat(acc.sum / float64(acc.count))
 				}
 			case AggMin:
-				v = st.mins[i]
+				v = acc.min
 			case AggMax:
-				v = st.maxs[i]
+				v = acc.max
 			}
-			row = row.Append(v)
+			row = append(row, v)
 		}
 		results = append(results, row)
 	}
-	return results, nil
+	return results
 }
 
 // finalizeResults sorts the materialised rows by their group-column values
@@ -341,9 +372,9 @@ func (h *HashAggregate) finalizeResults() error {
 		row := types.Tuple{}
 		for _, a := range h.aggs {
 			if a.Func == AggCount {
-				row = row.Append(types.NewInt(0))
+				row = append(row, types.NewInt(0))
 			} else {
-				row = row.Append(types.Null(types.KindFloat))
+				row = append(row, types.Null(types.KindFloat))
 			}
 		}
 		h.results = append(h.results, row)
@@ -351,14 +382,14 @@ func (h *HashAggregate) finalizeResults() error {
 	return nil
 }
 
-// NextBatch implements Operator with a bulk copy out of the computed groups.
-func (h *HashAggregate) NextBatch(dst []types.Tuple) (int, error) {
+// NextBatch implements Operator, emitting the computed groups.
+func (h *HashAggregate) NextBatch(b *types.Batch) (int, error) {
 	if err := h.checkOpen(); err != nil {
 		return 0, err
 	}
-	n := copy(dst, h.results[h.pos:])
+	n := min(b.Max, len(h.results)-h.pos)
 	h.pos += n
-	return n, nil
+	return emitRows(b, &h.out, h.schema.Len(), h.results[h.pos-n:h.pos]), nil
 }
 
 // Close implements Operator.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -11,12 +12,24 @@ import (
 // Filter drops tuples that do not satisfy a bound predicate. The predicate
 // must be evaluable at the server (no client-site UDF calls); client-site
 // predicates are handled by the dedicated UDF operators.
+// It narrows its input's selection vector: leading column-vs-constant
+// conjuncts run over the column's cells while its kind makes the comparison
+// one that cannot fail, and the conjuncts left run row by row.
 type Filter struct {
 	baseState
 	input   Operator
 	pred    expr.Expr
-	match   expr.Predicate // pred, compiled at Open
-	scratch []types.Tuple
+	kernels []colConst             // the leading column-vs-constant conjuncts
+	only    bool                   // whether they are all the conjuncts
+	rest    map[int]expr.Predicate // the conjuncts from k on, compiled when first needed
+	row     types.Tuple
+}
+
+// colConst is a conjunct: column col compared with the constant k by op.
+type colConst struct {
+	col int
+	k   types.Value
+	op  expr.Op
 }
 
 // NewFilter wraps input with the predicate.
@@ -35,22 +48,30 @@ func (f *Filter) Open(ctx context.Context) error {
 	if err := f.input.Open(ctx); err != nil {
 		return err
 	}
-	f.match = expr.CompilePredicate(&expr.Evaluator{}, f.pred)
+	f.kernels, f.rest = make([]colConst, 0, 4), map[int]expr.Predicate{}
+	f.only = f.lead(f.pred)
 	f.markOpen(ctx)
 	return nil
 }
 
-// NextBatch implements Operator: it pulls child batches and compacts the
-// qualifying tuples into dst, retrying until at least one tuple qualifies or
-// the input is exhausted.
-func (f *Filter) NextBatch(dst []types.Tuple) (int, error) {
-	if err := f.checkOpen(); err != nil {
-		return 0, err
+// lead appends e's leading column-vs-constant conjuncts to the kernels and
+// reports whether every conjunct of e is one.
+func (f *Filter) lead(e expr.Expr) bool {
+	b, _ := e.(*expr.Binary)
+	if b != nil && b.Op == expr.OpAnd {
+		return f.lead(b.Left) && f.lead(b.Right)
 	}
-	if cap(f.scratch) < len(dst) {
-		f.scratch = make([]types.Tuple, len(dst))
+	col, k, op, ok := expr.SplitColConstComparison(b)
+	if ok = ok && col >= 0 && !k.IsNull(); ok {
+		f.kernels = append(f.kernels, colConst{col: col, k: k, op: op})
 	}
-	in := f.scratch[:len(dst)]
+	return ok || e == nil
+}
+
+// NextBatch implements Operator: it pulls child batches and narrows their
+// selection to the qualifying rows, retrying until at least one row
+// qualifies or the input is exhausted.
+func (f *Filter) NextBatch(b *types.Batch) (int, error) {
 	for {
 		// A selective predicate can spin this loop over many empty child
 		// batches; re-check the query context each attempt so cancellation
@@ -58,28 +79,66 @@ func (f *Filter) NextBatch(dst []types.Tuple) (int, error) {
 		if err := f.checkOpen(); err != nil {
 			return 0, err
 		}
-		n, err := f.input.NextBatch(in)
-		if err != nil {
+		n, err := f.input.NextBatch(b)
+		if err != nil || n == 0 {
 			return 0, err
 		}
-		if n == 0 {
-			return 0, nil
+		live, k := b.Live(), 0
+		for ; k < len(f.kernels) && f.kernels[k].fits(b); k++ {
+			live = f.kernels[k].keep(&b.Cols[f.kernels[k].col], live)
 		}
-		out := 0
-		for _, t := range in[:n] {
-			keep, err := f.match(t)
-			if err != nil {
-				return out, err
+		if k < len(f.kernels) || !f.only {
+			if f.rest[k] == nil {
+				f.rest[k] = expr.CompilePredicate(&expr.Evaluator{}, expr.Conjoin(expr.Conjuncts(f.pred)[k:]))
 			}
-			if keep {
-				dst[out] = t
-				out++
+			keep := live[:0]
+			for _, r := range live {
+				f.row = b.Row(r, f.row[:0])
+				if ok, err := f.rest[k](f.row); err != nil {
+					return 0, err
+				} else if ok {
+					keep = append(keep, r)
+				}
 			}
+			live = keep
 		}
-		if out > 0 {
-			return out, nil
+		if len(live) > 0 {
+			b.Sel, b.N = live, len(live)
+			return b.N, nil
 		}
 	}
+}
+
+// fits reports whether the conjunct compares b's column without error: a
+// numeric column with a numeric constant, or a comparable kind with itself.
+func (c colConst) fits(b *types.Batch) bool {
+	if c.col >= len(b.Cols) {
+		return false
+	}
+	k := b.Cols[c.col].Kind
+	return k.Numeric() && c.k.Kind().Numeric() || k.Comparable() && k == c.k.Kind()
+}
+
+// keep compacts rows to those whose cell of v satisfies the conjunct; a NULL
+// cell never does.
+func (c colConst) keep(v *types.Vec, rows []int) []int {
+	out := rows[:0]
+	if k, err := c.k.Int(); err == nil && v.Kind == types.KindInt && c.k.Kind() == types.KindInt {
+		for _, r := range rows {
+			if c.op.Holds(cmp.Compare(v.Ints[r], k)) && (len(v.Nulls) == 0 || !v.Null(r)) {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	for _, r := range rows {
+		if x := v.Value(r); !x.IsNull() {
+			if d, _ := types.Compare(x, c.k); c.op.Holds(d) {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
 }
 
 // Close implements Operator.
@@ -89,13 +148,14 @@ func (f *Filter) Close() error {
 }
 
 // ProjectOrdinals is a cheap positional projection (no expression
-// evaluation); it is what pushable projections compile to.
+// evaluation); it is what pushable projections compile to. It reorders its
+// input's column headers and copies no cell.
 type ProjectOrdinals struct {
 	baseState
 	input    Operator
 	ordinals []int
 	schema   *types.Schema
-	scratch  []types.Tuple
+	cols     []types.Vec
 }
 
 // NewProjectOrdinals projects the input onto the given column positions.
@@ -119,28 +179,19 @@ func (p *ProjectOrdinals) Open(ctx context.Context) error {
 	return nil
 }
 
-// NextBatch implements Operator: all output tuples of one batch share a
-// single backing arena.
-func (p *ProjectOrdinals) NextBatch(dst []types.Tuple) (int, error) {
+// NextBatch implements Operator.
+func (p *ProjectOrdinals) NextBatch(b *types.Batch) (int, error) {
 	if err := p.checkOpen(); err != nil {
 		return 0, err
 	}
-	if cap(p.scratch) < len(dst) {
-		p.scratch = make([]types.Tuple, len(dst))
-	}
-	in := p.scratch[:len(dst)]
-	n, err := p.input.NextBatch(in)
+	n, err := p.input.NextBatch(b)
 	if err != nil || n == 0 {
 		return 0, err
 	}
-	arena := make([]types.Value, 0, n*len(p.ordinals))
-	for i, t := range in[:n] {
-		var out types.Tuple
-		arena, out, err = types.ProjectInto(arena, t, p.ordinals)
-		if err != nil {
-			return i, err
-		}
-		dst[i] = out
+	p.cols = append(p.cols[:0], b.Cols...)
+	b.Cols = b.Cols[:0]
+	for _, o := range p.ordinals {
+		b.Cols = append(b.Cols, p.cols[o])
 	}
 	return n, nil
 }
@@ -180,7 +231,7 @@ func (l *Limit) Open(ctx context.Context) error {
 
 // NextBatch implements Operator: it narrows the requested batch to the
 // remaining quota so the input is never over-consumed.
-func (l *Limit) NextBatch(dst []types.Tuple) (int, error) {
+func (l *Limit) NextBatch(b *types.Batch) (int, error) {
 	if err := l.checkOpen(); err != nil {
 		return 0, err
 	}
@@ -188,10 +239,10 @@ func (l *Limit) NextBatch(dst []types.Tuple) (int, error) {
 	if remaining <= 0 {
 		return 0, nil
 	}
-	if len(dst) > remaining {
-		dst = dst[:remaining]
-	}
-	n, err := l.input.NextBatch(dst)
+	max := b.Max
+	b.Max = min(max, remaining)
+	n, err := l.input.NextBatch(b)
+	b.Max = max
 	l.seen += n
 	return n, err
 }
@@ -210,8 +261,8 @@ type Distinct struct {
 	input    Operator
 	ordinals []int
 	seen     *tupleSet
-	mem      memAccount // duplicate-set memory charge
-	scratch  []types.Tuple
+	mem      memAccount    // duplicate-set memory charge
+	rows     []types.Value // the chunk the set's rows are carved from
 }
 
 // NewDistinct wraps input with duplicate elimination on the ordinals.
@@ -233,16 +284,9 @@ func (d *Distinct) Open(ctx context.Context) error {
 	return nil
 }
 
-// NextBatch implements Operator: it pulls child batches and compacts the
-// first-seen tuples into dst.
-func (d *Distinct) NextBatch(dst []types.Tuple) (int, error) {
-	if err := d.checkOpen(); err != nil {
-		return 0, err
-	}
-	if cap(d.scratch) < len(dst) {
-		d.scratch = make([]types.Tuple, len(dst))
-	}
-	in := d.scratch[:len(dst)]
+// NextBatch implements Operator: it pulls child batches and narrows their
+// selection to the first-seen rows, which it keeps copies of.
+func (d *Distinct) NextBatch(b *types.Batch) (int, error) {
 	for {
 		// Duplicate-heavy inputs can spin this loop over many batches that
 		// compact to nothing; re-check the query context each attempt so
@@ -250,25 +294,31 @@ func (d *Distinct) NextBatch(dst []types.Tuple) (int, error) {
 		if err := d.checkOpen(); err != nil {
 			return 0, err
 		}
-		n, err := d.input.NextBatch(in)
-		if err != nil {
+		n, err := d.input.NextBatch(b)
+		if err != nil || n == 0 {
 			return 0, err
 		}
-		if n == 0 {
-			return 0, nil
-		}
-		out := 0
-		for _, t := range in[:n] {
-			if added, _ := d.seen.add(t); added {
-				if err := d.mem.grow(tupleMemSize(t)); err != nil {
-					return out, err
-				}
-				dst[out] = t
-				out++
+		live := b.Live()
+		keep := live[:0]
+		for _, r := range live {
+			if w := len(b.Cols); cap(d.rows)-len(d.rows) < w {
+				d.rows = make([]types.Value, 0, DefaultBatchSize*w)
 			}
+			// The row goes into the set's chunk, and out again if a duplicate.
+			from := len(d.rows)
+			d.rows = b.Row(r, d.rows)
+			if added, _ := d.seen.add(d.rows[from:len(d.rows):len(d.rows)]); !added {
+				d.rows = d.rows[:from]
+				continue
+			}
+			if err := d.mem.grow(int64(types.Tuple(d.rows[from:]).MemSize())); err != nil {
+				return 0, err
+			}
+			keep = append(keep, r)
 		}
-		if out > 0 {
-			return out, nil
+		if len(keep) > 0 {
+			b.Sel, b.N = keep, len(keep)
+			return b.N, nil
 		}
 	}
 }

@@ -184,7 +184,7 @@ func TestChaosCancellationDuringRecovery(t *testing.T) {
 			if err := op.Open(ctx); err != nil {
 				t.Fatalf("open: %v", err)
 			}
-			row := make([]types.Tuple, 1)
+			row := &types.Batch{Max: 1}
 			for i := 0; i < 8; i++ {
 				if n, err := op.NextBatch(row); err != nil || n != 1 {
 					t.Fatalf("row %d: n=%d err=%v", i, n, err)

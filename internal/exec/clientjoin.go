@@ -65,6 +65,7 @@ type ClientJoin struct {
 	mem    memAccount      // records held in flight, until their frame is merged
 	cur    []types.Tuple   // receiver batch currently being drained
 	curPos int
+	out    types.Batch
 }
 
 // replyBox is a frame's one-shot reply slot (capacity 1: exactly one reply
@@ -172,6 +173,9 @@ func (c *ClientJoin) Open(ctx context.Context) error {
 		sessions: c.Sessions,
 		retry:    c.Retry,
 		onReply: func(f shipFrame[replyBox], reply []types.Tuple) error {
+			if i := slices.IndexFunc(reply, func(t types.Tuple) bool { return t.Len() != c.Schema().Len() }); i >= 0 {
+				return fmt.Errorf("exec: client-site join expected %d result columns, got %d", c.Schema().Len(), reply[i].Len())
+			}
 			// The box's consumer owns its batch; the pool recycles reply.
 			f.tag <- slices.Clone(reply)
 			return nil
@@ -192,7 +196,7 @@ func (c *ClientJoin) Open(ctx context.Context) error {
 // records, charging each frame's records and recording the deal order for
 // the merging receiver.
 func (c *ClientJoin) send(ctx context.Context) error {
-	batch := make([]types.Tuple, c.ShipBatchSize)
+	batch := &types.Batch{Max: c.ShipBatchSize}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -205,10 +209,10 @@ func (c *ClientJoin) send(ctx context.Context) error {
 			return nil
 		}
 		// The frame keeps its own copy of the records until it is answered.
-		records := slices.Clone(batch[:n])
+		records := batch.Tuples()
 		f := dealtFrame{box: make(replyBox, 1)}
 		for _, t := range records {
-			f.charge += tupleMemSize(t)
+			f.charge += int64(t.MemSize())
 		}
 		if err := c.mem.grow(f.charge); err != nil {
 			return err
@@ -258,9 +262,9 @@ func (c *ClientJoin) nextResultBatch() ([]types.Tuple, bool, error) {
 	}
 }
 
-// NextBatch implements Operator: it drains the merged batches directly into
-// dst.
-func (c *ClientJoin) NextBatch(dst []types.Tuple) (int, error) {
+// NextBatch implements Operator: it copies the merged batches into columns
+// of its own.
+func (c *ClientJoin) NextBatch(b *types.Batch) (int, error) {
 	if err := c.checkOpen(); err != nil {
 		return 0, err
 	}
@@ -271,9 +275,9 @@ func (c *ClientJoin) NextBatch(dst []types.Tuple) (int, error) {
 		}
 		c.cur, c.curPos = batch, 0
 	}
-	n := copy(dst, c.cur[c.curPos:])
+	n := min(b.Max, len(c.cur)-c.curPos)
 	c.curPos += n
-	return n, nil
+	return emitRows(b, &c.out, c.Schema().Len(), c.cur[c.curPos-n:c.curPos]), nil
 }
 
 // Close implements Operator. Closing the pool's connections unblocks the

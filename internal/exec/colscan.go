@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"csq/internal/expr"
 	"csq/internal/storage/colstore"
@@ -11,12 +12,13 @@ import (
 
 // ColumnarScan is the vectorized scan over a column-segment table. Per
 // segment it first consults the zone maps against its prunable predicates —
-// a pruned segment costs zero disk reads — then materializes only the
-// required columns of the survivors, one segment at a time, so memory stays
-// bounded by one decoded segment regardless of table size. The decoded
-// segment is charged to the query's MemTracker and the per-query
-// ScanStatsRecorder collects segments scanned/pruned, bytes read, and decode
-// time.
+// a pruned segment costs zero disk reads — then decodes only the required
+// columns of the survivors into typed vectors, one segment at a time, so
+// memory stays bounded by one decoded segment regardless of table size. A
+// batch is a window of those vectors; only a batch that straddles two
+// segments, or reads the buffered tail, is copied. The decoded segment is
+// charged to the query's MemTracker and the per-query ScanStatsRecorder
+// collects segments scanned/pruned, bytes read, and decode time.
 type ColumnarScan struct {
 	baseState
 	table    *colstore.Table
@@ -25,17 +27,19 @@ type ColumnarScan struct {
 	required []int // table ordinals to materialize; nil means all
 	preds    []colstore.PrunePredicate
 
-	snap    *colstore.Snapshot
-	rec     *ScanStatsRecorder
-	share   *ScanShare
-	mem     memAccount
-	seg     int // next segment to consider
-	cur     []types.Tuple
-	pos     int
-	curMem  int64
-	buf     []byte
-	tailPos int
-	inTail  bool
+	snap   *colstore.Snapshot
+	rec    *ScanStatsRecorder
+	share  *ScanShare
+	mem    memAccount
+	seg    int         // next segment to consider; one past the last once the tail is read
+	cur    []types.Vec // the decoded segment, or the buffered tail's rows
+	rows   int         // rows of cur
+	pos    int         // next of them
+	curMem int64
+	buf    []byte
+	spare  []types.Vec // the storage of the last segment decoded unshared
+	out    types.Batch // a batch straddling segments
+	win    types.Batch // the rows of cur copied into out
 }
 
 // NewColumnarScan returns a scan over the columnar table. required lists the
@@ -72,7 +76,7 @@ func PrunePredicates(prunable []expr.Expr) []colstore.PrunePredicate {
 		if !ok {
 			continue
 		}
-		po, ok := pruneOp(op)
+		po, ok := pruneOps[op]
 		if !ok {
 			continue
 		}
@@ -81,24 +85,10 @@ func PrunePredicates(prunable []expr.Expr) []colstore.PrunePredicate {
 	return out
 }
 
-// pruneOp maps a comparison operator onto the zone-map operator set.
-func pruneOp(op expr.Op) (colstore.PruneOp, bool) {
-	switch op {
-	case expr.OpEq:
-		return colstore.PruneEq, true
-	case expr.OpNe:
-		return colstore.PruneNe, true
-	case expr.OpLt:
-		return colstore.PruneLt, true
-	case expr.OpLe:
-		return colstore.PruneLe, true
-	case expr.OpGt:
-		return colstore.PruneGt, true
-	case expr.OpGe:
-		return colstore.PruneGe, true
-	default:
-		return 0, false
-	}
+// pruneOps maps the comparison operators onto the zone-map operator set.
+var pruneOps = map[expr.Op]colstore.PruneOp{
+	expr.OpEq: colstore.PruneEq, expr.OpNe: colstore.PruneNe, expr.OpLt: colstore.PruneLt,
+	expr.OpLe: colstore.PruneLe, expr.OpGt: colstore.PruneGt, expr.OpGe: colstore.PruneGe,
 }
 
 // Schema implements Operator.
@@ -113,41 +103,57 @@ func (s *ColumnarScan) Open(ctx context.Context) error {
 	s.rec = ScanStatsFrom(ctx)
 	s.share = ScanShareFrom(ctx)
 	s.mem = memAccount{t: MemTrackerFrom(ctx)}
-	s.seg, s.pos, s.cur, s.curMem = 0, 0, nil, 0
-	s.tailPos, s.inTail = 0, false
+	s.seg, s.pos, s.rows, s.cur, s.curMem = 0, 0, 0, nil, 0
 	s.markOpen(ctx)
 	return ctx.Err()
 }
 
-// NextBatch implements Operator with bulk copies out of the decoded segment.
-func (s *ColumnarScan) NextBatch(dst []types.Tuple) (int, error) {
+// NextBatch implements Operator: a window of the current segment's vectors,
+// or, for a batch that straddles segments, a copy of their rows.
+func (s *ColumnarScan) NextBatch(b *types.Batch) (int, error) {
 	if err := s.checkOpen(); err != nil {
 		return 0, err
 	}
-	filled := 0
-	for filled < len(dst) {
-		if s.pos < len(s.cur) {
-			n := copy(dst[filled:], s.cur[s.pos:])
-			filled += n
-			s.pos += n
-			continue
-		}
-		ok, err := s.advance()
-		if err != nil {
-			return filled, err
-		}
-		if !ok {
-			break
+	for s.pos == s.rows {
+		if ok, err := s.advance(); err != nil || !ok {
+			return 0, err
 		}
 	}
-	return filled, nil
+	if s.rows-s.pos >= b.Max {
+		b.View(s.cur, s.rows)
+		b.Window(s.pos, b.Max)
+		s.pos += b.Max
+		return b.Max, nil
+	}
+	s.out.Reset(s.schema.Len())
+	for s.out.N < b.Max {
+		if s.pos == s.rows {
+			if ok, err := s.advance(); err != nil {
+				return 0, err
+			} else if !ok {
+				break
+			}
+		}
+		n := min(b.Max-s.out.N, s.rows-s.pos)
+		s.win.View(s.cur, s.rows)
+		s.win.Window(s.pos, n)
+		for c := range s.cur {
+			if s.cur[c].Len() > 0 { // not a column left unread
+				s.out.Cols[c].AppendRows(&s.cur[c], s.win.Sel)
+			}
+		}
+		s.out.N += n
+		s.pos += n
+	}
+	b.View(s.out.Cols, s.out.N)
+	return s.out.N, nil
 }
 
 // advance loads the next surviving segment (or the buffered tail) into cur,
 // releasing the previous segment's memory charge.
 func (s *ColumnarScan) advance() (bool, error) {
 	s.releaseSegment()
-	s.pos = 0
+	s.pos, s.rows = 0, 0
 	for s.seg < s.snap.NumSegments() {
 		i := s.seg
 		s.seg++
@@ -155,50 +161,46 @@ func (s *ColumnarScan) advance() (bool, error) {
 			s.rec.notePruned(1)
 			continue
 		}
-		tuples, footprint, err := s.readSegmentShared(i)
+		vecs, err := s.readSegmentShared(i)
 		if err != nil {
 			return false, fmt.Errorf("exec: columnar scan: %w", err)
 		}
-		// Charge the decoded footprint: one slice header and a full-width
-		// row of the Value arena per tuple, plus the bytes read as the bound
-		// on the variable-width payloads the decoded columns point to (a
-		// payload is at most its encoding; a dictionary chunk decodes to
-		// shared entries). Shared decodes charge the same amount — the bytes
-		// were read by a peer, but this query retains them too.
-		rowMem := int64(types.TupleHeaderMemSize + s.schema.Len()*types.ValueMemSize)
-		charge := footprint + int64(len(tuples))*rowMem
+		// Charge what the vectors keep resident, shared decodes too: this
+		// query retains them as well as the peer that read them.
+		charge := (&types.Batch{Cols: vecs}).MemSize(0)
 		if err := s.mem.grow(charge); err != nil {
 			return false, err
 		}
 		s.curMem = charge
-		if len(tuples) > 0 {
-			s.cur = tuples
+		if s.rows = s.snap.SegmentRowCount(i); s.rows > 0 {
+			s.cur = vecs
 			return true, nil
 		}
 		s.releaseSegment()
 	}
-	if !s.inTail {
-		s.inTail = true
-		s.cur = s.snap.Tail()
-		return len(s.cur) > 0, nil
+	if s.seg++; s.seg == s.snap.NumSegments()+1 && len(s.snap.Tail()) > 0 { // the tail, once
+		var tail types.Batch
+		emitRows(&tail, &tail, s.schema.Len(), s.snap.Tail())
+		for c := range tail.Cols { // like a segment's, the unread columns are empty
+			if s.required != nil && !slices.Contains(s.required, c) {
+				tail.Cols[c] = types.Vec{}
+			}
+		}
+		s.cur, s.rows = tail.Cols, tail.N
+		return s.rows > 0, nil
 	}
-	s.cur = nil
 	return false, nil
 }
 
 // releaseSegment drops the current decoded segment and its memory charge.
 func (s *ColumnarScan) releaseSegment() {
-	s.cur = nil
-	if s.curMem != 0 {
-		s.mem.shrink(s.curMem)
-		s.curMem = 0
-	}
+	s.mem.shrink(s.curMem)
+	s.cur, s.curMem = nil, 0
 }
 
 // Close implements Operator.
 func (s *ColumnarScan) Close() error {
-	s.cur = nil
-	s.curMem = 0
+	s.cur, s.curMem = nil, 0
 	s.mem.releaseAll()
 	s.closed = true
 	return nil

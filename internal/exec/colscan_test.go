@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"csq/internal/expr"
@@ -78,7 +80,7 @@ func TestColumnarScanFull(t *testing.T) {
 	}
 	defer scan.Close()
 	var batched []types.Tuple
-	dst := make([]types.Tuple, DefaultBatchSize)
+	dst := &types.Batch{Max: DefaultBatchSize}
 	for {
 		n, err := scan.NextBatch(dst)
 		if err != nil {
@@ -87,7 +89,7 @@ func TestColumnarScanFull(t *testing.T) {
 		if n == 0 {
 			break
 		}
-		batched = append(batched, dst[:n]...)
+		batched = append(batched, dst.Tuples()...)
 	}
 	if !bytes.Equal(encodeRows(t, batched), encodeRows(t, rows)) {
 		t.Fatal("batched rows differ from inserted rows")
@@ -167,7 +169,7 @@ func TestColumnarScanMemoryBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var maxUsed int64
-	row := make([]types.Tuple, 1)
+	row := &types.Batch{Max: 1}
 	for {
 		n, err := scan.NextBatch(row)
 		if err != nil {
@@ -186,16 +188,19 @@ func TestColumnarScanMemoryBounded(t *testing.T) {
 	if mt.Used() != 0 {
 		t.Errorf("tracker still charged %d bytes after Close", mt.Used())
 	}
-	// One decoded segment is charged its rows' slice headers and Values,
-	// plus the bytes read.
+	// One decoded segment is charged what its vectors keep resident.
 	snap := tbl.Snapshot()
-	rowMem := int64(types.TupleHeaderMemSize + tbl.Schema().Len()*types.ValueMemSize)
 	var oneSegment int64
 	for i := 0; i < snap.NumSegments(); i++ {
-		oneSegment = max(oneSegment, snap.SegmentBytes(i, nil)+int64(snap.SegmentRowCount(i))*rowMem)
+		vecs, _, _, err := snap.ReadSegment(i, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg := types.Batch{Cols: vecs}
+		oneSegment = max(oneSegment, seg.MemSize(0))
 	}
-	if maxUsed > oneSegment {
-		t.Errorf("peak charge %d above the %d bytes of one decoded segment", maxUsed, oneSegment)
+	if maxUsed > oneSegment || maxUsed == 0 {
+		t.Errorf("peak charge %d, want one decoded segment's %d bytes at most, and some", maxUsed, oneSegment)
 	}
 }
 
@@ -230,7 +235,8 @@ func TestColumnarScanAcceptance(t *testing.T) {
 			types.NewFloat(float64(i) * 1.25),
 		}
 	}
-	tbl, err := colstore.Create(t.TempDir(), "big", schema, colstore.Options{SegmentRows: segmentRows})
+	dir := t.TempDir()
+	tbl, err := colstore.Create(dir, "big", schema, colstore.Options{SegmentRows: segmentRows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +247,11 @@ func TestColumnarScanAcceptance(t *testing.T) {
 	if err := tbl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	snap := tbl.Snapshot()
-	var diskBytes int64
-	for i := 0; i < snap.NumSegments(); i++ {
-		diskBytes += snap.SegmentBytes(i, nil)
+	data, err := os.Stat(filepath.Join(dir, "segments.csq"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	diskBytes := data.Size()
 	if diskBytes < 10*budget {
 		t.Fatalf("table is %d on-disk bytes, need >= 10x the %d budget", diskBytes, budget)
 	}

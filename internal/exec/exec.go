@@ -8,21 +8,22 @@
 //
 // # Batch execution contract
 //
-// Operators produce rows only in batches, through NextBatch. A batch
-// amortises per-call overheads and lets an operator carve the tuples of one
-// batch out of a single backing allocation. The rules are:
+// Operators produce rows only in column batches (types.Batch), through
+// NextBatch, one window of typed column vectors at a time, in the
+// vector-at-a-time model of MonetDB/X100. The rules are:
 //
-//   - NextBatch(dst) fills up to len(dst) tuples into dst and returns how
-//     many were produced. A return of 0 with a nil error means the stream is
-//     exhausted. Operators may return fewer than len(dst) tuples before
-//     exhaustion (e.g. when an internal buffer boundary is hit); only n == 0
-//     signals the end. Any len(dst) ≥ 1 is valid, and the rows produced do
-//     not depend on it.
-//   - Ownership: tuples written into dst belong to the caller. An operator
-//     must never mutate or recycle a tuple it has handed out. Several tuples
-//     of one batch may share a backing arena, so retaining one tuple of a
-//     batch can pin the memory of its siblings — callers that keep long-lived
-//     references to few tuples of large batches should Clone them.
+//   - NextBatch(b) puts up to b.Max live rows in b and returns how many, b.N;
+//     0 with a nil error means the stream is exhausted, and fewer than b.Max
+//     does not. Any b.Max ≥ 1 is valid, and the rows produced do not depend
+//     on it.
+//   - Ownership: the caller owns b, its column headers and its selection
+//     vector; the producer owns the column storage it points b at, and keeps
+//     it unchanged until it is next called or closed, so a caller that keeps
+//     rows copies them out (Row, Tuples). Column-native operators (the
+//     columnar scan, Filter, ProjectOrdinals, HashJoin, HashAggregate) read
+//     and write columns: a filter narrows the selection vector, a projection
+//     reorders column headers, a join gathers cells. Row-wise operators read
+//     through Batch.Row and write into columns of their own with AppendRows.
 package exec
 
 import (
@@ -32,23 +33,23 @@ import (
 	"csq/internal/types"
 )
 
-// DefaultBatchSize is the number of tuples moved per NextBatch call by the
+// DefaultBatchSize is the most rows moved per NextBatch call by the
 // engine's drivers (Collect, Run) and by operators that pull from their
 // children in batches.
 const DefaultBatchSize = 64
 
 // Operator is the interface every physical operator implements: Open
-// prepares the operator, NextBatch produces tuples and reports exhaustion
+// prepares the operator, NextBatch produces batches and reports exhaustion
 // with a zero count, Close releases resources. See the package documentation
 // for the batch ownership rules.
 type Operator interface {
-	// Schema describes the tuples produced by NextBatch.
+	// Schema describes the columns of the batches NextBatch produces.
 	Schema() *types.Schema
 	// Open prepares the operator and its children for execution.
 	Open(ctx context.Context) error
-	// NextBatch fills dst with up to len(dst) tuples and returns how many
-	// were produced; 0 with a nil error means the stream is exhausted.
-	NextBatch(dst []types.Tuple) (n int, err error)
+	// NextBatch puts up to b.Max rows in b and returns how many; 0 with a
+	// nil error means the stream is exhausted.
+	NextBatch(b *types.Batch) (n int, err error)
 	// Close releases resources. It is safe to call Close more than once and
 	// after a failed Open.
 	Close() error
@@ -57,24 +58,8 @@ type Operator interface {
 // Collect drains an operator into a slice, handling Open/Close. It is the
 // main entry point used by tests, examples and the engine's result delivery.
 func Collect(ctx context.Context, op Operator) ([]types.Tuple, error) {
-	if err := op.Open(ctx); err != nil {
-		_ = op.Close()
-		return nil, err
-	}
 	var out []types.Tuple
-	batch := make([]types.Tuple, DefaultBatchSize)
-	for {
-		n, err := op.NextBatch(batch)
-		if err != nil {
-			_ = op.Close()
-			return nil, err
-		}
-		if n == 0 {
-			break
-		}
-		out = append(out, batch[:n]...)
-	}
-	if err := op.Close(); err != nil {
+	if err := forEachBatch(ctx, op, func(b *types.Batch) { out = append(out, b.Tuples()...) }); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -83,24 +68,27 @@ func Collect(ctx context.Context, op Operator) ([]types.Tuple, error) {
 // Run drains an operator, discarding tuples and returning the row count. It
 // is used by benches that only care about execution cost.
 func Run(ctx context.Context, op Operator) (int, error) {
+	n := 0
+	err := forEachBatch(ctx, op, func(b *types.Batch) { n += b.N })
+	return n, err
+}
+
+// forEachBatch opens op, hands each of its batches to fn and closes it.
+func forEachBatch(ctx context.Context, op Operator, fn func(*types.Batch)) error {
 	if err := op.Open(ctx); err != nil {
 		_ = op.Close()
-		return 0, err
+		return err
 	}
-	n := 0
-	batch := make([]types.Tuple, DefaultBatchSize)
+	b := &types.Batch{Max: DefaultBatchSize}
 	for {
-		k, err := op.NextBatch(batch)
-		if err != nil {
-			_ = op.Close()
-			return n, err
+		if n, err := op.NextBatch(b); err != nil || n == 0 {
+			if cerr := op.Close(); err == nil {
+				err = cerr
+			}
+			return err
 		}
-		if k == 0 {
-			break
-		}
-		n += k
+		fn(b)
 	}
-	return n, op.Close()
 }
 
 // NetStats aggregates the network activity of a client-site operator, in

@@ -97,7 +97,7 @@ func TestTableScan(t *testing.T) {
 	}
 	// NextBatch before Open errors.
 	fresh := NewTableScan(tbl, "S")
-	if _, err := fresh.NextBatch(make([]types.Tuple, 1)); err == nil {
+	if _, err := fresh.NextBatch(&types.Batch{Max: 1}); err == nil {
 		t.Error("NextBatch before Open should fail")
 	}
 }

@@ -18,7 +18,7 @@ func collectBatches(ctx context.Context, op Operator, size int) ([]types.Tuple, 
 		return nil, err
 	}
 	var out []types.Tuple
-	batch := make([]types.Tuple, size)
+	batch := &types.Batch{Max: size}
 	for {
 		n, err := op.NextBatch(batch)
 		if err != nil {
@@ -28,7 +28,7 @@ func collectBatches(ctx context.Context, op Operator, size int) ([]types.Tuple, 
 		if n == 0 {
 			break
 		}
-		out = append(out, batch[:n]...)
+		out = append(out, batch.Tuples()...)
 	}
 	return out, op.Close()
 }

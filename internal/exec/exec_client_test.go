@@ -464,7 +464,7 @@ func TestClientJoinChargesFramesInFlight(t *testing.T) {
 	}
 	var frame int64
 	for _, r := range rows[:DefaultShipBatchSize] {
-		frame += tupleMemSize(r)
+		frame += int64(r.MemSize())
 	}
 
 	tracker := NewMemTracker(0)
@@ -513,7 +513,7 @@ func TestSemiJoinChargesParkedRecords(t *testing.T) {
 	// The sender parks one batch per frame it deals.
 	var batch int64
 	for _, r := range rows[:sendBatchSize] {
-		batch += tupleMemSize(r)
+		batch += int64(r.MemSize())
 	}
 
 	tracker := NewMemTracker(0)
@@ -787,7 +787,7 @@ func TestContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Read a couple of rows, then cancel and close.
-	row := make([]types.Tuple, 1)
+	row := &types.Batch{Max: 1}
 	for i := 0; i < 2; i++ {
 		if n, err := op.NextBatch(row); err != nil || n != 1 {
 			t.Fatalf("next %d: %d %v", i, n, err)

@@ -97,7 +97,7 @@ func TestEarlyCloseJoinsAllReaders(t *testing.T) {
 				if err := op.Open(context.Background()); err != nil {
 					t.Fatalf("open: %v", err)
 				}
-				row := make([]types.Tuple, 1)
+				row := &types.Batch{Max: 1}
 				for i := 0; i < 5; i++ {
 					if n, err := op.NextBatch(row); err != nil || n != 1 {
 						t.Fatalf("row %d: n=%d err=%v", i, n, err)
@@ -128,7 +128,7 @@ func TestCancelledQueryJoinsAllReaders(t *testing.T) {
 			if err := op.Open(ctx); err != nil {
 				t.Fatalf("open: %v", err)
 			}
-			row := make([]types.Tuple, 1)
+			row := &types.Batch{Max: 1}
 			if n, err := op.NextBatch(row); err != nil || n != 1 {
 				t.Fatalf("first row: n=%d err=%v", n, err)
 			}
@@ -166,7 +166,7 @@ func TestRepeatedEarlyCloseDoesNotAccumulate(t *testing.T) {
 		if err := op.Open(context.Background()); err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		if n, err := op.NextBatch(make([]types.Tuple, 1)); err != nil || n != 1 {
+		if n, err := op.NextBatch(&types.Batch{Max: 1}); err != nil || n != 1 {
 			t.Fatalf("round %d: n=%d err=%v", round, n, err)
 		}
 		if err := op.Close(); err != nil {

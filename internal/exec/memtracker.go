@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"csq/internal/storage"
-	"csq/internal/types"
 )
 
 // MemTracker is the per-query memory governor. Memory-hungry operators (the
@@ -225,11 +224,6 @@ func (a *memAccount) releaseAll() {
 		a.t.Shrink(n)
 	}
 }
-
-// tupleMemSize is the memory charge for retaining t: the bytes it keeps
-// resident (slice header, Values, variable-width payloads), not its encoded
-// size. The hash-table entry that points to it is not counted.
-func tupleMemSize(t types.Tuple) int64 { return int64(t.MemSize()) }
 
 // memTrackerKey carries the query's MemTracker through the Open-time context.
 type memTrackerKey struct{}

@@ -18,6 +18,8 @@ type TableScan struct {
 	alias  string
 	schema *types.Schema
 	it     storage.RowIterator
+	rows   []types.Tuple
+	out    types.Batch
 }
 
 // NewTableScan returns a scan over the relation. When alias is non-empty the
@@ -45,12 +47,24 @@ func (s *TableScan) Open(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// NextBatch implements Operator with a bulk copy out of the table snapshot.
-func (s *TableScan) NextBatch(dst []types.Tuple) (int, error) {
+// NextBatch implements Operator, copying the snapshot's next rows.
+func (s *TableScan) NextBatch(b *types.Batch) (int, error) {
 	if err := s.checkOpen(); err != nil {
 		return 0, err
 	}
-	return s.it.NextBatch(dst), nil
+	if cap(s.rows) < b.Max {
+		s.rows = make([]types.Tuple, b.Max)
+	}
+	return emitRows(b, &s.out, s.schema.Len(), s.rows[:s.it.Read(s.rows[:b.Max])]), nil
+}
+
+// emitRows is how row-wise operators produce a batch: it copies rows into
+// out, the producer's own columns, and points b at them.
+func emitRows(b, out *types.Batch, width int, rows []types.Tuple) int {
+	out.Reset(width)
+	out.AppendRows(rows...)
+	b.View(out.Cols, out.N)
+	return out.N
 }
 
 // Close implements Operator.

@@ -14,17 +14,16 @@ import (
 // ScanShare coalesces concurrent segment decodes across queries: when several
 // queries scan the same columnar table at once, only one of them (the leader)
 // reads and decodes each segment; the others (followers) attach to the
-// in-flight decode and share the resulting tuple slice. This is work sharing,
+// in-flight decode and share the resulting column vectors. This is work sharing,
 // not caching — an entry exists only while a decode is in flight, so memory
 // stays bounded by the set of segments being decoded right now, and there is
 // nothing to invalidate: a flushed segment is immutable and identified by its
 // (table, index) coordinates, so two snapshots that both contain segment i
 // see byte-identical contents.
 //
-// Decoded tuples served to more than one query must not sit in a reused
-// decode arena, so shared decodes run with a nil reuse buffer; every sharing
-// query still charges the decoded footprint to its own memory account (each
-// retains the slice independently).
+// Decoded vectors are immutable, so any number of queries read them at once;
+// every sharing query still charges the decoded footprint to its own memory
+// account (each retains the vectors independently).
 //
 // A ScanShare is safe for concurrent use; the service installs one per
 // process and hands it to queries through the Open-time context, like the
@@ -49,7 +48,7 @@ type shareSegKey struct {
 // the results are immutable afterwards.
 type shareEntry struct {
 	done      chan struct{}
-	tuples    []types.Tuple
+	vecs      []types.Vec
 	bytesRead int64
 	err       error
 }
@@ -88,7 +87,7 @@ func colsSignature(cols []int) string {
 // readSegment reads segment seg of the snapshot, coalescing with any
 // concurrent identical read. shared reports whether the decode was served by
 // a peer (bytesRead is then zero: this query did no disk I/O for it).
-func (ss *ScanShare) readSegment(ctx context.Context, snap *colstore.Snapshot, table *colstore.Table, seg int, cols []int) (tuples []types.Tuple, bytesRead int64, shared bool, err error) {
+func (ss *ScanShare) readSegment(ctx context.Context, snap *colstore.Snapshot, table *colstore.Table, seg int, cols []int) (vecs []types.Vec, bytesRead int64, shared bool, err error) {
 	key := shareSegKey{table: table, seg: seg, cols: colsSignature(cols)}
 	ss.mu.Lock()
 	if e, ok := ss.inflight[key]; ok {
@@ -101,24 +100,24 @@ func (ss *ScanShare) readSegment(ctx context.Context, snap *colstore.Snapshot, t
 				break
 			}
 			ss.sharedSegs.Add(1)
-			return e.tuples, 0, true, nil
+			return e.vecs, 0, true, nil
 		case <-ctx.Done():
 			return nil, 0, false, context.Cause(ctx)
 		}
-		tuples, bytesRead, _, err = snap.ReadSegment(seg, cols, nil)
-		return tuples, bytesRead, false, err
+		vecs, bytesRead, _, err = snap.ReadSegment(seg, cols, nil, nil)
+		return vecs, bytesRead, false, err
 	}
 	e := &shareEntry{done: make(chan struct{})}
 	ss.inflight[key] = e
 	ss.mu.Unlock()
 
-	e.tuples, e.bytesRead, _, e.err = snap.ReadSegment(seg, cols, nil)
+	e.vecs, e.bytesRead, _, e.err = snap.ReadSegment(seg, cols, nil, nil)
 	ss.mu.Lock()
 	delete(ss.inflight, key)
 	ss.mu.Unlock()
 	close(e.done)
 	ss.ledSegs.Add(1)
-	return e.tuples, e.bytesRead, false, e.err
+	return e.vecs, e.bytesRead, false, e.err
 }
 
 // scanShareKey carries the process-wide coalescer through the Open-time
@@ -147,27 +146,23 @@ func ScanShareFrom(ctx context.Context) *ScanShare {
 // readSegmentShared is the scan's decode entry point: through the coalescer
 // when one is installed, direct otherwise. It also accounts the read into the
 // recorder.
-func (s *ColumnarScan) readSegmentShared(i int) ([]types.Tuple, int64, error) {
+func (s *ColumnarScan) readSegmentShared(i int) ([]types.Vec, error) {
 	start := time.Now()
 	if s.share != nil {
-		tuples, bytesRead, shared, err := s.share.readSegment(s.ctx, s.snap, s.table, i, s.required)
-		if err != nil {
-			return nil, 0, err
-		}
-		if shared {
+		vecs, bytesRead, shared, err := s.share.readSegment(s.ctx, s.snap, s.table, i, s.required)
+		if err == nil && shared {
 			s.rec.noteShared(1)
-			// The decoded footprint is still retained by this query; charge
-			// it even though the bytes were read by the peer.
-			return tuples, s.snap.SegmentBytes(i, s.required), nil
+		} else if err == nil {
+			s.rec.noteScanned(bytesRead, time.Since(start).Nanoseconds())
 		}
-		s.rec.noteScanned(bytesRead, time.Since(start).Nanoseconds())
-		return tuples, bytesRead, nil
+		return vecs, err
 	}
-	tuples, bytesRead, buf, err := s.snap.ReadSegment(i, s.required, s.buf)
-	s.buf = buf
+	// Vectors nobody shares are decoded into the previous segment's.
+	vecs, bytesRead, buf, err := s.snap.ReadSegment(i, s.required, s.buf, s.spare)
+	s.buf, s.spare = buf, vecs
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	s.rec.noteScanned(bytesRead, time.Since(start).Nanoseconds())
-	return tuples, bytesRead, nil
+	return vecs, nil
 }

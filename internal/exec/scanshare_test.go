@@ -11,6 +11,15 @@ import (
 	"csq/internal/types"
 )
 
+// segmentRows reads a decoded segment's vectors back as rows.
+func segmentRows(vecs []types.Vec) []types.Tuple {
+	b := types.Batch{Cols: vecs}
+	for _, v := range vecs {
+		b.N = max(b.N, v.Len())
+	}
+	return b.Tuples()
+}
+
 // TestScanShareLeaderDecodes: with no decode in flight the caller becomes the
 // leader, reads real bytes, and leaves the in-flight map empty afterwards.
 func TestScanShareLeaderDecodes(t *testing.T) {
@@ -28,7 +37,7 @@ func TestScanShareLeaderDecodes(t *testing.T) {
 	if bytesRead <= 0 {
 		t.Fatalf("leader read %d bytes, want > 0", bytesRead)
 	}
-	if !bytes.Equal(encodeRows(t, tuples), encodeRows(t, rows[:16])) {
+	if !bytes.Equal(encodeRows(t, segmentRows(tuples)), encodeRows(t, rows[:16])) {
 		t.Fatal("leader decoded wrong rows")
 	}
 	if ss.LedSegments() != 1 || ss.SharedSegments() != 0 {
@@ -57,7 +66,7 @@ func TestScanShareFollowerAttaches(t *testing.T) {
 	ss.mu.Unlock()
 
 	type res struct {
-		tuples    []types.Tuple
+		vecs      []types.Vec
 		bytesRead int64
 		shared    bool
 		err       error
@@ -75,8 +84,8 @@ func TestScanShareFollowerAttaches(t *testing.T) {
 	case <-time.After(30 * time.Millisecond):
 	}
 
-	sentinel := []types.Tuple{{types.NewInt(42)}}
-	e.tuples, e.bytesRead = sentinel, 12345
+	sentinel := []types.Vec{{Kind: types.KindInt, Ints: []int64{42}}}
+	e.vecs, e.bytesRead = sentinel, 12345
 	close(e.done)
 
 	r := <-ch
@@ -89,11 +98,11 @@ func TestScanShareFollowerAttaches(t *testing.T) {
 	if r.bytesRead != 0 {
 		t.Fatalf("follower charged %d read bytes, want 0 (the leader did the I/O)", r.bytesRead)
 	}
-	if len(r.tuples) != 1 {
-		t.Fatalf("follower got %d tuples, want the leader's sentinel", len(r.tuples))
+	if len(r.vecs) != 1 || r.vecs[0].Len() != 1 {
+		t.Fatalf("follower got %v, want the leader's sentinel", r.vecs)
 	}
-	if v, _ := r.tuples[0][0].Int(); v != 42 {
-		t.Fatalf("follower tuple = %v, want the leader's sentinel", r.tuples[0])
+	if v, _ := r.vecs[0].Value(0).Int(); v != 42 {
+		t.Fatalf("follower cell = %v, want the leader's sentinel", r.vecs[0].Value(0))
 	}
 	if ss.SharedSegments() != 1 {
 		t.Fatalf("SharedSegments = %d, want 1", ss.SharedSegments())
@@ -114,7 +123,7 @@ func TestScanShareFollowerSurvivesLeaderError(t *testing.T) {
 	ss.mu.Unlock()
 
 	done := make(chan struct{})
-	var tuples []types.Tuple
+	var tuples []types.Vec
 	var shared bool
 	var err error
 	go func() {
@@ -131,7 +140,7 @@ func TestScanShareFollowerSurvivesLeaderError(t *testing.T) {
 	if shared {
 		t.Fatal("failed decode reported as shared")
 	}
-	if !bytes.Equal(encodeRows(t, tuples), encodeRows(t, rows[16:32])) {
+	if !bytes.Equal(encodeRows(t, segmentRows(tuples)), encodeRows(t, rows[16:32])) {
 		t.Fatal("independent re-decode returned wrong rows")
 	}
 	if ss.SharedSegments() != 0 {
@@ -231,10 +240,10 @@ func TestScanShareKeyedByColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encodeRows(t, full), encodeRows(t, rows[:16])) {
+	if !bytes.Equal(encodeRows(t, segmentRows(full)), encodeRows(t, rows[:16])) {
 		t.Fatal("full decode wrong")
 	}
-	if !proj[0][0].IsNull() || proj[0][1].IsNull() {
+	if proj[0].Len() != 0 || proj[2].Len() != 0 || proj[1].Len() != 16 {
 		t.Fatal("projected decode did not restrict columns")
 	}
 	if ss.LedSegments() != 2 || ss.SharedSegments() != 0 {

@@ -79,6 +79,8 @@ type SemiJoin struct {
 
 	cur    parkedBatch // receiver's current parked batch
 	curPos int
+	out    types.Batch
+	row    types.Tuple
 }
 
 // parkedBatch is one input batch's records parked between sender and
@@ -235,7 +237,7 @@ func (s *SemiJoin) senderReadBatch() int {
 // and otherwise only on link transfer, never on an unread reply.
 func (s *SemiJoin) send(ctx context.Context) error {
 	seen := newTupleSet(nil)
-	batch := make([]types.Tuple, s.senderReadBatch())
+	batch := &types.Batch{Max: s.senderReadBatch()}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -246,23 +248,21 @@ func (s *SemiJoin) send(ctx context.Context) error {
 		}
 		parked := parkedBatch{records: make([]bufferedRecord, 0, n)}
 		// The frame keeps its argument tuples until it is answered, so each
-		// input batch gets fresh slices. One arena backs every argument
-		// projection of the batch; the tuples escape into the dedup set, the
-		// frame and the result table, and the arena is never recycled.
+		// input batch gets fresh ones, carved out of one backing array; they
+		// escape into the dedup set, the frame and the result table.
 		var args []types.Tuple
 		var hashes []uint64
-		arena := make([]types.Value, 0, n*len(s.argOrdinals))
-		for i, t := range batch[:n] {
-			var arg types.Tuple
-			arena, arg, err = types.ProjectInto(arena, t, s.argOrdinals)
-			if err != nil {
-				return err
+		vals := make([]types.Value, 0, n*len(s.argOrdinals))
+		for i, t := range batch.Tuples() {
+			for _, o := range s.argOrdinals {
+				vals = append(vals, t[o])
 			}
+			arg := types.Tuple(vals[len(vals)-len(s.argOrdinals) : len(vals) : len(vals)])
 			added, hash := seen.add(arg)
 			if added {
 				// The dedup set retains the argument tuple for the query's
 				// lifetime; charge it against the memory budget.
-				if err := s.mem.grow(tupleMemSize(arg)); err != nil {
+				if err := s.mem.grow(int64(arg.MemSize())); err != nil {
 					return err
 				}
 				// Step 1 of the paper's pipeline: ship the duplicate-free
@@ -274,7 +274,7 @@ func (s *SemiJoin) send(ctx context.Context) error {
 				hashes = append(hashes, hash)
 			}
 			parked.records = append(parked.records, bufferedRecord{tuple: t, args: arg, hash: hash})
-			parked.charge += tupleMemSize(t)
+			parked.charge += int64(t.MemSize())
 		}
 		// The records stay parked until the receiver has drained their batch.
 		if err := s.mem.grow(parked.charge); err != nil {
@@ -305,7 +305,7 @@ func (s *SemiJoin) publish(f shipFrame[[]uint64], reply []types.Tuple) error {
 			return fmt.Errorf("exec: semi-join expected %d result columns, got %d", len(s.udfs), res.Len())
 		}
 		// The result table retains the result for the query's lifetime.
-		if err := s.mem.grow(tupleMemSize(res)); err != nil {
+		if err := s.mem.grow(int64(res.MemSize())); err != nil {
 			return err
 		}
 	}
@@ -357,41 +357,35 @@ func (s *SemiJoin) nextRecord() (bufferedRecord, bool, error) {
 
 // NextBatch implements Operator: it is the receiver thread of Figure 3,
 // joining buffered records with the result stream the session readers
-// publish. All output tuples of one batch are carved out of a single backing
-// arena, sized for the rows left in the current parked batch, at whose end
-// the call returns.
-func (s *SemiJoin) NextBatch(dst []types.Tuple) (int, error) {
+// publish, into columns of its own. It returns at the end of the current
+// parked batch.
+func (s *SemiJoin) NextBatch(b *types.Batch) (int, error) {
 	if err := s.checkOpen(); err != nil {
 		return 0, err
 	}
-	width := s.schema.Len()
-	var arena []types.Value
-	out := 0
-	for out < len(dst) {
+	s.out.Reset(s.schema.Len())
+	for s.out.N < b.Max {
 		rec, ok, err := s.nextRecord()
 		if err != nil {
-			return out, err
+			return 0, err
 		}
 		if !ok {
-			return out, nil
+			break
 		}
 		results, err := s.result(rec)
 		if err != nil {
-			return out, err
+			return 0, err
 		}
-		if arena == nil {
-			rows := min(len(dst), len(s.cur.records)-s.curPos+1) // rec included
-			arena = make([]types.Value, 0, rows*width)
-		}
-		arena, dst[out] = types.ConcatInto(arena, rec.tuple, results)
-		out++
+		s.row = append(append(s.row[:0], rec.tuple...), results...)
+		s.out.AppendRows(s.row)
 		// Returning at a parked-batch boundary keeps the pipeline moving
-		// instead of blocking on the sender for a full dst.
+		// instead of blocking on the sender for a full batch.
 		if s.curPos >= len(s.cur.records) {
-			return out, nil
+			break
 		}
 	}
-	return out, nil
+	b.View(s.out.Cols, s.out.N)
+	return s.out.N, nil
 }
 
 // Close implements Operator. It works both after a clean drain and when the

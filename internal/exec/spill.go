@@ -36,11 +36,8 @@ import (
 // does not size one from its memory estimate.
 const DefaultSpillPartitions = 16
 
-// AggStateMemSize is the in-memory footprint of one aggregation state beyond
-// its group row (charged by tupleMemSize): the aggState struct less the group
-// row's slice header (a count and four slice headers, 104 bytes), the two
-// pointers to it (collision chain and state list), and per aggregate one sum,
-// one count and a min and a max Value.
+// AggStateMemSize is what one aggregation state is charged, and estimated
+// at, beyond its group row: 120 bytes, and 64 per aggregate.
 func AggStateMemSize(nAggs int) int64 {
 	return 104 + 16 + int64(nAggs*(16+2*types.ValueMemSize))
 }
@@ -122,6 +119,13 @@ type joinSpill struct {
 	seq     uint64
 }
 
+// joinBucket is one collision-chain entry of a spilled partition's table:
+// all right tuples sharing one key.
+type joinBucket struct {
+	key  types.Tuple // representative right tuple carrying the key columns
+	rows []types.Tuple
+}
+
 // joinSpillHead is the next pending output row of one partition's run.
 type joinSpillHead struct {
 	seq   uint64
@@ -141,25 +145,26 @@ func beginJoinSpill(j *HashJoin) (*joinSpill, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Flush the table partition-wise. Map iteration order is arbitrary, but
-	// only the per-key (collision-chain) order matters for output equivalence,
-	// and each chain's rows are written in insertion order.
+	// Flush the build partition-wise. Map iteration order is arbitrary, but
+	// only the per-key order matters for output equivalence, and each
+	// chain's rows are written in insertion order.
 	var flushed int64
-	for h, chain := range j.table {
-		w := sp.rightRuns[int(h%uint64(sp.parts))]
-		for _, b := range chain {
-			for _, t := range b.rows {
-				if err := appendTupleRec(w, &sp.scratch, 0, false, t); err != nil {
-					discardRuns(sp.rightRuns)
-					return nil, err
-				}
+	var row types.Tuple
+	for _, ch := range j.chains {
+		for r := ch.head; r >= 0; r = j.next[r] {
+			row = j.build.Row(int(r), row[:0])
+			w := sp.rightRuns[int(row.Hash(j.rightKeys)%uint64(sp.parts))]
+			if err := appendTupleRec(w, &sp.scratch, 0, false, row); err != nil {
+				discardRuns(sp.rightRuns)
+				return nil, err
 			}
 		}
 	}
 	for _, w := range sp.rightRuns {
 		flushed += w.Bytes()
 	}
-	j.table = nil
+	j.chains, j.next = nil, nil
+	j.build = types.Batch{}
 	j.mem.releaseAll()
 	tracker.NoteSpill(flushed)
 	return sp, nil
@@ -186,7 +191,8 @@ func (sp *joinSpill) run(ctx context.Context) error {
 		return err
 	}
 	prog := ProgressFrom(ctx)
-	batch := make([]types.Tuple, DefaultBatchSize)
+	batch := &types.Batch{Max: DefaultBatchSize}
+	var t types.Tuple
 	for {
 		prog.Tick()
 		if err := ctx.Err(); err != nil {
@@ -199,7 +205,8 @@ func (sp *joinSpill) run(ctx context.Context) error {
 		if n == 0 {
 			break
 		}
-		for _, t := range batch[:n] {
+		for _, r := range batch.Live() {
+			t = batch.Row(r, t[:0])
 			h := t.Hash(j.leftKeys)
 			if err := appendTupleRec(sp.leftRuns[int(h%uint64(sp.parts))], &sp.scratch, sp.seq, true, t); err != nil {
 				return err
@@ -293,7 +300,7 @@ func (sp *joinSpill) joinPartition(ctx context.Context, p int) error {
 		// Charge the partition table so the tracker's peak reflects reality;
 		// partitions are sized to fit, so this stays within budget in the
 		// expected case and is released when the partition completes.
-		n := tupleMemSize(t)
+		n := int64(t.MemSize())
 		if err := j.mem.t.Grow(n); err != nil {
 			return err
 		}
@@ -455,45 +462,42 @@ func beginAggSpill(h *HashAggregate, states []*aggState) (*aggSpill, error) {
 	return sp, nil
 }
 
-// encodeState flattens a partial aggregation state into one tuple:
-// group columns, total count, then per aggregate (sum, min, max, count).
+// encodeState flattens a partial aggregation state into one tuple: group
+// columns, total count, then per aggregate (float sum, INT sum, min, max,
+// count).
 func (sp *aggSpill) encodeState(st *aggState) types.Tuple {
-	rec := make(types.Tuple, 0, len(st.groupRow)+1+4*sp.nAggs)
+	rec := make(types.Tuple, 0, len(st.groupRow)+1+5*sp.nAggs)
 	rec = append(rec, st.groupRow...)
 	rec = append(rec, types.NewInt(st.count))
-	for i := 0; i < sp.nAggs; i++ {
-		rec = append(rec, types.NewFloat(st.sums[i]), st.mins[i], st.maxs[i], types.NewInt(st.counts[i]))
+	for _, acc := range st.accs {
+		rec = append(rec, types.NewFloat(acc.sum), types.NewInt(acc.isum), acc.min, acc.max, types.NewInt(acc.count))
 	}
 	return rec
 }
 
 // decodeState rebuilds a partial aggregation state from its flattened tuple.
 func (sp *aggSpill) decodeState(rec types.Tuple) (*aggState, error) {
-	want := len(sp.groupBy) + 1 + 4*sp.nAggs
+	want := len(sp.groupBy) + 1 + 5*sp.nAggs
 	if len(rec) != want {
 		return nil, fmt.Errorf("exec: aggregate spill state has %d columns, want %d", len(rec), want)
 	}
 	g := len(sp.groupBy)
-	st := &aggState{
-		groupRow: rec[:g:g],
-		sums:     make([]float64, sp.nAggs),
-		mins:     make([]types.Value, sp.nAggs),
-		maxs:     make([]types.Value, sp.nAggs),
-		counts:   make([]int64, sp.nAggs),
-	}
+	st := &aggState{groupRow: rec[:g:g], accs: make([]aggAcc, sp.nAggs)}
 	count, err := rec[g].Int()
 	if err != nil {
 		return nil, fmt.Errorf("exec: aggregate spill state count: %w", err)
 	}
 	st.count = count
-	for i := 0; i < sp.nAggs; i++ {
-		base := g + 1 + 4*i
-		if st.sums[i], err = rec[base].Float(); err != nil {
+	for i := range st.accs {
+		base, acc := g+1+5*i, &st.accs[i]
+		if acc.sum, err = rec[base].Float(); err != nil {
 			return nil, fmt.Errorf("exec: aggregate spill state sum: %w", err)
 		}
-		st.mins[i] = rec[base+1]
-		st.maxs[i] = rec[base+2]
-		if st.counts[i], err = rec[base+3].Int(); err != nil {
+		if acc.isum, err = rec[base+1].Int(); err != nil {
+			return nil, fmt.Errorf("exec: aggregate spill state sum: %w", err)
+		}
+		acc.min, acc.max = rec[base+2], rec[base+3]
+		if acc.count, err = rec[base+4].Int(); err != nil {
 			return nil, fmt.Errorf("exec: aggregate spill state count: %w", err)
 		}
 	}
@@ -524,103 +528,104 @@ func (sp *aggSpill) finish(ctx context.Context, h *HashAggregate) ([]types.Tuple
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		groups := make(map[uint64][]*aggState)
-		var states []*aggState
-		var charged int64
-
-		sr, err := sp.stateRuns[p].Finish()
+		rows, err := sp.finishPartition(ctx, h, p, groupOrds)
 		if err != nil {
-			return nil, err
-		}
-		sp.stateRuns[p] = nil
-		for {
-			rec, err := sr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				_ = sr.Close()
-				return nil, err
-			}
-			tup, _, err := types.DecodeTuple(rec)
-			if err != nil {
-				_ = sr.Close()
-				return nil, fmt.Errorf("exec: aggregate spill state: %w", err)
-			}
-			st, err := sp.decodeState(tup)
-			if err != nil {
-				_ = sr.Close()
-				return nil, err
-			}
-			hash := st.groupRow.Hash(groupOrds)
-			groups[hash] = append(groups[hash], st)
-			states = append(states, st)
-			n := tupleMemSize(st.groupRow) + AggStateMemSize(sp.nAggs)
-			if err := h.mem.t.Grow(n); err != nil {
-				_ = sr.Close()
-				h.mem.t.Shrink(charged)
-				return nil, err
-			}
-			charged += n
-		}
-		_ = sr.Close()
-
-		rr, err := sp.rawRuns[p].Finish()
-		if err != nil {
-			h.mem.t.Shrink(charged)
-			return nil, err
-		}
-		sp.rawRuns[p] = nil
-		for i := 0; ; i++ {
-			if i%1024 == 0 {
-				prog.Tick()
-				if err := ctx.Err(); err != nil {
-					_ = rr.Close()
-					h.mem.t.Shrink(charged)
-					return nil, err
-				}
-			}
-			rec, err := rr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				_ = rr.Close()
-				h.mem.t.Shrink(charged)
-				return nil, err
-			}
-			tup, _, err := types.DecodeTuple(rec)
-			if err != nil {
-				_ = rr.Close()
-				h.mem.t.Shrink(charged)
-				return nil, fmt.Errorf("exec: aggregate spill raw row: %w", err)
-			}
-			n, err := h.foldTuple(groups, &states, tup)
-			if err != nil {
-				_ = rr.Close()
-				h.mem.t.Shrink(charged)
-				return nil, err
-			}
-			if n > 0 {
-				if err := h.mem.t.Grow(n); err != nil {
-					_ = rr.Close()
-					h.mem.t.Shrink(charged)
-					return nil, err
-				}
-				charged += n
-			}
-		}
-		_ = rr.Close()
-
-		rows, err := h.materialize(states)
-		if err != nil {
-			h.mem.t.Shrink(charged)
 			return nil, err
 		}
 		results = append(results, rows...)
-		h.mem.t.Shrink(charged)
 	}
 	return results, nil
+}
+
+// finishPartition aggregates partition p and returns its result rows. What
+// it charges the tracker is released when it returns.
+func (sp *aggSpill) finishPartition(ctx context.Context, h *HashAggregate, p int, groupOrds []int) ([]types.Tuple, error) {
+	table := &aggTable{groups: make(map[uint64][]*aggState)}
+	var keys types.Batch // the states' group rows
+	keys.Reset(len(groupOrds))
+	mem := memAccount{t: h.mem.t}
+	defer mem.releaseAll()
+	sr, err := sp.stateRuns[p].Finish()
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = sr.Close() }()
+	sp.stateRuns[p] = nil
+	for {
+		rec, err := sr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		tup, _, err := types.DecodeTuple(rec)
+		if err != nil {
+			return nil, fmt.Errorf("exec: aggregate spill state: %w", err)
+		}
+		st, err := sp.decodeState(tup)
+		if err != nil {
+			return nil, err
+		}
+		keys.AppendRows(st.groupRow)
+		table.states = append(table.states, st)
+		if err := mem.grow(int64(st.groupRow.MemSize()) + AggStateMemSize(sp.nAggs)); err != nil {
+			return nil, err
+		}
+	}
+	// The states go in under the key hash the fold looks them up by.
+	for i, hash := range keys.HashRows(keys.Live(), groupOrds, nil) {
+		table.groups[hash] = append(table.groups[hash], table.states[i])
+	}
+
+	rr, err := sp.rawRuns[p].Finish()
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = rr.Close() }()
+	sp.rawRuns[p] = nil
+	// Raw rows are folded a batch at a time, through the operator's own
+	// fold, in their arrival order.
+	var raw types.Batch
+	raw.Reset(h.input.Schema().Len())
+	flush := func() error {
+		n, err := h.fold(table, &raw)
+		if err == nil {
+			err = mem.grow(n)
+		}
+		raw.Reset(len(raw.Cols))
+		return err
+	}
+	prog := ProgressFrom(ctx)
+	for i := 0; ; i++ {
+		if i%1024 == 0 {
+			prog.Tick()
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		rec, err := rr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		tup, _, err := types.DecodeTuple(rec)
+		if err != nil {
+			return nil, fmt.Errorf("exec: aggregate spill raw row: %w", err)
+		}
+		raw.AppendRows(tup)
+		if raw.N == DefaultBatchSize {
+			if err := flush(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := flush(); err != nil {
+		return nil, err
+	}
+	return h.materialize(table.states), nil
 }
 
 // close releases every spill resource.

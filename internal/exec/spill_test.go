@@ -183,7 +183,7 @@ func TestCancellationStopsOperatorsAtBatchBoundary(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer j.Close()
-	row := make([]types.Tuple, 1)
+	row := &types.Batch{Max: 1}
 	if n, err := j.NextBatch(row); err != nil || n != 1 {
 		t.Fatalf("first row: n=%d err=%v", n, err)
 	}
@@ -191,7 +191,7 @@ func TestCancellationStopsOperatorsAtBatchBoundary(t *testing.T) {
 	if _, err := j.NextBatch(row); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled after cancel, got %v", err)
 	}
-	batch := make([]types.Tuple, 8)
+	batch := &types.Batch{Max: 8}
 	if _, err := j.NextBatch(batch); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled from NextBatch, got %v", err)
 	}

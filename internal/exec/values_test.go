@@ -13,6 +13,7 @@ type ValuesScan struct {
 	schema *types.Schema
 	rows   []types.Tuple
 	pos    int
+	out    types.Batch
 }
 
 // NewValuesScan builds a scan over the given rows.
@@ -30,14 +31,14 @@ func (s *ValuesScan) Open(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// NextBatch implements Operator with a bulk copy out of the row slice.
-func (s *ValuesScan) NextBatch(dst []types.Tuple) (int, error) {
+// NextBatch implements Operator, copying the next rows into columns.
+func (s *ValuesScan) NextBatch(b *types.Batch) (int, error) {
 	if err := s.checkOpen(); err != nil {
 		return 0, err
 	}
-	n := copy(dst, s.rows[s.pos:])
+	n := min(b.Max, len(s.rows)-s.pos)
 	s.pos += n
-	return n, nil
+	return emitRows(b, &s.out, s.schema.Len(), s.rows[s.pos-n:s.pos]), nil
 }
 
 // Close implements Operator.

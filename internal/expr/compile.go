@@ -86,22 +86,6 @@ func compileColConst(ev *Evaluator, b *Binary) Predicate {
 		} else {
 			cmp, err = types.Compare(v, konst)
 		}
-		if err != nil {
-			return false, err
-		}
-		switch op {
-		case OpEq:
-			return cmp == 0, nil
-		case OpNe:
-			return cmp != 0, nil
-		case OpLt:
-			return cmp < 0, nil
-		case OpLe:
-			return cmp <= 0, nil
-		case OpGt:
-			return cmp > 0, nil
-		default: // OpGe
-			return cmp >= 0, nil
-		}
+		return err == nil && op.Holds(cmp), err
 	}
 }

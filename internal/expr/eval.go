@@ -132,22 +132,7 @@ func (ev *Evaluator) evalBinary(n *Binary, t types.Tuple) (types.Value, error) {
 		if err != nil {
 			return types.Value{}, err
 		}
-		var out bool
-		switch n.Op {
-		case OpEq:
-			out = c == 0
-		case OpNe:
-			out = c != 0
-		case OpLt:
-			out = c < 0
-		case OpLe:
-			out = c <= 0
-		case OpGt:
-			out = c > 0
-		case OpGe:
-			out = c >= 0
-		}
-		return types.NewBool(out), nil
+		return types.NewBool(n.Op.Holds(c)), nil
 	}
 	return evalArithmetic(n.Op, l, r)
 }

@@ -80,6 +80,25 @@ func (o Op) IsComparison() bool {
 	return false
 }
 
+// Holds reports whether a comparison that came out as c (as types.Compare
+// returns it) satisfies the comparison operator o.
+func (o Op) Holds(c int) bool {
+	switch o {
+	case OpEq:
+		return c == 0
+	case OpNe:
+		return c != 0
+	case OpLt:
+		return c < 0
+	case OpLe:
+		return c <= 0
+	case OpGt:
+		return c > 0
+	default: // OpGe
+		return c >= 0
+	}
+}
+
 // Expr is a scalar expression node. Expressions are built unbound (column
 // references hold names) and must be bound against a schema before evaluation.
 type Expr interface {

@@ -73,9 +73,9 @@ type Scan struct {
 	// Required is the scan-pushdown annotation the rewriter's column-demand
 	// pass installs: the table ordinals the plan above the scan reads ([] for
 	// none, as under COUNT(*)), or nil for all of them. The schema is
-	// unaffected — a columnar scan still produces full-width tuples, but
-	// materializes only these positions (the rest stay NULL placeholders
-	// nothing above reads). Row-store scans ignore it.
+	// unaffected — a columnar scan's batches keep one column per table
+	// column, but only these are decoded; the others hold no cells and read
+	// as NULL, which nothing above reads. Row-store scans ignore it.
 	Required []int
 	// Prunable is the scan-pushdown annotation installed by the rewriter's
 	// annotate-scan-prunable rule: the conjuncts of the filter directly above

@@ -175,7 +175,7 @@ func collectBudgeted(t *testing.T, op exec.Operator, budget int64) []string {
 		t.Fatal(err)
 	}
 	var out []types.Tuple
-	batch := make([]types.Tuple, exec.DefaultBatchSize)
+	batch := &types.Batch{Max: exec.DefaultBatchSize}
 	for {
 		n, err := op.NextBatch(batch)
 		if err != nil {
@@ -184,9 +184,7 @@ func collectBudgeted(t *testing.T, op exec.Operator, budget int64) []string {
 		if n == 0 {
 			break
 		}
-		for _, row := range batch[:n] {
-			out = append(out, row.Clone())
-		}
+		out = append(out, batch.Tuples()...)
 	}
 	if err := op.Close(); err != nil {
 		t.Fatal(err)
@@ -345,29 +343,31 @@ func fillUnread(t *testing.T) {
 
 // sentinelScan overwrites the unrequired columns of each row it passes up
 // with a value unique to the row, so a distinct or a grouping on a dropped
-// column keeps every row. Rows are cloned first: a columnar scan hands out
-// the table's own tail rows.
+// column keeps every row. It copies the rows into columns of its own first:
+// a columnar scan hands out windows of its decoded vectors.
 type sentinelScan struct {
 	exec.Operator
 	required []int
 	rows     int
+	out      types.Batch
 }
 
-func (s *sentinelScan) NextBatch(dst []types.Tuple) (int, error) {
-	n, err := s.Operator.NextBatch(dst)
-	if s.required == nil {
+func (s *sentinelScan) NextBatch(b *types.Batch) (int, error) {
+	n, err := s.Operator.NextBatch(b)
+	if s.required == nil || n == 0 {
 		return n, err
 	}
-	for i := range dst[:n] {
-		row := dst[i].Clone()
+	s.out.Reset(len(b.Cols))
+	for _, row := range b.Tuples() {
 		for c := range row {
 			if !slices.Contains(s.required, c) {
 				row[c] = types.NewString(fmt.Sprintf("unread%d", s.rows))
 			}
 		}
-		dst[i] = row
+		s.out.AppendRows(row)
 		s.rows++
 	}
+	b.View(s.out.Cols, s.out.N)
 	return n, err
 }
 

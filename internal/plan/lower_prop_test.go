@@ -256,7 +256,7 @@ func collectOneByOne(t *testing.T, op exec.Operator) []string {
 		t.Fatal(err)
 	}
 	var out []types.Tuple
-	row := make([]types.Tuple, 1)
+	row := &types.Batch{Max: 1}
 	for {
 		n, err := op.NextBatch(row)
 		if err != nil {
@@ -266,7 +266,7 @@ func collectOneByOne(t *testing.T, op exec.Operator) []string {
 		if n == 0 {
 			break
 		}
-		out = append(out, row[0])
+		out = append(out, row.Tuples()...)
 	}
 	if err := op.Close(); err != nil {
 		t.Fatal(err)

@@ -71,13 +71,11 @@ func sampleInput(ctx context.Context, src exec.Operator, argOrdinals []int, serv
 	argCounts := make(map[uint64]int) // argument hash → passing rows carrying it
 	ev := &expr.Evaluator{}
 	colBytes := make([]int64, width)
-	batch := make([]types.Tuple, exec.DefaultBatchSize)
+	batch := &types.Batch{}
+	var t types.Tuple
 	for stats.ScannedRows < maxRows {
-		want := maxRows - stats.ScannedRows
-		if want > len(batch) {
-			want = len(batch)
-		}
-		n, err := src.NextBatch(batch[:want])
+		batch.Max = min(maxRows-stats.ScannedRows, exec.DefaultBatchSize)
+		n, err := src.NextBatch(batch)
 		if err != nil {
 			return stats, err
 		}
@@ -85,7 +83,8 @@ func sampleInput(ctx context.Context, src exec.Operator, argOrdinals []int, serv
 			stats.Exhausted = true
 			break
 		}
-		for _, t := range batch[:n] {
+		for _, r := range batch.Live() {
+			t = batch.Row(r, t[:0])
 			stats.ScannedRows++
 			if serverFilter != nil {
 				keep, err := ev.EvalBool(serverFilter, t)

@@ -897,13 +897,13 @@ func (q *Query) drive(ctx context.Context, op exec.Operator) (err error) {
 	if err := op.Open(ctx); err != nil {
 		return err
 	}
-	batch := make([]types.Tuple, exec.DefaultBatchSize)
+	batch := &types.Batch{Max: exec.DefaultBatchSize}
 	for {
 		n, err := op.NextBatch(batch)
 		if err != nil || n == 0 {
 			return err
 		}
-		if err := q.emit(batch[:n]); err != nil {
+		if err := q.emit(batch.Tuples()); err != nil {
 			return err
 		}
 	}

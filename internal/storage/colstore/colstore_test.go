@@ -51,18 +51,23 @@ func encodeAll(t *testing.T, rows []types.Tuple) []byte {
 }
 
 // readAll materializes every row of the snapshot, segment by segment and then
-// the buffered tail, in insertion order.
+// the buffered tail, in insertion order. Each segment is decoded into the
+// previous one's vectors.
 func readAll(t *testing.T, snap *Snapshot) []types.Tuple {
 	t.Helper()
 	var out []types.Tuple
 	var buf []byte
+	var vecs []types.Vec
 	for i := 0; i < snap.NumSegments(); i++ {
-		rows, _, b, err := snap.ReadSegment(i, nil, buf)
+		var b []byte
+		var err error
+		vecs, _, b, err = snap.ReadSegment(i, nil, buf, vecs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		buf = b
-		out = append(out, rows...)
+		seg := types.Batch{Cols: vecs, N: snap.SegmentRowCount(i)}
+		out = append(out, seg.Tuples()...)
 	}
 	return append(out, snap.Tail()...)
 }
@@ -192,28 +197,28 @@ func TestProjectedRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := tbl.Snapshot()
-	full, fullBytes, _, err := snap.ReadSegment(0, nil, nil)
+	full, fullBytes, _, err := snap.ReadSegment(0, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, projBytes, _, err := snap.ReadSegment(0, []int{2}, nil)
+	proj, projBytes, _, err := snap.ReadSegment(0, []int{2}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if projBytes >= fullBytes {
 		t.Fatalf("projected read of %d bytes not smaller than full read of %d", projBytes, fullBytes)
 	}
+	if len(full) != 3 || len(proj) != 3 {
+		t.Fatalf("%d and %d vectors, want one per column", len(full), len(proj))
+	}
+	if proj[0].Len() != 0 || proj[1].Len() != 0 {
+		t.Fatal("unrequested columns were decoded")
+	}
 	for r := range rows {
-		if len(full[r]) != 3 || len(proj[r]) != 3 {
-			t.Fatalf("row %d: wrong width", r)
-		}
-		fs, _ := full[r][2].Str()
-		ps, _ := proj[r][2].Str()
-		if fs != ps || full[r][2].IsNull() != proj[r][2].IsNull() {
+		fs, _ := full[2].Value(r).Str()
+		ps, _ := proj[2].Value(r).Str()
+		if fs != ps || full[2].Null(r) != proj[2].Null(r) {
 			t.Fatalf("row %d column 2 differs between full and projected read", r)
-		}
-		if !proj[r][0].IsNull() || !proj[r][1].IsNull() {
-			t.Fatalf("row %d: unrequested columns are not NULL placeholders", r)
 		}
 	}
 }

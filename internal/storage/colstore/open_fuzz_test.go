@@ -137,11 +137,11 @@ func FuzzOpenTable(f *testing.F) {
 		width := tab.Schema().Len()
 		for i := 0; i < snap.NumSegments(); i++ {
 			// Check what ReadSegment is about to allocate before it does.
-			if arena := uint64(snap.SegmentRowCount(i)) * uint64(types.TupleHeaderMemSize+width*types.ValueMemSize); arena > limit {
-				t.Fatalf("segment %d declares %d rows: a %d-byte arena from %d bytes of files", i, snap.SegmentRowCount(i), arena, total)
+			if vecs := uint64(snap.SegmentRowCount(i)) * uint64(width*types.ValueMemSize); vecs > limit {
+				t.Fatalf("segment %d declares %d rows: %d bytes of vectors from %d bytes of files", i, snap.SegmentRowCount(i), vecs, total)
 			}
 			for _, cols := range [][]int{nil, {width - 1}} {
-				if a := bytesAllocatedBy(func() { _, _, _, err = snap.ReadSegment(i, cols, nil) }); a > limit {
+				if a := bytesAllocatedBy(func() { _, _, _, err = snap.ReadSegment(i, cols, nil, nil) }); a > limit {
 					t.Fatalf("reading columns %v of segment %d allocated %d bytes from %d bytes of files", cols, i, a, total)
 				}
 			}

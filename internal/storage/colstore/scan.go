@@ -58,22 +58,6 @@ func (s *Snapshot) NumSegments() int { return len(s.segs) }
 // SegmentRowCount returns the number of rows of segment i.
 func (s *Snapshot) SegmentRowCount(i int) int { return s.segs[i].rows }
 
-// SegmentBytes returns the on-disk size of segment i restricted to the given
-// columns (all columns when cols is nil).
-func (s *Snapshot) SegmentBytes(i int, cols []int) int64 {
-	var n int64
-	if cols == nil {
-		for _, cm := range s.segs[i].cols {
-			n += cm.size
-		}
-		return n
-	}
-	for _, c := range cols {
-		n += s.segs[i].cols[c].size
-	}
-	return n
-}
-
 // Tail returns the buffered rows not yet flushed to a segment. Zone maps do
 // not cover them; a scan emits them after the segments.
 func (s *Snapshot) Tail() []types.Tuple { return s.tail }
@@ -134,27 +118,24 @@ func zoneMayMatch(zm ZoneMap, p PrunePredicate) bool {
 	}
 }
 
-// ReadSegment materializes segment i as full-width tuples, decoding only the
-// given columns (all when cols is nil); positions of unrequested columns are
-// left as NULL placeholders. It returns the tuples, which stay valid
-// indefinitely, and the number of on-disk bytes read.
-func (s *Snapshot) ReadSegment(i int, cols []int, buf []byte) ([]types.Tuple, int64, []byte, error) {
+// ReadSegment decodes the given columns of segment i (all when cols is nil)
+// into typed vectors, reusing the storage of vecs, a previous read of the
+// same columns, when it holds one Vec per table column. It returns one Vec
+// per table column, a column not asked for left empty with no storage, and
+// the number of on-disk bytes read. Freshly allocated vectors stay valid
+// indefinitely.
+func (s *Snapshot) ReadSegment(i int, cols []int, buf []byte, vecs []types.Vec) ([]types.Vec, int64, []byte, error) {
 	seg := s.segs[i]
 	width := s.t.schema.Len()
-	arena := make([]types.Value, seg.rows*width)
-	tuples := make([]types.Tuple, seg.rows)
-	for r := range tuples {
-		tuples[r] = types.Tuple(arena[r*width : (r+1)*width : (r+1)*width])
-	}
-	want := cols
-	if want == nil {
-		want = make([]int, width)
-		for c := range want {
-			want[c] = c
-		}
+	if len(vecs) != width {
+		vecs = make([]types.Vec, width)
 	}
 	var bytesRead int64
-	for _, col := range want {
+	for n := 0; n < len(cols) || cols == nil && n < width; n++ {
+		col := n
+		if cols != nil {
+			col = cols[n]
+		}
 		if col < 0 || col >= width {
 			return nil, 0, buf, fmt.Errorf("colstore: column %d out of range", col)
 		}
@@ -167,11 +148,9 @@ func (s *Snapshot) ReadSegment(i int, cols []int, buf []byte) ([]types.Tuple, in
 			return nil, 0, buf, fmt.Errorf("colstore: read segment %d column %d: %w", i, col, err)
 		}
 		bytesRead += cm.size
-		// Row r's value of col goes to arena[r*width+col]; an empty segment
-		// has an empty arena.
-		if err := decodeColumnChunk(chunk, arena[min(col, len(arena)):], width, seg.rows); err != nil {
+		if err := decodeColumnChunk(chunk, &vecs[col], seg.rows); err != nil {
 			return nil, 0, buf, fmt.Errorf("colstore: segment %d: %w", i, err)
 		}
 	}
-	return tuples, bytesRead, buf, nil
+	return vecs, bytesRead, buf, nil
 }

@@ -24,8 +24,8 @@ import (
 // a mixed-kind column (validate lets INTs into a FLOAT column and NULLs of
 // any kind anywhere) and a mostly-NULL one always take the dictionary form.
 // So every chunk spends at least a byte per row, which bounds what a corrupt
-// row count can make a read allocate. Reading builds no tuples: each value is
-// decoded straight into its row's slot of the segment arena.
+// row count can make a read allocate. Reading builds no tuples: a chunk
+// decodes into one types.Vec, typed where its values are.
 const (
 	codecVector byte = 0
 	codecDict   byte = 1
@@ -147,11 +147,11 @@ func (e *chunkEncoder) dictionary(rows []types.Tuple, col, limit int) ([]byte, e
 	return e.out, nil
 }
 
-// decodeColumnChunk decodes one column chunk of rows values straight into a
-// row-major arena: row r lands at dst[r*stride], and no other slot is
-// written. The values stay valid indefinitely; a dictionary chunk's rows
-// share its entries.
-func decodeColumnChunk(raw []byte, dst []types.Value, stride, rows int) error {
+// decodeColumnChunk decodes one column chunk of rows values into dst, which
+// it resets: a typed vector where the chunk's values are of one typed kind.
+// The values stay valid indefinitely; a dictionary chunk's rows share its
+// entries.
+func decodeColumnChunk(raw []byte, dst *types.Vec, rows int) error {
 	if len(raw) < 1 {
 		return fmt.Errorf("colstore: empty column chunk")
 	}
@@ -163,9 +163,14 @@ func decodeColumnChunk(raw []byte, dst []types.Value, stride, rows int) error {
 	var err error
 	switch raw[0] {
 	case codecVector:
-		off, err = decodeVector(src, dst, stride, rows)
+		var h types.VectorHead
+		if h, off, err = types.DecodeVectorHead(src, rows); err == nil {
+			var n int
+			n, err = h.DecodeVec(src[off:], rows, dst)
+			off += n
+		}
 	case codecDict:
-		off, err = decodeDict(src, dst, stride, rows)
+		off, err = decodeDict(src, dst, rows)
 	default:
 		return fmt.Errorf("colstore: unknown column codec %d", raw[0])
 	}
@@ -178,21 +183,10 @@ func decodeColumnChunk(raw []byte, dst []types.Value, stride, rows int) error {
 	return nil
 }
 
-// decodeVector decodes a vector-form chunk body and returns the bytes it
-// consumed.
-func decodeVector(src []byte, dst []types.Value, stride, rows int) (int, error) {
-	h, n, err := types.DecodeVectorHead(src, rows)
-	if err != nil {
-		return 0, err
-	}
-	m, err := h.DecodeInto(src[n:], rows, dst, stride)
-	return n + m, err
-}
-
 // decodeDict decodes a dictionary-form chunk body and returns the bytes it
 // consumed. An entry takes at least its tag byte, so a count beyond the bytes
 // left is refused before it sizes the dictionary.
-func decodeDict(src []byte, dst []types.Value, stride, rows int) (int, error) {
+func decodeDict(src []byte, dst *types.Vec, rows int) (int, error) {
 	entries, off := binary.Uvarint(src)
 	if off <= 0 || entries > uint64(len(src)-off) {
 		return 0, fmt.Errorf("bad dictionary size")
@@ -205,12 +199,17 @@ func decodeDict(src []byte, dst []types.Value, stride, rows int) (int, error) {
 		}
 		dict[i], off = v, off+n
 	}
+	dst.Reset()
+	if entries > 0 {
+		dst.Reserve(dict[0].Kind(), rows)
+	}
 	for r := 0; r < rows; r++ {
 		code, n := binary.Uvarint(src[off:])
 		if n <= 0 || code >= entries {
 			return 0, fmt.Errorf("row %d: bad dictionary code", r)
 		}
-		dst[r*stride], off = dict[code], off+n
+		dst.Append(dict[code])
+		off += n
 	}
 	return off, nil
 }
@@ -270,8 +269,8 @@ func decodeSegmentMeta(raw []byte, width int, dataEnd int64) (segmentMeta, error
 		}
 		// Each row costs a chunk at least a byte (a vector payload or a
 		// dictionary code), and a segment's chunks do not overlap: this keeps
-		// the arena a read allocates, rows × width values, within a constant
-		// factor of the data file.
+		// the vectors a read allocates within a constant factor of the data
+		// file.
 		if int64(rows) > cm.size {
 			return segmentMeta{}, fmt.Errorf("%d rows do not fit column %d's %d-byte chunk", rows, col, cm.size)
 		}

@@ -56,28 +56,80 @@ func chunkForms(t testing.TB, vals []types.Value) map[byte][]byte {
 	return forms
 }
 
-// scatterChunk is the reference read path: decode the chunk densely, at
-// stride 1, then copy each value into its row's slot.
-func scatterChunk(raw []byte, dst []types.Value, stride, rows int) error {
-	dense := make([]types.Value, rows)
-	if err := decodeColumnChunk(raw, dense, 1, rows); err != nil {
-		return err
+// referenceChunk is the reference read path: it decodes the chunk a value at
+// a time, the vector form through the vector cursor and the dictionary form
+// entry by entry, and checks the chunk's length as decodeColumnChunk does.
+func referenceChunk(raw []byte, rows int) ([]types.Value, error) {
+	if len(raw) < 1 || len(raw)-1 < rows {
+		return nil, fmt.Errorf("short chunk")
 	}
-	for r, v := range dense {
-		dst[r*stride] = v
+	src, out, off := raw[1:], make([]types.Value, rows), 0
+	switch raw[0] {
+	case codecVector:
+		h, n, err := types.DecodeVectorHead(src, rows)
+		if err != nil {
+			return nil, err
+		}
+		var cur types.VectorCursor
+		for r := range out {
+			if h.Null(r) {
+				out[r] = types.Null(h.Kind)
+				continue
+			}
+			v, m, err := cur.Decode(src[n:], h.Kind)
+			if err != nil {
+				return nil, err
+			}
+			out[r], n = v, n+m
+		}
+		off = n
+	case codecDict:
+		entries, n := binary.Uvarint(src)
+		if n <= 0 || entries > uint64(len(src)-n) {
+			return nil, fmt.Errorf("bad dictionary size")
+		}
+		off = n
+		dict := make([]types.Value, entries)
+		for i := range dict {
+			v, n, err := types.DecodeValue(src[off:])
+			if err != nil {
+				return nil, err
+			}
+			dict[i], off = v, off+n
+		}
+		for r := range out {
+			code, n := binary.Uvarint(src[off:])
+			if n <= 0 || code >= entries {
+				return nil, fmt.Errorf("bad code")
+			}
+			out[r], off = dict[code], off+n
+		}
+	default:
+		return nil, fmt.Errorf("unknown codec")
 	}
-	return nil
+	if off != len(src) {
+		return nil, fmt.Errorf("trailing bytes")
+	}
+	return out, nil
 }
 
-// sentinelArena returns an arena of n slots, each holding a negative FLOAT
-// that names its slot and that no generated column holds, so a decode that
-// writes outside its column shows.
-func sentinelArena(n int) []types.Value {
-	arena := make([]types.Value, n)
-	for i := range arena {
-		arena[i] = types.NewFloat(-0.5 - float64(i))
+// cells returns the cells of v.
+func cells(v *types.Vec) []types.Value {
+	out := make([]types.Value, v.Len())
+	for i := range out {
+		out[i] = v.Value(i)
 	}
-	return arena
+	return out
+}
+
+// dirtyVec returns a vector already holding n cells of a decode, as a
+// reused destination does.
+func dirtyVec(n int) *types.Vec {
+	v := &types.Vec{}
+	for i := 0; i < n; i++ {
+		v.Append(types.NewFloat(-0.5 - float64(i)))
+	}
+	return v
 }
 
 // requireSameValues compares two arenas slot by slot through the value
@@ -139,19 +191,19 @@ func randomColumnValue(rng *rand.Rand, kind types.Kind, distinct int, mixed bool
 	}
 }
 
-// TestDecodeColumnChunkMatchesScatter holds the strided decode to the dense
-// one: for random columns of every kind, some of them mixing kinds, in every
-// form the encoder may write them, it writes the encoded values into the
-// column's slots and leaves every other slot alone. The encoder's choice is
-// the smallest of those forms, and every chunk spends a byte per row.
-func TestDecodeColumnChunkMatchesScatter(t *testing.T) {
+// TestDecodeColumnChunkMatchesReference holds the typed decode to the
+// value-at-a-time one: for random columns of every kind, some of them mixing
+// kinds, in every form the encoder may write them, it decodes the encoded
+// values into a reused vector, typed when they are all of one typed kind.
+// The encoder's choice is the smallest of those forms, and every chunk
+// spends a byte per row.
+func TestDecodeColumnChunkMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	kinds := []types.Kind{types.KindInt, types.KindFloat, types.KindBool, types.KindString, types.KindBytes, types.KindTimeSeries}
 	chosen := map[byte]int{}
 	for round := 0; round < 300; round++ {
 		kind := kinds[round%len(kinds)]
-		rows, width := rng.Intn(70), 1+rng.Intn(5)
-		col := rng.Intn(width)
+		rows := rng.Intn(70)
 		vals := make([]types.Value, rows)
 		mixed := rng.Intn(3) == 0
 		for i := range vals {
@@ -174,16 +226,18 @@ func TestDecodeColumnChunkMatchesScatter(t *testing.T) {
 			if len(chunk) <= rows {
 				t.Fatalf("round %d form %d: %d rows in %d bytes", round, form, rows, len(chunk))
 			}
-			want, got := sentinelArena(rows*width), sentinelArena(rows*width)
-			if err := scatterChunk(chunk, want[min(col, len(want)):], width, rows); err != nil {
-				t.Fatalf("round %d form %d: scatter: %v", round, form, err)
+			want, err := referenceChunk(chunk, rows)
+			if err != nil {
+				t.Fatalf("round %d form %d: reference: %v", round, form, err)
 			}
-			if err := decodeColumnChunk(chunk, got[min(col, len(got)):], width, rows); err != nil {
+			got := dirtyVec(rng.Intn(5))
+			if err := decodeColumnChunk(chunk, got, rows); err != nil {
 				t.Fatalf("round %d form %d: %v", round, form, err)
 			}
-			requireSameValues(t, want, got)
-			for r, v := range vals {
-				requireSameValues(t, []types.Value{v}, got[r*width+col:r*width+col+1])
+			requireSameValues(t, want, cells(got))
+			requireSameValues(t, vals, cells(got))
+			if isTyped := kind == types.KindInt || kind == types.KindFloat || kind == types.KindBool; isTyped && !mixed && rows > 0 && got.Kind != kind {
+				t.Fatalf("round %d form %d: a %s column decoded to a vector of kind %s", round, form, kind, got.Kind)
 			}
 		}
 	}
@@ -238,38 +292,39 @@ func TestDecodeColumnChunkMalformed(t *testing.T) {
 		}
 	}
 	for _, c := range cases {
-		if err := decodeColumnChunk(c.chunk, make([]types.Value, 2*c.rows), 2, c.rows); err == nil {
+		if err := decodeColumnChunk(c.chunk, &types.Vec{}, c.rows); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
 }
 
 // FuzzDecodeColumnChunk feeds arbitrary chunks to the column decoder, as a
-// damaged segments file would, for a segment of rows rows stored at a stride
-// of 1–4 values. It must never panic, never allocate more than a fixed
-// multiple of the chunk, agree with the decode-then-scatter path, and decode
-// what it accepts to values that encode again unchanged. Seeds live in
+// damaged segments file would, for a segment of rows rows, into a vector
+// that already holds the cells of 0–3 earlier rows. It must never panic,
+// never allocate more than a fixed multiple of the chunk, agree with the
+// value-at-a-time reference decode, and decode what it accepts to values
+// that encode again unchanged. Seeds live in
 // testdata/fuzz/FuzzDecodeColumnChunk; TestColumnChunkFuzzSeeds builds them.
 func FuzzDecodeColumnChunk(f *testing.F) {
-	f.Fuzz(func(t *testing.T, raw []byte, rows uint16, stride uint8) {
-		n, s := int(rows%1024), int(stride%4)+1
-		got, want := sentinelArena(n*s), sentinelArena(n*s)
+	f.Fuzz(func(t *testing.T, raw []byte, rows uint16, dirt uint8) {
+		n := int(rows % 1024)
+		got := dirtyVec(int(dirt % 4))
 		var err error
 		// An entry takes at least one chunk byte and yields one Value;
 		// payloads are no longer than their encodings.
-		if a := bytesAllocatedBy(func() { err = decodeColumnChunk(raw, got, s, n) }); a > uint64(64*len(raw)+64<<10) {
+		if a := bytesAllocatedBy(func() { err = decodeColumnChunk(raw, got, n) }); a > uint64(64*len(raw)+64<<10) {
 			t.Fatalf("a %d-byte chunk made the decoder allocate %d bytes", len(raw), a)
 		}
-		werr := scatterChunk(raw, want, s, n)
+		want, werr := referenceChunk(raw, n)
 		if (err == nil) != (werr == nil) {
-			t.Fatalf("strided decode error %v, scatter error %v", err, werr)
+			t.Fatalf("typed decode error %v, reference error %v", err, werr)
 		}
 		if err != nil {
 			return
 		}
-		requireSameValues(t, want, got)
+		requireSameValues(t, want, cells(got))
 		for r := 0; r < n; r++ {
-			v := got[r*s]
+			v := got.Value(r)
 			enc, err := types.EncodeValue(nil, v)
 			if err != nil {
 				t.Fatalf("row %d decoded to a value that does not encode: %v", r, err)
@@ -284,11 +339,11 @@ func FuzzDecodeColumnChunk(f *testing.F) {
 }
 
 // columnChunkSeed is one FuzzDecodeColumnChunk input: a chunk, the rows of
-// its segment and the fuzzer's stride byte.
+// its segment and the fuzzer's dirt byte.
 type columnChunkSeed struct {
-	chunk  []byte
-	rows   uint16
-	stride byte
+	chunk []byte
+	rows  uint16
+	dirt  byte
 }
 
 // columnChunkSeeds builds the FuzzDecodeColumnChunk corpus from the
@@ -343,7 +398,7 @@ func TestColumnChunkFuzzSeeds(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeColumnChunk")
 	seeds := columnChunkSeeds(t)
 	for name, s := range seeds {
-		err := decodeColumnChunk(s.chunk, make([]types.Value, s.rows), 1, int(s.rows))
+		err := decodeColumnChunk(s.chunk, &types.Vec{}, int(s.rows))
 		if valid := strings.HasPrefix(name, "dict-") || strings.HasPrefix(name, "plain-"); valid != (err == nil) {
 			t.Errorf("seed %s decodes with error %v", name, err)
 		}
@@ -357,7 +412,7 @@ func TestColumnChunkFuzzSeeds(t *testing.T) {
 		}
 	}
 	for name, s := range seeds {
-		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nuint16(%d)\nbyte(%q)\n", s.chunk, s.rows, s.stride)
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nuint16(%d)\nbyte(%q)\n", s.chunk, s.rows, s.dirt)
 		path := filepath.Join(dir, name)
 		if *regenerate {
 			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {

@@ -24,11 +24,11 @@ func sampleRow(name string, close float64) types.Tuple {
 	)
 }
 
-// countRows drains it one row per NextBatch call and returns the row count.
+// countRows drains it one row per Read call and returns the row count.
 func countRows(it RowIterator) int {
 	row := make([]types.Tuple, 1)
 	n := 0
-	for it.NextBatch(row) == 1 {
+	for it.Read(row) == 1 {
 		n++
 	}
 	return n

@@ -18,9 +18,9 @@ import (
 // RowIterator is a snapshot iterator over a relation's rows. Implementations
 // are single-goroutine; a fresh iterator is obtained per scan.
 type RowIterator interface {
-	// NextBatch fills up to len(dst) tuples into dst and returns how many
-	// were filled; 0 means the snapshot is exhausted.
-	NextBatch(dst []types.Tuple) int
+	// Read fills up to len(dst) tuples into dst and returns how many were
+	// filled; 0 means the snapshot is exhausted.
+	Read(dst []types.Tuple) int
 }
 
 // Relation is the read surface the execution engine scans: any named,
@@ -200,9 +200,9 @@ func newChunkIterator(chunks [][]types.Tuple) *TableIterator {
 	return &TableIterator{chunks: chunks}
 }
 
-// NextBatch copies up to len(dst) tuples into dst and returns how many were
+// Read copies up to len(dst) tuples into dst and returns how many were
 // copied; 0 means the snapshot is exhausted.
-func (it *TableIterator) NextBatch(dst []types.Tuple) int {
+func (it *TableIterator) Read(dst []types.Tuple) int {
 	filled := 0
 	for filled < len(dst) && it.ci < len(it.chunks) {
 		c := it.chunks[it.ci]

@@ -28,58 +28,11 @@ func (t Tuple) Clone() Tuple {
 	return out
 }
 
-// Project returns a new tuple holding the values at the given ordinals in the
-// given order.
-func (t Tuple) Project(ordinals []int) (Tuple, error) {
-	out := make(Tuple, 0, len(ordinals))
-	for _, i := range ordinals {
-		if i < 0 || i >= len(t) {
-			return nil, fmt.Errorf("types: projection ordinal %d out of range [0,%d)", i, len(t))
-		}
-		out = append(out, t[i])
-	}
-	return out, nil
-}
-
 // Concat returns the tuple obtained by appending other's values to t.
 func (t Tuple) Concat(other Tuple) Tuple {
 	out := make(Tuple, 0, len(t)+len(other))
 	out = append(out, t...)
 	out = append(out, other...)
-	return out
-}
-
-// ConcatInto appends a's then b's values to arena and returns the grown arena
-// together with the concatenated tuple, which aliases the arena's tail. It
-// lets batch operators carve many output tuples out of one allocation; the
-// returned tuple is capped so later arena appends cannot overwrite it.
-func ConcatInto(arena []Value, a, b Tuple) ([]Value, Tuple) {
-	start := len(arena)
-	arena = append(arena, a...)
-	arena = append(arena, b...)
-	return arena, Tuple(arena[start:len(arena):len(arena)])
-}
-
-// ProjectInto appends the values of t at the given ordinals to arena and
-// returns the grown arena together with the projected tuple, which aliases
-// the arena's tail. It is the arena-backed variant of Project.
-func ProjectInto(arena []Value, t Tuple, ordinals []int) ([]Value, Tuple, error) {
-	start := len(arena)
-	for _, i := range ordinals {
-		if i < 0 || i >= len(t) {
-			return arena[:start], nil, fmt.Errorf("types: projection ordinal %d out of range [0,%d)", i, len(t))
-		}
-		arena = append(arena, t[i])
-	}
-	return arena, Tuple(arena[start:len(arena):len(arena)]), nil
-}
-
-// Append returns a new tuple with v added at the end (the "addColumn" step of
-// the paper's naive UDF execution).
-func (t Tuple) Append(v Value) Tuple {
-	out := make(Tuple, 0, len(t)+1)
-	out = append(out, t...)
-	out = append(out, v)
 	return out
 }
 
@@ -110,28 +63,28 @@ func (t Tuple) MemSize() int {
 // Hash combines the hashes of the values at the given ordinals. When ordinals
 // is nil the whole tuple is hashed.
 func (t Tuple) Hash(ordinals []int) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	combine := func(v Value) {
-		vh := v.Hash()
-		for i := 0; i < 8; i++ {
-			h ^= uint64(byte(vh >> (8 * i)))
-			h *= prime
-		}
-	}
+	h := uint64(hashOffset)
 	if ordinals == nil {
 		for _, v := range t {
-			combine(v)
+			h = hashCombine(h, v.Hash())
 		}
 		return h
 	}
 	for _, i := range ordinals {
 		if i >= 0 && i < len(t) {
-			combine(t[i])
+			h = hashCombine(h, t[i].Hash())
 		}
 	}
 	return h
 }
+
+const (
+	hashOffset = 14695981039346656037
+	hashPrime  = 1099511628211
+)
+
+// hashCombine folds a value's hash into a key's, byte by byte.
+func hashCombine(h, vh uint64) uint64 { return fnvWord(h, vh) }
 
 // CompareOn orders two tuples on the given key ordinals, comparing column by
 // column. Tuples compare equal when all key columns compare equal.

@@ -353,26 +353,12 @@ func TestTupleBasics(t *testing.T) {
 	if v, _ := tp[0].Int(); v != 1 {
 		t.Error("Clone should not alias")
 	}
-	p, err := tp.Project([]int{2, 0})
-	if err != nil || p.Len() != 2 {
-		t.Fatalf("Project: %v, %v", p, err)
-	}
-	if f, _ := p[0].Float(); f != 2.5 {
-		t.Errorf("projected value = %v", p[0])
-	}
-	if _, err := tp.Project([]int{9}); err == nil {
-		t.Error("out-of-range Project should error")
-	}
 	cat := tp.Concat(NewTuple(NewBool(true)))
 	if cat.Len() != 4 {
 		t.Errorf("Concat len = %d", cat.Len())
 	}
-	app := tp.Append(NewInt(7))
-	if app.Len() != 4 {
-		t.Errorf("Append len = %d", app.Len())
-	}
 	if tp.Len() != 3 {
-		t.Error("Append must not modify the receiver")
+		t.Error("Concat must not modify the receiver")
 	}
 	if tp.Size() <= 0 {
 		t.Error("Size should be positive")

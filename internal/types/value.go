@@ -317,49 +317,46 @@ func compareFloat(a, b float64) int {
 // INT 2 and FLOAT 2.0 collide as required by Compare, with the zeros and the
 // NaNs, which Compare also calls equal, each folded onto one bit pattern.
 func (v Value) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	mix8 := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			mix(byte(x >> (8 * i)))
-		}
-	}
+	h := fnvByte(hashOffset, 0)
 	if v.IsNull() {
-		mix(0)
 		return h
 	}
 	switch v.kind {
 	case KindInt:
-		mix(1)
-		mix8(math.Float64bits(float64(v.int())))
+		return hashNumber(float64(v.int()))
 	case KindFloat:
-		mix(1)
-		mix8(numericBits(v.float()))
+		return hashNumber(v.float())
 	case KindBool:
-		mix(2)
-		mix(byte(v.w))
-	case KindString:
-		mix(3)
-		for _, b := range v.bytes() {
-			mix(b)
+		return fnvByte(fnvByte(hashOffset, 2), byte(v.w))
+	case KindString, KindBytes:
+		h = fnvByte(hashOffset, 3)
+		if v.kind == KindBytes {
+			h = fnvByte(hashOffset, 4)
 		}
-	case KindBytes:
-		mix(4)
 		for _, b := range v.bytes() {
-			mix(b)
+			h = fnvByte(h, b)
 		}
+		return h
 	case KindTimeSeries:
-		mix(5)
+		h = fnvByte(hashOffset, 5)
 		for _, f := range v.series() {
-			mix8(math.Float64bits(f))
+			h = fnvWord(h, math.Float64bits(f))
 		}
+		return h
+	}
+	return hashOffset
+}
+
+// hashNumber is the hash of a numeric value of f.
+func hashNumber(f float64) uint64 { return fnvWord(fnvByte(hashOffset, 1), numericBits(f)) }
+
+// fnvByte and fnvWord fold a byte, and the bytes of x from the least
+// significant on, into an FNV-1a hash.
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * hashPrime }
+
+func fnvWord(h, x uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = fnvByte(h, byte(x>>(8*i)))
 	}
 	return h
 }

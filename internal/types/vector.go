@@ -173,6 +173,41 @@ func (h VectorHead) DecodeInto(src []byte, rows int, dst []Value, stride int) (i
 	return off, nil
 }
 
+// DecodeVec decodes the payloads of a vector of rows cells, which follow its
+// head in src, into dst, which it resets, and returns the number of bytes
+// consumed. Strings, byte strings and series are copied out of src.
+func (h VectorHead) DecodeVec(src []byte, rows int, dst *Vec) (int, error) {
+	dst.Reset()
+	dst.Reserve(h.Kind, rows) // rows is at most the bytes left
+	var cur VectorCursor
+	off := 0
+	for i := 0; i < rows; i++ {
+		switch {
+		case h.Null(i):
+			dst.Append(Null(h.Kind))
+		case h.Kind == KindInt: // the common case, without a call per cell
+			d, n := binary.Varint(src[off:])
+			if n <= 0 {
+				return 0, fmt.Errorf("types: vector INT: bad varint")
+			}
+			off += n
+			cur.base += uint64(d)
+			dst.Ints = append(dst.Ints, int64(cur.base))
+		case h.Kind == KindFloat && len(src)-off >= 8:
+			dst.Floats = append(dst.Floats, math.Float64frombits(binary.LittleEndian.Uint64(src[off:])))
+			off += 8
+		default:
+			v, n, err := cur.Decode(src[off:], h.Kind)
+			if err != nil {
+				return 0, err
+			}
+			off += n
+			dst.Append(v)
+		}
+	}
+	return off, nil
+}
+
 // VectorCursor codes the payloads of one vector's non-NULL cells, in row
 // order: it carries the base the next INT delta is taken from. The zero value
 // starts a vector.

@@ -32,16 +32,16 @@ func TestVectorRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s head: %v", col[0].Kind(), err)
 		}
-		got := make([]Value, 2*len(rows))
-		m, err := head.DecodeInto(enc[n:], len(rows), got, 2)
-		if err != nil || n+m != len(enc) {
+		var got Vec
+		m, err := head.DecodeVec(enc[n:], len(rows), &got)
+		if err != nil || n+m != len(enc) || got.Len() != len(rows) {
 			t.Fatalf("%s payloads: consumed %d of %d, %v", col[0].Kind(), n+m, len(enc), err)
 		}
 		for i, v := range col {
 			want, _ := EncodeValue(nil, v)
-			have, _ := EncodeValue(nil, got[2*i])
+			have, _ := EncodeValue(nil, got.Value(i))
 			if !bytes.Equal(want, have) {
-				t.Fatalf("%s cell %d decoded as %v, want %v", col[0].Kind(), i, got[2*i], v)
+				t.Fatalf("%s cell %d decoded as %v, want %v", col[0].Kind(), i, got.Value(i), v)
 			}
 		}
 	}
