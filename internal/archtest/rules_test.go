@@ -32,7 +32,8 @@ func TestDesignRules(t *testing.T) {
 		{"OneUnsafeFile", "types.Value's unsafe.Pointer payload stays in the file that defines it", oneUnsafeFile},
 		{"OneColumnCodec", "columns at rest are types vectors or dictionaries of types values: storage has no wire batch codec", oneColumnCodec},
 		{"OneQueryPipeline", "every service entry runs one pipeline: admission, planning, lowering and the result cache are each reached from one function, and a query's state changes in one method", oneQueryPipeline},
-		{"OneQueryFrontEnd", "query text is the one way into a logical tree: outside lang and logical, no program code builds one with a logical.New* constructor", oneQueryFrontEnd},
+		{"OneQueryFrontEnd", "query text is the one way into a logical tree: outside lang and logical, no program code builds one with a logical.New* constructor, and lang calls every one there is", oneQueryFrontEnd},
+		{"OneKeyTable", "every in-memory key lookup in exec is one keyTable hashed by Batch.HashRows: no other map keyed by a uint64 hash in exec, no Hash method in types", oneKeyTable},
 	}
 	for _, r := range rules {
 		t.Run(r.name, func(t *testing.T) {
@@ -471,10 +472,12 @@ func oneQueryPipeline(m *module) []string {
 func oneQueryFrontEnd(m *module) []string {
 	logical := modulePath + "/internal/logical"
 	var out []string
+	calledByLang := map[string]bool{}
 	for _, p := range m.pkgs {
-		if p.under("internal/lang") || p.under("internal/logical") {
+		if p.under("internal/logical") {
 			continue
 		}
+		lang := p.under("internal/lang")
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				id, ok := n.(*ast.Ident)
@@ -482,11 +485,57 @@ func oneQueryFrontEnd(m *module) []string {
 					return true
 				}
 				fn, ok := p.info.Uses[id].(*types.Func)
-				if ok && fn.Pkg() != nil && fn.Pkg().Path() == logical && strings.HasPrefix(fn.Name(), "New") && fn.Type().(*types.Signature).Recv() == nil {
+				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != logical || !strings.HasPrefix(fn.Name(), "New") || fn.Type().(*types.Signature).Recv() != nil {
+					return true
+				}
+				if lang {
+					calledByLang[fn.Name()] = true
+				} else {
 					out = append(out, m.pos(id.Pos())+": calls logical."+fn.Name())
 				}
 				return true
 			})
+		}
+	}
+	// A constructor the front end never calls builds a node no query reaches.
+	scope := m.pkgAt("internal/logical").types.Scope()
+	for _, name := range scope.Names() {
+		if fn, ok := scope.Lookup(name).(*types.Func); ok && fn.Exported() && strings.HasPrefix(name, "New") && !calledByLang[name] {
+			out = append(out, m.pos(fn.Pos())+": logical."+name+" is never called by internal/lang")
+		}
+	}
+	return out
+}
+
+func oneKeyTable(m *module) []string {
+	var out []string
+	exec := m.pkgAt("internal/exec")
+	for _, f := range exec.files {
+		for _, d := range f.Decls {
+			// The keyTable type and its methods may hold its map.
+			switch d := d.(type) {
+			case *ast.GenDecl:
+				if d.Tok == token.TYPE && len(d.Specs) == 1 && d.Specs[0].(*ast.TypeSpec).Name.Name == "keyTable" {
+					continue
+				}
+			case *ast.FuncDecl:
+				if d.Recv != nil && types.ExprString(d.Recv.List[0].Type) == "*keyTable" {
+					continue
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				if mt, ok := n.(*ast.MapType); ok && types.ExprString(mt.Key) == "uint64" {
+					out = append(out, m.pos(mt.Pos())+": "+types.ExprString(mt)+" is a second hash table")
+				}
+				return true
+			})
+		}
+	}
+	for _, f := range m.pkgAt("internal/types").files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "Hash" {
+				out = append(out, m.pos(fd.Pos())+": "+types.ExprString(fd.Recv.List[0].Type)+".Hash is a second value hash")
+			}
 		}
 	}
 	return out

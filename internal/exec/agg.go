@@ -56,10 +56,10 @@ var ErrSumOverflow = errors.New("exec: INT SUM overflows int64")
 // HashAggregate groups its input on the group-by ordinals and computes the
 // aggregates per group. Output columns are the group-by columns followed by
 // the aggregates. Groups are emitted in a deterministic (group-value-sorted)
-// order so results are reproducible. The group table is keyed on the hashes
-// of the key cells, with collision chains resolved by value comparison; a
-// batch is folded an aggregate at a time, straight from its column's cells.
-// SUM over an INT column adds in int64 and fails on overflow.
+// order so results are reproducible. A group is a row of a keyTable of the
+// group values, and its index there is its state's; a batch is folded an
+// aggregate at a time, straight from its column's cells. SUM over an INT
+// column adds in int64 and fails on overflow.
 type HashAggregate struct {
 	baseState
 	input   Operator
@@ -73,24 +73,20 @@ type HashAggregate struct {
 	SpillPartitions int
 
 	mem     memAccount
-	spill   *aggSpill   // non-nil once the operator has spilled
-	of      []*aggState // the group of each live row of the batch being folded
-	hashes  []uint64    // and its key hash
+	spill   *aggSpill  // non-nil once the operator has spilled
+	groups  keyTable   // the group values, keyed on all of them
+	states  []aggState // by group
+	of      []int32    // the group of each live row of the batch being folded
+	hashes  []uint64   // and its key hash
 	results []types.Tuple
 	pos     int
 	out     types.Batch
 }
 
-// aggTable is a group table: states by key hash, and in insertion order.
-type aggTable struct {
-	groups map[uint64][]*aggState
-	states []*aggState
-}
-
+// aggState is one group's running state.
 type aggState struct {
-	groupRow types.Tuple
-	count    int64
-	accs     []aggAcc
+	count int64
+	accs  []aggAcc
 }
 
 // aggAcc is one aggregate's running state within a group.
@@ -132,12 +128,6 @@ func NewHashAggregate(input Operator, groupBy []int, aggs []Aggregate) (*HashAgg
 		}
 		cols = append(cols, types.Column{Name: name, Kind: kind})
 	}
-	if groupBy == nil {
-		// A nil group-by list must mean "one global group", but Tuple.Hash
-		// treats nil ordinals as "hash the whole tuple"; normalise so every
-		// input row folds into the same group state.
-		groupBy = []int{}
-	}
 	return &HashAggregate{
 		input: input, groupBy: groupBy, aggs: aggs,
 		schema: types.NewSchema(cols...),
@@ -160,9 +150,8 @@ func (h *HashAggregate) Open(ctx context.Context) error {
 	}
 	h.mem = memAccount{t: MemTrackerFrom(ctx)}
 	h.spill = nil
-	table := &aggTable{groups: make(map[uint64][]*aggState)}
+	h.resetGroups()
 	batch := &types.Batch{Max: DefaultBatchSize}
-	var row types.Tuple
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -175,14 +164,12 @@ func (h *HashAggregate) Open(ctx context.Context) error {
 			break
 		}
 		if h.spill != nil {
-			for _, r := range batch.Live() {
-				if err := h.spill.addRaw(batch.Row(r, row[:0])); err != nil {
-					return err
-				}
+			if err := h.spill.route(h.spill.rawRuns, batch, h.groupBy, nil); err != nil {
+				return err
 			}
 			continue
 		}
-		charge, err := h.fold(table, batch)
+		charge, err := h.fold(batch)
 		if err != nil {
 			return err
 		}
@@ -190,14 +177,14 @@ func (h *HashAggregate) Open(ctx context.Context) error {
 			return err
 		}
 		if len(h.groupBy) > 0 && h.mem.t.OverBudget() {
-			sp, err := beginAggSpill(h, table.states)
+			sp, err := beginAggSpill(h)
 			if err != nil {
 				return err
 			}
 			// The operator owns the spill from here: Close releases its runs
 			// even when Open later fails (input error, cancellation).
 			h.spill = sp
-			table = nil
+			h.resetGroups()
 			h.mem.releaseAll()
 		}
 	}
@@ -210,8 +197,10 @@ func (h *HashAggregate) Open(ctx context.Context) error {
 		}
 		h.results = rows
 	} else {
-		h.results = h.materialize(table.states)
+		h.results = h.materialize()
 	}
+	h.groups.release()
+	h.states = nil
 	if err := h.finalizeResults(); err != nil {
 		return err
 	}
@@ -220,36 +209,26 @@ func (h *HashAggregate) Open(ctx context.Context) error {
 	return nil
 }
 
-// fold folds the live rows of b into their groups' states, creating a state
-// on a group's first sight. It returns the memory charge of the new states.
-func (h *HashAggregate) fold(t *aggTable, b *types.Batch) (int64, error) {
+// resetGroups empties the group table and the states.
+func (h *HashAggregate) resetGroups() {
+	h.groups.reset(len(h.groupBy), allOrdinals(len(h.groupBy)))
+	h.states = h.states[:0]
+}
+
+// fold folds the live rows of b into their groups' states, adding a group on
+// its first sight. It returns the memory charge of the new groups.
+func (h *HashAggregate) fold(b *types.Batch) (int64, error) {
 	live := b.Live()
 	h.of, h.hashes = h.of[:0], b.HashRows(live, h.groupBy, h.hashes)
 	var charge int64
 	for i, r := range live {
-		hash := h.hashes[i]
-		var st *aggState
-	chain:
-		for _, cand := range t.groups[hash] {
-			for k, g := range h.groupBy {
-				if !b.Cols[g].Equal(r, cand.groupRow[k]) {
-					continue chain
-				}
-			}
-			st = cand
-			break
+		g, grown := h.groups.find(b, r, h.groupBy, h.hashes[i])
+		if grown > 0 {
+			h.states = append(h.states, aggState{accs: make([]aggAcc, len(h.aggs))})
+			charge += grown + AggStateMemSize(len(h.aggs))
 		}
-		if st == nil {
-			st = &aggState{groupRow: make(types.Tuple, len(h.groupBy)), accs: make([]aggAcc, len(h.aggs))}
-			for i, g := range h.groupBy {
-				st.groupRow[i] = b.Cols[g].Value(r)
-			}
-			t.groups[hash] = append(t.groups[hash], st)
-			t.states = append(t.states, st)
-			charge += int64(st.groupRow.MemSize()) + AggStateMemSize(len(h.aggs))
-		}
-		st.count++
-		h.of = append(h.of, st)
+		h.states[g].count++
+		h.of = append(h.of, g)
 	}
 	for a, agg := range h.aggs {
 		if agg.Func == AggCount && agg.Ordinal < 0 {
@@ -261,7 +240,7 @@ func (h *HashAggregate) fold(t *aggTable, b *types.Batch) (int64, error) {
 			if v.Null(r) {
 				continue
 			}
-			acc := &h.of[i].accs[a]
+			acc := &h.states[h.of[i]].accs[a]
 			acc.count++
 			switch agg.Func {
 			case AggSum, AggAvg:
@@ -309,13 +288,14 @@ func (acc *aggAcc) add(v *types.Vec, r int, exact bool) error {
 	return nil
 }
 
-// materialize turns aggregation states into result rows, in state order. The
+// materialize turns the groups into result rows, in group order: the group
+// values read back from the table's columns, then the aggregates. The
 // deterministic output ordering is applied afterwards by finalizeResults, so
 // the in-memory and spilled paths (which materialise per partition) share it.
-func (h *HashAggregate) materialize(states []*aggState) []types.Tuple {
-	results := make([]types.Tuple, 0, len(states))
-	for _, st := range states {
-		row := st.groupRow.Clone()
+func (h *HashAggregate) materialize() []types.Tuple {
+	results := make([]types.Tuple, 0, len(h.states))
+	for g, st := range h.states {
+		row := h.groups.rows.Row(g, make(types.Tuple, 0, h.schema.Len()))
 		for i, a := range h.aggs {
 			acc := st.accs[i]
 			var v types.Value
@@ -396,6 +376,8 @@ func (h *HashAggregate) NextBatch(b *types.Batch) (int, error) {
 func (h *HashAggregate) Close() error {
 	h.closed = true
 	h.results = nil
+	h.groups.release()
+	h.states = nil
 	h.spill.close()
 	h.spill = nil
 	h.mem.releaseAll()

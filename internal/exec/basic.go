@@ -202,135 +202,6 @@ func (p *ProjectOrdinals) Close() error {
 	return p.input.Close()
 }
 
-// Limit stops the stream after n tuples.
-type Limit struct {
-	baseState
-	input Operator
-	n     int
-	seen  int
-}
-
-// NewLimit caps the input at n tuples.
-func NewLimit(input Operator, n int) *Limit { return &Limit{input: input, n: n} }
-
-// Schema implements Operator.
-func (l *Limit) Schema() *types.Schema { return l.input.Schema() }
-
-// Open implements Operator.
-func (l *Limit) Open(ctx context.Context) error {
-	if l.n < 0 {
-		return fmt.Errorf("exec: negative limit %d", l.n)
-	}
-	if err := l.input.Open(ctx); err != nil {
-		return err
-	}
-	l.seen = 0
-	l.markOpen(ctx)
-	return nil
-}
-
-// NextBatch implements Operator: it narrows the requested batch to the
-// remaining quota so the input is never over-consumed.
-func (l *Limit) NextBatch(b *types.Batch) (int, error) {
-	if err := l.checkOpen(); err != nil {
-		return 0, err
-	}
-	remaining := l.n - l.seen
-	if remaining <= 0 {
-		return 0, nil
-	}
-	max := b.Max
-	b.Max = min(max, remaining)
-	n, err := l.input.NextBatch(b)
-	b.Max = max
-	l.seen += n
-	return n, err
-}
-
-// Close implements Operator.
-func (l *Limit) Close() error {
-	l.closed = true
-	return l.input.Close()
-}
-
-// Distinct eliminates duplicate tuples on the given key ordinals (all columns
-// when nil). It corresponds to the server-site duplicate elimination the
-// semi-join performs on argument columns (the paper's step 0).
-type Distinct struct {
-	baseState
-	input    Operator
-	ordinals []int
-	seen     *tupleSet
-	mem      memAccount    // duplicate-set memory charge
-	rows     []types.Value // the chunk the set's rows are carved from
-}
-
-// NewDistinct wraps input with duplicate elimination on the ordinals.
-func NewDistinct(input Operator, ordinals []int) *Distinct {
-	return &Distinct{input: input, ordinals: ordinals}
-}
-
-// Schema implements Operator.
-func (d *Distinct) Schema() *types.Schema { return d.input.Schema() }
-
-// Open implements Operator.
-func (d *Distinct) Open(ctx context.Context) error {
-	if err := d.input.Open(ctx); err != nil {
-		return err
-	}
-	d.seen = newTupleSet(d.ordinals)
-	d.mem = memAccount{t: MemTrackerFrom(ctx)}
-	d.markOpen(ctx)
-	return nil
-}
-
-// NextBatch implements Operator: it pulls child batches and narrows their
-// selection to the first-seen rows, which it keeps copies of.
-func (d *Distinct) NextBatch(b *types.Batch) (int, error) {
-	for {
-		// Duplicate-heavy inputs can spin this loop over many batches that
-		// compact to nothing; re-check the query context each attempt so
-		// cancellation stops the scan promptly.
-		if err := d.checkOpen(); err != nil {
-			return 0, err
-		}
-		n, err := d.input.NextBatch(b)
-		if err != nil || n == 0 {
-			return 0, err
-		}
-		live := b.Live()
-		keep := live[:0]
-		for _, r := range live {
-			if w := len(b.Cols); cap(d.rows)-len(d.rows) < w {
-				d.rows = make([]types.Value, 0, DefaultBatchSize*w)
-			}
-			// The row goes into the set's chunk, and out again if a duplicate.
-			from := len(d.rows)
-			d.rows = b.Row(r, d.rows)
-			if added, _ := d.seen.add(d.rows[from:len(d.rows):len(d.rows)]); !added {
-				d.rows = d.rows[:from]
-				continue
-			}
-			if err := d.mem.grow(int64(types.Tuple(d.rows[from:]).MemSize())); err != nil {
-				return 0, err
-			}
-			keep = append(keep, r)
-		}
-		if len(keep) > 0 {
-			b.Sel, b.N = keep, len(keep)
-			return b.N, nil
-		}
-	}
-}
-
-// Close implements Operator.
-func (d *Distinct) Close() error {
-	d.closed = true
-	d.seen = nil
-	d.mem.releaseAll()
-	return d.input.Close()
-}
-
 func allOrdinals(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -344,9 +215,3 @@ func (f *Filter) Unwrap() Operator { return f.input }
 
 // Unwrap implements Unwrapper for stats aggregation (NetStatsOf).
 func (p *ProjectOrdinals) Unwrap() Operator { return p.input }
-
-// Unwrap implements Unwrapper for stats aggregation (NetStatsOf).
-func (l *Limit) Unwrap() Operator { return l.input }
-
-// Unwrap implements Unwrapper for stats aggregation (NetStatsOf).
-func (d *Distinct) Unwrap() Operator { return d.input }

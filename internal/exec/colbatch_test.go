@@ -21,8 +21,8 @@ import (
 // for the aggregate.
 
 // diffSchema is the shape of the random rows: a key column of INTs, a key
-// column of FLOATs that holds INTs equal to FLOATs by value, ±0 and NaN, a
-// STRING, a BOOL, BYTES, and a column that mixes kinds.
+// column of FLOATs that holds INTs equal to FLOATs by value, ±0, NaN and
+// the 2⁵³ triple, a STRING, a BOOL, BYTES, and a column that mixes kinds.
 func diffSchema(q string) *types.Schema {
 	return types.NewSchema(
 		types.Column{Qualifier: q, Name: "I", Kind: types.KindInt},
@@ -46,8 +46,13 @@ func diffRows(rng *rand.Rand, n int) []types.Tuple {
 	rows := make([]types.Tuple, n)
 	for i := range rows {
 		f := types.NewFloat(floats[rng.Intn(len(floats))])
-		if rng.Intn(3) == 0 {
+		switch rng.Intn(6) {
+		case 0, 1:
 			f = types.NewInt(int64(rng.Intn(4))) // an INT among FLOATs, equal to one by value
+		case 2:
+			// INT 2⁵³ and INT 2⁵³+1 each equal FLOAT 2⁵³, but not each
+			// other: Compare == 0 is not transitive here.
+			f = []types.Value{types.NewInt(1 << 53), types.NewInt(1<<53 + 1), types.NewFloat(1 << 53)}[rng.Intn(3)]
 		}
 		m := types.NewInt(int64(rng.Intn(3)))
 		switch rng.Intn(4) {
@@ -85,6 +90,22 @@ func drainAt(t *testing.T, name string, op func() Operator, want []types.Tuple) 
 			t.Fatalf("%s at bound %d: %d rows\n%v\nwant %d rows\n%v", name, bound, len(got), got, len(want), want)
 		}
 	}
+}
+
+// drainSpilled collects op under a memory budget of one byte, which makes a
+// join or grouped aggregate spill on its first charge, fails unless the
+// drain gives want, byte for byte, and returns the spill events.
+func drainSpilled(t *testing.T, name string, op func() Operator, want []types.Tuple) int64 {
+	t.Helper()
+	tracker := NewMemTracker(1)
+	got, err := collectBatches(WithMemTracker(context.Background(), tracker), op(), DefaultBatchSize)
+	if err != nil {
+		t.Fatalf("%s, spilled: %v", name, err)
+	}
+	if !bytes.Equal(encodeAll(t, got), encodeAll(t, want)) {
+		t.Fatalf("%s, spilled: %d rows\n%v\nwant %d rows\n%v", name, len(got), got, len(want), want)
+	}
+	return tracker.SpillEvents()
 }
 
 // refEqual is the key equality of the hash tables: Compare == 0 on every
@@ -191,7 +212,7 @@ func TestColumnHashJoinMatchesNestedLoop(t *testing.T) {
 						if !refEqual(l, k.left, r, k.right) {
 							continue
 						}
-						row := l.Concat(r)
+						row := append(l.Clone(), r...)
 						if res != nil {
 							if ok, err := (&expr.Evaluator{}).EvalBool(res, row); err != nil || !ok {
 								continue
@@ -200,14 +221,19 @@ func TestColumnHashJoinMatchesNestedLoop(t *testing.T) {
 						want = append(want, row)
 					}
 				}
-				drainAt(t, fmt.Sprintf("join keys %d residual %v over %d rows", ki, res != nil, n), func() Operator {
+				name := fmt.Sprintf("join keys %d residual %v over %d rows", ki, res != nil, n)
+				build := func() Operator {
 					in, _ := selecting(left, diffSchema("l"))
 					j, err := NewHashJoin(in, NewValuesScan(diffSchema("r"), right), k.left, k.right, res)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return j
-				}, want)
+				}
+				drainAt(t, name, build, want)
+				if drainSpilled(t, name, build, want) == 0 {
+					t.Fatalf("%s did not spill", name)
+				}
 			}
 		}
 	}
@@ -331,7 +357,11 @@ func TestColumnHashAggregateMatchesLinearGroups(t *testing.T) {
 				}
 				continue
 			}
-			drainAt(t, fmt.Sprintf("aggregate by %v over %d rows", groupBy, n), build, want)
+			name := fmt.Sprintf("aggregate by %v over %d rows", groupBy, n)
+			drainAt(t, name, build, want)
+			if spilled := drainSpilled(t, name, build, want); len(groupBy) > 0 && len(kept) > 0 && spilled == 0 {
+				t.Fatalf("%s did not spill", name)
+			}
 		}
 	}
 }
@@ -388,16 +418,28 @@ func containsInt(s []int, x int) bool {
 }
 
 // TestKeyHashAgreesWithCompare: cells that compare equal get one key hash,
-// across INT and FLOAT, ±0, NaN payloads and NULLs of every kind.
+// across INT and FLOAT, ±0, NaN payloads, the 2⁵³ triple, BOOLs, time
+// series and NULLs of every kind. A series compares by the bits of its
+// points, so two that differ only in a zero's sign or a NaN's payload are
+// two keys, and hash apart.
 func TestKeyHashAgreesWithCompare(t *testing.T) {
-	cells := []types.Value{
+	nan2 := math.Float64frombits(0x7ff8_0000_dead_beef)
+	series := []types.Value{
+		types.NewTimeSeries(types.TimeSeries{1, 0, math.NaN()}),
+		types.NewTimeSeries(types.TimeSeries{1, 0, math.NaN()}),
+		types.NewTimeSeries(types.TimeSeries{1, math.Copysign(0, -1), math.NaN()}),
+		types.NewTimeSeries(types.TimeSeries{1, 0, nan2}),
+		types.NewTimeSeries(types.TimeSeries{}),
+	}
+	cells := append([]types.Value{
 		types.NewInt(0), types.NewFloat(0), types.NewFloat(math.Copysign(0, -1)),
 		types.NewInt(2), types.NewFloat(2), types.NewInt(-7), types.NewFloat(-7),
-		types.NewFloat(math.NaN()), types.NewFloat(math.Float64frombits(0x7ff8_0000_0000_0001)),
-		types.Null(types.KindInt), types.Null(types.KindString), types.Value{},
+		types.NewFloat(math.NaN()), types.NewFloat(nan2),
+		types.NewInt(1 << 53), types.NewInt(1<<53 + 1), types.NewFloat(1 << 53),
+		types.Null(types.KindInt), types.Null(types.KindString), types.Null(types.KindTimeSeries), types.Value{},
 		types.NewString("tier-1"), types.NewString("a-longer-string-key"), types.NewBytes([]byte("tier-1")),
-		types.NewBool(true), types.NewInt(1),
-	}
+		types.NewBool(true), types.NewBool(true), types.NewBool(false), types.NewInt(1),
+	}, series...)
 	var b types.Batch
 	b.Reset(1)
 	for _, c := range cells {
@@ -418,6 +460,10 @@ func TestKeyHashAgreesWithCompare(t *testing.T) {
 		if h1 != hs[i] {
 			t.Errorf("%v hashes %x alone and %x in a mixed vector", x, h1, hs[i])
 		}
+	}
+	sh := hs[len(cells)-len(series):]
+	if sh[0] != sh[1] || sh[0] == sh[2] || sh[0] == sh[3] || sh[2] == sh[3] {
+		t.Errorf("series hashes %x: want the first two alike and the -0 and NaN-payload ones apart", sh)
 	}
 }
 
@@ -557,7 +603,25 @@ func TestRetainedRowsChargedAlone(t *testing.T) {
 	}
 	defer j.Close()
 	// One row's three cells, its chain link and its chain's map entry.
-	if want := int64(3*types.ValueMemSize + 4 + joinChainMemSize); j.build.N != 1 || tracker.Used() > want {
-		t.Fatalf("a build of %d rows is charged %d bytes, want one row's %d at most", j.build.N, tracker.Used(), want)
+	if want := int64(3*types.ValueMemSize + 4 + keyChainMemSize); j.build.rows.N != 1 || tracker.Used() > want {
+		t.Fatalf("a build of %d rows is charged %d bytes, want one row's %d at most", j.build.rows.N, tracker.Used(), want)
+	}
+}
+
+// TestKeyRowMemSizeIsTheCharge: what a keyTable charges for rows of distinct
+// keys is KeyRowMemSize a row, the figure the planner estimates with.
+func TestKeyRowMemSizeIsTheCharge(t *testing.T) {
+	var b types.Batch
+	b.Reset(4)
+	for i := 0; i < 64; i++ {
+		b.AppendRows(types.Tuple{types.NewInt(int64(i)), types.NewFloat(float64(i) / 2), types.NewString(fmt.Sprintf("k%03d", i)), types.NewBool(i%2 == 0)})
+	}
+	var tab keyTable
+	tab.reset(4, []int{0, 1, 2})
+	live := b.Live()
+	got := tab.add(&b, live, nil, b.HashRows(live, []int{0, 1, 2}, nil))
+	kinds := []types.Kind{types.KindInt, types.KindFloat, types.KindString, types.KindBool}
+	if want := 64 * KeyRowMemSize(kinds, 4); float64(got) != want {
+		t.Errorf("64 rows charged %d B, KeyRowMemSize says %g", got, want)
 	}
 }

@@ -20,10 +20,24 @@
 //     vector; the producer owns the column storage it points b at, and keeps
 //     it unchanged until it is next called or closed, so a caller that keeps
 //     rows copies them out (Row, Tuples). Column-native operators (the
-//     columnar scan, Filter, ProjectOrdinals, HashJoin, HashAggregate) read
-//     and write columns: a filter narrows the selection vector, a projection
-//     reorders column headers, a join gathers cells. Row-wise operators read
-//     through Batch.Row and write into columns of their own with AppendRows.
+//     columnar scan, Filter, ProjectOrdinals, HashJoin, HashAggregate,
+//     SemiJoin) read and write columns: a filter narrows the selection
+//     vector, a projection reorders column headers, a join gathers cells.
+//     Row-wise operators read through Batch.Row and write into columns of
+//     their own with AppendRows.
+//
+// # Key lookups
+//
+// Every in-memory key lookup is one keyTable (hashtab.go): the hash join's
+// build, the aggregate's groups and the semi-join's argument table. Its
+// rows live in columns of its own and are found by their Batch.HashRows key
+// hash and a cell-by-cell Vec.Equal comparison, so a row's index in the
+// table is its identity: the aggregate keeps a group's state at its index,
+// and the semi-join ships and answers an argument by its index. A spilled
+// join or aggregate routes rows to Grace partitions by the same hash and
+// rebuilds each partition through the same table, build and probe. A table
+// charges the query's MemTracker what it keeps (KeyRowMemSize a row), the
+// figure the planner's estimates use.
 package exec
 
 import (

@@ -167,51 +167,11 @@ func TestProjectOrdinals(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	scan := NewValuesScan(stockSchema(), stockRows(10))
-	rows, err := Collect(context.Background(), NewLimit(scan, 3))
-	if err != nil || len(rows) != 3 {
-		t.Errorf("limit = %d rows, %v", len(rows), err)
-	}
-	rows, err = Collect(context.Background(), NewLimit(NewValuesScan(stockSchema(), stockRows(2)), 5))
-	if err != nil || len(rows) != 2 {
-		t.Errorf("limit larger than input = %d rows, %v", len(rows), err)
-	}
-	neg := NewLimit(NewValuesScan(stockSchema(), nil), -1)
-	if err := neg.Open(context.Background()); err == nil {
-		t.Error("negative limit should fail to open")
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	rows := stockRows(20) // 7 distinct names
-	d := NewDistinct(NewValuesScan(stockSchema(), rows), []int{0})
-	got, err := Collect(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 7 {
-		t.Errorf("distinct on Name = %d rows, want 7", len(got))
-	}
-	// Distinct on all columns: rows are all unique here.
-	d = NewDistinct(NewValuesScan(stockSchema(), rows), nil)
-	got, err = Collect(context.Background(), d)
-	if err != nil || len(got) != 20 {
-		t.Errorf("distinct on all columns = %d rows, %v", len(got), err)
-	}
-	// Exact duplicates collapse.
-	dup := []types.Tuple{rows[0], rows[0].Clone(), rows[1]}
-	d = NewDistinct(NewValuesScan(stockSchema(), dup), nil)
-	got, _ = Collect(context.Background(), d)
-	if len(got) != 2 {
-		t.Errorf("tuple duplicates = %d rows, want 2", len(got))
-	}
-}
-
-// TestDistinctFoldsEqualFloats feeds Distinct the FLOAT values that compare
-// equal with different bit patterns, the signed zeros and two NaN payloads:
-// each pair is one value. A hash join keyed on them must match them too.
-func TestDistinctFoldsEqualFloats(t *testing.T) {
+// TestKeyTableFoldsEqualFloats feeds a grouped aggregate the FLOAT values
+// that compare equal with different bit patterns, the signed zeros and two
+// NaN payloads: each pair is one group. A hash join keyed on them must
+// match them too.
+func TestKeyTableFoldsEqualFloats(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "X", Kind: types.KindFloat})
 	rows := []types.Tuple{
 		types.NewTuple(types.NewFloat(0)),
@@ -219,12 +179,16 @@ func TestDistinctFoldsEqualFloats(t *testing.T) {
 		types.NewTuple(types.NewFloat(math.NaN())),
 		types.NewTuple(types.NewFloat(math.Float64frombits(0x7ff8_0000_dead_beef))),
 	}
-	got, err := Collect(context.Background(), NewDistinct(NewValuesScan(schema, rows), nil))
+	agg, err := NewHashAggregate(NewValuesScan(schema, rows), []int{0}, []Aggregate{{Func: AggCount, Ordinal: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Collect(context.Background(), agg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
-		t.Errorf("distinct kept %d rows, want 2: %v", len(got), got)
+		t.Errorf("aggregate kept %d groups, want 2: %v", len(got), got)
 	}
 	join, err := NewHashJoin(NewValuesScan(schema, rows[:1]), NewValuesScan(schema, rows[1:2]), []int{0}, []int{0}, nil)
 	if err != nil {
@@ -342,14 +306,6 @@ func TestLargeIntKeysStayDistinct(t *testing.T) {
 	if len(groups) != 2 || !sameRow(groups[0], want[0]) || !sameRow(groups[1], want[1]) {
 		t.Errorf("aggregate over keys 2^53 and 2^53+1 = %v, want %v", groups, want)
 	}
-
-	distinct, err := Collect(ctx, NewDistinct(NewValuesScan(schema, append(rows(), rows()...)), []int{0}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(distinct) != 2 {
-		t.Errorf("distinct over keys 2^53 and 2^53+1 = %v, want 2 rows", distinct)
-	}
 }
 
 // ---- aggregation ----
@@ -430,11 +386,13 @@ func TestRunAndCollectHelpers(t *testing.T) {
 		t.Errorf("Run = %d, %v", n, err)
 	}
 	// Collect propagates Open errors.
-	bad := NewLimit(NewValuesScan(stockSchema(), nil), -1)
-	if _, err := Collect(context.Background(), bad); err == nil {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	bad := NewValuesScan(stockSchema(), nil)
+	if _, err := Collect(cancelled, bad); err == nil {
 		t.Error("Collect should propagate Open errors")
 	}
-	if _, err := Run(context.Background(), bad); err == nil {
+	if _, err := Run(cancelled, bad); err == nil {
 		t.Error("Run should propagate Open errors")
 	}
 	// NetStats accumulation helper.

@@ -94,12 +94,6 @@ func TestBatchScalarEquivalence(t *testing.T) {
 			}
 			return p
 		}, true},
-		{"Limit", func(t *testing.T) Operator {
-			return NewLimit(NewValuesScan(stockSchema(), stockRows(50)), 13)
-		}, true},
-		{"Distinct", func(t *testing.T) Operator {
-			return NewDistinct(NewValuesScan(stockSchema(), stockRows(40)), []int{0})
-		}, true},
 		{"HashJoin", func(t *testing.T) Operator {
 			j, err := NewHashJoin(
 				NewValuesScan(stockSchema(), stockRows(35)),

@@ -352,8 +352,8 @@ func TestSemiJoinConcurrencyFactors(t *testing.T) {
 }
 
 func TestSemiJoinEarlyClose(t *testing.T) {
-	// A LIMIT above the semi-join abandons the stream early; Close must not
-	// deadlock and must not leak the sender goroutine.
+	// A consumer that closes the semi-join after 3 rows abandons the stream
+	// early; Close must not deadlock and must not leak the sender goroutine.
 	rows := stockRows(200)
 	link := fastLink(t)
 	op, err := NewSemiJoin(NewValuesScan(stockSchema(), rows), link, []UDFBinding{analysisBinding()})
@@ -361,12 +361,11 @@ func TestSemiJoinEarlyClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	op.ConcurrencyFactor = 4
-	limited := NewLimit(op, 3)
 	done := make(chan error, 1)
 	go func() {
-		rows, err := Collect(context.Background(), limited)
+		rows, err := collectN(context.Background(), op, 3)
 		if err == nil && len(rows) != 3 {
-			err = fmt.Errorf("limit returned %d rows", len(rows))
+			err = fmt.Errorf("pulled %d rows, want 3", len(rows))
 		}
 		done <- err
 	}()
@@ -510,11 +509,11 @@ func TestSemiJoinChargesParkedRecords(t *testing.T) {
 		op.ConcurrencyFactor = sendBatchSize
 		return op
 	}
-	// The sender parks one batch per frame it deals.
-	var batch int64
-	for _, r := range rows[:sendBatchSize] {
-		batch += int64(r.MemSize())
-	}
+	// The sender parks one batch per frame it deals, as columns.
+	var parked types.Batch
+	parked.Reset(stockSchema().Len())
+	parked.AppendRows(rows[:sendBatchSize]...)
+	batch := parked.MemSize(0)
 
 	tracker := NewMemTracker(0)
 	got, err := Collect(WithMemTracker(context.Background(), tracker), build(t))
@@ -532,9 +531,9 @@ func TestSemiJoinChargesParkedRecords(t *testing.T) {
 	}
 
 	tracker = NewMemTracker(0)
-	got, err = Collect(WithMemTracker(context.Background(), tracker), NewLimit(build(t), 3))
+	got, err = collectN(WithMemTracker(context.Background(), tracker), build(t), 3)
 	if err != nil || len(got) != 3 {
-		t.Fatalf("limit: %d rows, %v", len(got), err)
+		t.Fatalf("early close: %d rows, %v", len(got), err)
 	}
 	if tracker.Used() != 0 {
 		t.Errorf("tracker still charged %d B after an early Close", tracker.Used())
@@ -550,6 +549,30 @@ func TestSemiJoinChargesParkedRecords(t *testing.T) {
 	}
 }
 
+// TestSemiJoinRepublishChargesOnce: a frame answered again, as a replay
+// after failover can, leaves the result table and its charge as they were.
+func TestSemiJoinRepublishChargesOnce(t *testing.T) {
+	op, err := NewSemiJoin(NewValuesScan(stockSchema(), nil), fastLink(t), []UDFBinding{analysisBinding()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracker := NewMemTracker(0)
+	op.mem = memAccount{t: tracker}
+	frame := shipFrame[[]int32]{tuples: make([]types.Tuple, 2), tag: []int32{1, 0}}
+	reply := []types.Tuple{{types.NewInt(10)}, {types.NewInt(20)}}
+	for i := 0; i < 2; i++ {
+		if err := op.publish(frame, reply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := int64(reply[0].MemSize() + reply[1].MemSize()); tracker.Used() != want {
+		t.Errorf("two publishes of one frame charged %d B, want %d", tracker.Used(), want)
+	}
+	if res, err := op.result(1); err != nil || !sameRow(res, reply[0]) {
+		t.Errorf("argument 1's result = %v, %v; want %v", res, err, reply[0])
+	}
+}
+
 func TestClientJoinEarlyClose(t *testing.T) {
 	rows := stockRows(500)
 	link := fastLink(t)
@@ -558,12 +581,11 @@ func TestClientJoinEarlyClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	op.ShipBatchSize = 1
-	limited := NewLimit(op, 2)
 	done := make(chan error, 1)
 	go func() {
-		rows, err := Collect(context.Background(), limited)
+		rows, err := collectN(context.Background(), op, 2)
 		if err == nil && len(rows) != 2 {
-			err = fmt.Errorf("limit returned %d rows", len(rows))
+			err = fmt.Errorf("pulled %d rows, want 2", len(rows))
 		}
 		done <- err
 	}()

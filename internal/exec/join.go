@@ -11,10 +11,11 @@ import (
 // HashJoin is an equi-join: it builds a hash table over the right (inner)
 // input keyed on RightKeys and probes it with the left (outer) input keyed on
 // LeftKeys. The output is the concatenation of the left and right tuples.
-// The build keeps the right rows in columns of its own, chaining the rows of
-// one key hash in insertion order; a probe walks a left row's chain comparing
-// key cells by value (types.Compare == 0: NULL keys join NULL keys, INT keys
-// equal FLOAT ones) and gathers the matches' cells into output columns.
+// The build is a keyTable of the right rows; a probe walks every row of a
+// left row's chain comparing key cells by value (types.Compare == 0: NULL
+// keys join NULL keys, INT keys equal FLOAT ones) and gathers the matches'
+// cells into output columns, left row by left row and each one's matches in
+// build order.
 type HashJoin struct {
 	baseState
 	left, right Operator
@@ -29,11 +30,9 @@ type HashJoin struct {
 	// DefaultSpillPartitions. The planner sizes it from its memory estimate.
 	SpillPartitions int
 
-	build  types.Batch          // the right rows
-	chains map[uint64]joinChain // key hash → its build rows
-	next   []int32              // build row → the next of its chain, or -1
-	mem    memAccount           // build memory charge
-	spill  *joinSpill           // non-nil once the operator has spilled
+	build keyTable   // the right rows
+	mem   memAccount // build memory charge
+	spill *joinSpill // non-nil once the operator has spilled
 
 	in     types.Batch // the left batch being probed
 	live   []int       // its live rows
@@ -46,13 +45,6 @@ type HashJoin struct {
 	out    types.Batch
 	row    types.Tuple // a joined row, for the residual
 }
-
-// joinChain is the first and last build row of one key hash.
-type joinChain struct{ head, tail int32 }
-
-// joinChainMemSize is what a chain's map entry keeps resident: 23 to 46
-// bytes of buckets at Go's load factors.
-const joinChainMemSize = 32
 
 // NewHashJoin builds a hash join of left ⋈ right on the given key ordinals.
 // An optional residual predicate (bound against the concatenated schema) is
@@ -83,8 +75,7 @@ func (j *HashJoin) Open(ctx context.Context) error {
 	j.mem = memAccount{t: MemTrackerFrom(ctx)}
 	j.match = expr.CompilePredicate(&expr.Evaluator{}, j.residual)
 	j.spill = nil
-	j.build.Reset(j.right.Schema().Len())
-	j.chains, j.next = make(map[uint64]joinChain), j.next[:0]
+	j.build.reset(j.right.Schema().Len(), j.rightKeys)
 	in := &types.Batch{Max: DefaultBatchSize}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -98,32 +89,12 @@ func (j *HashJoin) Open(ctx context.Context) error {
 			break
 		}
 		if j.spill != nil {
-			for _, r := range in.Live() {
-				if err := j.spill.addRight(in.Row(r, j.row[:0])); err != nil {
-					return err
-				}
+			if err := j.spill.route(j.spill.rightRuns, in, j.rightKeys, nil); err != nil {
+				return err
 			}
 			continue
 		}
-		from, chains, live := j.build.N, len(j.chains), in.Live()
-		for c := range in.Cols {
-			j.build.Cols[c].AppendRows(&in.Cols[c], live)
-		}
-		j.hashes = in.HashRows(live, j.rightKeys, j.hashes)
-		for _, h := range j.hashes {
-			i := int32(j.build.N)
-			j.build.N++
-			j.next = append(j.next, -1)
-			if ch, ok := j.chains[h]; ok {
-				j.next[ch.tail] = i
-				j.chains[h] = joinChain{ch.head, i}
-			} else {
-				j.chains[h] = joinChain{i, i}
-			}
-		}
-		// Charged: the cells, a chain link a row and a map entry a chain.
-		charge := j.build.MemSize(from) + 4*int64(n) + joinChainMemSize*int64(len(j.chains)-chains)
-		if err := j.mem.grow(charge); err != nil {
+		if err := j.mem.grow(j.addBuild(in)); err != nil {
 			return err
 		}
 		if j.mem.t.OverBudget() {
@@ -143,28 +114,55 @@ func (j *HashJoin) Open(ctx context.Context) error {
 	}
 	j.in = types.Batch{Max: DefaultBatchSize}
 	j.live, j.pos, j.cand = nil, 0, -1
-	j.lrows, j.rrows = j.lrows[:0], j.rrows[:0]
 	j.markOpen(ctx)
 	return nil
 }
 
-// matchFrom returns the first build row from r on along its chain whose key
-// cells equal those of the current left row, or -1.
-func (j *HashJoin) matchFrom(r int32) int32 {
-	for ; r >= 0; r = j.next[r] {
-		eq := true
-		for k, lk := range j.leftKeys {
-			if !j.in.Cols[lk].Equal(j.cur, j.build.Cols[j.rightKeys[k]].Value(int(r))) {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return r
-		}
-	}
-	return -1
+// addBuild adds the live rows of b to the build and returns the charge.
+func (j *HashJoin) addBuild(b *types.Batch) int64 {
+	live := b.Live()
+	j.hashes = b.HashRows(live, j.rightKeys, j.hashes)
+	return j.build.add(b, live, nil, j.hashes)
 }
+
+// probe starts probing the given live rows of j.in with the build; pair
+// then finds their matches.
+func (j *HashJoin) probe(probed []int) {
+	j.live, j.pos, j.cand = probed, 0, -1
+	j.hashes = j.in.HashRows(probed, j.leftKeys, j.hashes)
+}
+
+// pair appends to lrows and rrows the matches of the probed rows that pass
+// the residual, left row by left row and each one's matches in build order,
+// until max pairs are pending or every probed row is matched.
+func (j *HashJoin) pair(max int) error {
+	for len(j.lrows) < max {
+		if j.cand >= 0 {
+			r := j.cand
+			j.cand = j.build.match(j.build.next[r], &j.in, j.cur, j.leftKeys)
+			if j.residual != nil {
+				j.row = j.build.rows.Row(int(r), j.in.Row(j.cur, j.row[:0]))
+				if keep, err := j.match(j.row); err != nil {
+					return err
+				} else if !keep {
+					continue
+				}
+			}
+			j.lrows, j.rrows = append(j.lrows, j.cur), append(j.rrows, int(r))
+			continue
+		}
+		if j.pos == len(j.live) {
+			return nil
+		}
+		j.cur = j.live[j.pos]
+		j.cand = j.build.match(j.build.head(j.hashes[j.pos]), &j.in, j.cur, j.leftKeys)
+		j.pos++
+	}
+	return nil
+}
+
+// probed reports whether every probed row is matched.
+func (j *HashJoin) probed() bool { return j.pos == len(j.live) && j.cand < 0 }
 
 // NextBatch implements Operator: it pairs left rows with their matches and
 // gathers the pairs' cells, a column at a time, into the join's own output
@@ -183,21 +181,7 @@ func (j *HashJoin) NextBatch(b *types.Batch) (int, error) {
 		j.out.AppendRows(t)
 	}
 	for j.spill == nil && j.out.N+len(j.lrows) < b.Max {
-		if j.cand >= 0 {
-			r := j.cand
-			j.cand = j.matchFrom(j.next[r])
-			if j.residual != nil {
-				j.row = j.build.Row(int(r), j.in.Row(j.cur, j.row[:0]))
-				if keep, err := j.match(j.row); err != nil {
-					return 0, err
-				} else if !keep {
-					continue
-				}
-			}
-			j.lrows, j.rrows = append(j.lrows, j.cur), append(j.rrows, int(r))
-			continue
-		}
-		if j.pos == len(j.live) {
+		if j.probed() {
 			j.gather() // the pairs index the left batch about to be replaced
 			n, err := j.left.NextBatch(&j.in)
 			if err != nil {
@@ -206,14 +190,11 @@ func (j *HashJoin) NextBatch(b *types.Batch) (int, error) {
 			if n == 0 {
 				break
 			}
-			j.live, j.pos = j.in.Live(), 0
-			j.hashes = j.in.HashRows(j.live, j.leftKeys, j.hashes)
+			j.probe(j.in.Live())
 		}
-		j.cur = j.live[j.pos]
-		if ch, ok := j.chains[j.hashes[j.pos]]; ok {
-			j.cand = j.matchFrom(ch.head)
+		if err := j.pair(b.Max - j.out.N); err != nil {
+			return 0, err
 		}
-		j.pos++
 	}
 	j.gather()
 	b.View(j.out.Cols, j.out.N)
@@ -228,8 +209,8 @@ func (j *HashJoin) gather() {
 	for c := range j.in.Cols {
 		j.out.Cols[c].AppendRows(&j.in.Cols[c], j.lrows)
 	}
-	for c, w := range j.build.Cols {
-		j.out.Cols[len(j.in.Cols)+c].AppendRows(&w, j.rrows)
+	for c := range j.build.rows.Cols {
+		j.out.Cols[len(j.in.Cols)+c].AppendRows(&j.build.rows.Cols[c], j.rrows)
 	}
 	j.out.N += len(j.lrows)
 	j.lrows, j.rrows = j.lrows[:0], j.rrows[:0]
@@ -238,8 +219,7 @@ func (j *HashJoin) gather() {
 // Close implements Operator.
 func (j *HashJoin) Close() error {
 	j.closed = true
-	j.chains, j.next = nil, nil
-	j.build = types.Batch{}
+	j.build.release()
 	j.spill.close()
 	j.spill = nil
 	j.mem.releaseAll()

@@ -11,9 +11,9 @@ import (
 )
 
 // MemTracker is the per-query memory governor. Memory-hungry operators (the
-// hash tables of HashJoin, HashAggregate, Distinct, the semi-join's
-// duplicate-elimination and result caches, and the client-site join's
-// records in flight) charge it as they grow and release their charge on
+// key tables of HashJoin and HashAggregate, the semi-join's argument table,
+// results and parked records, and the client-site join's records in
+// flight) charge it as they grow and release their charge on
 // Close. Two thresholds apply:
 //
 //   - Budget is the soft spill threshold: once total charged memory exceeds

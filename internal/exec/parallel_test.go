@@ -240,8 +240,9 @@ func TestDialLinkConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestSemiJoinParallelEarlyClose: a LIMIT above the parallel semi-join must
-// tear the whole session pool down without deadlocking.
+// TestSemiJoinParallelEarlyClose: a consumer that closes the parallel
+// semi-join after 5 rows must tear the whole session pool down without
+// deadlocking.
 func TestSemiJoinParallelEarlyClose(t *testing.T) {
 	rows, schema := dupWorkload(400, 4, 100, 64)
 	rt := deriveRuntime(t, 64)
@@ -251,12 +252,11 @@ func TestSemiJoinParallelEarlyClose(t *testing.T) {
 	}
 	op.Sessions = 4
 	op.ConcurrencyFactor = 8
-	limited := NewLimit(op, 5)
 	done := make(chan error, 1)
 	go func() {
-		out, err := Collect(context.Background(), limited)
+		out, err := collectN(context.Background(), op, 5)
 		if err == nil && len(out) != 5 {
-			err = fmt.Errorf("limit returned %d rows", len(out))
+			err = fmt.Errorf("pulled %d rows, want 5", len(out))
 		}
 		done <- err
 	}()

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -32,18 +33,20 @@ const sendBatchSize = 32
 // Both halves of the pipeline are batched: the sender reads input batches,
 // ships argument tuples sendBatchSize at a time and parks full records in
 // whole-batch channel sends; the receiver drains one parked batch at a time.
-// Parked records are charged to the query's memory tracker until the
-// receiver has drained their batch. Duplicate elimination and the result
-// table are hash-keyed (collision chains resolved by value comparison), so
-// the steady state allocates no key strings.
+// Parked records are copied into columns of their own and charged to the
+// query's memory tracker until the receiver has drained their batch.
+// Duplicate elimination is one keyTable of the argument columns, which the
+// sender alone touches: each record's arguments are hashed and compared
+// once, there, and the record carries the index of its distinct argument
+// tuple from then on.
 //
 // What goes down the shipping pool is one frame of duplicate-free argument
-// tuples per input batch, dealt once the pool's window has room for it; a
-// reply carries one result per argument of its frame and is published in a
-// shared result table, and the receiver waits on the pool for the entry of
-// the argument it needs — the lane readers always drain their sessions,
-// which is also what keeps a multi-session client from ever blocking on an
-// unread uplink write. With Sessions > 1 the frames travel in parallel, yet
+// tuples per input batch, tagged with their indices and dealt once the
+// pool's window has room for it; a reply carries one result per argument of
+// its frame and is published by index in a shared result table, and the
+// receiver waits on the pool for the index it needs — the lane readers
+// always drain their sessions, which is also what keeps a multi-session
+// client from ever blocking on an unread uplink write. With Sessions > 1 the frames travel in parallel, yet
 // output order stays exactly the input order.
 //
 // A concurrency factor of 1 is the paper's naive strategy (Section 2.1): one
@@ -71,31 +74,26 @@ type SemiJoin struct {
 	argOrdinals []int
 	remapped    []wire.UDFSpec
 
-	pool    *shipPool[[]uint64] // a frame's tag is the hashes of its argument tuples
+	pool    *shipPool[[]int32] // a frame's tag is its argument tuples' indices
+	args    keyTable           // the distinct argument tuples; the sender's alone
 	resMu   sync.Mutex
-	results *argCache // published results by argument tuple; guarded by resMu
-	buffer  chan parkedBatch
-	mem     memAccount // dedup set, result table and parked records
+	results []types.Tuple // published results by argument index; guarded by resMu
+	buffer  chan *parkedBatch
+	mem     memAccount // argument table, result table and parked records
 
-	cur    parkedBatch // receiver's current parked batch
-	curPos int
-	out    types.Batch
-	row    types.Tuple
+	cur    *parkedBatch // receiver's current parked batch
+	curPos int          // its next record
+	res    []types.Vec  // its result columns, filled up to curPos
+	cols   []types.Vec
 }
 
 // parkedBatch is one input batch's records parked between sender and
-// receiver, with the memory charged for them.
+// receiver, with each record's argument index and the memory charged for
+// them.
 type parkedBatch struct {
-	records []bufferedRecord
+	records types.Batch
+	args    []int32
 	charge  int64
-}
-
-// bufferedRecord is one full record parked between sender and receiver,
-// together with its projected argument tuple and that tuple's hash.
-type bufferedRecord struct {
-	tuple types.Tuple
-	args  types.Tuple
-	hash  uint64
 }
 
 // NewSemiJoin builds the operator.
@@ -195,12 +193,12 @@ func (s *SemiJoin) Open(ctx context.Context) error {
 		return err
 	}
 	s.mem = memAccount{t: MemTrackerFrom(ctx)}
-	s.results = newArgCache()
+	s.results = nil
 	// The pool's window bounds the pipeline; the buffer only keeps the deal
 	// order of the records, and a full one just pauses the sender.
-	s.buffer = make(chan parkedBatch, dealOrderDepth)
-	s.cur, s.curPos = parkedBatch{}, 0
-	s.pool = newShipPool(shipPolicy[[]uint64]{
+	s.buffer = make(chan *parkedBatch, dealOrderDepth)
+	s.cur, s.curPos = &parkedBatch{}, 0
+	s.pool = newShipPool(shipPolicy[[]int32]{
 		setup: &wire.SetupRequest{
 			Mode:        wire.ModeSemiJoin,
 			InputSchema: shipped,
@@ -236,8 +234,10 @@ func (s *SemiJoin) senderReadBatch() int {
 // room in the pool's window, which the lane readers make as replies arrive,
 // and otherwise only on link transfer, never on an unread reply.
 func (s *SemiJoin) send(ctx context.Context) error {
-	seen := newTupleSet(nil)
+	w := len(s.argOrdinals)
+	s.args.reset(w, allOrdinals(w))
 	batch := &types.Batch{Max: s.senderReadBatch()}
+	var hashes []uint64
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -246,42 +246,45 @@ func (s *SemiJoin) send(ctx context.Context) error {
 		if err != nil || n == 0 {
 			return err
 		}
-		parked := parkedBatch{records: make([]bufferedRecord, 0, n)}
-		// The frame keeps its argument tuples until it is answered, so each
-		// input batch gets fresh ones, carved out of one backing array; they
-		// escape into the dedup set, the frame and the result table.
-		var args []types.Tuple
-		var hashes []uint64
-		vals := make([]types.Value, 0, n*len(s.argOrdinals))
-		for i, t := range batch.Tuples() {
-			for _, o := range s.argOrdinals {
-				vals = append(vals, t[o])
-			}
-			arg := types.Tuple(vals[len(vals)-len(s.argOrdinals) : len(vals) : len(vals)])
-			added, hash := seen.add(arg)
-			if added {
-				// The dedup set retains the argument tuple for the query's
-				// lifetime; charge it against the memory budget.
-				if err := s.mem.grow(int64(arg.MemSize())); err != nil {
-					return err
-				}
-				// Step 1 of the paper's pipeline: ship the duplicate-free
-				// argument values downlink.
-				if args == nil {
-					args, hashes = make([]types.Tuple, 0, n-i), make([]uint64, 0, n-i)
-				}
-				args = append(args, arg)
-				hashes = append(hashes, hash)
-			}
-			parked.records = append(parked.records, bufferedRecord{tuple: t, args: arg, hash: hash})
-			parked.charge += int64(t.MemSize())
+		live := batch.Live()
+		parked := &parkedBatch{args: make([]int32, n)}
+		parked.records.Reset(len(batch.Cols))
+		for c := range batch.Cols {
+			parked.records.Cols[c].AppendRows(&batch.Cols[c], live)
 		}
-		// The records stay parked until the receiver has drained their batch.
-		if err := s.mem.grow(parked.charge); err != nil {
+		parked.records.N = n
+		parked.charge = parked.records.MemSize(0)
+		// The frame keeps its argument tuples until it is answered, so each
+		// input batch gets fresh ones, carved out of one backing array.
+		var args []types.Tuple
+		var tags []int32
+		var vals []types.Value
+		var grown int64
+		hashes = batch.HashRows(live, s.argOrdinals, hashes)
+		for i, r := range live {
+			idx, g := s.args.find(batch, r, s.argOrdinals, hashes[i])
+			parked.args[i] = idx
+			if g == 0 {
+				continue
+			}
+			// Step 1 of the paper's pipeline: ship the duplicate-free
+			// argument values downlink.
+			grown += g
+			if args == nil {
+				vals = make([]types.Value, 0, (n-i)*w)
+				args, tags = make([]types.Tuple, 0, n-i), make([]int32, 0, n-i)
+			}
+			vals = s.args.rows.Row(int(idx), vals)
+			args = append(args, vals[len(vals)-w:len(vals):len(vals)])
+			tags = append(tags, idx)
+		}
+		// The argument table keeps its rows for the query's lifetime, and
+		// the records stay parked until the receiver has drained their batch.
+		if err := s.mem.grow(grown + parked.charge); err != nil {
 			return err
 		}
 		if len(args) > 0 {
-			if err := s.pool.deal(args, hashes); err != nil {
+			if err := s.pool.deal(args, tags); err != nil {
 				return err
 			}
 		}
@@ -295,8 +298,10 @@ func (s *SemiJoin) send(ctx context.Context) error {
 
 // publish is the pool's reply policy: the per-channel half of the merge join
 // the paper describes for the receiver. A reply holds one result per argument
-// tuple of its frame, in order; they go into the shared result table.
-func (s *SemiJoin) publish(f shipFrame[[]uint64], reply []types.Tuple) error {
+// tuple of its frame, in order; they go into the shared result table at their
+// arguments' indices. A result already there (a replayed frame's) is not
+// charged again.
+func (s *SemiJoin) publish(f shipFrame[[]int32], reply []types.Tuple) error {
 	if len(reply) != len(f.tuples) {
 		return fmt.Errorf("exec: semi-join sent %d arguments, got %d results", len(f.tuples), len(reply))
 	}
@@ -304,27 +309,34 @@ func (s *SemiJoin) publish(f shipFrame[[]uint64], reply []types.Tuple) error {
 		if res.Len() != len(s.udfs) {
 			return fmt.Errorf("exec: semi-join expected %d result columns, got %d", len(s.udfs), res.Len())
 		}
-		// The result table retains the result for the query's lifetime.
-		if err := s.mem.grow(int64(res.MemSize())); err != nil {
-			return err
-		}
 	}
+	var charge int64
 	s.resMu.Lock()
 	for i, res := range reply {
-		s.results.put(f.tuples[i], f.tag[i], res)
+		idx := int(f.tag[i])
+		if idx >= len(s.results) {
+			s.results = append(s.results, make([]types.Tuple, idx+1-len(s.results))...)
+		}
+		if s.results[idx] == nil {
+			s.results[idx] = res
+			charge += int64(res.MemSize())
+		}
 	}
 	s.resMu.Unlock()
-	return nil
+	// The result table retains the results for the query's lifetime.
+	return s.mem.grow(charge)
 }
 
-// result returns the published result for rec's argument tuple, waiting on
-// the pool — every acknowledged frame wakes it — until it is there.
-func (s *SemiJoin) result(rec bufferedRecord) (res types.Tuple, err error) {
-	lookup := func() (ok bool) {
+// result returns the published result of argument idx, waiting on the pool
+// — every acknowledged frame wakes it — until it is there.
+func (s *SemiJoin) result(idx int32) (res types.Tuple, err error) {
+	lookup := func() bool {
 		s.resMu.Lock()
-		res, ok = s.results.get(rec.args, rec.hash)
+		if int(idx) < len(s.results) {
+			res = s.results[idx]
+		}
 		s.resMu.Unlock()
-		return ok
+		return res != nil
 	}
 	if !lookup() {
 		err = s.pool.await(lookup)
@@ -332,64 +344,54 @@ func (s *SemiJoin) result(rec bufferedRecord) (res types.Tuple, err error) {
 	return res, err
 }
 
-// nextRecord returns the next parked record, pulling a new batch from the
-// sender when the current one is drained, whose charge it then releases. ok
-// is false when the input is exhausted.
-func (s *SemiJoin) nextRecord() (bufferedRecord, bool, error) {
-	for s.curPos >= len(s.cur.records) {
-		s.mem.shrink(s.cur.charge)
-		s.cur.charge = 0
-		select {
-		case <-s.pool.failed:
-			return bufferedRecord{}, false, s.pool.failure()
-		case batch, ok := <-s.buffer:
-			if !ok {
-				// Input exhausted, unless the sender stopped on an error.
-				return bufferedRecord{}, false, s.pool.failure()
-			}
-			s.cur, s.curPos = batch, 0
-		}
-	}
-	rec := s.cur.records[s.curPos]
-	s.curPos++
-	return rec, true, nil
-}
-
 // NextBatch implements Operator: it is the receiver thread of Figure 3,
-// joining buffered records with the result stream the session readers
-// publish, into columns of its own. It returns at the end of the current
-// parked batch.
+// joining parked records with the result stream the session readers
+// publish. The records' columns go out as they were parked, beside result
+// columns of the operator's own; a call returns within one parked batch,
+// which keeps the pipeline moving instead of blocking on the sender for a
+// full batch.
 func (s *SemiJoin) NextBatch(b *types.Batch) (int, error) {
 	if err := s.checkOpen(); err != nil {
 		return 0, err
 	}
-	s.out.Reset(s.schema.Len())
-	for s.out.N < b.Max {
-		rec, ok, err := s.nextRecord()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		results, err := s.result(rec)
-		if err != nil {
-			return 0, err
-		}
-		s.row = append(append(s.row[:0], rec.tuple...), results...)
-		s.out.AppendRows(s.row)
-		// Returning at a parked-batch boundary keeps the pipeline moving
-		// instead of blocking on the sender for a full batch.
-		if s.curPos >= len(s.cur.records) {
-			break
+	for s.curPos >= s.cur.records.N {
+		s.mem.shrink(s.cur.charge)
+		s.cur.charge = 0
+		select {
+		case <-s.pool.failed:
+			return 0, s.pool.failure()
+		case batch, ok := <-s.buffer:
+			if !ok {
+				// Input exhausted, unless the sender stopped on an error.
+				b.View(s.cols, 0)
+				return 0, s.pool.failure()
+			}
+			s.cur, s.curPos = batch, 0
+			s.res = slices.Grow(s.res[:0], len(s.udfs))[:len(s.udfs)]
+			for u := range s.res {
+				s.res[u].Reset()
+			}
 		}
 	}
-	b.View(s.out.Cols, s.out.N)
-	return s.out.N, nil
+	lo := s.curPos
+	for s.curPos < min(s.cur.records.N, lo+b.Max) {
+		res, err := s.result(s.cur.args[s.curPos])
+		if err != nil {
+			return 0, err
+		}
+		for u := range s.res {
+			s.res[u].Append(res[u])
+		}
+		s.curPos++
+	}
+	s.cols = append(append(s.cols[:0], s.cur.records.Cols...), s.res...)
+	b.View(s.cols, s.curPos)
+	b.Window(lo, s.curPos-lo)
+	return b.N, nil
 }
 
 // Close implements Operator. It works both after a clean drain and when the
-// caller abandons the stream early (e.g. a LIMIT above the operator): closing
+// caller abandons the stream early (a consumer that stops after a few rows): closing
 // the pool stops the sender wherever it is parked.
 func (s *SemiJoin) Close() error {
 	if s.closed {
@@ -397,8 +399,9 @@ func (s *SemiJoin) Close() error {
 	}
 	s.closed = true
 	if s.pool != nil {
-		s.pool.close()
+		s.pool.close() // which waits for the sender
 	}
+	s.args.release()
 	s.mem.releaseAll()
 	return s.input.Close()
 }

@@ -16,7 +16,11 @@ import (
 // operator switches to partitioned execution: in-memory state is flushed to
 // hash-partitioned spill runs (storage.RunWriter over unlinked temp files),
 // the remaining input streams straight to the partitions, and each partition
-// is then processed with roughly 1/P of the original memory footprint.
+// is then processed with roughly 1/P of the original memory footprint,
+// through the operator's own keyTable, build, probe and fold. Rows go to the
+// partition of their Batch.HashRows key hash, the hash the tables chain by;
+// it differs between processes, which is safe because a spill run never
+// outlives its process (storage.SweepSpillDirs reclaims a dead owner's).
 //
 // Both spill paths are order-preserving, so a spilled execution produces
 // byte-identical results to the in-memory one:
@@ -102,10 +106,37 @@ func appendTupleRec(w *storage.RunWriter, scratch *[]byte, seq uint64, withSeq b
 	return w.Append(buf)
 }
 
+// router appends rows to per-partition spill runs, each to the run of its
+// key hash (Batch.HashRows) modulo the partition count.
+type router struct {
+	scratch []byte
+	hashes  []uint64
+	row     types.Tuple
+}
+
+// route appends the live rows of b, keyed on keys, to their runs; when seq
+// is not nil each record is prefixed with *seq, which advances a row.
+func (rt *router) route(runs []*storage.RunWriter, b *types.Batch, keys []int, seq *uint64) error {
+	live := b.Live()
+	rt.hashes = b.HashRows(live, keys, rt.hashes)
+	for i, r := range live {
+		var s uint64
+		if seq != nil {
+			s = *seq
+			*seq++
+		}
+		rt.row = b.Row(r, rt.row[:0])
+		if err := appendTupleRec(runs[rt.hashes[i]%uint64(len(runs))], &rt.scratch, s, seq != nil, rt.row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // joinSpill is the Grace-partitioned execution state of a spilled HashJoin.
 type joinSpill struct {
-	j     *HashJoin
-	parts int
+	router
+	j *HashJoin
 
 	rightRuns []*storage.RunWriter
 	leftRuns  []*storage.RunWriter
@@ -115,15 +146,7 @@ type joinSpill struct {
 	readers []*storage.RunReader
 	heads   []joinSpillHead
 
-	scratch []byte
-	seq     uint64
-}
-
-// joinBucket is one collision-chain entry of a spilled partition's table:
-// all right tuples sharing one key.
-type joinBucket struct {
-	key  types.Tuple // representative right tuple carrying the key columns
-	rows []types.Tuple
+	seq uint64
 }
 
 // joinSpillHead is the next pending output row of one partition's run.
@@ -134,46 +157,29 @@ type joinSpillHead struct {
 }
 
 // beginJoinSpill switches a HashJoin whose build phase went over budget into
-// Grace mode: the current hash table is flushed to right-side partition runs
-// and released. The caller keeps draining the build input through
-// (*joinSpill).addRight afterwards.
+// Grace mode: the build is flushed to right-side partition runs, in
+// insertion order, and released. The caller keeps routing the build input
+// to rightRuns afterwards.
 func beginJoinSpill(j *HashJoin) (*joinSpill, error) {
 	tracker := j.mem.t
-	sp := &joinSpill{j: j, parts: spillPartitions(j.SpillPartitions)}
+	sp := &joinSpill{j: j}
 	var err error
-	sp.rightRuns, err = newRunSet(tracker, sp.parts)
+	sp.rightRuns, err = newRunSet(tracker, spillPartitions(j.SpillPartitions))
 	if err != nil {
 		return nil, err
 	}
-	// Flush the build partition-wise. Map iteration order is arbitrary, but
-	// only the per-key order matters for output equivalence, and each
-	// chain's rows are written in insertion order.
-	var flushed int64
-	var row types.Tuple
-	for _, ch := range j.chains {
-		for r := ch.head; r >= 0; r = j.next[r] {
-			row = j.build.Row(int(r), row[:0])
-			w := sp.rightRuns[int(row.Hash(j.rightKeys)%uint64(sp.parts))]
-			if err := appendTupleRec(w, &sp.scratch, 0, false, row); err != nil {
-				discardRuns(sp.rightRuns)
-				return nil, err
-			}
-		}
+	if err := sp.route(sp.rightRuns, &j.build.rows, j.rightKeys, nil); err != nil {
+		discardRuns(sp.rightRuns)
+		return nil, err
 	}
+	var flushed int64
 	for _, w := range sp.rightRuns {
 		flushed += w.Bytes()
 	}
-	j.chains, j.next = nil, nil
-	j.build = types.Batch{}
+	j.build.release()
 	j.mem.releaseAll()
 	tracker.NoteSpill(flushed)
 	return sp, nil
-}
-
-// addRight routes one build-side row to its partition run.
-func (sp *joinSpill) addRight(t types.Tuple) error {
-	h := t.Hash(sp.j.rightKeys)
-	return appendTupleRec(sp.rightRuns[int(h%uint64(sp.parts))], &sp.scratch, 0, false, t)
 }
 
 // run drains the probe side into sequence-tagged partition runs and joins the
@@ -182,8 +188,9 @@ func (sp *joinSpill) addRight(t types.Tuple) error {
 func (sp *joinSpill) run(ctx context.Context) error {
 	j := sp.j
 	tracker := j.mem.t
+	parts := len(sp.rightRuns)
 	var err error
-	sp.leftRuns, err = newRunSet(tracker, sp.parts)
+	sp.leftRuns, err = newRunSet(tracker, parts)
 	if err != nil {
 		return err
 	}
@@ -192,7 +199,6 @@ func (sp *joinSpill) run(ctx context.Context) error {
 	}
 	prog := ProgressFrom(ctx)
 	batch := &types.Batch{Max: DefaultBatchSize}
-	var t types.Tuple
 	for {
 		prog.Tick()
 		if err := ctx.Err(); err != nil {
@@ -205,13 +211,8 @@ func (sp *joinSpill) run(ctx context.Context) error {
 		if n == 0 {
 			break
 		}
-		for _, r := range batch.Live() {
-			t = batch.Row(r, t[:0])
-			h := t.Hash(j.leftKeys)
-			if err := appendTupleRec(sp.leftRuns[int(h%uint64(sp.parts))], &sp.scratch, sp.seq, true, t); err != nil {
-				return err
-			}
-			sp.seq++
+		if err := sp.route(sp.leftRuns, batch, j.leftKeys, &sp.seq); err != nil {
+			return err
 		}
 	}
 
@@ -219,11 +220,11 @@ func (sp *joinSpill) run(ctx context.Context) error {
 	for _, w := range sp.leftRuns {
 		spilled += w.Bytes()
 	}
-	sp.outRuns, err = newRunSet(tracker, sp.parts)
+	sp.outRuns, err = newRunSet(tracker, parts)
 	if err != nil {
 		return err
 	}
-	for p := 0; p < sp.parts; p++ {
+	for p := 0; p < parts; p++ {
 		if err := sp.joinPartition(ctx, p); err != nil {
 			return err
 		}
@@ -235,9 +236,9 @@ func (sp *joinSpill) run(ctx context.Context) error {
 	sp.leftRuns = nil // joinPartition finished (and closed) the readers
 
 	// Prime the sequence merge over the output runs.
-	sp.readers = make([]*storage.RunReader, sp.parts)
-	sp.heads = make([]joinSpillHead, sp.parts)
-	for p := 0; p < sp.parts; p++ {
+	sp.readers = make([]*storage.RunReader, parts)
+	sp.heads = make([]joinSpillHead, parts)
+	for p := 0; p < parts; p++ {
 		r, err := sp.outRuns[p].Finish()
 		if err != nil {
 			return err
@@ -251,33 +252,16 @@ func (sp *joinSpill) run(ctx context.Context) error {
 	return nil
 }
 
-// joinPartition builds partition p's hash table from its right run and probes
-// it with the partition's left run, writing qualifying joined rows (tagged
-// with their probe sequence) to the partition's output run.
-func (sp *joinSpill) joinPartition(ctx context.Context, p int) error {
-	j := sp.j
-	rr, err := sp.rightRuns[p].Finish()
+// readRun finishes the run *w, which it then owns, and feeds its records
+// to fn, ticking progress and checking the context every 1024 records.
+func readRun(ctx context.Context, w **storage.RunWriter, fn func(rec []byte) error) error {
+	r, err := (*w).Finish()
 	if err != nil {
 		return err
 	}
-	defer func() { _ = rr.Close() }()
-	sp.rightRuns[p] = nil
-
+	*w = nil
+	defer func() { _ = r.Close() }()
 	prog := ProgressFrom(ctx)
-	table := make(map[uint64][]joinBucket)
-	var charged int64
-	defer func() { j.mem.t.Shrink(charged) }()
-	insert := func(t types.Tuple) {
-		h := t.Hash(j.rightKeys)
-		chain := table[h]
-		for i := range chain {
-			if crossEqual(chain[i].key, j.rightKeys, t, j.rightKeys) {
-				chain[i].rows = append(chain[i].rows, t)
-				return
-			}
-		}
-		table[h] = append(chain, joinBucket{key: t, rows: []types.Tuple{t}})
-	}
 	for i := 0; ; i++ {
 		if i%1024 == 0 {
 			prog.Tick()
@@ -285,80 +269,94 @@ func (sp *joinSpill) joinPartition(ctx context.Context, p int) error {
 				return err
 			}
 		}
-		rec, err := rr.Next()
+		rec, err := r.Next()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
 			return err
 		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+}
+
+// joinPartition rebuilds the join's build from partition p's right run and
+// probes it with the partition's left run, through the in-memory build and
+// probe, writing the joined rows (tagged with their probe sequence) to the
+// partition's output run. The build's charge is released when it returns.
+func (sp *joinSpill) joinPartition(ctx context.Context, p int) error {
+	j := sp.j
+	defer func() {
+		j.build.release()
+		j.mem.releaseAll()
+	}()
+	j.build.reset(j.right.Schema().Len(), j.rightKeys)
+	var in types.Batch
+	in.Reset(j.right.Schema().Len())
+	add := func() error {
+		err := j.mem.grow(j.addBuild(&in))
+		in.Reset(len(in.Cols))
+		return err
+	}
+	err := readRun(ctx, &sp.rightRuns[p], func(rec []byte) error {
 		t, _, err := types.DecodeTuple(rec)
 		if err != nil {
 			return fmt.Errorf("exec: join spill right row: %w", err)
 		}
-		insert(t)
-		// Charge the partition table so the tracker's peak reflects reality;
-		// partitions are sized to fit, so this stays within budget in the
-		// expected case and is released when the partition completes.
-		n := int64(t.MemSize())
-		if err := j.mem.t.Grow(n); err != nil {
-			return err
+		if in.AppendRows(t); in.N == DefaultBatchSize {
+			return add()
 		}
-		charged += n
-	}
-
-	lr, err := sp.leftRuns[p].Finish()
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	defer func() { _ = lr.Close() }()
-	sp.leftRuns[p] = nil
-	out := sp.outRuns[p]
-	var outScratch []byte
-	for i := 0; ; i++ {
-		if i%1024 == 0 {
-			prog.Tick()
-			if err := ctx.Err(); err != nil {
+	if err := add(); err != nil {
+		return err
+	}
+
+	// The left rows are probed a batch at a time, through the operator's
+	// own probe.
+	j.in.Reset(j.left.Schema().Len())
+	var seqs []uint64
+	probe := func() error {
+		j.probe(j.in.Live())
+		for !j.probed() {
+			if err := j.pair(DefaultBatchSize); err != nil {
 				return err
 			}
+			for k, l := range j.lrows {
+				j.row = j.build.rows.Row(j.rrows[k], j.in.Row(l, j.row[:0]))
+				if err := appendTupleRec(sp.outRuns[p], &sp.scratch, seqs[l], true, j.row); err != nil {
+					return err
+				}
+			}
+			j.lrows, j.rrows = j.lrows[:0], j.rrows[:0]
 		}
-		rec, err := lr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
+		j.in.Reset(len(j.in.Cols))
+		seqs = seqs[:0]
+		return nil
+	}
+	err = readRun(ctx, &sp.leftRuns[p], func(rec []byte) error {
 		if len(rec) < 8 {
 			return fmt.Errorf("exec: join spill left row: truncated sequence")
 		}
-		seq := binary.BigEndian.Uint64(rec)
 		t, _, err := types.DecodeTuple(rec[8:])
 		if err != nil {
 			return fmt.Errorf("exec: join spill left row: %w", err)
 		}
-		var matches []types.Tuple
-		for _, b := range table[t.Hash(j.leftKeys)] {
-			if crossEqual(t, j.leftKeys, b.key, j.rightKeys) {
-				matches = b.rows
-				break
-			}
+		seqs = append(seqs, binary.BigEndian.Uint64(rec))
+		if j.in.AppendRows(t); j.in.N == DefaultBatchSize {
+			return probe()
 		}
-		for _, m := range matches {
-			joined := t.Concat(m)
-			keep, err := j.match(joined)
-			if err != nil {
-				return err
-			}
-			if !keep {
-				continue
-			}
-			if err := appendTupleRec(out, &outScratch, seq, true, joined); err != nil {
-				return err
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	return nil
+	return probe()
 }
 
 // advance loads the next head of partition p's output run.
@@ -421,36 +419,36 @@ func (sp *joinSpill) close() {
 // aggSpill is the Grace-partitioned execution state of a spilled
 // HashAggregate.
 type aggSpill struct {
-	parts     int
+	router
 	stateRuns []*storage.RunWriter // flushed partial aggregation states
 	rawRuns   []*storage.RunWriter // raw input rows arriving after the flush
-	groupBy   []int
+	groups    int                  // group columns
 	nAggs     int
-	scratch   []byte
 }
 
-// beginAggSpill flushes the aggregate's in-memory states as partial-state
-// records partitioned by group hash and prepares raw-row partitions for the
-// rest of the input. The caller releases its memory account.
-func beginAggSpill(h *HashAggregate, states []*aggState) (*aggSpill, error) {
+// beginAggSpill flushes the aggregate's groups as partial-state records
+// partitioned by group hash and prepares raw-row partitions for the rest of
+// the input. The caller empties the groups and releases its memory account.
+func beginAggSpill(h *HashAggregate) (*aggSpill, error) {
 	tracker := h.mem.t
-	sp := &aggSpill{parts: spillPartitions(h.SpillPartitions), groupBy: h.groupBy, nAggs: len(h.aggs)}
+	parts := spillPartitions(h.SpillPartitions)
+	sp := &aggSpill{groups: len(h.groupBy), nAggs: len(h.aggs)}
 	var err error
-	sp.stateRuns, err = newRunSet(tracker, sp.parts)
+	sp.stateRuns, err = newRunSet(tracker, parts)
 	if err != nil {
 		return nil, err
 	}
-	sp.rawRuns, err = newRunSet(tracker, sp.parts)
+	sp.rawRuns, err = newRunSet(tracker, parts)
 	if err != nil {
 		discardRuns(sp.stateRuns)
 		return nil, err
 	}
-	groupOrds := allOrdinals(len(h.groupBy))
+	rows := &h.groups.rows
+	sp.hashes = rows.HashRows(rows.Live(), h.groups.keys, sp.hashes)
 	var flushed int64
-	for _, st := range states {
-		rec := sp.encodeState(st)
-		p := int(st.groupRow.Hash(groupOrds) % uint64(sp.parts))
-		if err := appendTupleRec(sp.stateRuns[p], &sp.scratch, 0, false, rec); err != nil {
+	for g, hash := range sp.hashes {
+		sp.row = sp.encodeState(rows.Row(g, sp.row[:0]), &h.states[g])
+		if err := appendTupleRec(sp.stateRuns[hash%uint64(parts)], &sp.scratch, 0, false, sp.row); err != nil {
 			sp.close()
 			return nil, err
 		}
@@ -462,12 +460,10 @@ func beginAggSpill(h *HashAggregate, states []*aggState) (*aggSpill, error) {
 	return sp, nil
 }
 
-// encodeState flattens a partial aggregation state into one tuple: group
-// columns, total count, then per aggregate (float sum, INT sum, min, max,
-// count).
-func (sp *aggSpill) encodeState(st *aggState) types.Tuple {
-	rec := make(types.Tuple, 0, len(st.groupRow)+1+5*sp.nAggs)
-	rec = append(rec, st.groupRow...)
+// encodeState appends a group's partial aggregation state to its group
+// values, flattening it into one tuple: group columns, total count, then per
+// aggregate (float sum, INT sum, min, max, count).
+func (sp *aggSpill) encodeState(rec types.Tuple, st *aggState) types.Tuple {
 	rec = append(rec, types.NewInt(st.count))
 	for _, acc := range st.accs {
 		rec = append(rec, types.NewFloat(acc.sum), types.NewInt(acc.isum), acc.min, acc.max, types.NewInt(acc.count))
@@ -476,38 +472,32 @@ func (sp *aggSpill) encodeState(st *aggState) types.Tuple {
 }
 
 // decodeState rebuilds a partial aggregation state from its flattened tuple.
-func (sp *aggSpill) decodeState(rec types.Tuple) (*aggState, error) {
-	want := len(sp.groupBy) + 1 + 5*sp.nAggs
+func (sp *aggSpill) decodeState(rec types.Tuple) (aggState, error) {
+	want := sp.groups + 1 + 5*sp.nAggs
 	if len(rec) != want {
-		return nil, fmt.Errorf("exec: aggregate spill state has %d columns, want %d", len(rec), want)
+		return aggState{}, fmt.Errorf("exec: aggregate spill state has %d columns, want %d", len(rec), want)
 	}
-	g := len(sp.groupBy)
-	st := &aggState{groupRow: rec[:g:g], accs: make([]aggAcc, sp.nAggs)}
+	g := sp.groups
+	st := aggState{accs: make([]aggAcc, sp.nAggs)}
 	count, err := rec[g].Int()
 	if err != nil {
-		return nil, fmt.Errorf("exec: aggregate spill state count: %w", err)
+		return aggState{}, fmt.Errorf("exec: aggregate spill state count: %w", err)
 	}
 	st.count = count
 	for i := range st.accs {
 		base, acc := g+1+5*i, &st.accs[i]
 		if acc.sum, err = rec[base].Float(); err != nil {
-			return nil, fmt.Errorf("exec: aggregate spill state sum: %w", err)
+			return aggState{}, fmt.Errorf("exec: aggregate spill state sum: %w", err)
 		}
 		if acc.isum, err = rec[base+1].Int(); err != nil {
-			return nil, fmt.Errorf("exec: aggregate spill state sum: %w", err)
+			return aggState{}, fmt.Errorf("exec: aggregate spill state sum: %w", err)
 		}
 		acc.min, acc.max = rec[base+2], rec[base+3]
 		if acc.count, err = rec[base+4].Int(); err != nil {
-			return nil, fmt.Errorf("exec: aggregate spill state count: %w", err)
+			return aggState{}, fmt.Errorf("exec: aggregate spill state count: %w", err)
 		}
 	}
 	return st, nil
-}
-
-// addRaw routes one post-flush input row to its partition run.
-func (sp *aggSpill) addRaw(t types.Tuple) error {
-	p := int(t.Hash(sp.groupBy) % uint64(sp.parts))
-	return appendTupleRec(sp.rawRuns[p], &sp.scratch, 0, false, t)
 }
 
 // finish aggregates every partition — replaying its flushed partial states
@@ -515,20 +505,14 @@ func (sp *aggSpill) addRaw(t types.Tuple) error {
 // then folding its raw rows — and returns the concatenated, unsorted result
 // rows. The operator's deterministic group sort runs afterwards.
 func (sp *aggSpill) finish(ctx context.Context, h *HashAggregate) ([]types.Tuple, error) {
-	groupOrds := allOrdinals(len(h.groupBy))
 	var raw int64
 	for _, w := range sp.rawRuns {
 		raw += w.Bytes()
 	}
 	h.mem.t.NoteSpillBytes(raw)
-	prog := ProgressFrom(ctx)
 	var results []types.Tuple
-	for p := 0; p < sp.parts; p++ {
-		prog.Tick()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rows, err := sp.finishPartition(ctx, h, p, groupOrds)
+	for p := range sp.stateRuns {
+		rows, err := sp.finishPartition(ctx, h, p)
 		if err != nil {
 			return nil, err
 		}
@@ -537,95 +521,74 @@ func (sp *aggSpill) finish(ctx context.Context, h *HashAggregate) ([]types.Tuple
 	return results, nil
 }
 
-// finishPartition aggregates partition p and returns its result rows. What
-// it charges the tracker is released when it returns.
-func (sp *aggSpill) finishPartition(ctx context.Context, h *HashAggregate, p int, groupOrds []int) ([]types.Tuple, error) {
-	table := &aggTable{groups: make(map[uint64][]*aggState)}
-	var keys types.Batch // the states' group rows
-	keys.Reset(len(groupOrds))
-	mem := memAccount{t: h.mem.t}
-	defer mem.releaseAll()
-	sr, err := sp.stateRuns[p].Finish()
-	if err != nil {
-		return nil, err
+// finishPartition aggregates partition p through the operator's own group
+// table and fold, and returns its result rows. What it charges the tracker
+// is released when it returns.
+func (sp *aggSpill) finishPartition(ctx context.Context, h *HashAggregate, p int) ([]types.Tuple, error) {
+	h.resetGroups()
+	defer h.mem.releaseAll()
+	// The flushed states go back in under their group values, in flush
+	// order, a batch at a time.
+	var in types.Batch
+	in.Reset(sp.groups)
+	addStates := func() error {
+		live := in.Live()
+		sp.hashes = in.HashRows(live, h.groups.keys, sp.hashes)
+		grown := h.groups.add(&in, live, nil, sp.hashes)
+		err := h.mem.grow(grown + int64(in.N)*AggStateMemSize(sp.nAggs))
+		in.Reset(len(in.Cols))
+		return err
 	}
-	defer func() { _ = sr.Close() }()
-	sp.stateRuns[p] = nil
-	for {
-		rec, err := sr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+	err := readRun(ctx, &sp.stateRuns[p], func(rec []byte) error {
 		tup, _, err := types.DecodeTuple(rec)
 		if err != nil {
-			return nil, fmt.Errorf("exec: aggregate spill state: %w", err)
+			return fmt.Errorf("exec: aggregate spill state: %w", err)
 		}
 		st, err := sp.decodeState(tup)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		keys.AppendRows(st.groupRow)
-		table.states = append(table.states, st)
-		if err := mem.grow(int64(st.groupRow.MemSize()) + AggStateMemSize(sp.nAggs)); err != nil {
-			return nil, err
+		h.states = append(h.states, st)
+		if in.AppendRows(tup[:sp.groups]); in.N == DefaultBatchSize {
+			return addStates()
 		}
-	}
-	// The states go in under the key hash the fold looks them up by.
-	for i, hash := range keys.HashRows(keys.Live(), groupOrds, nil) {
-		table.groups[hash] = append(table.groups[hash], table.states[i])
-	}
-
-	rr, err := sp.rawRuns[p].Finish()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = rr.Close() }()
-	sp.rawRuns[p] = nil
-	// Raw rows are folded a batch at a time, through the operator's own
-	// fold, in their arrival order.
-	var raw types.Batch
-	raw.Reset(h.input.Schema().Len())
-	flush := func() error {
-		n, err := h.fold(table, &raw)
-		if err == nil {
-			err = mem.grow(n)
-		}
-		raw.Reset(len(raw.Cols))
-		return err
-	}
-	prog := ProgressFrom(ctx)
-	for i := 0; ; i++ {
-		if i%1024 == 0 {
-			prog.Tick()
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		rec, err := rr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		tup, _, err := types.DecodeTuple(rec)
-		if err != nil {
-			return nil, fmt.Errorf("exec: aggregate spill raw row: %w", err)
-		}
-		raw.AppendRows(tup)
-		if raw.N == DefaultBatchSize {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
+	if err := addStates(); err != nil {
 		return nil, err
 	}
-	return h.materialize(table.states), nil
+
+	// Raw rows are folded a batch at a time, through the operator's own
+	// fold, in their arrival order.
+	in.Reset(h.input.Schema().Len())
+	fold := func() error {
+		n, err := h.fold(&in)
+		if err == nil {
+			err = h.mem.grow(n)
+		}
+		in.Reset(len(in.Cols))
+		return err
+	}
+	err = readRun(ctx, &sp.rawRuns[p], func(rec []byte) error {
+		tup, _, err := types.DecodeTuple(rec)
+		if err != nil {
+			return fmt.Errorf("exec: aggregate spill raw row: %w", err)
+		}
+		if in.AppendRows(tup); in.N == DefaultBatchSize {
+			return fold()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := fold(); err != nil {
+		return nil, err
+	}
+	return h.materialize(), nil
 }
 
 // close releases every spill resource.

@@ -158,12 +158,17 @@ func TestHashAggregateSpillByteIdentical(t *testing.T) {
 	}
 }
 
-func TestDistinctHardMemoryLimit(t *testing.T) {
+// TestHashAggregateHardMemoryLimit: with no spill budget, a group table
+// that outgrows the hard limit fails the query.
+func TestHashAggregateHardMemoryLimit(t *testing.T) {
 	rows := spillRows(2000, 2000, 11)
-	d := NewDistinct(NewValuesScan(spillSchema(""), rows), nil)
+	d, err := NewHashAggregate(NewValuesScan(spillSchema(""), rows), []int{2}, []Aggregate{{Func: AggCount, Ordinal: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tracker := NewMemTracker(0)
 	tracker.SetHardLimit(8 << 10)
-	_, err := Collect(WithMemTracker(context.Background(), tracker), d)
+	_, err = Collect(WithMemTracker(context.Background(), tracker), d)
 	if !errors.Is(err, ErrMemoryLimit) {
 		t.Fatalf("expected ErrMemoryLimit, got %v", err)
 	}

@@ -46,3 +46,23 @@ func (s *ValuesScan) Close() error {
 	s.closed = true
 	return nil
 }
+
+// collectN opens op, pulls its first n rows and closes it, abandoning the
+// rest of the stream: the early close of a consumer that needs no more.
+func collectN(ctx context.Context, op Operator, n int) ([]types.Tuple, error) {
+	var out []types.Tuple
+	err := op.Open(ctx)
+	b := &types.Batch{}
+	for err == nil && len(out) < n {
+		b.Max = n - len(out)
+		var got int
+		if got, err = op.NextBatch(b); got == 0 {
+			break
+		}
+		out = append(out, b.Tuples()...)
+	}
+	if cerr := op.Close(); err == nil {
+		err = cerr
+	}
+	return out, err
+}

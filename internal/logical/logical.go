@@ -1,6 +1,6 @@
 // Package logical implements the logical plan IR: an algebraic tree of
-// relational operators (Scan, Filter, Project, Join, Aggregate,
-// Distinct, Limit, UDFApply) that describes *what* a query computes,
+// relational operators (Scan, Filter, Project, Join, Aggregate, UDFApply)
+// that describes *what* a query computes,
 // independent of the physical strategy used to compute it. The planner
 // pipeline is
 //
@@ -24,7 +24,7 @@
 //
 //   - Scan produces the catalog table's columns qualified by the alias (or
 //     the table name);
-//   - Filter, Distinct and Limit pass their input schema through unchanged;
+//   - Filter passes its input schema through unchanged;
 //   - Project produces the input columns selected by its ordinals, in
 //     ordinal-list order;
 //   - Join produces the left schema followed by the right schema;
@@ -325,65 +325,6 @@ func (a *Aggregate) String() string {
 	}
 	return fmt.Sprintf("aggregate group=%v aggs=[%s]", a.GroupBy, strings.Join(specs, " "))
 }
-
-// Distinct eliminates duplicates on the key ordinals (all columns when nil).
-type Distinct struct {
-	Input    Node
-	Ordinals []int
-}
-
-// NewDistinct builds a duplicate-elimination node.
-func NewDistinct(input Node, ordinals []int) (*Distinct, error) {
-	if input == nil {
-		return nil, fmt.Errorf("logical: distinct over nil input")
-	}
-	for _, o := range ordinals {
-		if o < 0 || o >= input.Schema().Len() {
-			return nil, fmt.Errorf("logical: distinct ordinal %d out of range", o)
-		}
-	}
-	return &Distinct{Input: input, Ordinals: append([]int(nil), ordinals...)}, nil
-}
-
-// Schema implements Node.
-func (d *Distinct) Schema() *types.Schema { return d.Input.Schema() }
-
-// Children implements Node.
-func (d *Distinct) Children() []Node { return []Node{d.Input} }
-
-// String implements Node.
-func (d *Distinct) String() string {
-	if len(d.Ordinals) == 0 {
-		return "distinct (all columns)"
-	}
-	return fmt.Sprintf("distinct %v", d.Ordinals)
-}
-
-// Limit caps the input at N rows.
-type Limit struct {
-	Input Node
-	N     int
-}
-
-// NewLimit builds a limit node.
-func NewLimit(input Node, n int) (*Limit, error) {
-	if input == nil {
-		return nil, fmt.Errorf("logical: limit over nil input")
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("logical: negative limit %d", n)
-	}
-	return &Limit{Input: input, N: n}, nil
-}
-
-// Schema implements Node.
-func (l *Limit) Schema() *types.Schema { return l.Input.Schema() }
-
-// Children implements Node.
-func (l *Limit) Children() []Node { return []Node{l.Input} }
-
-// String implements Node.
-func (l *Limit) String() string { return fmt.Sprintf("limit %d", l.N) }
 
 // UDFApply applies one or more client-site UDFs to its input: each UDF
 // contributes one result column appended to the input schema. It is the

@@ -102,9 +102,6 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewJoin(v, source(t), nil, nil, nil); err == nil {
 		t.Error("join without keys accepted")
 	}
-	if _, err := NewLimit(v, -1); err == nil {
-		t.Error("negative limit accepted")
-	}
 	if _, err := NewScan(&catalog.Table{Name: "t"}, ""); err == nil {
 		t.Error("scan over schema-less table accepted")
 	}

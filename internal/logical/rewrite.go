@@ -145,10 +145,6 @@ func withChildren(n Node, kids []Node) (Node, error) {
 		return NewJoin(kids[0], kids[1], t.LeftKeys, t.RightKeys, t.Residual)
 	case *Aggregate:
 		return NewAggregate(kids[0], t.GroupBy, t.Aggs)
-	case *Distinct:
-		return NewDistinct(kids[0], t.Ordinals)
-	case *Limit:
-		return NewLimit(kids[0], t.N)
 	case *UDFApply:
 		return newUDFApply(kids[0], t.UDFs, t.Pushable, t.Project)
 	default:
@@ -415,16 +411,6 @@ func pruneColumns(n Node, need []bool) (out Node, pos map[int]int) {
 	case *Filter:
 		in, pos := pruneColumns(t.Input, demand(need, expr.Columns(t.Pred)...))
 		return must(NewFilter(in, must(expr.RemapColumns(t.Pred, pos)))), pos
-	case *Limit:
-		in, pos := pruneColumns(t.Input, need)
-		return must(NewLimit(in, t.N)), pos
-	case *Distinct:
-		keys := full(len(need))
-		if len(t.Ordinals) > 0 {
-			keys = demand(need, t.Ordinals...)
-		}
-		in, pos := pruneColumns(t.Input, keys)
-		return must(NewDistinct(in, remapped(t.Ordinals, pos))), pos
 	case *Project:
 		switch in := t.Input.(type) {
 		case *Project:

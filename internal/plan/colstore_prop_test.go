@@ -52,16 +52,16 @@ func colPropRows(n int) []types.Tuple {
 }
 
 // colPropTree grows a query tree above a scan from the shape grammar's
-// productions: prunable filters, positional projections, limits, distincts,
-// aggregates, joins against generated leaves or a second scan, and UDF
-// applications. scan builds a fresh scan of the table.
+// productions: prunable filters, positional projections, aggregates, joins
+// against generated leaves or a second scan, and UDF applications. scan
+// builds a fresh scan of the table.
 func colPropTree(r *rand.Rand, scan func() logical.Node, depth int) (logical.Node, error) {
 	node := scan()
 	for step := 0; step < depth; step++ {
 		schema := node.Schema()
 		ints := intCols(schema)
 		var err error
-		switch r.Intn(7) {
+		switch r.Intn(5) {
 		case 0: // comparison filter on an int column (prunable when above the scan)
 			if len(ints) == 0 {
 				continue
@@ -75,20 +75,12 @@ func colPropTree(r *rand.Rand, scan func() logical.Node, depth int) (logical.Nod
 		case 1: // positional projection (random non-empty subset, shuffled)
 			perm := r.Perm(schema.Len())
 			node, err = logical.NewProject(node, perm[:1+r.Intn(schema.Len())])
-		case 2: // limit
-			node, err = logical.NewLimit(node, r.Intn(200))
-		case 3: // distinct
-			var ords []int
-			if r.Intn(2) == 0 {
-				ords = []int{r.Intn(schema.Len())}
-			}
-			node, err = logical.NewDistinct(node, ords)
-		case 4: // join with a generated leaf or a second scan, keys in any layout
+		case 2: // join with a generated leaf or a second scan, keys in any layout
 			if len(ints) == 0 {
 				continue
 			}
 			node, err = colPropJoin(r, node, ints, scan)
-		case 5: // aggregate: COUNT(*), with or without a group-by column and a SUM
+		case 3: // aggregate: COUNT(*), with or without a group-by column and a SUM
 			aggs := []exec.Aggregate{{Func: exec.AggCount, Ordinal: -1, Name: "n"}}
 			if len(ints) > 0 && r.Intn(2) == 0 {
 				aggs = append(aggs, exec.Aggregate{Func: exec.AggSum, Ordinal: ints[r.Intn(len(ints))], Name: "s"})
@@ -98,7 +90,7 @@ func colPropTree(r *rand.Rand, scan func() logical.Node, depth int) (logical.Nod
 				groupBy = []int{r.Intn(schema.Len())}
 			}
 			node, err = logical.NewAggregate(node, groupBy, aggs)
-		case 6: // UDF application over int columns
+		case 4: // UDF application over int columns
 			if len(ints) == 0 {
 				continue
 			}
@@ -233,7 +225,7 @@ func colPropCatalogs(t *testing.T, rt *client.Runtime) (heapCat, colCat *catalog
 	return catFor(heap), catFor(col)
 }
 
-// Small enough that aggregates, joins and distincts over 240 rows spill.
+// Small enough that aggregates and joins over 240 rows spill.
 const colPropBudget = 2048
 
 // colPropPlan plans the tree with a fresh planner under colPropBudget.
@@ -342,7 +334,7 @@ func fillUnread(t *testing.T) {
 }
 
 // sentinelScan overwrites the unrequired columns of each row it passes up
-// with a value unique to the row, so a distinct or a grouping on a dropped
+// with a value unique to the row, so a grouping on a dropped
 // column keeps every row. It copies the rows into columns of its own first:
 // a columnar scan hands out windows of its decoded vectors.
 type sentinelScan struct {

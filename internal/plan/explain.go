@@ -69,12 +69,6 @@ func (tp *TreePlan) physicalInto(b *strings.Builder, n logical.Node, depth int) 
 	case *logical.Aggregate:
 		writeLine(b, depth, "hash-"+t.String()+tp.memSuffix(t))
 		tp.physicalInto(b, t.Input, depth+1)
-	case *logical.Distinct:
-		writeLine(b, depth, t.String()+tp.memSuffix(t))
-		tp.physicalInto(b, t.Input, depth+1)
-	case *logical.Limit:
-		writeLine(b, depth, t.String())
-		tp.physicalInto(b, t.Input, depth+1)
 	case *logical.UDFApply:
 		tp.applyInto(b, t, depth)
 	default:

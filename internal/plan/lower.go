@@ -198,18 +198,6 @@ func (lw *lowerer) lower(n logical.Node) (exec.Operator, error) {
 		}
 		agg.SpillPartitions = lw.spillPartitionsFor(t)
 		return agg, nil
-	case *logical.Distinct:
-		in, err := lw.lower(t.Input)
-		if err != nil {
-			return nil, err
-		}
-		return exec.NewDistinct(in, t.Ordinals), nil
-	case *logical.Limit:
-		in, err := lw.lower(t.Input)
-		if err != nil {
-			return nil, err
-		}
-		return exec.NewLimit(in, t.N), nil
 	case *logical.UDFApply:
 		d, ok := lw.decisions[t]
 		if !ok {

@@ -118,7 +118,7 @@ func (g *propGen) tree(depth int) (pair, error) {
 	}
 	schema := in.node.Schema()
 	ints := intCols(schema)
-	switch g.r.Intn(8) {
+	switch g.r.Intn(6) {
 	case 0: // filter on an int column
 		if len(ints) == 0 {
 			return in, nil
@@ -152,36 +152,7 @@ func (g *propGen) tree(depth int) (pair, error) {
 			}
 			return exec.NewProjectOrdinals(op, ords)
 		}}, nil
-	case 2: // limit
-		limit := g.r.Intn(25)
-		n, err := logical.NewLimit(in.node, limit)
-		if err != nil {
-			return pair{}, err
-		}
-		return pair{node: n, direct: func() (exec.Operator, error) {
-			op, err := in.direct()
-			if err != nil {
-				return nil, err
-			}
-			return exec.NewLimit(op, limit), nil
-		}}, nil
-	case 3: // distinct on a random key prefix (or all columns)
-		var ords []int
-		if g.r.Intn(2) == 0 && len(ints) > 0 {
-			ords = []int{ints[0]}
-		}
-		n, err := logical.NewDistinct(in.node, ords)
-		if err != nil {
-			return pair{}, err
-		}
-		return pair{node: n, direct: func() (exec.Operator, error) {
-			op, err := in.direct()
-			if err != nil {
-				return nil, err
-			}
-			return exec.NewDistinct(op, ords), nil
-		}}, nil
-	case 4: // join with a fresh leaf on the first int columns
+	case 2: // join with a fresh leaf on the first int columns
 		if len(ints) == 0 {
 			return in, nil
 		}
@@ -203,7 +174,7 @@ func (g *propGen) tree(depth int) (pair, error) {
 			}
 			return exec.NewHashJoin(l, r, lk, rk, nil)
 		}}, nil
-	case 5: // aggregate: group by first column, COUNT(*) + SUM(first int)
+	case 3: // aggregate: group by first column, COUNT(*) + SUM(first int)
 		if len(ints) == 0 {
 			return in, nil
 		}
@@ -223,7 +194,7 @@ func (g *propGen) tree(depth int) (pair, error) {
 			}
 			return exec.NewHashAggregate(op, groupBy, aggs)
 		}}, nil
-	case 6, 7: // UDF application over the first int column
+	case 4, 5: // UDF application over the first int column
 		if len(ints) == 0 {
 			return in, nil
 		}

@@ -25,45 +25,31 @@ type memEstimate struct {
 	OpBytes int64
 }
 
-// rowShape is what the execution layer's charge for retaining one tuple
-// (types.Tuple.MemSize) depends on besides the payload: how many columns the
-// row has and how many bytes of its encoded size (types.Tuple.Size) are fixed
-// per-column encoding rather than variable-width payload.
-type rowShape struct {
-	width int
-	fixed float64
+// payloadOf splits the average encoded size (types.Tuple.Size) of a row of
+// cols into its kinds and the variable-width payload it carries: what is
+// left once the tuple header and each cell's fixed encoding are taken out.
+// With exec.KeyRowMemSize it gives a row's resident charge.
+func payloadOf(cols []types.Column, encoded float64) ([]types.Kind, float64) {
+	kinds := make([]types.Kind, len(cols))
+	fixed := 4.0
+	for i, c := range cols {
+		kinds[i] = c.Kind
+		switch c.Kind {
+		case types.KindInt, types.KindFloat:
+			fixed += 10
+		case types.KindBool:
+			fixed += 3
+		default:
+			fixed += 6
+		}
+	}
+	return kinds, max(encoded-fixed, 0)
 }
 
-func (r *rowShape) add(k types.Kind) {
-	r.width++
-	switch k {
-	case types.KindInt, types.KindFloat:
-		r.fixed += 10
-	case types.KindBool:
-		r.fixed += 3
-	default:
-		r.fixed += 6
-	}
-}
-
-func shapeOf(cols []types.Column) rowShape {
-	var r rowShape
-	for _, c := range cols {
-		r.add(c.Kind)
-	}
-	return r
-}
-
-// residentBytes mirrors types.Tuple.MemSize for a row of this shape whose
-// average encoded size is encoded, so estimates and tracker charges are
-// comparable: a slice header and one Value per column, plus the payload —
-// what is left of the encoded size once the fixed encoding is taken out.
-func (r rowShape) residentBytes(encoded float64) float64 {
-	payload := encoded - 4 - r.fixed
-	if payload < 0 {
-		payload = 0
-	}
-	return float64(types.TupleHeaderMemSize+r.width*types.ValueMemSize) + payload
+// keyRowBytes is what a hash table keeps resident for a row of cols whose
+// average encoded size is encoded.
+func keyRowBytes(cols []types.Column, encoded float64) float64 {
+	return exec.KeyRowMemSize(payloadOf(cols, encoded))
 }
 
 // defaultRowBytes sizes a row from its schema kinds when no statistics exist.
@@ -123,29 +109,18 @@ func estimateMem(root logical.Node, decisions map[*logical.UDFApply]*Decision) m
 				est.Rows = r.Rows
 			}
 			est.RowBytes = l.RowBytes + r.RowBytes
-			// The hash join materialises its right (build) input.
-			est.OpBytes = int64(r.Rows * shapeOf(t.Right.Schema().Columns).residentBytes(r.RowBytes))
+			// The hash join keeps its right (build) input in its table.
+			est.OpBytes = int64(r.Rows * keyRowBytes(t.Right.Schema().Columns, r.RowBytes))
 		case *logical.Aggregate:
 			in := walk(t.Input)
 			// Worst case: every input row is its own group.
 			est.Rows = in.Rows
 			est.RowBytes = defaultRowBytes(t.Schema())
-			// Per group: the group row (the leading output columns) and the
-			// accumulators.
-			group := shapeOf(t.Schema().Columns[:len(t.GroupBy)])
+			// Per group: its row of the group table (the leading output
+			// columns) and the accumulators.
 			groupBytes := est.RowBytes * float64(len(t.GroupBy)) / float64(t.Schema().Len())
-			est.OpBytes = int64(in.Rows * (group.residentBytes(groupBytes) + float64(exec.AggStateMemSize(len(t.Aggs)))))
-		case *logical.Distinct:
-			in := walk(t.Input)
-			est.Rows, est.RowBytes = in.Rows, in.RowBytes
-			est.OpBytes = int64(in.Rows * shapeOf(t.Schema().Columns).residentBytes(in.RowBytes))
-		case *logical.Limit:
-			in := walk(t.Input)
-			est.Rows = in.Rows
-			if n := float64(t.N); n < est.Rows {
-				est.Rows = n
-			}
-			est.RowBytes = in.RowBytes
+			group := keyRowBytes(t.Schema().Columns[:len(t.GroupBy)], groupBytes)
+			est.OpBytes = int64(in.Rows * (group + float64(exec.AggStateMemSize(len(t.Aggs)))))
 		case *logical.UDFApply:
 			in := walk(t.Input)
 			est = applyMemEstimate(t, in, decisions[t])
@@ -166,8 +141,8 @@ func estimateMem(root logical.Node, decisions map[*logical.UDFApply]*Decision) m
 
 // applyMemEstimate sizes one UDF application from its decision: the
 // semi-join (naive included, its factor-1 point) retains the duplicate-free
-// argument tuples plus the result table, and the client-site join streams
-// (no retained state grows with the input).
+// argument tuples in its argument table plus a result tuple each, and the
+// client-site join streams (no retained state grows with the input).
 func applyMemEstimate(apply *logical.UDFApply, in memEstimate, d *Decision) memEstimate {
 	est := memEstimate{Rows: in.Rows, RowBytes: defaultRowBytes(apply.Schema())}
 	if d == nil {
@@ -185,15 +160,18 @@ func applyMemEstimate(apply *logical.UDFApply, in memEstimate, d *Decision) memE
 	distinct := rows * d.Params.DistinctFraction
 	switch d.Strategy {
 	case StrategySemiJoin, StrategyNaive:
-		// Per distinct argument: the argument tuple and the result tuple.
-		var args, results rowShape
+		// Per distinct argument: its row of the argument table and its
+		// result tuple.
+		var args, results []types.Column
 		for _, o := range apply.ArgOrdinals() {
-			args.add(apply.Input.Schema().Columns[o].Kind)
+			args = append(args, apply.Input.Schema().Columns[o])
 		}
 		for _, u := range apply.UDFs {
-			results.add(u.ResultKind)
+			results = append(results, types.Column{Kind: u.ResultKind})
 		}
-		est.OpBytes = int64(distinct * (args.residentBytes(argBytes) + results.residentBytes(d.Params.ResultSize)))
+		_, resultPayload := payloadOf(results, d.Params.ResultSize)
+		result := float64(types.TupleHeaderMemSize+len(results)*types.ValueMemSize) + resultPayload
+		est.OpBytes = int64(distinct * (keyRowBytes(args, argBytes) + result))
 	case StrategyClientJoin:
 		est.OpBytes = 0
 	}

@@ -40,7 +40,7 @@ type SampleStats struct {
 
 // sampleInput drives the sampling pass: it opens a fresh input subtree, reads
 // up to maxRows rows in batches, evaluates the server filter, and accumulates
-// sizes and the argument hashes' frequencies over the rows that pass.
+// sizes and the argument hashes (Batch.HashRows) of the rows that pass.
 //
 // projection, when non-nil, re-expresses the column statistics positionally:
 // the measured record is t[projection[0]], t[projection[1]], … — the shape a
@@ -68,7 +68,9 @@ func sampleInput(ctx context.Context, src exec.Operator, argOrdinals []int, serv
 	}
 	defer func() { _ = src.Close() }()
 
-	argCounts := make(map[uint64]int) // argument hash → passing rows carrying it
+	argHashes := make(map[uint64]struct{}) // the passing rows' argument hashes
+	var passing []int
+	var hashes []uint64
 	ev := &expr.Evaluator{}
 	colBytes := make([]int64, width)
 	batch := &types.Batch{}
@@ -83,6 +85,7 @@ func sampleInput(ctx context.Context, src exec.Operator, argOrdinals []int, serv
 			stats.Exhausted = true
 			break
 		}
+		passing = passing[:0]
 		for _, r := range batch.Live() {
 			t = batch.Row(r, t[:0])
 			stats.ScannedRows++
@@ -101,7 +104,11 @@ func sampleInput(ctx context.Context, src exec.Operator, argOrdinals []int, serv
 					colBytes[i] += int64(t[o].Size())
 				}
 			}
-			argCounts[t.Hash(argOrdinals)]++
+			passing = append(passing, r)
+		}
+		hashes = batch.HashRows(passing, argOrdinals, hashes)
+		for _, h := range hashes {
+			argHashes[h] = struct{}{}
 		}
 	}
 	if stats.ScannedRows > 0 {
@@ -123,7 +130,7 @@ func sampleInput(ctx context.Context, src exec.Operator, argOrdinals []int, serv
 		}
 		stats.AvgRecordBytes = float64(record) / float64(stats.PassingRows)
 		stats.AvgArgBytes = float64(args) / float64(stats.PassingRows)
-		stats.DistinctFraction = float64(len(argCounts)) / float64(stats.PassingRows)
+		stats.DistinctFraction = float64(len(argHashes)) / float64(stats.PassingRows)
 	}
 	return stats, nil
 }

@@ -256,8 +256,9 @@ func (b *Batch) Tuples() []Tuple {
 
 // HashRows returns the key hash of cols of each physical row of rows, in
 // hs's storage, a column at a time. Rows whose cells compare equal
-// (Compare == 0) hash alike. The hash keys in-memory tables only: it is not
-// Tuple.Hash, and it differs between processes.
+// (Compare == 0) hash alike. It is the one value hash: it keys in-memory
+// tables and picks spill partitions, which never outlive their process, and
+// it differs between processes.
 func (b *Batch) HashRows(rows, cols []int, hs []uint64) []uint64 {
 	hs = slices.Grow(hs[:0], len(rows))[:len(rows)]
 	clear(hs)
@@ -298,8 +299,17 @@ func (v Value) keyHash() uint64 {
 			w ^= uint64(s[i]) << (8 * i)
 		}
 		return mix64(w)
+	case v.kind == KindBool:
+		return mix64(v.w ^ 0xb001)
+	case v.kind == KindTimeSeries:
+		// A series compares by the bits of its points, so they are hashed.
+		h := v.w
+		for _, f := range v.series() {
+			h = mix64(h ^ math.Float64bits(f))
+		}
+		return h
 	}
-	return v.Hash()
+	return 0
 }
 
 // mix64 is the splitmix64 finalizer.

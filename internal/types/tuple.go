@@ -28,14 +28,6 @@ func (t Tuple) Clone() Tuple {
 	return out
 }
 
-// Concat returns the tuple obtained by appending other's values to t.
-func (t Tuple) Concat(other Tuple) Tuple {
-	out := make(Tuple, 0, len(t)+len(other))
-	out = append(out, t...)
-	out = append(out, other...)
-	return out
-}
-
 // Size returns the approximate encoded size of the tuple in bytes. It is the
 // sum of the value sizes plus a small per-tuple header, matching the binary
 // encoding in encode.go.
@@ -59,32 +51,6 @@ func (t Tuple) MemSize() int {
 	}
 	return n
 }
-
-// Hash combines the hashes of the values at the given ordinals. When ordinals
-// is nil the whole tuple is hashed.
-func (t Tuple) Hash(ordinals []int) uint64 {
-	h := uint64(hashOffset)
-	if ordinals == nil {
-		for _, v := range t {
-			h = hashCombine(h, v.Hash())
-		}
-		return h
-	}
-	for _, i := range ordinals {
-		if i >= 0 && i < len(t) {
-			h = hashCombine(h, t[i].Hash())
-		}
-	}
-	return h
-}
-
-const (
-	hashOffset = 14695981039346656037
-	hashPrime  = 1099511628211
-)
-
-// hashCombine folds a value's hash into a key's, byte by byte.
-func hashCombine(h, vh uint64) uint64 { return fnvWord(h, vh) }
 
 // CompareOn orders two tuples on the given key ordinals, comparing column by
 // column. Tuples compare equal when all key columns compare equal.

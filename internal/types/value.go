@@ -311,56 +311,6 @@ func compareFloat(a, b float64) int {
 	}
 }
 
-// Hash returns a 64-bit FNV-1a style hash of the value, suitable for hash
-// joins and duplicate elimination. Equal values (per Compare == 0) hash
-// identically; numeric values hash by their float64 representation so that
-// INT 2 and FLOAT 2.0 collide as required by Compare, with the zeros and the
-// NaNs, which Compare also calls equal, each folded onto one bit pattern.
-func (v Value) Hash() uint64 {
-	h := fnvByte(hashOffset, 0)
-	if v.IsNull() {
-		return h
-	}
-	switch v.kind {
-	case KindInt:
-		return hashNumber(float64(v.int()))
-	case KindFloat:
-		return hashNumber(v.float())
-	case KindBool:
-		return fnvByte(fnvByte(hashOffset, 2), byte(v.w))
-	case KindString, KindBytes:
-		h = fnvByte(hashOffset, 3)
-		if v.kind == KindBytes {
-			h = fnvByte(hashOffset, 4)
-		}
-		for _, b := range v.bytes() {
-			h = fnvByte(h, b)
-		}
-		return h
-	case KindTimeSeries:
-		h = fnvByte(hashOffset, 5)
-		for _, f := range v.series() {
-			h = fnvWord(h, math.Float64bits(f))
-		}
-		return h
-	}
-	return hashOffset
-}
-
-// hashNumber is the hash of a numeric value of f.
-func hashNumber(f float64) uint64 { return fnvWord(fnvByte(hashOffset, 1), numericBits(f)) }
-
-// fnvByte and fnvWord fold a byte, and the bytes of x from the least
-// significant on, into an FNV-1a hash.
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * hashPrime }
-
-func fnvWord(h, x uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(x>>(8*i)))
-	}
-	return h
-}
-
 // numericBits is the bit pattern a numeric value hashes by: that of f, but
 // +0 for -0 and one NaN for every NaN payload.
 func numericBits(f float64) uint64 {
